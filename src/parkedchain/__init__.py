@@ -8,8 +8,8 @@ Subpackages and modules:
   populations, and type classification.
 * ``contract_opt`` — screening-contract solvers (complete information,
   local and iterative asymmetric) plus posted-price baselines.
-* ``consensus`` — reputation-gated BFT committee simulation, behavior
-  injection, detection and collusion experiments.
+* ``consensus`` — reputation-gated BFT committee simulation, and the
+  detection, decay and collusion experiments.
 * ``ledger`` — accounts, escrowed task contracts, and the block chain
   state machine.
 * ``harness`` — experiment configuration, scenario runners, CLI.

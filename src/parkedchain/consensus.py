@@ -14,29 +14,26 @@ plus an outbox. Byzantine and crash behaviors are generated outside the
 honest handlers, so a corrupted node can lie or stay silent but cannot
 forge another node's message tag.
 
-The detection and collusion experiments at the bottom drive the
-reputation schemes with scripted per-slot cooperation probabilities and
-measure how selection quality differs between the subjective-logic
-scheme and the linear-smoothing baseline.
+The detection, decay and collusion experiments at the bottom feed one
+interaction stream per seed (record_interactions, with scripted per-slot
+cooperation probabilities) to both the subjective-logic scheme and the
+linear-smoothing baseline, and measure how their selection quality
+differs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import itertools
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .reputation import (
-    InteractionRecord,
-    LinearReputationTracker,
-    ReputationEngine,
-    WeightConfig,
-)
+from .reputation import LinearReputationTracker, ReputationEngine, WeightConfig
 
 __all__ = [
     "Behavior",
@@ -50,10 +47,9 @@ __all__ = [
     "select_consensus_nodes",
     "run_view",
     "model_check_safety",
-    "BehaviorProfile",
-    "inject_behavior",
-    "sample_cooperation",
+    "record_interactions",
     "detection_experiment",
+    "decay_experiment",
     "collusion_experiment",
     "correct_block_probability",
 ]
@@ -320,8 +316,6 @@ def run_view(
     nodes,
     proposal: BlockProposal,
     config: ConsensusConfig,
-    net: Network | None = None,
-    seed: int = 0,
     view: int = 0,
     strategies: dict | None = None,
 ) -> ViewOutcome:
@@ -329,11 +323,9 @@ def run_view(
 
     nodes: ordered (id, Behavior) pairs fixing the rotation; the leader is
     nodes[view % n]. strategies maps byzantine ids to a ReplicaStrategy
-    (default SPLIT). The seed only disambiguates nothing here today, but is
-    part of the signature so traces stay reproducible when adversaries gain
-    randomized options.
+    (default SPLIT). Every strategy is deterministic, so the trace is a
+    function of the arguments.
     """
-    del seed  # all current adversary strategies are deterministic
     roster = list(nodes)
     if len(roster) != config.n:
         raise ValueError(f"expected {config.n} committee members, got {len(roster)}")
@@ -342,8 +334,7 @@ def run_view(
     leader = order[view % config.n]
     strategies = strategies or {}
 
-    if net is None:
-        net = Network()
+    net = Network()
     states = {
         node_id: NodeState(node_id=node_id, is_leader=(node_id == leader),
                            leader_id=leader)
@@ -351,6 +342,7 @@ def run_view(
     }
     digest = proposal.digest()
     byz_acted: dict[str, set[str]] = defaultdict(set)
+    reply_digests: list[str] = []    # what the client receives
 
     net.send(0, "client", leader, "request", digest)
 
@@ -407,6 +399,8 @@ def run_view(
                 stage_sent.append((recipient, peer, kind, dig))
         for sender, peer, kind, dig in stage_sent:
             net.send(slot, sender, peer, kind, dig)
+            if peer == "client":
+                reply_digests.append(dig)
         if net.message_count > config.message_budget:
             break
 
@@ -420,11 +414,6 @@ def run_view(
     committed_digest = committed_digests.pop() if len(committed_digests) == 1 else None
 
     # Step-6 style client check over received replies
-    replies = [
-        line.split(",") for line in net.trace
-        if line.split(",")[3] == "reply" and line.split(",")[2] == "client"
-    ]
-    reply_digests = [parts[4] for parts in replies]
     abnormal = 0
     client_accepted = False
     if reply_digests:
@@ -471,14 +460,6 @@ def model_check_safety(config: ConsensusConfig | None = None) -> dict:
     proposal = BlockProposal(height=1, tx_digests=("tx0", "tx1"), proposer=order[0])
     strategies = list(ReplicaStrategy)
 
-    def combos(k):
-        if k == 0:
-            yield ()
-            return
-        for head in strategies:
-            for tail in combos(k - 1):
-                yield (head, *tail)
-
     runs = 0
     divergent = 0
     committed_runs = 0
@@ -496,20 +477,20 @@ def model_check_safety(config: ConsensusConfig | None = None) -> dict:
 
     cases = []
     # honest leader, l byzantine replicas
-    for combo in combos(config.l):
+    for combo in itertools.product(strategies, repeat=config.l):
         byz = order[-config.l:] if config.l else []
         cases.append((byz, dict(zip(byz, combo)), None))
     # byzantine leader (counts toward l) plus l-1 byzantine replicas
     if config.l >= 1:
         for leader_strat in (ReplicaStrategy.SPLIT, ReplicaStrategy.SILENT,
                              ReplicaStrategy.WRONG_DIGEST):
-            for combo in combos(config.l - 1):
+            for combo in itertools.product(strategies, repeat=config.l - 1):
                 byz = [order[0]] + (order[-(config.l - 1):] if config.l > 1 else [])
                 strat_map = {order[0]: leader_strat}
                 strat_map.update(dict(zip(byz[1:], combo)))
                 cases.append((byz, strat_map, None))
         # crashed leader
-        for combo in combos(config.l - 1):
+        for combo in itertools.product(strategies, repeat=config.l - 1):
             byz = order[-(config.l - 1):] if config.l > 1 else []
             cases.append((byz, dict(zip(byz, combo)), order[0]))
 
@@ -541,59 +522,50 @@ def model_check_safety(config: ConsensusConfig | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scripted behavior and reputation experiments
+# reputation experiments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BehaviorProfile:
-    """Per-slot cooperation probability, constant after the listed slots."""
+def record_interactions(
+    rng: np.random.Generator,
+    slot: int,
+    targets: list[str],
+    raters: list[str],
+    p_of: Callable[[int, str, str], float],
+    engine: ReputationEngine,
+    tracker: LinearReputationTracker,
+) -> None:
+    """Draw one slot of rated interactions and record them in both schemes.
 
-    by_slot: tuple[tuple[int, float], ...]   # (first slot, probability) steps
-    default: float = 1.0
-
-    def __post_init__(self) -> None:
-        for _, p in self.by_slot:
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("cooperation probabilities must lie in [0, 1]")
-        if not 0.0 <= self.default <= 1.0:
-            raise ValueError("cooperation probabilities must lie in [0, 1]")
-
-    def probability(self, slot: int) -> float:
-        prob = self.default
-        for first, p in sorted(self.by_slot):
-            if slot >= first:
-                prob = p
-        return prob
-
-
-def switch_profile(before: float, after: float, onset: int) -> BehaviorProfile:
-    return BehaviorProfile(by_slot=((0, before), (onset, after)), default=before)
-
-
-_PROFILES: dict[str, BehaviorProfile] = {}
-
-
-def inject_behavior(node_id: str, profile: BehaviorProfile) -> None:
-    """Attach a scripted cooperation profile to a node id for experiments."""
-    _PROFILES[str(node_id)] = profile
+    Each rater other than the target itself interacts 5 to 10 times with
+    each target, and each interaction goes well with probability
+    p_of(slot, rater, target). A probability of exactly 1.0 records
+    all-positive evidence without drawing a binomial: this is how
+    colluders fabricate mutual praise, and it fixes the RNG draw order.
+    """
+    for target in targets:
+        for rater in raters:
+            if rater == target:
+                continue
+            trials = int(rng.integers(5, 11))
+            p = p_of(slot, rater, target)
+            pos = trials if p == 1.0 else int(rng.binomial(trials, p))
+            engine.record_outcomes(slot, rater, target, pos, trials - pos)
+            tracker.update(rater, target, pos, trials - pos)
 
 
-def sample_cooperation(node_id: str, slot: int, rng: np.random.Generator) -> bool:
-    profile = _PROFILES.get(str(node_id))
-    p = 1.0 if profile is None else profile.probability(slot)
-    return bool(rng.random() < p)
-
-
-def _interaction_counts(rng: np.random.Generator, p: float, trials: int) -> tuple[int, int]:
-    positives = int(rng.binomial(trials, p))
-    return positives, trials - positives
+def _engine(weight_config: WeightConfig | None, *cohorts: list[str]) -> ReputationEngine:
+    """Engine with every cohort registered at arrival hours 9, 10, 11, ..."""
+    engine = ReputationEngine(weight_config)
+    for cohort in cohorts:
+        for i, node in enumerate(cohort):
+            engine.register(node, arrival_hour=9 + (i % 3))
+    return engine
 
 
 def detection_experiment(
     population: int,
     misbehaving_count: int,
     threshold: float,
-    scheme: str,
     slots: int,
     seed: int,
     raters: int = 10,
@@ -601,51 +573,38 @@ def detection_experiment(
     p_before: float = 0.8,
     p_after: float = 0.1,
     weight_config: WeightConfig | None = None,
-) -> list[float]:
+) -> tuple[list[float], list[float]]:
     """Per-slot fraction of misbehaving nodes scored below the threshold.
 
     A fixed committee of honest raters scores every misbehaving node from
     observed per-slot consensus interactions (5 to 10 per pair per slot).
-    scheme selects the reputation aggregate: \"SL\" for the opinion-fusion
-    engine, \"LR\" for the linear-smoothing baseline.
+    Returns (sl_series, lr_series): the opinion-fusion engine and the
+    linear-smoothing baseline, both fed the same interaction stream.
     """
     if misbehaving_count > population:
         raise ValueError("misbehaving count cannot exceed the population")
-    if scheme not in ("SL", "LR"):
-        raise ValueError("scheme must be 'SL' or 'LR'")
     rng = np.random.default_rng(seed)
     rater_ids = [f"r{i:03d}" for i in range(min(raters, population - misbehaving_count))]
     target_ids = [f"m{i:03d}" for i in range(misbehaving_count)]
+    engine = _engine(weight_config, rater_ids, target_ids)
+    tracker = LinearReputationTracker()
 
-    engine = ReputationEngine(weight_config) if scheme == "SL" else None
-    tracker = LinearReputationTracker() if scheme == "LR" else None
-    if engine is not None:
-        for i, rid in enumerate(rater_ids):
-            engine.register(rid, arrival_hour=9 + (i % 3))
-        for i, tid in enumerate(target_ids):
-            engine.register(tid, arrival_hour=9 + (i % 3))
+    def p_of(slot, rater, target):
+        return p_before if slot < onset else p_after
 
-    series: list[float] = []
+    sl_series: list[float] = []
+    lr_series: list[float] = []
     for slot in range(1, slots + 1):
-        p = p_before if slot < onset else p_after
+        record_interactions(rng, slot, target_ids, rater_ids, p_of, engine, tracker)
+        sl_below = lr_below = 0
         for target in target_ids:
-            for rater in rater_ids:
-                trials = int(rng.integers(5, 11))
-                pos, neg = _interaction_counts(rng, p, trials)
-                if engine is not None:
-                    engine.record_outcomes(slot, rater, target, pos, neg)
-                else:
-                    tracker.update(rater, target, pos, neg)
-        below = 0
-        for target in target_ids:
-            if engine is not None:
-                score = engine.average_reputation(target, at=slot + 1, raters=rater_ids)
-            else:
-                score = tracker.average_reputation(target, rater_ids)
-            if score < threshold:
-                below += 1
-        series.append(below / misbehaving_count)
-    return series
+            if engine.average_reputation(target, at=slot + 1, raters=rater_ids) < threshold:
+                sl_below += 1
+            if tracker.average_reputation(target, rater_ids) < threshold:
+                lr_below += 1
+        sl_series.append(sl_below / misbehaving_count)
+        lr_series.append(lr_below / misbehaving_count)
+    return sl_series, lr_series
 
 
 def full_detection_slot(series: list[float]) -> int | None:
@@ -656,66 +615,45 @@ def full_detection_slot(series: list[float]) -> int | None:
     return None
 
 
-@lru_cache(maxsize=512)
-def _collusion_reputations(
-    seed: int,
-    n_raters: int,
-    candidates: int,
-    n_colluders: int,
+def decay_experiment(
+    population: int,
+    misbehaving_count: int,
     slots: int,
-    onset: int,
-    p_honest: float,
-    p_backstab_before: float,
-    p_backstab_after: float,
-) -> tuple[tuple, tuple, tuple, tuple]:
-    """Both schemes' average reputations for every committee candidate,
-    computed from one shared interaction stream (common random numbers).
+    seed: int,
+    weight_config: WeightConfig | None,
+) -> list[tuple[int, str, float, float]]:
+    """Mean reputation of honest vs misbehaving cohorts, slot by slot.
 
-    Cached: a threshold sweep re-reads the same seeds, and the scores do
-    not depend on the threshold. Returns sorted (id, score) tuples."""
-    rng = np.random.default_rng(seed)
-    rater_ids = [f"r{i:03d}" for i in range(n_raters)]
-    cand_ids = rater_ids[:candidates]
-    colluders = cand_ids[:n_colluders]
-    colluder_set = set(colluders)
-
-    engine = ReputationEngine()
+    Ten raters score the misbehaving cohort, which cooperates at 0.8 until
+    slot min(5, slots) and at 0.1 after it, and one to ten honest nodes that
+    hold 0.8 throughout. Slots count from 0. Returns (slot, scheme, honest
+    mean, misbehaving mean) rows, "SL" then "LR" for each slot.
+    """
+    onset = min(5, slots)
+    raters = [f"r{i:03d}" for i in range(10)]
+    bad = [f"m{i:03d}" for i in range(misbehaving_count)]
+    n_honest = max(1, min(10, population - misbehaving_count - len(raters)))
+    honest = [f"h{i:03d}" for i in range(n_honest)]
+    engine = _engine(weight_config, raters, bad + honest)
     tracker = LinearReputationTracker()
-    for i, rid in enumerate(rater_ids):
-        engine.register(rid, arrival_hour=8 + (i % 5))
 
-    for slot in range(1, slots + 1):
-        for target in cand_ids:
-            if target in colluder_set:
-                p = p_backstab_before if slot < onset else p_backstab_after
-            else:
-                p = p_honest
-            for rater in rater_ids:
-                if rater == target:
-                    continue
-                if rater in colluder_set and target in colluder_set:
-                    # fabricated mutual praise: all-positive evidence
-                    trials = int(rng.integers(5, 11))
-                    engine.record_outcomes(slot, rater, target, trials, 0)
-                    tracker.update(rater, target, trials, 0)
-                    continue
-                trials = int(rng.integers(5, 11))
-                pos, neg = _interaction_counts(rng, p, trials)
-                engine.record_outcomes(slot, rater, target, pos, neg)
-                tracker.update(rater, target, pos, neg)
+    def p_of(slot, rater, target):
+        return 0.8 if (target in honest or slot < onset) else 0.1
 
-    sl_scores: dict[str, float] = {}
-    lr_scores: dict[str, float] = {}
-    for target in cand_ids:
-        other = [r for r in rater_ids if r != target]
-        sl_scores[target] = engine.average_reputation(target, at=slots + 1, raters=other)
-        lr_scores[target] = tracker.average_reputation(target, other)
-    return (
-        tuple(sorted(sl_scores.items())),
-        tuple(sorted(lr_scores.items())),
-        tuple(cand_ids),
-        tuple(colluders),
-    )
+    rng = np.random.default_rng(seed)
+    rows: list[tuple[int, str, float, float]] = []
+    for slot in range(slots):
+        record_interactions(rng, slot, bad + honest, raters, p_of, engine, tracker)
+        for scheme, score in (
+            ("SL", lambda t: engine.average_reputation(t, at=slot + 1, raters=raters)),
+            ("LR", lambda t: tracker.average_reputation(t, raters=raters)),
+        ):
+            rows.append((
+                slot, scheme,
+                float(np.mean([score(t) for t in honest])),
+                float(np.mean([score(t) for t in bad])),
+            ))
+    return rows
 
 
 def correct_block_probability(
@@ -734,8 +672,7 @@ def correct_block_probability(
 
 
 def collusion_experiment(
-    threshold: float,
-    scheme: str,
+    thresholds: list[float],
     seeds: int = 100,
     colluder_fraction: float = 4 / 9,
     candidates: int = 9,
@@ -743,30 +680,56 @@ def collusion_experiment(
     slots: int = 8,
     onset: int = 5,
     seed_base: int = 0,
-) -> float:
+) -> list[tuple[float, float, float]]:
     """Monte-Carlo probability that reputation gating yields a correct
     block when colluders fabricate mutual praise and then misbehave.
 
     colluder_fraction is the corrupted share of the committee candidates;
-    the attack scenario keeps it at or above one third. Both schemes are
-    evaluated on identical interaction streams seed by seed, so a sweep
-    over thresholds compares selection quality, not sampling noise.
+    the attack scenario keeps it at or above one third. Each seed's
+    interaction stream is scored once by both schemes, so a sweep over
+    thresholds compares selection quality, not sampling noise. Returns
+    one (threshold, sl, lr) row per threshold.
     """
-    if scheme not in ("SL", "LR"):
-        raise ValueError("scheme must be 'SL' or 'LR'")
     if not 0.0 <= colluder_fraction <= 1.0:
         raise ValueError("colluder fraction must lie in [0, 1]")
     n_colluders = round(colluder_fraction * candidates)
     if n_colluders == 0:
-        return 1.0
+        return [(th, 1.0, 1.0) for th in thresholds]
     if n_colluders >= candidates:
-        return 0.0
-    hits = 0.0
+        return [(th, 0.0, 0.0) for th in thresholds]
+    rater_ids = [f"r{i:03d}" for i in range(n_raters)]
+    cand_ids = rater_ids[:candidates]
+    colluders = set(cand_ids[:n_colluders])
+
+    def p_of(slot, rater, target):
+        if target not in colluders:
+            return 0.95
+        if rater in colluders:
+            return 1.0   # fabricated mutual praise
+        return 0.8 if slot < onset else 0.1
+
+    scored: list[tuple[dict[str, float], dict[str, float]]] = []
     for s in range(seeds):
-        sl_pairs, lr_pairs, _, colluders = _collusion_reputations(
-            seed_base + s, n_raters, candidates, n_colluders, slots, onset,
-            0.95, 0.8, 0.1,
-        )
-        scores = dict(sl_pairs if scheme == "SL" else lr_pairs)
-        hits += correct_block_probability(scores, list(colluders), threshold)
-    return hits / seeds
+        rng = np.random.default_rng(seed_base + s)
+        engine = ReputationEngine()
+        tracker = LinearReputationTracker()
+        for i, rid in enumerate(rater_ids):
+            engine.register(rid, arrival_hour=8 + (i % 5))
+        for slot in range(1, slots + 1):
+            record_interactions(rng, slot, cand_ids, rater_ids, p_of, engine, tracker)
+        sl_scores: dict[str, float] = {}
+        lr_scores: dict[str, float] = {}
+        for target in cand_ids:
+            other = [r for r in rater_ids if r != target]
+            sl_scores[target] = engine.average_reputation(target, at=slots + 1, raters=other)
+            lr_scores[target] = tracker.average_reputation(target, other)
+        scored.append((sl_scores, lr_scores))
+
+    rows = []
+    for th in thresholds:
+        sl_hits = lr_hits = 0.0
+        for sl_scores, lr_scores in scored:
+            sl_hits += correct_block_probability(sl_scores, colluders, th)
+            lr_hits += correct_block_probability(lr_scores, colluders, th)
+        rows.append((th, sl_hits / seeds, lr_hits / seeds))
+    return rows

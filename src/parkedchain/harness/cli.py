@@ -61,13 +61,11 @@ def main(argv: list[str] | None = None) -> int:
             overrides["trace_path"] = args.trace
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
+        table = run_scenario(args.scenario, cfg)
     except ConfigError as exc:
         for line in exc.diagnostics:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-
-    try:
-        table = run_scenario(args.scenario, cfg)
     except InfeasibleProblem as exc:
         print(f"infeasible problem: {exc}", file=sys.stderr)
         return 3

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import contract_opt, parking
-from ..consensus import collusion_experiment, detection_experiment
-from ..reputation import LinearReputationTracker, ReputationEngine, WeightConfig
-from .config import ExperimentConfig, config_digest
+from ..consensus import collusion_experiment, decay_experiment, detection_experiment
+from ..reputation import WeightConfig
+from .config import ConfigError, ExperimentConfig, config_digest
 
 __all__ = ["ResultTable", "SCENARIOS", "run_scenario"]
 
@@ -137,6 +137,12 @@ def _solve_all(problem: contract_opt.ContractProblem) -> dict[str, contract_opt.
     }
 
 
+def _require_misbehaving(name: str, cfg: ExperimentConfig) -> None:
+    """The reputation scenarios score a misbehaving cohort, so it must exist."""
+    if cfg.misbehaving < 1:
+        raise ConfigError([f"{name} needs misbehaving >= 1 (got {cfg.misbehaving})"])
+
+
 # -- scenarios ----------------------------------------------------------------
 
 def _arrival_histogram(cfg: ExperimentConfig) -> ResultTable:
@@ -149,59 +155,26 @@ def _arrival_histogram(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _reputation_decay(cfg: ExperimentConfig) -> ResultTable:
-    """Mean reputation of honest vs misbehaving cohorts, slot by slot.
-
-    The misbehaving cohort cooperates at 0.8 until the onset slot, then
-    drops to 0.1; honest nodes hold 0.8 throughout. Both schemes score
-    the identical interaction stream.
-    """
-    slots = cfg.consensus.slots
-    onset = min(5, slots)
-    raters = [f"r{i:03d}" for i in range(10)]
-    bad = [f"m{i:03d}" for i in range(cfg.misbehaving)]
-    n_honest = max(1, min(10, cfg.population - cfg.misbehaving - len(raters)))
-    honest = [f"h{i:03d}" for i in range(n_honest)]
-
-    weight_cfg = WeightConfig(*cfg.gammas, *cfg.alphas)
-    engine = ReputationEngine(weight_cfg)
-    tracker = LinearReputationTracker()
-    for i, node in enumerate(raters):
-        engine.register(node, arrival_hour=9 + (i % 3))
-    for i, node in enumerate(bad + honest):
-        engine.register(node, arrival_hour=9 + (i % 3))
-
-    rng = np.random.default_rng(cfg.seed)
-    rows: list[tuple] = []
-    for slot in range(slots):
-        for target in bad + honest:
-            p = 0.8 if (target in honest or slot < onset) else 0.1
-            for rater in raters:
-                trials = int(rng.integers(5, 11))
-                pos = int(rng.binomial(trials, p))
-                engine.record_outcomes(slot, rater, target, pos, trials - pos)
-                tracker.update(rater, target, pos, trials - pos)
-        for scheme, score in (
-            ("SL", lambda t: engine.average_reputation(t, at=slot + 1, raters=raters)),
-            ("LR", lambda t: tracker.average_reputation(t, raters=raters)),
-        ):
-            rows.append((
-                slot, scheme,
-                float(np.mean([score(t) for t in honest])),
-                float(np.mean([score(t) for t in bad])),
-            ))
+    _require_misbehaving("reputation-decay", cfg)
+    rows = decay_experiment(cfg.population, cfg.misbehaving, cfg.consensus.slots,
+                            cfg.seed, WeightConfig(*cfg.gammas, *cfg.alphas))
     return ResultTable(("slot", "scheme", "honest", "misbehaving"), rows,
                        _provenance("reputation-decay", cfg))
 
 
 def _detection_rate(cfg: ExperimentConfig) -> ResultTable:
-    weight_cfg = WeightConfig(*cfg.gammas, *cfg.alphas)
-    common = dict(
+    _require_misbehaving("detection-rate", cfg)
+    if cfg.population <= cfg.misbehaving:
+        raise ConfigError([
+            "detection-rate needs population > misbehaving so that at least "
+            f"one honest node rates (got population={cfg.population}, "
+            f"misbehaving={cfg.misbehaving})"
+        ])
+    sl, lr = detection_experiment(
         population=cfg.population, misbehaving_count=cfg.misbehaving,
         threshold=cfg.consensus.threshold, slots=cfg.consensus.slots,
-        seed=cfg.seed, weight_config=weight_cfg,
+        seed=cfg.seed, weight_config=WeightConfig(*cfg.gammas, *cfg.alphas),
     )
-    sl = detection_experiment(scheme="SL", **common)
-    lr = detection_experiment(scheme="LR", **common)
     rows = [(slot, sl[slot], lr[slot]) for slot in range(len(sl))]
     return ResultTable(("slot", "sl_rate", "lr_rate"), rows,
                        _provenance("detection-rate", cfg))
@@ -209,13 +182,8 @@ def _detection_rate(cfg: ExperimentConfig) -> ResultTable:
 
 def _collusion(cfg: ExperimentConfig) -> ResultTable:
     thresholds = [round(0.05 * k, 2) for k in range(1, 13)]
-    rows = []
-    for th in thresholds:
-        sl = collusion_experiment(th, "SL", seeds=cfg.collusion_seeds,
-                                  seed_base=cfg.seed)
-        lr = collusion_experiment(th, "LR", seeds=cfg.collusion_seeds,
-                                  seed_base=cfg.seed)
-        rows.append((th, sl, lr))
+    rows = collusion_experiment(thresholds, seeds=cfg.collusion_seeds,
+                                seed_base=cfg.seed)
     return ResultTable(("threshold", "sl_correct", "lr_correct"), rows,
                        _provenance("collusion", cfg))
 

@@ -14,7 +14,6 @@ baseline.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 __all__ = [

@@ -283,8 +283,7 @@ def test_criterion_08_detection_lead():
     t0 = time.perf_counter()
     wins = 0
     for seed in range(100):
-        sl = consensus.detection_experiment(50, 10, 0.45, "SL", 15, seed)
-        lr = consensus.detection_experiment(50, 10, 0.45, "LR", 15, seed)
+        sl, lr = consensus.detection_experiment(50, 10, 0.45, 15, seed)
         sl_slot = consensus.full_detection_slot(sl)
         lr_slot = consensus.full_detection_slot(lr)
         if sl_slot is not None and (lr_slot is None or sl_slot <= lr_slot):
@@ -299,9 +298,9 @@ def test_criterion_09_collusion_ordering():
     above the linear baseline pointwise on thresholds 0.05..0.60, 100
     seeds per point with shared interaction streams."""
     thresholds = [round(0.05 * k, 2) for k in range(1, 13)]
-    for th in thresholds:
-        p_sl = consensus.collusion_experiment(th, "SL", seeds=100)
-        p_lr = consensus.collusion_experiment(th, "LR", seeds=100)
+    rows = consensus.collusion_experiment(thresholds, seeds=100)
+    assert [th for th, _, _ in rows] == thresholds
+    for th, p_sl, p_lr in rows:
         assert p_sl >= p_lr, (th, p_sl, p_lr)
 
 

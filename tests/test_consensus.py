@@ -1,11 +1,9 @@
 """Committee selection, the six-stage view protocol, and the experiments."""
 
-import numpy as np
 import pytest
 
 from parkedchain.consensus import (
     Behavior,
-    BehaviorProfile,
     BlockProposal,
     ConsensusConfig,
     Network,
@@ -14,13 +12,10 @@ from parkedchain.consensus import (
     correct_block_probability,
     detection_experiment,
     full_detection_slot,
-    inject_behavior,
     message_tag,
     model_check_safety,
     run_view,
-    sample_cooperation,
     select_consensus_nodes,
-    switch_profile,
     verify_tag,
 )
 
@@ -166,55 +161,29 @@ class TestModelCheck:
         assert result["runs"] >= 100
 
 
-class TestBehaviorInjection:
-    def test_always_cooperative_profile(self):
-        rng = np.random.default_rng(0)
-        inject_behavior("p1", BehaviorProfile({}, default=1.0))
-        assert all(sample_cooperation("p1", s, rng) for s in range(50))
-
-    def test_switch_profile_shapes_rate(self):
-        profile = switch_profile(0.8, 0.1, onset=5)
-        inject_behavior("p2", profile)
-        rng = np.random.default_rng(1)
-        early = np.mean([sample_cooperation("p2", s % 5, rng) for s in range(2000)])
-        late = np.mean([sample_cooperation("p2", 5 + s % 5, rng) for s in range(2000)])
-        assert early > 0.7 and late < 0.2
-
-    def test_seeded_stream_reproducible(self):
-        inject_behavior("p3", switch_profile(0.8, 0.1, onset=3))
-        a = [sample_cooperation("p3", s, np.random.default_rng(9)) for s in range(10)]
-        b = [sample_cooperation("p3", s, np.random.default_rng(9)) for s in range(10)]
-        assert a == b
-
-
 class TestDetectionExperiment:
     def test_threshold_zero_never_detects(self):
-        series = detection_experiment(20, 4, 0.0, "SL", slots=8, seed=0)
+        series, _ = detection_experiment(20, 4, 0.0, slots=8, seed=0)
         assert series == [0.0] * 8
 
     def test_threshold_one_detects_immediately(self):
-        series = detection_experiment(20, 4, 1.0, "SL", slots=6, seed=0)
+        series, _ = detection_experiment(20, 4, 1.0, slots=6, seed=0)
         assert series[0] == 1.0
 
     def test_sl_not_slower_than_lr_single_seed(self):
-        sl = detection_experiment(50, 10, 0.45, "SL", slots=15, seed=0)
-        lr = detection_experiment(50, 10, 0.45, "LR", slots=15, seed=0)
+        sl, lr = detection_experiment(50, 10, 0.45, slots=15, seed=0)
         assert full_detection_slot(sl) is not None
         assert full_detection_slot(sl) <= full_detection_slot(lr)
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            detection_experiment(20, 4, 0.45, "XX", slots=6, seed=0)
 
 
 class TestCollusionExperiment:
     def test_no_colluders_always_correct(self):
-        assert collusion_experiment(0.45, "SL", seeds=5,
-                                    colluder_fraction=0.0) == 1.0
+        assert collusion_experiment([0.45], seeds=5,
+                                    colluder_fraction=0.0) == [(0.45, 1.0, 1.0)]
 
     def test_all_colluders_always_wrong(self):
-        assert collusion_experiment(0.45, "SL", seeds=5,
-                                    colluder_fraction=1.0) == 0.0
+        assert collusion_experiment([0.45], seeds=5,
+                                    colluder_fraction=1.0) == [(0.45, 0.0, 0.0)]
 
     def test_correct_block_rule(self):
         scores = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.2}

@@ -1,12 +1,14 @@
 """Config validation, scenario tables, and CLI plumbing."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from parkedchain.contract_opt import InfeasibleProblem
 from parkedchain.harness import (
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     ResultTable,
@@ -136,6 +138,26 @@ class TestScenarios:
                    for r in table.rows)
 
 
+# SHA-256 of each scenario's CSV at the small config with seed 11; a
+# refactor must keep these bytes, a deliberate change regenerates them
+GOLDEN_CSV = {
+    "arrival-histogram": "8d44db8d36301fe9eb6ad9d5e1b2643adc7835f2927b779b0e1936ff6434c070",
+    "reputation-decay": "04723083b6fb2471b21075b91245988fa08a6aad7b9775ce65d5bad1ce18a0dd",
+    "detection-rate": "4ceff18278d343524a6abdd5ee593d1905bf6c98ef36e1d3a2b977e10b425b84",
+    "collusion": "77622077fddf3425fc477977410874078952143e9f606a292e8d7b37f83691f1",
+    "contract-feasibility": "4223544fe9b0f34655890f32a504a3676bb5bdf5192a430db5b67f937584f8e6",
+    "utility-vs-hour": "3da04c911c0b1c59be98f5efffa04264ce3be5506d30dca5e0c62d000fbe3f9e",
+    "utility-vs-type": "971dfcbc134f80eb2fa1412f25fd8637af71acd67b64db6929a72769d44a18ac",
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_golden_csv(scenario, tmp_path):
+    path = tmp_path / f"{scenario}.csv"
+    run_scenario(scenario, small_cfg(seed=11)).to_csv(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV[scenario]
+
+
 class TestCli:
     def test_success_writes_table_and_provenance(self, tmp_path):
         out = tmp_path / "run"
@@ -175,6 +197,21 @@ class TestCli:
         rc = cli.main(["arrival-histogram", "--config", str(cfg)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, overrides", [
+        ("detection-rate", {"misbehaving": 0}),
+        ("reputation-decay", {"misbehaving": 0}),
+        ("detection-rate", {"population": 10, "misbehaving": 10}),
+    ])
+    def test_reputation_edge_config_exits_two(self, tmp_path, capsys,
+                                              scenario, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        rc = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("config error") == 1 and "Traceback" not in err
+        assert not (tmp_path / f"{scenario}.csv").exists()
 
     def test_unknown_scenario_exits_two(self, capsys):
         rc = cli.main(["parallel-parking"])
