@@ -7,7 +7,8 @@ Subpackages and modules:
 * ``parking`` — dual-Gamma stay-duration model, hourly arrival
   populations, and type classification.
 * ``contract_opt`` — screening-contract solvers (complete information,
-  local and iterative asymmetric) plus posted-price baselines.
+  local and iterative asymmetric) for the reward value ln(1 + pi), plus
+  posted-price and zero-margin linear-pricing baselines.
 * ``consensus`` — reputation-gated BFT committee simulation, and the
   detection, decay and collusion experiments.
 * ``ledger`` — accounts, escrowed task contracts, and the block chain

@@ -581,8 +581,12 @@ def detection_experiment(
     Returns (sl_series, lr_series): the opinion-fusion engine and the
     linear-smoothing baseline, both fed the same interaction stream.
     """
-    if misbehaving_count > population:
-        raise ValueError("misbehaving count cannot exceed the population")
+    if not 1 <= misbehaving_count < population:
+        raise ValueError(
+            "detection needs at least one misbehaving node and at least one "
+            f"honest rater (got population={population}, "
+            f"misbehaving_count={misbehaving_count})"
+        )
     rng = np.random.default_rng(seed)
     rater_ids = [f"r{i:03d}" for i in range(min(raters, population - misbehaving_count))]
     target_ids = [f"m{i:03d}" for i in range(misbehaving_count)]
@@ -629,6 +633,10 @@ def decay_experiment(
     hold 0.8 throughout. Slots count from 0. Returns (slot, scheme, honest
     mean, misbehaving mean) rows, "SL" then "LR" for each slot.
     """
+    if misbehaving_count < 1:
+        raise ValueError(
+            f"decay needs at least one misbehaving node (got misbehaving_count={misbehaving_count})"
+        )
     onset = min(5, slots)
     raters = [f"r{i:03d}" for i in range(10)]
     bad = [f"m{i:03d}" for i in range(misbehaving_count)]

@@ -14,16 +14,15 @@ under different information assumptions:
   comparison baselines,
 - a brute-force grid oracle for small instances.
 
-Menu items with f = 0 denote no participation and contribute zero utility
-to both sides.
+A PV values a reward pi at v(pi) = ln(1 + pi), so every inverse the
+solvers need has a closed form. Menu items with f = 0 denote no
+participation and contribute zero utility to both sides.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -31,8 +30,6 @@ from scipy.optimize import brentq, minimize_scalar
 from .parking import TypeProfile
 
 __all__ = [
-    "Valuation",
-    "LOG_VALUATION",
     "TaskParams",
     "ContractProblem",
     "ContractMenu",
@@ -52,8 +49,6 @@ __all__ = [
     "grid_oracle",
     "stackelberg_baseline",
     "linear_pricing_baseline",
-    "load_problem",
-    "menu_to_csv",
 ]
 
 _FOC_TOL = 1e-10
@@ -61,58 +56,6 @@ _FOC_TOL = 1e-10
 
 class InfeasibleProblem(RuntimeError):
     """Raised when a solver cannot produce a feasible menu."""
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """Reward valuation v with derivative and (optional) inverses.
-
-    v must satisfy v(0) = 0, v' > 0, v'' < 0. Missing inverses are solved
-    numerically with a doubling bracket.
-    """
-
-    name: str
-    v: any
-    vp: any
-    v_inv: any = None
-    vp_inv: any = None
-
-    def inverse(self, y: float) -> float:
-        if self.v_inv is not None:
-            return self.v_inv(y)
-        if y <= 0:
-            return 0.0 if y == 0 else _bracketed_root(lambda p: self.v(p) - y, -0.99, 0.0)
-        return _bracketed_root(lambda p: self.v(p) - y, 0.0, 1.0, expand=True)
-
-    def slope_inverse(self, slope: float) -> float:
-        """pi with v'(pi) = slope; v' is decreasing so the root is unique."""
-        if self.vp_inv is not None:
-            return self.vp_inv(slope)
-        return _bracketed_root(lambda p: self.vp(p) - slope, 0.0, 1.0, expand=True,
-                               decreasing=True)
-
-
-def _bracketed_root(g, lo, hi, expand=False, decreasing=False):
-    if expand:
-        glo = g(lo)
-        for _ in range(200):
-            if glo == 0:
-                return lo
-            if g(hi) * glo < 0:
-                break
-            hi *= 2.0
-        else:
-            raise InfeasibleProblem("could not bracket a root")
-    return brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=500)
-
-
-LOG_VALUATION = Valuation(
-    name="log1p",
-    v=math.log1p,
-    vp=lambda pi: 1.0 / (1.0 + pi),
-    v_inv=math.expm1,
-    vp_inv=lambda slope: 1.0 / slope - 1.0,
-)
 
 
 @dataclass(frozen=True)
@@ -127,7 +70,6 @@ class TaskParams:
     eps_cap: float = 1e-28     # effective switched capacitance
     e_price: float = 0.1       # price per Joule
     f_max: float = 3e9         # PV CPU frequency cap, Hz
-    valuation: Valuation = LOG_VALUATION
 
     def __post_init__(self) -> None:
         for name in ("rho", "kappa", "s_bits", "f_local", "eps_cap", "e_price", "f_max"):
@@ -221,7 +163,7 @@ def energy_cost(f_j: float, params: TaskParams) -> float:
 
 def pv_utility(theta_j: float, f_j: float, pi_j: float, params: TaskParams) -> float:
     """Expected reward value minus energy cost for one type and item."""
-    return theta_j * params.valuation.v(pi_j) - energy_cost(f_j, params)
+    return theta_j * math.log1p(pi_j) - energy_cost(f_j, params)
 
 
 def sr_utility_terms(menu: ContractMenu, problem: ContractProblem) -> list[float]:
@@ -295,40 +237,23 @@ def check_feasibility(
     return FeasibilityReport(ir, tuple(ic), tuple(mono))
 
 
-def sr_reward_derivative(
-    problem: ContractProblem,
-    j: int,
-    pi: float,
-    prev: tuple[float, float] | None = None,
-) -> float:
-    """dU_SR_j/dpi_j with f_j eliminated through the binding constraints.
-
-    prev is the (pi, f) of the adjacent lower type when the binding
-    adjacent-IC elimination applies; None selects binding IR, which covers
-    type 1 and every type of the complete-information benchmark.
-    """
+def sr_reward_derivative(problem: ContractProblem, j: int, pi: float) -> float:
+    """dU_SR_j/dpi_j with f_j eliminated through binding IR, which covers
+    type 1 and every type of the complete-information benchmark."""
     theta = problem.thetas[j]
-    val = problem.params.valuation
-    if prev is None:
-        x_of_pi = lambda p: theta * val.v(p)
-    else:
-        pi_prev, f_prev = prev
-        x_prev = problem.params.energy_coeff * f_prev * f_prev
-        x_of_pi = lambda p: x_prev + theta * (val.v(p) - val.v(pi_prev))
-    return problem.betas[j] * _foc(problem, j, pi, x_of_pi)
+    return problem.betas[j] * _foc(problem, j, pi, lambda p: theta * math.log1p(p))
 
 
 def _foc(problem: ContractProblem, j: int, pi: float, x_of_pi) -> float:
     """Normalized first-order condition g(pi); dU_SR_j/dpi = beta*theta*g."""
     params = problem.params
-    val = params.valuation
     theta = problem.thetas[j]
     x = x_of_pi(pi)
     if x <= 0:
         return math.inf
     ratio = (x / params.energy_coeff) ** -1.5
-    return (theta * params.rho / (2.0 * params.e_price * params.eps_cap)) * val.vp(
-        pi
+    return (theta * params.rho / (2.0 * params.e_price * params.eps_cap)) * (
+        1.0 / (1.0 + pi)
     ) * ratio - 1.0
 
 
@@ -398,16 +323,15 @@ def solve_complete_info(problem: ContractProblem) -> ContractMenu:
     are clamped with the reward re-solved at the boundary.
     """
     params = problem.params
-    val = params.valuation
     fs, pis = [], []
     for j in range(problem.n_types):
         theta = problem.thetas[j]
-        x_of_pi = lambda p, th=theta: th * val.v(p)
+        x_of_pi = lambda p, th=theta: th * math.log1p(p)
         pi = _solve_foc(problem, j, x_of_pi, 0.0)
-        f = _f_from_budget(theta * val.v(pi), params)
+        f = _f_from_budget(theta * math.log1p(pi), params)
         if f > params.f_max:
             f = params.f_max
-            pi = val.inverse(params.energy_coeff * f * f / theta)
+            pi = math.expm1(params.energy_coeff * f * f / theta)
         fs.append(f)
         pis.append(pi)
     menu = ContractMenu(tuple(fs), tuple(pis), "complete_info")
@@ -423,20 +347,19 @@ def solve_local_asymmetric(problem: ContractProblem) -> ContractMenu:
     reward, that type is bunched onto the previous item.
     """
     params = problem.params
-    val = params.valuation
     fs: list[float] = []
     pis: list[float] = []
     bunched: list[int] = []
     for j in range(problem.n_types):
         theta = problem.thetas[j]
         if j == 0:
-            x_of_pi = lambda p, th=theta: th * val.v(p)
+            x_of_pi = lambda p, th=theta: th * math.log1p(p)
             pi = _solve_foc(problem, j, x_of_pi, 0.0)
-            x = theta * val.v(pi)
+            x = theta * math.log1p(pi)
         else:
             x_prev = params.energy_coeff * fs[-1] * fs[-1]
-            v_prev = val.v(pis[-1])
-            x_of_pi = lambda p, th=theta, xp=x_prev, vp_=v_prev: xp + th * (val.v(p) - vp_)
+            v_prev = math.log1p(pis[-1])
+            x_of_pi = lambda p, th=theta, xp=x_prev, vp_=v_prev: xp + th * (math.log1p(p) - vp_)
             try:
                 pi = _solve_foc(problem, j, x_of_pi, pis[-1])
             except _RootBelowBracket:
@@ -448,9 +371,9 @@ def solve_local_asymmetric(problem: ContractProblem) -> ContractMenu:
             f = params.f_max
             x = params.energy_coeff * f * f
             if j == 0:
-                pi = val.inverse(x / theta)
+                pi = math.expm1(x / theta)
             else:
-                pi = val.inverse(val.v(pis[-1]) + (x - params.energy_coeff * fs[-1] ** 2) / theta)
+                pi = math.expm1(math.log1p(pis[-1]) + (x - params.energy_coeff * fs[-1] ** 2) / theta)
         fs.append(f)
         pis.append(pi)
     menu = ContractMenu(
@@ -473,7 +396,6 @@ def _chain_from_top(f_top: float, problem: ContractProblem):
     cannot be bracketed below the cap.
     """
     params = problem.params
-    val = params.valuation
     thetas, betas = problem.thetas, problem.betas
     n = problem.n_types
     coeff = params.rho / (2.0 * params.e_price * params.eps_cap)
@@ -481,12 +403,9 @@ def _chain_from_top(f_top: float, problem: ContractProblem):
 
     omega_next = betas[-1] * thetas[-1] * coeff / f_top**3
     slope = betas[-1] / omega_next
-    if slope >= val.vp(0.0):
+    if slope >= 1.0:  # v'(0) = 1
         return None
-    try:
-        pi_top = val.slope_inverse(slope)
-    except (InfeasibleProblem, ValueError):
-        return None
+    pi_top = 1.0 / slope - 1.0
     if pi_top <= 0:
         return None
     fs = [0.0] * n
@@ -501,14 +420,14 @@ def _chain_from_top(f_top: float, problem: ContractProblem):
 
         def f_and_omega(pi, th=theta, be=beta, om_next=omega_next, th_next=theta_next,
                         c=c_level):
-            d = be * th / val.vp(pi)
+            d = be * th / (1.0 / (1.0 + pi))
             omega = (d + om_next * th_next) / th
             # omega > om_next holds for ascending types, so the cube root is real
             return (c / (omega - om_next)) ** (1.0 / 3.0), omega
 
         def resid(pi, f_nx=f_next, pi_nx=pi_next, th_next=theta_next):
             f_j, _ = f_and_omega(pi)
-            return a_cap * f_j * f_j - a_cap * f_nx * f_nx + th_next * (val.v(pi_nx) - val.v(pi))
+            return a_cap * f_j * f_j - a_cap * f_nx * f_nx + th_next * (math.log1p(pi_nx) - math.log1p(pi))
 
         if resid(0.0) <= 0:
             return None
@@ -526,9 +445,7 @@ def _chain_from_top(f_top: float, problem: ContractProblem):
 def _rewards_from_frequencies(fs: list[float], problem: ContractProblem) -> list[float]:
     """Rebuild rewards with IR binding at type 1 and adjacent IC binding
     upward; requires an ascending frequency profile."""
-    params = problem.params
-    val = params.valuation
-    a_cap = params.energy_coeff
+    a_cap = problem.params.energy_coeff
     pis: list[float] = []
     v_cum = 0.0
     for j, f in enumerate(fs):
@@ -536,7 +453,7 @@ def _rewards_from_frequencies(fs: list[float], problem: ContractProblem) -> list
             v_cum = a_cap * f * f / problem.thetas[0]
         else:
             v_cum += a_cap * (f * f - fs[j - 1] ** 2) / problem.thetas[j]
-        pis.append(val.inverse(v_cum))
+        pis.append(math.expm1(v_cum))
     return pis
 
 
@@ -625,7 +542,7 @@ def _iron_frequencies(fs: list[float], problem: ContractProblem):
     return out, bunches
 
 
-def _menu_from_chain(result, problem: ContractProblem, scheme: str):
+def _menu_from_chain(result, problem: ContractProblem):
     """Wrap a chain result into a menu, ironing if monotonicity failed."""
     fs, pis = result
     bunches = []
@@ -637,24 +554,24 @@ def _menu_from_chain(result, problem: ContractProblem, scheme: str):
         return None
     if fs[-1] > problem.params.f_max * (1 + 1e-12):
         return None
-    return ContractMenu(tuple(fs), tuple(pis), scheme, meta={"bunches": tuple(bunches)})
+    return ContractMenu(tuple(fs), tuple(pis), "lagrangian", meta={"bunches": tuple(bunches)})
 
 
 def _first_type_utility(menu: ContractMenu, problem: ContractProblem) -> float:
     return pv_utility(problem.thetas[0], menu.fs[0], menu.pis[0], problem.params)
 
 
-def solve_lagrangian_iterative(problem: ContractProblem, steps: int = 200) -> ContractMenu:
+_SCAN_INTERVALS = 200  # uniform grid intervals between the LA and LC top frequencies
+
+
+def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
     """Grid scan over the top type's frequency with the backward multiplier
     recursion at each grid point, root-polished where the lowest type's
     utility crosses zero; the locally optimal menu is always a candidate.
 
     Returns the feasible candidate with the highest SR utility. Raises
-    InfeasibleProblem when no candidate survives; retry with more steps or
-    a wider frequency bracket in that case.
+    InfeasibleProblem when no candidate survives.
     """
-    if steps < 10:
-        raise ValueError("steps must be at least 10")
     params = problem.params
     comp = solve_complete_info(problem)
     if problem.n_types == 1:
@@ -666,70 +583,51 @@ def solve_lagrangian_iterative(problem: ContractProblem, steps: int = 200) -> Co
     f_lo = la.fs[-1]
     if f_hi < f_lo:
         f_hi, f_lo = f_lo, f_hi
-    step = (f_hi - f_lo) / steps if f_hi > f_lo else max(f_hi * 1e-3, 1.0)
+    step = (f_hi - f_lo) / _SCAN_INTERVALS if f_hi > f_lo else max(f_hi * 1e-3, 1.0)
 
-    candidates: list[ContractMenu] = [
-        ContractMenu(la.fs, la.pis, "lagrangian", meta={"source": "local_asymmetric"})
-    ]
-
-    grid = [f_hi - k * step for k in range(steps + 1)]
-    # extend upward while the lowest type still nets a surplus at the top
-    top_chain = _chain_from_top(f_hi, problem)
-    if top_chain is not None:
-        m = _menu_from_chain(top_chain, problem, "lagrangian")
-        if m is not None and _first_type_utility(m, problem) > 0:
-            f_ext = f_hi
-            for _ in range(steps):
-                f_ext = min(f_ext + step, params.f_max)
-                grid.insert(0, f_ext)
-                ext_chain = _chain_from_top(f_ext, problem)
-                if ext_chain is None:
-                    break
-                mx = _menu_from_chain(ext_chain, problem, "lagrangian")
-                if mx is None or _first_type_utility(mx, problem) <= 0:
-                    break
-                if f_ext >= params.f_max:
-                    break
-
-    chain_tops: dict[int, float] = {}
-
-    def note(menu: ContractMenu, f_top: float) -> None:
-        chain_tops[id(menu)] = f_top
-        candidates.append(menu)
-
-    scanned: list[tuple[float, ContractMenu | None, float | None]] = []
-    for f_top in grid:
+    def at_top(f_top: float) -> tuple[ContractMenu | None, float | None]:
+        """Chain menu for one top frequency and its lowest type's utility."""
         chain = _chain_from_top(f_top, problem)
-        menu = None if chain is None else _menu_from_chain(chain, problem, "lagrangian")
-        u1 = None if menu is None else _first_type_utility(menu, problem)
-        scanned.append((f_top, menu, u1))
-        if menu is not None and u1 is not None and u1 >= 0:
-            note(menu, f_top)
+        menu = None if chain is None else _menu_from_chain(chain, problem)
+        return menu, None if menu is None else _first_type_utility(menu, problem)
+
+    # (f_top, menu, u1) in descending f_top: the upward extension, taken
+    # while the lowest type still nets a surplus at the top, then the grid
+    scanned = [(f_hi, *at_top(f_hi))]
+    if scanned[0][2] is not None and scanned[0][2] > 0:
+        f_ext = f_hi
+        for _ in range(_SCAN_INTERVALS):
+            f_ext = min(f_ext + step, params.f_max)
+            scanned.insert(0, (f_ext, *at_top(f_ext)))
+            u1 = scanned[0][2]
+            if u1 is None or u1 <= 0 or f_ext >= params.f_max:
+                break
+    for k in range(1, _SCAN_INTERVALS + 1):
+        scanned.append((f_hi - k * step, *at_top(f_hi - k * step)))
+
+    # (menu, top frequency of its chain, None for the LA menu)
+    candidates: list[tuple[ContractMenu, float | None]] = [
+        (ContractMenu(la.fs, la.pis, "lagrangian", meta={"source": "local_asymmetric"}), None)
+    ]
+    candidates += [(menu, f_top) for f_top, menu, u1 in scanned
+                   if menu is not None and u1 >= 0]
 
     def u1_of_top(f_top: float) -> float:
-        chain = _chain_from_top(f_top, problem)
-        if chain is None:
+        u1 = at_top(f_top)[1]
+        if u1 is None:
             raise InfeasibleProblem("chain broke inside the polish bracket")
-        menu = _menu_from_chain(chain, problem, "lagrangian")
-        if menu is None:
-            raise InfeasibleProblem("chain broke inside the polish bracket")
-        return _first_type_utility(menu, problem)
+        return u1
 
-    for (fa, ma, ua), (fb, mb, ub) in zip(scanned, scanned[1:]):
-        if ma is None or mb is None or ua is None or ub is None:
-            continue
-        if (ua > 0) == (ub > 0):
+    for (fa, _, ua), (fb, _, ub) in zip(scanned, scanned[1:]):
+        if ua is None or ub is None or (ua > 0) == (ub > 0):
             continue
         try:
             f_root = brentq(u1_of_top, min(fa, fb), max(fa, fb), xtol=0.5, maxiter=500)
         except (ValueError, InfeasibleProblem):
             continue
-        chain = _chain_from_top(f_root, problem)
-        if chain is None:
-            continue
-        menu = _menu_from_chain(chain, problem, "lagrangian")
+        menu, _ = at_top(f_root)
         if menu is not None:
-            note(menu, f_root)
+            candidates.append((menu, f_root))
 
     def admissible(menu: ContractMenu) -> bool:
         utils = [
@@ -738,29 +636,23 @@ def solve_lagrangian_iterative(problem: ContractProblem, steps: int = 200) -> Co
         ]
         return not any(u < -1e-9 for u in utils) and not any(p < 0 for p in menu.pis)
 
-    best = None
-    best_value = -math.inf
-    for menu in candidates:
+    best, best_top, best_value = None, None, -math.inf
+    for menu, f_top in candidates:
         if not admissible(menu):
             continue
         value = sr_expected_utility(menu, problem)
         if value > best_value:
-            best, best_value = menu, value
+            best, best_top, best_value = menu, f_top, value
     if best is None:
         raise InfeasibleProblem(
-            "no feasible Lagrangian candidate found; increase steps or widen "
-            "the top-frequency bracket"
+            "no feasible Lagrangian candidate found on the top-frequency scan"
         )
 
     # one bounded refinement around the winning chain point: the pooled
     # branch of the scan is only grid-accurate, so squeeze the last digits
-    best_top = chain_tops.get(id(best))
     if best_top is not None:
         def refine_objective(f_top: float) -> float:
-            chain = _chain_from_top(f_top, problem)
-            if chain is None:
-                return 1e18
-            menu = _menu_from_chain(chain, problem, "lagrangian")
+            menu, _ = at_top(f_top)
             if menu is None or not admissible(menu):
                 return 1e18
             return -sr_expected_utility(menu, problem)
@@ -773,13 +665,11 @@ def solve_lagrangian_iterative(problem: ContractProblem, steps: int = 200) -> Co
                 options={"xatol": max(step * 1e-6, 1e-3)},
             )
             if math.isfinite(res.fun) and -res.fun > best_value:
-                chain = _chain_from_top(float(res.x), problem)
-                refined = _menu_from_chain(chain, problem, "lagrangian")
+                refined, _ = at_top(float(res.x))
                 if refined is not None and admissible(refined):
                     best, best_value = refined, -float(res.fun)
     meta = dict(best.meta)
     meta.update({
-        "steps": steps,
         "candidates": len(candidates),
         "u_pv_first_type": _first_type_utility(best, problem),
     })
@@ -827,8 +717,7 @@ def grid_oracle(problem: ContractProblem, f_grid, pi_grid) -> ContractMenu:
     p_idx = np.array(list(combinations_with_replacement(range(pi_grid.size), n)))
     f_menus = f_grid[f_idx]                      # (Mf, n)
     p_menus = pi_grid[p_idx]                     # (Mp, n)
-    v_menus = np.log1p(p_menus) if params.valuation.name == "log1p" else \
-        np.vectorize(params.valuation.v)(p_menus)
+    v_menus = np.log1p(p_menus)
 
     saved = params.rho * (ks / params.f_local - ks / f_menus - params.s_bits / rs)
     energy = a_cap * f_menus**2
@@ -881,16 +770,9 @@ def _price_best_response(theta: float, price: float, params: TaskParams) -> floa
     if price <= 0:
         return 0.0
     a_cap = params.energy_coeff
-    val = params.valuation
-    if val.name == "log1p":
-        f = (-2 * a_cap + math.sqrt(4 * a_cap * a_cap + 8 * a_cap * theta * price * price)) / (
-            4 * a_cap * price
-        )
-    else:
-        g = lambda f_: theta * price * val.vp(price * f_) - 2 * a_cap * f_
-        if g(params.f_max) >= 0:
-            return params.f_max
-        f = brentq(g, 0.0, params.f_max, xtol=1e-6, rtol=8.9e-16, maxiter=500)
+    f = (-2 * a_cap + math.sqrt(4 * a_cap * a_cap + 8 * a_cap * theta * price * price)) / (
+        4 * a_cap * price
+    )
     return min(f, params.f_max)
 
 
@@ -941,11 +823,13 @@ def stackelberg_baseline(problem: ContractProblem) -> tuple[ContractMenu, float]
     return _menu_at_price(best_price, problem, "stackelberg"), best_price
 
 
-def linear_pricing_baseline(problem: ContractProblem) -> tuple[ContractMenu, float]:
+def linear_pricing_baseline(
+    problem: ContractProblem, p_star: float
+) -> tuple[ContractMenu, float]:
     """Zero-margin linear tariff: the largest unit price at or above the
-    posted-price optimum where the SR's utility hits zero. When even the
-    optimal posted price earns nothing, the menu is all-zero."""
-    _, p_star = stackelberg_baseline(problem)
+    posted-price optimum p_star (the price stackelberg_baseline returns)
+    where the SR's utility hits zero. When even the optimal posted price
+    earns nothing, the menu is all-zero."""
     if p_star <= 0 or _posted_price_value(p_star, problem) <= 0:
         n = problem.n_types
         return ContractMenu((0.0,) * n, (0.0,) * n, "linear_pricing",
@@ -960,45 +844,3 @@ def linear_pricing_baseline(problem: ContractProblem) -> tuple[ContractMenu, flo
     price = brentq(lambda p: _posted_price_value(p, problem), p_star, hi,
                    xtol=1e-18, rtol=8.9e-16, maxiter=500)
     return _menu_at_price(float(price), problem, "linear_pricing"), float(price)
-
-
-# ---------------------------------------------------------------------------
-# problem and menu I/O
-# ---------------------------------------------------------------------------
-
-def load_problem(path: str) -> ContractProblem:
-    """Read a problem from JSON: {"thetas": [...], "betas": [...],
-    "params": {...}} with params keys matching TaskParams fields. The
-    valuation is always the default log form."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        thetas = tuple(float(x) for x in raw["thetas"])
-        betas = tuple(float(x) for x in raw["betas"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError("problem file needs 'thetas' and 'betas' arrays") from exc
-    profile = TypeProfile(thetas, betas)
-    kwargs = {}
-    for key, value in raw.get("params", {}).items():
-        if key == "valuation":
-            raise ValueError("custom valuations cannot be loaded from JSON")
-        if key == "r_bps" and isinstance(value, list):
-            value = tuple(float(x) for x in value)
-        kwargs[key] = value
-    return ContractProblem(profile, TaskParams(**kwargs))
-
-
-def menu_to_csv(menu: ContractMenu, problem: ContractProblem, path: str) -> None:
-    terms = sr_utility_terms(menu, problem)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["type", "theta", "beta", "f_hz", "pi", "u_pv",
-                         "u_sr_term", "scheme"])
-        for j, (f, pi) in enumerate(menu.items):
-            u_pv = 0.0 if f <= 0 else pv_utility(
-                problem.thetas[j], f, pi, problem.params
-            )
-            writer.writerow([
-                j + 1, repr(problem.thetas[j]), repr(problem.betas[j]),
-                repr(f), repr(pi), repr(u_pv), repr(terms[j]), menu.scheme,
-            ])

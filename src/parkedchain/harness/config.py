@@ -101,7 +101,7 @@ def _build(raw: dict) -> ExperimentConfig:
     cons_fields = {k: v for k, v in cons_raw.items() if k in _CONSENSUS_KEYS}
 
     for name in ("gammas", "alphas"):
-        if name in fields:
+        if isinstance(fields.get(name), list):
             fields[name] = tuple(fields[name])
 
     try:
@@ -117,14 +117,27 @@ def _build(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false is never a count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     out: list[str] = []
 
     def positive(name: str, value) -> None:
-        if not isinstance(value, (int, float)) or not value > 0:
+        if not _is_real(value) or not value > 0:
             out.append(f"{name} must be positive (got {value!r})")
 
-    positive("n_types", cfg.n_types)
+    def at_least(name: str, value, low: int) -> None:
+        if not _is_int(value) or value < low:
+            out.append(f"{name} must be an integer >= {low} (got {value!r})")
+
+    at_least("n_types", cfg.n_types, 2)
     positive("f_local", cfg.f_local)
     positive("kappa", cfg.kappa)
     positive("s_bits", cfg.s_bits)
@@ -132,40 +145,47 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     positive("rho", cfg.rho)
     positive("e_price", cfg.e_price)
     positive("f_max", cfg.f_max)
-    positive("arrivals", cfg.arrivals)
-    positive("population", cfg.population)
-    positive("collusion_seeds", cfg.collusion_seeds)
+    at_least("arrivals", cfg.arrivals, 1)
+    at_least("population", cfg.population, 1)
+    at_least("collusion_seeds", cfg.collusion_seeds, 1)
     rates = cfg.r_bps if isinstance(cfg.r_bps, (tuple, list)) else (cfg.r_bps,)
     for i, r in enumerate(rates):
         positive(f"r_bps[{i}]" if len(rates) > 1 else "r_bps", r)
 
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2**64:
+    if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
         out.append(f"seed must be an unsigned 64-bit integer (got {cfg.seed!r})")
-    if not isinstance(cfg.misbehaving, int) or cfg.misbehaving < 0:
+    if not _is_int(cfg.misbehaving) or cfg.misbehaving < 0:
         out.append(f"misbehaving must be a nonnegative integer (got {cfg.misbehaving!r})")
-    elif isinstance(cfg.population, int) and cfg.misbehaving > cfg.population:
+    elif _is_int(cfg.population) and cfg.misbehaving > cfg.population:
         out.append("misbehaving cannot exceed population")
-    if not 0 <= cfg.profile_hour <= 23:
-        out.append(f"profile_hour must be in 0..23 (got {cfg.profile_hour!r})")
+    if not _is_int(cfg.profile_hour) or not 0 <= cfg.profile_hour <= 23:
+        out.append(f"profile_hour must be an integer in 0..23 (got {cfg.profile_hour!r})")
 
-    if len(cfg.gammas) != 3 or any(g < 0 for g in cfg.gammas):
+    def weights(value, size: int) -> bool:
+        return (isinstance(value, tuple) and len(value) == size
+                and all(_is_real(w) for w in value))
+
+    if not weights(cfg.gammas, 3) or any(g < 0 for g in cfg.gammas):
         out.append("gammas must be three nonnegative weights")
     elif abs(sum(cfg.gammas) - 1.0) > 1e-9:
         out.append(f"gammas must sum to 1 (got {sum(cfg.gammas)!r})")
-    if len(cfg.alphas) != 2 or any(a <= 0 for a in cfg.alphas):
+    if not weights(cfg.alphas, 2) or any(a <= 0 for a in cfg.alphas):
         out.append("alphas must be two positive coefficients")
 
     c = cfg.consensus
-    if not isinstance(c.l, int) or c.l < 0:
+    l_ok = _is_int(c.l) and c.l >= 0
+    if not l_ok:
         out.append(f"consensus.l must be a nonnegative integer (got {c.l!r})")
-    if not isinstance(c.n, int) or c.n < 3 * max(c.l, 0) + 1:
+    if not _is_int(c.n) or c.n < 3 * (c.l if l_ok else 0) + 1:
         out.append(f"consensus.n must satisfy n >= 3l+1 (got n={c.n!r}, l={c.l!r})")
-    if not 0.0 <= c.threshold <= 1.0:
+    if not _is_real(c.threshold) or not 0.0 <= c.threshold <= 1.0:
         out.append(f"consensus.threshold must be in [0, 1] (got {c.threshold!r})")
-    if not isinstance(c.slots, int) or c.slots < 1:
+    if not _is_int(c.slots) or c.slots < 1:
         out.append(f"consensus.slots must be a positive integer (got {c.slots!r})")
 
-    if cfg.trace_path is not None and not os.path.isfile(cfg.trace_path):
+    if cfg.trace_path is not None and not (
+        isinstance(cfg.trace_path, str) and os.path.isfile(cfg.trace_path)
+    ):
         out.append(f"trace_path does not exist: {cfg.trace_path!r}")
     return out
 

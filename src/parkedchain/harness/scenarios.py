@@ -128,13 +128,14 @@ def _hour_problem(cfg: ExperimentConfig, records, hour: int) -> contract_opt.Con
 
 
 def _solve_all(problem: contract_opt.ContractProblem) -> dict[str, contract_opt.ContractMenu]:
-    return {
+    menus = {
         "LC": contract_opt.solve_complete_info(problem),
         "LIA": contract_opt.solve_lagrangian_iterative(problem),
         "LA": contract_opt.solve_local_asymmetric(problem),
-        "SA": contract_opt.stackelberg_baseline(problem)[0],
-        "linear": contract_opt.linear_pricing_baseline(problem)[0],
     }
+    menus["SA"], p_star = contract_opt.stackelberg_baseline(problem)
+    menus["linear"] = contract_opt.linear_pricing_baseline(problem, p_star)[0]
+    return menus
 
 
 def _require_misbehaving(name: str, cfg: ExperimentConfig) -> None:

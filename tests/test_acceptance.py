@@ -146,9 +146,9 @@ def test_criterion_04_scheme_ordering_24_hours(default_records):
             "LC": solve_complete_info(problem),
             "LIA": solve_lagrangian_iterative(problem),
             "LA": solve_local_asymmetric(problem),
-            "SA": stackelberg_baseline(problem)[0],
-            "linear": linear_pricing_baseline(problem)[0],
         }
+        menus["SA"], p_star = stackelberg_baseline(problem)
+        menus["linear"] = linear_pricing_baseline(problem, p_star)[0]
         u_sr = {k: sr_expected_utility(m, problem) for k, m in menus.items()}
         u_pv = {k: pv_expected_utility(m, problem) for k, m in menus.items()}
         order = ("LC", "LIA", "LA", "SA", "linear")

@@ -1,7 +1,10 @@
 """Committee selection, the six-stage view protocol, and the experiments."""
 
+import hashlib
+
 import pytest
 
+from parkedchain import consensus
 from parkedchain.consensus import (
     Behavior,
     BlockProposal,
@@ -10,6 +13,7 @@ from parkedchain.consensus import (
     ReplicaStrategy,
     collusion_experiment,
     correct_block_probability,
+    decay_experiment,
     detection_experiment,
     full_detection_slot,
     message_tag,
@@ -153,7 +157,7 @@ class TestRunView:
 
 
 class TestModelCheck:
-    def test_small_model_exhaustive(self):
+    def test_bounded_enumeration_of_last_l_nodes_in_one_view(self):
         result = model_check_safety(ConsensusConfig(n=10, l=3))
         assert result["divergent"] == 0
         assert result["failure_free_committed"] is True
@@ -175,6 +179,17 @@ class TestDetectionExperiment:
         assert full_detection_slot(sl) is not None
         assert full_detection_slot(sl) <= full_detection_slot(lr)
 
+    @pytest.mark.parametrize("population, misbehaving", [(20, 0), (10, 10)])
+    def test_needs_misbehaving_and_honest_nodes(self, population, misbehaving):
+        with pytest.raises(ValueError, match="detection needs"):
+            detection_experiment(population, misbehaving, 0.45, slots=3, seed=0)
+
+
+class TestDecayExperiment:
+    def test_needs_misbehaving_nodes(self):
+        with pytest.raises(ValueError, match="decay needs"):
+            decay_experiment(50, 0, slots=3, seed=0, weight_config=None)
+
 
 class TestCollusionExperiment:
     def test_no_colluders_always_correct(self):
@@ -184,6 +199,23 @@ class TestCollusionExperiment:
     def test_all_colluders_always_wrong(self):
         assert collusion_experiment([0.45], seeds=5,
                                     colluder_fraction=1.0) == [(0.45, 0.0, 0.0)]
+
+    def test_per_seed_scores_pinned(self, monkeypatch):
+        """The thresholded rows are a 0/1 table that hides score drift, so
+        pin every SL and LR score dict the committee gate receives."""
+        seen = []
+        gate = consensus.correct_block_probability
+
+        def spy(scores, colluders, threshold):
+            seen.append(sorted(scores.items()))
+            return gate(scores, colluders, threshold)
+
+        monkeypatch.setattr(consensus, "correct_block_probability", spy)
+        collusion_experiment([0.45], seeds=5)
+        assert len(seen) == 10   # one SL and one LR dict per seed
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+            "4467b83a0946874054bd71ffb8e6bd8758e8bfea6d1b93ecc3a3fe736360a9c2"
+        )
 
     def test_correct_block_rule(self):
         scores = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.2}

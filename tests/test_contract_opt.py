@@ -1,6 +1,5 @@
 """Screening-contract utilities, solvers, and baselines."""
 
-import json
 import math
 
 import numpy as np
@@ -15,8 +14,6 @@ from parkedchain.contract_opt import (
     energy_cost,
     grid_oracle,
     linear_pricing_baseline,
-    load_problem,
-    menu_to_csv,
     pv_expected_utility,
     pv_utility,
     solve_complete_info,
@@ -114,7 +111,7 @@ class TestRewardDerivative:
         beta1, theta1 = problem.profile.betas[0], problem.profile.thetas[0]
 
         def u_sr_first_term(pi):
-            x = theta1 * problem.params.valuation.v(pi)
+            x = theta1 * math.log1p(pi)
             f = math.sqrt(x / problem.params.energy_coeff)
             return beta1 * (time_saved(f, problem.params, 0) - pi)
 
@@ -201,11 +198,6 @@ class TestLagrangianIterative:
         assert lia.fs[0] == pytest.approx(lc.fs[0], rel=1e-10)
         assert lia.meta.get("degenerate_single_type") is True
 
-    def test_rejects_tiny_step_count(self):
-        problem = problem_of((0.3, 0.9), (0.5, 0.5))
-        with pytest.raises(ValueError):
-            solve_lagrangian_iterative(problem, steps=3)
-
     def test_ironing_produces_feasible_pooled_menu(self):
         # clustered low types with heavy tail mass force a non-monotone chain
         problem = problem_of((0.70, 0.701, 0.95), (0.05, 0.95 - 0.05, 0.05))
@@ -256,40 +248,16 @@ class TestBaselines:
 
     def test_linear_pricing_exhausts_sr_utility(self):
         problem = problem_of((0.3, 0.6, 0.9), (0.2, 0.3, 0.5))
-        menu, price = linear_pricing_baseline(problem)
+        menu, price = linear_pricing_baseline(problem, stackelberg_baseline(problem)[1])
         assert price > 0
         assert abs(sr_expected_utility(menu, problem)) < 1e-6
 
     def test_linear_pricing_maximizes_pv_side(self):
         problem = problem_of((0.3, 0.6, 0.9), (0.2, 0.3, 0.5))
-        lin_menu, _ = linear_pricing_baseline(problem)
+        lin_menu, _ = linear_pricing_baseline(problem, stackelberg_baseline(problem)[1])
         lin = pv_expected_utility(lin_menu, problem)
         for solver in (solve_complete_info, solve_local_asymmetric,
                        solve_lagrangian_iterative):
             other = pv_expected_utility(solver(problem), problem)
             assert lin >= other - 1e-9
 
-
-class TestRoundTrips:
-    def test_load_problem(self, tmp_path):
-        payload = {
-            "thetas": [0.3, 0.6, 0.9],
-            "betas": [0.2, 0.3, 0.5],
-            "params": {"rho": 0.2, "f_max": 2.5e9},
-        }
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps(payload))
-        problem = load_problem(str(path))
-        assert problem.profile.thetas == (0.3, 0.6, 0.9)
-        assert problem.params.rho == 0.2
-        assert problem.params.f_max == 2.5e9
-
-    def test_menu_csv_deterministic(self, tmp_path):
-        problem = problem_of((0.3, 0.6, 0.9), (0.2, 0.3, 0.5))
-        menu = solve_local_asymmetric(problem)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        menu_to_csv(menu, problem, str(a))
-        menu_to_csv(menu, problem, str(b))
-        assert a.read_bytes() == b.read_bytes()
-        header = a.read_text().splitlines()[0]
-        assert header == "type,theta,beta,f_hz,pi,u_pv,u_sr_term,scheme"

@@ -2,10 +2,13 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import parkedchain
 from parkedchain.contract_opt import InfeasibleProblem
 from parkedchain.harness import (
     SCENARIOS,
@@ -191,12 +194,24 @@ class TestCli:
         assert ((tmp_path / "a" / "arrival-histogram.csv").read_bytes()
                 != (tmp_path / "b" / "arrival-histogram.csv").read_bytes())
 
-    def test_bad_config_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("overrides", [
+        {"s_bits": -1},
+        {"profile_hour": "9"},
+        {"gammas": 5},
+        {"consensus": {"threshold": "x"}},
+        {"arrivals": 1.5},
+        {"arrivals": True},
+        {"n_types": 1},
+        {"n_types": 2.5},
+        {"trace_path": [1]},
+    ])
+    def test_bad_config_exits_two(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"s_bits": -1}))
-        rc = cli.main(["arrival-histogram", "--config", str(cfg)])
+        cfg.write_text(json.dumps(overrides))
+        rc = cli.main(["utility-vs-type", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        assert err.count("config error") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("scenario, overrides", [
         ("detection-rate", {"misbehaving": 0}),
@@ -243,3 +258,16 @@ class TestCli:
                    for l in lines[1:]}
         assert by_hour[9] == 40 and by_hour[17] == 10
         assert "source=trace" in (out / "provenance.txt").read_text()
+
+
+def test_public_names_resolve():
+    """Every name in a module's __all__ exists, so `import *` cannot break
+    on a name whose definition was deleted."""
+    missing = []
+    for info in pkgutil.walk_packages(parkedchain.__path__, "parkedchain."):
+        module = importlib.import_module(info.name)
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    missing += [f"parkedchain.{name}" for name in parkedchain.__all__
+                if not hasattr(parkedchain, name)]
+    assert missing == []
