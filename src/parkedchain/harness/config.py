@@ -148,9 +148,13 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     at_least("arrivals", cfg.arrivals, 1)
     at_least("population", cfg.population, 1)
     at_least("collusion_seeds", cfg.collusion_seeds, 1)
-    rates = cfg.r_bps if isinstance(cfg.r_bps, (tuple, list)) else (cfg.r_bps,)
+    per_type = isinstance(cfg.r_bps, (tuple, list))
+    rates = cfg.r_bps if per_type else (cfg.r_bps,)
     for i, r in enumerate(rates):
         positive(f"r_bps[{i}]" if len(rates) > 1 else "r_bps", r)
+    if per_type and _is_int(cfg.n_types) and len(rates) != cfg.n_types:
+        out.append(f"r_bps must list one rate per type: got {len(rates)} "
+                   f"for n_types={cfg.n_types}")
 
     if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
         out.append(f"seed must be an unsigned 64-bit integer (got {cfg.seed!r})")

@@ -105,7 +105,10 @@ def _records(cfg: ExperimentConfig):
     """Arrival records from the configured trace, else the synthetic
     bimodal population (flagged via the provenance 'source' key)."""
     if cfg.trace_path is not None:
-        hist, records = parking.ingest_trace(cfg.trace_path)
+        try:
+            hist, records = parking.ingest_trace(cfg.trace_path)
+        except ValueError as exc:
+            raise ConfigError([f"bad trace {cfg.trace_path!r}: {exc}"]) from None
         return hist, records, f"trace:{cfg.trace_path}"
     records = parking.synthesize_population(_mixture(), cfg.arrivals, cfg.seed)
     hist = [0] * 24

@@ -165,8 +165,8 @@ class ArrivalRecord:
     def __post_init__(self) -> None:
         if not 0 <= self.hour <= 23:
             raise ValueError("arrival hour outside 0..23")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
 
 
 def _gamma_pdf(t: float, shape: float, scale: float) -> float:
@@ -254,7 +254,8 @@ def ingest_trace(path: str) -> tuple[list[int], list[ArrivalRecord]]:
     """Read `arrival_hour,duration_hours` rows.
 
     Returns the 24-bin arrival histogram and the parsed records. Any
-    malformed row rejects the whole file, naming the row number.
+    malformed row rejects the whole file, naming the row number, and so
+    does a file without data rows.
     """
     histogram = [0] * 24
     records: list[ArrivalRecord] = []
@@ -270,6 +271,8 @@ def ingest_trace(path: str) -> tuple[list[int], list[ArrivalRecord]]:
                 raise ValueError(f"malformed trace row {lineno}: {row!r}") from exc
             histogram[rec.hour] += 1
             records.append(rec)
+    if not records:
+        raise ValueError("trace has no data rows")
     return histogram, records
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "Opinion",
     "InteractionRecord",
@@ -233,8 +235,9 @@ def linear_reputation_baseline(
 class ReputationEngine:
     """Bookkeeping for multi-weight subjective-logic reputation over slots.
 
-    Interactions are stored as per-slot evidence segments per (rater, target)
-    pair. A target's reputation at slot t is assembled in four steps:
+    Interactions are counted in one integer array ``[slot, rater, target,
+    (pos, neg)]``, nodes indexed in registration order. A target's
+    reputation at slot t is assembled from slots <= t only, in four steps:
     segment opinions weighted by (familiarity, timeliness, similarity) give
     each rater's local opinion; other raters' locals are synthesized with the
     same weights; local and synthesized opinions are fused; the fused values
@@ -245,101 +248,177 @@ class ReputationEngine:
         self.cfg = cfg or WeightConfig()
         self.base_rate = base_rate
         self.arrival_hours: dict[str, float] = {}
-        # (rater, target) -> slot -> [pos, neg]
-        self._segments: dict[tuple[str, str], dict[int, list[int]]] = {}
-        # rater -> target -> total interaction count (familiarity source)
-        self._counts: dict[str, dict[str, int]] = {}
+        self._index: dict[str, int] = {}
+        self._evidence = np.zeros((0, 0, 0, 2), dtype=np.int64)
 
     def register(self, node: str, arrival_hour: float) -> None:
+        self._index.setdefault(node, len(self._index))
         self.arrival_hours[node] = arrival_hour
 
+    def _grown(self, slots: int) -> np.ndarray:
+        """The evidence array, grown to hold `slots` slots and every node."""
+        ev = self._evidence
+        n = len(self._index)
+        if slots > ev.shape[0] or n > ev.shape[1]:
+            grown = np.zeros((max(slots, ev.shape[0]), n, n, 2), dtype=np.int64)
+            grown[: ev.shape[0], : ev.shape[1], : ev.shape[2]] = ev
+            self._evidence = ev = grown
+        return ev
+
     def record(self, rec: InteractionRecord) -> None:
-        if rec.rater not in self.arrival_hours or rec.target not in self.arrival_hours:
-            raise KeyError("both rater and target must be registered")
-        seg = self._segments.setdefault((rec.rater, rec.target), {})
-        cell = seg.setdefault(rec.slot, [0, 0])
-        cell[0 if rec.positive else 1] += rec.count
-        self._counts.setdefault(rec.rater, {})
-        self._counts[rec.rater][rec.target] = (
-            self._counts[rec.rater].get(rec.target, 0) + rec.count
-        )
+        if rec.positive:
+            self.record_outcomes(rec.slot, rec.rater, rec.target, rec.count, 0)
+        else:
+            self.record_outcomes(rec.slot, rec.rater, rec.target, 0, rec.count)
 
     def record_outcomes(
         self, slot: int, rater: str, target: str, positives: int, negatives: int
     ) -> None:
+        if not (positives or negatives):
+            return
+        if rater == target:
+            raise ValueError("rater and target must be distinct")
+        if positives < 0 or negatives < 0:
+            raise ValueError("outcome counts must be >= 0")
+        if slot < 0:
+            raise ValueError("slot must be >= 0")
+        try:
+            i, j = self._index[rater], self._index[target]
+        except KeyError:
+            raise KeyError("both rater and target must be registered") from None
+        ev = self._grown(slot + 1)
         if positives:
-            self.record(InteractionRecord(rater, target, slot, True, positives))
+            ev[slot, i, j, 0] += positives
         if negatives:
-            self.record(InteractionRecord(rater, target, slot, False, negatives))
+            ev[slot, i, j, 1] += negatives
 
-    def _familiarity(self, rater: str, target: str) -> float:
-        counts = self._counts.get(rater, {})
-        if not counts:
-            return 0.0
-        return familiarity_weight(counts.get(target, 0), list(counts.values()))
+    def _locals(
+        self, target: str, at: int, raters: list[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Local opinions of `raters` about `target` from slots <= `at`.
 
-    def _segment_weight(self, rater: str, target: str, slot: int, at: int) -> float:
-        x = self._familiarity(rater, target)
+        Returns the [rater, (b, d, u, a)] local opinions, each rater's
+        weight as a recommender (its last segment's weight), whether it has
+        any evidence, and the raters' node indices.
+        """
+        try:
+            t = self._index[target]
+            rows = np.array([self._index[r] for r in raters], dtype=np.intp)
+        except KeyError:
+            raise KeyError("target and raters must be registered") from None
+        cfg = self.cfg
+        ev = self._grown(0)
+        slots = max(0, min(at + 1, ev.shape[0]))
+        hist = ev[:slots]
+
+        # segment opinions, [slot, rater]
+        pos, neg = hist[:, rows, t, 0], hist[:, rows, t, 1]
+        total = pos + neg + EVIDENCE_PRIOR_WEIGHT
+        present = total > EVIDENCE_PRIOR_WEIGHT
+        segments = np.stack(
+            [pos / total, neg / total, EVIDENCE_PRIOR_WEIGHT / total,
+             np.full(total.shape, self.base_rate)], axis=-1)
+        _check_opinions(segments, present)
+
+        # familiarity counts interactions up to `at`: with this target
+        # relative to the mean over the targets the rater has met
+        pairs = hist.sum(axis=0)[rows]
+        counts = pairs[..., 0] + pairs[..., 1]
+        met = np.count_nonzero(counts, axis=1)
+        mean = np.divide(counts.sum(axis=1), met, out=np.ones(len(rows)), where=met > 0)
+        x = counts[:, t] / mean
         # interactions in the current slot are treated as one slot old
-        y = timeliness_weight(at, min(slot, at - 1), self.cfg)
-        z = similarity_weight(self.arrival_hours[rater], self.arrival_hours[target])
-        return overall_weight(x, y, z, self.cfg)
+        y = np.array([timeliness_weight(at, min(s, at - 1), cfg) for s in range(slots)])
+        has = present.any(axis=0)
+        hour = self.arrival_hours[target]
+        z = np.array([
+            similarity_weight(self.arrival_hours[r], hour) if h else 0.0
+            for r, h in zip(raters, has.tolist())
+        ])
+        w = (cfg.gamma1 * x + cfg.gamma2 * y[:, None]) + cfg.gamma3 * z
+        w = np.where(present, w, 0.0)
+
+        w_total = np.add.reduce(w, axis=0)
+        local = _weighted_mean(
+            np.add.reduce(w[..., None] * segments, axis=0), w_total, has, self.base_rate)
+        if slots:
+            last = slots - 1 - np.argmax(present[::-1], axis=0)
+            recommend = w[last, np.arange(len(rows))]
+        else:
+            recommend = np.zeros(len(rows))
+        return local, recommend, has, rows
 
     def local(self, rater: str, target: str, at: int) -> Opinion:
         """Weighted aggregate of the pair's per-slot segment opinions."""
-        segments = self._segments.get((rater, target), {})
-        weighted: list[tuple[float, Opinion]] = []
-        for slot, (pos, neg) in sorted(segments.items()):
-            if slot > at:
-                continue
-            total = pos + neg + EVIDENCE_PRIOR_WEIGHT
-            seg_op = Opinion(
-                pos / total, neg / total, EVIDENCE_PRIOR_WEIGHT / total, self.base_rate
-            )
-            weighted.append((self._segment_weight(rater, target, slot, at), seg_op))
-        if not weighted:
-            return Opinion(0.0, 0.0, 1.0, self.base_rate)
-        return synthesize_recommended(weighted)
+        local, _, _, _ = self._locals(target, at, [rater])
+        return Opinion(*local[0].tolist())
 
     def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
         if raters is None:
             raters = [n for n in sorted(self.arrival_hours) if n != target]
-        view = ReputationView(target=target, slot=at)
-        for rater in raters:
-            view.local[rater] = self.local(rater, target, at)
-        for rater in raters:
-            recs: list[tuple[float, Opinion]] = []
-            for other in raters:
-                if other == rater:
-                    continue
-                seg = self._segments.get((other, target), {})
-                past = [s for s in seg if s <= at]
-                if not past:
-                    continue
-                y = timeliness_weight(at, min(max(past), at - 1), self.cfg)
-                w = overall_weight(
-                    self._familiarity(other, target),
-                    y,
-                    similarity_weight(
-                        self.arrival_hours[other], self.arrival_hours[target]
-                    ),
-                    self.cfg,
-                )
-                recs.append((w, view.local[other]))
-            if recs:
-                syn = synthesize_recommended(recs)
-            else:
-                syn = Opinion(0.0, 0.0, 1.0, self.base_rate)
-            fin = fuse_final(view.local[rater], syn)
-            view.synthesized[rater] = syn
-            view.final[rater] = fin
-            view.final_values[rater] = reputation_value(fin)
-        return view
+        local, recommend, has, rows = self._locals(target, at, raters)
+
+        # [other, rater]: every other rater with evidence recommends its local
+        others = rows[:, None] != rows[None, :]
+        m = np.where(others, recommend[:, None], 0.0)
+        syn = _weighted_mean(
+            np.add.reduce(m[..., None] * local[:, None, :], axis=0),
+            np.add.reduce(m, axis=0), (others & has[:, None]).any(axis=0), self.base_rate)
+
+        # consensus fusion with fuse_final's vacuous short-circuits
+        ul, us = local[:, 2], syn[:, 2]
+        ul_vacuous, us_vacuous = ul == 1.0, us == 1.0
+        den = us + ul - us * ul
+        fused = ~(ul_vacuous | us_vacuous)
+        if (fused & (den <= 0)).any():
+            raise ValueError("fusion undefined: both opinions are dogmatic (u=0)")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            final = np.stack([
+                (local[:, 0] * us + syn[:, 0] * ul) / den,
+                (local[:, 1] * us + syn[:, 1] * ul) / den,
+                (us * ul) / den,
+                local[:, 3],
+            ], axis=1)
+        final[ul_vacuous, :3] = syn[ul_vacuous, :3]
+        final[us_vacuous, :3] = local[us_vacuous, :3]
+        final[ul_vacuous & us_vacuous, :3] = (0.0, 0.0, 1.0)
+        values = final[:, 0] + final[:, 2] * final[:, 3]
+
+        return ReputationView(
+            target=target,
+            slot=at,
+            local={r: Opinion(*o) for r, o in zip(raters, local.tolist())},
+            synthesized={r: Opinion(*o) for r, o in zip(raters, syn.tolist())},
+            final={r: Opinion(*o) for r, o in zip(raters, final.tolist())},
+            final_values=dict(zip(raters, values.tolist())),
+        )
 
     def average_reputation(
         self, target: str, at: int, raters: list[str] | None = None
     ) -> float:
         return self.view(target, at, raters).average
+
+
+def _check_opinions(ops: np.ndarray, where: np.ndarray) -> None:
+    """Opinion's validation, in bulk, of the [..., (b, d, u, a)] cells in `where`."""
+    in_range = ((-_SUM_TOL <= ops) & (ops <= 1.0 + _SUM_TOL)).all(axis=-1)
+    closed = ~(np.abs(ops[..., 0] + ops[..., 1] + ops[..., 2] - 1.0) > _SUM_TOL)
+    bad = where & ~(in_range & closed)
+    if bad.any():
+        Opinion(*ops[bad][0].tolist())   # raises Opinion's own ValueError
+
+
+def _weighted_mean(
+    sums: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float
+) -> np.ndarray:
+    """synthesize_recommended on [row, (b, d, u, a)] weighted sums; rows
+    without recommendations are vacuous."""
+    if (has & (weights <= 0)).any():
+        raise ValueError("total recommendation weight must be positive")
+    out = np.empty(sums.shape)
+    out[:] = (0.0, 0.0, 1.0, base_rate)
+    np.divide(sums, weights[:, None], out=out, where=has[:, None])
+    return out
 
 
 class LinearReputationTracker:

@@ -179,6 +179,33 @@ class TestDetectionExperiment:
         assert full_detection_slot(sl) is not None
         assert full_detection_slot(sl) <= full_detection_slot(lr)
 
+    def test_per_seed_scores_pinned(self, monkeypatch):
+        """The detection series are 0/1 step fractions that hide score
+        drift, so pin every SL and LR average the threshold is applied to."""
+        seen = []
+        view = consensus.ReputationEngine.view
+        lr_average = consensus.LinearReputationTracker.average_reputation
+
+        def spy_view(self, target, at, raters=None):
+            out = view(self, target, at, raters)
+            seen.append(("SL", target, at, out.average))
+            return out
+
+        def spy_lr(self, target, raters):
+            out = lr_average(self, target, raters)
+            seen.append(("LR", target, out))
+            return out
+
+        monkeypatch.setattr(consensus.ReputationEngine, "view", spy_view)
+        monkeypatch.setattr(consensus.LinearReputationTracker,
+                            "average_reputation", spy_lr)
+        for seed in range(3):
+            detection_experiment(50, 10, 0.45, 15, seed)
+        assert len(seen) == 2 * 3 * 15 * 10   # both schemes, every target and slot
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+            "2fac5b3ac633aa290d9453266a213377b7a59413a8e103ef4e0927b8161cbaa9"
+        )
+
     @pytest.mark.parametrize("population, misbehaving", [(20, 0), (10, 10)])
     def test_needs_misbehaving_and_honest_nodes(self, population, misbehaving):
         with pytest.raises(ValueError, match="detection needs"):

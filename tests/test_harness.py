@@ -204,6 +204,7 @@ class TestCli:
         {"n_types": 1},
         {"n_types": 2.5},
         {"trace_path": [1]},
+        {"r_bps": [5e6, 6e6]},
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "bad.json"
@@ -237,6 +238,21 @@ class TestCli:
                        str(tmp_path / "no.csv"), "--out", str(tmp_path)])
         assert rc == 2
         assert "trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        "hour,duration\n9,2.5\n9,abc\n",
+        "hour,duration\n",
+        "hour,duration\n9,2.5\n9,nan\n",
+    ], ids=["malformed-row", "header-only", "nan-duration"])
+    def test_bad_trace_exits_two(self, tmp_path, capsys, body):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(body)
+        rc = cli.main(["arrival-histogram", "--trace", str(trace),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("config error") == 1 and "Traceback" not in err
+        assert not (tmp_path / "arrival-histogram.csv").exists()
 
     def test_infeasible_exits_three(self, tmp_path, capsys, monkeypatch):
         def boom(name, cfg):

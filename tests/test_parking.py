@@ -201,6 +201,17 @@ class TestIngestTrace:
         with pytest.raises(ValueError, match="3"):
             ingest_trace(str(path))
 
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("arrival_hour,duration_hours\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            ingest_trace(str(path))
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_must_be_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            ArrivalRecord(9, duration)
+
 
 class TestSynthesizePopulation:
     def test_deterministic(self):

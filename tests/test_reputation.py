@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from parkedchain.reputation import (
     VACUOUS,
@@ -260,6 +260,25 @@ class TestEngine:
         bad = eng.average_reputation("m", at=4, raters=raters)
         assert good > bad
 
+    def test_past_slot_ignores_later_evidence(self):
+        # familiarity at slot 3 must not see slot-7 evidence about m
+        eng = self.build()
+        for slot in range(3):
+            eng.record_outcomes(slot, "i", "j", 4, 1)
+            eng.record_outcomes(slot, "i", "m", 2, 3)
+            eng.record_outcomes(slot, "k", "j", 3, 2)
+        local, view = eng.local("i", "j", at=3), eng.view("j", at=3)
+        eng.record_outcomes(7, "i", "m", 9, 0)
+        assert eng.local("i", "j", at=3) == local
+        assert eng.view("j", at=3) == view
+
+    def test_unregistered_node_rejected(self):
+        eng = self.build()
+        with pytest.raises(KeyError):
+            eng.record_outcomes(0, "i", "x", 1, 0)
+        with pytest.raises(KeyError):
+            eng.view("j", at=1, raters=["x"])
+
     def test_unknown_target_is_neutral(self):
         eng = self.build()
         assert eng.average_reputation("j", at=1, raters=["i"]) == pytest.approx(0.5)
@@ -271,6 +290,98 @@ class TestEngine:
         tr.update("i", "j", 0, 5)
         expect = linear_reputation_baseline([1.0, 0.0])
         assert tr.value("i", "j") == pytest.approx(expect)
+
+
+def reference_view(evidence, hours, target, at, raters, cfg, base_rate):
+    """One view assembled from the public scalar helpers.
+
+    `evidence` maps (rater, target, slot) to [positives, negatives]; only
+    slots <= at count, familiarity included.
+    """
+    def segments(rater, tgt):
+        return sorted((s, pq) for (r, t, s), pq in evidence.items()
+                      if r == rater and t == tgt and s <= at and sum(pq))
+
+    def weight(rater, slot):
+        met = {}
+        for (r, t, s), (p, q) in evidence.items():
+            if r == rater and s <= at and p + q:
+                met[t] = met.get(t, 0) + p + q
+        x = familiarity_weight(met.get(target, 0), list(met.values()))
+        y = timeliness_weight(at, min(slot, at - 1), cfg)
+        z = similarity_weight(hours[rater], hours[target])
+        return overall_weight(x, y, z, cfg)
+
+    vacuous = Opinion(0.0, 0.0, 1.0, base_rate)
+    local, recommend = {}, {}
+    for rater in raters:
+        weighted = []
+        for slot, (p, q) in segments(rater, target):
+            history = [InteractionRecord(rater, target, slot, positive, count)
+                       for positive, count in ((True, p), (False, q)) if count]
+            weighted.append((weight(rater, slot), local_opinion(history, base_rate)))
+        local[rater] = synthesize_recommended(weighted) if weighted else vacuous
+        if weighted:
+            recommend[rater] = weighted[-1][0]
+    synthesized, final = {}, {}
+    for rater in raters:
+        recs = [(recommend[o], local[o]) for o in raters
+                if o != rater and o in recommend]
+        synthesized[rater] = synthesize_recommended(recs) if recs else vacuous
+        final[rater] = fuse_final(local[rater], synthesized[rater])
+    values = {r: reputation_value(o) for r, o in final.items()}
+    return local, synthesized, final, values
+
+
+@st.composite
+def histories(draw):
+    n = draw(st.integers(2, 8))
+    nodes = [f"n{i}" for i in range(n)]
+    hours = {node: draw(st.floats(0.0, 23.0)) for node in nodes}
+    evidence = {}
+    for slot, i, j, p, q in draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(0, 6), st.integers(0, 6)),
+        max_size=30,
+    )):
+        if i != j:
+            cell = evidence.setdefault((nodes[i], nodes[j], slot), [0, 0])
+            cell[0] += p
+            cell[1] += q
+    target = draw(st.sampled_from(nodes))
+    raters = draw(st.none() | st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+    at = draw(st.integers(-1, 9))
+    cfg = draw(st.sampled_from([
+        WeightConfig(),
+        WeightConfig(0.5, 0.2, 0.3, 3.0, 0.7),
+        WeightConfig(1.0, 0.0, 0.0, 1.0, 0.0),
+        WeightConfig(0.0, 0.0, 1.0, 10.0, 4.0),
+    ]))
+    base_rate = draw(st.sampled_from([0.5, 0.0, 0.3, 1.0]))
+    return nodes, hours, evidence, target, raters, at, cfg, base_rate
+
+
+class TestEngineMatchesScalarReference:
+    @settings(deadline=None, max_examples=300)
+    @given(histories())
+    def test_view_is_bit_identical(self, case):
+        nodes, hours, evidence, target, raters, at, cfg, base_rate = case
+        eng = ReputationEngine(cfg, base_rate)
+        for node in nodes:
+            eng.register(node, hours[node])
+        for (rater, tgt, slot), (p, q) in evidence.items():
+            eng.record_outcomes(slot, rater, tgt, p, q)
+        view = eng.view(target, at, raters)
+        if raters is None:
+            raters = [n for n in nodes if n != target]
+        local, synthesized, final, values = reference_view(
+            evidence, hours, target, at, raters, cfg, base_rate)
+        assert view.final_values == values
+        assert view.local == local
+        assert view.synthesized == synthesized
+        assert view.final == final
+        for rater in raters:
+            assert eng.local(rater, target, at) == local[rater]
 
 
 class TestHistoryCsv:
