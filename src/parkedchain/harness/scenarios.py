@@ -101,20 +101,15 @@ def _mixture() -> parking.GammaMixtureParams:
     return parking.GammaMixtureParams()
 
 
-def _records(cfg: ExperimentConfig):
-    """Arrival records from the configured trace, else the synthetic
-    bimodal population (flagged via the provenance 'source' key)."""
+def _arrivals(cfg: ExperimentConfig) -> tuple[parking.Arrivals, str]:
+    """Arrivals from the configured trace, else the synthetic bimodal
+    population, with the provenance 'source' value naming which."""
     if cfg.trace_path is not None:
         try:
-            hist, records = parking.ingest_trace(cfg.trace_path)
+            return parking.ingest_trace(cfg.trace_path), f"trace:{cfg.trace_path}"
         except ValueError as exc:
             raise ConfigError([f"bad trace {cfg.trace_path!r}: {exc}"]) from None
-        return hist, records, f"trace:{cfg.trace_path}"
-    records = parking.synthesize_population(_mixture(), cfg.arrivals, cfg.seed)
-    hist = [0] * 24
-    for rec in records:
-        hist[rec.hour % 24] += 1
-    return hist, records, "synthetic"
+    return parking.synthesize_population(_mixture(), cfg.arrivals, cfg.seed), "synthetic"
 
 
 def _task_params(cfg: ExperimentConfig) -> contract_opt.TaskParams:
@@ -125,9 +120,16 @@ def _task_params(cfg: ExperimentConfig) -> contract_opt.TaskParams:
     )
 
 
-def _hour_problem(cfg: ExperimentConfig, records, hour: int) -> contract_opt.ContractProblem:
-    profile = parking.hourly_type_profile(records, hour, _mixture(), cfg.n_types)
+def _hour_problem(cfg: ExperimentConfig, arrivals, hour: int) -> contract_opt.ContractProblem:
+    profile = parking.hourly_type_profile(arrivals, hour, _mixture(), cfg.n_types)
     return contract_opt.ContractProblem(profile, _task_params(cfg))
+
+
+def _profile_hour_problem(cfg: ExperimentConfig) -> contract_opt.ContractProblem:
+    try:
+        return _hour_problem(cfg, _arrivals(cfg)[0], cfg.profile_hour)
+    except parking.NobodyParked:
+        raise ConfigError([f"nobody is parked at profile_hour {cfg.profile_hour}"]) from None
 
 
 def _solve_all(problem: contract_opt.ContractProblem) -> dict[str, contract_opt.ContractMenu]:
@@ -150,9 +152,9 @@ def _require_misbehaving(name: str, cfg: ExperimentConfig) -> None:
 # -- scenarios ----------------------------------------------------------------
 
 def _arrival_histogram(cfg: ExperimentConfig) -> ResultTable:
-    hist, records, source = _records(cfg)
-    total = len(records)
-    rows = [(hour, hist[hour], hist[hour] / total) for hour in range(24)]
+    arrivals, source = _arrivals(cfg)
+    hist = np.bincount(arrivals.hours, minlength=24).tolist()
+    rows = [(hour, hist[hour], hist[hour] / len(arrivals)) for hour in range(24)]
     prov = _provenance("arrival-histogram", cfg)
     prov["source"] = source
     return ResultTable(("hour", "count", "fraction"), rows, prov)
@@ -194,8 +196,7 @@ def _collusion(cfg: ExperimentConfig) -> ResultTable:
 
 def _contract_feasibility(cfg: ExperimentConfig) -> ResultTable:
     """Self-selection table: utility of every (true type, menu item) pair."""
-    _, records, _ = _records(cfg)
-    problem = _hour_problem(cfg, records, cfg.profile_hour)
+    problem = _profile_hour_problem(cfg)
     menu = contract_opt.solve_lagrangian_iterative(problem)
     rows = []
     for j, theta in enumerate(problem.profile.thetas):
@@ -213,10 +214,13 @@ def _contract_feasibility(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _utility_vs_hour(cfg: ExperimentConfig) -> ResultTable:
-    _, records, _ = _records(cfg)
+    arrivals, _ = _arrivals(cfg)
     rows = []
     for hour in range(24):
-        problem = _hour_problem(cfg, records, hour)
+        try:
+            problem = _hour_problem(cfg, arrivals, hour)
+        except parking.NobodyParked:
+            continue  # an hour without parked vehicles has no market and no rows
         menus = _solve_all(problem)
         for scheme in SCHEME_ORDER:
             menu = menus[scheme]
@@ -230,8 +234,7 @@ def _utility_vs_hour(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _utility_vs_type(cfg: ExperimentConfig) -> ResultTable:
-    _, records, _ = _records(cfg)
-    problem = _hour_problem(cfg, records, cfg.profile_hour)
+    problem = _profile_hour_problem(cfg)
     menus = _solve_all(problem)
     rows = []
     for scheme in SCHEME_ORDER:

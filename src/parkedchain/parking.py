@@ -7,12 +7,17 @@ hours, given it has already been parked t_p hours, is the survival ratio of
 the mixture; sorting those probabilities over the currently parked
 population and quantile-binning them yields the discrete type profile the
 contract optimizer consumes.
+
+Populations are columns: `Arrivals` (hour and duration arrays) and the
+`Parked` set that `surviving_population` selects at a query hour.
+`stay_probabilities` scores a parked set with one `survival` call per
+arrival hour; the scalar `stay_probability` scores one `PVState` through
+the same kernel, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,12 +28,15 @@ __all__ = [
     "HourMixture",
     "GammaMixtureParams",
     "PVState",
+    "Parked",
     "TypeProfile",
-    "ArrivalRecord",
+    "Arrivals",
+    "NobodyParked",
     "DEFAULT_MIXTURE",
     "density",
     "survival",
     "stay_probability",
+    "stay_probabilities",
     "leave_probability",
     "classify_types",
     "ingest_trace",
@@ -61,13 +69,6 @@ class HourMixture:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def mean(self) -> float:
-        return (
-            self.h_short * self.shape_short * self.scale_short
-            + self.h_long * self.shape_long * self.scale_long
-        )
-
 
 # Illustrative defaults, not fitted to any real lot: errands vs commuters.
 DEFAULT_MIXTURE = HourMixture(
@@ -95,21 +96,6 @@ class GammaMixtureParams:
     def at(self, arrival_hour: int) -> HourMixture:
         return self.per_hour.get(arrival_hour, self.default)
 
-    @classmethod
-    def load(cls, path: str) -> "GammaMixtureParams":
-        """Parameter file: JSON keyed by arrival hour (or "default")."""
-        with open(path) as fh:
-            raw = json.load(fh)
-        default = DEFAULT_MIXTURE
-        per_hour = {}
-        for key, fields in raw.items():
-            mixture = HourMixture(**fields)
-            if key == "default":
-                default = mixture
-            else:
-                per_hour[int(key)] = mixture
-        return cls(default=default, per_hour=per_hour)
-
 
 @dataclass(frozen=True)
 class PVState:
@@ -127,6 +113,86 @@ class PVState:
             raise ValueError("parked_hours must be >= 0")
         if self.horizon <= 0:
             raise ValueError("horizon must be > 0")
+
+
+def _columns(obj, **dtypes) -> None:
+    """Store the named fields of a frozen dataclass as arrays of the given
+    dtypes; a float column is never truncated to an int one."""
+    for name, dtype in dtypes.items():
+        column = np.asarray(getattr(obj, name))
+        if column.size and not np.can_cast(column.dtype, dtype, "same_kind"):
+            raise ValueError(f"{name} must hold {np.dtype(dtype).name} values")
+        object.__setattr__(obj, name, column.astype(dtype))
+
+
+@dataclass(frozen=True, eq=False)
+class Arrivals:
+    """Each vehicle's arrival hour (0..23) and total parking duration in
+    hours (positive, finite): vehicle i is row i of both columns."""
+
+    hours: np.ndarray
+    durations: np.ndarray
+
+    def __post_init__(self) -> None:
+        _columns(self, hours=np.int64, durations=np.float64)
+        if self.hours.ndim != 1 or self.hours.shape != self.durations.shape:
+            raise ValueError("hours and durations must be 1-D and of equal length")
+        bad_hour = (self.hours < 0) | (self.hours > 23)
+        bad = bad_hour | ~((0 < self.durations) & (self.durations < math.inf))
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = ("arrival hour outside 0..23" if bad_hour[i]
+                    else "duration must be positive and finite")
+            raise _InvalidArrival(i, f"{what} (vehicle {i})")
+
+    def __len__(self) -> int:
+        return len(self.hours)
+
+
+class _InvalidArrival(ValueError):
+    """Arrivals rejected; `index` is the first offending vehicle."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+@dataclass(frozen=True, eq=False)
+class Parked:
+    """Vehicles parked at query time, as columns; `parked[i]` is row i as a
+    PVState. `pv_id` is the vehicle's row in its `Arrivals`; `horizon` is
+    given once for all rows or once per row, and stored per row."""
+
+    pv_id: np.ndarray
+    arrival_hour: np.ndarray
+    parked_hours: np.ndarray
+    horizon: float | np.ndarray
+
+    def __post_init__(self) -> None:
+        _columns(self, pv_id=np.int64, arrival_hour=np.int64,
+                 parked_hours=np.float64, horizon=np.float64)
+        if not (self.pv_id.ndim == 1
+                and self.pv_id.shape == self.arrival_hour.shape == self.parked_hours.shape):
+            raise ValueError("parked columns must be 1-D and of equal length")
+        object.__setattr__(self, "horizon", np.broadcast_to(self.horizon, self.pv_id.shape))
+        # PVState's rules, on every row at once
+        if ((self.arrival_hour < 0) | (self.arrival_hour > 23)).any():
+            raise ValueError("arrival_hour outside 0..23")
+        if (self.parked_hours < 0).any():
+            raise ValueError("parked_hours must be >= 0")
+        if (self.horizon <= 0).any():
+            raise ValueError("horizon must be > 0")
+
+    def __len__(self) -> int:
+        return len(self.pv_id)
+
+    def __getitem__(self, i: int) -> PVState:
+        return PVState(int(self.pv_id[i]), int(self.arrival_hour[i]),
+                       float(self.parked_hours[i]), float(self.horizon[i]))
+
+
+class NobodyParked(ValueError):
+    """A parked set to classify is empty."""
 
 
 @dataclass(frozen=True)
@@ -155,20 +221,6 @@ class TypeProfile:
         return len(self.thetas)
 
 
-@dataclass(frozen=True)
-class ArrivalRecord:
-    """One vehicle's arrival hour and total parking duration."""
-
-    hour: int
-    duration: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.hour <= 23:
-            raise ValueError("arrival hour outside 0..23")
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be positive and finite")
-
-
 def _gamma_pdf(t: float, shape: float, scale: float) -> float:
     return (
         t ** (shape - 1.0)
@@ -187,28 +239,33 @@ def density(t_p: float, t_a: int, params: GammaMixtureParams) -> float:
     )
 
 
-def survival(x: float, mixture: HourMixture) -> float:
-    """P[duration > x] under the mixture, via regularized upper Gammas."""
-    if x < 0:
+def survival(x, mixture: HourMixture):
+    """P[duration > x] under the mixture, via regularized upper Gammas;
+    `x` is a float or an array."""
+    if (np.asarray(x) < 0).any():
         raise ValueError("x must be >= 0")
     return (
-        mixture.h_short * float(gammaincc(mixture.shape_short, x / mixture.scale_short))
-        + mixture.h_long * float(gammaincc(mixture.shape_long, x / mixture.scale_long))
+        mixture.h_short * gammaincc(mixture.shape_short, x / mixture.scale_short)
+        + mixture.h_long * gammaincc(mixture.shape_long, x / mixture.scale_long)
     )
+
+
+def _stay(parked_hours, horizon, m: HourMixture):
+    """Stay probabilities under one mixture, elementwise over the inputs."""
+    denom = survival(parked_hours, m)
+    if (denom <= 0.0).any():
+        # survival is nonincreasing, so the longest stay underflowed
+        raise ValueError(
+            f"parked duration {np.max(parked_hours)} h is beyond the mixture's "
+            "numeric support (survival underflowed to 0)"
+        )
+    # ratio of survivals of nested events; clamp fp dust only
+    return np.minimum(survival(parked_hours + horizon, m) / denom, 1.0)
 
 
 def stay_probability(pv: PVState, params: GammaMixtureParams) -> float:
     """P[stays >= horizon more hours | already parked parked_hours]."""
-    m = params.at(pv.arrival_hour)
-    denom = survival(pv.parked_hours, m)
-    if denom <= 0.0:
-        raise ValueError(
-            f"parked duration {pv.parked_hours} h is beyond the mixture's "
-            "numeric support (survival underflowed to 0)"
-        )
-    p = survival(pv.parked_hours + pv.horizon, m) / denom
-    # ratio of survivals of nested events; clamp fp dust only
-    return min(p, 1.0)
+    return float(_stay(pv.parked_hours, pv.horizon, params.at(pv.arrival_hour)))
 
 
 def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:
@@ -216,21 +273,30 @@ def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:
     return 1.0 - stay_probability(pv, params)
 
 
-def classify_types(
-    pvs: list[PVState], params: GammaMixtureParams, n_types: int
-) -> TypeProfile:
+def stay_probabilities(parked: Parked, params: GammaMixtureParams) -> np.ndarray:
+    """`stay_probability` of every parked vehicle, in row order."""
+    probs = np.empty(len(parked))
+    # one kernel call per arrival hour, so per-hour mixtures apply
+    for hour in np.unique(parked.arrival_hour).tolist():
+        rows = parked.arrival_hour == hour
+        probs[rows] = _stay(parked.parked_hours[rows], parked.horizon[rows], params.at(hour))
+    return probs
+
+
+def classify_types(parked: Parked, params: GammaMixtureParams, n_types: int) -> TypeProfile:
     """Quantile-bin the population's stay probabilities into a TypeProfile.
 
     Each bin contributes its mean stay probability as the type value and its
     population share as the type probability. Bins whose means fail to
     ascend strictly (duplicate survival values) are merged, so the returned
-    profile may have fewer than n_types effective types.
+    profile may have fewer than n_types effective types. An empty parked
+    set raises `NobodyParked`.
     """
-    if not pvs:
-        raise ValueError("population must be nonempty")
+    if not len(parked):
+        raise NobodyParked("population must be nonempty")
     if n_types < 2:
         raise ValueError("need at least 2 types")
-    probs = np.sort([stay_probability(pv, params) for pv in pvs])
+    probs = np.sort(stay_probabilities(parked, params))
     thetas: list[float] = []
     betas: list[float] = []
     for chunk in np.array_split(probs, n_types):
@@ -250,30 +316,31 @@ def classify_types(
     return TypeProfile(tuple(thetas), tuple(betas))
 
 
-def ingest_trace(path: str) -> tuple[list[int], list[ArrivalRecord]]:
-    """Read `arrival_hour,duration_hours` rows.
+def ingest_trace(path: str) -> Arrivals:
+    """Read `arrival_hour,duration_hours` rows into `Arrivals`.
 
-    Returns the 24-bin arrival histogram and the parsed records. Any
-    malformed row rejects the whole file, naming the row number, and so
+    Any malformed row rejects the whole file, naming the row number, and so
     does a file without data rows.
     """
-    histogram = [0] * 24
-    records: list[ArrivalRecord] = []
+    hours: list[int] = []
+    durations: list[float] = []
+    linenos: list[int] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (lineno == 1 and not _is_number(row[0])):
                 continue  # blank line or header
             try:
-                hour = int(row[0])
-                duration = float(row[1])
-                rec = ArrivalRecord(hour, duration)
+                hours.append(int(row[0]))
+                durations.append(float(row[1]))
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"malformed trace row {lineno}: {row!r}") from exc
-            histogram[rec.hour] += 1
-            records.append(rec)
-    if not records:
+            linenos.append(lineno)
+    if not linenos:
         raise ValueError("trace has no data rows")
-    return histogram, records
+    try:
+        return Arrivals(np.array(hours), np.array(durations))
+    except _InvalidArrival as exc:
+        raise ValueError(f"malformed trace row {linenos[exc.index]}: {exc}") from exc
 
 
 def _is_number(text: str) -> bool:
@@ -295,47 +362,38 @@ def sample_arrival_hours(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.clip(hours, 3.0, 21.0)
 
 
-def synthesize_population(
-    params: GammaMixtureParams,
-    count: int,
-    seed: int,
-    arrival_sampler=sample_arrival_hours,
-) -> list[ArrivalRecord]:
+def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> Arrivals:
     """Sample arrivals and mixture durations, deterministically per seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    hours = np.floor(arrival_sampler(rng, count)).astype(int)
-    records = []
-    for hour in hours:
-        m = params.at(int(hour))
+    hours = np.floor(sample_arrival_hours(rng, count)).astype(int)
+    durations = np.empty(count)
+    # one vehicle at a time: the draws interleave on one stream, so their
+    # order fixes every seeded output
+    for i, hour in enumerate(hours.tolist()):
+        m = params.at(hour)
         if rng.random() < m.h_short:
-            duration = rng.gamma(m.shape_short, m.scale_short)
+            durations[i] = rng.gamma(m.shape_short, m.scale_short)
         else:
-            duration = rng.gamma(m.shape_long, m.scale_long)
-        # Gamma variates are continuous; 0.0 would need measure-zero luck,
-        # but guard the ArrivalRecord invariant anyway
-        records.append(ArrivalRecord(int(hour), max(duration, 1e-12)))
-    return records
+            durations[i] = rng.gamma(m.shape_long, m.scale_long)
+    # Gamma variates are continuous; 0.0 would need measure-zero luck,
+    # but guard the Arrivals invariant anyway
+    return Arrivals(hours, np.maximum(durations, 1e-12))
 
 
-def surviving_population(
-    records: list[ArrivalRecord], hour: int, horizon: float = 1.0
-) -> list[PVState]:
+def surviving_population(arrivals: Arrivals, hour: int, horizon: float = 1.0) -> Parked:
     """Vehicles still parked at the given hour of a cyclic day."""
-    parked = []
-    for idx, rec in enumerate(records):
-        parked_hours = float((hour - rec.hour) % 24)
-        if rec.duration > parked_hours:
-            parked.append(PVState(idx, rec.hour, parked_hours, horizon))
-    return parked
+    parked_hours = ((hour - arrivals.hours) % 24).astype(float)
+    pv_id = np.flatnonzero(arrivals.durations > parked_hours)
+    return Parked(pv_id, arrivals.hours[pv_id], parked_hours[pv_id], horizon)
 
 
 def hourly_type_profile(
-    records: list[ArrivalRecord],
+    arrivals: Arrivals,
     hour: int,
     params: GammaMixtureParams,
     n_types: int,
     horizon: float = 1.0,
 ) -> TypeProfile:
-    return classify_types(surviving_population(records, hour, horizon), params, n_types)
+    return classify_types(surviving_population(arrivals, hour, horizon), params, n_types)

@@ -1,12 +1,17 @@
 """Config validation, scenario tables, and CLI plumbing."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
+import os
 import pkgutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import parkedchain
 from parkedchain.contract_opt import InfeasibleProblem
@@ -254,6 +259,32 @@ class TestCli:
         assert err.count("config error") == 1 and "Traceback" not in err
         assert not (tmp_path / "arrival-histogram.csv").exists()
 
+    # vehicles are parked from 9:00 to 12:59 only
+    PROBE_TRACE = "hour,duration\n9,1.5\n9,2.5\n10,3.0\n"
+
+    def test_empty_hours_write_no_rows(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(self.PROBE_TRACE)
+        rc = cli.main(["utility-vs-hour", "--trace", str(trace), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "utility-vs-hour.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 * 5
+        assert sorted({int(r.split(",")[0]) for r in rows}) == [9, 10, 11, 12]
+
+    @pytest.mark.parametrize("scenario", ["contract-feasibility", "utility-vs-type"])
+    def test_empty_profile_hour_exits_two(self, tmp_path, capsys, scenario):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(self.PROBE_TRACE)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile_hour": 13}))
+        rc = cli.main([scenario, "--config", str(cfg), "--trace", str(trace),
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("config error") == 1 and "profile_hour 13" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{scenario}.csv").exists()
+
     def test_infeasible_exits_three(self, tmp_path, capsys, monkeypatch):
         def boom(name, cfg):
             raise InfeasibleProblem("no monotone menu exists")
@@ -274,6 +305,45 @@ class TestCli:
                    for l in lines[1:]}
         assert by_hour[9] == 40 and by_hour[17] == 10
         assert "source=trace" in (out / "provenance.txt").read_text()
+
+
+_TRACE_ROW = st.builds("{},{!r}".format, st.sampled_from([0, 9, 12, 23]) | st.integers(0, 23),
+                       st.floats(1e-6, 30.0))
+_BAD_ROW = st.sampled_from(["24,1.0", "-1,2.0", "9,0", "9,nan", "9,inf", "9,1e400", "9",
+                            "nine,1.0", "9.5,1.0", "1e400,1", "99999999999999999999999,1.0"])
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    scenario=st.sampled_from(["contract-feasibility", "utility-vs-type"] * 3
+                             + ["arrival-histogram", "utility-vs-hour"]),
+    rows=st.lists(_TRACE_ROW, min_size=1, max_size=6),
+    bad=st.none() | _BAD_ROW,
+    profile_hour=st.sampled_from([0, 9, 12, 23]),
+    n_types=st.integers(2, 4),
+)
+def test_random_traces_run_or_fail_cleanly(scenario, rows, bad, profile_hour, n_types):
+    """Any trace, with empty hours, single vehicles, hours 0 and 23 or a
+    malformed row, either writes the table (exit 0) or fails cleanly: one
+    config error (exit 2) or an infeasible problem (exit 3), no traceback."""
+    if bad is not None:
+        rows.insert(len(rows) // 2, bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "trace.csv")
+        with open(trace, "w") as fh:
+            fh.write("hour,duration\n" + "".join(f"{r}\n" for r in rows))
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"profile_hour": profile_hour, "n_types": n_types}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([scenario, "--config", cfg, "--trace", trace, "--out", tmp])
+        written = os.path.exists(os.path.join(tmp, f"{scenario}.csv"))
+    assert rc in (0, 2, 3) and "Traceback" not in err.getvalue()
+    assert written == (rc == 0)
+    if rc == 2:
+        assert err.getvalue().count("config error") == 1
+        assert bad is not None or "profile_hour" in err.getvalue()
 
 
 def test_public_names_resolve():

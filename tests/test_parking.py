@@ -1,5 +1,6 @@
 """Dual-Gamma stay statistics, type classification, trace plumbing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,9 +10,10 @@ from scipy import integrate
 
 from parkedchain.parking import (
     DEFAULT_MIXTURE,
-    ArrivalRecord,
+    Arrivals,
     GammaMixtureParams,
     HourMixture,
+    Parked,
     PVState,
     TypeProfile,
     classify_types,
@@ -20,6 +22,7 @@ from parkedchain.parking import (
     ingest_trace,
     leave_probability,
     stay_probability,
+    stay_probabilities,
     surviving_population,
     synthesize_population,
 )
@@ -31,6 +34,12 @@ EXP_MIX = HourMixture(h_short=1.0, h_long=0.0, shape_short=1.0,
 def exp_params(scale=2.0):
     m = HourMixture(1.0, 0.0, 1.0, 1.0, scale, 1.0)
     return GammaMixtureParams(default=m)
+
+
+def as_parked(pvs):
+    """The columns of a list of PVStates, row i being pvs[i]."""
+    return Parked(*(np.array([getattr(pv, name) for pv in pvs])
+                    for name in ("pv_id", "arrival_hour", "parked_hours", "horizon")))
 
 
 class TestDensity:
@@ -127,17 +136,17 @@ class TestClassifyTypes:
     def test_quantile_split_pin(self):
         # exponential trick: horizon -ln(p) makes the stay probability exactly p
         params = exp_params(scale=1.0)
-        pvs = [
+        pvs = as_parked([
             PVState(i, 9, 0.0, -math.log(p))
             for i, p in enumerate((0.2, 0.4, 0.6, 0.8))
-        ]
+        ])
         profile = classify_types(pvs, params, 2)
         assert profile.thetas == pytest.approx((0.3, 0.7))
         assert profile.betas == pytest.approx((0.5, 0.5))
 
     def test_identical_population_collapses(self):
         params = exp_params()
-        pvs = [PVState(i, 9, 1.0, 1.0) for i in range(8)]
+        pvs = as_parked([PVState(i, 9, 1.0, 1.0) for i in range(8)])
         profile = classify_types(pvs, params, 4)
         assert profile.n_types == 1
         assert profile.betas == (1.0,)
@@ -145,11 +154,11 @@ class TestClassifyTypes:
     def test_thetas_strictly_ascending(self):
         rng = np.random.default_rng(5)
         params = GammaMixtureParams()
-        pvs = [
+        pvs = as_parked([
             PVState(i, int(rng.integers(24)),
                     float(rng.uniform(0, 6)), float(rng.uniform(0.5, 3)))
             for i in range(60)
-        ]
+        ])
         for n in (2, 3, 5, 7):
             profile = classify_types(pvs, params, n)
             assert all(b > a for a, b in zip(profile.thetas, profile.thetas[1:]))
@@ -158,10 +167,10 @@ class TestClassifyTypes:
     def test_refinement_preserves_weighted_mean(self):
         rng = np.random.default_rng(11)
         params = GammaMixtureParams()
-        pvs = [
+        pvs = as_parked([
             PVState(i, 9, float(rng.uniform(0, 8)), 1.0)
             for i in range(90)
-        ]
+        ])
         means = [
             sum(t * b for t, b in zip(p.thetas, p.betas))
             for p in (classify_types(pvs, params, n) for n in (2, 3, 6))
@@ -171,18 +180,20 @@ class TestClassifyTypes:
 
     def test_rejects_empty_and_single_bin(self):
         with pytest.raises(ValueError):
-            classify_types([], GammaMixtureParams(), 2)
+            classify_types(surviving_population(Arrivals([8], [1.0]), 20),
+                           GammaMixtureParams(), 2)
         with pytest.raises(ValueError):
-            classify_types([PVState(0, 9, 1.0, 1.0)], GammaMixtureParams(), 1)
+            classify_types(as_parked([PVState(0, 9, 1.0, 1.0)]), GammaMixtureParams(), 1)
 
 
 class TestIngestTrace:
     def test_single_record(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("arrival_hour,duration_hours\n9,4.0\n")
-        hist, records = ingest_trace(str(path))
+        arrivals = ingest_trace(str(path))
+        hist = np.bincount(arrivals.hours, minlength=24)
         assert hist[9] == 1 and sum(hist) == 1
-        assert records == [ArrivalRecord(9, 4.0)]
+        assert arrivals.hours.tolist() == [9] and arrivals.durations.tolist() == [4.0]
 
     def test_row_count_conserved(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -192,13 +203,14 @@ class TestIngestTrace:
         ]
         path = tmp_path / "trace.csv"
         path.write_text("arrival_hour,duration_hours\n" + "\n".join(rows) + "\n")
-        hist, records = ingest_trace(str(path))
-        assert sum(hist) == len(records) == 500
+        arrivals = ingest_trace(str(path))
+        hist = np.bincount(arrivals.hours, minlength=24)
+        assert sum(hist) == len(arrivals) == 500
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("arrival_hour,duration_hours\n9,4.0\n25,1.0\n")
-        with pytest.raises(ValueError, match="3"):
+        with pytest.raises(ValueError, match="row 3"):
             ingest_trace(str(path))
 
     def test_header_only_rejected(self, tmp_path):
@@ -210,7 +222,7 @@ class TestIngestTrace:
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
     def test_duration_must_be_positive_and_finite(self, duration):
         with pytest.raises(ValueError, match="duration"):
-            ArrivalRecord(9, duration)
+            Arrivals([9], [duration])
 
 
 class TestSynthesizePopulation:
@@ -218,17 +230,17 @@ class TestSynthesizePopulation:
         params = GammaMixtureParams()
         a = synthesize_population(params, 500, seed=42)
         b = synthesize_population(params, 500, seed=42)
-        assert a == b
+        assert np.array_equal(a.hours, b.hours) and np.array_equal(a.durations, b.durations)
 
     def test_durations_positive(self):
         records = synthesize_population(GammaMixtureParams(), 2000, seed=1)
-        assert all(r.duration > 0 for r in records)
+        assert all(records.durations > 0)
 
     def test_duration_moments(self):
         params = GammaMixtureParams()
         m = params.at(9)
         records = synthesize_population(params, 10_000, seed=9)
-        durations = np.array([r.duration for r in records])
+        durations = records.durations
         want = m.h_short * m.shape_short * m.scale_short \
             + m.h_long * m.shape_long * m.scale_long
         # mixture second moment for the 3-sigma band
@@ -248,8 +260,76 @@ class TestHourlyProfile:
         assert sum(profile.betas) == pytest.approx(1.0)
 
     def test_survivors_parked_before_query_hour(self):
-        records = [ArrivalRecord(8, 5.0), ArrivalRecord(20, 5.0)]
+        records = Arrivals([8, 20], [5.0, 5.0])
         pvs = surviving_population(records, 10, horizon=1.0)
         # the 20:00 arrival wraps to the next day and is not yet parked at 10:00
-        assert [pv.arrival_hour for pv in pvs] == [8]
+        assert pvs.arrival_hour.tolist() == [8]
         assert pvs[0].parked_hours == pytest.approx(2.0)
+
+
+# SHA-256 of repr([(thetas, betas), ...]) over the 24 hourly profiles of the
+# default 100k-arrival population at seed 0, recorded from the per-vehicle
+# scalar classification; the columnar path must reproduce it bit for bit
+PROFILES_100K_SEED0 = "2fb7e187058d1bdf1e9338265dd702542676138cc8186b0ea8ab7d73793d3fca"
+
+
+def test_hourly_profiles_pinned():
+    params = GammaMixtureParams()
+    arrivals = synthesize_population(params, 100_000, seed=0)
+    profiles = [hourly_type_profile(arrivals, hour, params, 7) for hour in range(24)]
+    text = repr([(p.thetas, p.betas) for p in profiles])
+    assert hashlib.sha256(text.encode()).hexdigest() == PROFILES_100K_SEED0
+
+
+class TestColumns:
+    def test_row_is_the_vehicle_in_arrivals(self):
+        pvs = surviving_population(Arrivals([20, 8, 9], [5.0, 5.0, 0.5]), 10, horizon=2.0)
+        assert len(pvs) == 1
+        assert pvs[0] == PVState(pv_id=1, arrival_hour=8, parked_hours=2.0, horizon=2.0)
+
+    @pytest.mark.parametrize("row", [(0, 24, 1.0, 1.0), (0, 9, -1.0, 1.0), (0, 9, 1.0, 0.0)],
+                             ids=["hour", "parked", "horizon"])
+    def test_parked_keeps_pvstate_rules(self, row):
+        with pytest.raises(ValueError):
+            PVState(*row)
+        with pytest.raises(ValueError):
+            Parked(*([v] for v in row))
+
+    @pytest.mark.parametrize("hours, durations", [
+        ([9.5], [1.0]), ([10**30], [1.0]), ([9, 10], [1.0]), ([[9]], [[1.0]]),
+    ], ids=["float-hour", "huge-hour", "lengths", "2-d"])
+    def test_malformed_columns_rejected(self, hours, durations):
+        with pytest.raises(ValueError):
+            Arrivals(hours, durations)
+        with pytest.raises(ValueError):
+            Parked(np.arange(len(hours)), hours, np.ones(len(durations)), 1.0)
+
+
+def mixtures():
+    return st.builds(
+        lambda h, a, b, c, d: HourMixture(h, 1.0 - h, a, b, c, d),
+        st.floats(0.0, 1.0), st.floats(0.5, 8.0), st.floats(0.5, 8.0),
+        st.floats(0.2, 3.0), st.floats(0.2, 3.0),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 23), st.floats(0.0, 23.0),
+                            st.floats(0.05, 6.0)), min_size=1, max_size=40),
+    default=mixtures(),
+    per_hour=st.dictionaries(st.integers(0, 23), mixtures(), max_size=4),
+    one_horizon=st.booleans(),
+)
+def test_columnar_stay_matches_scalar(rows, default, per_hour, one_horizon):
+    """The array path equals the scalar reference with ==, per-hour mixtures included."""
+    params = GammaMixtureParams(default=default, per_hour=per_hour)
+    if one_horizon:
+        rows = [(h, t, rows[0][2]) for h, t, _ in rows]
+    pvs = [PVState(i, *row) for i, row in enumerate(rows)]
+    parked = as_parked(pvs)
+    if one_horizon:
+        parked = Parked(parked.pv_id, parked.arrival_hour, parked.parked_hours, rows[0][2])
+    scalar = [stay_probability(pv, params) for pv in pvs]
+    assert stay_probabilities(parked, params).tolist() == scalar
+    assert [parked[i] for i in range(len(parked))] == pvs
