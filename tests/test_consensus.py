@@ -1,6 +1,7 @@
 """Committee selection, the six-stage view protocol, and the experiments."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -154,6 +155,46 @@ class TestRunView:
         rows = [line.split(",") for line in out.trace]
         senders = {row[1] for row in rows if row[3] == "accept"}
         assert len(senders) + 1 >= cfg.accept_quorum  # +1: own vote is not resent
+
+
+def _view_corpus():
+    """Seeded random views at three committee sizes: shuffled rotations,
+    byzantine and crashed nodes anywhere (up to l + 1 faults), every
+    strategy, some byzantine nodes left on the default, views up to 3n."""
+    rng = random.Random(6)
+    for n, l in ((4, 1), (7, 2), (10, 3)):
+        cfg = ConsensusConfig(n=n, l=l)
+        for _ in range(60):
+            ids = [f"n{i:02d}" for i in range(n)]
+            rng.shuffle(ids)
+            faulty = rng.sample(ids, rng.randint(0, l + 1))
+            crashed = set(faulty[:rng.randint(0, len(faulty))])
+            roster = [(nid, Behavior.CRASH if nid in crashed
+                       else Behavior.BYZANTINE if nid in faulty else Behavior.HONEST)
+                      for nid in ids]
+            strategies = {nid: rng.choice(list(ReplicaStrategy)) for nid in faulty
+                          if nid not in crashed and rng.random() < 0.75}
+            block = BlockProposal(rng.randint(1, 9),
+                                  tuple(f"tx{rng.randrange(99)}" for _ in range(rng.randint(0, 3))),
+                                  rng.choice(ids))
+            yield roster, block, cfg, rng.randint(0, 3 * n), strategies
+
+
+def test_view_outcomes_pinned():
+    """Every field of every outcome in the corpus, traces included, plus
+    the model-check summaries, hashed against a recorded digest."""
+    seen = []
+    for roster, block, cfg, view, strategies in _view_corpus():
+        out = run_view(roster, block, cfg, view=view, strategies=strategies)
+        seen.append((out.committed_digest, out.unanimous, out.client_accepted,
+                     out.abnormal_replies, out.abort_reason, out.next_leader,
+                     out.message_count, out.trace, sorted(out.per_node.items())))
+    for n, l in ((4, 1), (7, 2)):
+        seen.append(model_check_safety(ConsensusConfig(n=n, l=l)))
+    assert len(seen) == 3 * 60 + 2
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "5d6e6ae1cdc304d21ad693e6b87b240b27055e65a1e085700f254c7a35ca7064"
+    )
 
 
 class TestModelCheck:
