@@ -9,10 +9,12 @@ pre-prepare counts as its vote), commits on n-l distinct agreeing accept
 senders including itself, and the client accepts the result when fewer
 than (n-l)/3 received replies disagree.
 
-Handlers are pure: each takes (state, message) and returns a fresh state
-plus an outbox. Byzantine and crash behaviors are generated outside the
-honest handlers, so a corrupted node can lie or stay silent but cannot
-forge another node's message tag.
+Each honest replica is one mutable NodeState: its handler takes (state,
+message), updates the state in place and returns only the outbox.
+Byzantine and crash behaviors are generated outside the honest handler,
+and the network tags every message with its true sender's key, so a
+corrupted node can lie or stay silent but cannot forge another node's
+message.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with scripted per-slot
@@ -28,8 +30,9 @@ import hmac
 import itertools
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -111,19 +114,15 @@ class BlockProposal:
 @dataclass(frozen=True)
 class NetMessage:
     send_slot: int
-    deliver_slot: int
     sender: str
     recipient: str
     kind: str          # request / pre-prepare / prepare / accept / reply
     digest: str
     tag: str
-    flags: str = ""
 
     def trace_line(self) -> str:
-        return (
-            f"{self.send_slot},{self.sender},{self.recipient},"
-            f"{self.kind},{self.digest},{self.flags}"
-        )
+        # the sixth column (message flags) is kept, always empty
+        return f"{self.send_slot},{self.sender},{self.recipient},{self.kind},{self.digest},"
 
 
 def _node_key(node_id: str) -> bytes:
@@ -131,67 +130,57 @@ def _node_key(node_id: str) -> bytes:
     return hashlib.sha256(b"node-key:" + node_id.encode()).digest()
 
 
-def message_tag(sender: str, kind: str, digest: str, recipient: str) -> str:
+def message_tag(key: bytes, kind: str, digest: str, recipient: str) -> str:
     payload = f"{kind}|{digest}|{recipient}".encode()
-    return hmac.new(_node_key(sender), payload, hashlib.sha256).hexdigest()[:16]
+    return hmac.digest(key, payload, "sha256").hex()[:16]
 
 
-def verify_tag(msg: NetMessage) -> bool:
-    expected = message_tag(msg.sender, msg.kind, msg.digest, msg.recipient)
-    return hmac.compare_digest(expected, msg.tag)
+_DELIVERY_ORDER = attrgetter("sender", "recipient", "kind", "digest")
 
 
-@dataclass(frozen=True)
+class Network:
+    """Synchronous message fabric with one-slot delivery. It derives each
+    sender's key once, tags every message as it is sent, and keeps every
+    sent message in `sent`."""
+
+    def __init__(self) -> None:
+        self._keys: dict[str, bytes] = {}
+        self._queue: dict[int, list[NetMessage]] = defaultdict(list)
+        self.sent: list[NetMessage] = []
+
+    def _tag(self, sender: str, kind: str, digest: str, recipient: str) -> str:
+        key = self._keys.get(sender)
+        if key is None:
+            key = self._keys[sender] = _node_key(sender)
+        return message_tag(key, kind, digest, recipient)
+
+    def send(self, slot: int, sender: str, recipient: str, kind: str, digest: str) -> None:
+        msg = NetMessage(slot, sender, recipient, kind, digest,
+                         self._tag(sender, kind, digest, recipient))
+        self._queue[slot + 1].append(msg)
+        self.sent.append(msg)
+
+    def verify(self, msg: NetMessage) -> bool:
+        """True when msg carries the tag its claimed sender's key gives."""
+        expected = self._tag(msg.sender, msg.kind, msg.digest, msg.recipient)
+        return hmac.compare_digest(expected, msg.tag)
+
+    def deliver(self, slot: int) -> list[NetMessage]:
+        return sorted(self._queue.pop(slot, []), key=_DELIVERY_ORDER)
+
+
+@dataclass
 class NodeState:
+    """One honest replica; the vote tallies map a digest to its senders."""
+
     node_id: str
     is_leader: bool
     leader_id: str = ""
     accepted_digest: str | None = None      # digest from the pre-prepare this node trusts
-    prepare_votes: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    accept_votes: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    sent_prepare: bool = False
+    prepare_votes: dict[str, set[str]] = field(default_factory=dict)
+    accept_votes: dict[str, set[str]] = field(default_factory=dict)
     sent_accept: bool = False
     committed: str | None = None
-
-    def votes(self, which: str) -> dict[str, set[str]]:
-        raw = self.prepare_votes if which == "prepare" else self.accept_votes
-        return {d: set(s) for d, s in raw}
-
-    def with_votes(self, which: str, votes: dict[str, set[str]]) -> "NodeState":
-        packed = tuple(sorted((d, tuple(sorted(s))) for d, s in votes.items()))
-        if which == "prepare":
-            return replace(self, prepare_votes=packed)
-        return replace(self, accept_votes=packed)
-
-
-class Network:
-    """Synchronous message fabric with one-slot delivery and a full trace."""
-
-    def __init__(self, delay: int = 1):
-        self.delay = delay
-        self._queue: dict[int, list[NetMessage]] = defaultdict(list)
-        self.trace: list[str] = []
-        self.message_count = 0
-
-    def send(self, slot: int, sender: str, recipient: str, kind: str,
-             digest: str, flags: str = "") -> None:
-        msg = NetMessage(
-            send_slot=slot,
-            deliver_slot=slot + self.delay,
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            digest=digest,
-            tag=message_tag(sender, kind, digest, recipient),
-            flags=flags,
-        )
-        self._queue[msg.deliver_slot].append(msg)
-        self.trace.append(msg.trace_line())
-        self.message_count += 1
-
-    def deliver(self, slot: int) -> list[NetMessage]:
-        batch = self._queue.pop(slot, [])
-        return sorted(batch, key=lambda m: (m.sender, m.recipient, m.kind, m.digest))
 
 
 @dataclass(frozen=True)
@@ -202,9 +191,16 @@ class ViewOutcome:
     abnormal_replies: int
     abort_reason: str | None
     next_leader: str
-    message_count: int
-    trace: tuple[str, ...]
+    messages: tuple[NetMessage, ...]
     per_node: dict
+
+    @property
+    def message_count(self) -> int:
+        return len(self.messages)
+
+    @property
+    def trace(self) -> tuple[str, ...]:
+        return tuple(msg.trace_line() for msg in self.messages)
 
 
 def select_consensus_nodes(reputations: dict, n: int) -> list:
@@ -222,75 +218,48 @@ def _wrong_digest(digest: str) -> str:
 
 
 def _handle_honest(state: NodeState, msg: NetMessage, quorums: ConsensusConfig,
-                   peers: list[str]) -> tuple[NodeState, list[tuple[str, str, str]]]:
-    """Pure honest-node transition: returns new state and (recipient, kind,
-    digest) outbox entries. Messages with bad tags are dropped."""
-    if not verify_tag(msg):
-        return state, []
-    out: list[tuple[str, str, str]] = []
-
+                   peers: list[str]) -> list[tuple[str, str, str]]:
+    """Honest-node transition on a verified message: updates state in place
+    and returns (recipient, kind, digest) outbox entries."""
+    me = state.node_id
     if msg.kind == "request" and state.is_leader and state.accepted_digest is None:
-        digest = msg.digest
-        votes = state.votes("prepare")
-        votes.setdefault(digest, set()).add(state.node_id)
-        state = replace(state, accepted_digest=digest, sent_prepare=True)
-        state = state.with_votes("prepare", votes)
-        for peer in peers:
-            if peer != state.node_id:
-                out.append((peer, "pre-prepare", digest))
-        return state, out
+        state.accepted_digest = msg.digest
+        return [(peer, "pre-prepare", msg.digest) for peer in peers if peer != me]
 
     if (
         msg.kind == "pre-prepare"
         and state.accepted_digest is None
         and msg.sender == state.leader_id
     ):
-        digest = msg.digest
-        votes = state.votes("prepare")
-        votes.setdefault(digest, set()).add(msg.sender)   # the leader's vote
-        state = replace(state, accepted_digest=digest)
-        state = state.with_votes("prepare", votes)
-        if not state.sent_prepare:
-            state = replace(state, sent_prepare=True)
-            for peer in peers:
-                if peer != state.node_id:
-                    out.append((peer, "prepare", digest))
-        return state, out
+        state.accepted_digest = msg.digest
+        state.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)   # the leader's vote
+        return [(peer, "prepare", msg.digest) for peer in peers if peer != me]
 
     if msg.kind == "prepare":
-        votes = state.votes("prepare")
-        votes.setdefault(msg.digest, set()).add(msg.sender)
-        state = state.with_votes("prepare", votes)
+        state.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)
     elif msg.kind == "accept":
-        votes = state.votes("accept")
-        votes.setdefault(msg.digest, set()).add(msg.sender)
-        state = state.with_votes("accept", votes)
+        state.accept_votes.setdefault(msg.digest, set()).add(msg.sender)
 
-    # stage completion checks run on every delivery
+    # stage completion checks run on every delivery; no node sends to
+    # itself, so the prepare tally counts other nodes only
+    digest = state.accepted_digest
+    if digest is None:
+        return []
+    out: list[tuple[str, str, str]] = []
     if (
         not state.sent_accept
-        and state.accepted_digest is not None
+        and len(state.prepare_votes.get(digest, ())) >= quorums.prepare_quorum
     ):
-        supporters = state.votes("prepare").get(state.accepted_digest, set())
-        supporters.discard(state.node_id)
-        if len(supporters) >= quorums.prepare_quorum:
-            accepts = state.votes("accept")
-            accepts.setdefault(state.accepted_digest, set()).add(state.node_id)
-            state = replace(state, sent_accept=True)
-            state = state.with_votes("accept", accepts)
-            for peer in peers:
-                if peer != state.node_id:
-                    out.append((peer, "accept", state.accepted_digest))
-
-    if state.committed is None and state.accepted_digest is not None:
-        agree = state.votes("accept").get(state.accepted_digest, set())
-        if state.sent_accept:
-            agree.add(state.node_id)
-        if len(agree) >= quorums.accept_quorum:
-            state = replace(state, committed=state.accepted_digest)
-            out.append(("client", "reply", state.accepted_digest))
-
-    return state, out
+        state.sent_accept = True
+        state.accept_votes.setdefault(digest, set()).add(me)
+        out = [(peer, "accept", digest) for peer in peers if peer != me]
+    if (
+        state.committed is None
+        and len(state.accept_votes.get(digest, ())) >= quorums.accept_quorum
+    ):
+        state.committed = digest
+        out.append(("client", "reply", digest))
+    return out
 
 
 def _byzantine_outbox(node_id: str, strategy: ReplicaStrategy, kind: str,
@@ -312,6 +281,11 @@ def _byzantine_outbox(node_id: str, strategy: ReplicaStrategy, kind: str,
     return out
 
 
+# the stage a byzantine node broadcasts on first observing each message kind
+_BYZANTINE_STAGE = {"request": "pre-prepare", "pre-prepare": "prepare",
+                    "prepare": "accept", "accept": "reply"}
+
+
 def run_view(
     nodes,
     proposal: BlockProposal,
@@ -322,7 +296,8 @@ def run_view(
     """Execute one consensus view over the ordered committee.
 
     nodes: ordered (id, Behavior) pairs fixing the rotation; the leader is
-    nodes[view % n]. strategies maps byzantine ids to a ReplicaStrategy
+    nodes[view % n]. Ids must be distinct, and "client" is reserved for the
+    requesting client. strategies maps byzantine ids to a ReplicaStrategy
     (default SPLIT). Every strategy is deterministic, so the trace is a
     function of the arguments.
     """
@@ -330,6 +305,10 @@ def run_view(
     if len(roster) != config.n:
         raise ValueError(f"expected {config.n} committee members, got {len(roster)}")
     order = [node_id for node_id, _ in roster]
+    if len(set(order)) != config.n:
+        raise ValueError(f"committee ids must be distinct, got {order}")
+    if "client" in order:
+        raise ValueError('committee id "client" is reserved for the requesting client')
     behaviors = dict(roster)
     leader = order[view % config.n]
     strategies = strategies or {}
@@ -340,68 +319,36 @@ def run_view(
                            leader_id=leader)
         for node_id in order
     }
-    digest = proposal.digest()
-    byz_acted: dict[str, set[str]] = defaultdict(set)
-    reply_digests: list[str] = []    # what the client receives
+    byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on
 
-    net.send(0, "client", leader, "request", digest)
+    net.send(0, "client", leader, "request", proposal.digest())
 
     pre_prepare_seen = False
     for slot in range(1, config.max_slots):
-        batch = net.deliver(slot)
-        if not batch:
-            continue
-        stage_sent: list[tuple[str, str, str, str]] = []
-        for msg in batch:
+        for msg in net.deliver(slot):
             recipient = msg.recipient
-            if recipient == "client":
-                continue
             behavior = behaviors.get(recipient)
-            if behavior is Behavior.CRASH:
+            if recipient == "client" or behavior is Behavior.CRASH:
                 continue
             if msg.kind == "pre-prepare":
                 pre_prepare_seen = True
             if behavior is Behavior.BYZANTINE:
-                strat = strategies.get(recipient, ReplicaStrategy.SPLIT)
                 # a byzantine node reacts once per stage it observes
-                if msg.kind == "request" and recipient == leader:
-                    if "lead" not in byz_acted[recipient]:
-                        byz_acted[recipient].add("lead")
-                        for peer, kind, dig in _byzantine_outbox(
-                            recipient, strat, "pre-prepare", msg.digest, order
-                        ):
-                            stage_sent.append((recipient, peer, kind, dig))
-                elif msg.kind == "pre-prepare":
-                    if "prepare" not in byz_acted[recipient]:
-                        byz_acted[recipient].add("prepare")
-                        for peer, kind, dig in _byzantine_outbox(
-                            recipient, strat, "prepare", msg.digest, order
-                        ):
-                            stage_sent.append((recipient, peer, kind, dig))
-                elif msg.kind == "prepare":
-                    if "accept" not in byz_acted[recipient]:
-                        byz_acted[recipient].add("accept")
-                        for peer, kind, dig in _byzantine_outbox(
-                            recipient, strat, "accept", msg.digest, order
-                        ):
-                            stage_sent.append((recipient, peer, kind, dig))
-                elif msg.kind == "accept":
-                    if "reply" not in byz_acted[recipient]:
-                        byz_acted[recipient].add("reply")
-                        for _, kind, dig in _byzantine_outbox(
-                            recipient, strat, "reply", msg.digest, ["client", recipient]
-                        ):
-                            stage_sent.append((recipient, "client", kind, dig))
-                continue
-            new_state, out = _handle_honest(states[recipient], msg, config, order)
-            states[recipient] = new_state
-            for peer, kind, dig in out:
-                stage_sent.append((recipient, peer, kind, dig))
-        for sender, peer, kind, dig in stage_sent:
-            net.send(slot, sender, peer, kind, dig)
-            if peer == "client":
-                reply_digests.append(dig)
-        if net.message_count > config.message_budget:
+                stage = _BYZANTINE_STAGE[msg.kind]
+                if (recipient, stage) in byz_acted:
+                    continue
+                byz_acted.add((recipient, stage))
+                out = _byzantine_outbox(
+                    recipient, strategies.get(recipient, ReplicaStrategy.SPLIT),
+                    stage, msg.digest, ["client", recipient] if stage == "reply" else order,
+                )
+            elif net.verify(msg):
+                out = _handle_honest(states[recipient], msg, config, order)
+            else:
+                out = []
+            for peer, kind, dig in out:     # delivered next slot, after this batch
+                net.send(slot, recipient, peer, kind, dig)
+        if len(net.sent) > config.message_budget:
             break
 
     per_node = {
@@ -414,6 +361,7 @@ def run_view(
     committed_digest = committed_digests.pop() if len(committed_digests) == 1 else None
 
     # Step-6 style client check over received replies
+    reply_digests = [msg.digest for msg in net.sent if msg.recipient == "client"]
     abnormal = 0
     client_accepted = False
     if reply_digests:
@@ -431,7 +379,6 @@ def run_view(
         abort_reason = "leader-timeout"
     else:
         abort_reason = "no-quorum"
-    next_leader = order[(view + 1) % config.n]
 
     return ViewOutcome(
         committed_digest=committed_digest,
@@ -439,9 +386,8 @@ def run_view(
         client_accepted=client_accepted,
         abnormal_replies=abnormal,
         abort_reason=abort_reason,
-        next_leader=next_leader,
-        message_count=net.message_count,
-        trace=tuple(net.trace),
+        next_leader=order[(view + 1) % config.n],
+        messages=tuple(net.sent),
         per_node=per_node,
     )
 
@@ -449,70 +395,58 @@ def run_view(
 def model_check_safety(config: ConsensusConfig | None = None) -> dict:
     """Bounded adversary enumeration at one committee size.
 
-    Every combination of replica strategies for the l corrupted nodes is
-    run, under an honest leader, a byzantine leader (equivocating, silent,
-    or junk-broadcasting), and a crashed leader. Checks: honest nodes never
-    commit divergent digests; the failure-free run commits in one view;
-    message counts stay within the 5 n^2 budget.
+    Every combination of replica strategies for the l corrupted nodes
+    (always the last ids) is run for one view, under an honest leader, a
+    byzantine leader (equivocating, silent, or junk-broadcasting), and a
+    crashed leader. Returns counts: runs, divergent runs (honest nodes
+    committing different digests; 0 is the safety property), committed
+    runs among the adversarial cases, whether the failure-free run commits
+    and is client-accepted, and the largest message count of any run next
+    to the 5 n^2 budget. It reports these and asserts none of them; run_view
+    stops a view after the slot in which its message count passes the budget.
     """
     config = config or ConsensusConfig()
     order = [f"n{i:02d}" for i in range(config.n)]
     proposal = BlockProposal(height=1, tx_digests=("tx0", "tx1"), proposer=order[0])
     strategies = list(ReplicaStrategy)
 
-    runs = 0
-    divergent = 0
-    committed_runs = 0
-    max_messages = 0
-    failure_free_committed = False
+    def last(k: int) -> list[str]:
+        return order[config.n - k:]
 
-    # failure-free baseline
-    roster = [(node_id, Behavior.HONEST) for node_id in order]
-    out = run_view(roster, proposal, config)
-    runs += 1
-    max_messages = max(max_messages, out.message_count)
-    failure_free_committed = out.committed_digest is not None and out.client_accepted
-    if not out.unanimous:
-        divergent += 1
-
-    cases = []
+    cases = [([], {}, None)]     # the failure-free baseline comes first
     # honest leader, l byzantine replicas
+    byz = last(config.l)
     for combo in itertools.product(strategies, repeat=config.l):
-        byz = order[-config.l:] if config.l else []
         cases.append((byz, dict(zip(byz, combo)), None))
     # byzantine leader (counts toward l) plus l-1 byzantine replicas
     if config.l >= 1:
         for leader_strat in (ReplicaStrategy.SPLIT, ReplicaStrategy.SILENT,
                              ReplicaStrategy.WRONG_DIGEST):
+            byz = [order[0]] + last(config.l - 1)
             for combo in itertools.product(strategies, repeat=config.l - 1):
-                byz = [order[0]] + (order[-(config.l - 1):] if config.l > 1 else [])
-                strat_map = {order[0]: leader_strat}
-                strat_map.update(dict(zip(byz[1:], combo)))
-                cases.append((byz, strat_map, None))
+                cases.append((byz, {order[0]: leader_strat, **dict(zip(byz[1:], combo))}, None))
         # crashed leader
+        byz = last(config.l - 1)
         for combo in itertools.product(strategies, repeat=config.l - 1):
-            byz = order[-(config.l - 1):] if config.l > 1 else []
             cases.append((byz, dict(zip(byz, combo)), order[0]))
 
-    for byz, strat_map, crashed in cases:
-        roster = []
-        for node_id in order:
-            if node_id == crashed:
-                roster.append((node_id, Behavior.CRASH))
-            elif node_id in byz:
-                roster.append((node_id, Behavior.BYZANTINE))
-            else:
-                roster.append((node_id, Behavior.HONEST))
+    divergent = committed_runs = max_messages = 0
+    for i, (byz, strat_map, crashed) in enumerate(cases):
+        roster = [
+            (node_id, Behavior.CRASH if node_id == crashed
+             else Behavior.BYZANTINE if node_id in byz else Behavior.HONEST)
+            for node_id in order
+        ]
         out = run_view(roster, proposal, config, strategies=strat_map)
-        runs += 1
         max_messages = max(max_messages, out.message_count)
-        if not out.unanimous:
-            divergent += 1
-        if out.committed_digest is not None:
-            committed_runs += 1
+        divergent += not out.unanimous
+        if i == 0:
+            failure_free_committed = out.committed_digest is not None and out.client_accepted
+        else:
+            committed_runs += out.committed_digest is not None
 
     return {
-        "runs": runs,
+        "runs": len(cases),
         "divergent": divergent,
         "committed_runs": committed_runs,
         "failure_free_committed": failure_free_committed,

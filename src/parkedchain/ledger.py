@@ -142,6 +142,7 @@ class Ledger:
 
     def __init__(self) -> None:
         self.accounts: dict[str, Account] = {}
+        self._addresses: set[str] = set()       # collision index over accounts
         self.contracts: dict[str, SmartContractRecord] = {}
         self.blocks: list[Block] = [
             Block(height=0, prev_digest="0" * 64, tx_digests=(),
@@ -162,9 +163,10 @@ class Ledger:
             address=_address_for(identity),
             public_key=hashlib.sha256(b"pk:" + identity.encode()).hexdigest(),
         )
-        if any(a.address == account.address for a in self.accounts.values()):
+        if account.address in self._addresses:
             raise LedgerError(f"address collision for {identity!r}")
         self.accounts[identity] = account
+        self._addresses.add(account.address)
         return account
 
     def credit(self, identity: str, amount: int) -> None:
@@ -433,15 +435,10 @@ class Ledger:
                     ledger.minted = row["minted"]
                     ledger.clock = row["clock"]
         ledger._nonce = len(ledger.contracts)
+        ledger._addresses = {a.address for a in ledger.accounts.values()}
         if not ledger.blocks or not ledger.verify_chain():
             raise LedgerError("restored chain failed verification")
         return ledger
-
-    def explorer_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("height,digest,tx_count,proposer\n")
-            for b in self.blocks:
-                fh.write(f"{b.height},{b.digest()},{len(b.tx_digests)},{b.proposer}\n")
 
 
 def _canonical(obj: dict) -> str:

@@ -1,5 +1,6 @@
 """Committee selection, the six-stage view protocol, and the experiments."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -17,11 +18,9 @@ from parkedchain.consensus import (
     decay_experiment,
     detection_experiment,
     full_detection_slot,
-    message_tag,
     model_check_safety,
     run_view,
     select_consensus_nodes,
-    verify_tag,
 )
 
 
@@ -74,17 +73,39 @@ class TestSelection:
 
 
 class TestTags:
+    @staticmethod
+    def sent():
+        net = Network()
+        net.send(0, "n01", "n02", "prepare", "abcd")
+        return net, net.sent[0]
+
     def test_round_trip(self):
-        from parkedchain.consensus import NetMessage
-        tag = message_tag("n01", "prepare", "abcd", "n02")
-        msg = NetMessage(0, 1, "n01", "n02", "prepare", "abcd", tag)
-        assert verify_tag(msg)
+        net, msg = self.sent()
+        assert net.verify(msg)
 
     def test_forgery_detected(self):
-        from parkedchain.consensus import NetMessage
-        tag = message_tag("n01", "prepare", "abcd", "n02")
-        forged = NetMessage(0, 1, "n03", "n02", "prepare", "abcd", tag)
-        assert not verify_tag(forged)
+        net, msg = self.sent()
+        assert not net.verify(dataclasses.replace(msg, sender="n03"))
+
+    def test_tampered_digest_detected(self):
+        net, msg = self.sent()
+        assert not net.verify(dataclasses.replace(msg, digest="abce"))
+
+    def test_one_key_per_sender(self, monkeypatch):
+        calls = []
+        node_key = consensus._node_key
+
+        def spy(node_id):
+            calls.append(node_id)
+            return node_key(node_id)
+
+        monkeypatch.setattr(consensus, "_node_key", spy)
+        for byz, strategy in (((), None), (("n07", "n08", "n09"), ReplicaStrategy.SPLIT)):
+            calls.clear()
+            out = run_view(committee(10, byzantine=byz), proposal(), ConsensusConfig(),
+                           strategies={b: strategy for b in byz})
+            assert out.message_count > 100
+            assert len(calls) <= 10 + 1     # the committee and the client
 
 
 class TestRunView:
@@ -138,6 +159,15 @@ class TestRunView:
         )
         committed = {d for d in out.per_node.values() if d is not None}
         assert len(committed) <= 1
+
+    @pytest.mark.parametrize("ids, match", [
+        (["a", "a", "b", "c"], "distinct"),
+        (["a", "b", "client", "c"], "reserved"),
+    ])
+    def test_rejects_bad_committee(self, ids, match):
+        roster = [(nid, Behavior.HONEST) for nid in ids]
+        with pytest.raises(ValueError, match=match):
+            run_view(roster, proposal(), ConsensusConfig(n=4, l=1))
 
     def test_trace_is_deterministic(self):
         cfg = ConsensusConfig(n=10, l=3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from parkedchain import ledger as ledger_mod
 from parkedchain.ledger import (
     TREASURY,
     Block,
@@ -260,14 +261,16 @@ class TestPersistence:
         assert back.contracts[r.address].state is ContractState.PAID
         assert back.accounts["pv1"].balance == led.accounts["pv1"].balance
 
-    def test_explorer_csv(self, tmp_path):
-        led = Ledger()
-        led.append_block(["t1", "t2"], ["n00", "n01"], proposer="n00")
-        path = tmp_path / "chain.csv"
-        led.explorer_csv(str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "height,digest,tx_count,proposer"
-        assert lines[1].startswith("0,") and lines[2].endswith("2,n00")
+    def test_address_collision_rejected_fresh_and_restored(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ledger_mod, "_address_for", lambda identity: "0" * 40)
+        led = Ledger()              # the treasury takes the one address
+        with pytest.raises(LedgerError, match="address collision"):
+            led.register_account("alice")
+        path = tmp_path / "ledger.jsonl"
+        led.dump(str(path))
+        back = Ledger.restore(str(path))
+        with pytest.raises(LedgerError, match="address collision"):
+            back.register_account("alice")
 
 
 class TestConservationFuzz:
