@@ -80,6 +80,11 @@ class ConsensusConfig:
     max_slots: int = 8
 
     def __post_init__(self) -> None:
+        for name in ("n", "l", "max_slots"):
+            value = getattr(self, name)
+            # bool is an int subclass, but true/false is never a count
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.l < 0:
             raise ValueError("fault budget l must be nonnegative")
         if self.n < 3 * self.l + 1:
@@ -298,8 +303,9 @@ def run_view(
     nodes: ordered (id, Behavior) pairs fixing the rotation; the leader is
     nodes[view % n]. Ids must be distinct, and "client" is reserved for the
     requesting client. strategies maps byzantine ids to a ReplicaStrategy
-    (default SPLIT). Every strategy is deterministic, so the trace is a
-    function of the arguments.
+    (default SPLIT); naming a committee member that is not byzantine is an
+    error, while ids outside the committee are ignored. Every strategy is
+    deterministic, so the trace is a function of the arguments.
     """
     roster = list(nodes)
     if len(roster) != config.n:
@@ -312,6 +318,11 @@ def run_view(
     behaviors = dict(roster)
     leader = order[view % config.n]
     strategies = strategies or {}
+    misplaced = [node_id for node_id in strategies
+                 if behaviors.get(node_id, Behavior.BYZANTINE) is not Behavior.BYZANTINE]
+    if misplaced:
+        raise ValueError(f"strategies given for committee members that are not byzantine: "
+                         f"{misplaced}")
 
     net = Network()
     states = {

@@ -101,10 +101,6 @@ class SmartContractRecord:
             return 0
         return self.menu[self.item_index][1]
 
-    @property
-    def max_reward(self) -> int:
-        return max(pi for _, pi in self.menu)
-
 
 @dataclass(frozen=True)
 class Block:

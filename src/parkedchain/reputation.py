@@ -13,14 +13,12 @@ baseline.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Opinion",
-    "InteractionRecord",
     "WeightConfig",
     "ReputationView",
     "VACUOUS",
@@ -36,8 +34,6 @@ __all__ = [
     "linear_reputation_baseline",
     "ReputationEngine",
     "LinearReputationTracker",
-    "load_history",
-    "dump_history",
 ]
 
 # Evidence prior weight of the standard beta-evidence mapping.
@@ -64,31 +60,8 @@ class Opinion:
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"belief+disbelief+uncertainty={total!r} != 1")
 
-    @property
-    def value(self) -> float:
-        return reputation_value(self)
-
 
 VACUOUS = Opinion(0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One rated interaction (or an aggregated count of identical ones)."""
-
-    rater: str
-    target: str
-    slot: int
-    positive: bool
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.rater == self.target:
-            raise ValueError("rater and target must be distinct")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if self.slot < 0:
-            raise ValueError("slot must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -117,27 +90,23 @@ class ReputationView:
 
     target: str
     slot: int
-    local: dict[str, Opinion] = field(default_factory=dict)
-    synthesized: dict[str, Opinion] = field(default_factory=dict)
-    final: dict[str, Opinion] = field(default_factory=dict)
-    final_values: dict[str, float] = field(default_factory=dict)
+    final_values: dict[str, float]
 
     @property
     def average(self) -> float:
         return average_final_reputation(list(self.final_values.values()))
 
 
-def local_opinion(history: list[InteractionRecord], prior: float = 0.5) -> Opinion:
+def local_opinion(positives: int, negatives: int, prior: float = 0.5) -> Opinion:
     """Map positive/negative evidence counts to an opinion.
 
     Standard beta-evidence mapping with prior weight W: with P positive and
     Q negative observations, b = P/(P+Q+W), d = Q/(P+Q+W), u = W/(P+Q+W).
-    Empty history yields the vacuous opinion.
+    No evidence yields the vacuous opinion.
     """
-    pos = sum(r.count for r in history if r.positive)
-    neg = sum(r.count for r in history if not r.positive)
-    total = pos + neg + EVIDENCE_PRIOR_WEIGHT
-    return Opinion(pos / total, neg / total, EVIDENCE_PRIOR_WEIGHT / total, prior)
+    total = positives + negatives + EVIDENCE_PRIOR_WEIGHT
+    return Opinion(positives / total, negatives / total,
+                   EVIDENCE_PRIOR_WEIGHT / total, prior)
 
 
 def reputation_value(o: Opinion) -> float:
@@ -245,6 +214,8 @@ class ReputationEngine:
     """
 
     def __init__(self, cfg: WeightConfig | None = None, base_rate: float = 0.5):
+        if not 0.0 <= base_rate <= 1.0:
+            raise ValueError(f"base_rate={base_rate!r} outside [0, 1]")
         self.cfg = cfg or WeightConfig()
         self.base_rate = base_rate
         self.arrival_hours: dict[str, float] = {}
@@ -264,12 +235,6 @@ class ReputationEngine:
             grown[: ev.shape[0], : ev.shape[1], : ev.shape[2]] = ev
             self._evidence = ev = grown
         return ev
-
-    def record(self, rec: InteractionRecord) -> None:
-        if rec.positive:
-            self.record_outcomes(rec.slot, rec.rater, rec.target, rec.count, 0)
-        else:
-            self.record_outcomes(rec.slot, rec.rater, rec.target, 0, rec.count)
 
     def record_outcomes(
         self, slot: int, rater: str, target: str, positives: int, negatives: int
@@ -292,15 +257,10 @@ class ReputationEngine:
         if negatives:
             ev[slot, i, j, 1] += negatives
 
-    def _locals(
-        self, target: str, at: int, raters: list[str]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Local opinions of `raters` about `target` from slots <= `at`.
-
-        Returns the [rater, (b, d, u, a)] local opinions, each rater's
-        weight as a recommender (its last segment's weight), whether it has
-        any evidence, and the raters' node indices.
-        """
+    def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
+        """Every rater's final reputation value for `target` from slots <= `at`."""
+        if raters is None:
+            raters = [n for n in sorted(self.arrival_hours) if n != target]
         try:
             t = self._index[target]
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
@@ -338,25 +298,16 @@ class ReputationEngine:
         w = (cfg.gamma1 * x + cfg.gamma2 * y[:, None]) + cfg.gamma3 * z
         w = np.where(present, w, 0.0)
 
-        w_total = np.add.reduce(w, axis=0)
+        # each rater's local opinion, and its weight as a recommender: the
+        # weight of its last segment
         local = _weighted_mean(
-            np.add.reduce(w[..., None] * segments, axis=0), w_total, has, self.base_rate)
+            np.add.reduce(w[..., None] * segments, axis=0), np.add.reduce(w, axis=0),
+            has, self.base_rate)
         if slots:
             last = slots - 1 - np.argmax(present[::-1], axis=0)
             recommend = w[last, np.arange(len(rows))]
         else:
             recommend = np.zeros(len(rows))
-        return local, recommend, has, rows
-
-    def local(self, rater: str, target: str, at: int) -> Opinion:
-        """Weighted aggregate of the pair's per-slot segment opinions."""
-        local, _, _, _ = self._locals(target, at, [rater])
-        return Opinion(*local[0].tolist())
-
-    def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
-        if raters is None:
-            raters = [n for n in sorted(self.arrival_hours) if n != target]
-        local, recommend, has, rows = self._locals(target, at, raters)
 
         # [other, rater]: every other rater with evidence recommends its local
         others = rows[:, None] != rows[None, :]
@@ -382,16 +333,9 @@ class ReputationEngine:
         final[ul_vacuous, :3] = syn[ul_vacuous, :3]
         final[us_vacuous, :3] = local[us_vacuous, :3]
         final[ul_vacuous & us_vacuous, :3] = (0.0, 0.0, 1.0)
+        _check_opinions(np.stack([local, syn, final]), True)
         values = final[:, 0] + final[:, 2] * final[:, 3]
-
-        return ReputationView(
-            target=target,
-            slot=at,
-            local={r: Opinion(*o) for r, o in zip(raters, local.tolist())},
-            synthesized={r: Opinion(*o) for r, o in zip(raters, syn.tolist())},
-            final={r: Opinion(*o) for r, o in zip(raters, final.tolist())},
-            final_values=dict(zip(raters, values.tolist())),
-        )
+        return ReputationView(target, at, dict(zip(raters, values.tolist())))
 
     def average_reputation(
         self, target: str, at: int, raters: list[str] | None = None
@@ -448,39 +392,3 @@ class LinearReputationTracker:
             raise ValueError("need at least one rater")
         return sum(self.value(r, target) for r in raters) / len(raters)
 
-
-def load_history(path: str) -> list[InteractionRecord]:
-    """Read interaction records from CSV columns slot,rater,target,outcome."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for lineno, row in enumerate(reader, start=2):
-            outcome = row.get("outcome")
-            if outcome not in ("0", "1"):
-                raise ValueError(
-                    f"row {lineno}: outcome must be 0 or 1, got {outcome!r}"
-                )
-            try:
-                slot = int(row["slot"])
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(f"row {lineno}: bad slot {row.get('slot')!r}") from None
-            records.append(
-                InteractionRecord(
-                    rater=row["rater"],
-                    target=row["target"],
-                    slot=slot,
-                    positive=outcome == "1",
-                )
-            )
-    return records
-
-
-def dump_history(records: list[InteractionRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", "rater", "target", "outcome"])
-        for rec in records:
-            for _ in range(rec.count):
-                writer.writerow(
-                    [rec.slot, rec.rater, rec.target, 1 if rec.positive else 0]
-                )

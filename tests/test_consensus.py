@@ -46,6 +46,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ConsensusConfig(n=9, l=3)
 
+    @pytest.mark.parametrize("sizes", [
+        {"n": 4.0, "l": 1}, {"n": 4, "l": True}, {"n": 4, "l": 1, "max_slots": 8.5},
+    ], ids=["n-float", "l-bool", "max_slots-float"])
+    def test_rejects_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ConsensusConfig(**sizes)
+
     def test_quorums(self):
         cfg = ConsensusConfig(n=10, l=3)
         assert cfg.prepare_quorum == 6
@@ -168,6 +175,19 @@ class TestRunView:
         roster = [(nid, Behavior.HONEST) for nid in ids]
         with pytest.raises(ValueError, match=match):
             run_view(roster, proposal(), ConsensusConfig(n=4, l=1))
+
+    @pytest.mark.parametrize("roster", [committee(4), committee(4, crashed=("n01",))],
+                             ids=["honest", "crashed"])
+    def test_rejects_strategy_for_non_byzantine_member(self, roster):
+        with pytest.raises(ValueError, match="not byzantine"):
+            run_view(roster, proposal(), ConsensusConfig(n=4, l=1),
+                     strategies={"n01": ReplicaStrategy.SILENT})
+
+    def test_strategy_for_id_outside_committee_is_ignored(self):
+        cfg = ConsensusConfig(n=4, l=1)
+        out = run_view(committee(4), proposal(), cfg,
+                       strategies={"n99": ReplicaStrategy.SILENT})
+        assert out == run_view(committee(4), proposal(), cfg)
 
     def test_trace_is_deterministic(self):
         cfg = ConsensusConfig(n=10, l=3)

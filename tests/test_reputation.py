@@ -5,19 +5,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parkedchain import reputation
 from parkedchain.reputation import (
     VACUOUS,
-    InteractionRecord,
     LinearReputationTracker,
     Opinion,
     ReputationEngine,
     WeightConfig,
     average_final_reputation,
-    dump_history,
     familiarity_weight,
     fuse_final,
     linear_reputation_baseline,
-    load_history,
     local_opinion,
     overall_weight,
     reputation_value,
@@ -36,13 +34,6 @@ def opinions(draw, max_uncertainty=1.0):
         b, d, u = b + u - max_uncertainty, d, max_uncertainty
     a = draw(st.floats(0.0, 1.0, allow_nan=False))
     return Opinion(b, d, u, a)
-
-
-def records(pairs):
-    return [
-        InteractionRecord("i", "j", slot, positive)
-        for slot, positive in pairs
-    ]
 
 
 class TestOpinion:
@@ -66,23 +57,22 @@ class TestOpinion:
 
 class TestLocalOpinion:
     def test_no_evidence_is_vacuous(self):
-        o = local_opinion([])
+        o = local_opinion(0, 0)
         assert (o.belief, o.disbelief, o.uncertainty) == (0.0, 0.0, 1.0)
 
     def test_eight_positives(self):
-        o = local_opinion(records([(0, True)] * 8))
+        o = local_opinion(8, 0)
         assert (o.belief, o.disbelief, o.uncertainty) == (0.8, 0.0, 0.2)
 
     def test_symmetric_evidence(self):
-        o = local_opinion(records([(0, True)] * 4 + [(0, False)] * 4))
+        o = local_opinion(4, 4)
         assert (o.belief, o.disbelief, o.uncertainty) == (0.4, 0.4, 0.2)
 
     @given(st.integers(0, 50), st.integers(0, 50))
     def test_positive_evidence_never_lowers_belief(self, p, q):
-        base = records([(0, True)] * p + [(0, False)] * q)
-        more = base + records([(0, True)])
-        assert local_opinion(more).belief >= local_opinion(base).belief
-        assert local_opinion(more).disbelief <= local_opinion(base).disbelief
+        base, more = local_opinion(p, q), local_opinion(p + 1, q)
+        assert more.belief >= base.belief
+        assert more.disbelief <= base.disbelief
 
 
 class TestWeights:
@@ -243,10 +233,29 @@ class TestEngine:
             eng.record_outcomes(slot, "i", "j", 4, 1)
             eng.record_outcomes(slot, "k", "j", 3, 2)
         view = eng.view("j", at=3)
-        for group in (view.local, view.synthesized, view.final):
-            for o in group.values():
-                assert abs(o.belief + o.disbelief + o.uncertainty - 1.0) < 1e-9
+        assert all(0.0 <= v <= 1.0 for v in view.final_values.values())
         assert 0.0 <= view.average <= 1.0
+
+    def test_view_checks_every_opinion(self, monkeypatch):
+        # local and synthesized opinions that do not close must be rejected,
+        # though the view builds no Opinion for them
+        eng = self.build()
+        eng.record_outcomes(0, "i", "j", 4, 1)
+        weighted_mean = reputation._weighted_mean
+
+        def skewed(*args):
+            out = weighted_mean(*args)
+            out[:, 0] += 0.1
+            return out
+
+        monkeypatch.setattr(reputation, "_weighted_mean", skewed)
+        with pytest.raises(ValueError, match="!= 1"):
+            eng.view("j", at=1)
+
+    @pytest.mark.parametrize("base_rate", [-0.1, 1.5, math.nan])
+    def test_base_rate_checked_at_construction(self, base_rate):
+        with pytest.raises(ValueError, match="base_rate"):
+            ReputationEngine(base_rate=base_rate)
 
     def test_more_positive_evidence_scores_higher(self):
         eng = self.build()
@@ -267,9 +276,8 @@ class TestEngine:
             eng.record_outcomes(slot, "i", "j", 4, 1)
             eng.record_outcomes(slot, "i", "m", 2, 3)
             eng.record_outcomes(slot, "k", "j", 3, 2)
-        local, view = eng.local("i", "j", at=3), eng.view("j", at=3)
+        view = eng.view("j", at=3)
         eng.record_outcomes(7, "i", "m", 9, 0)
-        assert eng.local("i", "j", at=3) == local
         assert eng.view("j", at=3) == view
 
     def test_unregistered_node_rejected(self):
@@ -293,7 +301,7 @@ class TestEngine:
 
 
 def reference_view(evidence, hours, target, at, raters, cfg, base_rate):
-    """One view assembled from the public scalar helpers.
+    """Every rater's final value in one view, from the public scalar helpers.
 
     `evidence` maps (rater, target, slot) to [positives, negatives]; only
     slots <= at count, familiarity included.
@@ -317,20 +325,17 @@ def reference_view(evidence, hours, target, at, raters, cfg, base_rate):
     for rater in raters:
         weighted = []
         for slot, (p, q) in segments(rater, target):
-            history = [InteractionRecord(rater, target, slot, positive, count)
-                       for positive, count in ((True, p), (False, q)) if count]
-            weighted.append((weight(rater, slot), local_opinion(history, base_rate)))
+            weighted.append((weight(rater, slot), local_opinion(p, q, base_rate)))
         local[rater] = synthesize_recommended(weighted) if weighted else vacuous
         if weighted:
             recommend[rater] = weighted[-1][0]
-    synthesized, final = {}, {}
+    values = {}
     for rater in raters:
         recs = [(recommend[o], local[o]) for o in raters
                 if o != rater and o in recommend]
-        synthesized[rater] = synthesize_recommended(recs) if recs else vacuous
-        final[rater] = fuse_final(local[rater], synthesized[rater])
-    values = {r: reputation_value(o) for r, o in final.items()}
-    return local, synthesized, final, values
+        synthesized = synthesize_recommended(recs) if recs else vacuous
+        values[rater] = reputation_value(fuse_final(local[rater], synthesized))
+    return values
 
 
 @st.composite
@@ -374,35 +379,6 @@ class TestEngineMatchesScalarReference:
         view = eng.view(target, at, raters)
         if raters is None:
             raters = [n for n in nodes if n != target]
-        local, synthesized, final, values = reference_view(
-            evidence, hours, target, at, raters, cfg, base_rate)
+        values = reference_view(evidence, hours, target, at, raters, cfg, base_rate)
         assert view.final_values == values
-        assert view.local == local
-        assert view.synthesized == synthesized
-        assert view.final == final
-        for rater in raters:
-            assert eng.local(rater, target, at) == local[rater]
 
-
-class TestHistoryCsv:
-    def test_round_trip_preserves_evidence(self, tmp_path):
-        recs = [
-            InteractionRecord("a", "b", 0, True, 3),
-            InteractionRecord("a", "b", 1, False, 1),
-            InteractionRecord("c", "b", 1, True, 2),
-        ]
-        path = tmp_path / "hist.csv"
-        dump_history(recs, str(path))
-        back = load_history(str(path))
-        # counts flatten to unit rows; evidence totals must survive
-        def totals(rs):
-            pos = sum(r.count for r in rs if r.positive)
-            neg = sum(r.count for r in rs if not r.positive)
-            return pos, neg, {(r.rater, r.target, r.slot) for r in rs}
-        assert totals(back) == totals(recs)
-
-    def test_malformed_outcome_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("slot,rater,target,outcome\n0,a,b,2\n")
-        with pytest.raises(ValueError):
-            load_history(str(path))
