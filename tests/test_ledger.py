@@ -1,5 +1,6 @@
 """Accounts, escrowed contract lifecycle, blocks, conservation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -246,6 +247,35 @@ class TestBlocks:
 
 
 class TestPersistence:
+    def test_dump_pinned(self, tmp_path):
+        """The export feeds the settle-stream digest: pin its bytes after one
+        contract ends in each final state, with blocks advancing the clock."""
+        led = funded_ledger()
+        led.register_account("pv2")
+        led.credit("pv2", 400)
+        paid, failed, fraud, departed = (
+            led.post_request("sr1", SPEC, MENU, deposit=300 + 10 * k) for k in range(4)
+        )
+        led.sign_contract("pv1", paid.address, 2, pv_deposit=150)
+        led.sign_contract("pv2", failed.address, 0, pv_deposit=40)
+        led.sign_contract("pv1", fraud.address, 1, pv_deposit=75)
+        led.sign_contract("pv2", departed.address, 1, pv_deposit=90)
+        led.append_block([paid.address, failed.address], ["n00", "n01", "n02"])
+        for r in (paid, failed, fraud):
+            led.execute_task(r.address, pv_departed=False)
+        led.execute_task(departed.address, pv_departed=True)
+        led.verify_and_settle(paid.address, "pass")
+        led.verify_and_settle(failed.address, "fail")
+        led.verify_and_settle(fraud.address, "fail", sr_fraud=True)
+        led.append_block([fraud.address, departed.address], ["n01", "n02", "n03"],
+                         proposer="n03")
+        assert led.conserved() and led.verify_chain()
+        path = tmp_path / "ledger.jsonl"
+        led.dump(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "ff3a862a110927857e135999772b9ca7941ff132763f1bee339e818e3658a454"
+        )
+
     def test_dump_restore_round_trip(self, tmp_path):
         led = funded_ledger()
         r = led.post_request("sr1", SPEC, MENU, deposit=300)
