@@ -470,6 +470,18 @@ def model_check_safety(config: ConsensusConfig | None = None) -> dict:
 # reputation experiments
 # ---------------------------------------------------------------------------
 
+# Up to _RATERS honest raters score the misbehaving nodes, which cooperate
+# with probability _P_COOPERATE before slot _ONSET and _P_DEFECT from it on.
+_RATERS = 10
+_ONSET = 5
+_P_COOPERATE = 0.8
+_P_DEFECT = 0.1
+# Collusion: committee candidates, their raters, and slots per seed.
+_CANDIDATES = 9
+_COLLUSION_RATERS = 50
+_COLLUSION_SLOTS = 8
+
+
 def record_interactions(
     rng: np.random.Generator,
     slot: int,
@@ -513,16 +525,14 @@ def detection_experiment(
     threshold: float,
     slots: int,
     seed: int,
-    raters: int = 10,
-    onset: int = 5,
-    p_before: float = 0.8,
-    p_after: float = 0.1,
     weight_config: WeightConfig | None = None,
 ) -> tuple[list[float], list[float]]:
     """Per-slot fraction of misbehaving nodes scored below the threshold.
 
-    A fixed committee of honest raters scores every misbehaving node from
-    observed per-slot consensus interactions (5 to 10 per pair per slot).
+    A fixed committee of up to ten honest raters scores every misbehaving
+    node from observed per-slot consensus interactions (5 to 10 per pair
+    per slot). Misbehaving nodes cooperate at 0.8 before slot 5 and at 0.1
+    from it on; slots count from 1.
     Returns (sl_series, lr_series): the opinion-fusion engine and the
     linear-smoothing baseline, both fed the same interaction stream.
     """
@@ -533,13 +543,13 @@ def detection_experiment(
             f"misbehaving_count={misbehaving_count})"
         )
     rng = np.random.default_rng(seed)
-    rater_ids = [f"r{i:03d}" for i in range(min(raters, population - misbehaving_count))]
+    rater_ids = [f"r{i:03d}" for i in range(min(_RATERS, population - misbehaving_count))]
     target_ids = [f"m{i:03d}" for i in range(misbehaving_count)]
     engine = _engine(weight_config, rater_ids, target_ids)
     tracker = LinearReputationTracker()
 
     def p_of(slot, rater, target):
-        return p_before if slot < onset else p_after
+        return _P_COOPERATE if slot < _ONSET else _P_DEFECT
 
     sl_series: list[float] = []
     lr_series: list[float] = []
@@ -582,8 +592,8 @@ def decay_experiment(
         raise ValueError(
             f"decay needs at least one misbehaving node (got misbehaving_count={misbehaving_count})"
         )
-    onset = min(5, slots)
-    raters = [f"r{i:03d}" for i in range(10)]
+    onset = min(_ONSET, slots)
+    raters = [f"r{i:03d}" for i in range(_RATERS)]
     bad = [f"m{i:03d}" for i in range(misbehaving_count)]
     n_honest = max(1, min(10, population - misbehaving_count - len(raters)))
     honest = [f"h{i:03d}" for i in range(n_honest)]
@@ -591,7 +601,7 @@ def decay_experiment(
     tracker = LinearReputationTracker()
 
     def p_of(slot, rater, target):
-        return 0.8 if (target in honest or slot < onset) else 0.1
+        return _P_COOPERATE if (target in honest or slot < onset) else _P_DEFECT
 
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, str, float, float]] = []
@@ -628,30 +638,28 @@ def collusion_experiment(
     thresholds: list[float],
     seeds: int = 100,
     colluder_fraction: float = 4 / 9,
-    candidates: int = 9,
-    n_raters: int = 50,
-    slots: int = 8,
-    onset: int = 5,
     seed_base: int = 0,
 ) -> list[tuple[float, float, float]]:
     """Monte-Carlo probability that reputation gating yields a correct
     block when colluders fabricate mutual praise and then misbehave.
 
-    colluder_fraction is the corrupted share of the committee candidates;
-    the attack scenario keeps it at or above one third. Each seed's
+    Fifty raters score nine committee candidates over eight slots.
+    colluder_fraction is the corrupted share of the candidates; the attack
+    scenario keeps it at or above one third. Colluders behave like the
+    misbehaving nodes of detection_experiment toward everyone else. Each seed's
     interaction stream is scored once by both schemes, so a sweep over
     thresholds compares selection quality, not sampling noise. Returns
     one (threshold, sl, lr) row per threshold.
     """
     if not 0.0 <= colluder_fraction <= 1.0:
         raise ValueError("colluder fraction must lie in [0, 1]")
-    n_colluders = round(colluder_fraction * candidates)
+    n_colluders = round(colluder_fraction * _CANDIDATES)
     if n_colluders == 0:
         return [(th, 1.0, 1.0) for th in thresholds]
-    if n_colluders >= candidates:
+    if n_colluders >= _CANDIDATES:
         return [(th, 0.0, 0.0) for th in thresholds]
-    rater_ids = [f"r{i:03d}" for i in range(n_raters)]
-    cand_ids = rater_ids[:candidates]
+    rater_ids = [f"r{i:03d}" for i in range(_COLLUSION_RATERS)]
+    cand_ids = rater_ids[:_CANDIDATES]
     colluders = set(cand_ids[:n_colluders])
 
     def p_of(slot, rater, target):
@@ -659,7 +667,7 @@ def collusion_experiment(
             return 0.95
         if rater in colluders:
             return 1.0   # fabricated mutual praise
-        return 0.8 if slot < onset else 0.1
+        return _P_COOPERATE if slot < _ONSET else _P_DEFECT
 
     scored: list[tuple[dict[str, float], dict[str, float]]] = []
     for s in range(seeds):
@@ -668,13 +676,14 @@ def collusion_experiment(
         tracker = LinearReputationTracker()
         for i, rid in enumerate(rater_ids):
             engine.register(rid, arrival_hour=8 + (i % 5))
-        for slot in range(1, slots + 1):
+        for slot in range(1, _COLLUSION_SLOTS + 1):
             record_interactions(rng, slot, cand_ids, rater_ids, p_of, engine, tracker)
         sl_scores: dict[str, float] = {}
         lr_scores: dict[str, float] = {}
         for target in cand_ids:
             other = [r for r in rater_ids if r != target]
-            sl_scores[target] = engine.average_reputation(target, at=slots + 1, raters=other)
+            sl_scores[target] = engine.average_reputation(
+                target, at=_COLLUSION_SLOTS + 1, raters=other)
             lr_scores[target] = tracker.average_reputation(target, other)
         scored.append((sl_scores, lr_scores))
 

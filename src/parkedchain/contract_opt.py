@@ -262,15 +262,21 @@ class _RootBelowBracket(Exception):
 
 
 def _solve_foc(problem: ContractProblem, j: int, x_of_pi, lo: float) -> float:
-    """Bracketed root of the normalized FOC, then Newton polish."""
-    params = problem.params
-    theta = problem.thetas[j]
+    """Bracketed root of the normalized FOC, then Newton polish. lo is the
+    previous type's reward, 0 for none; a FOC already nonpositive at lo
+    bunches onto it (_RootBelowBracket) or, with none, is infeasible."""
     g = lambda pi: _foc(problem, j, pi, x_of_pi)
     hi = max(1.0, lo * 2 + 1.0)
-    lo = lo if lo > 0 else 1e-12
+    bunch = lo > 0
+    lo = lo if bunch else 1e-12
     glo = g(lo)
     if math.isfinite(glo) and glo <= 0:
-        raise _RootBelowBracket
+        if bunch:
+            raise _RootBelowBracket
+        raise InfeasibleProblem(
+            f"type {j + 1}: the reward first-order condition is already "
+            f"nonpositive at zero reward, so no positive reward is optimal"
+        )
     ghi = g(hi)
     expansions = 0
     while ghi > 0:

@@ -173,8 +173,8 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
         out.append("gammas must be three nonnegative weights")
     elif abs(sum(cfg.gammas) - 1.0) > 1e-9:
         out.append(f"gammas must sum to 1 (got {sum(cfg.gammas)!r})")
-    if not weights(cfg.alphas, 2) or any(a <= 0 for a in cfg.alphas):
-        out.append("alphas must be two positive coefficients")
+    if not weights(cfg.alphas, 2) or not (cfg.alphas[0] > 0 and cfg.alphas[1] >= 0):
+        out.append("alphas must be two coefficients with alpha1 > 0 and alpha2 >= 0")
 
     c = cfg.consensus
     l_ok = _is_int(c.l) and c.l >= 0

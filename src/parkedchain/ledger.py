@@ -49,11 +49,6 @@ class ContractState(Enum):
     CONFISCATED = "Confiscated"
 
 
-_FINAL_STATES = frozenset(
-    {ContractState.PAID, ContractState.REFUNDED, ContractState.CONFISCATED}
-)
-
-
 @dataclass
 class Account:
     identity: str
@@ -222,9 +217,7 @@ class Ledger:
         item_index: int,
         pv_deposit: int,
     ) -> SmartContractRecord:
-        record = self._contract(contract_address)
-        if record.state is not ContractState.DEPLOYED:
-            raise LedgerError(f"contract is {record.state.value}, not Deployed")
+        record = self._contract(contract_address, ContractState.DEPLOYED)
         if not 0 <= item_index < len(record.menu):
             raise LedgerError(f"menu has no item {item_index}")
         if pv_deposit < 0:
@@ -240,25 +233,16 @@ class Ledger:
         record.record_state(ContractState.SIGNED, self.clock)
         return record
 
-    def execute_task(
-        self,
-        contract_address: str,
-        pv_departed: bool,
-        result_digest: str | None = None,
-    ) -> SmartContractRecord:
-        record = self._contract(contract_address)
-        if record.state is not ContractState.SIGNED:
-            raise LedgerError(f"contract is {record.state.value}, not Signed")
+    def execute_task(self, contract_address: str, pv_departed: bool) -> SmartContractRecord:
+        record = self._contract(contract_address, ContractState.SIGNED)
         record.record_state(ContractState.EXECUTING, self.clock)
         if pv_departed:
             # interrupted task: the PV's deposit compensates the SR, and the
             # SR's own escrow comes back in full
-            sr = self._account(record.sr_address)
-            sr.balance += record.escrow
-            record.escrow = 0
+            self._release(record, 0)
             record.record_state(ContractState.CONFISCATED, self.clock)
             return record
-        record.result_digest = result_digest or hashlib.sha256(
+        record.result_digest = hashlib.sha256(
             f"result:{record.address}".encode()
         ).hexdigest()[:16]
         record.record_state(ContractState.RESULT_SUBMITTED, self.clock)
@@ -270,47 +254,45 @@ class Ledger:
         verdict: str,
         sr_fraud: bool = False,
     ) -> SmartContractRecord:
-        record = self._contract(contract_address)
-        if record.state is not ContractState.RESULT_SUBMITTED:
-            raise LedgerError(
-                f"contract is {record.state.value}, not ResultSubmitted"
-            )
+        record = self._contract(contract_address, ContractState.RESULT_SUBMITTED)
         if verdict not in ("pass", "fail"):
             raise LedgerError("verdict must be 'pass' or 'fail'")
-        sr = self._account(record.sr_address)
-        pv = self._account(record.pv_address)
+        payout = record.reward + record.pv_deposit
         if verdict == "pass":
             record.record_state(ContractState.VERIFIED, self.clock)
-            payout = record.reward + record.pv_deposit
-            pv.balance += payout
-            sr.balance += record.escrow - payout
-            record.escrow = 0
+            self._release(record, payout)
             record.record_state(ContractState.PAID, self.clock)
             return record
         if sr_fraud:
             # the SR's stake is forfeited; the blameless PV keeps its item's
             # reward and recovers its deposit
-            treasury = self._account(TREASURY)
-            payout = record.reward + record.pv_deposit
-            pv.balance += payout
-            treasury.balance += record.sr_deposit
-            sr.balance += record.escrow - payout - record.sr_deposit
-            record.escrow = 0
+            self._release(record, payout, record.sr_deposit)
             record.history.append("sr-fraud")
             record.timestamps.append(self.clock)
         else:
             # failed execution: everything in escrow, including the PV's
             # deposit, flows back to the SR
-            sr.balance += record.escrow
-            record.escrow = 0
+            self._release(record, 0)
         record.record_state(ContractState.REFUNDED, self.clock)
         return record
 
-    def _contract(self, address: str) -> SmartContractRecord:
+    def _contract(self, address: str, state: ContractState) -> SmartContractRecord:
+        """The contract at `address`, which must be in `state`."""
         try:
-            return self.contracts[address]
+            record = self.contracts[address]
         except KeyError:
             raise LedgerError(f"unknown contract {address!r}") from None
+        if record.state is not state:
+            raise LedgerError(f"contract is {record.state.value}, not {state.value}")
+        return record
+
+    def _release(self, record: SmartContractRecord, to_pv: int, to_treasury: int = 0) -> None:
+        """Empty the contract's escrow: `to_pv` to the PV, `to_treasury` to
+        the treasury and the rest back to the SR."""
+        self._account(record.pv_address).balance += to_pv
+        self._account(TREASURY).balance += to_treasury
+        self._account(record.sr_address).balance += record.escrow - to_pv - to_treasury
+        record.escrow = 0
 
     # -- blocks --------------------------------------------------------------
 
@@ -385,56 +367,6 @@ class Ledger:
                 }) + "\n")
             fh.write(_canonical({"kind": "supply", "minted": self.minted,
                                  "clock": self.clock}) + "\n")
-
-    @classmethod
-    def restore(cls, path: str) -> "Ledger":
-        ledger = cls.__new__(cls)
-        ledger.accounts = {}
-        ledger.contracts = {}
-        ledger.blocks = []
-        ledger.minted = 0
-        ledger._nonce = 0
-        ledger.clock = 0
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
-                kind = row.pop("kind")
-                if kind == "account":
-                    ledger.accounts[row["identity"]] = Account(
-                        identity=row["identity"], address=row["address"],
-                        public_key=row["public_key"], balance=row["balance"],
-                        reputation=row["reputation"],
-                    )
-                elif kind == "contract":
-                    record = SmartContractRecord(
-                        address=row["address"], sr_address=row["sr"],
-                        spec=RequestSpec(*row["spec"]),
-                        menu=tuple((f, pi) for f, pi in row["menu"]),
-                        sr_deposit=row["sr_deposit"],
-                    )
-                    record.pv_address = row["pv"]
-                    record.pv_deposit = row["pv_deposit"]
-                    record.item_index = row["item"]
-                    record.escrow = row["escrow"]
-                    record.state = ContractState(row["state"])
-                    record.result_digest = row["result"]
-                    record.history = list(row["history"])
-                    record.timestamps = list(row["timestamps"])
-                    ledger.contracts[record.address] = record
-                elif kind == "block":
-                    ledger.blocks.append(Block(
-                        height=row["height"], prev_digest=row["prev"],
-                        tx_digests=tuple(row["txs"]), proposer=row["proposer"],
-                        quorum_signers=tuple(row["signers"]),
-                    ))
-                elif kind == "supply":
-                    ledger.minted = row["minted"]
-                    ledger.clock = row["clock"]
-        ledger._nonce = len(ledger.contracts)
-        ledger._addresses = {a.address for a in ledger.accounts.values()}
-        if not ledger.blocks or not ledger.verify_chain():
-            raise LedgerError("restored chain failed verification")
-        return ledger
 
 
 def _canonical(obj: dict) -> str:

@@ -41,6 +41,10 @@ EVIDENCE_PRIOR_WEIGHT = 2.0
 
 _SUM_TOL = 1e-9
 
+# Linear baseline: EMA weight of the newest outcome, and the value before any.
+_LR_SMOOTHING = 0.2
+_LR_INITIAL = 0.5
+
 
 @dataclass(frozen=True)
 class Opinion:
@@ -191,13 +195,11 @@ def average_final_reputation(finals: list[float]) -> float:
     return sum(finals) / len(finals)
 
 
-def linear_reputation_baseline(
-    history: list[float], smoothing: float = 0.2, initial: float = 0.5
-) -> float:
+def linear_reputation_baseline(history: list[float]) -> float:
     """EMA of outcome indicators: the linear comparison scheme."""
-    value = initial
+    value = _LR_INITIAL
     for outcome in history:
-        value = (1.0 - smoothing) * value + smoothing * outcome
+        value = (1.0 - _LR_SMOOTHING) * value + _LR_SMOOTHING * outcome
     return value
 
 
@@ -368,9 +370,7 @@ def _weighted_mean(
 class LinearReputationTracker:
     """Per-pair EMA over per-slot mean outcomes: the linear baseline scheme."""
 
-    def __init__(self, smoothing: float = 0.2, initial: float = 0.5):
-        self.smoothing = smoothing
-        self.initial = initial
+    def __init__(self) -> None:
         self._values: dict[tuple[str, str], float] = {}
 
     def update(self, rater: str, target: str, positives: int, negatives: int) -> None:
@@ -378,14 +378,12 @@ class LinearReputationTracker:
         if total == 0:
             return
         key = (rater, target)
-        prev = self._values.get(key, self.initial)
+        prev = self._values.get(key, _LR_INITIAL)
         mean_outcome = positives / total
-        self._values[key] = (
-            (1.0 - self.smoothing) * prev + self.smoothing * mean_outcome
-        )
+        self._values[key] = (1.0 - _LR_SMOOTHING) * prev + _LR_SMOOTHING * mean_outcome
 
     def value(self, rater: str, target: str) -> float:
-        return self._values.get((rater, target), self.initial)
+        return self._values.get((rater, target), _LR_INITIAL)
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
         if not raters:

