@@ -11,10 +11,10 @@ than (n-l)/3 received replies disagree.
 
 Each honest replica is one mutable NodeState: its handler takes (state,
 message), updates the state in place and returns only the outbox.
-Byzantine and crash behaviors are generated outside the honest handler,
-and the network tags every message with its true sender's key, so a
-corrupted node can lie or stay silent but cannot forge another node's
-message.
+Byzantine and crash behaviors are generated outside the honest handler.
+A handler returns (recipient, kind, digest) triples and run_view stamps
+each with the id of the node that produced it, so a corrupted node can
+lie or stay silent but cannot send under another node's id.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with scripted per-slot
@@ -26,7 +26,6 @@ differs.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import itertools
 from collections import defaultdict
 from collections.abc import Callable
@@ -123,52 +122,27 @@ class NetMessage:
     recipient: str
     kind: str          # request / pre-prepare / prepare / accept / reply
     digest: str
-    tag: str
 
     def trace_line(self) -> str:
         # the sixth column (message flags) is kept, always empty
         return f"{self.send_slot},{self.sender},{self.recipient},{self.kind},{self.digest},"
 
 
-def _node_key(node_id: str) -> bytes:
-    # deterministic per-node secret; a stand-in for real key material
-    return hashlib.sha256(b"node-key:" + node_id.encode()).digest()
-
-
-def message_tag(key: bytes, kind: str, digest: str, recipient: str) -> str:
-    payload = f"{kind}|{digest}|{recipient}".encode()
-    return hmac.digest(key, payload, "sha256").hex()[:16]
-
-
 _DELIVERY_ORDER = attrgetter("sender", "recipient", "kind", "digest")
 
 
 class Network:
-    """Synchronous message fabric with one-slot delivery. It derives each
-    sender's key once, tags every message as it is sent, and keeps every
+    """Synchronous message fabric with one-slot delivery. It keeps every
     sent message in `sent`."""
 
     def __init__(self) -> None:
-        self._keys: dict[str, bytes] = {}
         self._queue: dict[int, list[NetMessage]] = defaultdict(list)
         self.sent: list[NetMessage] = []
 
-    def _tag(self, sender: str, kind: str, digest: str, recipient: str) -> str:
-        key = self._keys.get(sender)
-        if key is None:
-            key = self._keys[sender] = _node_key(sender)
-        return message_tag(key, kind, digest, recipient)
-
     def send(self, slot: int, sender: str, recipient: str, kind: str, digest: str) -> None:
-        msg = NetMessage(slot, sender, recipient, kind, digest,
-                         self._tag(sender, kind, digest, recipient))
+        msg = NetMessage(slot, sender, recipient, kind, digest)
         self._queue[slot + 1].append(msg)
         self.sent.append(msg)
-
-    def verify(self, msg: NetMessage) -> bool:
-        """True when msg carries the tag its claimed sender's key gives."""
-        expected = self._tag(msg.sender, msg.kind, msg.digest, msg.recipient)
-        return hmac.compare_digest(expected, msg.tag)
 
     def deliver(self, slot: int) -> list[NetMessage]:
         return sorted(self._queue.pop(slot, []), key=_DELIVERY_ORDER)
@@ -179,8 +153,7 @@ class NodeState:
     """One honest replica; the vote tallies map a digest to its senders."""
 
     node_id: str
-    is_leader: bool
-    leader_id: str = ""
+    leader_id: str
     accepted_digest: str | None = None      # digest from the pre-prepare this node trusts
     prepare_votes: dict[str, set[str]] = field(default_factory=dict)
     accept_votes: dict[str, set[str]] = field(default_factory=dict)
@@ -224,10 +197,10 @@ def _wrong_digest(digest: str) -> str:
 
 def _handle_honest(state: NodeState, msg: NetMessage, quorums: ConsensusConfig,
                    peers: list[str]) -> list[tuple[str, str, str]]:
-    """Honest-node transition on a verified message: updates state in place
-    and returns (recipient, kind, digest) outbox entries."""
+    """Honest-node transition: updates state in place and returns
+    (recipient, kind, digest) outbox entries."""
     me = state.node_id
-    if msg.kind == "request" and state.is_leader and state.accepted_digest is None:
+    if msg.kind == "request" and me == state.leader_id and state.accepted_digest is None:
         state.accepted_digest = msg.digest
         return [(peer, "pre-prepare", msg.digest) for peer in peers if peer != me]
 
@@ -325,11 +298,7 @@ def run_view(
                          f"{misplaced}")
 
     net = Network()
-    states = {
-        node_id: NodeState(node_id=node_id, is_leader=(node_id == leader),
-                           leader_id=leader)
-        for node_id in order
-    }
+    states = {node_id: NodeState(node_id, leader) for node_id in order}
     byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on
 
     net.send(0, "client", leader, "request", proposal.digest())
@@ -353,11 +322,10 @@ def run_view(
                     recipient, strategies.get(recipient, ReplicaStrategy.SPLIT),
                     stage, msg.digest, ["client", recipient] if stage == "reply" else order,
                 )
-            elif net.verify(msg):
-                out = _handle_honest(states[recipient], msg, config, order)
             else:
-                out = []
-            for peer, kind, dig in out:     # delivered next slot, after this batch
+                out = _handle_honest(states[recipient], msg, config, order)
+            # sent under the handling node's own id; delivered next slot, after this batch
+            for peer, kind, dig in out:
                 net.send(slot, recipient, peer, kind, dig)
         if len(net.sent) > config.message_budget:
             break
@@ -651,6 +619,8 @@ def collusion_experiment(
     thresholds compares selection quality, not sampling noise. Returns
     one (threshold, sl, lr) row per threshold.
     """
+    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
+        raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
     if not 0.0 <= colluder_fraction <= 1.0:
         raise ValueError("colluder fraction must lie in [0, 1]")
     n_colluders = round(colluder_fraction * _CANDIDATES)

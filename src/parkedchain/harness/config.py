@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -167,14 +168,14 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
 
     def weights(value, size: int) -> bool:
         return (isinstance(value, tuple) and len(value) == size
-                and all(_is_real(w) for w in value))
+                and all(_is_real(w) and math.isfinite(w) for w in value))
 
     if not weights(cfg.gammas, 3) or any(g < 0 for g in cfg.gammas):
-        out.append("gammas must be three nonnegative weights")
+        out.append("gammas must be three finite nonnegative weights")
     elif abs(sum(cfg.gammas) - 1.0) > 1e-9:
         out.append(f"gammas must sum to 1 (got {sum(cfg.gammas)!r})")
     if not weights(cfg.alphas, 2) or not (cfg.alphas[0] > 0 and cfg.alphas[1] >= 0):
-        out.append("alphas must be two coefficients with alpha1 > 0 and alpha2 >= 0")
+        out.append("alphas must be two finite coefficients with alpha1 > 0 and alpha2 >= 0")
 
     c = cfg.consensus
     l_ok = _is_int(c.l) and c.l >= 0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,6 +37,14 @@ TREASURY = "treasury"
 
 class LedgerError(RuntimeError):
     pass
+
+
+def _units(amount, what: str) -> int:
+    """amount as a plain int; bools, floats (even 2.0) and anything else
+    that is not an integral number are rejected, numpy integers accepted."""
+    if isinstance(amount, bool) or not isinstance(amount, numbers.Integral):
+        raise LedgerError(f"{what} must be a whole number of units, got {amount!r}")
+    return int(amount)
 
 
 class ContractState(Enum):
@@ -163,6 +172,7 @@ class Ledger:
     def credit(self, identity: str, amount: int) -> None:
         """Mint units into an account. Setup plumbing only: this is the one
         operation that changes the total supply."""
+        amount = _units(amount, "credit")
         if amount < 0:
             raise LedgerError("cannot credit a negative amount")
         self._account(identity).balance += amount
@@ -184,11 +194,12 @@ class Ledger:
         deposit: int,
     ) -> SmartContractRecord:
         sr = self._account(sr_identity)
-        items = tuple((float(f), int(pi)) for f, pi in menu)
+        items = tuple((float(f), _units(pi, "reward")) for f, pi in menu)
         if not items:
             raise LedgerError("menu must contain at least one item")
         if any(pi < 0 for _, pi in items):
             raise LedgerError("rewards must be nonnegative")
+        deposit = _units(deposit, "deposit")
         if deposit < 0:
             raise LedgerError("deposit must be nonnegative")
         need = deposit + max(pi for _, pi in items)
@@ -220,6 +231,7 @@ class Ledger:
         record = self._contract(contract_address, ContractState.DEPLOYED)
         if not 0 <= item_index < len(record.menu):
             raise LedgerError(f"menu has no item {item_index}")
+        pv_deposit = _units(pv_deposit, "deposit")
         if pv_deposit < 0:
             raise LedgerError("deposit must be nonnegative")
         pv = self._account(pv_identity)

@@ -13,6 +13,7 @@ baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class WeightConfig:
 
     def __post_init__(self) -> None:
         gammas = (self.gamma1, self.gamma2, self.gamma3)
+        if not all(math.isfinite(w) for w in (*gammas, self.alpha1, self.alpha2)):
+            raise ValueError("gamma and alpha coefficients must be finite")
         if any(g < 0 for g in gammas):
             raise ValueError("gamma coefficients must be nonnegative")
         if abs(sum(gammas) - 1.0) > _SUM_TOL:

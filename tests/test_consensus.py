@@ -1,8 +1,8 @@
 """Committee selection, the six-stage view protocol, and the experiments."""
 
-import dataclasses
 import hashlib
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -11,7 +11,6 @@ from parkedchain.consensus import (
     Behavior,
     BlockProposal,
     ConsensusConfig,
-    Network,
     ReplicaStrategy,
     collusion_experiment,
     correct_block_probability,
@@ -77,42 +76,6 @@ class TestSelection:
     def test_population_must_cover_committee(self):
         with pytest.raises(ValueError):
             select_consensus_nodes({"A": 0.9}, 3)
-
-
-class TestTags:
-    @staticmethod
-    def sent():
-        net = Network()
-        net.send(0, "n01", "n02", "prepare", "abcd")
-        return net, net.sent[0]
-
-    def test_round_trip(self):
-        net, msg = self.sent()
-        assert net.verify(msg)
-
-    def test_forgery_detected(self):
-        net, msg = self.sent()
-        assert not net.verify(dataclasses.replace(msg, sender="n03"))
-
-    def test_tampered_digest_detected(self):
-        net, msg = self.sent()
-        assert not net.verify(dataclasses.replace(msg, digest="abce"))
-
-    def test_one_key_per_sender(self, monkeypatch):
-        calls = []
-        node_key = consensus._node_key
-
-        def spy(node_id):
-            calls.append(node_id)
-            return node_key(node_id)
-
-        monkeypatch.setattr(consensus, "_node_key", spy)
-        for byz, strategy in (((), None), (("n07", "n08", "n09"), ReplicaStrategy.SPLIT)):
-            calls.clear()
-            out = run_view(committee(10, byzantine=byz), proposal(), ConsensusConfig(),
-                           strategies={b: strategy for b in byz})
-            assert out.message_count > 100
-            assert len(calls) <= 10 + 1     # the committee and the client
 
 
 class TestRunView:
@@ -247,6 +210,27 @@ def test_view_outcomes_pinned():
     )
 
 
+def test_every_sender_is_the_node_that_sent():
+    """No node sends under another's id: each honest node's messages carry
+    the one digest it accepted, which is its commit when it committed, and
+    the only slot-0 message is the client's request."""
+    honest_senders = 0
+    for roster, block, cfg, view, strategies in _view_corpus():
+        out = run_view(roster, block, cfg, view=view, strategies=strategies)
+        assert [(m.sender, m.kind) for m in out.messages if m.send_slot == 0] == [
+            ("client", "request")]
+        honest = {nid for nid, behavior in roster if behavior is Behavior.HONEST}
+        digests = defaultdict(set)
+        for msg in out.messages:
+            if msg.sender in honest:
+                digests[msg.sender].add(msg.digest)
+        for nid, sent in digests.items():
+            assert len(sent) == 1, (nid, sent)
+            assert out.per_node[nid] in (None, *sent)
+        honest_senders += len(digests)
+    assert honest_senders == 918
+
+
 class TestModelCheck:
     def test_bounded_enumeration_of_last_l_nodes_in_one_view(self):
         result = model_check_safety(ConsensusConfig(n=10, l=3))
@@ -334,6 +318,12 @@ class TestCollusionExperiment:
         assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
             "4467b83a0946874054bd71ffb8e6bd8758e8bfea6d1b93ecc3a3fe736360a9c2"
         )
+
+    @pytest.mark.parametrize("seeds", [0, -1, 2.0, True])
+    def test_rejects_seed_count_not_a_positive_integer(self, seeds):
+        for fraction in (0.0, 4 / 9):
+            with pytest.raises(ValueError, match="seeds must be a positive integer"):
+                collusion_experiment([0.45], seeds=seeds, colluder_fraction=fraction)
 
     def test_correct_block_rule(self):
         scores = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.2}

@@ -213,6 +213,8 @@ class TestCli:
         {"trace_path": [1]},
         {"r_bps": [5e6, 6e6]},
         {"alphas": [0, 1.5]},
+        {"alphas": [float("inf"), 1]},
+        {"gammas": [0.3, 0.4, float("nan")]},
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "bad.json"

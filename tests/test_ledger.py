@@ -56,6 +56,43 @@ class TestAccounts:
             led.register_account("alice")
 
 
+class TestWholeUnits:
+    @staticmethod
+    def posted(led, deposit=300, menu=MENU):
+        return led.post_request("sr1", SPEC, menu, deposit=deposit)
+
+    @staticmethod
+    def signed(led, deposit):
+        return led.sign_contract("pv1", TestWholeUnits.posted(led).address, 0, deposit)
+
+    @pytest.mark.parametrize("operation", [
+        lambda led: led.credit("sr1", 10.5),
+        lambda led: led.credit("sr1", True),
+        lambda led: TestWholeUnits.posted(led, deposit=0.25),
+        lambda led: TestWholeUnits.posted(led, deposit=300.0),
+        lambda led: TestWholeUnits.posted(led, menu=[(1.0e9, 2.9)]),
+        lambda led: TestWholeUnits.posted(led, menu=[(1.0e9, 120), (1.6e9, False)]),
+        lambda led: TestWholeUnits.signed(led, 1.5),
+        lambda led: TestWholeUnits.signed(led, np.float64(150)),
+    ], ids=["credit-half", "credit-bool", "deposit-quarter", "deposit-float",
+            "reward-fraction", "reward-bool", "pv-deposit-half", "pv-deposit-numpy-float"])
+    def test_rejects_non_integral_amounts(self, operation):
+        led = funded_ledger()
+        with pytest.raises(LedgerError, match="whole number of units"):
+            operation(led)
+        assert led.conserved() and led.minted == 10_500
+        assert all(isinstance(a.balance, int) for a in led.accounts.values())
+
+    def test_numpy_integers_stored_as_int(self):
+        led = funded_ledger()
+        led.credit("pv1", np.int64(50))
+        rec = self.posted(led, deposit=np.int32(300), menu=[(1.0e9, np.int64(120))])
+        led.sign_contract("pv1", rec.address, 0, np.uint16(150))
+        assert type(led.accounts["pv1"].balance) is int
+        assert type(rec.menu[0][1]) is int and type(rec.escrow) is int
+        assert led.conserved()
+
+
 class TestPostRequest:
     def test_exact_balance_boundary(self):
         led = Ledger()

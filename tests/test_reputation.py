@@ -101,6 +101,15 @@ class TestWeights:
         # exponent ~0: any gap weighs (almost exactly) 1
         assert timeliness_weight(9, 2, cfg) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("weights", [
+        {"alpha1": float("inf")},
+        {"alpha2": float("nan")},
+        {"gamma1": float("nan"), "gamma2": 0.4, "gamma3": 0.3},
+    ], ids=["alpha1-inf", "alpha2-nan", "gamma1-nan"])
+    def test_rejects_non_finite_coefficients(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            WeightConfig(**weights)
+
     def test_timeliness_rejects_future(self):
         with pytest.raises(ValueError):
             timeliness_weight(3, 3, WeightConfig())
