@@ -1,5 +1,6 @@
 """Screening-contract utilities, solvers, and baselines."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -261,3 +262,53 @@ class TestBaselines:
             other = pv_expected_utility(solver(problem), problem)
             assert lin >= other - 1e-9
 
+
+
+def _pinned_problems() -> list[ContractProblem]:
+    """40 seeded problems: n = 1..7, four frequency caps, per-type link
+    rates on every fourth, and a heavy near-duplicate second type on every
+    third with n >= 3 (which forces the Lagrangian solver to bunch)."""
+    rng = np.random.default_rng(1018)
+    out = []
+    for i in range(40):
+        n = 1 + i % 7
+        thetas = np.sort(rng.uniform(0.15, 0.98, size=n))
+        while np.any(np.diff(thetas) < 1e-2):
+            thetas = np.sort(rng.uniform(0.15, 0.98, size=n))
+        betas = rng.dirichlet(np.ones(n))
+        if n >= 3 and i % 3 == 0:
+            thetas[1] = thetas[0] + 1e-3
+            betas = np.full(n, 0.1 / (n - 1))
+            betas[1] = 0.9
+        r_bps = (tuple(float(r) for r in rng.uniform(4e6, 7e6, size=n))
+                 if i % 4 == 1 else 5.5e6)
+        params = TaskParams(f_max=(0.8e9, 1.1e9, 1.25e9, 3e9)[i % 4], r_bps=r_bps)
+        out.append(ContractProblem(
+            TypeProfile(tuple(float(t) for t in thetas), tuple(float(b) for b in betas)),
+            params))
+    return out
+
+
+def test_solver_menus_pinned():
+    """Every solver's menu, meta and price on a seeded corpus, bit for bit.
+    The corpus reaches one-type problems, f_max clamps in LC and in LA's
+    upward items, and ironed Lagrangian menus."""
+    digest = hashlib.sha256()
+    clamped_lc = clamped_la = ironed = single = 0
+    for problem in _pinned_problems():
+        f_max = problem.params.f_max
+        lc = solve_complete_info(problem)
+        la = solve_local_asymmetric(problem)
+        lia = solve_lagrangian_iterative(problem)
+        sa, p_star = stackelberg_baseline(problem)
+        linear, price = linear_pricing_baseline(problem, p_star)
+        for menu, menu_price in ((lc, None), (la, None), (lia, None),
+                                 (sa, p_star), (linear, price)):
+            digest.update(repr((menu.scheme, menu.fs, menu.pis,
+                                sorted(menu.meta.items()), menu_price)).encode())
+        clamped_lc += f_max in lc.fs
+        clamped_la += f_max in la.fs[1:]
+        ironed += bool(lia.meta.get("bunches"))
+        single += problem.n_types == 1
+    assert min(clamped_lc, clamped_la, ironed, single) > 0
+    assert digest.hexdigest() == "71bf850151b4a9915ab3e9faa31716257a64fd0c2378e2c923c5e420baf1195e"
