@@ -5,14 +5,21 @@ willingness to stay is private information. The SR posts a menu of
 (frequency, reward) items, one per type; solvers here produce that menu
 under different information assumptions:
 
-- complete information benchmark (per-type surplus extraction),
-- locally optimal asymmetric-information menu (sequential first-order
-  conditions with binding participation and adjacent incentive constraints),
-- the Lagrangian iterative solver (grid scan over the top type's frequency,
-  backward multiplier recursion, monotonicity repair by bunching),
+- complete information benchmark (LC: every type's participation binds),
+- locally optimal asymmetric-information menu (LA: type 1's participation
+  binds, then each adjacent upward incentive constraint),
+- the Lagrangian iterative solver (LIA: grid scan over the top type's
+  frequency between LA's top item and the top type's LC item, backward
+  multiplier recursion, monotonicity repair by bunching),
 - a posted-unit-price game and a zero-margin linear-pricing rule as
   comparison baselines,
 - a brute-force grid oracle for small instances.
+
+LC and LA build every item with one step, `_binding_item`: a bracketed
+root of the reward first-order condition, the frequency from the binding
+constraint, and a clamp to f_max. A first-order condition that overflows
+counts as +inf; one that is NaN, or cannot be bracketed, raises
+InfeasibleProblem (exit 3 on the CLI).
 
 A PV values a reward pi at v(pi) = ln(1 + pi), so every inverse the
 solvers need has a closed form. Menu items with f = 0 denote no
@@ -22,6 +29,8 @@ participation and contribute zero utility to both sides.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,12 +81,12 @@ class TaskParams:
     f_max: float = 3e9         # PV CPU frequency cap, Hz
 
     def __post_init__(self) -> None:
-        for name in ("rho", "kappa", "s_bits", "f_local", "eps_cap", "e_price", "f_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
         rs = self.r_bps if isinstance(self.r_bps, tuple) else (self.r_bps,)
-        if any(r <= 0 for r in rs):
-            raise ValueError("link rates must be strictly positive")
+        for name in ("rho", "kappa", "s_bits", "f_local", "eps_cap", "e_price", "f_max", "r_bps"):
+            for value in rs if name == "r_bps" else (getattr(self, name),):
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not 0 < value <= sys.float_info.max):
+                    raise ValueError(f"{name} must be finite and positive (got {value!r})")
 
     @property
     def energy_coeff(self) -> float:
@@ -251,10 +260,14 @@ def _foc(problem: ContractProblem, j: int, pi: float, x_of_pi) -> float:
     x = x_of_pi(pi)
     if x <= 0:
         return math.inf
-    ratio = (x / params.energy_coeff) ** -1.5
-    return (theta * params.rho / (2.0 * params.e_price * params.eps_cap)) * (
-        1.0 / (1.0 + pi)
-    ) * ratio - 1.0
+    try:
+        ratio = (x / params.energy_coeff) ** -1.5
+        return (theta * params.rho / (2.0 * params.e_price * params.eps_cap)) * (
+            1.0 / (1.0 + pi)
+        ) * ratio - 1.0
+    except (OverflowError, ZeroDivisionError):
+        # a term overflowed, or a divisor underflowed to zero: g is +inf
+        return math.inf
 
 
 class _RootBelowBracket(Exception):
@@ -262,9 +275,9 @@ class _RootBelowBracket(Exception):
 
 
 def _solve_foc(problem: ContractProblem, j: int, x_of_pi, lo: float) -> float:
-    """Bracketed root of the normalized FOC, then Newton polish. lo is the
-    previous type's reward, 0 for none; a FOC already nonpositive at lo
-    bunches onto it (_RootBelowBracket) or, with none, is infeasible."""
+    """Bracketed root of the normalized FOC. lo is the previous type's
+    reward, 0 for none; a FOC already nonpositive at lo bunches onto it
+    (_RootBelowBracket) or, with none, is infeasible."""
     g = lambda pi: _foc(problem, j, pi, x_of_pi)
     hi = max(1.0, lo * 2 + 1.0)
     bunch = lo > 0
@@ -277,71 +290,66 @@ def _solve_foc(problem: ContractProblem, j: int, x_of_pi, lo: float) -> float:
             f"type {j + 1}: the reward first-order condition is already "
             f"nonpositive at zero reward, so no positive reward is optimal"
         )
-    ghi = g(hi)
-    expansions = 0
-    while ghi > 0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 100:
-            raise InfeasibleProblem(
-                f"type {j + 1}: could not bracket the reward first-order "
-                f"condition in [0, {hi:.3e}]; the surplus may be unbounded"
-            )
+    for _ in range(101):
         ghi = g(hi)
-    pi = brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=500)
-    # Newton polish on the normalized condition
-    for _ in range(4):
-        gv = g(pi)
-        if abs(gv) <= 1e-12:
+        if not ghi > 0:
             break
-        h = max(abs(pi), 1.0) * 1e-7
-        slope = (g(pi + h) - g(pi - h)) / (2 * h)
-        if slope == 0:
-            break
-        step = gv / slope
-        if not math.isfinite(step):
-            break
-        pi = max(pi - step, 0.0)
-    residual = problem.betas[j] * g(pi)
-    if abs(residual) > _FOC_TOL:
+        hi *= 2.0
+    else:
         raise InfeasibleProblem(
-            f"type {j + 1}: reward derivative {residual:.3e} "
-            f"did not converge below {_FOC_TOL}"
+            f"type {j + 1}: could not bracket the reward first-order "
+            f"condition in [0, {hi:.3e}]; the surplus may be unbounded"
         )
-    return pi
+    if math.isnan(glo) or math.isnan(ghi):
+        raise InfeasibleProblem(f"type {j + 1}: the reward first-order condition is NaN")
+    # an absolute xtol is coarse for a root near zero: retry relative only
+    for xtol in (1e-13, 1e-300):
+        pi = brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=500)
+        residual = problem.betas[j] * g(pi)
+        if abs(residual) <= _FOC_TOL:
+            return pi
+    raise InfeasibleProblem(f"type {j + 1}: reward derivative {residual:.3e} "
+                            f"did not converge below {_FOC_TOL}")
 
 
 # ---------------------------------------------------------------------------
 # benchmark solvers
 # ---------------------------------------------------------------------------
 
-def _f_from_budget(x: float, params: TaskParams) -> float:
-    """Frequency whose energy cost equals the budget x = A * f^2."""
-    return math.sqrt(x / params.energy_coeff)
+def _binding_item(problem: ContractProblem, j: int, f_prev: float,
+                  pi_prev: float) -> tuple[float, float, bool]:
+    """Type j's item with participation binding when (f_prev, pi_prev) is
+    (0, 0), else the adjacent upward incentive constraint against the
+    previous item. The reward solves the first-order condition, the
+    frequency follows from the binding constraint, and a frequency above
+    f_max is clamped with the reward re-solved on that constraint. Returns
+    (f, pi, bunched); a bunched item repeats pi_prev, as no root lies above.
+    """
+    params = problem.params
+    a_cap = params.energy_coeff
+    theta = problem.thetas[j]
+    x_prev = a_cap * f_prev * f_prev
+    v_prev = math.log1p(pi_prev)
+    x_of_pi = lambda p: x_prev + theta * (math.log1p(p) - v_prev)
+    bunched = False
+    try:
+        pi = _solve_foc(problem, j, x_of_pi, pi_prev)
+    except _RootBelowBracket:
+        pi, bunched = pi_prev, True
+    f = math.sqrt(x_of_pi(pi) / a_cap)  # the energy budget x = A * f^2
+    if f > params.f_max:
+        f = params.f_max
+        pi = math.expm1(v_prev + (a_cap * f * f - a_cap * f_prev**2) / theta)
+    return f, pi, bunched
 
 
 def solve_complete_info(problem: ContractProblem) -> ContractMenu:
-    """Per-type surplus extraction when types are observable.
-
-    Each type's reward solves the reward first-order condition with the
-    participation constraint binding, so every PV nets exactly zero; the
-    frequency follows from the binding constraint. Frequencies above f_max
-    are clamped with the reward re-solved at the boundary.
-    """
-    params = problem.params
-    fs, pis = [], []
-    for j in range(problem.n_types):
-        theta = problem.thetas[j]
-        x_of_pi = lambda p, th=theta: th * math.log1p(p)
-        pi = _solve_foc(problem, j, x_of_pi, 0.0)
-        f = _f_from_budget(theta * math.log1p(pi), params)
-        if f > params.f_max:
-            f = params.f_max
-            pi = math.expm1(params.energy_coeff * f * f / theta)
-        fs.append(f)
-        pis.append(pi)
-    menu = ContractMenu(tuple(fs), tuple(pis), "complete_info")
-    menu.check_monotone(params.f_max, require_pi=False)
+    """Per-type surplus extraction when types are observable: every item
+    binds its own participation constraint, so every PV nets exactly zero."""
+    fs, pis, _ = zip(*(_binding_item(problem, j, 0.0, 0.0)
+                       for j in range(problem.n_types)))
+    menu = ContractMenu(fs, pis, "complete_info")
+    menu.check_monotone(problem.params.f_max, require_pi=False)
     return menu
 
 
@@ -352,41 +360,19 @@ def solve_local_asymmetric(problem: ContractProblem) -> ContractMenu:
     If a type's first-order condition has no root above the previous
     reward, that type is bunched onto the previous item.
     """
-    params = problem.params
-    fs: list[float] = []
-    pis: list[float] = []
-    bunched: list[int] = []
+    fs, pis, bunched = [], [], []
+    f, pi = 0.0, 0.0
     for j in range(problem.n_types):
-        theta = problem.thetas[j]
-        if j == 0:
-            x_of_pi = lambda p, th=theta: th * math.log1p(p)
-            pi = _solve_foc(problem, j, x_of_pi, 0.0)
-            x = theta * math.log1p(pi)
-        else:
-            x_prev = params.energy_coeff * fs[-1] * fs[-1]
-            v_prev = math.log1p(pis[-1])
-            x_of_pi = lambda p, th=theta, xp=x_prev, vp_=v_prev: xp + th * (math.log1p(p) - vp_)
-            try:
-                pi = _solve_foc(problem, j, x_of_pi, pis[-1])
-            except _RootBelowBracket:
-                pi = pis[-1]
-                bunched.append(j)
-            x = x_of_pi(pi)
-        f = _f_from_budget(x, params)
-        if f > params.f_max:
-            f = params.f_max
-            x = params.energy_coeff * f * f
-            if j == 0:
-                pi = math.expm1(x / theta)
-            else:
-                pi = math.expm1(math.log1p(pis[-1]) + (x - params.energy_coeff * fs[-1] ** 2) / theta)
+        f, pi, flat = _binding_item(problem, j, f, pi)
         fs.append(f)
         pis.append(pi)
+        if flat:
+            bunched.append(j)
     menu = ContractMenu(
         tuple(fs), tuple(pis), "local_asymmetric",
         meta={"bunched_types": tuple(bunched)},
     )
-    menu.check_monotone(params.f_max)
+    menu.check_monotone(problem.params.f_max)
     return menu
 
 
@@ -486,10 +472,7 @@ def _iron_frequencies(fs: list[float], problem: ContractProblem):
             full[k] = common
         if any(x <= 0 for x in full):
             return math.inf
-        try:
-            pis = _rewards_from_frequencies(full, problem)
-        except (ValueError, InfeasibleProblem):
-            return math.inf
+        pis = _rewards_from_frequencies(full, problem)
         total = 0.0
         for k in range(n):
             total += problem.betas[k] * problem.thetas[k] * (
@@ -579,13 +562,12 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
     InfeasibleProblem when no candidate survives.
     """
     params = problem.params
-    comp = solve_complete_info(problem)
+    f_hi, pi_top, _ = _binding_item(problem, problem.n_types - 1, 0.0, 0.0)
     if problem.n_types == 1:
-        return ContractMenu(comp.fs, comp.pis, "lagrangian",
+        return ContractMenu((f_hi,), (pi_top,), "lagrangian",
                             meta={"degenerate_single_type": True})
     la = solve_local_asymmetric(problem)
 
-    f_hi = comp.fs[-1]
     f_lo = la.fs[-1]
     if f_hi < f_lo:
         f_hi, f_lo = f_lo, f_hi
@@ -823,9 +805,7 @@ def stackelberg_baseline(problem: ContractProblem) -> tuple[ContractMenu, float]
         key=lambda p: _posted_price_value(p, problem),
     )
     if _posted_price_value(best_price, problem) <= 0:
-        n = problem.n_types
-        return ContractMenu((0.0,) * n, (0.0,) * n, "stackelberg",
-                            meta={"price": 0.0}), 0.0
+        best_price = 0.0
     return _menu_at_price(best_price, problem, "stackelberg"), best_price
 
 
@@ -837,9 +817,7 @@ def linear_pricing_baseline(
     where the SR's utility hits zero. When even the optimal posted price
     earns nothing, the menu is all-zero."""
     if p_star <= 0 or _posted_price_value(p_star, problem) <= 0:
-        n = problem.n_types
-        return ContractMenu((0.0,) * n, (0.0,) * n, "linear_pricing",
-                            meta={"price": 0.0}), 0.0
+        return _menu_at_price(0.0, problem, "linear_pricing"), 0.0
     hi = p_star
     for _ in range(200):
         hi *= 2.0

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -131,8 +132,8 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     out: list[str] = []
 
     def positive(name: str, value) -> None:
-        if not _is_real(value) or not value > 0:
-            out.append(f"{name} must be positive (got {value!r})")
+        if not _is_real(value) or not 0 < value <= sys.float_info.max:
+            out.append(f"{name} must be finite and positive (got {value!r})")
 
     def at_least(name: str, value, low: int) -> None:
         if not _is_int(value) or value < low:

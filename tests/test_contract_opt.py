@@ -45,6 +45,17 @@ def random_problem(rng: np.random.Generator, n: int) -> ContractProblem:
                       tuple(float(b) for b in betas))
 
 
+class TestTaskParams:
+    @pytest.mark.parametrize("name, value", [
+        ("kappa", math.inf), ("f_local", math.inf), ("rho", math.nan),
+        ("r_bps", math.inf), ("r_bps", (5e6, math.inf)),
+        ("e_price", True), ("f_max", "3e9"),
+    ])
+    def test_rejects_non_finite_or_non_numeric(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TaskParams(**{name: value})
+
+
 class TestUtilityLayer:
     def test_time_saved_pin(self):
         params = TaskParams(rho=0.1, kappa=1e4, s_bits=4e6,
@@ -164,6 +175,15 @@ class TestLocalAsymmetric:
             own = pv_utility(theta, menu.fs[j], menu.pis[j], problem.params)
             down = pv_utility(theta, menu.fs[j - 1], menu.pis[j - 1], problem.params)
             assert own == pytest.approx(down, abs=1e-9)
+
+    def test_rewards_near_zero_pass_the_residual_check(self):
+        """Rewards near 6e-5 need a relative root tolerance: an absolute
+        1e-13 leaves type 3's reward derivative above the 1e-10 check."""
+        problem = problem_of((0.72, 0.78, 0.83), (0.4, 0.25, 0.35),
+                             rho=1e-7, e_price=0.01)
+        menu = solve_local_asymmetric(problem)
+        assert max(menu.pis) < 1e-4
+        assert check_feasibility(menu, problem).feasible
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))

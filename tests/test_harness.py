@@ -215,6 +215,9 @@ class TestCli:
         {"alphas": [0, 1.5]},
         {"alphas": [float("inf"), 1]},
         {"gammas": [0.3, 0.4, float("nan")]},
+        {"kappa": float("inf")},
+        {"f_local": float("inf")},
+        {"r_bps": float("inf")},
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "bad.json"
@@ -317,6 +320,23 @@ class TestCli:
         assert err.count("infeasible problem") == 1 and "type 1" in err
         assert not (tmp_path / "utility-vs-type.csv").exists()
 
+    @pytest.mark.parametrize("scenario", [
+        "utility-vs-type", "contract-feasibility", "utility-vs-hour"])
+    @pytest.mark.parametrize("overrides", [
+        {"kappa": 1e300}, {"s_bits": 1e300}, {"e_price": 1e-320},
+        {"e_price": 1e300}, {"eps_cap": 1e-320},
+    ])
+    def test_float_range_exits_three(self, tmp_path, capsys, scenario, overrides):
+        """Task constants whose first-order condition overflows, divides by
+        an underflowed zero or turns NaN end as one infeasible line."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"arrivals": 2000, **overrides}))
+        rc = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("infeasible problem:") == 1 and len(err.splitlines()) == 1
+        assert not (tmp_path / f"{scenario}.csv").exists()
+
     def test_trace_flows_into_histogram(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("hour,duration\n" + "9,2.5\n" * 40 + "17,1.0\n" * 10)
@@ -394,3 +414,14 @@ def test_span_targets_exist():
          os.path.join(root, "src")],
         capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_examples_run():
+    """Every ```python block of README.md runs as written."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        blocks = [part.split("```")[0] for part in fh.read().split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, "README.md", "exec"), {})
