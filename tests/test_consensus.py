@@ -304,7 +304,8 @@ class TestCollusionExperiment:
 
     def test_per_seed_scores_pinned(self, monkeypatch):
         """The thresholded rows are a 0/1 table that hides score drift, so
-        pin every SL and LR score dict the committee gate receives."""
+        pin every SL and LR score dict the committee gate receives, for
+        twelve seeds."""
         seen = []
         gate = consensus.correct_block_probability
 
@@ -313,10 +314,10 @@ class TestCollusionExperiment:
             return gate(scores, colluders, threshold)
 
         monkeypatch.setattr(consensus, "correct_block_probability", spy)
-        collusion_experiment([0.45], seeds=5)
-        assert len(seen) == 10   # one SL and one LR dict per seed
+        collusion_experiment([0.45], seeds=12)
+        assert len(seen) == 24   # one SL and one LR dict per seed
         assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
-            "4467b83a0946874054bd71ffb8e6bd8758e8bfea6d1b93ecc3a3fe736360a9c2"
+            "ce71fcdb0ec2be994f7a7fac22aeebaba1df4294643c01399e8ecd50d5132945"
         )
 
     @pytest.mark.parametrize("seeds", [0, -1, 2.0, True])
