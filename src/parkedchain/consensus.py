@@ -466,7 +466,9 @@ def record_interactions(
     p_of(slot, rater, target). A probability of exactly 1.0 records
     all-positive evidence without drawing a binomial: this is how
     colluders fabricate mutual praise, and it fixes the RNG draw order.
+    The slot's rows are written once to each scheme after all draws.
     """
+    rows = []
     for target in targets:
         for rater in raters:
             if rater == target:
@@ -474,8 +476,9 @@ def record_interactions(
             trials = int(rng.integers(5, 11))
             p = p_of(slot, rater, target)
             pos = trials if p == 1.0 else int(rng.binomial(trials, p))
-            engine.record_outcomes(slot, rater, target, pos, trials - pos)
-            tracker.update(rater, target, pos, trials - pos)
+            rows.append((rater, target, pos, trials - pos))
+    engine.record_slot(slot, rows)
+    tracker.update_many(rows)
 
 
 def _engine(weight_config: WeightConfig | None, *cohorts: list[str]) -> ReputationEngine:
@@ -523,12 +526,10 @@ def detection_experiment(
     lr_series: list[float] = []
     for slot in range(1, slots + 1):
         record_interactions(rng, slot, target_ids, rater_ids, p_of, engine, tracker)
-        sl_below = lr_below = 0
-        for target in target_ids:
-            if engine.average_reputation(target, at=slot + 1, raters=rater_ids) < threshold:
-                sl_below += 1
-            if tracker.average_reputation(target, rater_ids) < threshold:
-                lr_below += 1
+        sl = engine.average_reputations(target_ids, at=slot + 1, raters=rater_ids)
+        sl_below = int(np.count_nonzero(sl < threshold))
+        lr_below = sum(tracker.average_reputation(target, rater_ids) < threshold
+                       for target in target_ids)
         sl_series.append(sl_below / misbehaving_count)
         lr_series.append(lr_below / misbehaving_count)
     return sl_series, lr_series
@@ -575,15 +576,11 @@ def decay_experiment(
     rows: list[tuple[int, str, float, float]] = []
     for slot in range(slots):
         record_interactions(rng, slot, bad + honest, raters, p_of, engine, tracker)
-        for scheme, score in (
-            ("SL", lambda t: engine.average_reputation(t, at=slot + 1, raters=raters)),
-            ("LR", lambda t: tracker.average_reputation(t, raters=raters)),
-        ):
-            rows.append((
-                slot, scheme,
-                float(np.mean([score(t) for t in honest])),
-                float(np.mean([score(t) for t in bad])),
-            ))
+        sl = engine.average_reputations(honest + bad, at=slot + 1, raters=raters).tolist()
+        lr = [tracker.average_reputation(t, raters=raters) for t in honest + bad]
+        for scheme, scores in (("SL", sl), ("LR", lr)):
+            rows.append((slot, scheme, float(np.mean(scores[:len(honest)])),
+                         float(np.mean(scores[len(honest):]))))
     return rows
 
 
@@ -648,14 +645,10 @@ def collusion_experiment(
             engine.register(rid, arrival_hour=8 + (i % 5))
         for slot in range(1, _COLLUSION_SLOTS + 1):
             record_interactions(rng, slot, cand_ids, rater_ids, p_of, engine, tracker)
-        sl_scores: dict[str, float] = {}
-        lr_scores: dict[str, float] = {}
-        for target in cand_ids:
-            other = [r for r in rater_ids if r != target]
-            sl_scores[target] = engine.average_reputation(
-                target, at=_COLLUSION_SLOTS + 1, raters=other)
-            lr_scores[target] = tracker.average_reputation(target, other)
-        scored.append((sl_scores, lr_scores))
+        sl = engine.average_reputations(cand_ids, at=_COLLUSION_SLOTS + 1, raters=rater_ids)
+        lr_scores = {target: tracker.average_reputation(
+            target, [r for r in rater_ids if r != target]) for target in cand_ids}
+        scored.append((dict(zip(cand_ids, sl.tolist())), lr_scores))
 
     rows = []
     for th in thresholds:

@@ -383,9 +383,10 @@ def solve_local_asymmetric(problem: ContractProblem) -> ContractMenu:
 def _chain_from_top(f_top: float, problem: ContractProblem):
     """Backward multiplier recursion from a fixed top-type frequency.
 
-    Returns (fs, pis) or None when the top reward is nonpositive, a level's
-    residual is already nonpositive at zero reward, or the residual root
-    cannot be bracketed below the cap.
+    Returns (fs, pis) or None when the top multiplier leaves no slope in
+    (0, 1) (including one that overflows), the top reward is nonpositive, a
+    level's residual is already nonpositive at zero reward, or the residual
+    root cannot be bracketed below the cap.
     """
     params = problem.params
     thetas, betas = problem.thetas, problem.betas
@@ -393,9 +394,12 @@ def _chain_from_top(f_top: float, problem: ContractProblem):
     coeff = params.rho / (2.0 * params.e_price * params.eps_cap)
     a_cap = params.energy_coeff
 
-    omega_next = betas[-1] * thetas[-1] * coeff / f_top**3
+    cube = f_top**3
+    # a cube that underflows to zero, or a multiplier that overflows, leaves
+    # a zero slope and no top reward to solve for
+    omega_next = betas[-1] * thetas[-1] * coeff / cube if cube > 0.0 else math.inf
     slope = betas[-1] / omega_next
-    if slope >= 1.0:  # v'(0) = 1
+    if not 0.0 < slope < 1.0:  # v'(0) = 1
         return None
     pi_top = 1.0 / slope - 1.0
     if pi_top <= 0:

@@ -42,6 +42,8 @@ class LedgerError(RuntimeError):
 def _units(amount, what: str) -> int:
     """amount as a plain int; bools, floats (even 2.0) and anything else
     that is not an integral number are rejected, numpy integers accepted."""
+    if type(amount) is int:   # the common case, ahead of the slower ABC check
+        return amount
     if isinstance(amount, bool) or not isinstance(amount, numbers.Integral):
         raise LedgerError(f"{what} must be a whole number of units, got {amount!r}")
     return int(amount)

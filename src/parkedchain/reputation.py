@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -210,12 +211,16 @@ class ReputationEngine:
     """Bookkeeping for multi-weight subjective-logic reputation over slots.
 
     Interactions are counted in one integer array ``[slot, rater, target,
-    (pos, neg)]``, nodes indexed in registration order. A target's
-    reputation at slot t is assembled from slots <= t only, in four steps:
-    segment opinions weighted by (familiarity, timeliness, similarity) give
-    each rater's local opinion; other raters' locals are synthesized with the
-    same weights; local and synthesized opinions are fused; the fused values
-    are averaged over raters.
+    (pos, neg)]``, nodes indexed in registration order. ``record_outcomes``
+    adds one pair's counts; ``record_slot`` adds a whole slot's rows with
+    one fancy-indexed add. A target's reputation at slot t is assembled
+    from slots <= t only, in four steps: segment opinions weighted by
+    (familiarity, timeliness, similarity) give each rater's local opinion;
+    other raters' locals are synthesized with the same weights; local and
+    synthesized opinions are fused; the fused values are averaged over
+    raters. ``view`` does this for one target and ``average_reputations``
+    for many at once, sharing the slot sum, the timeliness table and the
+    rater indices between them.
     """
 
     def __init__(self, cfg: WeightConfig | None = None, base_rate: float = 0.5):
@@ -241,11 +246,10 @@ class ReputationEngine:
             self._evidence = ev = grown
         return ev
 
-    def record_outcomes(
+    def _pair(
         self, slot: int, rater: str, target: str, positives: int, negatives: int
-    ) -> None:
-        if not (positives or negatives):
-            return
+    ) -> tuple[int, int]:
+        """Indices of a pair with nonzero counts, after every check of a write."""
         if rater == target:
             raise ValueError("rater and target must be distinct")
         if positives < 0 or negatives < 0:
@@ -253,21 +257,75 @@ class ReputationEngine:
         if slot < 0:
             raise ValueError("slot must be >= 0")
         try:
-            i, j = self._index[rater], self._index[target]
+            return self._index[rater], self._index[target]
         except KeyError:
             raise KeyError("both rater and target must be registered") from None
+
+    def record_outcomes(
+        self, slot: int, rater: str, target: str, positives: int, negatives: int
+    ) -> None:
+        if not (positives or negatives):
+            return
+        i, j = self._pair(slot, rater, target, positives, negatives)
         ev = self._grown(slot + 1)
         if positives:
             ev[slot, i, j, 0] += positives
         if negatives:
             ev[slot, i, j, 1] += negatives
 
+    def record_slot(self, slot: int, rows: list[tuple[str, str, int, int]]) -> None:
+        """record_outcomes for every (rater, target, positives, negatives) row
+        of one slot, in one write.
+
+        A pair may occur at most once. Rows with no outcomes are skipped, as
+        record_outcomes skips them; any other row that record_outcomes would
+        reject, or a repeated pair, raises that row's error and writes nothing.
+        """
+        if not rows:
+            return
+        i, j, counts = _columns(rows, self._index)
+        keep = counts.any(axis=1)
+        if not keep.all():
+            rows = [row for row, k in zip(rows, keep.tolist()) if k]
+            i, j, counts = i[keep], j[keep], counts[keep]
+        if (slot < 0 or min(i.min(initial=0), j.min(initial=0), counts.min(initial=0)) < 0
+                or (i == j).any() or _repeats(i, j, len(self._index))):
+            _first_bad_row(rows, lambda row: self._pair(slot, *row))
+        if rows:
+            ev = self._grown(slot + 1)
+            ev[slot, i, j] += counts
+
     def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
         """Every rater's final reputation value for `target` from slots <= `at`."""
         if raters is None:
             raters = [n for n in sorted(self.arrival_hours) if n != target]
+        values = self._final_values([target], at, raters)[0]
+        return ReputationView(target, at, dict(zip(raters, values.tolist())))
+
+    def average_reputations(self, targets: list[str], at: int, raters: list[str]) -> np.ndarray:
+        """Each target's average reputation from slots <= `at`, rated by
+        `raters` minus the target itself.
+
+        Entry k is ``view(targets[k], at, [r for r in raters if r !=
+        targets[k]]).average``, bit for bit; `raters` must be distinct.
+        """
+        if len(set(raters)) < len(raters):
+            raise ValueError("raters must be distinct")
+        values = self._final_values(targets, at, raters).tolist()
+        return np.array([
+            average_final_reputation([v for r, v in zip(raters, row) if r != target])
+            for target, row in zip(targets, values)
+        ])
+
+    def _final_values(self, targets: list[str], at: int, raters: list[str]) -> np.ndarray:
+        """[target, rater] expected values of the fused opinions from slots <= `at`.
+
+        A rater that is also the target has no evidence about itself, so it
+        contributes zero weight to every other rater's synthesized opinion
+        and leaves their values as if it were absent.
+        """
         try:
-            t = self._index[target]
+            cols = np.array([self._index[t] for t in targets], dtype=np.intp)
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
         except KeyError:
             raise KeyError("target and raters must be registered") from None
@@ -276,53 +334,57 @@ class ReputationEngine:
         slots = max(0, min(at + 1, ev.shape[0]))
         hist = ev[:slots]
 
-        # segment opinions, [slot, rater]
-        pos, neg = hist[:, rows, t, 0], hist[:, rows, t, 1]
+        # segment opinions, [target, slot, (b, d, u, a), rater]: the rater
+        # axis is innermost so that the products below run along it
+        pair = np.ascontiguousarray(hist[:, :, cols][:, rows].transpose(2, 0, 1, 3))
+        pos, neg = pair[..., 0], pair[..., 1]
         total = pos + neg + EVIDENCE_PRIOR_WEIGHT
         present = total > EVIDENCE_PRIOR_WEIGHT
         segments = np.stack(
             [pos / total, neg / total, EVIDENCE_PRIOR_WEIGHT / total,
-             np.full(total.shape, self.base_rate)], axis=-1)
-        _check_opinions(segments, present)
+             np.full(total.shape, self.base_rate)], axis=2)
+        _check_opinions(np.moveaxis(segments, 2, -1), present)
 
-        # familiarity counts interactions up to `at`: with this target
+        # familiarity counts interactions up to `at`: with the target
         # relative to the mean over the targets the rater has met
         pairs = hist.sum(axis=0)[rows]
         counts = pairs[..., 0] + pairs[..., 1]
         met = np.count_nonzero(counts, axis=1)
         mean = np.divide(counts.sum(axis=1), met, out=np.ones(len(rows)), where=met > 0)
-        x = counts[:, t] / mean
+        x = counts[:, cols].T / mean
         # interactions in the current slot are treated as one slot old
         y = np.array([timeliness_weight(at, min(s, at - 1), cfg) for s in range(slots)])
-        has = present.any(axis=0)
-        hour = self.arrival_hours[target]
-        z = np.array([
-            similarity_weight(self.arrival_hours[r], hour) if h else 0.0
-            for r, h in zip(raters, has.tolist())
-        ])
-        w = (cfg.gamma1 * x + cfg.gamma2 * y[:, None]) + cfg.gamma3 * z
+        has = present.any(axis=1)
+        # similarity_weight, for the raters with evidence
+        rater_hours = np.array([self.arrival_hours[r] for r in raters], dtype=float)
+        target_hours = np.array([self.arrival_hours[t] for t in targets], dtype=float)
+        if (has & ((rater_hours < 0) | (target_hours[:, None] < 0))).any():
+            raise ValueError("arrival hours must be nonnegative")
+        z = np.where(has, 1.0 / (1.0 + np.abs(rater_hours - target_hours[:, None])), 0.0)
+        w = (cfg.gamma1 * x[:, None] + cfg.gamma2 * y[:, None]) + cfg.gamma3 * z[:, None]
         w = np.where(present, w, 0.0)
 
         # each rater's local opinion, and its weight as a recommender: the
         # weight of its last segment
         local = _weighted_mean(
-            np.add.reduce(w[..., None] * segments, axis=0), np.add.reduce(w, axis=0),
-            has, self.base_rate)
+            np.add.reduce(w[:, :, None] * segments, axis=1).transpose(0, 2, 1),
+            np.add.reduce(w, axis=1), has, self.base_rate)
         if slots:
-            last = slots - 1 - np.argmax(present[::-1], axis=0)
-            recommend = w[last, np.arange(len(rows))]
+            last = slots - 1 - np.argmax(present[:, ::-1], axis=1)
+            recommend = np.take_along_axis(w, last[:, None], axis=1)[:, 0]
         else:
-            recommend = np.zeros(len(rows))
+            recommend = np.zeros((len(cols), len(rows)))
 
-        # [other, rater]: every other rater with evidence recommends its local
+        # [target, other, rater]: every other rater with evidence recommends
+        # its local
         others = rows[:, None] != rows[None, :]
-        m = np.where(others, recommend[:, None], 0.0)
+        m = np.where(others, recommend[..., None], 0.0)
         syn = _weighted_mean(
-            np.add.reduce(m[..., None] * local[:, None, :], axis=0),
-            np.add.reduce(m, axis=0), (others & has[:, None]).any(axis=0), self.base_rate)
+            np.add.reduce(m[:, :, None] * local[..., None], axis=1).transpose(0, 2, 1),
+            np.add.reduce(m, axis=1), (others & has[..., None]).any(axis=1), self.base_rate)
 
         # consensus fusion with fuse_final's vacuous short-circuits
-        ul, us = local[:, 2], syn[:, 2]
+        ul, us = local[..., 2], syn[..., 2]
         ul_vacuous, us_vacuous = ul == 1.0, us == 1.0
         den = us + ul - us * ul
         fused = ~(ul_vacuous | us_vacuous)
@@ -330,22 +392,16 @@ class ReputationEngine:
             raise ValueError("fusion undefined: both opinions are dogmatic (u=0)")
         with np.errstate(divide="ignore", invalid="ignore"):
             final = np.stack([
-                (local[:, 0] * us + syn[:, 0] * ul) / den,
-                (local[:, 1] * us + syn[:, 1] * ul) / den,
+                (local[..., 0] * us + syn[..., 0] * ul) / den,
+                (local[..., 1] * us + syn[..., 1] * ul) / den,
                 (us * ul) / den,
-                local[:, 3],
-            ], axis=1)
+                local[..., 3],
+            ], axis=-1)
         final[ul_vacuous, :3] = syn[ul_vacuous, :3]
         final[us_vacuous, :3] = local[us_vacuous, :3]
         final[ul_vacuous & us_vacuous, :3] = (0.0, 0.0, 1.0)
         _check_opinions(np.stack([local, syn, final]), True)
-        values = final[:, 0] + final[:, 2] * final[:, 3]
-        return ReputationView(target, at, dict(zip(raters, values.tolist())))
-
-    def average_reputation(
-        self, target: str, at: int, raters: list[str] | None = None
-    ) -> float:
-        return self.view(target, at, raters).average
+        return final[..., 0] + final[..., 2] * final[..., 3]
 
 
 def _check_opinions(ops: np.ndarray, where: np.ndarray) -> None:
@@ -360,36 +416,101 @@ def _check_opinions(ops: np.ndarray, where: np.ndarray) -> None:
 def _weighted_mean(
     sums: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float
 ) -> np.ndarray:
-    """synthesize_recommended on [row, (b, d, u, a)] weighted sums; rows
+    """synthesize_recommended on [..., (b, d, u, a)] weighted sums; cells
     without recommendations are vacuous."""
     if (has & (weights <= 0)).any():
         raise ValueError("total recommendation weight must be positive")
     out = np.empty(sums.shape)
     out[:] = (0.0, 0.0, 1.0, base_rate)
-    np.divide(sums, weights[:, None], out=out, where=has[:, None])
+    np.divide(sums, weights[..., None], out=out, where=has[..., None])
     return out
 
 
+def _columns(rows: list, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rater indices, target indices (-1 for a name not in `index`) and
+    [row, (positives, negatives)] counts of (rater, target, pos, neg) rows."""
+    raters, targets, pos, neg = zip(*rows)
+    counts = np.array((pos, neg))
+    if counts.dtype.kind not in "biu":
+        raise ValueError("outcome counts must be whole numbers")
+    i = np.fromiter(map(index.get, raters, repeat(-1)), np.intp, len(rows))
+    j = np.fromiter(map(index.get, targets, repeat(-1)), np.intp, len(rows))
+    return i, j, counts.astype(np.int64, copy=False).T
+
+
+def _repeats(i: np.ndarray, j: np.ndarray, n: int) -> bool:
+    """Whether a pair of indices in [0, n) occurs twice in (i, j)."""
+    pairs = np.sort(i * n + j)
+    return bool((pairs[1:] == pairs[:-1]).any())
+
+
+def _first_bad_row(rows: list, check) -> None:
+    """Raise the error of the first row that `check` rejects or whose
+    (rater, target) pair repeats an earlier row's."""
+    seen = set()
+    for row in rows:
+        check(row)
+        pair = (row[0], row[1])
+        if pair in seen:
+            raise ValueError(f"pair {pair!r} occurs twice in one batch")
+        seen.add(pair)
+
+
 class LinearReputationTracker:
-    """Per-pair EMA over per-slot mean outcomes: the linear baseline scheme."""
+    """Per-pair EMA over per-slot mean outcomes: the linear baseline scheme.
+
+    Values live in one float array ``[rater, target]``, nodes indexed in
+    order of first appearance and every cell starting at 0.5. Each update
+    is ``(1 - s) * prev + s * (positives / total)`` with s = 0.2;
+    ``update_many`` applies it to one slot's rows with one fancy-indexed
+    write.
+    """
 
     def __init__(self) -> None:
-        self._values: dict[tuple[str, str], float] = {}
+        self._index: dict[str, int] = {}
+        self._values = np.full((0, 0), _LR_INITIAL)
 
     def update(self, rater: str, target: str, positives: int, negatives: int) -> None:
-        total = positives + negatives
-        if total == 0:
+        self.update_many([(rater, target, positives, negatives)])
+
+    def update_many(self, rows: list[tuple[str, str, int, int]]) -> None:
+        """update for every (rater, target, positives, negatives) row of one
+        slot in one write; rows with no outcomes are skipped, and a pair may
+        occur at most once among the rest."""
+        if not rows:
             return
-        key = (rater, target)
-        prev = self._values.get(key, _LR_INITIAL)
-        mean_outcome = positives / total
-        self._values[key] = (1.0 - _LR_SMOOTHING) * prev + _LR_SMOOTHING * mean_outcome
+        index = self._index
+        i, j, counts = _columns(rows, index)
+        if (i < 0).any() or (j < 0).any():
+            for rater, target, *_ in rows:
+                index.setdefault(rater, len(index))
+                index.setdefault(target, len(index))
+            grown = np.full((len(index), len(index)), _LR_INITIAL)
+            grown[: len(self._values), : len(self._values)] = self._values
+            self._values = grown
+            i, j, counts = _columns(rows, index)
+        total = counts.sum(axis=1)
+        keep = total != 0
+        if not keep.all():
+            rows = [row for row, k in zip(rows, keep.tolist()) if k]
+            i, j, counts, total = i[keep], j[keep], counts[keep], total[keep]
+        if _repeats(i, j, len(index)):
+            _first_bad_row(rows, lambda row: None)
+        self._values[i, j] = ((1.0 - _LR_SMOOTHING) * self._values[i, j]
+                              + _LR_SMOOTHING * (counts[:, 0] / total))
 
     def value(self, rater: str, target: str) -> float:
-        return self._values.get((rater, target), _LR_INITIAL)
+        index = self._index
+        if rater not in index or target not in index:
+            return _LR_INITIAL
+        return float(self._values[index[rater], index[target]])
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
         if not raters:
             raise ValueError("need at least one rater")
-        return sum(self.value(r, target) for r in raters) / len(raters)
-
+        t = self._index.get(target)
+        column = [] if t is None else self._values[:, t].tolist()
+        values = [_LR_INITIAL if t is None or i is None else column[i]
+                  for i in map(self._index.get, raters)]
+        # Python's left-to-right sum: numpy's pairwise sum would change the bits
+        return sum(values) / len(raters)

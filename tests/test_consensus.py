@@ -257,26 +257,28 @@ class TestDetectionExperiment:
     def test_per_seed_scores_pinned(self, monkeypatch):
         """The detection series are 0/1 step fractions that hide score
         drift, so pin every SL and LR average the threshold is applied to."""
-        seen = []
-        view = consensus.ReputationEngine.view
+        sl_seen, lr_seen = [], []
+        sl_average = consensus.ReputationEngine.average_reputations
         lr_average = consensus.LinearReputationTracker.average_reputation
 
-        def spy_view(self, target, at, raters=None):
-            out = view(self, target, at, raters)
-            seen.append(("SL", target, at, out.average))
+        def spy_sl(self, targets, at, raters):
+            out = sl_average(self, targets, at, raters)
+            sl_seen.extend(("SL", target, at, v) for target, v in zip(targets, out.tolist()))
             return out
 
         def spy_lr(self, target, raters):
             out = lr_average(self, target, raters)
-            seen.append(("LR", target, out))
+            lr_seen.append(("LR", target, out))
             return out
 
-        monkeypatch.setattr(consensus.ReputationEngine, "view", spy_view)
+        monkeypatch.setattr(consensus.ReputationEngine, "average_reputations", spy_sl)
         monkeypatch.setattr(consensus.LinearReputationTracker,
                             "average_reputation", spy_lr)
         for seed in range(3):
             detection_experiment(50, 10, 0.45, 15, seed)
-        assert len(seen) == 2 * 3 * 15 * 10   # both schemes, every target and slot
+        # per seed, slot and target: the SL score, then the LR score
+        seen = [entry for pair in zip(sl_seen, lr_seen) for entry in pair]
+        assert len(sl_seen) == len(lr_seen) == 3 * 15 * 10   # every target and slot
         assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
             "2fac5b3ac633aa290d9453266a213377b7a59413a8e103ef4e0927b8161cbaa9"
         )

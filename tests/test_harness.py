@@ -337,6 +337,25 @@ class TestCli:
         assert err.count("infeasible problem:") == 1 and len(err.splitlines()) == 1
         assert not (tmp_path / f"{scenario}.csv").exists()
 
+    @pytest.mark.parametrize("scenario", [
+        "utility-vs-type", "contract-feasibility", "utility-vs-hour"])
+    @pytest.mark.parametrize("f_max, rc_expected", [(1e-100, 0), (1e-110, 0), (1e-300, 3)])
+    def test_tiny_f_max_runs_or_exits_three(self, tmp_path, capsys, scenario, f_max,
+                                            rc_expected):
+        """A top frequency whose multiplier overflows, or whose cube
+        underflows to zero, breaks that LIA chain instead of dividing by
+        zero; what is left of the scan either finds a menu or is infeasible."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"arrivals": 2000, "f_max": f_max}))
+        rc = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == rc_expected
+        if rc == 0:
+            assert err == "" and (tmp_path / f"{scenario}.csv").exists()
+        else:
+            assert err.count("infeasible problem:") == 1 and len(err.splitlines()) == 1
+            assert not (tmp_path / f"{scenario}.csv").exists()
+
     def test_trace_flows_into_histogram(self, tmp_path):
         trace = tmp_path / "trace.csv"
         trace.write_text("hour,duration\n" + "9,2.5\n" * 40 + "17,1.0\n" * 10)

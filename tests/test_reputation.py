@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -254,7 +255,7 @@ class TestEngine:
 
         def skewed(*args):
             out = weighted_mean(*args)
-            out[:, 0] += 0.1
+            out[..., 0] += 0.1
             return out
 
         monkeypatch.setattr(reputation, "_weighted_mean", skewed)
@@ -274,8 +275,7 @@ class TestEngine:
             eng.record_outcomes(slot, "i", "m", 1, 4)
             eng.record_outcomes(slot, "k", "m", 1, 4)
         raters = ["i", "k"]
-        good = eng.average_reputation("j", at=4, raters=raters)
-        bad = eng.average_reputation("m", at=4, raters=raters)
+        good, bad = eng.average_reputations(["j", "m"], at=4, raters=raters)
         assert good > bad
 
     def test_past_slot_ignores_later_evidence(self):
@@ -298,7 +298,7 @@ class TestEngine:
 
     def test_unknown_target_is_neutral(self):
         eng = self.build()
-        assert eng.average_reputation("j", at=1, raters=["i"]) == pytest.approx(0.5)
+        assert eng.average_reputations(["j"], at=1, raters=["i"])[0] == pytest.approx(0.5)
 
     def test_tracker_matches_scalar_baseline(self):
         # one rater, whole-slot outcomes: the tracker must reduce to the EMA
@@ -391,3 +391,159 @@ class TestEngineMatchesScalarReference:
         values = reference_view(evidence, hours, target, at, raters, cfg, base_rate)
         assert view.final_values == values
 
+
+
+@st.composite
+def slot_batches(draw):
+    """Registered nodes and, per slot, rows with each (rater, target) pair
+    at most once; counts may be zero."""
+    n = draw(st.integers(2, 7))
+    nodes = [f"n{i}" for i in range(n)]
+    pairs = [(r, t) for r in nodes for t in nodes if r != t]
+    batches = []
+    for slot in draw(st.lists(st.integers(0, 11), max_size=5)):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        batches.append((slot, [(r, t, draw(st.integers(0, 9)), draw(st.integers(0, 9)))
+                               for r, t in chosen]))
+    return nodes, batches
+
+
+class TestBatchedWrites:
+    @staticmethod
+    def engine(nodes, cfg=None, base_rate=0.5):
+        eng = ReputationEngine(cfg, base_rate)
+        for i, node in enumerate(nodes):
+            eng.register(node, 8 + i % 5)
+        return eng
+
+    @settings(deadline=None, max_examples=200)
+    @given(slot_batches())
+    def test_slot_write_equals_row_writes(self, case):
+        nodes, batches = case
+        batched, single = self.engine(nodes), self.engine(nodes)
+        tr_batched, tr_single = LinearReputationTracker(), LinearReputationTracker()
+        history: dict[tuple[str, str], list[float]] = {}
+        for slot, rows in batches:
+            batched.record_slot(slot, rows)
+            tr_batched.update_many(rows)
+            for rater, target, p, q in rows:
+                single.record_outcomes(slot, rater, target, p, q)
+                tr_single.update(rater, target, p, q)
+                if p + q:
+                    history.setdefault((rater, target), []).append(p / (p + q))
+        # the evidence array, whole (shape included)
+        assert batched._evidence.shape == single._evidence.shape
+        assert (batched._evidence == single._evidence).all()
+        for r in nodes:
+            for t in nodes:
+                value = tr_batched.value(r, t)
+                assert value == tr_single.value(r, t)
+                assert value == linear_reputation_baseline(history.get((r, t), []))
+
+    @settings(deadline=None, max_examples=100)
+    @given(slot_batches(), st.data())
+    def test_many_target_average_equals_views(self, case, data):
+        nodes, batches = case
+        cfg = data.draw(st.sampled_from([
+            WeightConfig(), WeightConfig(0.5, 0.2, 0.3, 3.0, 0.7),
+            WeightConfig(0.0, 0.0, 1.0, 10.0, 4.0)]))
+        eng = self.engine(nodes, cfg, data.draw(st.sampled_from([0.5, 0.0, 0.3])))
+        for slot, rows in batches:
+            eng.record_slot(slot, rows)
+        raters = data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+        targets = data.draw(st.lists(st.sampled_from(nodes), min_size=1))
+        at = data.draw(st.integers(-1, 13))
+        if any(raters == [t] for t in targets):
+            # a target that is the only rater leaves nobody to score it
+            with pytest.raises(ValueError, match="at least one rater"):
+                eng.average_reputations(targets, at, raters)
+            return
+        scores = eng.average_reputations(targets, at, raters)
+        assert scores.tolist() == [
+            eng.view(t, at, [r for r in raters if r != t]).average for t in targets]
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_many_target_average_matches_scalar_reference(self, data):
+        # long histories and many raters: at 8 or more slots or raters a
+        # reduction along a contiguous axis would switch numpy to pairwise
+        # summation and change the last bits
+        n = data.draw(st.integers(2, 12))
+        nodes = [f"n{i}" for i in range(n)]
+        hours = {node: 8 + i % 5 for i, node in enumerate(nodes)}
+        # dense histories, so that many slots and raters carry evidence
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        density = data.draw(st.sampled_from([0.2, 0.6, 1.0]))
+        evidence = {
+            (r, t, slot): [int(c) for c in rng.integers(0, 7, size=2)]
+            for slot in range(data.draw(st.integers(1, 12)))
+            for r in nodes for t in nodes if r != t and rng.random() < density
+        }
+        cfg = data.draw(st.sampled_from([WeightConfig(), WeightConfig(0.5, 0.2, 0.3, 3.0, 0.7)]))
+        eng = self.engine(nodes, cfg)
+        for (rater, target, slot), (p, q) in evidence.items():
+            eng.record_outcomes(slot, rater, target, p, q)
+        raters = data.draw(st.lists(st.sampled_from(nodes), min_size=2, unique=True))
+        targets = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
+        at = data.draw(st.integers(0, 12))
+        expected = [average_final_reputation(list(reference_view(
+            evidence, hours, t, at, [r for r in raters if r != t], cfg, 0.5).values()))
+            for t in targets]
+        assert eng.average_reputations(targets, at, raters).tolist() == expected
+
+    def test_many_target_average_rejects_repeated_raters(self):
+        eng = self.engine(["i", "j", "k"])
+        with pytest.raises(ValueError, match="distinct"):
+            eng.average_reputations(["k"], 1, ["i", "j", "i"])
+
+    BAD_ROWS = {
+        "self-rating": (("n0", "n0", 1, 0), ValueError, "distinct"),
+        "negative-count": (("n0", "n1", 2, -1), ValueError, ">= 0"),
+        "unregistered": (("n0", "x", 1, 0), KeyError, "registered"),
+    }
+
+    @settings(deadline=None, max_examples=100)
+    @given(slot_batches(), st.sampled_from(sorted(BAD_ROWS)), st.data())
+    def test_slot_write_rejects_what_row_writes_reject(self, case, kind, data):
+        nodes, batches = case
+        rows = batches[0][1] if batches else []
+        bad, error, match = self.BAD_ROWS[kind]
+        rows = rows[:]
+        rows.insert(data.draw(st.integers(0, len(rows))), bad)
+        eng = self.engine(nodes)
+        with pytest.raises(error, match=match):
+            eng.record_outcomes(3, *bad)
+        before = eng._evidence.copy()
+        with pytest.raises(error, match=match):
+            eng.record_slot(3, rows)
+        assert eng._evidence.shape == before.shape and (eng._evidence == before).all()
+
+    @settings(deadline=None, max_examples=100)
+    @given(slot_batches(), st.data())
+    def test_slot_write_rejects_repeated_pair_and_negative_slot(self, case, data):
+        nodes, batches = case
+        recorded = [[row for row in rows if row[2] or row[3]] for _, rows in batches]
+        rows = next((rows for rows in recorded if rows), [("n0", "n1", 1, 1)])
+        eng, tracker = self.engine(nodes), LinearReputationTracker()
+        with pytest.raises(ValueError, match="slot must be >= 0"):
+            eng.record_slot(-1, rows)
+        repeated = rows + [data.draw(st.sampled_from(rows))[:2] + (1, 0)]
+        with pytest.raises(ValueError, match="twice"):
+            eng.record_slot(3, repeated)
+        with pytest.raises(ValueError, match="twice"):
+            tracker.update_many(repeated)
+        assert not eng._evidence.any()
+        assert all(tracker.value(r, t) == 0.5 for r in nodes for t in nodes)
+
+    def test_fractional_counts_rejected(self):
+        eng, tracker = self.engine(["i", "j"]), LinearReputationTracker()
+        with pytest.raises(ValueError, match="whole numbers"):
+            eng.record_slot(0, [("i", "j", 0.5, 1)])
+        with pytest.raises(ValueError, match="whole numbers"):
+            tracker.update("i", "j", 0.5, 0.5)
+
+    def test_rows_without_outcomes_are_skipped_unchecked(self):
+        # record_outcomes returns before any check when both counts are 0
+        eng = self.engine(["i", "j"])
+        eng.record_slot(-1, [("i", "i", 0, 0), ("x", "j", 0, 0)])
+        assert eng._evidence.size == 0
