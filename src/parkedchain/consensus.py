@@ -85,9 +85,9 @@ class ConsensusConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.l < 0:
-            raise ValueError("fault budget l must be nonnegative")
+            raise ValueError(f"fault budget l must be nonnegative, got {self.l!r}")
         if self.n < 3 * self.l + 1:
-            raise ValueError("committee must satisfy n >= 3l + 1")
+            raise ValueError(f"committee must satisfy n >= 3l + 1, got n={self.n!r}, l={self.l!r}")
         if self.max_slots < 6:
             raise ValueError("a view needs at least 6 slots to complete")
 

@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 config or usage error, 3 infeasible solver.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -20,11 +19,9 @@ from .scenarios import SCENARIOS, run_scenario
 __all__ = ["main", "build_parser"]
 
 
-def _u64(text: str) -> int:
-    value = int(text, 0)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit int")
-    return value
+def _integer(text: str) -> int:
+    # the range is the config's seed rule, checked with the other keys
+    return int(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("scenario", choices=SCENARIOS)
     parser.add_argument("--config", default=None,
                         help="JSON config file (empty or omitted: defaults)")
-    parser.add_argument("--seed", type=_u64, default=None,
+    parser.add_argument("--seed", type=_integer, default=None,
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--trace", default=None,
@@ -50,17 +47,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    flags = {"seed": args.seed, "trace_path": args.trace}
     try:
-        cfg = validate_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.trace is not None:
-            if not os.path.isfile(args.trace):
-                raise ConfigError([f"trace file does not exist: {args.trace!r}"])
-            overrides["trace_path"] = args.trace
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
+        cfg = validate_config(args.config, **{k: v for k, v in flags.items() if v is not None})
         table = run_scenario(args.scenario, cfg)
     except ConfigError as exc:
         for line in exc.diagnostics:

@@ -1,14 +1,23 @@
-"""Experiment configuration: defaults, JSON loading, full-report validation."""
+"""Experiment configuration: defaults, JSON loading, full-report validation.
+
+Task constants, weights and the committee size are checked by building
+`TaskParams`, `WeightConfig` and `ConsensusConfig` from them, and each
+`ValueError` becomes one diagnostic prefixed by its key; this module states
+only the rules no parameter type owns. The CLI's `--seed` and `--trace`
+replace their keys before the check, so a flag fails as its key does.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-import math
 import os
-import sys
 from dataclasses import dataclass, field
+
+from ..consensus import ConsensusConfig
+from ..contract_opt import TaskParams
+from ..reputation import WeightConfig
 
 __all__ = [
     "ConsensusBlock",
@@ -17,6 +26,11 @@ __all__ = [
     "validate_config",
     "config_digest",
 ]
+
+# the config keys that TaskParams takes, under the same names
+_TASK_FIELDS = tuple(f.name for f in dataclasses.fields(TaskParams))
+# the WeightConfig fields that each list key spells out, in order
+_WEIGHT_FIELDS = {"gammas": ("gamma1", "gamma2", "gamma3"), "alphas": ("alpha1", "alpha2")}
 
 
 class ConfigError(ValueError):
@@ -43,7 +57,7 @@ class ExperimentConfig:
     f_local: float = 0.5e9
     kappa: float = 1.0e4
     s_bits: float = 4.0e6
-    r_bps: float = 5.5e6
+    r_bps: float | tuple[float, ...] = 5.5e6
     eps_cap: float = 1e-28
     rho: float = 0.1
     e_price: float = 0.1
@@ -60,13 +74,20 @@ class ExperimentConfig:
     consensus: ConsensusBlock = field(default_factory=ConsensusBlock)
     trace_path: str | None = None
 
+    def task_params(self) -> TaskParams:
+        return TaskParams(**{name: getattr(self, name) for name in _TASK_FIELDS})
+
+    def weight_config(self) -> WeightConfig:
+        return WeightConfig(*self.gammas, *self.alphas)
+
 
 _TOP_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _CONSENSUS_KEYS = {f.name for f in dataclasses.fields(ConsensusBlock)}
 
 
-def validate_config(path: str | None) -> ExperimentConfig:
-    """Parse and range-check a JSON config file.
+def validate_config(path: str | None, **overrides) -> ExperimentConfig:
+    """Parse and range-check a JSON config file, with `overrides` replacing
+    its keys before the check.
 
     A missing path or an empty file yields the defaults. Raises
     ConfigError listing every violation found.
@@ -85,33 +106,23 @@ def validate_config(path: str | None) -> ExperimentConfig:
                 raise ConfigError([f"config is not valid JSON: {exc}"]) from None
             if not isinstance(raw, dict):
                 raise ConfigError(["config root must be a JSON object"])
-    return _build(raw)
+    return _build({**raw, **overrides})
 
 
 def _build(raw: dict) -> ExperimentConfig:
-    problems: list[str] = []
-    for key in sorted(set(raw) - _TOP_KEYS):
-        problems.append(f"unknown key {key!r}")
-
-    fields = {k: v for k, v in raw.items() if k in _TOP_KEYS}
+    problems = [f"unknown key {key!r}" for key in sorted(set(raw) - _TOP_KEYS)]
+    # every JSON list becomes the tuple its field declares, so that a valid
+    # config is hashable and TaskParams takes its per-type rates as they are
+    fields = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in raw.items() if k in _TOP_KEYS}
     cons_raw = fields.pop("consensus", {})
     if not isinstance(cons_raw, dict):
         problems.append("consensus must be an object")
         cons_raw = {}
-    for key in sorted(set(cons_raw) - _CONSENSUS_KEYS):
-        problems.append(f"unknown consensus key {key!r}")
-    cons_fields = {k: v for k, v in cons_raw.items() if k in _CONSENSUS_KEYS}
-
-    for name in ("gammas", "alphas"):
-        if isinstance(fields.get(name), list):
-            fields[name] = tuple(fields[name])
-
-    try:
-        cfg = dataclasses.replace(
-            ExperimentConfig(), consensus=ConsensusBlock(**cons_fields), **fields
-        )
-    except TypeError as exc:
-        raise ConfigError(problems + [f"bad config structure: {exc}"]) from None
+    problems += [f"unknown consensus key {key!r}"
+                 for key in sorted(set(cons_raw) - _CONSENSUS_KEYS)]
+    consensus = ConsensusBlock(**{k: v for k, v in cons_raw.items() if k in _CONSENSUS_KEYS})
+    cfg = ExperimentConfig(consensus=consensus, **fields)
 
     problems += _check_ranges(cfg)
     if problems:
@@ -131,33 +142,20 @@ def _is_real(value) -> bool:
 def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     out: list[str] = []
 
-    def positive(name: str, value) -> None:
-        if not _is_real(value) or not 0 < value <= sys.float_info.max:
-            out.append(f"{name} must be finite and positive (got {value!r})")
+    def build(key: str, make, *args, **kwargs) -> None:
+        try:
+            make(*args, **kwargs)
+        except ValueError as exc:
+            out.append(f"{key}: {exc}")
 
     def at_least(name: str, value, low: int) -> None:
         if not _is_int(value) or value < low:
             out.append(f"{name} must be an integer >= {low} (got {value!r})")
 
     at_least("n_types", cfg.n_types, 2)
-    positive("f_local", cfg.f_local)
-    positive("kappa", cfg.kappa)
-    positive("s_bits", cfg.s_bits)
-    positive("eps_cap", cfg.eps_cap)
-    positive("rho", cfg.rho)
-    positive("e_price", cfg.e_price)
-    positive("f_max", cfg.f_max)
     at_least("arrivals", cfg.arrivals, 1)
     at_least("population", cfg.population, 1)
     at_least("collusion_seeds", cfg.collusion_seeds, 1)
-    per_type = isinstance(cfg.r_bps, (tuple, list))
-    rates = cfg.r_bps if per_type else (cfg.r_bps,)
-    for i, r in enumerate(rates):
-        positive(f"r_bps[{i}]" if len(rates) > 1 else "r_bps", r)
-    if per_type and _is_int(cfg.n_types) and len(rates) != cfg.n_types:
-        out.append(f"r_bps must list one rate per type: got {len(rates)} "
-                   f"for n_types={cfg.n_types}")
-
     if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
         out.append(f"seed must be an unsigned 64-bit integer (got {cfg.seed!r})")
     if not _is_int(cfg.misbehaving) or cfg.misbehaving < 0:
@@ -167,23 +165,27 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     if not _is_int(cfg.profile_hour) or not 0 <= cfg.profile_hour <= 23:
         out.append(f"profile_hour must be an integer in 0..23 (got {cfg.profile_hour!r})")
 
-    def weights(value, size: int) -> bool:
-        return (isinstance(value, tuple) and len(value) == size
-                and all(_is_real(w) and math.isfinite(w) for w in value))
+    for name in _TASK_FIELDS:
+        if name != "r_bps":
+            build(name, TaskParams, **{name: getattr(cfg, name)})
+    if isinstance(cfg.r_bps, tuple):
+        for i, rate in enumerate(cfg.r_bps):
+            build(f"r_bps[{i}]", TaskParams, r_bps=rate)
+        if _is_int(cfg.n_types) and len(cfg.r_bps) != cfg.n_types:
+            out.append(f"r_bps must list one rate per type: got {len(cfg.r_bps)} "
+                       f"for n_types={cfg.n_types}")
+    else:
+        build("r_bps", TaskParams, r_bps=cfg.r_bps)
 
-    if not weights(cfg.gammas, 3) or any(g < 0 for g in cfg.gammas):
-        out.append("gammas must be three finite nonnegative weights")
-    elif abs(sum(cfg.gammas) - 1.0) > 1e-9:
-        out.append(f"gammas must sum to 1 (got {sum(cfg.gammas)!r})")
-    if not weights(cfg.alphas, 2) or not (cfg.alphas[0] > 0 and cfg.alphas[1] >= 0):
-        out.append("alphas must be two finite coefficients with alpha1 > 0 and alpha2 >= 0")
+    for key, names in _WEIGHT_FIELDS.items():
+        value = getattr(cfg, key)
+        if isinstance(value, tuple) and len(value) == len(names):
+            build(key, WeightConfig, **dict(zip(names, value)))
+        else:
+            out.append(f"{key} must list {len(names)} numbers (got {value!r})")
 
     c = cfg.consensus
-    l_ok = _is_int(c.l) and c.l >= 0
-    if not l_ok:
-        out.append(f"consensus.l must be a nonnegative integer (got {c.l!r})")
-    if not _is_int(c.n) or c.n < 3 * (c.l if l_ok else 0) + 1:
-        out.append(f"consensus.n must satisfy n >= 3l+1 (got n={c.n!r}, l={c.l!r})")
+    build("consensus", ConsensusConfig, c.n, c.l)
     if not _is_real(c.threshold) or not 0.0 <= c.threshold <= 1.0:
         out.append(f"consensus.threshold must be in [0, 1] (got {c.threshold!r})")
     if not _is_int(c.slots) or c.slots < 1:

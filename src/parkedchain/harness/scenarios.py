@@ -23,20 +23,9 @@ import numpy as np
 
 from .. import contract_opt, parking
 from ..consensus import collusion_experiment, decay_experiment, detection_experiment
-from ..reputation import WeightConfig
 from .config import ConfigError, ExperimentConfig, config_digest
 
 __all__ = ["ResultTable", "SCENARIOS", "run_scenario"]
-
-SCENARIOS = (
-    "arrival-histogram",
-    "reputation-decay",
-    "detection-rate",
-    "collusion",
-    "contract-feasibility",
-    "utility-vs-hour",
-    "utility-vs-type",
-)
 
 SCHEME_ORDER = ("LC", "LIA", "LA", "SA", "linear")
 
@@ -97,10 +86,6 @@ def run_scenario(name: str, cfg: ExperimentConfig) -> ResultTable:
 
 # -- population plumbing -----------------------------------------------------
 
-def _mixture() -> parking.GammaMixtureParams:
-    return parking.GammaMixtureParams()
-
-
 def _arrivals(cfg: ExperimentConfig) -> tuple[parking.Arrivals, str]:
     """Arrivals from the configured trace, else the synthetic bimodal
     population, with the provenance 'source' value naming which."""
@@ -109,20 +94,14 @@ def _arrivals(cfg: ExperimentConfig) -> tuple[parking.Arrivals, str]:
             return parking.ingest_trace(cfg.trace_path), f"trace:{cfg.trace_path}"
         except ValueError as exc:
             raise ConfigError([f"bad trace {cfg.trace_path!r}: {exc}"]) from None
-    return parking.synthesize_population(_mixture(), cfg.arrivals, cfg.seed), "synthetic"
-
-
-def _task_params(cfg: ExperimentConfig) -> contract_opt.TaskParams:
-    r = tuple(cfg.r_bps) if isinstance(cfg.r_bps, (tuple, list)) else cfg.r_bps
-    return contract_opt.TaskParams(
-        rho=cfg.rho, kappa=cfg.kappa, s_bits=cfg.s_bits, f_local=cfg.f_local,
-        r_bps=r, eps_cap=cfg.eps_cap, e_price=cfg.e_price, f_max=cfg.f_max,
-    )
+    mixture = parking.GammaMixtureParams()
+    return parking.synthesize_population(mixture, cfg.arrivals, cfg.seed), "synthetic"
 
 
 def _hour_problem(cfg: ExperimentConfig, arrivals, hour: int) -> contract_opt.ContractProblem:
-    profile = parking.hourly_type_profile(arrivals, hour, _mixture(), cfg.n_types)
-    return contract_opt.ContractProblem(profile, _task_params(cfg))
+    profile = parking.hourly_type_profile(arrivals, hour, parking.GammaMixtureParams(),
+                                          cfg.n_types)
+    return contract_opt.ContractProblem(profile, cfg.task_params())
 
 
 def _profile_hour_problem(cfg: ExperimentConfig) -> contract_opt.ContractProblem:
@@ -163,7 +142,7 @@ def _arrival_histogram(cfg: ExperimentConfig) -> ResultTable:
 def _reputation_decay(cfg: ExperimentConfig) -> ResultTable:
     _require_misbehaving("reputation-decay", cfg)
     rows = decay_experiment(cfg.population, cfg.misbehaving, cfg.consensus.slots,
-                            cfg.seed, WeightConfig(*cfg.gammas, *cfg.alphas))
+                            cfg.seed, cfg.weight_config())
     return ResultTable(("slot", "scheme", "honest", "misbehaving"), rows,
                        _provenance("reputation-decay", cfg))
 
@@ -179,7 +158,7 @@ def _detection_rate(cfg: ExperimentConfig) -> ResultTable:
     sl, lr = detection_experiment(
         population=cfg.population, misbehaving_count=cfg.misbehaving,
         threshold=cfg.consensus.threshold, slots=cfg.consensus.slots,
-        seed=cfg.seed, weight_config=WeightConfig(*cfg.gammas, *cfg.alphas),
+        seed=cfg.seed, weight_config=cfg.weight_config(),
     )
     rows = [(slot, sl[slot], lr[slot]) for slot in range(len(sl))]
     return ResultTable(("slot", "sl_rate", "lr_rate"), rows,
@@ -266,3 +245,4 @@ _RUNNERS = {
     "utility-vs-hour": _utility_vs_hour,
     "utility-vs-type": _utility_vs_type,
 }
+SCENARIOS = tuple(_RUNNERS)

@@ -13,7 +13,8 @@ baseline.
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -82,14 +83,18 @@ class WeightConfig:
 
     def __post_init__(self) -> None:
         gammas = (self.gamma1, self.gamma2, self.gamma3)
-        if not all(math.isfinite(w) for w in (*gammas, self.alpha1, self.alpha2)):
-            raise ValueError("gamma and alpha coefficients must be finite")
+        for w in (*gammas, self.alpha1, self.alpha2):
+            # bounded by magnitude, as an int past the float range is finite
+            if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+                    or not abs(w) <= sys.float_info.max):
+                raise ValueError(f"gammas and alphas must be finite numbers (got {w!r})")
         if any(g < 0 for g in gammas):
-            raise ValueError("gamma coefficients must be nonnegative")
+            raise ValueError(f"gammas must be nonnegative (got {gammas!r})")
         if abs(sum(gammas) - 1.0) > _SUM_TOL:
-            raise ValueError("gamma coefficients must sum to 1")
+            raise ValueError(f"gammas must sum to 1 (got {sum(gammas)!r})")
         if self.alpha1 <= 0 or self.alpha2 < 0:
-            raise ValueError("alpha1 > 0 and alpha2 >= 0 required")
+            raise ValueError("alpha1 > 0 and alpha2 >= 0 required "
+                             f"(got {self.alpha1!r}, {self.alpha2!r})")
 
 
 @dataclass
@@ -264,6 +269,8 @@ class ReputationEngine:
     def record_outcomes(
         self, slot: int, rater: str, target: str, positives: int, negatives: int
     ) -> None:
+        if type(positives) is not int or type(negatives) is not int:   # fast path first
+            _require_whole(np.array((positives, negatives)))
         if not (positives or negatives):
             return
         i, j = self._pair(slot, rater, target, positives, negatives)
@@ -430,12 +437,18 @@ def _columns(rows: list, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray,
     """Rater indices, target indices (-1 for a name not in `index`) and
     [row, (positives, negatives)] counts of (rater, target, pos, neg) rows."""
     raters, targets, pos, neg = zip(*rows)
-    counts = np.array((pos, neg))
-    if counts.dtype.kind not in "biu":
-        raise ValueError("outcome counts must be whole numbers")
+    counts = _require_whole(np.array((pos, neg)))
     i = np.fromiter(map(index.get, raters, repeat(-1)), np.intp, len(rows))
     j = np.fromiter(map(index.get, targets, repeat(-1)), np.intp, len(rows))
     return i, j, counts.astype(np.int64, copy=False).T
+
+
+def _require_whole(counts: np.ndarray) -> np.ndarray:
+    """`counts`, if every outcome count in it is a whole number: the one
+    count rule of every reputation write."""
+    if counts.dtype.kind not in "biu":
+        raise ValueError("outcome counts must be whole numbers")
+    return counts
 
 
 def _repeats(i: np.ndarray, j: np.ndarray, n: int) -> bool:

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parkedchain
-from parkedchain.contract_opt import InfeasibleProblem
+from parkedchain.consensus import ConsensusConfig
+from parkedchain.contract_opt import InfeasibleProblem, TaskParams
 from parkedchain.harness import (
     SCENARIOS,
     ConfigError,
@@ -78,6 +79,20 @@ class TestConfigValidation:
         path.write_text(json.dumps({"seed": 7, "profile_hour": 13}))
         cfg = validate_config(str(path))
         assert cfg.seed == 7 and cfg.profile_hour == 13
+
+    def test_per_type_rates_held_as_tuple(self, tmp_path):
+        """A listed r_bps validates to a hashable config holding a tuple,
+        which TaskParams takes as it is and a scenario runs on."""
+        rates = [5.0e6 + 1e5 * k for k in range(7)]
+        path = tmp_path / "rates.json"
+        path.write_text(json.dumps({"r_bps": rates, "arrivals": 2_000}))
+        cfg = validate_config(str(path))
+        assert cfg.r_bps == tuple(rates)
+        assert hash(cfg) == hash(dataclasses.replace(cfg))
+        params = TaskParams(**{f.name: getattr(cfg, f.name)
+                               for f in dataclasses.fields(TaskParams)})
+        assert params.r_of(6) == rates[6]
+        assert run_scenario("utility-vs-type", cfg).rows
 
     def test_digest_tracks_content(self):
         a = ExperimentConfig()
@@ -218,6 +233,11 @@ class TestCli:
         {"kappa": float("inf")},
         {"f_local": float("inf")},
         {"r_bps": float("inf")},
+        {"consensus": {"l": True}},
+        {"gammas": [0.5, 0.5]},
+        {"alphas": [10, -1]},
+        {"n_types": 3, "r_bps": [5e6, "x", 6e6]},
+        {"gammas": [10**400, 0, 0]},
     ])
     def test_bad_config_exits_two(self, tmp_path, capsys, overrides):
         cfg = tmp_path / "bad.json"
@@ -249,6 +269,13 @@ class TestCli:
         rc = cli.main(["reputation-decay", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "reputation-decay.csv").exists()
+
+    def test_out_of_range_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        rc = cli.main(["arrival-histogram", "--seed", str(2**64), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines() == [f"config error: seed must be an unsigned 64-bit "
+                                    f"integer (got {2**64})"]
 
     def test_unknown_scenario_exits_two(self, capsys):
         rc = cli.main(["parallel-parking"])
@@ -407,6 +434,107 @@ def test_random_traces_run_or_fail_cleanly(scenario, rows, bad, profile_hour, n_
     if rc == 2:
         assert err.getvalue().count("config error") == 1
         assert bad is not None or "profile_hour" in err.getvalue()
+
+
+_ODD_NUMBERS = st.sampled_from([
+    0, 1, -1, 2**64, 10**400, -0.0, 0.5, 5e-324, 1e-300, 1e300,
+    float("inf"), float("-inf"), float("nan")])
+# wrong types, nested keys, and huge, tiny, -0.0 and non-finite numbers
+_JUNK = st.recursive(
+    _ODD_NUMBERS | st.booleans() | st.none() | st.sampled_from(["", "9", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "l", "x"]), inner, max_size=2))
+
+
+def _near(default):
+    return st.sampled_from([0.1, 1.0, 1.0, 10.0, 1e-100, 1e100]).map(lambda k: k * default)
+
+
+# in-range values (the junk's huge numbers are valid counts, too large to run)
+_PLAUSIBLE = {
+    "seed": st.integers(0, 2**64 - 1),
+    "n_types": st.integers(2, 8),
+    **{f.name: _near(getattr(ExperimentConfig(), f.name))
+       for f in dataclasses.fields(TaskParams) if f.name != "r_bps"},
+    "r_bps": _near(5.5e6) | st.lists(_near(5.5e6), min_size=7, max_size=7),
+    "gammas": st.sampled_from([[0.3, 0.4, 0.3], [1, 0, 0], [0.2, 0.2, 0.6]]),
+    "alphas": st.lists(st.floats(0.01, 20.0), min_size=2, max_size=2),
+    "misbehaving": st.integers(0, 12),
+    "population": st.integers(1, 60),
+    "profile_hour": st.integers(0, 23),
+    "consensus": st.fixed_dictionaries({}, optional={
+        "n": st.integers(4, 12), "l": st.integers(0, 1),
+        "threshold": st.floats(0.0, 1.0), "slots": st.integers(1, 20)}),
+    "trace_path": st.sampled_from(["good", "bad", "missing"]),
+}
+# small counts, in-range values for some other keys, then in a third of the
+# configs junk for one or two keys
+_FUZZ_CONFIG = st.builds(
+    lambda plausible, junk: {**plausible, **junk},
+    st.fixed_dictionaries({"arrivals": st.integers(1, 3_000),
+                           "collusion_seeds": st.integers(1, 3)}, optional=_PLAUSIBLE),
+    st.just({}) | st.just({}) | st.dictionaries(
+        st.sampled_from([*_PLAUSIBLE, "arrivals", "no_such_knob"]), _JUNK,
+        min_size=1, max_size=2))
+_TRACE_FILES = {"good": "hour,duration\n" + "9,2.5\n" * 30 + "10,30\n" * 30,
+                "bad": "hour,duration\n9,2.5\n9,abc\n"}
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    scenario=st.sampled_from([s for s in SCENARIOS if s != "utility-vs-hour"]),
+    raw=_FUZZ_CONFIG,
+    seed=st.none() | st.integers(-1, 2**64).map(str) | st.sampled_from(["0x10", "-0"]),
+    trace=st.none() | st.sampled_from(["good", "bad", "missing"]),
+)
+def test_random_configs_run_or_fail_cleanly(scenario, raw, seed, trace):
+    """Any JSON config and any integer --seed or --trace flag either writes
+    the table (exit 0) or fails cleanly, with no traceback: exit 2 with one
+    `config error:` line per problem, each naming a key, or exit 3. Every
+    accepted config builds the three parameter types and hashes. Only
+    configs with small counts run a scenario (utility-vs-hour, which
+    solves 24 markets, is left to its own tests)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, f"{name}.csv") for name in ("good", "bad", "missing")}
+        for name, body in _TRACE_FILES.items():
+            with open(paths[name], "w") as fh:
+                fh.write(body)
+        if isinstance(raw.get("trace_path"), str):
+            raw["trace_path"] = paths.get(raw["trace_path"], raw["trace_path"])
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(raw, fh)
+        flags = {"seed": None if seed is None else int(seed, 0),
+                 "trace_path": paths.get(trace)}
+        try:
+            cfg = validate_config(cfg_path, **{k: v for k, v in flags.items() if v is not None})
+        except ConfigError:
+            cfg = None
+        else:
+            cfg.task_params()
+            cfg.weight_config()
+            ConsensusConfig(cfg.consensus.n, cfg.consensus.l)
+            hash(cfg)
+            small = (cfg.arrivals <= 3_000 and cfg.n_types <= 8 and cfg.collusion_seeds <= 3
+                     and cfg.population <= 60 and cfg.consensus.slots <= 20)
+            if not small:
+                return
+        argv = [scenario, "--config", cfg_path, "--out", tmp]
+        argv += ["--seed", seed] if seed is not None else []
+        argv += ["--trace", paths[trace]] if trace is not None else []
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        written = os.path.exists(os.path.join(tmp, f"{scenario}.csv"))
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3) and "Traceback" not in err.getvalue()
+    assert written == (rc == 0)
+    assert (cfg is None) <= (rc == 2)
+    if rc == 2:
+        names = [*_PLAUSIBLE, "arrivals", "collusion_seeds", "no_such_knob", "threshold",
+                 "slots", "trace"]
+        assert lines and all(line.startswith("config error: ")
+                             and any(name in line for name in names) for line in lines)
 
 
 def test_public_names_resolve():

@@ -541,9 +541,14 @@ class TestBatchedWrites:
             eng.record_slot(0, [("i", "j", 0.5, 1)])
         with pytest.raises(ValueError, match="whole numbers"):
             tracker.update("i", "j", 0.5, 0.5)
+        for counts in [(0.5, 0), (2.7, 0), (1, 0.0)]:
+            with pytest.raises(ValueError, match="whole numbers"):
+                eng.record_outcomes(0, "i", "j", *counts)
+        assert not eng._evidence.any()
 
     def test_rows_without_outcomes_are_skipped_unchecked(self):
-        # record_outcomes returns before any check when both counts are 0
+        # record_outcomes checks only that the counts are whole before it
+        # returns when both are 0
         eng = self.engine(["i", "j"])
         eng.record_slot(-1, [("i", "i", 0, 0), ("x", "j", 0, 0)])
         assert eng._evidence.size == 0
