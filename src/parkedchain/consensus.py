@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from collections import defaultdict
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "BlockProposal",
     "NetMessage",
     "NodeState",
-    "Network",
     "ViewOutcome",
     "select_consensus_nodes",
     "run_view",
@@ -76,10 +75,9 @@ class ReplicaStrategy(Enum):
 class ConsensusConfig:
     n: int = 10
     l: int = 3
-    max_slots: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("n", "l", "max_slots"):
+        for name in ("n", "l"):
             value = getattr(self, name)
             # bool is an int subclass, but true/false is never a count
             if not isinstance(value, int) or isinstance(value, bool):
@@ -88,8 +86,6 @@ class ConsensusConfig:
             raise ValueError(f"fault budget l must be nonnegative, got {self.l!r}")
         if self.n < 3 * self.l + 1:
             raise ValueError(f"committee must satisfy n >= 3l + 1, got n={self.n!r}, l={self.l!r}")
-        if self.max_slots < 6:
-            raise ValueError("a view needs at least 6 slots to complete")
 
     @property
     def prepare_quorum(self) -> int:
@@ -115,8 +111,8 @@ class BlockProposal:
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class NetMessage:
+class NetMessage(NamedTuple):
+    """A sent message; within one inbox (one send slot) tuple order is delivery order."""
     send_slot: int
     sender: str
     recipient: str
@@ -128,24 +124,7 @@ class NetMessage:
         return f"{self.send_slot},{self.sender},{self.recipient},{self.kind},{self.digest},"
 
 
-_DELIVERY_ORDER = attrgetter("sender", "recipient", "kind", "digest")
-
-
-class Network:
-    """Synchronous message fabric with one-slot delivery. It keeps every
-    sent message in `sent`."""
-
-    def __init__(self) -> None:
-        self._queue: dict[int, list[NetMessage]] = defaultdict(list)
-        self.sent: list[NetMessage] = []
-
-    def send(self, slot: int, sender: str, recipient: str, kind: str, digest: str) -> None:
-        msg = NetMessage(slot, sender, recipient, kind, digest)
-        self._queue[slot + 1].append(msg)
-        self.sent.append(msg)
-
-    def deliver(self, slot: int) -> list[NetMessage]:
-        return sorted(self._queue.pop(slot, []), key=_DELIVERY_ORDER)
+_MAX_SLOTS = 8    # delivery slots 1..7; a failure-free view's replies arrive in slot 5
 
 
 @dataclass
@@ -297,15 +276,16 @@ def run_view(
         raise ValueError(f"strategies given for committee members that are not byzantine: "
                          f"{misplaced}")
 
-    net = Network()
     states = {node_id: NodeState(node_id, leader) for node_id in order}
     byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on
 
-    net.send(0, "client", leader, "request", proposal.digest())
+    request = NetMessage(0, "client", leader, "request", proposal.digest())
+    sent, inbox = [request], [request]
 
     pre_prepare_seen = False
-    for slot in range(1, config.max_slots):
-        for msg in net.deliver(slot):
+    for slot in range(1, _MAX_SLOTS):
+        outbox: list[NetMessage] = []
+        for msg in sorted(inbox):
             recipient = msg.recipient
             behavior = behaviors.get(recipient)
             if recipient == "client" or behavior is Behavior.CRASH:
@@ -325,9 +305,10 @@ def run_view(
             else:
                 out = _handle_honest(states[recipient], msg, config, order)
             # sent under the handling node's own id; delivered next slot, after this batch
-            for peer, kind, dig in out:
-                net.send(slot, recipient, peer, kind, dig)
-        if len(net.sent) > config.message_budget:
+            outbox += [NetMessage(slot, recipient, peer, kind, dig) for peer, kind, dig in out]
+        sent += outbox
+        inbox = outbox
+        if len(sent) > config.message_budget:
             break
 
     per_node = {
@@ -340,17 +321,14 @@ def run_view(
     committed_digest = committed_digests.pop() if len(committed_digests) == 1 else None
 
     # Step-6 style client check over received replies
-    reply_digests = [msg.digest for msg in net.sent if msg.recipient == "client"]
-    abnormal = 0
-    client_accepted = False
-    if reply_digests:
-        top = max(set(reply_digests), key=lambda d: (reply_digests.count(d), d))
-        abnormal = sum(1 for d in reply_digests if d != top)
-        client_accepted = (
-            committed_digest is not None
-            and top == committed_digest
-            and abnormal < (config.n - config.l) / 3
-        )
+    replies = Counter(msg.digest for msg in sent if msg.recipient == "client")
+    top = max(replies, key=lambda d: (replies[d], d), default=None)
+    abnormal = replies.total() - replies[top]
+    client_accepted = (
+        committed_digest is not None
+        and top == committed_digest
+        and abnormal < (config.n - config.l) / 3
+    )
 
     if committed_digest is not None:
         abort_reason = None
@@ -366,7 +344,7 @@ def run_view(
         abnormal_replies=abnormal,
         abort_reason=abort_reason,
         next_leader=order[(view + 1) % config.n],
-        messages=tuple(net.sent),
+        messages=tuple(sent),
         per_node=per_node,
     )
 
@@ -604,6 +582,7 @@ def collusion_experiment(
     seeds: int = 100,
     colluder_fraction: float = 4 / 9,
     seed_base: int = 0,
+    weight_config: WeightConfig | None = None,
 ) -> list[tuple[float, float, float]]:
     """Monte-Carlo probability that reputation gating yields a correct
     block when colluders fabricate mutual praise and then misbehave.
@@ -639,7 +618,7 @@ def collusion_experiment(
     scored: list[tuple[dict[str, float], dict[str, float]]] = []
     for s in range(seeds):
         rng = np.random.default_rng(seed_base + s)
-        engine = ReputationEngine()
+        engine = ReputationEngine(weight_config)
         tracker = LinearReputationTracker()
         for i, rid in enumerate(rater_ids):
             engine.register(rid, arrival_hour=8 + (i % 5))

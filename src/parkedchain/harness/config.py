@@ -43,8 +43,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ConsensusBlock:
-    n: int = 10
-    l: int = 3
+    n: int = ConsensusConfig.n
+    l: int = ConsensusConfig.l
     threshold: float = 0.45
     slots: int = 15
 
@@ -54,17 +54,18 @@ class ExperimentConfig:
     seed: int = 0
     # task and incentive parameters
     n_types: int = 7
-    f_local: float = 0.5e9
-    kappa: float = 1.0e4
-    s_bits: float = 4.0e6
-    r_bps: float | tuple[float, ...] = 5.5e6
-    eps_cap: float = 1e-28
-    rho: float = 0.1
-    e_price: float = 0.1
-    f_max: float = 3.0e9
+    f_local: float = TaskParams.f_local
+    kappa: float = TaskParams.kappa
+    s_bits: float = TaskParams.s_bits
+    r_bps: float | tuple[float, ...] = TaskParams.r_bps
+    eps_cap: float = TaskParams.eps_cap
+    rho: float = TaskParams.rho
+    e_price: float = TaskParams.e_price
+    f_max: float = TaskParams.f_max
     # reputation weighting
-    gammas: tuple[float, float, float] = (0.3, 0.4, 0.3)
-    alphas: tuple[float, float] = (10.0, 1.5)
+    gammas: tuple[float, float, float] = (WeightConfig.gamma1, WeightConfig.gamma2,
+                                          WeightConfig.gamma3)
+    alphas: tuple[float, float] = (WeightConfig.alpha1, WeightConfig.alpha2)
     # simulated population
     misbehaving: int = 10
     population: int = 50

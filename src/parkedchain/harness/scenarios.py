@@ -168,7 +168,7 @@ def _detection_rate(cfg: ExperimentConfig) -> ResultTable:
 def _collusion(cfg: ExperimentConfig) -> ResultTable:
     thresholds = [round(0.05 * k, 2) for k in range(1, 13)]
     rows = collusion_experiment(thresholds, seeds=cfg.collusion_seeds,
-                                seed_base=cfg.seed)
+                                seed_base=cfg.seed, weight_config=cfg.weight_config())
     return ResultTable(("threshold", "sl_correct", "lr_correct"), rows,
                        _provenance("collusion", cfg))
 

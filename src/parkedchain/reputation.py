@@ -44,6 +44,14 @@ EVIDENCE_PRIOR_WEIGHT = 2.0
 
 _SUM_TOL = 1e-9
 
+# The most outcomes of one kind that one (slot, rater, target) evidence cell
+# holds, or that one write carries. The largest sum a view takes, a rater's
+# interactions over every slot and target, is then below 2**32 * slots *
+# nodes, so it can leave int64 only when slots * nodes > 2**31: an evidence
+# array of slots * nodes * nodes * 2 > 2**33 int64 cells, 64 GiB.
+_MAX_COUNT = 2**31 - 1
+_PAST_MAX = f"a stored outcome count would pass {_MAX_COUNT}"
+
 # Linear baseline: EMA weight of the newest outcome, and the value before any.
 _LR_SMOOTHING = 0.2
 _LR_INITIAL = 0.5
@@ -269,16 +277,20 @@ class ReputationEngine:
     def record_outcomes(
         self, slot: int, rater: str, target: str, positives: int, negatives: int
     ) -> None:
-        if type(positives) is not int or type(negatives) is not int:   # fast path first
-            _require_whole(np.array((positives, negatives)))
+        if (type(positives) is not int or type(negatives) is not int   # fast path first
+                or positives > _MAX_COUNT or negatives > _MAX_COUNT):
+            _require_counts(np.array((positives, negatives)))
         if not (positives or negatives):
             return
         i, j = self._pair(slot, rater, target, positives, negatives)
-        ev = self._grown(slot + 1)
-        if positives:
-            ev[slot, i, j, 0] += positives
-        if negatives:
-            ev[slot, i, j, 1] += negatives
+        # a cell that holds counts already existed, so a rejected write
+        # grows the array by no slot
+        cell = self._grown(slot + 1)[slot, i, j]
+        stored_pos, stored_neg = cell.tolist()
+        if stored_pos + positives > _MAX_COUNT or stored_neg + negatives > _MAX_COUNT:
+            raise ValueError(_PAST_MAX)
+        cell[0] = stored_pos + positives
+        cell[1] = stored_neg + negatives
 
     def record_slot(self, slot: int, rows: list[tuple[str, str, int, int]]) -> None:
         """record_outcomes for every (rater, target, positives, negatives) row
@@ -300,7 +312,11 @@ class ReputationEngine:
             _first_bad_row(rows, lambda row: self._pair(slot, *row))
         if rows:
             ev = self._grown(slot + 1)
-            ev[slot, i, j] += counts
+            # as in record_outcomes, only a cell that existed can be too full
+            summed = ev[slot, i, j] + counts
+            if (summed > _MAX_COUNT).any():
+                raise ValueError(_PAST_MAX)
+            ev[slot, i, j] = summed
 
     def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
         """Every rater's final reputation value for `target` from slots <= `at`."""
@@ -373,9 +389,7 @@ class ReputationEngine:
 
         # each rater's local opinion, and its weight as a recommender: the
         # weight of its last segment
-        local = _weighted_mean(
-            np.add.reduce(w[:, :, None] * segments, axis=1).transpose(0, 2, 1),
-            np.add.reduce(w, axis=1), has, self.base_rate)
+        local = _weighted_mean(segments, w, has, self.base_rate)
         if slots:
             last = slots - 1 - np.argmax(present[:, ::-1], axis=1)
             recommend = np.take_along_axis(w, last[:, None], axis=1)[:, 0]
@@ -386,9 +400,8 @@ class ReputationEngine:
         # its local
         others = rows[:, None] != rows[None, :]
         m = np.where(others, recommend[..., None], 0.0)
-        syn = _weighted_mean(
-            np.add.reduce(m[:, :, None] * local[..., None], axis=1).transpose(0, 2, 1),
-            np.add.reduce(m, axis=1), (others & has[..., None]).any(axis=1), self.base_rate)
+        syn = _weighted_mean(local[..., None], m, (others & has[..., None]).any(axis=1),
+                             self.base_rate)
 
         # consensus fusion with fuse_final's vacuous short-circuits
         ul, us = local[..., 2], syn[..., 2]
@@ -421,15 +434,26 @@ def _check_opinions(ops: np.ndarray, where: np.ndarray) -> None:
 
 
 def _weighted_mean(
-    sums: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float
+    values: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float
 ) -> np.ndarray:
-    """synthesize_recommended on [..., (b, d, u, a)] weighted sums; cells
-    without recommendations are vacuous."""
-    if (has & (weights <= 0)).any():
+    """synthesize_recommended over axis 1 of [t, k, (b, d, u, a), r] values
+    with [t, k, r] weights, giving [t, r, (b, d, u, a)]; cells without
+    recommendations are vacuous.
+
+    Each [t, :, r] cell's weights are first scaled by the power of two that
+    brings the largest into [0.5, 1). In the normal range that is exact and
+    leaves every mean bit for bit as it was; it keeps subnormal weights
+    from losing the opinions' closure, and huge ones from overflowing the sums.
+    """
+    _, exponent = np.frexp(weights.max(axis=1, keepdims=True, initial=0.0))
+    weights = np.ldexp(weights, -exponent)
+    sums = np.add.reduce(weights[:, :, None] * values, axis=1).transpose(0, 2, 1)
+    totals = np.add.reduce(weights, axis=1)
+    if (has & (totals <= 0)).any():
         raise ValueError("total recommendation weight must be positive")
     out = np.empty(sums.shape)
     out[:] = (0.0, 0.0, 1.0, base_rate)
-    np.divide(sums, weights[..., None], out=out, where=has[..., None])
+    np.divide(sums, totals[..., None], out=out, where=has[..., None])
     return out
 
 
@@ -437,17 +461,17 @@ def _columns(rows: list, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray,
     """Rater indices, target indices (-1 for a name not in `index`) and
     [row, (positives, negatives)] counts of (rater, target, pos, neg) rows."""
     raters, targets, pos, neg = zip(*rows)
-    counts = _require_whole(np.array((pos, neg)))
+    counts = _require_counts(np.array((pos, neg)))
     i = np.fromiter(map(index.get, raters, repeat(-1)), np.intp, len(rows))
     j = np.fromiter(map(index.get, targets, repeat(-1)), np.intp, len(rows))
     return i, j, counts.astype(np.int64, copy=False).T
 
 
-def _require_whole(counts: np.ndarray) -> np.ndarray:
-    """`counts`, if every outcome count in it is a whole number: the one
-    count rule of every reputation write."""
-    if counts.dtype.kind not in "biu":
-        raise ValueError("outcome counts must be whole numbers")
+def _require_counts(counts: np.ndarray) -> np.ndarray:
+    """`counts`, if every outcome count in it is a whole number no greater
+    than _MAX_COUNT: the one count rule of every reputation write."""
+    if counts.dtype.kind not in "biu" or (counts > _MAX_COUNT).any():
+        raise ValueError(f"outcome counts must be whole numbers no greater than {_MAX_COUNT}")
     return counts
 
 

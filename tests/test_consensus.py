@@ -46,8 +46,8 @@ class TestConfig:
             ConsensusConfig(n=9, l=3)
 
     @pytest.mark.parametrize("sizes", [
-        {"n": 4.0, "l": 1}, {"n": 4, "l": True}, {"n": 4, "l": 1, "max_slots": 8.5},
-    ], ids=["n-float", "l-bool", "max_slots-float"])
+        {"n": 4.0, "l": 1}, {"n": 4, "l": True},
+    ], ids=["n-float", "l-bool"])
     def test_rejects_non_integer_sizes(self, sizes):
         with pytest.raises(ValueError, match="must be an integer"):
             ConsensusConfig(**sizes)

@@ -28,6 +28,7 @@ from parkedchain.harness import (
     validate_config,
 )
 from parkedchain.harness import cli
+from parkedchain.reputation import WeightConfig
 
 
 def small_cfg(**overrides):
@@ -93,6 +94,12 @@ class TestConfigValidation:
                                for f in dataclasses.fields(TaskParams)})
         assert params.r_of(6) == rates[6]
         assert run_scenario("utility-vs-type", cfg).rows
+
+    def test_defaults_come_from_the_parameter_types(self):
+        cfg = ExperimentConfig()
+        assert cfg.task_params() == TaskParams()
+        assert cfg.weight_config() == WeightConfig()
+        assert ConsensusConfig(cfg.consensus.n, cfg.consensus.l) == ConsensusConfig()
 
     def test_digest_tracks_content(self):
         a = ExperimentConfig()
@@ -269,6 +276,30 @@ class TestCli:
         rc = cli.main(["reputation-decay", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "reputation-decay.csv").exists()
+
+    @pytest.mark.parametrize("scenario", ["detection-rate", "reputation-decay", "collusion"])
+    @pytest.mark.parametrize("weights", [
+        {"gammas": [0, 1, 0], "alphas": [1e-320, 50]},
+        {"gammas": [0, 1, 0], "alphas": [5e-324, 0]},
+        {"alphas": [1e308, 0]},
+    ], ids=["subnormal", "least-subnormal", "huge"])
+    def test_extreme_weights_run(self, tmp_path, scenario, weights):
+        """Subnormal and huge segment weights are valid; the opinions they
+        weigh must still close."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**weights, "collusion_seeds": 5}))
+        rc = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / f"{scenario}.csv").exists()
+
+    def test_collusion_reads_the_weights(self, tmp_path):
+        tables = []
+        for weights in ({}, {"gammas": [0.9, 0.05, 0.05], "alphas": [1.0, 0.0]}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"collusion_seeds": 5, **weights}))
+            assert cli.main(["collusion", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            tables.append((tmp_path / "collusion.csv").read_bytes())
+        assert tables[0] != tables[1]
 
     def test_out_of_range_seed_flag_is_a_config_error(self, tmp_path, capsys):
         rc = cli.main(["arrival-histogram", "--seed", str(2**64), "--out", str(tmp_path)])
@@ -550,17 +581,32 @@ def test_public_names_resolve():
     assert missing == []
 
 
-def test_span_targets_exist():
-    """perfbench/spans.py patches public entry points by name; installing it
-    fails when one of them is renamed or deleted."""
+def test_span_targets_exist(tmp_path):
+    """perfbench/spans.py patches public entry points by name, and
+    perfbench/stream.py calls them. With the spans installed, a tiny
+    settle-stream and a two-seed collusion run must end without gate
+    errors and count consensus views, so a renamed or deleted entry point
+    fails here rather than in every traced benchmark run."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = ("import sys; sys.path[:0] = sys.argv[1:]; import spans; "
-            "spans.install(spans.SpanRecorder())")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, os.path.join(root, "perfbench"),
-         os.path.join(root, "src")],
-        capture_output=True, text=True, timeout=120, check=False)
+    code = (
+        "import dataclasses, json, sys\n"
+        "import spans, stream\n"
+        "from parkedchain.harness import scenarios, validate_config\n"
+        "rec = spans.SpanRecorder()\n"
+        "spans.install(rec)\n"
+        "cfg = validate_config(None)\n"
+        "result = stream.run_stream(cfg, sys.argv[1], stream.TINY)\n"
+        "scenarios.run_scenario('collusion', dataclasses.replace(cfg, collusion_seeds=2))\n"
+        "print(json.dumps({'gate_errors': result.gate_errors,\n"
+        "                  'views': spans.layer_metrics(rec)['consensus.views']}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["gate_errors"] == [] and report["views"] > 0
 
 
 def test_readme_examples_run():

@@ -300,6 +300,22 @@ class TestEngine:
         eng = self.build()
         assert eng.average_reputations(["j"], at=1, raters=["i"])[0] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("alpha1", [5e-324, 1e-320, 1e308])
+    def test_extreme_alpha1_cancels(self, alpha1):
+        # with the timeliness weight alone, alpha1 scales every weight alike
+        # and cancels from the means, so a subnormal or huge one reads as 1
+        values = []
+        for a in (alpha1, 1.0):
+            eng = ReputationEngine(WeightConfig(0.0, 1.0, 0.0, a, 0.5))
+            for node, hour in (("i", 9), ("k", 10), ("j", 9), ("m", 12)):
+                eng.register(node, hour)
+            for slot in range(4):
+                eng.record_outcomes(slot, "i", "j", 4, 1)
+                eng.record_outcomes(slot, "k", "j", 1, 3)
+                eng.record_outcomes(slot, "m", "j", 2, 2)
+            values.append(eng.view("j", at=4).final_values)
+        assert values[0] == pytest.approx(values[1], rel=1e-12)
+
     def test_tracker_matches_scalar_baseline(self):
         # one rater, whole-slot outcomes: the tracker must reduce to the EMA
         tr = LinearReputationTracker()
@@ -546,9 +562,36 @@ class TestBatchedWrites:
                 eng.record_outcomes(0, "i", "j", *counts)
         assert not eng._evidence.any()
 
+    @pytest.mark.parametrize("counts", [(2**62, 0), (0, 2**63), (2**70, 0), (2**31, 1)])
+    def test_counts_past_the_bound_rejected(self, counts):
+        eng, tracker = self.engine(["i", "j"]), LinearReputationTracker()
+        for write in (lambda: eng.record_outcomes(0, "i", "j", *counts),
+                      lambda: eng.record_slot(1, [("i", "j", *counts)]),
+                      lambda: tracker.update_many([("i", "j", *counts)])):
+            with pytest.raises(ValueError, match="no greater than 2147483647"):
+                write()
+        assert eng._evidence.size == 0 and tracker.value("i", "j") == 0.5
+
+    def test_stored_counts_stay_within_the_bound(self):
+        top = 2**31 - 1
+        eng = self.engine(["i", "j", "k"])
+        eng.record_outcomes(0, "i", "j", top, 0)
+        eng.record_slot(1, [("i", "j", 0, top), ("k", "j", top, top)])
+        before = eng._evidence.copy()
+        with pytest.raises(ValueError, match="would pass 2147483647"):
+            eng.record_outcomes(0, "i", "j", 1, 1)
+        with pytest.raises(ValueError, match="would pass 2147483647"):
+            eng.record_slot(1, [("j", "i", 1, 0), ("i", "j", 0, 1)])
+        assert (eng._evidence == before).all()
+        # full cells: the view still matches the scalar reference bit for bit
+        evidence = {("i", "j", 0): [top, 0], ("i", "j", 1): [0, top], ("k", "j", 1): [top, top]}
+        hours = {"i": 8, "j": 9, "k": 10}
+        assert eng.view("j", at=2, raters=["i", "k"]).final_values == reference_view(
+            evidence, hours, "j", 2, ["i", "k"], WeightConfig(), 0.5)
+
     def test_rows_without_outcomes_are_skipped_unchecked(self):
-        # record_outcomes checks only that the counts are whole before it
-        # returns when both are 0
+        # record_outcomes checks only the count rule (whole and bounded)
+        # before it returns when both are 0
         eng = self.engine(["i", "j"])
         eng.record_slot(-1, [("i", "i", 0, 0), ("x", "j", 0, 0)])
         assert eng._evidence.size == 0
