@@ -15,6 +15,11 @@ under different information assumptions:
   comparison baselines,
 - a brute-force grid oracle for small instances.
 
+LIA's time is in its inner loops. Its roots come from scipy's compiled
+Brent kernel (`_brent`), it chains each top frequency once per solve, and
+its ironing objective (`_pool_objective`) sums the types before the pool
+once per minimisation; every output keeps its bits.
+
 LC and LA build every item with one step, `_binding_item`: a bracketed
 root of the reward first-order condition, the frequency from the binding
 constraint, and a clamp to f_max. A first-order condition that overflows
@@ -34,7 +39,10 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
+# scipy.optimize.brentq checks every evaluation for NaN with np.isnan, which
+# costs several times a residual here; _brent calls its compiled kernel
+from scipy.optimize import _zeros
 
 from .parking import TypeProfile
 
@@ -61,6 +69,18 @@ __all__ = [
 ]
 
 _FOC_TOL = 1e-10
+_RTOL = 4 * np.finfo(float).eps  # brentq's default, and smallest, rtol
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float = _RTOL) -> float:
+    """`scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=500)`,
+    the same root and the same error, without the per-evaluation wrapper."""
+    def checked(x):
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+    return _zeros._brentq(checked, a, b, xtol, rtol, 500, (), False, True)
 
 
 class InfeasibleProblem(RuntimeError):
@@ -304,7 +324,7 @@ def _solve_foc(problem: ContractProblem, j: int, x_of_pi, lo: float) -> float:
         raise InfeasibleProblem(f"type {j + 1}: the reward first-order condition is NaN")
     # an absolute xtol is coarse for a root near zero: retry relative only
     for xtol in (1e-13, 1e-300):
-        pi = brentq(g, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=500)
+        pi = _brent(g, lo, hi, xtol, 8.9e-16)
         residual = problem.betas[j] * g(pi)
         if abs(residual) <= _FOC_TOL:
             return pi
@@ -409,32 +429,33 @@ def _chain_from_top(f_top: float, problem: ContractProblem):
     fs[-1], pis[-1] = f_top, pi_top
 
     for j in range(n - 2, -1, -1):
-        theta, beta = thetas[j], betas[j]
-        theta_next = thetas[j + 1]
-        pi_next, f_next = pis[j + 1], fs[j + 1]
-        c_level = beta * theta * coeff
+        theta, theta_next = thetas[j], thetas[j + 1]
+        # the level's invariants; each is a whole subexpression of the residual,
+        # so hoisting it changes no operation and keeps every bit
+        bt = betas[j] * theta
+        c_level = bt * coeff
+        om_th = omega_next * theta_next
+        x_next = a_cap * fs[j + 1] * fs[j + 1]
+        v_next = math.log1p(pis[j + 1])
 
-        def f_and_omega(pi, th=theta, be=beta, om_next=omega_next, th_next=theta_next,
-                        c=c_level):
-            d = be * th / (1.0 / (1.0 + pi))
-            omega = (d + om_next * th_next) / th
-            # omega > om_next holds for ascending types, so the cube root is real
-            return (c / (omega - om_next)) ** (1.0 / 3.0), omega
-
-        def resid(pi, f_nx=f_next, pi_nx=pi_next, th_next=theta_next):
-            f_j, _ = f_and_omega(pi)
-            return a_cap * f_j * f_j - a_cap * f_nx * f_nx + th_next * (math.log1p(pi_nx) - math.log1p(pi))
+        def resid(pi):
+            omega = (bt / (1.0 / (1.0 + pi)) + om_th) / theta
+            # omega > omega_next holds for ascending types, so the cube root is real
+            f_j = (c_level / (omega - omega_next)) ** (1.0 / 3.0)
+            return a_cap * f_j * f_j - x_next + theta_next * (v_next - math.log1p(pi))
 
         if resid(0.0) <= 0:
             return None
-        hi = max(1.0, pi_next)
+        hi = max(1.0, pis[j + 1])
         while resid(hi) > 0:
             hi *= 2.0
             if hi > 1e15:
                 return None
-        pi_j = brentq(resid, 0.0, hi, xtol=1e-13, rtol=8.9e-16, maxiter=500)
-        f_j, omega_next = f_and_omega(pi_j)
-        fs[j], pis[j] = f_j, pi_j
+        pi_j = _brent(resid, 0.0, hi, 1e-13, 8.9e-16)
+        # resid's level at its root (inline there, as it runs about ten times a root)
+        omega = (bt / (1.0 / (1.0 + pi_j)) + om_th) / theta
+        fs[j], pis[j] = (c_level / (omega - omega_next)) ** (1.0 / 3.0), pi_j
+        omega_next = omega
     return fs, pis
 
 
@@ -453,7 +474,56 @@ def _rewards_from_frequencies(fs: list[float], problem: ContractProblem) -> list
     return pis
 
 
-def _iron_frequencies(fs: list[float], problem: ContractProblem):
+def _gains(problem: ContractProblem) -> tuple[float, float, float, tuple[float, ...]]:
+    """time_saved's constants (rho, ks / f_local, ks, s / r_j per type), read
+    once: rho * (c0 - ks / f - s_over_r[j]) is time_saved(f, params, j)."""
+    params = problem.params
+    ks = params.kappa * params.s_bits
+    return (params.rho, ks / params.f_local, ks,
+            tuple(params.s_bits / params.r_of(j) for j in range(problem.n_types)))
+
+
+def _pool_objective(full: list[float], start: int, stop: int, problem: ContractProblem,
+                    gains):
+    """The negated SR utility of the menu `full` with types start..stop-1
+    pooled at one common frequency, as a function of that frequency; +inf
+    when any frequency is nonpositive.
+
+    The rebuilt rewards chain couples every later type to the pool, so the
+    whole menu is scored, in type order and with the arithmetic of
+    `_rewards_from_frequencies` and `time_saved`. The types before the pool
+    do not depend on it: their partial sums are taken once, here.
+    """
+    n = problem.n_types
+    thetas = problem.thetas
+    bt = [b * t for b, t in zip(problem.betas, thetas)]
+    a_cap = problem.params.energy_coeff
+    rho, c0, ks, s_over_r = gains
+
+    def sweep(common, k_from: int, k_to: int, v_cum: float, total: float, prev: float):
+        for k in range(k_from, k_to):
+            f = common if start <= k < stop else full[k]
+            if k == 0:
+                v_cum = a_cap * f * f / thetas[0]
+            else:
+                v_cum += a_cap * (f * f - prev ** 2) / thetas[k]
+            total += bt[k] * (rho * (c0 - ks / f - s_over_r[k]) - math.expm1(v_cum))
+            prev = f
+        return v_cum, total, prev
+
+    if any(full[k] <= 0 for k in range(n) if not start <= k < stop):
+        return lambda common: math.inf
+    head = sweep(None, 0, start, 0.0, 0.0, 0.0)
+
+    def objective(common: float) -> float:
+        if common <= 0:
+            return math.inf
+        return -sweep(common, start, n, *head)[1]
+
+    return objective
+
+
+def _iron_frequencies(fs: list[float], problem: ContractProblem, gains):
     """Pool adjacent violators of frequency monotonicity.
 
     Each non-ascending run is replaced by the single frequency maximizing
@@ -464,25 +534,6 @@ def _iron_frequencies(fs: list[float], problem: ContractProblem):
     params = problem.params
     blocks: list[list[int]] = [[j] for j in range(n)]
     values: list[float] = list(fs)
-
-    def block_objective(common: float, idx: list[int], trial_vals, trial_blocks) -> float:
-        # the rebuilt rewards chain couples every later type to the pooled
-        # value, so score the whole menu rather than the run alone
-        full = [0.0] * n
-        for b, v in zip(trial_blocks, trial_vals):
-            for k in b:
-                full[k] = v
-        for k in idx:
-            full[k] = common
-        if any(x <= 0 for x in full):
-            return math.inf
-        pis = _rewards_from_frequencies(full, problem)
-        total = 0.0
-        for k in range(n):
-            total += problem.betas[k] * problem.thetas[k] * (
-                time_saved(full[k], params, k) - pis[k]
-            )
-        return -total
 
     guard = 0
     while guard < 4 * n:
@@ -496,20 +547,18 @@ def _iron_frequencies(fs: list[float], problem: ContractProblem):
             break
         left, right = bad, bad + 1
         common = values[bad]
+        full = [v for b, v in zip(blocks, values) for _ in b]
         while True:
-            merged = [k for b in blocks[left:right + 1] for k in b]
-            rest_blocks = blocks[:left] + blocks[right + 1:]
-            rest_vals = values[:left] + values[right + 1:]
             lo = values[left - 1] if left > 0 else 1.0
             hi = values[right + 1] if right + 1 < len(values) else params.f_max
             if hi <= lo:
                 common = lo
                 break
             xatol = max(1e-3, (hi - lo) * 1e-10)
+            objective = _pool_objective(full, blocks[left][0], blocks[right][-1] + 1,
+                                        problem, gains)
             res = minimize_scalar(
-                block_objective, bounds=(lo, hi), method="bounded",
-                args=(merged, rest_vals, rest_blocks),
-                options={"xatol": xatol},
+                objective, bounds=(lo, hi), method="bounded", options={"xatol": xatol},
             )
             common = float(res.x)
             # a pooled optimum pinned at either bracket edge wants the
@@ -535,13 +584,13 @@ def _iron_frequencies(fs: list[float], problem: ContractProblem):
     return out, bunches
 
 
-def _menu_from_chain(result, problem: ContractProblem):
+def _menu_from_chain(result, problem: ContractProblem, gains):
     """Wrap a chain result into a menu, ironing if monotonicity failed."""
     fs, pis = result
     bunches = []
     ascending = all(fs[i] <= fs[i + 1] + 1e-9 for i in range(len(fs) - 1))
     if not ascending:
-        fs, bunches = _iron_frequencies(list(fs), problem)
+        fs, bunches = _iron_frequencies(list(fs), problem, gains)
         pis = _rewards_from_frequencies(fs, problem)
     if any(p < 0 for p in pis) or any(f <= 0 for f in fs):
         return None
@@ -577,11 +626,17 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
         f_hi, f_lo = f_lo, f_hi
     step = (f_hi - f_lo) / _SCAN_INTERVALS if f_hi > f_lo else max(f_hi * 1e-3, 1.0)
 
+    gains = _gains(problem)
+    tops: dict[float, tuple[ContractMenu | None, float | None]] = {}
+
     def at_top(f_top: float) -> tuple[ContractMenu | None, float | None]:
-        """Chain menu for one top frequency and its lowest type's utility."""
-        chain = _chain_from_top(f_top, problem)
-        menu = None if chain is None else _menu_from_chain(chain, problem)
-        return menu, None if menu is None else _first_type_utility(menu, problem)
+        """Chain menu for one top frequency and its lowest type's utility,
+        memoised: the polish and the refine end on points they evaluated."""
+        if f_top not in tops:
+            chain = _chain_from_top(f_top, problem)
+            menu = None if chain is None else _menu_from_chain(chain, problem, gains)
+            tops[f_top] = menu, None if menu is None else _first_type_utility(menu, problem)
+        return tops[f_top]
 
     # (f_top, menu, u1) in descending f_top: the upward extension, taken
     # while the lowest type still nets a surplus at the top, then the grid
@@ -614,7 +669,7 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
         if ua is None or ub is None or (ua > 0) == (ub > 0):
             continue
         try:
-            f_root = brentq(u1_of_top, min(fa, fb), max(fa, fb), xtol=0.5, maxiter=500)
+            f_root = _brent(u1_of_top, min(fa, fb), max(fa, fb), 0.5)
         except (ValueError, InfeasibleProblem):
             continue
         menu, _ = at_top(f_root)
@@ -660,12 +715,10 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
                 refined, _ = at_top(float(res.x))
                 if refined is not None and admissible(refined):
                     best, best_value = refined, -float(res.fun)
-    meta = dict(best.meta)
-    meta.update({
-        "candidates": len(candidates),
-        "u_pv_first_type": _first_type_utility(best, problem),
-    })
-    best = ContractMenu(best.fs, best.pis, "lagrangian", meta=meta)
+    # a refined chain ran on the minimiser's numpy scalars: return plain floats
+    best = ContractMenu(tuple(map(float, best.fs)), tuple(map(float, best.pis)), "lagrangian",
+                        meta=dict(best.meta, candidates=len(candidates)))
+    best.meta["u_pv_first_type"] = _first_type_utility(best, problem)
     best.check_monotone(params.f_max)
     return best
 
@@ -757,58 +810,64 @@ def grid_oracle(problem: ContractProblem, f_grid, pi_grid) -> ContractMenu:
 # pricing baselines
 # ---------------------------------------------------------------------------
 
-def _price_best_response(theta: float, price: float, params: TaskParams) -> float:
-    """PV's frequency choice against a posted unit price (0 = stay out)."""
-    if price <= 0:
-        return 0.0
-    a_cap = params.energy_coeff
-    f = (-2 * a_cap + math.sqrt(4 * a_cap * a_cap + 8 * a_cap * theta * price * price)) / (
-        4 * a_cap * price
-    )
-    return min(f, params.f_max)
+def _price_responses(problem: ContractProblem):
+    """Each type's privately optimal frequency against a posted unit price,
+    as a function of the price (all 0 = stay out at a nonpositive price)."""
+    params = problem.params
+    a_cap, f_max = params.energy_coeff, params.f_max
+    neg_2a, a_sq4, a4 = -2 * a_cap, 4 * a_cap * a_cap, 4 * a_cap
+    a8_theta = [8 * a_cap * theta for theta in problem.thetas]
+
+    def respond(price: float) -> list[float]:
+        if price <= 0:
+            return [0.0] * len(a8_theta)
+        den = a4 * price
+        return [min((neg_2a + math.sqrt(a_sq4 + c * price * price)) / den, f_max)
+                for c in a8_theta]
+
+    return respond
 
 
-def _posted_price_value(price: float, problem: ContractProblem) -> float:
-    total = 0.0
-    for j in range(problem.n_types):
-        f = _price_best_response(problem.thetas[j], price, problem.params)
-        if f <= 0:
-            continue
-        total += problem.betas[j] * problem.thetas[j] * (
-            time_saved(f, problem.params, j) - price * f
-        )
-    return total
+def _price_value(problem: ContractProblem):
+    """The SR's utility at a posted unit price, as a function of the price."""
+    respond = _price_responses(problem)
+    bt = [b * t for b, t in zip(problem.betas, problem.thetas)]
+    rho, c0, ks, s_over_r = _gains(problem)
+
+    def value(price: float) -> float:
+        total = 0.0
+        for j, f in enumerate(respond(price)):
+            if f <= 0:
+                continue
+            total += bt[j] * (rho * (c0 - ks / f - s_over_r[j]) - price * f)
+        return total
+
+    return value
 
 
 def _menu_at_price(price: float, problem: ContractProblem, scheme: str) -> ContractMenu:
-    fs, pis = [], []
-    for j in range(problem.n_types):
-        f = _price_best_response(problem.thetas[j], price, problem.params)
-        fs.append(f)
-        pis.append(price * f)
-    return ContractMenu(tuple(fs), tuple(pis), scheme, meta={"price": price})
+    fs = _price_responses(problem)(price)
+    return ContractMenu(tuple(fs), tuple(price * f for f in fs), scheme, meta={"price": price})
 
 
 def stackelberg_baseline(problem: ContractProblem) -> tuple[ContractMenu, float]:
     """Posted unit price chosen by 1-D search over the SR's utility, each
     type responding with its privately optimal frequency. A nonpositive
     optimum collapses to price zero (nobody trades)."""
+    value = _price_value(problem)
     coarse = np.logspace(-14, -4, 400)
-    values = [_posted_price_value(float(p), problem) for p in coarse]
+    values = [value(float(p)) for p in coarse]
     k = int(np.argmax(values))
     lo = float(coarse[max(k - 1, 0)])
     hi = float(coarse[min(k + 1, coarse.size - 1)])
     res = minimize_scalar(
-        lambda p: -_posted_price_value(p, problem),
+        lambda p: -value(p),
         bounds=(lo, hi), method="bounded",
         options={"xatol": float(coarse[k]) * 1e-6},
     )
     refined = float(res.x)
-    best_price = max(
-        (refined, float(coarse[k])),
-        key=lambda p: _posted_price_value(p, problem),
-    )
-    if _posted_price_value(best_price, problem) <= 0:
+    best_price = max((refined, float(coarse[k])), key=value)
+    if value(best_price) <= 0:
         best_price = 0.0
     return _menu_at_price(best_price, problem, "stackelberg"), best_price
 
@@ -820,15 +879,15 @@ def linear_pricing_baseline(
     posted-price optimum p_star (the price stackelberg_baseline returns)
     where the SR's utility hits zero. When even the optimal posted price
     earns nothing, the menu is all-zero."""
-    if p_star <= 0 or _posted_price_value(p_star, problem) <= 0:
+    value = _price_value(problem)
+    if p_star <= 0 or value(p_star) <= 0:
         return _menu_at_price(0.0, problem, "linear_pricing"), 0.0
     hi = p_star
     for _ in range(200):
         hi *= 2.0
-        if _posted_price_value(hi, problem) < 0:
+        if value(hi) < 0:
             break
     else:
         raise InfeasibleProblem("linear tariff root could not be bracketed")
-    price = brentq(lambda p: _posted_price_value(p, problem), p_star, hi,
-                   xtol=1e-18, rtol=8.9e-16, maxiter=500)
+    price = _brent(value, p_star, hi, 1e-18, 8.9e-16)
     return _menu_at_price(float(price), problem, "linear_pricing"), float(price)

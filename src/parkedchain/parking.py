@@ -10,8 +10,9 @@ contract optimizer consumes.
 
 Populations are columns: `Arrivals` (hour and duration arrays) and the
 `Parked` set that `surviving_population` selects at a query hour.
-`stay_probabilities` scores a parked set with one `survival` call per
-arrival hour; the scalar `stay_probability` scores one `PVState` through
+`stay_probabilities` scores a parked set with the stay kernel run once per
+cell of equal (arrival hour, parked hours, horizon), of which a query hour
+has at most 24; the scalar `stay_probability` scores one `PVState` through
 the same kernel, bit for bit.
 """
 
@@ -274,12 +275,33 @@ def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:
 
 
 def stay_probabilities(parked: Parked, params: GammaMixtureParams) -> np.ndarray:
-    """`stay_probability` of every parked vehicle, in row order."""
-    probs = np.empty(len(parked))
+    """`stay_probability` of every parked vehicle, in row order.
+
+    Rows with the same arrival hour, parked hours and horizon (a cell) have
+    the same stay probability, so the kernel runs once per cell: the rows
+    are sorted into cells, and each cell's value fills its rows.
+    """
+    columns = (parked.arrival_hour, parked.parked_hours, parked.horizon)
+    # sort by arrival hour, then by each other column that has more than one
+    # value (one that has a single value splits no cell and need not be sorted)
+    keys = columns[:1] + tuple(column for column in columns[1:]
+                               if (column[1:] != column[:1]).any())
+    order = np.lexsort(keys[::-1])
+    first = np.zeros(len(order), dtype=bool)  # the first row of each cell
+    first[:1] = True
+    for column in keys:
+        key = column[order]
+        first[1:] |= key[1:] != key[:-1]
+        del key  # one sorted column at a time: this is the peak of the call
+    starts = np.flatnonzero(first)
+    hour, parked_hours, horizon = (column[order[starts]] for column in columns)
+    cells = np.empty(len(starts))
     # one kernel call per arrival hour, so per-hour mixtures apply
-    for hour in np.unique(parked.arrival_hour).tolist():
-        rows = parked.arrival_hour == hour
-        probs[rows] = _stay(parked.parked_hours[rows], parked.horizon[rows], params.at(hour))
+    for h in np.unique(hour).tolist():
+        rows = hour == h
+        cells[rows] = _stay(parked_hours[rows], horizon[rows], params.at(h))
+    probs = np.empty(len(order))
+    probs[order] = np.repeat(cells, np.diff(starts, append=len(order)))
     return probs
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from parkedchain.contract_opt import (
     ContractMenu,
@@ -26,6 +27,7 @@ from parkedchain.contract_opt import (
     stackelberg_baseline,
     time_saved,
 )
+from parkedchain.contract_opt import _brent, _gains, _pool_objective
 from parkedchain.parking import TypeProfile
 
 DEFAULT_PARAMS = TaskParams()
@@ -332,3 +334,117 @@ def test_solver_menus_pinned():
         single += problem.n_types == 1
     assert min(clamped_lc, clamped_la, ironed, single) > 0
     assert digest.hexdigest() == "71bf850151b4a9915ab3e9faa31716257a64fd0c2378e2c923c5e420baf1195e"
+
+
+# every (xtol, rtol) the solvers pass: _solve_foc's two (the chain uses the
+# first), the linear tariff's, and the polish's, whose rtol is brentq's default
+BRENT_TOLERANCES = [(1e-13, 8.9e-16), (1e-300, 8.9e-16), (1e-18, 8.9e-16), (0.5, None)]
+
+
+def _root_or_error(solve):
+    try:
+        return solve()
+    except Exception as exc:  # any error: its type and text are what is compared
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(root=st.floats(-1e6, 1e6), below=st.integers(-12, 12), above=st.integers(-12, 12),
+       straddle=st.booleans(), cubic=st.floats(0.0, 10.0), sign=st.sampled_from([1.0, -1.0]),
+       tolerances=st.sampled_from(BRENT_TOLERANCES))
+def test_brent_matches_public_brentq(root, below, above, straddle, cubic, sign, tolerances):
+    """The compiled-kernel helper returns brentq's root with ==, or raises
+    its error, on monotone functions over tiny to huge brackets (a bracket
+    that does not straddle the root has no sign change)."""
+    a = root - 10.0 ** below if straddle else root + 10.0 ** below
+    b = root + 10.0 ** above
+
+    def f(x):
+        d = x - root
+        return sign * (d + cubic * d ** 3)
+
+    xtol, rtol = tolerances
+    if rtol is None:
+        ours = _root_or_error(lambda: _brent(f, a, b, xtol))
+        public = _root_or_error(lambda: brentq(f, a, b, xtol=xtol, maxiter=500))
+    else:
+        ours = _root_or_error(lambda: _brent(f, a, b, xtol, rtol))
+        public = _root_or_error(lambda: brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=500))
+    assert ours == public
+
+
+@pytest.mark.parametrize("f, a, b, xtol, error", [
+    (lambda x: x + 1.0, 0.0, 1.0, 1e-13, ValueError),
+    (lambda x: 1.0 if x > 0 else -1.0, -1.0, 1.0, 1e-300, RuntimeError),
+    (lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0, 1e-13, ValueError),
+], ids=["no-sign-change", "no-convergence", "nan-residual"])
+def test_brent_fails_as_public_brentq(f, a, b, xtol, error):
+    with pytest.raises(error) as public:
+        brentq(f, a, b, xtol=xtol, rtol=8.9e-16, maxiter=500)
+    with pytest.raises(error) as ours:
+        _brent(f, a, b, xtol, 8.9e-16)
+    assert type(ours.value) is type(public.value)
+    assert str(ours.value) == str(public.value)
+
+
+def _rescored_pool(common, idx, trial_vals, trial_blocks, problem):
+    """Reference ironing objective: rebuild the whole menu and its rewards
+    from scratch on each call, then score every type."""
+    n = problem.n_types
+    params = problem.params
+    full = [0.0] * n
+    for b, v in zip(trial_blocks, trial_vals):
+        for k in b:
+            full[k] = v
+    for k in idx:
+        full[k] = common
+    if any(x <= 0 for x in full):
+        return math.inf
+    a_cap = params.energy_coeff
+    pis = []
+    v_cum = 0.0
+    for j, f in enumerate(full):
+        if j == 0:
+            v_cum = a_cap * f * f / problem.thetas[0]
+        else:
+            v_cum += a_cap * (f * f - full[j - 1] ** 2) / problem.thetas[j]
+        pis.append(math.expm1(v_cum))
+    total = 0.0
+    for k in range(n):
+        total += problem.betas[k] * problem.thetas[k] * (
+            time_saved(full[k], params, k) - pis[k]
+        )
+    return -total
+
+
+def test_pool_objective_matches_rescoring():
+    """The cached ironing objective equals the rescored one with ==, for a
+    pool at every start and end position of ascending and non-ascending
+    menus, at Python and numpy frequencies (the minimiser passes numpy
+    scalars) and at nonpositive ones. The solvers' corpora never grow a
+    pool past its first violating pair, so this is what checks such pools."""
+    rng = np.random.default_rng(14)
+    infinite = 0
+    for i in range(120):
+        n = 1 + i % 7
+        problem = random_problem(rng, n)
+        if i % 3 == 1:
+            rates = tuple(float(r) for r in rng.uniform(4e6, 7e6, size=n))
+            problem = ContractProblem(problem.profile, TaskParams(r_bps=rates))
+        fs = rng.uniform(0.3e9, 3e9, size=n)
+        full = [float(f) for f in (np.sort(fs) if i % 2 else fs)]
+        if i % 10 == 9:
+            full[int(rng.integers(n))] = 0.0
+        for start in range(n):
+            for stop in range(start + 1, n + 1):
+                rest = [k for k in range(n) if not start <= k < stop]
+                objective = _pool_objective(full, start, stop, problem, _gains(problem))
+                for common in (float(rng.uniform(0.3e9, 3e9)),
+                               np.float64(rng.uniform(0.3e9, 3e9)),
+                               full[start - 1] if start else 1.0, 0.0):
+                    expected = _rescored_pool(common, range(start, stop),
+                                              [full[k] for k in rest],
+                                              [[k] for k in rest], problem)
+                    assert objective(common) == expected
+                    infinite += expected == math.inf
+    assert infinite > 0

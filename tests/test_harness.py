@@ -154,6 +154,21 @@ class TestScenarios:
         assert len(lc_rows) == 24
         assert all(abs(r[cols["u_pv"]]) < 1e-8 for r in lc_rows)
 
+    def test_utility_vs_hour_profiles_each_hour_once(self, monkeypatch):
+        # perfbench's market-day counts one operation per call of the
+        # module attribute parking.hourly_type_profile
+        from parkedchain import parking
+        hours = []
+        profile = parking.hourly_type_profile
+
+        def counting(arrivals, hour, *args, **kwargs):
+            hours.append(hour)
+            return profile(arrivals, hour, *args, **kwargs)
+
+        monkeypatch.setattr(parking, "hourly_type_profile", counting)
+        run_scenario("utility-vs-hour", small_cfg(arrivals=500))
+        assert hours == list(range(24))
+
     def test_contract_feasibility_diagonal(self):
         table = run_scenario("contract-feasibility", small_cfg())
         cols = {c: i for i, c in enumerate(table.columns)}

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from parkedchain.parking import (
@@ -315,14 +315,24 @@ def mixtures():
 
 @settings(deadline=None, max_examples=150)
 @given(
-    rows=st.lists(st.tuples(st.integers(0, 23), st.floats(0.0, 23.0),
-                            st.floats(0.05, 6.0)), min_size=1, max_size=40),
+    # few hours, parked hours and horizons, so that many rows share an
+    # (arrival hour, parked hours, horizon) cell, mixed with distinct rows
+    rows=st.lists(st.tuples(st.one_of(st.integers(0, 23), st.sampled_from([8, 9])),
+                            st.one_of(st.floats(0.0, 23.0), st.sampled_from([0.0, 1.0, 2.0, 5.0])),
+                            st.one_of(st.floats(0.05, 6.0), st.sampled_from([0.5, 1.0]))),
+                  min_size=1, max_size=60),
     default=mixtures(),
     per_hour=st.dictionaries(st.integers(0, 23), mixtures(), max_size=4),
     one_horizon=st.booleans(),
 )
+@example(  # one arrival hour holding a shared cell, a distinct row and a second shared cell
+    rows=[(9, 1.0, 1.0), (9, 2.5, 1.0), (9, 1.0, 1.0), (9, 1.0, 0.5), (8, 1.0, 1.0),
+          (9, 1.0, 0.5), (9, 1.0, 1.0)],
+    default=DEFAULT_MIXTURE, per_hour={8: EXP_MIX}, one_horizon=False,
+)
 def test_columnar_stay_matches_scalar(rows, default, per_hour, one_horizon):
-    """The array path equals the scalar reference with ==, per-hour mixtures included."""
+    """The array path equals the scalar reference with ==, per-hour mixtures
+    included, whether rows share a cell or not."""
     params = GammaMixtureParams(default=default, per_hour=per_hour)
     if one_horizon:
         rows = [(h, t, rows[0][2]) for h, t, _ in rows]
