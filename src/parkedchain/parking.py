@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,12 +63,13 @@ class HourMixture:
     scale_long: float
 
     def __post_init__(self) -> None:
-        if abs(self.h_short + self.h_long - 1.0) > _TOL:
+        # each check written to fail on NaN
+        if not abs(self.h_short + self.h_long - 1.0) <= _TOL:
             raise ValueError("mixture weights must sum to 1")
-        if self.h_short < 0 or self.h_long < 0:
+        if not (self.h_short >= 0 and self.h_long >= 0):
             raise ValueError("mixture weights must be nonnegative")
         for name in ("shape_short", "shape_long", "scale_short", "scale_long"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -84,15 +86,16 @@ DEFAULT_MIXTURE = HourMixture(
 
 @dataclass(frozen=True)
 class GammaMixtureParams:
-    """Per-arrival-hour mixture table; hours not listed fall back to default."""
+    """Per-arrival-hour mixture table, keyed by integer hours in 0..23;
+    hours not listed fall back to default."""
 
     default: HourMixture = DEFAULT_MIXTURE
     per_hour: dict[int, HourMixture] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for hour in self.per_hour:
-            if not 0 <= hour <= 23:
-                raise ValueError(f"arrival hour {hour} outside 0..23")
+            if not _is_hour(hour):
+                raise ValueError(f"arrival hour {hour!r} is not an integer in 0..23")
 
     def at(self, arrival_hour: int) -> HourMixture:
         return self.per_hour.get(arrival_hour, self.default)
@@ -100,7 +103,8 @@ class GammaMixtureParams:
 
 @dataclass(frozen=True)
 class PVState:
-    """A parked vehicle at query time."""
+    """A parked vehicle at query time: an integer arrival hour in 0..23,
+    `parked_hours` >= 0 and `horizon` > 0 (NaN fails both)."""
 
     pv_id: int
     arrival_hour: int
@@ -108,12 +112,19 @@ class PVState:
     horizon: float
 
     def __post_init__(self) -> None:
-        if not 0 <= self.arrival_hour <= 23:
-            raise ValueError("arrival_hour outside 0..23")
-        if self.parked_hours < 0:
+        # plain Python: numpy's per-call overhead would dominate one vehicle's checks
+        if not _is_hour(self.arrival_hour):
+            raise ValueError("arrival_hour is not an integer in 0..23")
+        if not self.parked_hours >= 0:
             raise ValueError("parked_hours must be >= 0")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
+
+
+def _is_hour(hour) -> bool:
+    """Whether `hour` is an arrival hour: an integer in 0..23."""
+    return ((type(hour) is int or isinstance(hour, numbers.Integral))   # int first: faster
+            and 0 <= hour <= 23)
 
 
 def _columns(obj, **dtypes) -> None:
@@ -176,12 +187,13 @@ class Parked:
                 and self.pv_id.shape == self.arrival_hour.shape == self.parked_hours.shape):
             raise ValueError("parked columns must be 1-D and of equal length")
         object.__setattr__(self, "horizon", np.broadcast_to(self.horizon, self.pv_id.shape))
-        # PVState's rules, on every row at once
+        # PVState's rules, on every row at once (the columns are int64
+        # arrival hours and float64 times)
         if ((self.arrival_hour < 0) | (self.arrival_hour > 23)).any():
-            raise ValueError("arrival_hour outside 0..23")
-        if (self.parked_hours < 0).any():
+            raise ValueError("arrival_hour is not an integer in 0..23")
+        if not (self.parked_hours >= 0).all():
             raise ValueError("parked_hours must be >= 0")
-        if (self.horizon <= 0).any():
+        if not (self.horizon > 0).all():
             raise ValueError("horizon must be > 0")
 
     def __len__(self) -> int:

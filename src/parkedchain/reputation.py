@@ -13,10 +13,11 @@ baseline.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, compress, count, repeat
 
 import numpy as np
 
@@ -156,8 +157,8 @@ def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
 
 def similarity_weight(t_i_a: float, t_j_a: float) -> float:
     """Behavioral similarity from arrival-hour proximity: 1/(1+|dt|)."""
-    if t_i_a < 0 or t_j_a < 0:
-        raise ValueError("arrival hours must be nonnegative")
+    if not (0 <= t_i_a < math.inf and 0 <= t_j_a < math.inf):   # NaN fails too
+        raise ValueError("arrival hours must be nonnegative and finite")
     return 1.0 / (1.0 + abs(t_i_a - t_j_a))
 
 
@@ -246,6 +247,9 @@ class ReputationEngine:
         self._evidence = np.zeros((0, 0, 0, 2), dtype=np.int64)
 
     def register(self, node: str, arrival_hour: float) -> None:
+        # the one check of the hours a view reads; NaN fails it too
+        if not 0 <= arrival_hour < math.inf:
+            raise ValueError(f"arrival hours must be nonnegative and finite (got {arrival_hour!r})")
         self._index.setdefault(node, len(self._index))
         self.arrival_hours[node] = arrival_hour
 
@@ -259,30 +263,20 @@ class ReputationEngine:
             self._evidence = ev = grown
         return ev
 
-    def _pair(
-        self, slot: int, rater: str, target: str, positives: int, negatives: int
-    ) -> tuple[int, int]:
-        """Indices of a pair with nonzero counts, after every check of a write."""
-        if rater == target:
-            raise ValueError("rater and target must be distinct")
-        if positives < 0 or negatives < 0:
-            raise ValueError("outcome counts must be >= 0")
-        if slot < 0:
-            raise ValueError("slot must be >= 0")
-        try:
-            return self._index[rater], self._index[target]
-        except KeyError:
-            raise KeyError("both rater and target must be registered") from None
-
     def record_outcomes(
         self, slot: int, rater: str, target: str, positives: int, negatives: int
     ) -> None:
-        if (type(positives) is not int or type(negatives) is not int   # fast path first
-                or positives > _MAX_COUNT or negatives > _MAX_COUNT):
-            _require_counts(np.array((positives, negatives)))
+        """record_slot of the one (rater, target, positives, negatives) row."""
+        i, j = self._index.get(rater, -1), self._index.get(target, -1)
+        # fast path: a row that passes every check is written here; any
+        # other row takes record_slot's, which raises the row's error
+        if not (type(positives) is int and type(negatives) is int
+                and 0 <= positives <= _MAX_COUNT and 0 <= negatives <= _MAX_COUNT
+                and i >= 0 and j >= 0 and i != j and slot >= 0):
+            self.record_slot(slot, [(rater, target, positives, negatives)])
+            return
         if not (positives or negatives):
             return
-        i, j = self._pair(slot, rater, target, positives, negatives)
         # a cell that holds counts already existed, so a rejected write
         # grows the array by no slot
         cell = self._grown(slot + 1)[slot, i, j]
@@ -293,30 +287,29 @@ class ReputationEngine:
         cell[1] = stored_neg + negatives
 
     def record_slot(self, slot: int, rows: list[tuple[str, str, int, int]]) -> None:
-        """record_outcomes for every (rater, target, positives, negatives) row
-        of one slot, in one write.
+        """Add every (rater, target, positives, negatives) row of one slot
+        in one write.
 
-        A pair may occur at most once. Rows with no outcomes are skipped, as
-        record_outcomes skips them; any other row that record_outcomes would
-        reject, or a repeated pair, raises that row's error and writes nothing.
+        The row rule of every reputation write applies: each count a whole
+        number in [0, 2**31 - 1], then rows with no outcomes skipped
+        unchecked, and in the rest a rater other than the target, each pair
+        once and both names registered. A slot that gets outcomes must be
+        >= 0. A rejected write raises the first bad row's error and writes
+        nothing.
         """
         if not rows:
             return
-        i, j, counts = _columns(rows, self._index)
-        keep = counts.any(axis=1)
-        if not keep.all():
-            rows = [row for row, k in zip(rows, keep.tolist()) if k]
-            i, j, counts = i[keep], j[keep], counts[keep]
-        if (slot < 0 or min(i.min(initial=0), j.min(initial=0), counts.min(initial=0)) < 0
-                or (i == j).any() or _repeats(i, j, len(self._index))):
-            _first_bad_row(rows, lambda row: self._pair(slot, *row))
-        if rows:
-            ev = self._grown(slot + 1)
-            # as in record_outcomes, only a cell that existed can be too full
-            summed = ev[slot, i, j] + counts
-            if (summed > _MAX_COUNT).any():
-                raise ValueError(_PAST_MAX)
-            ev[slot, i, j] = summed
+        i, j, counts = _checked_rows(rows, self._index)
+        if not len(counts):
+            return
+        if slot < 0:
+            raise ValueError("slot must be >= 0")
+        ev = self._grown(slot + 1)
+        # as in record_outcomes, only a cell that existed can be too full
+        summed = ev[slot, i, j] + counts
+        if (summed > _MAX_COUNT).any():
+            raise ValueError(_PAST_MAX)
+        ev[slot, i, j] = summed
 
     def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
         """Every rater's final reputation value for `target` from slots <= `at`."""
@@ -381,8 +374,6 @@ class ReputationEngine:
         # similarity_weight, for the raters with evidence
         rater_hours = np.array([self.arrival_hours[r] for r in raters], dtype=float)
         target_hours = np.array([self.arrival_hours[t] for t in targets], dtype=float)
-        if (has & ((rater_hours < 0) | (target_hours[:, None] < 0))).any():
-            raise ValueError("arrival hours must be nonnegative")
         z = np.where(has, 1.0 / (1.0 + np.abs(rater_hours - target_hours[:, None])), 0.0)
         w = (cfg.gamma1 * x[:, None] + cfg.gamma2 * y[:, None]) + cfg.gamma3 * z[:, None]
         w = np.where(present, w, 0.0)
@@ -457,40 +448,53 @@ def _weighted_mean(
     return out
 
 
-def _columns(rows: list, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rater indices, target indices (-1 for a name not in `index`) and
-    [row, (positives, negatives)] counts of (rater, target, pos, neg) rows."""
+def _checked_rows(
+    rows: list, index: dict[str, int], grow: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rater indices, target indices and [row, (positives, negatives)]
+    counts of the nonempty list of (rater, target, positives, negatives)
+    rows, less the rows without outcomes: the one row rule of every
+    reputation write.
+
+    Every count must be a whole number in [0, _MAX_COUNT]. Rows whose
+    counts are both 0 are then skipped unchecked; the rest must each have
+    a rater other than the target, a (rater, target) pair no other row has,
+    and names in `index`, except that with `grow` a name not in `index` is
+    added to it, in order of first appearance. The first row that breaks a
+    rule raises its error, and then `index` is left as it was.
+    """
     raters, targets, pos, neg = zip(*rows)
-    counts = _require_counts(np.array((pos, neg)))
-    i = np.fromiter(map(index.get, raters, repeat(-1)), np.intp, len(rows))
-    j = np.fromiter(map(index.get, targets, repeat(-1)), np.intp, len(rows))
-    return i, j, counts.astype(np.int64, copy=False).T
-
-
-def _require_counts(counts: np.ndarray) -> np.ndarray:
-    """`counts`, if every outcome count in it is a whole number no greater
-    than _MAX_COUNT: the one count rule of every reputation write."""
-    if counts.dtype.kind not in "biu" or (counts > _MAX_COUNT).any():
-        raise ValueError(f"outcome counts must be whole numbers no greater than {_MAX_COUNT}")
-    return counts
-
-
-def _repeats(i: np.ndarray, j: np.ndarray, n: int) -> bool:
-    """Whether a pair of indices in [0, n) occurs twice in (i, j)."""
-    pairs = np.sort(i * n + j)
-    return bool((pairs[1:] == pairs[:-1]).any())
-
-
-def _first_bad_row(rows: list, check) -> None:
-    """Raise the error of the first row that `check` rejects or whose
-    (rater, target) pair repeats an earlier row's."""
-    seen = set()
-    for row in rows:
-        check(row)
-        pair = (row[0], row[1])
-        if pair in seen:
-            raise ValueError(f"pair {pair!r} occurs twice in one batch")
-        seen.add(pair)
+    counts = np.array((pos, neg))
+    if counts.dtype.kind not in "biu" or counts.min() < 0 or counts.max() > _MAX_COUNT:
+        raise ValueError(
+            f"outcome counts must be whole numbers >= 0 and no greater than {_MAX_COUNT}")
+    names = index
+    i, j = (np.fromiter(map(names.get, col, repeat(-1)), np.intp, len(rows))
+            for col in (raters, targets))
+    if grow and min(i.min(), j.min()) < 0:
+        # every name in order of first appearance, numbered from 0
+        names = dict(zip(dict.fromkeys(chain(index, chain.from_iterable(zip(raters, targets)))),
+                         count()))
+        i, j = (np.fromiter(map(names.get, col), np.intp, len(rows)) for col in (raters, targets))
+    counts = counts.T.astype(np.int64)
+    keep = counts.any(axis=1)
+    if not keep.all():
+        rows = list(compress(rows, keep.tolist()))
+        i, j, counts = i[keep], j[keep], counts[keep]
+    if rows and (min(i.min(), j.min()) < 0 or (i == j).any()
+                 or (np.diff(np.sort(i * len(names) + j)) == 0).any()):
+        seen = set()
+        for rater, target, *_ in rows:
+            if rater == target:
+                raise ValueError("rater and target must be distinct")
+            if rater not in names or target not in names:
+                raise KeyError("both rater and target must be registered")
+            if (rater, target) in seen:
+                raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
+            seen.add((rater, target))
+    if names is not index:
+        index.update(names)
+    return i, j, counts
 
 
 class LinearReputationTracker:
@@ -512,27 +516,18 @@ class LinearReputationTracker:
 
     def update_many(self, rows: list[tuple[str, str, int, int]]) -> None:
         """update for every (rater, target, positives, negatives) row of one
-        slot in one write; rows with no outcomes are skipped, and a pair may
-        occur at most once among the rest."""
+        slot in one write, under record_slot's row rule; a name not seen
+        before is added instead of rejected. A rejected write changes
+        nothing."""
         if not rows:
             return
-        index = self._index
-        i, j, counts = _columns(rows, index)
-        if (i < 0).any() or (j < 0).any():
-            for rater, target, *_ in rows:
-                index.setdefault(rater, len(index))
-                index.setdefault(target, len(index))
-            grown = np.full((len(index), len(index)), _LR_INITIAL)
+        i, j, counts = _checked_rows(rows, self._index, grow=True)
+        n = len(self._index)
+        if n > len(self._values):
+            grown = np.full((n, n), _LR_INITIAL)
             grown[: len(self._values), : len(self._values)] = self._values
             self._values = grown
-            i, j, counts = _columns(rows, index)
         total = counts.sum(axis=1)
-        keep = total != 0
-        if not keep.all():
-            rows = [row for row, k in zip(rows, keep.tolist()) if k]
-            i, j, counts, total = i[keep], j[keep], counts[keep], total[keep]
-        if _repeats(i, j, len(index)):
-            _first_bad_row(rows, lambda row: None)
         self._values[i, j] = ((1.0 - _LR_SMOOTHING) * self._values[i, j]
                               + _LR_SMOOTHING * (counts[:, 0] / total))
 

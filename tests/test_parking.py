@@ -287,8 +287,10 @@ class TestColumns:
         assert len(pvs) == 1
         assert pvs[0] == PVState(pv_id=1, arrival_hour=8, parked_hours=2.0, horizon=2.0)
 
-    @pytest.mark.parametrize("row", [(0, 24, 1.0, 1.0), (0, 9, -1.0, 1.0), (0, 9, 1.0, 0.0)],
-                             ids=["hour", "parked", "horizon"])
+    @pytest.mark.parametrize("row", [
+        (0, 24, 1.0, 1.0), (0, 9, -1.0, 1.0), (0, 9, 1.0, 0.0),
+        (0, 9.5, 1.0, 1.0), (0, 9, math.nan, 1.0), (0, 9, 1.0, math.nan),
+    ], ids=["hour", "parked", "horizon", "fractional-hour", "nan-parked", "nan-horizon"])
     def test_parked_keeps_pvstate_rules(self, row):
         with pytest.raises(ValueError):
             PVState(*row)
@@ -303,6 +305,22 @@ class TestColumns:
             Arrivals(hours, durations)
         with pytest.raises(ValueError):
             Parked(np.arange(len(hours)), hours, np.ones(len(durations)), 1.0)
+
+
+class TestMixtureRules:
+    FIELDS = ("h_short", "h_long", "shape_short", "shape_long", "scale_short", "scale_long")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_nan_parameter_rejected(self, field):
+        values = dict(zip(self.FIELDS, (0.6, 0.4, 2.0, 6.0, 0.75, 1.5)), **{field: math.nan})
+        with pytest.raises(ValueError):
+            HourMixture(**values)
+
+    @pytest.mark.parametrize("hour", [9.5, 0.5])
+    def test_fractional_hour_key_rejected(self, hour):
+        # no vehicle arrives at a fractional hour, so such a mixture is never used
+        with pytest.raises(ValueError, match="integer"):
+            GammaMixtureParams(per_hour={hour: EXP_MIX})
 
 
 def mixtures():

@@ -516,6 +516,8 @@ class TestBatchedWrites:
         "self-rating": (("n0", "n0", 1, 0), ValueError, "distinct"),
         "negative-count": (("n0", "n1", 2, -1), ValueError, ">= 0"),
         "unregistered": (("n0", "x", 1, 0), KeyError, "registered"),
+        "fractional-count": (("n0", "n1", 1.5, 0), ValueError, "whole numbers"),
+        "count-past-bound": (("n0", "n1", 0, 2**31), ValueError, "no greater than"),
     }
 
     @settings(deadline=None, max_examples=100)
@@ -533,6 +535,57 @@ class TestBatchedWrites:
         with pytest.raises(error, match=match):
             eng.record_slot(3, rows)
         assert eng._evidence.shape == before.shape and (eng._evidence == before).all()
+
+    @settings(deadline=None, max_examples=100)
+    @given(slot_batches(), st.sampled_from(sorted(BAD_ROWS)), st.data())
+    def test_all_writers_reject_the_same_rows(self, case, kind, data):
+        # the engine's two writers and the tracker's two raise the same
+        # error for a bad row and write nothing; only an unregistered name
+        # differs, which the tracker adds
+        nodes, batches = case
+        rows = batches[0][1] if batches else []
+        bad = self.BAD_ROWS[kind][0]
+        eng, tracker = self.engine(nodes), LinearReputationTracker()
+        eng.record_slot(2, rows)
+        tracker.update_many(rows)
+        evidence, index, values = eng._evidence.copy(), dict(tracker._index), tracker._values.copy()
+        mixed = rows[:]
+        mixed.insert(data.draw(st.integers(0, len(rows))), bad)
+        writes = [lambda: eng.record_outcomes(3, *bad), lambda: eng.record_slot(3, mixed),
+                  lambda: tracker.update(*bad), lambda: tracker.update_many(mixed)]
+        if kind == "unregistered":
+            writes = writes[:2]
+        errors = set()
+        for write in writes:
+            with pytest.raises(Exception) as raised:
+                write()
+            errors.add((type(raised.value), str(raised.value)))
+        assert len(errors) == 1
+        assert eng._evidence.shape == evidence.shape and (eng._evidence == evidence).all()
+        if kind == "unregistered":
+            tracker.update_many(mixed)
+            assert tracker.value("n0", "x") == linear_reputation_baseline([1.0])
+        else:
+            assert tracker._index == index and (tracker._values == values).all()
+
+    def test_tracker_rejects_self_ratings_and_negative_counts(self):
+        tracker = LinearReputationTracker()
+        for row in [("a", "b", 5, -4), ("a", "a", 1, 0), ("a", "b", 2, -2)]:
+            with pytest.raises(ValueError):
+                tracker.update(*row)
+            with pytest.raises(ValueError):
+                tracker.update_many([("c", "d", 1, 0), row])
+        assert tracker._index == {} and tracker.value("a", "b") == tracker.value("a", "a") == 0.5
+
+    @pytest.mark.parametrize("hour", [-1, -0.5, math.nan, math.inf])
+    def test_register_checks_the_hour(self, hour):
+        eng = self.engine(["i", "j"])
+        for node in ("x", "i"):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                eng.register(node, hour)
+        assert eng.arrival_hours == {"i": 8, "j": 9} and list(eng._index) == ["i", "j"]
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            similarity_weight(hour, 9.0)
 
     @settings(deadline=None, max_examples=100)
     @given(slot_batches(), st.data())
