@@ -9,11 +9,11 @@ population and quantile-binning them yields the discrete type profile the
 contract optimizer consumes.
 
 Populations are columns: `Arrivals` (hour and duration arrays) and the
-`Parked` set that `surviving_population` selects at a query hour.
-`stay_probabilities` scores a parked set with the stay kernel run once per
-cell of equal (arrival hour, parked hours, horizon), of which a query hour
-has at most 24; the scalar `stay_probability` scores one `PVState` through
-the same kernel, bit for bit.
+`Parked` set that `surviving_population` selects at one query hour, where a
+vehicle's arrival hour fixes its parked hours and so its stay probability.
+`stay_probabilities` runs the stay kernel once per arrival hour present and
+fills the rows from a 24-entry table; the scalar `stay_probability` scores
+one `PVState` through the same kernel, bit for bit.
 """
 
 from __future__ import annotations
@@ -171,37 +171,32 @@ class _InvalidArrival(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Parked:
-    """Vehicles parked at query time, as columns; `parked[i]` is row i as a
-    PVState. `pv_id` is the vehicle's row in its `Arrivals`; `horizon` is
-    given once for all rows or once per row, and stored per row."""
+    """The vehicles parked at one query `hour` in 0..23, as columns: row i is
+    `parked[i]`, a PVState parked (hour - arrival_hour[i]) % 24 hours with the
+    shared `horizon`. `pv_id` is the vehicle's row in its `Arrivals`."""
 
     pv_id: np.ndarray
     arrival_hour: np.ndarray
-    parked_hours: np.ndarray
-    horizon: float | np.ndarray
+    hour: int
+    horizon: float = 1.0
 
     def __post_init__(self) -> None:
-        _columns(self, pv_id=np.int64, arrival_hour=np.int64,
-                 parked_hours=np.float64, horizon=np.float64)
-        if not (self.pv_id.ndim == 1
-                and self.pv_id.shape == self.arrival_hour.shape == self.parked_hours.shape):
+        _columns(self, pv_id=np.int64, arrival_hour=np.int64)
+        if not (self.pv_id.ndim == 1 and self.pv_id.shape == self.arrival_hour.shape):
             raise ValueError("parked columns must be 1-D and of equal length")
-        object.__setattr__(self, "horizon", np.broadcast_to(self.horizon, self.pv_id.shape))
-        # PVState's rules, on every row at once (the columns are int64
-        # arrival hours and float64 times)
         if ((self.arrival_hour < 0) | (self.arrival_hour > 23)).any():
             raise ValueError("arrival_hour is not an integer in 0..23")
-        if not (self.parked_hours >= 0).all():
-            raise ValueError("parked_hours must be >= 0")
-        if not (self.horizon > 0).all():
+        if not _is_hour(self.hour):
+            raise ValueError("query hour is not an integer in 0..23")
+        if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
 
     def __len__(self) -> int:
         return len(self.pv_id)
 
     def __getitem__(self, i: int) -> PVState:
-        return PVState(int(self.pv_id[i]), int(self.arrival_hour[i]),
-                       float(self.parked_hours[i]), float(self.horizon[i]))
+        a = int(self.arrival_hour[i])
+        return PVState(int(self.pv_id[i]), a, float((self.hour - a) % 24), float(self.horizon))
 
 
 class NobodyParked(ValueError):
@@ -289,32 +284,14 @@ def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:
 def stay_probabilities(parked: Parked, params: GammaMixtureParams) -> np.ndarray:
     """`stay_probability` of every parked vehicle, in row order.
 
-    Rows with the same arrival hour, parked hours and horizon (a cell) have
-    the same stay probability, so the kernel runs once per cell: the rows
-    are sorted into cells, and each cell's value fills its rows.
+    A row's arrival hour fixes its parked hours and mixture, and the
+    horizon is shared, so the kernel runs once per arrival hour present
+    and a 24-entry table fills the rows.
     """
-    columns = (parked.arrival_hour, parked.parked_hours, parked.horizon)
-    # sort by arrival hour, then by each other column that has more than one
-    # value (one that has a single value splits no cell and need not be sorted)
-    keys = columns[:1] + tuple(column for column in columns[1:]
-                               if (column[1:] != column[:1]).any())
-    order = np.lexsort(keys[::-1])
-    first = np.zeros(len(order), dtype=bool)  # the first row of each cell
-    first[:1] = True
-    for column in keys:
-        key = column[order]
-        first[1:] |= key[1:] != key[:-1]
-        del key  # one sorted column at a time: this is the peak of the call
-    starts = np.flatnonzero(first)
-    hour, parked_hours, horizon = (column[order[starts]] for column in columns)
-    cells = np.empty(len(starts))
-    # one kernel call per arrival hour, so per-hour mixtures apply
-    for h in np.unique(hour).tolist():
-        rows = hour == h
-        cells[rows] = _stay(parked_hours[rows], horizon[rows], params.at(h))
-    probs = np.empty(len(order))
-    probs[order] = np.repeat(cells, np.diff(starts, append=len(order)))
-    return probs
+    table = np.empty(24)
+    for a in np.flatnonzero(np.bincount(parked.arrival_hour, minlength=24)).tolist():
+        table[a] = _stay(float((parked.hour - a) % 24), float(parked.horizon), params.at(a))
+    return table[parked.arrival_hour]
 
 
 def classify_types(parked: Parked, params: GammaMixtureParams, n_types: int) -> TypeProfile:
@@ -417,10 +394,10 @@ def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> 
 
 
 def surviving_population(arrivals: Arrivals, hour: int, horizon: float = 1.0) -> Parked:
-    """Vehicles still parked at the given hour of a cyclic day."""
-    parked_hours = ((hour - arrivals.hours) % 24).astype(float)
+    """Vehicles still parked at `hour` (an integer in 0..23) of a cyclic day."""
+    parked_hours = ((hour - np.arange(24.0)) % 24)[arrivals.hours]  # a 24-entry table
     pv_id = np.flatnonzero(arrivals.durations > parked_hours)
-    return Parked(pv_id, arrivals.hours[pv_id], parked_hours[pv_id], horizon)
+    return Parked(pv_id, arrivals.hours[pv_id], hour, horizon)
 
 
 def hourly_type_profile(

@@ -291,11 +291,11 @@ class ReputationEngine:
         in one write.
 
         The row rule of every reputation write applies: each count a whole
-        number in [0, 2**31 - 1], then rows with no outcomes skipped
-        unchecked, and in the rest a rater other than the target, each pair
-        once and both names registered. A slot that gets outcomes must be
-        >= 0. A rejected write raises the first bad row's error and writes
-        nothing.
+        number in [0, 2**31 - 1] and not a bool, then rows with no outcomes
+        skipped unchecked, and in the rest a rater other than the target,
+        each pair once and both names registered. A slot that gets outcomes
+        must be >= 0. A rejected write raises the first bad row's error and
+        writes nothing.
         """
         if not rows:
             return
@@ -456,8 +456,9 @@ def _checked_rows(
     rows, less the rows without outcomes: the one row rule of every
     reputation write.
 
-    Every count must be a whole number in [0, _MAX_COUNT]. Rows whose
-    counts are both 0 are then skipped unchecked; the rest must each have
+    Every count must be a whole number in [0, _MAX_COUNT] and not a bool,
+    Python's or numpy's (an array reads either as 0 or 1). Rows whose counts
+    are both 0 are then skipped unchecked; the rest must each have
     a rater other than the target, a (rater, target) pair no other row has,
     and names in `index`, except that with `grow` a name not in `index` is
     added to it, in order of first appearance. The first row that breaks a
@@ -465,9 +466,12 @@ def _checked_rows(
     """
     raters, targets, pos, neg = zip(*rows)
     counts = np.array((pos, neg))
-    if counts.dtype.kind not in "biu" or counts.min() < 0 or counts.max() > _MAX_COUNT:
+    kinds = {*map(type, pos), *map(type, neg)}
+    if (counts.dtype.kind not in "iu" or bool in kinds or np.bool_ in kinds
+            or counts.min() < 0 or counts.max() > _MAX_COUNT):
         raise ValueError(
-            f"outcome counts must be whole numbers >= 0 and no greater than {_MAX_COUNT}")
+            f"outcome counts must be whole numbers, not bools, >= 0 and no greater than "
+            f"{_MAX_COUNT}")
     names = index
     i, j = (np.fromiter(map(names.get, col, repeat(-1)), np.intp, len(rows))
             for col in (raters, targets))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from parkedchain.contract_opt import (
     ContractMenu,
@@ -334,6 +334,88 @@ def test_solver_menus_pinned():
         single += problem.n_types == 1
     assert min(clamped_lc, clamped_la, ironed, single) > 0
     assert digest.hexdigest() == "71bf850151b4a9915ab3e9faa31716257a64fd0c2378e2c923c5e420baf1195e"
+
+
+def full_constraint_oracle(problem: ContractProblem) -> ContractMenu:
+    """The SR-optimal menu by SLSQP, over (u, v) = (x / (A f_max^2), ln(1 + pi))
+    where x = A f^2 is the PV's energy.
+
+    A PV's utility theta_j v_k - x_k is linear in (x, v), so all n IR and
+    n(n - 1) IC constraints are linear, and the SR objective
+    sum_j beta_j theta_j (rho (ks/f_local - s/r_j) - rho ks/f_j - e^v_j + 1)
+    is concave: a local optimum is global. No constraint is dropped and no
+    binding pattern is assumed. The start is the pooled menu u = 1/2,
+    v = x / theta_1, which every constraint admits.
+    """
+    n, params = problem.n_types, problem.params
+    thetas = np.asarray(problem.thetas)
+    weights = np.asarray(problem.betas) * thetas
+    x_max = params.energy_coeff * params.f_max ** 2
+    ks = params.kappa * params.s_bits
+    gains = np.array([params.rho * (ks / params.f_local - params.s_bits / params.r_of(j))
+                      for j in range(n)])
+    slope = params.rho * ks / params.f_max  # rho ks / f_j = slope / sqrt(u_j)
+
+    def loss(z):
+        return -float(weights @ (gains - slope / np.sqrt(z[:n]) - np.expm1(z[n:])))
+
+    def loss_grad(z):
+        return np.concatenate([-0.5 * weights * slope * z[:n] ** -1.5, weights * np.exp(z[n:])])
+
+    # row (j, k) >= 0: type j's utility from its own item less that from
+    # item k (k = j: less nothing, so IR)
+    rows = np.zeros((n, n, 2 * n))
+    for j in range(n):
+        for k in range(n):
+            rows[j, k, [j, n + j]] += (-x_max, thetas[j])
+            if k != j:
+                rows[j, k, [k, n + k]] += (x_max, -thetas[j])
+    rows = rows.reshape(n * n, 2 * n)
+    start = np.concatenate([np.full(n, 0.5), np.full(n, 0.5 * x_max / thetas[0])])
+    result = minimize(loss, start, jac=loss_grad, method="SLSQP",
+                      bounds=[(1e-12, 1.0)] * n + [(0.0, None)] * n,
+                      constraints={"type": "ineq", "fun": lambda z: rows @ z,
+                                   "jac": lambda z: rows},
+                      options={"ftol": 1e-14, "maxiter": 1000})
+    # 8: no descent left at machine precision, which tight ftol reaches
+    assert result.status in (0, 8), result.message
+    u, v = result.x[:n], result.x[n:]
+    return ContractMenu(tuple((params.f_max * np.sqrt(u)).tolist()),
+                        tuple(np.expm1(v).tolist()), "full_constraint_oracle")
+
+
+# grid_oracle's points per axis by type count: its menus grow as points**(2n),
+# so a finer grid on three types would take seconds
+ORACLE_GRID_POINTS = {1: 30, 2: 20, 3: 10}
+
+
+def assert_oracle_bounds(problem: ContractProblem, lia: ContractMenu) -> None:
+    """The full-constraint oracle's menu is feasible at 1e-9, and its SR
+    utility is at least LIA's less 1e-9 relative, and at least the cheap
+    grid optimum's less 1e-9 where there is one."""
+    oracle = full_constraint_oracle(problem)
+    report = check_feasibility(oracle, problem, tol=1e-9)
+    assert report.feasible, (problem, report)
+    value, lia_value = sr_expected_utility(oracle, problem), sr_expected_utility(lia, problem)
+    assert value >= lia_value - 1e-9 * abs(lia_value), (problem, value, lia_value)
+    points = ORACLE_GRID_POINTS.get(problem.n_types)
+    if points:
+        lc = solve_complete_info(problem)
+        f_hi = min(max(lc.fs) * 1.3, problem.params.f_max)
+        pi_hi = max(lc.pis) * 1.3
+        grid = grid_oracle(problem, np.linspace(f_hi / points, f_hi, points),
+                           np.linspace(pi_hi / points, pi_hi, points))
+        assert value >= grid.meta["u_sr"] - 1e-9, (problem, value, grid.meta["u_sr"])
+
+
+def test_full_constraint_oracle_bounds_suite50(suite50):
+    for case in suite50["cases"]:
+        assert_oracle_bounds(case["problem"], case["lia"])
+
+
+def test_full_constraint_oracle_bounds_pinned_corpus():
+    for problem in _pinned_problems():
+        assert_oracle_bounds(problem, solve_lagrangian_iterative(problem))
 
 
 # every (xtol, rtol) the solvers pass: _solve_foc's two (the chain uses the

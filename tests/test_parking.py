@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
+from parkedchain import parking
 from parkedchain.parking import (
     DEFAULT_MIXTURE,
     Arrivals,
@@ -16,6 +17,7 @@ from parkedchain.parking import (
     Parked,
     PVState,
     TypeProfile,
+    _stay,
     classify_types,
     density,
     hourly_type_profile,
@@ -36,10 +38,19 @@ def exp_params(scale=2.0):
     return GammaMixtureParams(default=m)
 
 
-def as_parked(pvs):
-    """The columns of a list of PVStates, row i being pvs[i]."""
-    return Parked(*(np.array([getattr(pv, name) for pv in pvs])
-                    for name in ("pv_id", "arrival_hour", "parked_hours", "horizon")))
+def as_parked(arrival_hours, hour, horizon=1.0):
+    """The vehicles of the given arrival hours parked at query `hour`,
+    vehicle i in row i."""
+    return Parked(np.arange(len(arrival_hours)), arrival_hours, hour, horizon)
+
+
+def memoryless(stays, horizon=1.0):
+    """Per-hour exponential mixtures under which a vehicle that arrived at
+    hour a stays `horizon` more hours with probability stays[a], however
+    long it has been parked."""
+    return GammaMixtureParams(per_hour={
+        a: HourMixture(1.0, 0.0, 1.0, 1.0, -horizon / math.log(p), 1.0)
+        for a, p in enumerate(stays)})
 
 
 class TestDensity:
@@ -134,43 +145,31 @@ class TestMonteCarloOracle:
 
 class TestClassifyTypes:
     def test_quantile_split_pin(self):
-        # exponential trick: horizon -ln(p) makes the stay probability exactly p
-        params = exp_params(scale=1.0)
-        pvs = as_parked([
-            PVState(i, 9, 0.0, -math.log(p))
-            for i, p in enumerate((0.2, 0.4, 0.6, 0.8))
-        ])
-        profile = classify_types(pvs, params, 2)
+        params = memoryless((0.2, 0.4, 0.6, 0.8))
+        profile = classify_types(as_parked([0, 1, 2, 3], 9), params, 2)
         assert profile.thetas == pytest.approx((0.3, 0.7))
         assert profile.betas == pytest.approx((0.5, 0.5))
 
     def test_identical_population_collapses(self):
         params = exp_params()
-        pvs = as_parked([PVState(i, 9, 1.0, 1.0) for i in range(8)])
-        profile = classify_types(pvs, params, 4)
+        profile = classify_types(as_parked([9] * 8, 10), params, 4)
         assert profile.n_types == 1
         assert profile.betas == (1.0,)
 
     def test_thetas_strictly_ascending(self):
         rng = np.random.default_rng(5)
         params = GammaMixtureParams()
-        pvs = as_parked([
-            PVState(i, int(rng.integers(24)),
-                    float(rng.uniform(0, 6)), float(rng.uniform(0.5, 3)))
-            for i in range(60)
-        ])
-        for n in (2, 3, 5, 7):
-            profile = classify_types(pvs, params, n)
-            assert all(b > a for a, b in zip(profile.thetas, profile.thetas[1:]))
-            assert sum(profile.betas) == pytest.approx(1.0)
+        for hour, horizon in ((15, 1.7), (4, 0.5), (22, 3.0)):
+            pvs = as_parked(rng.integers(24, size=60), hour, horizon)
+            for n in (2, 3, 5, 7):
+                profile = classify_types(pvs, params, n)
+                assert all(b > a for a, b in zip(profile.thetas, profile.thetas[1:]))
+                assert sum(profile.betas) == pytest.approx(1.0)
 
     def test_refinement_preserves_weighted_mean(self):
         rng = np.random.default_rng(11)
         params = GammaMixtureParams()
-        pvs = as_parked([
-            PVState(i, 9, float(rng.uniform(0, 8)), 1.0)
-            for i in range(90)
-        ])
+        pvs = as_parked(rng.integers(24, size=90), 17)
         means = [
             sum(t * b for t, b in zip(p.thetas, p.betas))
             for p in (classify_types(pvs, params, n) for n in (2, 3, 6))
@@ -183,7 +182,7 @@ class TestClassifyTypes:
             classify_types(surviving_population(Arrivals([8], [1.0]), 20),
                            GammaMixtureParams(), 2)
         with pytest.raises(ValueError):
-            classify_types(as_parked([PVState(0, 9, 1.0, 1.0)]), GammaMixtureParams(), 1)
+            classify_types(as_parked([9], 10), GammaMixtureParams(), 1)
 
 
 class TestIngestTrace:
@@ -287,15 +286,29 @@ class TestColumns:
         assert len(pvs) == 1
         assert pvs[0] == PVState(pv_id=1, arrival_hour=8, parked_hours=2.0, horizon=2.0)
 
-    @pytest.mark.parametrize("row", [
-        (0, 24, 1.0, 1.0), (0, 9, -1.0, 1.0), (0, 9, 1.0, 0.0),
-        (0, 9.5, 1.0, 1.0), (0, 9, math.nan, 1.0), (0, 9, 1.0, math.nan),
+    # each PVState rule, and the Parked rule that holds every row to it: a
+    # row's parked hours come from the query hour
+    @pytest.mark.parametrize("row, parked, rule", [
+        ((0, 24, 1.0, 1.0), ([24], 10, 1.0), "arrival_hour"),
+        ((0, 9, -1.0, 1.0), ([9], -1, 1.0), "query hour"),
+        ((0, 9, 1.0, 0.0), ([9], 10, 0.0), "horizon"),
+        ((0, 9.5, 1.0, 1.0), ([9.5], 10, 1.0), "arrival_hour"),
+        ((0, 9, math.nan, 1.0), ([9], math.nan, 1.0), "query hour"),
+        ((0, 9, 1.0, math.nan), ([9], 10, math.nan), "horizon"),
     ], ids=["hour", "parked", "horizon", "fractional-hour", "nan-parked", "nan-horizon"])
-    def test_parked_keeps_pvstate_rules(self, row):
+    def test_parked_keeps_pvstate_rules(self, row, parked, rule):
         with pytest.raises(ValueError):
             PVState(*row)
-        with pytest.raises(ValueError):
-            Parked(*([v] for v in row))
+        with pytest.raises(ValueError, match=rule):
+            Parked([0], *parked)
+
+    @pytest.mark.parametrize("hour", [24, 9.5, -1, [9]], ids=["24", "9.5", "-1", "list"])
+    def test_query_hour_rules(self, hour):
+        # a query hour is never taken mod 24: 33 is not hour 9
+        with pytest.raises(ValueError, match="query hour"):
+            Parked([0], [9], hour)
+        with pytest.raises(ValueError, match="query hour"):
+            surviving_population(Arrivals([9], [5.0]), hour)
 
     @pytest.mark.parametrize("hours, durations", [
         ([9.5], [1.0]), ([10**30], [1.0]), ([9, 10], [1.0]), ([[9]], [[1.0]]),
@@ -304,7 +317,19 @@ class TestColumns:
         with pytest.raises(ValueError):
             Arrivals(hours, durations)
         with pytest.raises(ValueError):
-            Parked(np.arange(len(hours)), hours, np.ones(len(durations)), 1.0)
+            Parked(np.zeros(np.shape(durations), int), hours, 10)
+
+    def test_one_kernel_call_per_arrival_hour(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _stay(*args)
+
+        monkeypatch.setattr(parking, "_stay", counted)
+        parked = surviving_population(synthesize_population(GammaMixtureParams(), 2000, 3), 12)
+        stay_probabilities(parked, GammaMixtureParams())
+        assert len(calls) == len(set(parked.arrival_hour.tolist())) > 1
 
 
 class TestMixtureRules:
@@ -333,31 +358,26 @@ def mixtures():
 
 @settings(deadline=None, max_examples=150)
 @given(
-    # few hours, parked hours and horizons, so that many rows share an
-    # (arrival hour, parked hours, horizon) cell, mixed with distinct rows
-    rows=st.lists(st.tuples(st.one_of(st.integers(0, 23), st.sampled_from([8, 9])),
-                            st.one_of(st.floats(0.0, 23.0), st.sampled_from([0.0, 1.0, 2.0, 5.0])),
-                            st.one_of(st.floats(0.05, 6.0), st.sampled_from([0.5, 1.0]))),
-                  min_size=1, max_size=60),
+    # few arrival hours, so that many rows share one, mixed with any hours
+    arrival_hours=st.lists(st.one_of(st.integers(0, 23), st.sampled_from([8, 9])),
+                           min_size=1, max_size=60),
+    hour=st.integers(0, 23),
+    horizon=st.one_of(st.floats(0.05, 6.0), st.sampled_from([0.5, 1.0])),
     default=mixtures(),
     per_hour=st.dictionaries(st.integers(0, 23), mixtures(), max_size=4),
-    one_horizon=st.booleans(),
 )
-@example(  # one arrival hour holding a shared cell, a distinct row and a second shared cell
-    rows=[(9, 1.0, 1.0), (9, 2.5, 1.0), (9, 1.0, 1.0), (9, 1.0, 0.5), (8, 1.0, 1.0),
-          (9, 1.0, 0.5), (9, 1.0, 1.0)],
-    default=DEFAULT_MIXTURE, per_hour={8: EXP_MIX}, one_horizon=False,
+@example(  # a vehicle parked 0 hours, one parked 23 and a per-hour mixture
+    arrival_hours=[9, 8, 9, 10, 8, 9], hour=9, horizon=1.0,
+    default=DEFAULT_MIXTURE, per_hour={8: EXP_MIX},
 )
-def test_columnar_stay_matches_scalar(rows, default, per_hour, one_horizon):
-    """The array path equals the scalar reference with ==, per-hour mixtures
-    included, whether rows share a cell or not."""
+def test_columnar_stay_matches_scalar(arrival_hours, hour, horizon, default, per_hour):
+    """Row i is vehicle i's PVState at the query hour, and the array path
+    equals the scalar reference on every row with ==, per-hour mixtures
+    included."""
     params = GammaMixtureParams(default=default, per_hour=per_hour)
-    if one_horizon:
-        rows = [(h, t, rows[0][2]) for h, t, _ in rows]
-    pvs = [PVState(i, *row) for i, row in enumerate(rows)]
-    parked = as_parked(pvs)
-    if one_horizon:
-        parked = Parked(parked.pv_id, parked.arrival_hour, parked.parked_hours, rows[0][2])
-    scalar = [stay_probability(pv, params) for pv in pvs]
-    assert stay_probabilities(parked, params).tolist() == scalar
-    assert [parked[i] for i in range(len(parked))] == pvs
+    parked = Parked(np.arange(len(arrival_hours)) + 100, arrival_hours, hour, horizon)
+    rows = [parked[i] for i in range(len(parked))]
+    assert rows == [PVState(i + 100, a, float((hour - a) % 24), horizon)
+                    for i, a in enumerate(arrival_hours)]
+    assert stay_probabilities(parked, params).tolist() == [stay_probability(pv, params)
+                                                          for pv in rows]

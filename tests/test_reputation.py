@@ -518,6 +518,9 @@ class TestBatchedWrites:
         "unregistered": (("n0", "x", 1, 0), KeyError, "registered"),
         "fractional-count": (("n0", "n1", 1.5, 0), ValueError, "whole numbers"),
         "count-past-bound": (("n0", "n1", 0, 2**31), ValueError, "no greater than"),
+        "bool-count": (("n0", "n1", True, False), ValueError, "not bools"),
+        # in a batch of int rows, an array reads the bool as 1
+        "mixed-bool": (("n0", "n1", 3, np.True_), ValueError, "not bools"),
     }
 
     @settings(deadline=None, max_examples=100)
