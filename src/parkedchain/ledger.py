@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
@@ -49,6 +50,20 @@ def _units(amount, what: str) -> int:
     return int(amount)
 
 
+def _frequency(f) -> float:
+    """f as a plain float; bools, non-numbers, NaN, infinities and values
+    <= 0 (even -0.0) are rejected, so equal menus are written alike."""
+    if isinstance(f, bool) or not isinstance(f, numbers.Real):
+        raise LedgerError(f"menu frequency must be a real number, got {f!r}")
+    try:
+        f = float(f)
+    except OverflowError:
+        f = math.inf
+    if not 0 < f < math.inf:
+        raise LedgerError(f"menu frequency must be finite and > 0, got {f!r}")
+    return f
+
+
 class ContractState(Enum):
     DEPLOYED = "Deployed"
     SIGNED = "Signed"
@@ -76,8 +91,19 @@ class RequestSpec:
     expected_seconds: float
 
     def __post_init__(self) -> None:
-        if self.task_bits <= 0 or self.required_hz <= 0 or self.expected_seconds <= 0:
-            raise ValueError("request spec fields must be positive")
+        # each field is stored as a plain int or float, so dump can write it;
+        # a bool is not a count of bits or hertz, and NaN fails `0 < x`
+        for name in ("task_bits", "required_hz", "expected_seconds"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"request spec {name} must be a real number, got {x!r}")
+            try:
+                x = int(x) if isinstance(x, numbers.Integral) else float(x)
+            except OverflowError:
+                x = math.inf
+            if not 0 < x < math.inf:
+                raise ValueError(f"request spec {name} must be finite and > 0, got {x!r}")
+            object.__setattr__(self, name, x)
 
 
 @dataclass
@@ -117,17 +143,13 @@ class Block:
     quorum_signers: tuple[str, ...]
 
     def digest(self) -> str:
-        body = json.dumps(
-            {
-                "height": self.height,
-                "prev": self.prev_digest,
-                "txs": list(self.tx_digests),
-                "proposer": self.proposer,
-                "signers": list(self.quorum_signers),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        body = _canonical({
+            "height": self.height,
+            "prev": self.prev_digest,
+            "txs": list(self.tx_digests),
+            "proposer": self.proposer,
+            "signers": list(self.quorum_signers),
+        })
         return hashlib.sha256(body.encode()).hexdigest()
 
 
@@ -150,6 +172,7 @@ class Ledger:
             Block(height=0, prev_digest="0" * 64, tx_digests=(),
                   proposer="genesis", quorum_signers=("genesis",))
         ]
+        self._menus: dict[tuple, tuple] = {}    # menu -> (stored menu, largest reward)
         self.minted = 0
         self._nonce = 0
         self.clock = 0
@@ -196,15 +219,24 @@ class Ledger:
         deposit: int,
     ) -> SmartContractRecord:
         sr = self._account(sr_identity)
-        items = tuple((float(f), _units(pi, "reward")) for f, pi in menu)
-        if not items:
-            raise LedgerError("menu must contain at least one item")
-        if any(pi < 0 for _, pi in items):
-            raise LedgerError("rewards must be nonnegative")
+        # a plain float in range needs no call to _frequency
+        items = tuple((f if type(f) is float and 0 < f < math.inf else _frequency(f),
+                       _units(pi, "reward")) for f, pi in menu)
+        # equal validated menus are written alike (no -0.0 meets 0.0, since
+        # frequencies are > 0): the records share the first one's tuple, and
+        # its checks and largest reward are worked out once
+        known = self._menus.get(items)
+        if known is None:
+            if not items:
+                raise LedgerError("menu must contain at least one item")
+            if any(pi < 0 for _, pi in items):
+                raise LedgerError("rewards must be nonnegative")
+            known = self._menus[items] = (items, max(pi for _, pi in items))
+        items, top = known
         deposit = _units(deposit, "deposit")
         if deposit < 0:
             raise LedgerError("deposit must be nonnegative")
-        need = deposit + max(pi for _, pi in items)
+        need = deposit + top
         if sr.balance < need:
             raise LedgerError(
                 f"balance {sr.balance} cannot escrow deposit+max reward {need}"
@@ -360,19 +392,32 @@ class Ledger:
                     "address": a.address, "public_key": a.public_key,
                     "balance": a.balance, "reputation": a.reputation,
                 }) + "\n")
+            # a contract's menu and spec are encoded once per distinct pair and
+            # spliced over 0 placeholders: with sorted keys and every `"` in a
+            # string escaped, `,"menu":0,` can only be the record's own key
+            fragments: dict[tuple[int, int], tuple[str, str]] = {}
             for address in sorted(self.contracts):
                 c = self.contracts[address]
-                fh.write(_canonical({
+                key = (id(c.menu), id(c.spec))
+                parts = fragments.get(key)
+                if parts is None:
+                    spec = c.spec
+                    parts = fragments[key] = (
+                        ',"menu":' + _canonical([[f, pi] for f, pi in c.menu]) + ",",
+                        ',"spec":' + _canonical([spec.task_bits, spec.required_hz,
+                                                 spec.expected_seconds]) + ",",
+                    )
+                line = _canonical({
                     "kind": "contract", "address": c.address,
                     "sr": c.sr_address, "pv": c.pv_address,
-                    "spec": [c.spec.task_bits, c.spec.required_hz,
-                             c.spec.expected_seconds],
-                    "menu": [[f, pi] for f, pi in c.menu],
+                    "spec": 0, "menu": 0,
                     "sr_deposit": c.sr_deposit, "pv_deposit": c.pv_deposit,
                     "item": c.item_index, "escrow": c.escrow,
                     "state": c.state.value, "result": c.result_digest,
                     "history": c.history, "timestamps": c.timestamps,
-                }) + "\n")
+                })
+                fh.write(line.replace(',"menu":0,', parts[0], 1)
+                         .replace(',"spec":0,', parts[1], 1) + "\n")
             for b in self.blocks:
                 fh.write(_canonical({
                     "kind": "block", "height": b.height,
@@ -383,5 +428,6 @@ class Ledger:
                                  "clock": self.clock}) + "\n")
 
 
-def _canonical(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every record: json.dumps builds a new one per call when
+# given non-default arguments
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode

@@ -122,17 +122,26 @@ class PVState:
 
 
 def _is_hour(hour) -> bool:
-    """Whether `hour` is an arrival hour: an integer in 0..23."""
-    return ((type(hour) is int or isinstance(hour, numbers.Integral))   # int first: faster
+    """Whether `hour` is an hour of the day: an integer in 0..23. A bool is
+    not one (np.bool_ is no numbers.Integral, but bool is)."""
+    return ((type(hour) is int                                   # int first: faster
+             or (isinstance(hour, numbers.Integral) and not isinstance(hour, bool)))
             and 0 <= hour <= 23)
+
+
+def _check_query_hour(hour) -> None:
+    if not _is_hour(hour):
+        raise ValueError("query hour is not an integer in 0..23")
 
 
 def _columns(obj, **dtypes) -> None:
     """Store the named fields of a frozen dataclass as arrays of the given
-    dtypes; a float column is never truncated to an int one."""
+    dtypes; a float column is never truncated to an int one, and a bool
+    column is never read as numbers."""
     for name, dtype in dtypes.items():
         column = np.asarray(getattr(obj, name))
-        if column.size and not np.can_cast(column.dtype, dtype, "same_kind"):
+        if column.size and (column.dtype.kind == "b"
+                            or not np.can_cast(column.dtype, dtype, "same_kind")):
             raise ValueError(f"{name} must hold {np.dtype(dtype).name} values")
         object.__setattr__(obj, name, column.astype(dtype))
 
@@ -186,8 +195,7 @@ class Parked:
             raise ValueError("parked columns must be 1-D and of equal length")
         if ((self.arrival_hour < 0) | (self.arrival_hour > 23)).any():
             raise ValueError("arrival_hour is not an integer in 0..23")
-        if not _is_hour(self.hour):
-            raise ValueError("query hour is not an integer in 0..23")
+        _check_query_hour(self.hour)
         if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
 
@@ -395,6 +403,7 @@ def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> 
 
 def surviving_population(arrivals: Arrivals, hour: int, horizon: float = 1.0) -> Parked:
     """Vehicles still parked at `hour` (an integer in 0..23) of a cyclic day."""
+    _check_query_hour(hour)    # before any arithmetic, so "9" and None fail alike
     parked_hours = ((hour - np.arange(24.0)) % 24)[arrivals.hours]  # a 24-entry table
     pv_id = np.flatnonzero(arrivals.durations > parked_hours)
     return Parked(pv_id, arrivals.hours[pv_id], hour, horizon)

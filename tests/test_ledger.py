@@ -1,10 +1,12 @@
 """Accounts, escrowed contract lifecycle, blocks, conservation."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parkedchain import ledger as ledger_mod
 from parkedchain.ledger import (
@@ -116,11 +118,83 @@ class TestPostRequest:
         with pytest.raises(LedgerError):
             led.post_request("sr1", SPEC, [], deposit=10)
 
+    @pytest.mark.parametrize("frequency", [
+        math.nan, np.nan, math.inf, -math.inf, 0.0, -0.0, -1.0e9, 10**400, True, "1e9", None,
+    ], ids=["nan", "numpy-nan", "inf", "-inf", "zero", "-zero", "negative", "huge-int",
+            "bool", "string", "none"])
+    def test_menu_frequency_rules(self, frequency):
+        # frequencies are real, finite and > 0: else dump would write the
+        # non-JSON token NaN, and -0.0 would meet 0.0 as one menu
+        led = funded_ledger()
+        with pytest.raises(LedgerError, match="menu frequency"):
+            led.post_request("sr1", SPEC, [(1.0e9, 120), (frequency, 260)], deposit=300)
+        assert not led.contracts and led.accounts["sr1"].balance == 10_000
+
+    def test_numpy_frequencies_stored_as_float(self):
+        led = funded_ledger()
+        rec = led.post_request("sr1", SPEC, [(np.float32(1.5e9), 120), (2, 260)], deposit=300)
+        assert rec.menu == ((1.5e9, 120), (2.0, 260))
+        assert all(type(f) is float for f, _ in rec.menu)
+
+
     def test_escrow_conserves_total(self):
         led = funded_ledger()
         led.post_request("sr1", SPEC, MENU, deposit=300)
         assert led.conserved()
         assert led.total_escrow() == 710
+
+
+class TestRequestSpec:
+    @pytest.mark.parametrize("fields", [
+        (1, math.nan, 1.0), (1, 1.0, math.inf), (True, 1.0, 1.0), (1, 1.0, np.False_),
+        (1, np.float64("nan"), 1.0), (0, 1.0, 1.0), (1, -0.0, 1.0), (1, 1.0, -5.0),
+        ("4e6", 1.0, 1.0), (1, None, 1.0), (1, 1.0, 1j),
+    ], ids=["nan-hz", "inf-seconds", "bool-bits", "numpy-bool-seconds", "numpy-nan-hz",
+            "zero-bits", "-zero-hz", "negative-seconds", "string-bits", "none-hz", "complex"])
+    def test_fields_real_finite_positive(self, fields):
+        with pytest.raises(ValueError, match="request spec"):
+            RequestSpec(*fields)
+
+    def test_numbers_stored_as_plain_int_or_float(self):
+        # float task_bits stay floats (4e6 is written 4000000.0); numpy
+        # scalars become the plain numbers dump can write
+        assert RequestSpec(4e6, 1e9, 5.0) == RequestSpec(4_000_000, 1e9, 5.0)
+        spec = RequestSpec(np.int64(4_000_000), np.float32(0.5), np.int8(5))
+        assert (spec.task_bits, spec.required_hz, spec.expected_seconds) == (4_000_000, 0.5, 5)
+        assert [type(x) for x in (spec.task_bits, spec.required_hz, spec.expected_seconds)] \
+            == [int, float, int]
+        assert type(RequestSpec(4e6, 1e9, 5.0).task_bits) is float
+
+
+class TestMenuInterning:
+    def test_equal_menus_share_one_tuple(self):
+        led = funded_ledger()
+        first = led.post_request("sr1", SPEC, MENU, deposit=10)
+        # the same values from other number types, and a fresh list
+        again = led.post_request("sr1", SPEC, [(np.float64(f), np.int64(pi)) for f, pi in MENU],
+                                 deposit=10)
+        assert again.menu is first.menu
+        assert again.menu == tuple(MENU)
+
+    def test_distinct_menus_kept_apart(self):
+        led = funded_ledger()
+        one = led.post_request("sr1", SPEC, [(1.0, 5)], deposit=10)
+        ulp = led.post_request("sr1", SPEC, [(math.nextafter(1.0, 2.0), 5)], deposit=10)
+        reward = led.post_request("sr1", SPEC, [(1.0, 6)], deposit=10)
+        assert ulp.menu != one.menu and reward.menu != one.menu
+        assert len({id(r.menu) for r in (one, ulp, reward)}) == 3
+
+    def test_known_menu_still_checks_balance(self):
+        # a known menu skips its own checks, never the SR's balance, and a
+        # rejected menu is never known
+        led = funded_ledger()
+        led.post_request("sr1", SPEC, [(1.0e9, 6_000)], deposit=0)
+        with pytest.raises(LedgerError, match="cannot escrow"):
+            led.post_request("sr1", SPEC, [(1.0e9, 6_000)], deposit=0)
+        for _ in range(2):
+            with pytest.raises(LedgerError, match="nonnegative"):
+                led.post_request("sr1", SPEC, [(1.0e9, -1)], deposit=0)
+        assert len(led.contracts) == 1 and led.conserved()
 
 
 class TestSignContract:
@@ -318,6 +392,108 @@ class TestPersistence:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "ff3a862a110927857e135999772b9ca7941ff132763f1bee339e818e3658a454"
         )
+
+
+def oracle_dump(led) -> bytes:
+    """The export as it was written before menus and specs were encoded once
+    per dump: every record through its own json.dumps."""
+    def canonical(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+    lines = []
+    for identity in sorted(led.accounts):
+        a = led.accounts[identity]
+        lines.append(canonical({
+            "kind": "account", "identity": a.identity,
+            "address": a.address, "public_key": a.public_key,
+            "balance": a.balance, "reputation": a.reputation,
+        }))
+    for address in sorted(led.contracts):
+        c = led.contracts[address]
+        lines.append(canonical({
+            "kind": "contract", "address": c.address,
+            "sr": c.sr_address, "pv": c.pv_address,
+            "spec": [c.spec.task_bits, c.spec.required_hz, c.spec.expected_seconds],
+            "menu": [[f, pi] for f, pi in c.menu],
+            "sr_deposit": c.sr_deposit, "pv_deposit": c.pv_deposit,
+            "item": c.item_index, "escrow": c.escrow,
+            "state": c.state.value, "result": c.result_digest,
+            "history": c.history, "timestamps": c.timestamps,
+        }))
+    for b in led.blocks:
+        lines.append(canonical({
+            "kind": "block", "height": b.height,
+            "prev": b.prev_digest, "txs": list(b.tx_digests),
+            "proposer": b.proposer, "signers": list(b.quorum_signers),
+        }))
+    lines.append(canonical({"kind": "supply", "minted": led.minted, "clock": led.clock}))
+    return "".join(lines).encode()
+
+
+# identities that look like the placeholders dump splices over, or that
+# need escaping
+TRICKY = ['","menu":0,"', '","spec":0,"', '"menu":0', ',"spec":0,', 'q"uote', 'back\\slash',
+          '\\"', 'a,b', 'é', '車両', '\x00\n']
+identities = st.one_of(st.sampled_from(TRICKY), st.text(max_size=8))
+menus = st.lists(
+    st.tuples(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+              st.integers(0, 10**6)),
+    min_size=1, max_size=6,
+)
+numbers_ = st.one_of(st.integers(1, 10**12), st.floats(min_value=0.0, exclude_min=True,
+                                                        allow_infinity=False))
+# what becomes of each contract: stays Deployed or Signed, departs, submits,
+# or settles pass / fail / fail with SR fraud
+ENDS = ("deployed", "signed", "departed", "submitted", "pass", "fail", "fraud")
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    names=st.lists(identities, min_size=2, max_size=5, unique=True),
+    menu_pool=st.lists(menus, min_size=1, max_size=4),
+    spec_pool=st.lists(st.tuples(numbers_, numbers_, numbers_), min_size=1, max_size=3),
+    deals=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans(),
+                             st.integers(0, 5), st.sampled_from(ENDS), st.integers(0, 4)),
+                   max_size=12),
+    reputation=st.floats(allow_nan=False),
+)
+def test_dump_matches_per_record_encoding(tmp_path_factory, names, menu_pool, spec_pool,
+                                          deals, reputation):
+    led = Ledger()
+    for name in names:
+        if name != TREASURY:
+            led.register_account(name)
+        led.credit(name, 10**13)
+    led.accounts[names[-1]].reputation = reputation
+    # equal specs of other number types are written differently: 4000000
+    # against 4000000.0
+    equal_specs = [RequestSpec(4_000_000, 1e9, 5.0), RequestSpec(4e6, 1e9, 5.0)]
+    specs = [RequestSpec(*fields) for fields in spec_pool] + equal_specs
+    records = [(led.post_request(names[0], spec, menu_pool[0], deposit=0), "deployed")
+               for spec in equal_specs]
+    for menu_i, spec_i, fresh_spec, sr_i, end, block_every in deals:
+        spec = specs[spec_i % len(specs)]
+        if fresh_spec:
+            spec = RequestSpec(spec.task_bits, spec.required_hz, spec.expected_seconds)
+        menu = list(menu_pool[menu_i % len(menu_pool)])     # equal, never the same object
+        sr = names[sr_i % len(names)]
+        records.append((led.post_request(sr, spec, menu, deposit=sr_i * 7), end))
+        if block_every and len(records) % block_every == 0:
+            led.append_block([r.address for r, _ in records[-2:]], names[:2],
+                             proposer=names[-1])
+    for k, (r, end) in enumerate(records):
+        if end == "deployed":
+            continue
+        led.sign_contract(names[k % len(names)], r.address, k % len(r.menu), pv_deposit=k)
+        if end != "signed":
+            led.execute_task(r.address, pv_departed=end == "departed")
+        if end in ("pass", "fail", "fraud"):
+            led.verify_and_settle(r.address, "pass" if end == "pass" else "fail",
+                                  sr_fraud=end == "fraud")
+    assert led.conserved()
+    path = tmp_path_factory.getbasetemp() / "oracle-ledger.jsonl"    # one file for every example
+    led.dump(str(path))
+    assert path.read_bytes() == oracle_dump(led)
 
 
 class TestConservationFuzz:

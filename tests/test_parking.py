@@ -295,16 +295,22 @@ class TestColumns:
         ((0, 9.5, 1.0, 1.0), ([9.5], 10, 1.0), "arrival_hour"),
         ((0, 9, math.nan, 1.0), ([9], math.nan, 1.0), "query hour"),
         ((0, 9, 1.0, math.nan), ([9], 10, math.nan), "horizon"),
-    ], ids=["hour", "parked", "horizon", "fractional-hour", "nan-parked", "nan-horizon"])
+        ((0, True, 1.0, 1.0), ([True], 10, 1.0), "arrival_hour"),
+        ((0, np.True_, 1.0, 1.0), (np.array([True]), 10, 1.0), "arrival_hour"),
+    ], ids=["hour", "parked", "horizon", "fractional-hour", "nan-parked", "nan-horizon",
+            "bool-hour", "numpy-bool-hour"])
     def test_parked_keeps_pvstate_rules(self, row, parked, rule):
         with pytest.raises(ValueError):
             PVState(*row)
         with pytest.raises(ValueError, match=rule):
             Parked([0], *parked)
 
-    @pytest.mark.parametrize("hour", [24, 9.5, -1, [9]], ids=["24", "9.5", "-1", "list"])
+    @pytest.mark.parametrize("hour", [24, 9.5, -1, [9], True, np.True_, "9", None],
+                             ids=["24", "9.5", "-1", "list", "bool", "numpy-bool", "string",
+                                  "none"])
     def test_query_hour_rules(self, hour):
-        # a query hour is never taken mod 24: 33 is not hour 9
+        # a query hour is never taken mod 24 (33 is not hour 9), True is not
+        # hour 1, and the hour is checked before any arithmetic
         with pytest.raises(ValueError, match="query hour"):
             Parked([0], [9], hour)
         with pytest.raises(ValueError, match="query hour"):
@@ -312,7 +318,8 @@ class TestColumns:
 
     @pytest.mark.parametrize("hours, durations", [
         ([9.5], [1.0]), ([10**30], [1.0]), ([9, 10], [1.0]), ([[9]], [[1.0]]),
-    ], ids=["float-hour", "huge-hour", "lengths", "2-d"])
+        ([True], [1.0]),
+    ], ids=["float-hour", "huge-hour", "lengths", "2-d", "bool-hour"])
     def test_malformed_columns_rejected(self, hours, durations):
         with pytest.raises(ValueError):
             Arrivals(hours, durations)
