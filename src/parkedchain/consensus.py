@@ -17,10 +17,10 @@ each with the id of the node that produced it, so a corrupted node can
 lie or stay silent but cannot send under another node's id.
 
 The detection, decay and collusion experiments at the bottom feed one
-interaction stream per seed (record_interactions, with scripted per-slot
-cooperation probabilities) to both the subjective-logic scheme and the
-linear-smoothing baseline, and measure how their selection quality
-differs.
+interaction stream per seed (record_interactions, with a scripted
+[target, rater] cooperation table per slot) to both the subjective-logic
+scheme and the linear-smoothing baseline, and measure how their
+selection quality differs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -422,10 +421,12 @@ _RATERS = 10
 _ONSET = 5
 _P_COOPERATE = 0.8
 _P_DEFECT = 0.1
-# Collusion: committee candidates, their raters, and slots per seed.
+# Collusion: committee candidates, their raters, slots per seed, and how
+# often an honest candidate cooperates.
 _CANDIDATES = 9
 _COLLUSION_RATERS = 50
 _COLLUSION_SLOTS = 8
+_P_HONEST_CANDIDATE = 0.95
 
 
 def record_interactions(
@@ -433,30 +434,53 @@ def record_interactions(
     slot: int,
     targets: list[str],
     raters: list[str],
-    p_of: Callable[[int, str, str], float],
+    p: np.ndarray,
     engine: ReputationEngine,
     tracker: LinearReputationTracker,
 ) -> None:
     """Draw one slot of rated interactions and record them in both schemes.
 
     Each rater other than the target itself interacts 5 to 10 times with
-    each target, and each interaction goes well with probability
-    p_of(slot, rater, target). A probability of exactly 1.0 records
+    each target, and each interaction goes well with probability p[t, r]
+    for targets[t] and raters[r]. A probability of exactly 1.0 records
     all-positive evidence without drawing a binomial: this is how
-    colluders fabricate mutual praise, and it fixes the RNG draw order.
-    The slot's rows are written once to each scheme after all draws.
+    colluders fabricate mutual praise, and it fixes the RNG draw order,
+    target by target, then rater by rater. The slot's counts are written
+    once to each scheme after all draws.
     """
-    rows = []
-    for target in targets:
-        for rater in raters:
-            if rater == target:
-                continue
-            trials = int(rng.integers(5, 11))
-            p = p_of(slot, rater, target)
-            pos = trials if p == 1.0 else int(rng.binomial(trials, p))
-            rows.append((rater, target, pos, trials - pos))
-    engine.record_slot(slot, rows)
-    tracker.update_many(rows)
+    p = np.asarray(p, dtype=float)
+    if p.shape != (len(targets), len(raters)):
+        raise ValueError(f"p must be shaped (targets, raters) = "
+                         f"{(len(targets), len(raters))}, got {p.shape}")
+    drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
+                           != np.array(raters, dtype=object))
+    probs = p.ravel()[drawn].tolist()
+    trials, positives = [0] * len(probs), [0] * len(probs)
+    integers, binomial = rng.integers, rng.binomial
+    for k, pk in enumerate(probs):
+        n = trials[k] = integers(5, 11)
+        positives[k] = n if pk == 1.0 else binomial(n, pk)
+    counts = np.zeros((p.size, 2), dtype=np.int64)
+    counts[drawn, 0] = positives
+    counts[drawn, 1] = trials
+    counts[:, 1] -= counts[:, 0]
+    counts = counts.reshape(*p.shape, 2)
+    engine.record_block(slot, raters, targets, counts)
+    tracker.update_block(raters, targets, counts)
+
+
+def _cooperation(
+    targets: list[str], raters: list[str], misbehaving, honest_p: float = _P_COOPERATE,
+    colluders=frozenset(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """The [target, rater] probabilities of a good interaction before the
+    onset and from it on. A misbehaving target cooperates at 0.8, then at
+    0.1; any other target at `honest_p` throughout; a colluder rating a
+    colluding target always praises it (1.0)."""
+    bad = np.array([t in misbehaving for t in targets], dtype=bool)[:, None]
+    praise = bad & np.array([r in colluders for r in raters], dtype=bool)
+    return tuple(np.where(praise, 1.0, np.where(bad, p, honest_p))
+                 for p in (_P_COOPERATE, _P_DEFECT))
 
 
 def _engine(weight_config: WeightConfig | None, *cohorts: list[str]) -> ReputationEngine:
@@ -496,14 +520,13 @@ def detection_experiment(
     target_ids = [f"m{i:03d}" for i in range(misbehaving_count)]
     engine = _engine(weight_config, rater_ids, target_ids)
     tracker = LinearReputationTracker()
-
-    def p_of(slot, rater, target):
-        return _P_COOPERATE if slot < _ONSET else _P_DEFECT
+    before, after = _cooperation(target_ids, rater_ids, target_ids)
 
     sl_series: list[float] = []
     lr_series: list[float] = []
     for slot in range(1, slots + 1):
-        record_interactions(rng, slot, target_ids, rater_ids, p_of, engine, tracker)
+        record_interactions(rng, slot, target_ids, rater_ids,
+                            before if slot < _ONSET else after, engine, tracker)
         sl = engine.average_reputations(target_ids, at=slot + 1, raters=rater_ids)
         sl_below = int(np.count_nonzero(sl < threshold))
         lr_below = sum(tracker.average_reputation(target, rater_ids) < threshold
@@ -546,14 +569,13 @@ def decay_experiment(
     honest = [f"h{i:03d}" for i in range(n_honest)]
     engine = _engine(weight_config, raters, bad + honest)
     tracker = LinearReputationTracker()
-
-    def p_of(slot, rater, target):
-        return _P_COOPERATE if (target in honest or slot < onset) else _P_DEFECT
+    before, after = _cooperation(bad + honest, raters, bad)
 
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, str, float, float]] = []
     for slot in range(slots):
-        record_interactions(rng, slot, bad + honest, raters, p_of, engine, tracker)
+        record_interactions(rng, slot, bad + honest, raters,
+                            before if slot < onset else after, engine, tracker)
         sl = engine.average_reputations(honest + bad, at=slot + 1, raters=raters).tolist()
         lr = [tracker.average_reputation(t, raters=raters) for t in honest + bad]
         for scheme, scores in (("SL", sl), ("LR", lr)):
@@ -607,13 +629,7 @@ def collusion_experiment(
     rater_ids = [f"r{i:03d}" for i in range(_COLLUSION_RATERS)]
     cand_ids = rater_ids[:_CANDIDATES]
     colluders = set(cand_ids[:n_colluders])
-
-    def p_of(slot, rater, target):
-        if target not in colluders:
-            return 0.95
-        if rater in colluders:
-            return 1.0   # fabricated mutual praise
-        return _P_COOPERATE if slot < _ONSET else _P_DEFECT
+    before, after = _cooperation(cand_ids, rater_ids, colluders, _P_HONEST_CANDIDATE, colluders)
 
     scored: list[tuple[dict[str, float], dict[str, float]]] = []
     for s in range(seeds):
@@ -623,7 +639,8 @@ def collusion_experiment(
         for i, rid in enumerate(rater_ids):
             engine.register(rid, arrival_hour=8 + (i % 5))
         for slot in range(1, _COLLUSION_SLOTS + 1):
-            record_interactions(rng, slot, cand_ids, rater_ids, p_of, engine, tracker)
+            record_interactions(rng, slot, cand_ids, rater_ids,
+                                before if slot < _ONSET else after, engine, tracker)
         sl = engine.average_reputations(cand_ids, at=_COLLUSION_SLOTS + 1, raters=rater_ids)
         lr_scores = {target: tracker.average_reputation(
             target, [r for r in rater_ids if r != target]) for target in cand_ids}

@@ -40,13 +40,13 @@ class LedgerError(RuntimeError):
     pass
 
 
-def _units(amount, what: str) -> int:
+def _units(amount, what: str, kind: str = "whole number of units") -> int:
     """amount as a plain int; bools, floats (even 2.0) and anything else
     that is not an integral number are rejected, numpy integers accepted."""
     if type(amount) is int:   # the common case, ahead of the slower ABC check
         return amount
     if isinstance(amount, bool) or not isinstance(amount, numbers.Integral):
-        raise LedgerError(f"{what} must be a whole number of units, got {amount!r}")
+        raise LedgerError(f"{what} must be a {kind}, got {amount!r}")
     return int(amount)
 
 
@@ -219,9 +219,13 @@ class Ledger:
         deposit: int,
     ) -> SmartContractRecord:
         sr = self._account(sr_identity)
-        # a plain float in range needs no call to _frequency
-        items = tuple((f if type(f) is float and 0 < f < math.inf else _frequency(f),
-                       _units(pi, "reward")) for f, pi in menu)
+        try:
+            # a plain float in range needs no call to _frequency
+            items = tuple((f if type(f) is float and 0 < f < math.inf else _frequency(f),
+                           _units(pi, "reward")) for f, pi in menu)
+        except (TypeError, ValueError):
+            raise LedgerError(
+                f"menu must be a sequence of (frequency, reward) pairs, got {menu!r}") from None
         # equal validated menus are written alike (no -0.0 meets 0.0, since
         # frequencies are > 0): the records share the first one's tuple, and
         # its checks and largest reward are worked out once
@@ -263,6 +267,8 @@ class Ledger:
         pv_deposit: int,
     ) -> SmartContractRecord:
         record = self._contract(contract_address, ContractState.DEPLOYED)
+        if type(item_index) is not int:   # a plain int skips the call
+            item_index = _units(item_index, "menu item index", "whole number")
         if not 0 <= item_index < len(record.menu):
             raise LedgerError(f"menu has no item {item_index}")
         pv_deposit = _units(pv_deposit, "deposit")

@@ -17,7 +17,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import count
 
 import numpy as np
 
@@ -52,6 +52,13 @@ _SUM_TOL = 1e-9
 # array of slots * nodes * nodes * 2 > 2**33 int64 cells, 64 GiB.
 _MAX_COUNT = 2**31 - 1
 _PAST_MAX = f"a stored outcome count would pass {_MAX_COUNT}"
+
+# Binary exponents of a zero weight, and the lowest of a timeliness weight:
+# both far below any weight that can count next to another, and int32 (as
+# frexp's exponents are, and ldexp's fast loop takes) with room for a sum
+# of the two.
+_ZERO_EXP = np.int32(-(2**30))
+_LOG2_FLOOR = -(2.0**28)
 
 # Linear baseline: EMA weight of the newest outcome, and the value before any.
 _LR_SMOOTHING = 0.2
@@ -226,15 +233,16 @@ class ReputationEngine:
 
     Interactions are counted in one integer array ``[slot, rater, target,
     (pos, neg)]``, nodes indexed in registration order. ``record_outcomes``
-    adds one pair's counts; ``record_slot`` adds a whole slot's rows with
-    one fancy-indexed add. A target's reputation at slot t is assembled
-    from slots <= t only, in four steps: segment opinions weighted by
-    (familiarity, timeliness, similarity) give each rater's local opinion;
-    other raters' locals are synthesized with the same weights; local and
-    synthesized opinions are fused; the fused values are averaged over
-    raters. ``view`` does this for one target and ``average_reputations``
-    for many at once, sharing the slot sum, the timeliness table and the
-    rater indices between them.
+    adds one pair's counts; ``record_slot`` adds a slot's rows, and
+    ``record_block`` a slot's ``[target, rater, (pos, neg)]`` count array,
+    each with one fancy-indexed add. A target's reputation at slot t is
+    assembled from slots <= t only, in four steps: segment opinions
+    weighted by (familiarity, timeliness, similarity) give each rater's
+    local opinion; other raters' locals are synthesized with the same
+    weights; local and synthesized opinions are fused; the fused values
+    are averaged over raters. ``view`` does this for one target and
+    ``average_reputations`` for many at once, sharing the slot sum, the
+    timeliness table and the rater indices between them.
     """
 
     def __init__(self, cfg: WeightConfig | None = None, base_rate: float = 0.5):
@@ -297,9 +305,24 @@ class ReputationEngine:
         must be >= 0. A rejected write raises the first bad row's error and
         writes nothing.
         """
-        if not rows:
-            return
-        i, j, counts = _checked_rows(rows, self._index)
+        if rows:
+            self._add(slot, *_checked_rows(rows, self._index))
+
+    def record_block(
+        self, slot: int, raters: list[str], targets: list[str], counts: np.ndarray
+    ) -> None:
+        """record_slot of the rows (raters[r], targets[t], *counts[t, r]),
+        target by target, without building them.
+
+        `counts` is an integer array shaped [target, rater, (positives,
+        negatives)]; a cell with no outcomes, such as a rater rating
+        itself, is skipped unchecked. The rows' rule, errors and
+        all-or-nothing write are record_slot's.
+        """
+        self._add(slot, *_checked_block(raters, targets, counts, self._index))
+
+    def _add(self, slot: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
+        """Add counts[k] to the (i[k], j[k]) cell of `slot`: checked rows."""
         if not len(counts):
             return
         if slot < 0:
@@ -368,18 +391,37 @@ class ReputationEngine:
         met = np.count_nonzero(counts, axis=1)
         mean = np.divide(counts.sum(axis=1), met, out=np.ones(len(rows)), where=met > 0)
         x = counts[:, cols].T / mean
-        # interactions in the current slot are treated as one slot old
-        y = np.array([timeliness_weight(at, min(s, at - 1), cfg) for s in range(slots)])
         has = present.any(axis=1)
         # similarity_weight, for the raters with evidence
         rater_hours = np.array([self.arrival_hours[r] for r in raters], dtype=float)
         target_hours = np.array([self.arrival_hours[t] for t in targets], dtype=float)
         z = np.where(has, 1.0 / (1.0 + np.abs(rater_hours - target_hours[:, None])), 0.0)
-        w = (cfg.gamma1 * x[:, None] + cfg.gamma2 * y[:, None]) + cfg.gamma3 * z[:, None]
+        # interactions in the current slot are treated as one slot old
+        y = np.array([timeliness_weight(at, min(s, at - 1), cfg) for s in range(slots)])
+        y_frac, y_exp = np.frexp(y)
+        lost = y < sys.float_info.min
+        if lost.any():
+            # below the normal range the weight's bits come from its logarithm
+            ages = at - np.minimum(np.arange(slots), at - 1)[lost]
+            log2_y = np.maximum(math.log2(cfg.alpha1) - cfg.alpha2 * np.log2(ages),
+                                _LOG2_FLOOR)
+            y_exp[lost] = np.floor(log2_y) + 1
+            y_frac[lost] = np.exp2(log2_y - y_exp[lost])
+        # a rater's weights are scaled by the power of two of the largest
+        # term of its newest segment, so that none leaves the float range:
+        # exact in the normal range, where _weighted_mean scales them again
+        a, b, c = cfg.gamma1 * x, cfg.gamma2 * y_frac, cfg.gamma3 * z
+        b_exp = np.where(present, (_exponent(b) + y_exp)[:, None], _ZERO_EXP)
+        scale = np.maximum(np.maximum(_exponent(a), b_exp.max(axis=1, initial=_ZERO_EXP)),
+                           _exponent(c))
+        with np.errstate(over="ignore"):   # in slots after a rater's evidence
+            w = ((np.ldexp(a, -scale)[:, None]
+                  + np.ldexp(b[:, None], y_exp[:, None] - scale[:, None]))
+                 + np.ldexp(c, -scale)[:, None])
         w = np.where(present, w, 0.0)
 
         # each rater's local opinion, and its weight as a recommender: the
-        # weight of its last segment
+        # weight of its last segment, times 2**scale
         local = _weighted_mean(segments, w, has, self.base_rate)
         if slots:
             last = slots - 1 - np.argmax(present[:, ::-1], axis=1)
@@ -388,9 +430,17 @@ class ReputationEngine:
             recommend = np.zeros((len(cols), len(rows)))
 
         # [target, other, rater]: every other rater with evidence recommends
-        # its local
+        # its local, its weight scaled by the power of two of the largest
+        # other recommender's: the top one's, or for the top one the runner-up's
+        rec_exp = np.where(has, _exponent(recommend) + scale, _ZERO_EXP)
+        is_top = rows[None, :] == rows[np.argmax(rec_exp, axis=1)][:, None]
+        first = rec_exp.max(axis=1, keepdims=True)
+        second = np.where(is_top, _ZERO_EXP, rec_exp).max(axis=1, keepdims=True)
         others = rows[:, None] != rows[None, :]
-        m = np.where(others, recommend[..., None], 0.0)
+        m = np.where(others, np.ldexp(recommend, np.minimum(scale - first, 0))[..., None], 0.0)
+        t, r = np.nonzero(is_top)
+        m[t, :, r] = np.where(others[:, r].T,
+                              np.ldexp(recommend[t], np.minimum(scale[t] - second[t], 0)), 0.0)
         syn = _weighted_mean(local[..., None], m, (others & has[..., None]).any(axis=1),
                              self.base_rate)
 
@@ -424,6 +474,11 @@ def _check_opinions(ops: np.ndarray, where: np.ndarray) -> None:
         Opinion(*ops[bad][0].tolist())   # raises Opinion's own ValueError
 
 
+def _exponent(v: np.ndarray) -> np.ndarray:
+    """frexp's binary exponent of each v > 0, and _ZERO_EXP for v == 0."""
+    return np.where(v > 0, np.frexp(v)[1], _ZERO_EXP)
+
+
 def _weighted_mean(
     values: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float
 ) -> np.ndarray:
@@ -451,53 +506,91 @@ def _weighted_mean(
 def _checked_rows(
     rows: list, index: dict[str, int], grow: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rater indices, target indices and [row, (positives, negatives)]
-    counts of the nonempty list of (rater, target, positives, negatives)
-    rows, less the rows without outcomes: the one row rule of every
-    reputation write.
+    """_checked_cells of the nonempty list of (rater, target, positives,
+    negatives) rows, one cell per row.
 
-    Every count must be a whole number in [0, _MAX_COUNT] and not a bool,
-    Python's or numpy's (an array reads either as 0 or 1). Rows whose counts
-    are both 0 are then skipped unchecked; the rest must each have
-    a rater other than the target, a (rater, target) pair no other row has,
-    and names in `index`, except that with `grow` a name not in `index` is
-    added to it, in order of first appearance. The first row that breaks a
-    rule raises its error, and then `index` is left as it was.
+    Every count must also be a whole number and not a bool, Python's or
+    numpy's: an array reads either as 0 or 1.
     """
     raters, targets, pos, neg = zip(*rows)
     counts = np.array((pos, neg))
     kinds = {*map(type, pos), *map(type, neg)}
-    if (counts.dtype.kind not in "iu" or bool in kinds or np.bool_ in kinds
-            or counts.min() < 0 or counts.max() > _MAX_COUNT):
+    _check_counts(counts, bool in kinds or np.bool_ in kinds)
+    n = len(rows)
+    return _checked_cells(raters + targets, np.arange(n), np.arange(n, 2 * n),
+                          counts.T, index, grow)
+
+
+def _checked_block(
+    raters: list[str], targets: list[str], counts: np.ndarray,
+    index: dict[str, int], grow: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_checked_cells of the [target, rater, (positives, negatives)]
+    integer array `counts`, one cell per (target, rater), target by target.
+    """
+    shape = (len(targets), len(raters), 2)
+    if not isinstance(counts, np.ndarray) or counts.shape != shape:
+        raise ValueError(f"counts must be an array shaped {shape}, one cell per "
+                         "(target, rater)")
+    _check_counts(counts, False)
+    t, r = np.divmod(np.arange(counts.size // 2), len(raters))
+    return _checked_cells([*raters, *targets], r, t + len(raters),
+                          counts.reshape(-1, 2), index, grow)
+
+
+def _check_counts(counts: np.ndarray, has_bool: bool) -> None:
+    """The count rule: a whole number in [0, _MAX_COUNT], not a bool."""
+    if (has_bool or counts.dtype.kind not in "iu"
+            or counts.min(initial=0) < 0 or counts.max(initial=0) > _MAX_COUNT):
         raise ValueError(
             f"outcome counts must be whole numbers, not bools, >= 0 and no greater than "
             f"{_MAX_COUNT}")
-    names = index
-    i, j = (np.fromiter(map(names.get, col, repeat(-1)), np.intp, len(rows))
-            for col in (raters, targets))
-    if grow and min(i.min(), j.min()) < 0:
-        # every name in order of first appearance, numbered from 0
-        names = dict(zip(dict.fromkeys(chain(index, chain.from_iterable(zip(raters, targets)))),
-                         count()))
-        i, j = (np.fromiter(map(names.get, col), np.intp, len(rows)) for col in (raters, targets))
-    counts = counts.T.astype(np.int64)
-    keep = counts.any(axis=1)
+
+
+def _checked_cells(
+    names: list[str], a: np.ndarray, b: np.ndarray, counts: np.ndarray,
+    index: dict[str, int], grow: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rater indices, target indices and int64 [cell, (positives,
+    negatives)] counts of the cells with outcomes: the one row rule of
+    every reputation write.
+
+    Cell k is names[a[k]] rating names[b[k]] with counts[k], which has
+    passed _check_counts. Cells whose counts are both 0 are skipped
+    unchecked; the rest must each have a rater other than the target, a
+    (rater, target) pair no other cell has, and names in `index`, except
+    that with `grow` a name not in `index` is added to it, in order of
+    first appearance, rater before target. The first cell that breaks a
+    rule raises its error, and then `index` is left as it was.
+    """
+    known = index
+    ids = np.array([known.get(name, -1) for name in names], dtype=np.intp)
+    if grow and (ids < 0).any():
+        # every new name numbered after the known ones, first seen first
+        order = np.column_stack((a, b)).ravel()
+        new = dict.fromkeys(names[p] for p in dict.fromkeys(order[ids[order] < 0].tolist()))
+        known = {**index, **dict(zip(new, count(len(index))))}
+        ids = np.array([known[name] for name in names], dtype=np.intp)
+    counts = counts.astype(np.int64, copy=False)
+    keep = (counts[:, 0] | counts[:, 1]) != 0
     if not keep.all():
-        rows = list(compress(rows, keep.tolist()))
-        i, j, counts = i[keep], j[keep], counts[keep]
-    if rows and (min(i.min(), j.min()) < 0 or (i == j).any()
-                 or (np.diff(np.sort(i * len(names) + j)) == 0).any()):
+        kept = np.flatnonzero(keep)
+        a, b, counts = a.take(kept), b.take(kept), counts.take(kept, axis=0)
+    i, j = ids[a], ids[b]
+    if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
+                   or (np.diff(np.sort(i * len(known) + j)) == 0).any()):
         seen = set()
-        for rater, target, *_ in rows:
+        for p, q in zip(a.tolist(), b.tolist()):
+            rater, target = names[p], names[q]
             if rater == target:
                 raise ValueError("rater and target must be distinct")
-            if rater not in names or target not in names:
+            if rater not in known or target not in known:
                 raise KeyError("both rater and target must be registered")
             if (rater, target) in seen:
                 raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
             seen.add((rater, target))
-    if names is not index:
-        index.update(names)
+    if known is not index:
+        index.update(known)
     return i, j, counts
 
 
@@ -507,8 +600,9 @@ class LinearReputationTracker:
     Values live in one float array ``[rater, target]``, nodes indexed in
     order of first appearance and every cell starting at 0.5. Each update
     is ``(1 - s) * prev + s * (positives / total)`` with s = 0.2;
-    ``update_many`` applies it to one slot's rows with one fancy-indexed
-    write.
+    ``update_many`` applies it to one slot's rows, and ``update_block`` to
+    a slot's ``[target, rater, (pos, neg)]`` count array, with one
+    fancy-indexed write.
     """
 
     def __init__(self) -> None:
@@ -523,15 +617,22 @@ class LinearReputationTracker:
         slot in one write, under record_slot's row rule; a name not seen
         before is added instead of rejected. A rejected write changes
         nothing."""
-        if not rows:
-            return
-        i, j, counts = _checked_rows(rows, self._index, grow=True)
+        if rows:
+            self._apply(*_checked_rows(rows, self._index, grow=True))
+
+    def update_block(self, raters: list[str], targets: list[str], counts: np.ndarray) -> None:
+        """update_many of the rows (raters[r], targets[t], *counts[t, r]),
+        target by target, without building them; `counts` is shaped as in
+        ReputationEngine.record_block."""
+        self._apply(*_checked_block(raters, targets, counts, self._index, grow=True))
+
+    def _apply(self, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
         n = len(self._index)
         if n > len(self._values):
             grown = np.full((n, n), _LR_INITIAL)
             grown[: len(self._values), : len(self._values)] = self._values
             self._values = grown
-        total = counts.sum(axis=1)
+        total = counts[:, 0] + counts[:, 1]
         self._values[i, j] = ((1.0 - _LR_SMOOTHING) * self._values[i, j]
                               + _LR_SMOOTHING * (counts[:, 0] / total))
 

@@ -1,9 +1,11 @@
 """Committee selection, the six-stage view protocol, and the experiments."""
 
+import copy
 import hashlib
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from parkedchain import consensus
@@ -21,6 +23,7 @@ from parkedchain.consensus import (
     run_view,
     select_consensus_nodes,
 )
+from parkedchain.reputation import LinearReputationTracker
 
 
 def committee(n, byzantine=(), crashed=()):
@@ -328,6 +331,20 @@ class TestCollusionExperiment:
             with pytest.raises(ValueError, match="seeds must be a positive integer"):
                 collusion_experiment([0.45], seeds=seeds, colluder_fraction=fraction)
 
+    def test_one_engine_per_seed(self, monkeypatch):
+        # perfbench/child.py marks one collusion-sweep operation per
+        # ReputationEngine built, and reads its op_p50_ms from those marks
+        built = []
+        init = consensus.ReputationEngine.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(consensus.ReputationEngine, "__init__", counted)
+        collusion_experiment([0.45], seeds=3)
+        assert len(built) == 3
+
     def test_correct_block_rule(self):
         scores = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.2}
         # 0 colluders above threshold among 3 eligible
@@ -336,3 +353,82 @@ class TestCollusionExperiment:
         assert correct_block_probability(scores, {"c"}, 0.5) == 0.0
         # nobody eligible: no committee can form
         assert correct_block_probability(scores, {"a"}, 0.95) == 0.0
+
+
+def row_oracle(rng, slot, targets, raters, p_of, engine, tracker):
+    """record_interactions as it was written per pair: one p_of call and one
+    (rater, target, positives, negatives) row each, then the row writers."""
+    rows = []
+    for target in targets:
+        for rater in raters:
+            if rater == target:
+                continue
+            trials = int(rng.integers(5, 11))
+            p = p_of(slot, rater, target)
+            pos = trials if p == 1.0 else int(rng.binomial(trials, p))
+            rows.append((rater, target, pos, trials - pos))
+    engine.record_slot(slot, rows)
+    tracker.update_many(rows)
+
+
+COLLUDERS = {"r000", "r001", "r002", "r003"}   # four of nine candidates, the default
+
+# each experiment's cooperation probability per (slot, rater, target), and
+# one run of it over twenty seeds
+EXPERIMENTS = {
+    "detection": (
+        lambda slot, rater, target: 0.8 if slot < 5 else 0.1,
+        lambda: [detection_experiment(50, 10, 0.45, 15, seed) for seed in range(20)],
+    ),
+    "decay": (
+        lambda slot, rater, target: 0.8 if target.startswith("h") or slot < 5 else 0.1,
+        lambda: [decay_experiment(60, 10, 12, seed, None) for seed in range(20)],
+    ),
+    "collusion": (
+        lambda slot, rater, target: (0.95 if target not in COLLUDERS else 1.0
+                                     if rater in COLLUDERS else 0.8 if slot < 5 else 0.1),
+        lambda: collusion_experiment([0.45], seeds=20),
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
+    """Every slot of every seed, drawn from the [target, rater] table, leaves
+    the RNG, the evidence and the tracker as the per-pair rows did."""
+    p_of, run = EXPERIMENTS[experiment]
+    record = consensus.record_interactions
+    twins = {}   # id(engine) -> (engine, tracker, oracle engine, oracle tracker)
+
+    def checked(rng, slot, targets, raters, p, engine, tracker):
+        if id(engine) not in twins:
+            twins[id(engine)] = (engine, tracker, copy.deepcopy(engine),
+                                 LinearReputationTracker())
+        _, _, oracle_engine, oracle_tracker = twins[id(engine)]
+        assert [[p[t][r] for r, rater in enumerate(raters) if rater != target]
+                for t, target in enumerate(targets)] == [
+            [p_of(slot, rater, target) for rater in raters if rater != target]
+            for target in targets]
+        oracle_rng = copy.deepcopy(rng)
+        row_oracle(oracle_rng, slot, targets, raters, p_of, oracle_engine, oracle_tracker)
+        record(rng, slot, targets, raters, p, engine, tracker)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert engine._evidence.shape == oracle_engine._evidence.shape
+        assert (engine._evidence == oracle_engine._evidence).all()
+
+    monkeypatch.setattr(consensus, "record_interactions", checked)
+    run()
+    assert len(twins) == 20
+    for engine, tracker, _, oracle_tracker in twins.values():
+        names = list(engine.arrival_hours)
+        assert [tracker.value(r, t) for r in names for t in names] == [
+            oracle_tracker.value(r, t) for r in names for t in names]
+
+
+def test_record_interactions_checks_the_table_shape():
+    engine, tracker = consensus._engine(None, ["a", "b"]), LinearReputationTracker()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="shaped"):
+        consensus.record_interactions(rng, 1, ["a"], ["a", "b"], np.full((2, 1), 0.8),
+                                      engine, tracker)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ class TestPostRequest:
         with pytest.raises(LedgerError):
             led.post_request("sr1", SPEC, [], deposit=10)
 
+    @pytest.mark.parametrize("menu", [[(1.0e9,)], [(1.0e9, 5, 6)], None, 5, [1.0e9]],
+                             ids=["short-item", "long-item", "none", "number", "bare-frequency"])
+    def test_malformed_menu_rejected(self, menu):
+        # a LedgerError naming the menu; nothing stored, charged or numbered
+        led = funded_ledger()
+        with pytest.raises(LedgerError, match=r"\(frequency, reward\) pairs, got " + re.escape(
+                repr(menu))):
+            led.post_request("sr1", SPEC, menu, deposit=10)
+        assert not led.contracts and led.accounts["sr1"].balance == 10_000
+        first = funded_ledger().post_request("sr1", SPEC, MENU, deposit=10)
+        assert led.post_request("sr1", SPEC, MENU, deposit=10).address == first.address
+
     @pytest.mark.parametrize("frequency", [
         math.nan, np.nan, math.inf, -math.inf, 0.0, -0.0, -1.0e9, 10**400, True, "1e9", None,
     ], ids=["nan", "numpy-nan", "inf", "-inf", "zero", "-zero", "negative", "huge-int",
@@ -231,6 +244,25 @@ class TestSignContract:
         r = led.post_request("sr1", SPEC, MENU, deposit=300)
         with pytest.raises(LedgerError):
             led.sign_contract("pv1", r.address, 3, pv_deposit=10)
+
+    @pytest.mark.parametrize("index", [True, False, 0.5, 1.0, np.float64(1.0), "1", None],
+                             ids=["true", "false", "half", "float-one", "numpy-float-one",
+                                  "string", "none"])
+    def test_item_index_must_be_a_whole_number(self, index):
+        # a bool was stored and exported as true, and 0.5 left the escrow
+        # held when settling failed to index the menu
+        led = funded_ledger()
+        r = led.post_request("sr1", SPEC, MENU, deposit=300)
+        with pytest.raises(LedgerError, match="menu item index must be a whole number"):
+            led.sign_contract("pv1", r.address, index, pv_deposit=10)
+        assert r.state is ContractState.DEPLOYED and r.item_index is None
+        assert led.accounts["pv1"].balance == 500 and led.conserved()
+
+    def test_numpy_item_index_stored_as_int(self):
+        led = funded_ledger()
+        r = led.post_request("sr1", SPEC, MENU, deposit=300)
+        led.sign_contract("pv1", r.address, np.int64(2), pv_deposit=10)
+        assert type(r.item_index) is int and r.reward == 410
 
 
 class TestExecuteAndSettle:

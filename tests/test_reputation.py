@@ -316,6 +316,40 @@ class TestEngine:
             values.append(eng.view("j", at=4).final_values)
         assert values[0] == pytest.approx(values[1], rel=1e-12)
 
+    def test_weights_below_the_float_range_still_count(self):
+        # alpha2 = 400 takes a ten-slot-old timeliness weight (10 * 10**-400)
+        # below the float range; alone, and shared by two raters, it must
+        # still weigh its segment, not fail as weightless
+        eng = ReputationEngine(WeightConfig(0, 1, 0, 10.0, 400.0))
+        for node in ("i", "j", "k"):
+            eng.register(node, 9)
+        eng.record_outcomes(0, "i", "j", 3, 1)
+        assert eng.view("j", at=10, raters=["i"]).final_values == pytest.approx(
+            eng.view("j", at=1, raters=["i"]).final_values)
+        eng.record_outcomes(0, "k", "j", 1, 4)
+        assert eng.view("j", at=10).final_values == pytest.approx(
+            eng.view("j", at=1).final_values)
+        # at slot 30 the two segments' weights are both below the float
+        # range, in the ratio (29/30)**400
+        eng.record_outcomes(1, "k", "j", 4, 1)
+        local = synthesize_recommended([(1.0, local_opinion(4, 1)),
+                                        ((29 / 30) ** 400, local_opinion(1, 4))])
+        assert eng.view("j", at=30, raters=["k"]).final_values["k"] == pytest.approx(
+            reputation_value(local), rel=1e-12)
+
+    def test_recommendation_below_the_float_range_still_counts(self):
+        # m's evidence is new and i's ten slots old: i's recommendation
+        # weighs 10**-400 of m's, and is still the only one m receives
+        eng = ReputationEngine(WeightConfig(0, 1, 0, 10.0, 400.0))
+        for node in ("i", "j", "m"):
+            eng.register(node, 9)
+        eng.record_outcomes(0, "i", "j", 3, 1)
+        eng.record_outcomes(9, "m", "j", 0, 4)
+        old, new = local_opinion(3, 1), local_opinion(0, 4)
+        assert eng.view("j", at=10).final_values == pytest.approx({
+            "i": reputation_value(fuse_final(old, new)),
+            "m": reputation_value(fuse_final(new, old))})
+
     def test_tracker_matches_scalar_baseline(self):
         # one rater, whole-slot outcomes: the tracker must reduce to the EMA
         tr = LinearReputationTracker()
@@ -651,3 +685,87 @@ class TestBatchedWrites:
         eng = self.engine(["i", "j"])
         eng.record_slot(-1, [("i", "i", 0, 0), ("x", "j", 0, 0)])
         assert eng._evidence.size == 0
+
+
+@st.composite
+def blocks(draw):
+    """Registered nodes and one slot's [target, rater, (pos, neg)] counts,
+    often with bad cells: a name never registered, a repeated name (a
+    self-rating or a pair twice), negative or too large counts, or a count
+    dtype that is bool or float."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 4)))]
+    names = st.sampled_from(nodes + ["x"])
+    raters = draw(st.lists(names, min_size=1, max_size=4))
+    targets = draw(st.lists(names, min_size=1, max_size=3))
+    values = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5, -1, 2**31]),
+                           min_size=2 * len(targets) * len(raters),
+                           max_size=2 * len(targets) * len(raters)))
+    dtype = draw(st.sampled_from([np.int64, np.int64, np.int32, np.uint8, np.bool_, np.float64]))
+    counts = np.array(values).astype(dtype).reshape(len(targets), len(raters), 2)
+    return nodes, raters, targets, counts
+
+
+class TestBlockWrites:
+    @staticmethod
+    def attempt(write, state):
+        """The (type, message) of the error `write` raises, or None; a
+        rejected write must leave `state()` as it was."""
+        before = state()
+        try:
+            write()
+        except (ValueError, KeyError) as err:
+            assert state() == before
+            return type(err), str(err)
+        return None
+
+    @settings(deadline=None, max_examples=300)
+    @given(blocks())
+    def test_block_writes_equal_their_rows(self, case):
+        # record_block and update_block write, or reject with the same error,
+        # exactly what record_slot and update_many do with the block's rows
+        nodes, raters, targets, counts = case
+        rows = [(rater, target, *counts[t, r].tolist())
+                for t, target in enumerate(targets) for r, rater in enumerate(raters)]
+        engines, trackers = [], []
+        for _ in range(2):
+            eng, tracker = TestBatchedWrites.engine(nodes), LinearReputationTracker()
+            eng.record_slot(1, [("n0", "n1", 2, 1)])
+            tracker.update_many([("n1", "n0", 1, 1)])
+            engines.append(eng)
+            trackers.append(tracker)
+
+        def evidence(eng):
+            return lambda: (eng._evidence.shape, eng._evidence.tobytes())
+
+        def values(tracker):
+            return lambda: (dict(tracker._index), tracker._values.tobytes())
+
+        block, by_rows = engines
+        assert (self.attempt(lambda: block.record_block(3, raters, targets, counts),
+                             evidence(block))
+                == self.attempt(lambda: by_rows.record_slot(3, rows), evidence(by_rows)))
+        assert evidence(block)() == evidence(by_rows)()
+        block, by_rows = trackers
+        assert (self.attempt(lambda: block.update_block(raters, targets, counts),
+                             values(block))
+                == self.attempt(lambda: by_rows.update_many(rows), values(by_rows)))
+        assert values(block)() == values(by_rows)()
+
+    def test_tracker_numbers_new_names_in_order_of_first_appearance(self):
+        # cell by cell, rater before target; the block's cells target by target
+        rows, block = LinearReputationTracker(), LinearReputationTracker()
+        rows.update_many([("b", "a", 1, 0), ("c", "b", 0, 0), ("a", "d", 2, 1)])
+        block.update_block(["b", "c"], ["a", "e"], np.ones((2, 2, 2), dtype=np.int64))
+        assert list(rows._index.items()) == [("b", 0), ("a", 1), ("c", 2), ("d", 3)]
+        assert list(block._index.items()) == [("b", 0), ("a", 1), ("c", 2), ("e", 3)]
+
+    @pytest.mark.parametrize("counts", [np.zeros((2, 2, 2), dtype=np.int64),
+                                        np.zeros((1, 2), dtype=np.int64),
+                                        [[[0, 0], [1, 0]]]])
+    def test_block_must_be_an_array_of_the_cells(self, counts):
+        eng, tracker = TestBatchedWrites.engine(["i", "j"]), LinearReputationTracker()
+        for write in (lambda: eng.record_block(0, ["i", "j"], ["j"], counts),
+                      lambda: tracker.update_block(["i", "j"], ["j"], counts)):
+            with pytest.raises(ValueError, match=r"shaped \(1, 2, 2\)"):
+                write()
+        assert eng._evidence.size == 0 and tracker._index == {}
