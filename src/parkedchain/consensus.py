@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -160,11 +162,16 @@ class ViewOutcome:
 
 
 def select_consensus_nodes(reputations: dict, n: int) -> list:
-    """Top n ids by average final reputation, ties broken by lowest id."""
+    """Top n ids by average final reputation, ties broken by lowest id.
+    Every score must be a finite real number: a NaN would break the sort."""
     if len(reputations) < n:
         raise ValueError(
             f"population {len(reputations)} smaller than committee size {n}"
         )
+    bad = {node_id: score for node_id, score in reputations.items()
+           if not (isinstance(score, numbers.Real) and -math.inf < score < math.inf)}
+    if bad:
+        raise ValueError(f"reputation scores must be finite real numbers, got {bad!r}")
     ranked = sorted(reputations.items(), key=lambda kv: (-kv[1], kv[0]))
     return [node_id for node_id, _ in ranked[:n]]
 
@@ -254,9 +261,10 @@ def run_view(
     nodes: ordered (id, Behavior) pairs fixing the rotation; the leader is
     nodes[view % n]. Ids must be distinct, and "client" is reserved for the
     requesting client. strategies maps byzantine ids to a ReplicaStrategy
-    (default SPLIT); naming a committee member that is not byzantine is an
-    error, while ids outside the committee are ignored. Every strategy is
-    deterministic, so the trace is a function of the arguments.
+    (default SPLIT); any other value, or naming a committee member that is
+    not byzantine, is an error, while ids outside the committee are ignored.
+    Every strategy is deterministic, so the trace is a function of the
+    arguments.
     """
     roster = list(nodes)
     if len(roster) != config.n:
@@ -274,6 +282,10 @@ def run_view(
     if misplaced:
         raise ValueError(f"strategies given for committee members that are not byzantine: "
                          f"{misplaced}")
+    unknown = {node_id: strategy for node_id, strategy in strategies.items()
+               if not isinstance(strategy, ReplicaStrategy)}
+    if unknown:
+        raise ValueError(f"strategies must be ReplicaStrategy members, got {unknown!r}")
 
     states = {node_id: NodeState(node_id, leader) for node_id in order}
     byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on

@@ -52,6 +52,8 @@ _SUM_TOL = 1e-9
 # array of slots * nodes * nodes * 2 > 2**33 int64 cells, 64 GiB.
 _MAX_COUNT = 2**31 - 1
 _PAST_MAX = f"a stored outcome count would pass {_MAX_COUNT}"
+_COUNT_RULE = (f"outcome counts must be whole numbers, not bools, >= 0 and no greater than "
+               f"{_MAX_COUNT}")
 
 # Binary exponents of a zero weight, and the lowest of a timeliness weight:
 # both far below any weight that can count next to another, and int32 (as
@@ -232,11 +234,11 @@ class ReputationEngine:
     """Bookkeeping for multi-weight subjective-logic reputation over slots.
 
     Interactions are counted in one integer array ``[slot, rater, target,
-    (pos, neg)]``, nodes indexed in registration order. ``record_outcomes``
-    adds one pair's counts; ``record_slot`` adds a slot's rows, and
-    ``record_block`` a slot's ``[target, rater, (pos, neg)]`` count array,
-    each with one fancy-indexed add. A target's reputation at slot t is
-    assembled from slots <= t only, in four steps: segment opinions
+    (pos, neg)]``, nodes indexed in registration order. ``record_block``
+    adds a slot's ``[target, rater, (pos, neg)]`` count array with one
+    fancy-indexed add, and ``record_outcomes`` one pair's counts. A
+    target's reputation at slot t is assembled from slots <= t only, in
+    four steps: segment opinions
     weighted by (familiarity, timeliness, similarity) give each rater's
     local opinion; other raters' locals are synthesized with the same
     weights; local and synthesized opinions are fused; the fused values
@@ -253,6 +255,7 @@ class ReputationEngine:
         self.arrival_hours: dict[str, float] = {}
         self._index: dict[str, int] = {}
         self._evidence = np.zeros((0, 0, 0, 2), dtype=np.int64)
+        self._slots = 0
 
     def register(self, node: str, arrival_hour: float) -> None:
         # the one check of the hours a view reads; NaN fails it too
@@ -262,11 +265,16 @@ class ReputationEngine:
         self.arrival_hours[node] = arrival_hour
 
     def _grown(self, slots: int) -> np.ndarray:
-        """The evidence array, grown to hold `slots` slots and every node."""
+        """The evidence array, grown to hold `slots` slots and every node;
+        the slot axis at least doubles when it grows, and a view reads only
+        the `_slots` slots written."""
         ev = self._evidence
         n = len(self._index)
+        if slots > self._slots:
+            self._slots = slots
         if slots > ev.shape[0] or n > ev.shape[1]:
-            grown = np.zeros((max(slots, ev.shape[0]), n, n, 2), dtype=np.int64)
+            held = max(slots, 2 * ev.shape[0]) if slots > ev.shape[0] else ev.shape[0]
+            grown = np.zeros((held, n, n, 2), dtype=np.int64)
             grown[: ev.shape[0], : ev.shape[1], : ev.shape[2]] = ev
             self._evidence = ev = grown
         return ev
@@ -274,14 +282,14 @@ class ReputationEngine:
     def record_outcomes(
         self, slot: int, rater: str, target: str, positives: int, negatives: int
     ) -> None:
-        """record_slot of the one (rater, target, positives, negatives) row."""
+        """record_block of the one cell (rater, target, positives, negatives)."""
         i, j = self._index.get(rater, -1), self._index.get(target, -1)
-        # fast path: a row that passes every check is written here; any
-        # other row takes record_slot's, which raises the row's error
+        # fast path: a cell that passes every check is written here; any
+        # other cell takes record_block's, which raises the cell's error
         if not (type(positives) is int and type(negatives) is int
                 and 0 <= positives <= _MAX_COUNT and 0 <= negatives <= _MAX_COUNT
-                and i >= 0 and j >= 0 and i != j and slot >= 0):
-            self.record_slot(slot, [(rater, target, positives, negatives)])
+                and i >= 0 and j >= 0 and i != j and type(slot) is int and slot >= 0):
+            self.record_block(slot, [rater], [target], _cell(positives, negatives))
             return
         if not (positives or negatives):
             return
@@ -294,39 +302,18 @@ class ReputationEngine:
         cell[0] = stored_pos + positives
         cell[1] = stored_neg + negatives
 
-    def record_slot(self, slot: int, rows: list[tuple[str, str, int, int]]) -> None:
-        """Add every (rater, target, positives, negatives) row of one slot
-        in one write.
-
-        The row rule of every reputation write applies: each count a whole
-        number in [0, 2**31 - 1] and not a bool, then rows with no outcomes
-        skipped unchecked, and in the rest a rater other than the target,
-        each pair once and both names registered. A slot that gets outcomes
-        must be >= 0. A rejected write raises the first bad row's error and
-        writes nothing.
-        """
-        if rows:
-            self._add(slot, *_checked_rows(rows, self._index))
-
     def record_block(
         self, slot: int, raters: list[str], targets: list[str], counts: np.ndarray
     ) -> None:
-        """record_slot of the rows (raters[r], targets[t], *counts[t, r]),
-        target by target, without building them.
-
-        `counts` is an integer array shaped [target, rater, (positives,
-        negatives)]; a cell with no outcomes, such as a rater rating
-        itself, is skipped unchecked. The rows' rule, errors and
-        all-or-nothing write are record_slot's.
-        """
-        self._add(slot, *_checked_block(raters, targets, counts, self._index))
-
-    def _add(self, slot: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
-        """Add counts[k] to the (i[k], j[k]) cell of `slot`: checked rows."""
+        """Add counts[t, r] to the (raters[r], targets[t]) cell of `slot`
+        in one write, under _checked_block's cell rule; the slot must be a
+        whole number >= 0, not a bool. A rejected write raises the first bad
+        cell's error, or else the slot's, and writes nothing."""
+        i, j, counts = _checked_block(raters, targets, counts, self._index)
+        if not (_whole(slot) and slot >= 0):
+            raise ValueError(f"slot must be >= 0, a whole number and not a bool (got {slot!r})")
         if not len(counts):
             return
-        if slot < 0:
-            raise ValueError("slot must be >= 0")
         ev = self._grown(slot + 1)
         # as in record_outcomes, only a cell that existed can be too full
         summed = ev[slot, i, j] + counts
@@ -368,9 +355,11 @@ class ReputationEngine:
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
         except KeyError:
             raise KeyError("target and raters must be registered") from None
+        if not _whole(at):
+            raise ValueError(f"at must be a whole number and not a bool (got {at!r})")
         cfg = self.cfg
         ev = self._grown(0)
-        slots = max(0, min(at + 1, ev.shape[0]))
+        slots = max(0, min(at + 1, self._slots))
         hist = ev[:slots]
 
         # segment opinions, [target, slot, (b, d, u, a), rater]: the rater
@@ -503,85 +492,67 @@ def _weighted_mean(
     return out
 
 
-def _checked_rows(
-    rows: list, index: dict[str, int], grow: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_checked_cells of the nonempty list of (rater, target, positives,
-    negatives) rows, one cell per row.
+def _whole(value) -> bool:
+    """A whole number, Python's or numpy's, and not a bool."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
-    Every count must also be a whole number and not a bool, Python's or
-    numpy's: an array reads either as 0 or 1.
-    """
-    raters, targets, pos, neg = zip(*rows)
-    counts = np.array((pos, neg))
-    kinds = {*map(type, pos), *map(type, neg)}
-    _check_counts(counts, bool in kinds or np.bool_ in kinds)
-    n = len(rows)
-    return _checked_cells(raters + targets, np.arange(n), np.arange(n, 2 * n),
-                          counts.T, index, grow)
+
+def _cell(positives, negatives) -> np.ndarray:
+    """The one-cell block of a scalar write. A bool count, Python's or
+    numpy's, is rejected here: an int array would read it as 0 or 1."""
+    if isinstance(positives, (bool, np.bool_)) or isinstance(negatives, (bool, np.bool_)):
+        raise ValueError(_COUNT_RULE)
+    return np.array([[[positives, negatives]]])
 
 
 def _checked_block(
     raters: list[str], targets: list[str], counts: np.ndarray,
     index: dict[str, int], grow: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_checked_cells of the [target, rater, (positives, negatives)]
-    integer array `counts`, one cell per (target, rater), target by target.
+    """Rater indices, target indices and int64 [cell, (positives,
+    negatives)] counts of the cells with outcomes of the [target, rater,
+    (positives, negatives)] array `counts`: the one cell rule of every
+    reputation write.
+
+    Cell k is raters[k % R] rating targets[k // R], R = len(raters). The
+    array must hold integers, each in [0, _MAX_COUNT]. Cells whose counts
+    are both 0 are then skipped unchecked; the rest must each have a rater
+    other than the target, a (rater, target) pair no other cell has, and
+    names in `index`, except that with `grow` a new name is added to it in
+    order of first appearance, cell by cell, rater before target. The
+    first bad cell raises its error, and then `index` is left as it was.
     """
     shape = (len(targets), len(raters), 2)
     if not isinstance(counts, np.ndarray) or counts.shape != shape:
         raise ValueError(f"counts must be an array shaped {shape}, one cell per "
                          "(target, rater)")
-    _check_counts(counts, False)
-    t, r = np.divmod(np.arange(counts.size // 2), len(raters))
-    return _checked_cells([*raters, *targets], r, t + len(raters),
-                          counts.reshape(-1, 2), index, grow)
-
-
-def _check_counts(counts: np.ndarray, has_bool: bool) -> None:
-    """The count rule: a whole number in [0, _MAX_COUNT], not a bool."""
-    if (has_bool or counts.dtype.kind not in "iu"
+    if (counts.dtype.kind not in "iu"
             or counts.min(initial=0) < 0 or counts.max(initial=0) > _MAX_COUNT):
-        raise ValueError(
-            f"outcome counts must be whole numbers, not bools, >= 0 and no greater than "
-            f"{_MAX_COUNT}")
-
-
-def _checked_cells(
-    names: list[str], a: np.ndarray, b: np.ndarray, counts: np.ndarray,
-    index: dict[str, int], grow: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rater indices, target indices and int64 [cell, (positives,
-    negatives)] counts of the cells with outcomes: the one row rule of
-    every reputation write.
-
-    Cell k is names[a[k]] rating names[b[k]] with counts[k], which has
-    passed _check_counts. Cells whose counts are both 0 are skipped
-    unchecked; the rest must each have a rater other than the target, a
-    (rater, target) pair no other cell has, and names in `index`, except
-    that with `grow` a name not in `index` is added to it, in order of
-    first appearance, rater before target. The first cell that breaks a
-    rule raises its error, and then `index` is left as it was.
-    """
+        raise ValueError(_COUNT_RULE)
     known = index
-    ids = np.array([known.get(name, -1) for name in names], dtype=np.intp)
-    if grow and (ids < 0).any():
-        # every new name numbered after the known ones, first seen first
-        order = np.column_stack((a, b)).ravel()
-        new = dict.fromkeys(names[p] for p in dict.fromkeys(order[ids[order] < 0].tolist()))
+    rater_ids = np.array([known.get(name, -1) for name in raters], dtype=np.intp)
+    target_ids = np.array([known.get(name, -1) for name in targets], dtype=np.intp)
+    if grow and counts.size and min(rater_ids.min(), target_ids.min()) < 0:
+        # every new name numbered after the known ones, first seen first:
+        # the first cell's rater and target, then the other raters of the
+        # first target, then the other targets
+        order = [*raters[:1], *targets[:1], *raters[1:], *targets[1:]]
+        new = dict.fromkeys(name for name in order if name not in index)
         known = {**index, **dict(zip(new, count(len(index))))}
-        ids = np.array([known[name] for name in names], dtype=np.intp)
-    counts = counts.astype(np.int64, copy=False)
-    keep = (counts[:, 0] | counts[:, 1]) != 0
-    if not keep.all():
-        kept = np.flatnonzero(keep)
-        a, b, counts = a.take(kept), b.take(kept), counts.take(kept, axis=0)
-    i, j = ids[a], ids[b]
+        rater_ids = np.array([known[name] for name in raters], dtype=np.intp)
+        target_ids = np.array([known[name] for name in targets], dtype=np.intp)
+    counts = counts.reshape(-1, 2).astype(np.int64, copy=False)
+    kept = np.flatnonzero(counts[:, 0] | counts[:, 1])
+    if len(kept) < len(counts):
+        counts = counts.take(kept, axis=0)
+    t, r = np.divmod(kept, len(raters))
+    i, j = rater_ids[r], target_ids[t]
     if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
                    or (np.diff(np.sort(i * len(known) + j)) == 0).any()):
         seen = set()
-        for p, q in zip(a.tolist(), b.tolist()):
-            rater, target = names[p], names[q]
+        for p, q in zip(r.tolist(), t.tolist()):
+            rater, target = raters[p], targets[q]
             if rater == target:
                 raise ValueError("rater and target must be distinct")
             if rater not in known or target not in known:
@@ -600,9 +571,8 @@ class LinearReputationTracker:
     Values live in one float array ``[rater, target]``, nodes indexed in
     order of first appearance and every cell starting at 0.5. Each update
     is ``(1 - s) * prev + s * (positives / total)`` with s = 0.2;
-    ``update_many`` applies it to one slot's rows, and ``update_block`` to
-    a slot's ``[target, rater, (pos, neg)]`` count array, with one
-    fancy-indexed write.
+    ``update_block`` applies it to a slot's ``[target, rater, (pos, neg)]``
+    count array with one fancy-indexed write, and ``update`` to one pair.
     """
 
     def __init__(self) -> None:
@@ -610,23 +580,15 @@ class LinearReputationTracker:
         self._values = np.full((0, 0), _LR_INITIAL)
 
     def update(self, rater: str, target: str, positives: int, negatives: int) -> None:
-        self.update_many([(rater, target, positives, negatives)])
-
-    def update_many(self, rows: list[tuple[str, str, int, int]]) -> None:
-        """update for every (rater, target, positives, negatives) row of one
-        slot in one write, under record_slot's row rule; a name not seen
-        before is added instead of rejected. A rejected write changes
-        nothing."""
-        if rows:
-            self._apply(*_checked_rows(rows, self._index, grow=True))
+        """update_block of the one cell (rater, target, positives, negatives)."""
+        self.update_block([rater], [target], _cell(positives, negatives))
 
     def update_block(self, raters: list[str], targets: list[str], counts: np.ndarray) -> None:
-        """update_many of the rows (raters[r], targets[t], *counts[t, r]),
-        target by target, without building them; `counts` is shaped as in
-        ReputationEngine.record_block."""
-        self._apply(*_checked_block(raters, targets, counts, self._index, grow=True))
-
-    def _apply(self, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
+        """Update the (raters[r], targets[t]) cell by counts[t, r] for
+        every cell of one slot in one write, under _checked_block's cell
+        rule; a new name is added, not rejected. A rejected write changes
+        nothing."""
+        i, j, counts = _checked_block(raters, targets, counts, self._index, grow=True)
         n = len(self._index)
         if n > len(self._values):
             grown = np.full((n, n), _LR_INITIAL)

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import math
 import random
 from collections import defaultdict
 
@@ -76,6 +77,13 @@ class TestSelection:
         reps["loser"] = 0.01
         assert "loser" not in select_consensus_nodes(reps, 8)
 
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "0.4", None])
+    def test_scores_must_be_finite_reals(self, score):
+        # a NaN breaks the sort, which would put "b" on the committee
+        reps = {"a": 0.2, "b": score, "c": 0.9, "d": 0.5}
+        with pytest.raises(ValueError, match="finite real numbers"):
+            select_consensus_nodes(reps, 2)
+
     def test_population_must_cover_committee(self):
         with pytest.raises(ValueError):
             select_consensus_nodes({"A": 0.9}, 3)
@@ -148,6 +156,13 @@ class TestRunView:
         with pytest.raises(ValueError, match="not byzantine"):
             run_view(roster, proposal(), ConsensusConfig(n=4, l=1),
                      strategies={"n01": ReplicaStrategy.SILENT})
+
+    @pytest.mark.parametrize("strategy", ["silent", "bogus", None, 0])
+    def test_rejects_unknown_strategy(self, strategy):
+        # not run as SPLIT, the default for a byzantine node without one
+        with pytest.raises(ValueError, match="ReplicaStrategy members"):
+            run_view(committee(4, byzantine=("n03",)), proposal(), ConsensusConfig(n=4, l=1),
+                     strategies={"n03": strategy})
 
     def test_strategy_for_id_outside_committee_is_ignored(self):
         cfg = ConsensusConfig(n=4, l=1)
@@ -345,6 +360,23 @@ class TestCollusionExperiment:
         collusion_experiment([0.45], seeds=3)
         assert len(built) == 3
 
+    def test_evidence_grows_geometrically(self, monkeypatch):
+        # a seed writes slots 1 to 8: the slot axis grows to 2, 4, 8 and 16
+        growths = defaultdict(int)   # engine -> arrays it replaced
+        grown = consensus.ReputationEngine._grown
+
+        def counted(self, slots):
+            before = self._evidence
+            ev = grown(self, slots)
+            growths[self] += ev is not before
+            return ev
+
+        monkeypatch.setattr(consensus.ReputationEngine, "_grown", counted)
+        collusion_experiment([0.45], seeds=2)
+        assert len(growths) == 2
+        assert all(0 < count <= 4 for count in growths.values())
+        assert all(engine._slots == 9 for engine in growths)
+
     def test_correct_block_rule(self):
         scores = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.2}
         # 0 colluders above threshold among 3 eligible
@@ -357,7 +389,8 @@ class TestCollusionExperiment:
 
 def row_oracle(rng, slot, targets, raters, p_of, engine, tracker):
     """record_interactions as it was written per pair: one p_of call and one
-    (rater, target, positives, negatives) row each, then the row writers."""
+    (rater, target, positives, negatives) row each, each row then written
+    with the scalar writers."""
     rows = []
     for target in targets:
         for rater in raters:
@@ -367,8 +400,9 @@ def row_oracle(rng, slot, targets, raters, p_of, engine, tracker):
             p = p_of(slot, rater, target)
             pos = trials if p == 1.0 else int(rng.binomial(trials, p))
             rows.append((rater, target, pos, trials - pos))
-    engine.record_slot(slot, rows)
-    tracker.update_many(rows)
+    for row in rows:
+        engine.record_outcomes(slot, *row)
+        tracker.update(*row)
 
 
 COLLUDERS = {"r000", "r001", "r002", "r003"}   # four of nine candidates, the default

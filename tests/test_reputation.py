@@ -1,5 +1,6 @@
 """Opinion algebra, evidence weighting, and the reputation engine."""
 
+import copy
 import math
 
 import numpy as np
@@ -296,6 +297,45 @@ class TestEngine:
         with pytest.raises(KeyError):
             eng.view("j", at=1, raters=["x"])
 
+    @pytest.mark.parametrize("slot", [1.5, 1.0, True, np.True_, -1, "1", None])
+    def test_write_slot_must_be_a_whole_number(self, slot):
+        # a whole number >= 0, Python's or numpy's, and not a bool
+        eng, cell = self.build(), np.array([[[1, 0]]])
+        for write in (lambda: eng.record_outcomes(slot, "i", "j", 1, 0),
+                      lambda: eng.record_outcomes(slot, "i", "j", 0, 0),
+                      lambda: eng.record_block(slot, ["i"], ["j"], cell)):
+            with pytest.raises(ValueError, match=f"slot must be .*got {slot!r}"):
+                write()
+        assert eng._evidence.size == 0
+        eng.record_outcomes(np.int64(2), "i", "j", 1, 0)
+        eng.record_block(np.uint8(2), ["i"], ["j"], cell)
+        assert eng._evidence[2].sum() == 2
+
+    @pytest.mark.parametrize("at", [math.nan, 1.5, 2.0, True, "2", None])
+    def test_view_at_must_be_a_whole_number(self, at):
+        eng = self.build()
+        eng.record_outcomes(0, "i", "j", 4, 1)
+        for read in (lambda: eng.view("j", at=at),
+                     lambda: eng.average_reputations(["j"], at, ["i", "k"])):
+            with pytest.raises(ValueError, match=f"at must be .*got {at!r}"):
+                read()
+        # a view before any slot is valid: no evidence, every value neutral
+        assert set(eng.view("j", at=-1).final_values.values()) == {0.5}
+        assert eng.view("j", at=np.int64(1)) == eng.view("j", at=1)
+
+    def test_view_reads_only_the_written_slots(self, monkeypatch):
+        # after writes to slots 0-2 the array holds 4; a view still weighs
+        # 3 slots, however far ahead the array has grown
+        eng = self.build()
+        for slot in range(3):
+            eng.record_outcomes(slot, "i", "j", 4, 1)
+        assert eng._evidence.shape[0] == 4
+        ages = []
+        monkeypatch.setattr(reputation, "timeliness_weight",
+                            lambda t, t_ij, cfg: ages.append(t - t_ij) or 1.0)
+        eng.view("j", at=10)
+        assert ages == [10, 9, 8]
+
     def test_unknown_target_is_neutral(self):
         eng = self.build()
         assert eng.average_reputations(["j"], at=1, raters=["i"])[0] == pytest.approx(0.5)
@@ -458,6 +498,17 @@ def slot_batches(draw):
     return nodes, batches
 
 
+def rows_block(rows):
+    """(raters, targets, counts) of the block whose diagonal holds `rows`,
+    (rater, target, positives, negatives) each, in order, and whose other
+    cells have no outcomes."""
+    n = len(rows)
+    values = np.array([row[2:] for row in rows], dtype=None if rows else np.int64).reshape(n, 2)
+    counts = np.zeros((n, n, 2), dtype=values.dtype)
+    counts[np.arange(n), np.arange(n)] = values
+    return [row[0] for row in rows], [row[1] for row in rows], counts
+
+
 class TestBatchedWrites:
     @staticmethod
     def engine(nodes, cfg=None, base_rate=0.5):
@@ -474,8 +525,8 @@ class TestBatchedWrites:
         tr_batched, tr_single = LinearReputationTracker(), LinearReputationTracker()
         history: dict[tuple[str, str], list[float]] = {}
         for slot, rows in batches:
-            batched.record_slot(slot, rows)
-            tr_batched.update_many(rows)
+            batched.record_block(slot, *rows_block(rows))
+            tr_batched.update_block(*rows_block(rows))
             for rater, target, p, q in rows:
                 single.record_outcomes(slot, rater, target, p, q)
                 tr_single.update(rater, target, p, q)
@@ -499,7 +550,7 @@ class TestBatchedWrites:
             WeightConfig(0.0, 0.0, 1.0, 10.0, 4.0)]))
         eng = self.engine(nodes, cfg, data.draw(st.sampled_from([0.5, 0.0, 0.3])))
         for slot, rows in batches:
-            eng.record_slot(slot, rows)
+            eng.record_block(slot, *rows_block(rows))
         raters = data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
         targets = data.draw(st.lists(st.sampled_from(nodes), min_size=1))
         at = data.draw(st.integers(-1, 13))
@@ -559,48 +610,35 @@ class TestBatchedWrites:
 
     @settings(deadline=None, max_examples=100)
     @given(slot_batches(), st.sampled_from(sorted(BAD_ROWS)), st.data())
-    def test_slot_write_rejects_what_row_writes_reject(self, case, kind, data):
+    def test_all_writers_reject_the_same_rows(self, case, kind, data):
+        # the engine's two writers and the tracker's two raise the row's
+        # error for a bad row, alone or in a slot's block, and write
+        # nothing; only an unregistered name differs, which the tracker adds
         nodes, batches = case
         rows = batches[0][1] if batches else []
         bad, error, match = self.BAD_ROWS[kind]
-        rows = rows[:]
-        rows.insert(data.draw(st.integers(0, len(rows))), bad)
-        eng = self.engine(nodes)
-        with pytest.raises(error, match=match):
-            eng.record_outcomes(3, *bad)
-        before = eng._evidence.copy()
-        with pytest.raises(error, match=match):
-            eng.record_slot(3, rows)
-        assert eng._evidence.shape == before.shape and (eng._evidence == before).all()
-
-    @settings(deadline=None, max_examples=100)
-    @given(slot_batches(), st.sampled_from(sorted(BAD_ROWS)), st.data())
-    def test_all_writers_reject_the_same_rows(self, case, kind, data):
-        # the engine's two writers and the tracker's two raise the same
-        # error for a bad row and write nothing; only an unregistered name
-        # differs, which the tracker adds
-        nodes, batches = case
-        rows = batches[0][1] if batches else []
-        bad = self.BAD_ROWS[kind][0]
         eng, tracker = self.engine(nodes), LinearReputationTracker()
-        eng.record_slot(2, rows)
-        tracker.update_many(rows)
+        eng.record_block(2, *rows_block(rows))
+        tracker.update_block(*rows_block(rows))
         evidence, index, values = eng._evidence.copy(), dict(tracker._index), tracker._values.copy()
         mixed = rows[:]
         mixed.insert(data.draw(st.integers(0, len(rows))), bad)
-        writes = [lambda: eng.record_outcomes(3, *bad), lambda: eng.record_slot(3, mixed),
-                  lambda: tracker.update(*bad), lambda: tracker.update_many(mixed)]
+        writes = [lambda: eng.record_outcomes(3, *bad), lambda: tracker.update(*bad)]
+        if "bool" not in kind:
+            # an integer array holds no bool: TestBlockWrites rejects bool arrays
+            writes += [lambda: eng.record_block(3, *rows_block(mixed)),
+                       lambda: tracker.update_block(*rows_block(mixed))]
         if kind == "unregistered":
-            writes = writes[:2]
+            writes = writes[::2]
         errors = set()
         for write in writes:
-            with pytest.raises(Exception) as raised:
+            with pytest.raises(error, match=match) as raised:
                 write()
             errors.add((type(raised.value), str(raised.value)))
         assert len(errors) == 1
         assert eng._evidence.shape == evidence.shape and (eng._evidence == evidence).all()
         if kind == "unregistered":
-            tracker.update_many(mixed)
+            tracker.update_block(*rows_block(mixed))
             assert tracker.value("n0", "x") == linear_reputation_baseline([1.0])
         else:
             assert tracker._index == index and (tracker._values == values).all()
@@ -611,7 +649,7 @@ class TestBatchedWrites:
             with pytest.raises(ValueError):
                 tracker.update(*row)
             with pytest.raises(ValueError):
-                tracker.update_many([("c", "d", 1, 0), row])
+                tracker.update_block(*rows_block([("c", "d", 1, 0), row]))
         assert tracker._index == {} and tracker.value("a", "b") == tracker.value("a", "a") == 0.5
 
     @pytest.mark.parametrize("hour", [-1, -0.5, math.nan, math.inf])
@@ -632,19 +670,19 @@ class TestBatchedWrites:
         rows = next((rows for rows in recorded if rows), [("n0", "n1", 1, 1)])
         eng, tracker = self.engine(nodes), LinearReputationTracker()
         with pytest.raises(ValueError, match="slot must be >= 0"):
-            eng.record_slot(-1, rows)
+            eng.record_block(-1, *rows_block(rows))
         repeated = rows + [data.draw(st.sampled_from(rows))[:2] + (1, 0)]
         with pytest.raises(ValueError, match="twice"):
-            eng.record_slot(3, repeated)
+            eng.record_block(3, *rows_block(repeated))
         with pytest.raises(ValueError, match="twice"):
-            tracker.update_many(repeated)
+            tracker.update_block(*rows_block(repeated))
         assert not eng._evidence.any()
         assert all(tracker.value(r, t) == 0.5 for r in nodes for t in nodes)
 
     def test_fractional_counts_rejected(self):
         eng, tracker = self.engine(["i", "j"]), LinearReputationTracker()
         with pytest.raises(ValueError, match="whole numbers"):
-            eng.record_slot(0, [("i", "j", 0.5, 1)])
+            eng.record_block(0, *rows_block([("i", "j", 0.5, 1)]))
         with pytest.raises(ValueError, match="whole numbers"):
             tracker.update("i", "j", 0.5, 0.5)
         for counts in [(0.5, 0), (2.7, 0), (1, 0.0)]:
@@ -656,8 +694,8 @@ class TestBatchedWrites:
     def test_counts_past_the_bound_rejected(self, counts):
         eng, tracker = self.engine(["i", "j"]), LinearReputationTracker()
         for write in (lambda: eng.record_outcomes(0, "i", "j", *counts),
-                      lambda: eng.record_slot(1, [("i", "j", *counts)]),
-                      lambda: tracker.update_many([("i", "j", *counts)])):
+                      lambda: eng.record_block(1, *rows_block([("i", "j", *counts)])),
+                      lambda: tracker.update_block(*rows_block([("i", "j", *counts)]))):
             with pytest.raises(ValueError, match="no greater than 2147483647"):
                 write()
         assert eng._evidence.size == 0 and tracker.value("i", "j") == 0.5
@@ -666,12 +704,12 @@ class TestBatchedWrites:
         top = 2**31 - 1
         eng = self.engine(["i", "j", "k"])
         eng.record_outcomes(0, "i", "j", top, 0)
-        eng.record_slot(1, [("i", "j", 0, top), ("k", "j", top, top)])
+        eng.record_block(1, ["i", "k"], ["j"], np.array([[[0, top], [top, top]]]))
         before = eng._evidence.copy()
         with pytest.raises(ValueError, match="would pass 2147483647"):
             eng.record_outcomes(0, "i", "j", 1, 1)
         with pytest.raises(ValueError, match="would pass 2147483647"):
-            eng.record_slot(1, [("j", "i", 1, 0), ("i", "j", 0, 1)])
+            eng.record_block(1, *rows_block([("j", "i", 1, 0), ("i", "j", 0, 1)]))
         assert (eng._evidence == before).all()
         # full cells: the view still matches the scalar reference bit for bit
         evidence = {("i", "j", 0): [top, 0], ("i", "j", 1): [0, top], ("k", "j", 1): [top, top]}
@@ -680,10 +718,12 @@ class TestBatchedWrites:
             evidence, hours, "j", 2, ["i", "k"], WeightConfig(), 0.5)
 
     def test_rows_without_outcomes_are_skipped_unchecked(self):
-        # record_outcomes checks only the count rule (whole and bounded)
-        # before it returns when both are 0
+        # only the count rule (whole and bounded) and the slot are checked
+        # before a cell with both counts 0 is skipped
         eng = self.engine(["i", "j"])
-        eng.record_slot(-1, [("i", "i", 0, 0), ("x", "j", 0, 0)])
+        eng.record_block(0, ["i", "x"], ["i", "j"], np.zeros((2, 2, 2), dtype=np.int64))
+        eng.record_outcomes(0, "i", "i", 0, 0)
+        eng.record_outcomes(0, "x", "j", 0, 0)
         assert eng._evidence.size == 0
 
 
@@ -720,19 +760,19 @@ class TestBlockWrites:
 
     @settings(deadline=None, max_examples=300)
     @given(blocks())
-    def test_block_writes_equal_their_rows(self, case):
-        # record_block and update_block write, or reject with the same error,
-        # exactly what record_slot and update_many do with the block's rows
+    def test_block_writes_equal_cell_writes(self, case):
+        # record_block and update_block write what record_outcomes and
+        # update write cell by cell, target by target. A block with a bad
+        # cell raises what its cells raise one by one: any cell's count
+        # error first, as the count rule covers the whole array, then in
+        # cell order each cell's other error or a pair already seen among
+        # the cells with outcomes
         nodes, raters, targets, counts = case
-        rows = [(rater, target, *counts[t, r].tolist())
-                for t, target in enumerate(targets) for r, rater in enumerate(raters)]
-        engines, trackers = [], []
-        for _ in range(2):
-            eng, tracker = TestBatchedWrites.engine(nodes), LinearReputationTracker()
-            eng.record_slot(1, [("n0", "n1", 2, 1)])
-            tracker.update_many([("n1", "n0", 1, 1)])
-            engines.append(eng)
-            trackers.append(tracker)
+        cells = [(rater, target, *counts[t, r].tolist())
+                 for t, target in enumerate(targets) for r, rater in enumerate(raters)]
+        eng, tracker = TestBatchedWrites.engine(nodes), LinearReputationTracker()
+        eng.record_outcomes(1, "n0", "n1", 2, 1)
+        tracker.update("n1", "n0", 1, 1)
 
         def evidence(eng):
             return lambda: (eng._evidence.shape, eng._evidence.tobytes())
@@ -740,21 +780,44 @@ class TestBlockWrites:
         def values(tracker):
             return lambda: (dict(tracker._index), tracker._values.tobytes())
 
-        block, by_rows = engines
-        assert (self.attempt(lambda: block.record_block(3, raters, targets, counts),
-                             evidence(block))
-                == self.attempt(lambda: by_rows.record_slot(3, rows), evidence(by_rows)))
-        assert evidence(block)() == evidence(by_rows)()
-        block, by_rows = trackers
-        assert (self.attempt(lambda: block.update_block(raters, targets, counts),
-                             values(block))
-                == self.attempt(lambda: by_rows.update_many(rows), values(by_rows)))
-        assert values(block)() == values(by_rows)()
+        def expected(alone):
+            counted = [error for error in alone if error and "outcome counts" in error[1]]
+            if counted:
+                return counted[0]
+            seen = set()
+            for (rater, target, p, q), error in zip(cells, alone):
+                if error:
+                    return error
+                if p or q:
+                    if (rater, target) in seen:
+                        return ValueError, f"pair {(rater, target)!r} occurs twice in one batch"
+                    seen.add((rater, target))
+            return None
+
+        for scheme, state, block_write, cell_write in (
+            (eng, evidence, lambda w: w.record_block(3, raters, targets, counts),
+             lambda w, cell: w.record_outcomes(3, *cell)),
+            (tracker, values, lambda w: w.update_block(raters, targets, counts),
+             lambda w, cell: w.update(*cell)),
+        ):
+            block, by_cells = scheme, copy.deepcopy(scheme)
+            alone = []
+            for cell in cells:
+                alone_scheme = copy.deepcopy(by_cells)
+                alone.append(self.attempt(lambda: cell_write(alone_scheme, cell),
+                                          state(alone_scheme)))
+            error = expected(alone)
+            assert self.attempt(lambda: block_write(block), state(block)) == error
+            if error is None:
+                for cell in cells:
+                    cell_write(by_cells, cell)
+            assert state(block)() == state(by_cells)()
 
     def test_tracker_numbers_new_names_in_order_of_first_appearance(self):
         # cell by cell, rater before target; the block's cells target by target
         rows, block = LinearReputationTracker(), LinearReputationTracker()
-        rows.update_many([("b", "a", 1, 0), ("c", "b", 0, 0), ("a", "d", 2, 1)])
+        for row in [("b", "a", 1, 0), ("c", "b", 0, 0), ("a", "d", 2, 1)]:
+            rows.update(*row)
         block.update_block(["b", "c"], ["a", "e"], np.ones((2, 2, 2), dtype=np.int64))
         assert list(rows._index.items()) == [("b", 0), ("a", 1), ("c", 2), ("d", 3)]
         assert list(block._index.items()) == [("b", 0), ("a", 1), ("c", 2), ("e", 3)]
