@@ -18,7 +18,8 @@ lie or stay silent but cannot send under another node's id.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with a scripted
-[target, rater] cooperation table per slot) to both the subjective-logic
+[target, rater] cooperation table per slot, whose draws are replayed bit
+for bit from one PCG64 raw block) to both the subjective-logic
 scheme and the linear-smoothing baseline, and measure how their
 selection quality differs.
 """
@@ -454,24 +455,27 @@ def record_interactions(
 
     Each rater other than the target itself interacts 5 to 10 times with
     each target, and each interaction goes well with probability p[t, r]
-    for targets[t] and raters[r]. A probability of exactly 1.0 records
-    all-positive evidence without drawing a binomial: this is how
-    colluders fabricate mutual praise, and it fixes the RNG draw order,
-    target by target, then rater by rater. The slot's counts are written
-    once to each scheme after all draws.
+    for targets[t] and raters[r]; a table of another shape or a cell outside
+    [0, 1] raises ValueError before any draw. A probability of exactly 1.0
+    records all-positive evidence without a binomial: this is how colluders
+    fabricate mutual praise. The draws are an integers(5, 11) and binomial
+    call per pair, target by target, then rater by rater, replayed bit for
+    bit from one PCG64 raw block per slot (_slot_draws; a Lemire rejection,
+    an inversion restart or another bit generator runs the per-pair loop).
+    The counts are written once to each scheme after all draws.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (len(targets), len(raters)):
         raise ValueError(f"p must be shaped (targets, raters) = "
                          f"{(len(targets), len(raters))}, got {p.shape}")
+    bad = np.argwhere(~((p >= 0.0) & (p <= 1.0)))     # NaN fails both
+    if bad.size:
+        t, r = bad[0]
+        raise ValueError(f"p[{t}, {r}] (target {targets[t]!r}, rater {raters[r]!r}) "
+                         f"must be a probability in [0, 1], got {float(p[t, r])!r}")
     drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
                            != np.array(raters, dtype=object))
-    probs = p.ravel()[drawn].tolist()
-    trials, positives = [0] * len(probs), [0] * len(probs)
-    integers, binomial = rng.integers, rng.binomial
-    for k, pk in enumerate(probs):
-        n = trials[k] = integers(5, 11)
-        positives[k] = n if pk == 1.0 else binomial(n, pk)
+    trials, positives = _slot_draws(rng, p.ravel()[drawn])
     counts = np.zeros((p.size, 2), dtype=np.int64)
     counts[drawn, 0] = positives
     counts[drawn, 1] = trials
@@ -479,6 +483,71 @@ def record_interactions(
     counts = counts.reshape(*p.shape, 2)
     engine.record_block(slot, raters, targets, counts)
     tracker.update_block(raters, targets, counts)
+
+
+def _scalar_draws(rng: np.random.Generator, probs: np.ndarray) -> tuple[list, list]:
+    """The reference draw order: per pair, integers(5, 11), then a binomial
+    unless p is exactly 1.0."""
+    trials, positives = [0] * len(probs), [0] * len(probs)
+    integers, binomial = rng.integers, rng.binomial
+    for k, pk in enumerate(probs.tolist()):
+        n = trials[k] = integers(5, 11)
+        positives[k] = n if pk == 1.0 else binomial(n, pk)
+    return trials, positives
+
+
+def _slot_draws(rng: np.random.Generator, probs: np.ndarray) -> tuple:
+    """_scalar_draws' results and end state, replayed from one random_raw
+    block when the bit generator is PCG64.
+
+    integers(5, 11) is Lemire's multiply-shift on a 32-bit half: the low
+    half of a fresh raw, whose high half PCG64 keeps for its next 32-bit
+    call. A binomial (p not 0 or 1) is numpy's inversion on the 53-bit
+    uniform of a fresh raw, at 1 - p when p > 0.5; at n <= 10 its bound is
+    n. A Lemire rejection, an inversion that walks past n, or another bit
+    generator restores the state and runs _scalar_draws.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        return _scalar_draws(rng, probs)
+    saved = bitgen.state
+    held = saved["has_uint32"]
+    split = (np.arange(len(probs)) + held) % 2 == 0     # integers takes a fresh raw
+    binom = (probs != 0.0) & (probs != 1.0)
+    used = split.astype(np.int64) + binom
+    raw = bitgen.random_raw(int(used.sum()))
+    start = np.cumsum(used) - used
+    fresh = raw[start[split]]
+    u32 = np.empty(len(probs), dtype=np.uint64)
+    u32[split] = fresh & 0xFFFFFFFF
+    halves = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), fresh >> 32))
+    u32[~split] = halves[1 - held:][:len(probs) - len(fresh)]     # kept halves, in order
+    m = u32 * np.uint64(6)
+    trials = (m >> 32).astype(np.int64) + 5
+    n, pb = trials[binom], probs[binom]
+    pp = np.where(pb > 0.5, 1.0 - pb, pb)
+    q = 1.0 - pp
+    values, which = np.unique(pp, return_inverse=True)
+    px = np.array([[math.exp(k * math.log(1.0 - v)) for k in range(11)]
+                   for v in values.tolist()]).reshape(-1, 11)[which, n]
+    u = (raw[start[binom] + split[binom]] >> 11) * 2.0**-53
+    # numpy's Lemire threshold for a range of 6 is 2**32 mod 6 = 4
+    walked = ((m & 0xFFFFFFFF) < 4).any()
+    x, step = np.zeros(len(n), dtype=np.int64), 0
+    while not walked and (go := u > px).any():
+        step += 1
+        walked = (go & (n < step)).any()
+        x += go
+        u, px = np.where(go, u - px, u), np.where(go, (n - step + 1) * pp * px / (step * q), px)
+    if walked:
+        bitgen.state = saved
+        return _scalar_draws(rng, probs)
+    positives = np.where(probs == 1.0, trials, 0)
+    positives[binom] = np.where(pb > 0.5, n - x, x)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = (held + len(probs)) % 2, int(halves[-1])
+    bitgen.state = state
+    return trials, positives
 
 
 def _cooperation(
@@ -493,6 +562,10 @@ def _cooperation(
     praise = bad & np.array([r in colluders for r in raters], dtype=bool)
     return tuple(np.where(praise, 1.0, np.where(bad, p, honest_p))
                  for p in (_P_COOPERATE, _P_DEFECT))
+
+
+def _is_probability(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0
 
 
 def _engine(weight_config: WeightConfig | None, *cohorts: list[str]) -> ReputationEngine:
@@ -527,6 +600,8 @@ def detection_experiment(
             f"honest rater (got population={population}, "
             f"misbehaving_count={misbehaving_count})"
         )
+    if not _is_probability(threshold):
+        raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
     rng = np.random.default_rng(seed)
     rater_ids = [f"r{i:03d}" for i in range(min(_RATERS, population - misbehaving_count))]
     target_ids = [f"m{i:03d}" for i in range(misbehaving_count)]
@@ -633,6 +708,11 @@ def collusion_experiment(
         raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
     if not 0.0 <= colluder_fraction <= 1.0:
         raise ValueError("colluder fraction must lie in [0, 1]")
+    thresholds = list(thresholds)
+    if not all(map(_is_probability, thresholds)):
+        raise ValueError(f"thresholds must be real numbers in [0, 1], got {thresholds!r}")
+    if not isinstance(seed_base, numbers.Integral) or isinstance(seed_base, bool) or seed_base < 0:
+        raise ValueError(f"seed_base must be a nonnegative integer, got {seed_base!r}")
     n_colluders = round(colluder_fraction * _CANDIDATES)
     if n_colluders == 0:
         return [(th, 1.0, 1.0) for th in thresholds]

@@ -8,6 +8,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parkedchain import consensus
 from parkedchain.consensus import (
@@ -460,9 +461,129 @@ def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
 
 
 def test_record_interactions_checks_the_table_shape():
-    engine, tracker = consensus._engine(None, ["a", "b"]), LinearReputationTracker()
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="shaped"):
-        consensus.record_interactions(rng, 1, ["a"], ["a", "b"], np.full((2, 1), 0.8),
-                                      engine, tracker)
-    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    """A table of another shape, or with a cell that is not a probability
+    (the diagonal cell included), is rejected before any draw: the first
+    bad cell is named, and the RNG and both schemes are left untouched."""
+    cases = [(["a"], np.full((2, 1), 0.8), "shaped")] + [
+        (["a", "b"], np.array([[0.8, 0.8], [bad, bad]]),
+         r"p\[1, 0\] \(target 'b', rater 'a'\) must be a probability in \[0, 1\], got ")
+        for bad in (math.nan, math.inf, -math.inf, -0.1, 1.5)
+    ] + [(["a", "b"], np.array([[math.nan, 0.8], [0.8, 0.8]]), r"p\[0, 0\]")]
+    for targets, p, match in cases:
+        engine, tracker = consensus._engine(None, ["a", "b"]), LinearReputationTracker()
+        evidence = engine._evidence.copy()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=match):
+            consensus.record_interactions(rng, 1, targets, ["a", "b"], p, engine, tracker)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+        assert engine._evidence.shape == evidence.shape and (engine._evidence == evidence).all()
+        assert tracker._index == {} and tracker._values.size == 0
+
+
+# PCG64's LCG multiplier (numpy's pcg64.h); the generator steps, then
+# outputs the XSL-RR permutation of the new 128-bit state
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_emitting(raw, has_uint32=0, uinteger=0, hi=0x9E3779B97F4A7C15):
+    """A PCG64 generator whose next 64-bit output is `raw`: take the stepped
+    state whose XSL-RR output is raw (its top six bits, from `hi`, are the
+    rotation), then undo one LCG step."""
+    rot = hi >> 58
+    lo = hi ^ (((raw << rot) | (raw >> (64 - rot))) & (2**64 - 1))
+    inc = np.random.default_rng(0).bit_generator.state["state"]["inc"]
+    state = (((hi << 64 | lo) - inc) * pow(_PCG_MULT, -1, 2**128)) % 2**128
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": has_uint32, "uinteger": uinteger}
+    return rng
+
+
+def assert_draws_match_scalar(rng, probs, fast_path):
+    """_slot_draws leaves the draws and the full RNG state as the scalar
+    loop does, on the fast path or not, as said."""
+    twin = copy.deepcopy(rng)
+    trials, positives = consensus._slot_draws(rng, probs)
+    want_trials, want_positives = consensus._scalar_draws(twin, probs)
+    assert np.array_equal(trials, want_trials) and np.array_equal(positives, want_positives)
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)   # MT19937's holds an array
+    assert isinstance(trials, np.ndarray) is fast_path   # the scalar loop returns lists
+
+
+_SPECIAL_P = [0.0, 1.0, 0.5, 0.8, 0.1, 0.95, 1e-300, 1 - 2**-53]
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), prior=st.integers(0, 2),
+       n_targets=st.integers(0, 12), n_raters=st.integers(0, 60), overlap=st.booleans())
+def test_slot_draws_replay_the_scalar_loop(data, seed, prior, n_targets, n_raters, overlap):
+    """Random tables, with and without a diagonal among the raters, and a
+    stream that starts with the held 32-bit half set or clear."""
+    raters = [f"r{i}" for i in range(n_raters)]
+    targets = ([f"r{i}" for i in range(n_targets)] if overlap
+               else [f"t{i}" for i in range(n_targets)])
+    p = np.array(data.draw(st.lists(
+        st.sampled_from(_SPECIAL_P) | st.floats(0, 1, exclude_min=True, exclude_max=True),
+        min_size=n_targets * n_raters, max_size=n_targets * n_raters)), dtype=float)
+    drawn = np.array(targets, dtype=object)[:, None] != np.array(raters, dtype=object)
+    rng = np.random.default_rng(seed)
+    for _ in range(prior):
+        rng.integers(5, 11)
+    assert_draws_match_scalar(rng, p[drawn.ravel()], fast_path=True)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+def test_slot_draws_of_other_bit_generators_are_the_scalar_loop(bit_generator):
+    probs = np.array([0.8, 1.0, 0.0, 0.1, 0.95, 0.5] * 20)
+    assert_draws_match_scalar(np.random.Generator(bit_generator(3)), probs, fast_path=False)
+
+
+@pytest.mark.parametrize("rng", [
+    # a fresh raw whose low 32-bit half is 0: Lemire's multiply-shift rejects it
+    lambda: pcg64_emitting(0xABCDEF0100000000),
+    # the held high half is 0
+    lambda: pcg64_emitting(0x1234567890ABCDEF, has_uint32=1, uinteger=0),
+    # trials 10 or 9 from the held half, then U = 1 - 2**-53 at p = 0.8: the
+    # rounded inversion walks past n and numpy restarts with a new uniform
+    lambda: pcg64_emitting(0xFFFFFFFFFFFFF800, has_uint32=1, uinteger=0xF0000000),
+    lambda: pcg64_emitting(0xFFFFFFFFFFFFF800, has_uint32=1, uinteger=0xD0000000),
+], ids=["fresh-half-0", "held-half-0", "walk-past-10", "walk-past-9"])
+def test_slot_draws_fall_back_where_numpy_redraws(rng):
+    assert_draws_match_scalar(rng(), np.array([0.8, 0.1, 1.0, 0.95, 0.0, 0.5]), fast_path=False)
+
+
+def test_record_interactions_draws_without_fallback(monkeypatch):
+    """The bit-identity tests would pass if every slot ran the scalar loop,
+    so count the slots that do over the oracle test's runs."""
+    fallbacks = []
+    scalar = consensus._scalar_draws
+
+    def counted(rng, probs):
+        fallbacks.append(len(probs))
+        return scalar(rng, probs)
+
+    monkeypatch.setattr(consensus, "_scalar_draws", counted)
+    for _, run in EXPERIMENTS.values():
+        run()
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("fraction", [0.0, 4 / 9])
+@pytest.mark.parametrize("thresholds", [[math.nan], [0.45, 1.5], [-0.1], [True], ["0.5"]])
+def test_collusion_rejects_thresholds_that_are_not_probabilities(thresholds, fraction):
+    with pytest.raises(ValueError, match="thresholds must be real numbers in"):
+        collusion_experiment(thresholds, seeds=1, colluder_fraction=fraction)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 1.5, -0.1, True, "0.5"])
+def test_detection_rejects_a_threshold_that_is_not_a_probability(threshold):
+    with pytest.raises(ValueError, match="threshold must be a real number in"):
+        detection_experiment(50, 10, threshold, 3, 0)
+
+
+@pytest.mark.parametrize("seed_base", [True, 1.5, -1, "0"])
+def test_collusion_rejects_seed_base_not_a_nonnegative_integer(seed_base):
+    for fraction in (0.0, 4 / 9):
+        with pytest.raises(ValueError, match="seed_base must be a nonnegative integer"):
+            collusion_experiment([0.45], seeds=1, colluder_fraction=fraction,
+                                 seed_base=seed_base)
