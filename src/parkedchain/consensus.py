@@ -12,9 +12,10 @@ than (n-l)/3 received replies disagree.
 Each honest replica is one mutable NodeState: its handler takes (state,
 message), updates the state in place and returns only the outbox.
 Byzantine and crash behaviors are generated outside the honest handler.
-A handler returns (recipient, kind, digest) triples and run_view stamps
-each with the id of the node that produced it, so a corrupted node can
-lie or stay silent but cannot send under another node's id.
+The honest handler returns (recipients, kind) broadcasts to peer lists
+built once per view; run_view stamps them with the node's accepted
+digest and its id, so a corrupted node can lie or stay silent but
+cannot send under another node's id.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with a scripted
@@ -127,6 +128,7 @@ class NetMessage(NamedTuple):
 
 
 _MAX_SLOTS = 8    # delivery slots 1..7; a failure-free view's replies arrive in slot 5
+_CLIENT = ("client",)    # a reply's one recipient
 
 
 @dataclass
@@ -182,13 +184,14 @@ def _wrong_digest(digest: str) -> str:
 
 
 def _handle_honest(state: NodeState, msg: NetMessage, quorums: ConsensusConfig,
-                   peers: list[str]) -> list[tuple[str, str, str]]:
+                   peers: list[str]) -> list[tuple]:
     """Honest-node transition: updates state in place and returns
-    (recipient, kind, digest) outbox entries."""
+    (recipients, kind) broadcasts, all of the node's accepted digest.
+    peers are the other committee members."""
     me = state.node_id
     if msg.kind == "request" and me == state.leader_id and state.accepted_digest is None:
         state.accepted_digest = msg.digest
-        return [(peer, "pre-prepare", msg.digest) for peer in peers if peer != me]
+        return [(peers, "pre-prepare")]
 
     if (
         msg.kind == "pre-prepare"
@@ -197,7 +200,7 @@ def _handle_honest(state: NodeState, msg: NetMessage, quorums: ConsensusConfig,
     ):
         state.accepted_digest = msg.digest
         state.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)   # the leader's vote
-        return [(peer, "prepare", msg.digest) for peer in peers if peer != me]
+        return [(peers, "prepare")]
 
     if msg.kind == "prepare":
         state.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)
@@ -209,32 +212,32 @@ def _handle_honest(state: NodeState, msg: NetMessage, quorums: ConsensusConfig,
     digest = state.accepted_digest
     if digest is None:
         return []
-    out: list[tuple[str, str, str]] = []
+    out = []
     if (
         not state.sent_accept
         and len(state.prepare_votes.get(digest, ())) >= quorums.prepare_quorum
     ):
         state.sent_accept = True
         state.accept_votes.setdefault(digest, set()).add(me)
-        out = [(peer, "accept", digest) for peer in peers if peer != me]
+        out.append((peers, "accept"))
     if (
         state.committed is None
         and len(state.accept_votes.get(digest, ())) >= quorums.accept_quorum
     ):
         state.committed = digest
-        out.append(("client", "reply", digest))
+        out.append((_CLIENT, "reply"))
     return out
 
 
-def _byzantine_outbox(node_id: str, strategy: ReplicaStrategy, kind: str,
-                      digest: str, peers: list[str]) -> list[tuple[str, str, str]]:
-    """Adversarial broadcast for one stage. SPLIT sends the honest digest to
-    the first half of the committee and a fabricated one to the rest."""
+def _byzantine_outbox(strategy: ReplicaStrategy, kind: str, digest: str,
+                      others: list[str]) -> list[tuple[str, str, str]]:
+    """Adversarial broadcast for one stage to the other nodes (the client
+    alone for a reply). SPLIT sends the honest digest to the first half of
+    them and a fabricated one to the rest."""
     if strategy is ReplicaStrategy.SILENT:
         return []
     bad = _wrong_digest(digest)
     out = []
-    others = [p for p in peers if p != node_id]
     for i, peer in enumerate(others):
         if strategy is ReplicaStrategy.ACT_HONEST:
             out.append((peer, kind, digest))
@@ -289,12 +292,14 @@ def run_view(
         raise ValueError(f"strategies must be ReplicaStrategy members, got {unknown!r}")
 
     states = {node_id: NodeState(node_id, leader) for node_id in order}
+    peers = {node_id: [p for p in order if p != node_id] for node_id in order}
     byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on
 
     request = NetMessage(0, "client", leader, "request", proposal.digest())
     sent, inbox = [request], [request]
 
     pre_prepare_seen = False
+    new = tuple.__new__     # NetMessage's own __new__ is a Python call per message
     for slot in range(1, _MAX_SLOTS):
         outbox: list[NetMessage] = []
         for msg in sorted(inbox):
@@ -311,13 +316,18 @@ def run_view(
                     continue
                 byz_acted.add((recipient, stage))
                 out = _byzantine_outbox(
-                    recipient, strategies.get(recipient, ReplicaStrategy.SPLIT),
-                    stage, msg.digest, ["client", recipient] if stage == "reply" else order,
+                    strategies.get(recipient, ReplicaStrategy.SPLIT), stage, msg.digest,
+                    _CLIENT if stage == "reply" else peers[recipient],
                 )
+                # sent under the handling node's own id; delivered next slot, after this batch
+                outbox += [new(NetMessage, (slot, recipient, peer, kind, dig))
+                           for peer, kind, dig in out]
             else:
-                out = _handle_honest(states[recipient], msg, config, order)
-            # sent under the handling node's own id; delivered next slot, after this batch
-            outbox += [NetMessage(slot, recipient, peer, kind, dig) for peer, kind, dig in out]
+                state = states[recipient]
+                for recipients, kind in _handle_honest(state, msg, config, peers[recipient]):
+                    digest = state.accepted_digest
+                    outbox += [new(NetMessage, (slot, recipient, peer, kind, digest))
+                               for peer in recipients]
         sent += outbox
         inbox = outbox
         if len(sent) > config.message_budget:
@@ -568,6 +578,12 @@ def _is_probability(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0
 
 
+def _check_slots_and_seed(slots, seed) -> None:
+    for name, value, least in (("slots", slots, 1), ("seed", seed, 0)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _engine(weight_config: WeightConfig | None, *cohorts: list[str]) -> ReputationEngine:
     """Engine with every cohort registered at arrival hours 9, 10, 11, ..."""
     engine = ReputationEngine(weight_config)
@@ -602,6 +618,7 @@ def detection_experiment(
         )
     if not _is_probability(threshold):
         raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
+    _check_slots_and_seed(slots, seed)
     rng = np.random.default_rng(seed)
     rater_ids = [f"r{i:03d}" for i in range(min(_RATERS, population - misbehaving_count))]
     target_ids = [f"m{i:03d}" for i in range(misbehaving_count)]
@@ -649,6 +666,7 @@ def decay_experiment(
         raise ValueError(
             f"decay needs at least one misbehaving node (got misbehaving_count={misbehaving_count})"
         )
+    _check_slots_and_seed(slots, seed)
     onset = min(_ONSET, slots)
     raters = [f"r{i:03d}" for i in range(_RATERS)]
     bad = [f"m{i:03d}" for i in range(misbehaving_count)]
@@ -706,8 +724,9 @@ def collusion_experiment(
     """
     if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
         raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
-    if not 0.0 <= colluder_fraction <= 1.0:
-        raise ValueError("colluder fraction must lie in [0, 1]")
+    if not _is_probability(colluder_fraction):
+        raise ValueError(f"colluder_fraction must be a real number in [0, 1], "
+                         f"got {colluder_fraction!r}")
     thresholds = list(thresholds)
     if not all(map(_is_probability, thresholds)):
         raise ValueError(f"thresholds must be real numbers in [0, 1], got {thresholds!r}")

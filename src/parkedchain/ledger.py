@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _string
 
 __all__ = [
     "LedgerError",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 TREASURY = "treasury"
+_UNSET = object()     # no menu posted yet; None is a malformed menu, not a missing one
 
 
 class LedgerError(RuntimeError):
@@ -124,7 +126,7 @@ class SmartContractRecord:
 
     def record_state(self, state: ContractState, slot: int) -> None:
         self.state = state
-        self.history.append(state.value)
+        self.history.append(state._value_)     # the member's own slot, not the .value property
         self.timestamps.append(slot)
 
     @property
@@ -173,6 +175,7 @@ class Ledger:
                   proposer="genesis", quorum_signers=("genesis",))
         ]
         self._menus: dict[tuple, tuple] = {}    # menu -> (stored menu, largest reward)
+        self._last_menu = (_UNSET, None)          # (immutable menu object, its _menus entry)
         self.minted = 0
         self._nonce = 0
         self.clock = 0
@@ -219,23 +222,31 @@ class Ledger:
         deposit: int,
     ) -> SmartContractRecord:
         sr = self._account(sr_identity)
-        try:
-            # a plain float in range needs no call to _frequency
-            items = tuple((f if type(f) is float and 0 < f < math.inf else _frequency(f),
-                           _units(pi, "reward")) for f, pi in menu)
-        except (TypeError, ValueError):
-            raise LedgerError(
-                f"menu must be a sequence of (frequency, reward) pairs, got {menu!r}") from None
-        # equal validated menus are written alike (no -0.0 meets 0.0, since
-        # frequencies are > 0): the records share the first one's tuple, and
-        # its checks and largest reward are worked out once
-        known = self._menus.get(items)
-        if known is None:
-            if not items:
-                raise LedgerError("menu must contain at least one item")
-            if any(pi < 0 for _, pi in items):
-                raise LedgerError("rewards must be nonnegative")
-            known = self._menus[items] = (items, max(pi for _, pi in items))
+        last, known = self._last_menu
+        if menu is not last:
+            try:
+                # a plain float in range needs no call to _frequency
+                items = tuple((f if type(f) is float and 0 < f < math.inf else _frequency(f),
+                               _units(pi, "reward")) for f, pi in menu)
+            except (TypeError, ValueError):
+                raise LedgerError(f"menu must be a sequence of (frequency, reward) pairs, "
+                                  f"got {menu!r}") from None
+            # equal validated menus are written alike (no -0.0 meets 0.0, since
+            # frequencies are > 0): the records share the first one's tuple, and
+            # its checks and largest reward are worked out once
+            known = self._menus.get(items)
+            if known is None:
+                if not items:
+                    raise LedgerError("menu must contain at least one item")
+                if any(pi < 0 for _, pi in items):
+                    raise LedgerError("rewards must be nonnegative")
+                known = self._menus[items] = (items, max(pi for _, pi in items))
+            # a tuple of (float, int) tuples cannot change, so the same object
+            # posted again skips the checks above
+            if type(menu) is tuple and all(type(item) is tuple and len(item) == 2
+                                           and type(item[0]) is float and type(item[1]) is int
+                                           for item in menu):
+                self._last_menu = (menu, known)
         items, top = known
         deposit = _units(deposit, "deposit")
         if deposit < 0:
@@ -398,10 +409,13 @@ class Ledger:
                     "address": a.address, "public_key": a.public_key,
                     "balance": a.balance, "reputation": a.reputation,
                 }) + "\n")
-            # a contract's menu and spec are encoded once per distinct pair and
-            # spliced over 0 placeholders: with sorted keys and every `"` in a
-            # string escaped, `,"menu":0,` can only be the record's own key
+            # a contract line is written field by field in sorted key order, as
+            # _canonical would (its string escaper, int.__repr__ for ints); its
+            # only floats, in menu and spec, go through _canonical once per
+            # distinct pair, and history and timestamps once per distinct value
             fragments: dict[tuple[int, int], tuple[str, str]] = {}
+            histories: dict[tuple[str, ...], str] = {}
+            stamps: dict[tuple[int, ...], str] = {}
             for address in sorted(self.contracts):
                 c = self.contracts[address]
                 key = (id(c.menu), id(c.spec))
@@ -409,21 +423,26 @@ class Ledger:
                 if parts is None:
                     spec = c.spec
                     parts = fragments[key] = (
-                        ',"menu":' + _canonical([[f, pi] for f, pi in c.menu]) + ",",
-                        ',"spec":' + _canonical([spec.task_bits, spec.required_hz,
-                                                 spec.expected_seconds]) + ",",
+                        _canonical([[f, pi] for f, pi in c.menu]),
+                        _canonical([spec.task_bits, spec.required_hz, spec.expected_seconds]),
                     )
-                line = _canonical({
-                    "kind": "contract", "address": c.address,
-                    "sr": c.sr_address, "pv": c.pv_address,
-                    "spec": 0, "menu": 0,
-                    "sr_deposit": c.sr_deposit, "pv_deposit": c.pv_deposit,
-                    "item": c.item_index, "escrow": c.escrow,
-                    "state": c.state.value, "result": c.result_digest,
-                    "history": c.history, "timestamps": c.timestamps,
-                })
-                fh.write(line.replace(',"menu":0,', parts[0], 1)
-                         .replace(',"spec":0,', parts[1], 1) + "\n")
+                steps, slots = tuple(c.history), tuple(c.timestamps)
+                if steps not in histories:
+                    histories[steps] = _canonical(c.history)
+                if slots not in stamps:
+                    stamps[slots] = _canonical(c.timestamps)
+                pv, item, result = c.pv_address, c.item_index, c.result_digest
+                fh.write(
+                    f'{{"address":{_string(c.address)},"escrow":{int.__repr__(c.escrow)},'
+                    f'"history":{histories[steps]},'
+                    f'"item":{"null" if item is None else int.__repr__(item)},'
+                    f'"kind":"contract","menu":{parts[0]},'
+                    f'"pv":{"null" if pv is None else _string(pv)},'
+                    f'"pv_deposit":{int.__repr__(c.pv_deposit)},'
+                    f'"result":{"null" if result is None else _string(result)},'
+                    f'"spec":{parts[1]},"sr":{_string(c.sr_address)},'
+                    f'"sr_deposit":{int.__repr__(c.sr_deposit)},'
+                    f'"state":{_string(c.state._value_)},"timestamps":{stamps[slots]}}}\n')
             for b in self.blocks:
                 fh.write(_canonical({
                     "kind": "block", "height": b.height,

@@ -587,3 +587,35 @@ def test_collusion_rejects_seed_base_not_a_nonnegative_integer(seed_base):
         with pytest.raises(ValueError, match="seed_base must be a nonnegative integer"):
             collusion_experiment([0.45], seeds=1, colluder_fraction=fraction,
                                  seed_base=seed_base)
+
+
+@pytest.mark.parametrize("value", [True, -1, 0, -2, 1.5])
+def test_detection_rejects_slots_and_seed_that_are_not_counts(value):
+    with pytest.raises(ValueError, match=r"slots must be an integer >= 1, got "):
+        detection_experiment(50, 10, 0.45, value, 0)
+    if value == 0:     # seed 0 is a seed
+        assert len(detection_experiment(50, 10, 0.45, 1, value)[0]) == 1
+    else:
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+            detection_experiment(50, 10, 0.45, 1, value)
+
+
+@pytest.mark.parametrize("value", [True, -1, 0, -2, 1.5])
+def test_decay_rejects_slots_and_seed_that_are_not_counts(value):
+    with pytest.raises(ValueError, match=r"slots must be an integer >= 1, got "):
+        decay_experiment(30, 3, value, 0, None)
+    if value == 0:
+        assert len(decay_experiment(30, 3, 1, value, None)) == 2
+    else:
+        with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+            decay_experiment(30, 3, 1, value, None)
+
+
+@pytest.mark.parametrize("value", [True, -1, 0, -2, 1.5])
+def test_collusion_rejects_a_colluder_fraction_that_is_not_a_share(value):
+    # 0 is a share (no colluders: every block is correct); True is not 1.0
+    if value == 0:
+        assert collusion_experiment([0.45], seeds=1, colluder_fraction=value) == [(0.45, 1.0, 1.0)]
+    else:
+        with pytest.raises(ValueError, match=r"colluder_fraction must be a real number in"):
+            collusion_experiment([0.45], seeds=1, colluder_fraction=value)

@@ -197,6 +197,37 @@ class TestMenuInterning:
         assert ulp.menu != one.menu and reward.menu != one.menu
         assert len({id(r.menu) for r in (one, ulp, reward)}) == 3
 
+    def test_same_tuple_posted_again_skips_its_checks(self, monkeypatch):
+        led = funded_ledger()
+        menu = tuple(MENU)
+        first = led.post_request("sr1", SPEC, menu, deposit=10)
+        units = []
+        monkeypatch.setattr(ledger_mod, "_units", lambda x, *a: units.append(x) or x)
+        again = led.post_request("sr1", SPEC, menu, deposit=10)
+        assert units == [10]     # the deposit only, no reward
+        assert again.menu is first.menu and again.menu == menu
+        # the deposit and balance checks still run
+        with pytest.raises(LedgerError, match="cannot escrow"):
+            led.post_request("sr1", SPEC, menu, deposit=10_000)
+
+    def test_mutated_list_menu_checked_again(self):
+        led = funded_ledger()
+        menu = list(MENU)
+        led.post_request("sr1", SPEC, menu, deposit=10)
+        menu[1] = (1.6e9, -1)
+        with pytest.raises(LedgerError, match="nonnegative"):
+            led.post_request("sr1", SPEC, menu, deposit=10)
+
+    def test_tuple_holding_a_list_checked_again(self):
+        # only a tuple of (float, int) tuples is taken as unchangeable
+        led = funded_ledger()
+        item = [2.2e9, 410]
+        menu = (MENU[0], MENU[1], item)
+        led.post_request("sr1", SPEC, menu, deposit=10)
+        item[1] = -1
+        with pytest.raises(LedgerError, match="nonnegative"):
+            led.post_request("sr1", SPEC, menu, deposit=10)
+
     def test_known_menu_still_checks_balance(self):
         # a known menu skips its own checks, never the SR's balance, and a
         # rejected menu is never known
@@ -462,8 +493,7 @@ def oracle_dump(led) -> bytes:
     return "".join(lines).encode()
 
 
-# identities that look like the placeholders dump splices over, or that
-# need escaping
+# identities that look like a record's own keys, or that need escaping
 TRICKY = ['","menu":0,"', '","spec":0,"', '"menu":0', ',"spec":0,', 'q"uote', 'back\\slash',
           '\\"', 'a,b', 'é', '車両', '\x00\n']
 identities = st.one_of(st.sampled_from(TRICKY), st.text(max_size=8))
@@ -513,6 +543,10 @@ def test_dump_matches_per_record_encoding(tmp_path_factory, names, menu_pool, sp
         if block_every and len(records) % block_every == 0:
             led.append_block([r.address for r, _ in records[-2:]], names[:2],
                              proposer=names[-1])
+    # one tuple of (float, int) tuples posted twice: the second post skips its checks
+    shared = tuple(menu_pool[0])
+    records += [(led.post_request(names[0], specs[0], shared, deposit=3), end)
+                for end in ("pass", "fraud")]
     for k, (r, end) in enumerate(records):
         if end == "deployed":
             continue
@@ -523,7 +557,8 @@ def test_dump_matches_per_record_encoding(tmp_path_factory, names, menu_pool, sp
             led.verify_and_settle(r.address, "pass" if end == "pass" else "fail",
                                   sr_fraud=end == "fraud")
     assert led.conserved()
-    path = tmp_path_factory.getbasetemp() / "oracle-ledger.jsonl"    # one file for every example
+    # a new file per example: truncating one shared file costs more than the example
+    path = tmp_path_factory.mktemp("dump") / "oracle-ledger.jsonl"
     led.dump(str(path))
     assert path.read_bytes() == oracle_dump(led)
 
