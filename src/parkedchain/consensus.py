@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .reputation import LinearReputationTracker, ReputationEngine, WeightConfig
+from .reputation import LinearReputationTracker, ReputationEngine, WeightConfig, _whole
 
 __all__ = [
     "Behavior",
@@ -82,9 +82,9 @@ class ConsensusConfig:
     def __post_init__(self) -> None:
         for name in ("n", "l"):
             value = getattr(self, name)
-            # bool is an int subclass, but true/false is never a count
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _whole(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.l < 0:
             raise ValueError(f"fault budget l must be nonnegative, got {self.l!r}")
         if self.n < 3 * self.l + 1:
@@ -172,7 +172,8 @@ def select_consensus_nodes(reputations: dict, n: int) -> list:
             f"population {len(reputations)} smaller than committee size {n}"
         )
     bad = {node_id: score for node_id, score in reputations.items()
-           if not (isinstance(score, numbers.Real) and -math.inf < score < math.inf)}
+           if isinstance(score, bool)
+           or not (isinstance(score, numbers.Real) and -math.inf < score < math.inf)}
     if bad:
         raise ValueError(f"reputation scores must be finite real numbers, got {bad!r}")
     ranked = sorted(reputations.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -183,8 +184,8 @@ def _wrong_digest(digest: str) -> str:
     return hashlib.sha256(b"equivocation:" + digest.encode()).hexdigest()[:16]
 
 
-def _handle_honest(state: NodeState, msg: NetMessage, quorums: ConsensusConfig,
-                   peers: list[str]) -> list[tuple]:
+def _handle_honest(state: NodeState, msg: NetMessage, prepare_quorum: int,
+                   accept_quorum: int, peers: list[str]) -> list[tuple]:
     """Honest-node transition: updates state in place and returns
     (recipients, kind) broadcasts, all of the node's accepted digest.
     peers are the other committee members."""
@@ -215,14 +216,14 @@ def _handle_honest(state: NodeState, msg: NetMessage, quorums: ConsensusConfig,
     out = []
     if (
         not state.sent_accept
-        and len(state.prepare_votes.get(digest, ())) >= quorums.prepare_quorum
+        and len(state.prepare_votes.get(digest, ())) >= prepare_quorum
     ):
         state.sent_accept = True
         state.accept_votes.setdefault(digest, set()).add(me)
         out.append((peers, "accept"))
     if (
         state.committed is None
-        and len(state.accept_votes.get(digest, ())) >= quorums.accept_quorum
+        and len(state.accept_votes.get(digest, ())) >= accept_quorum
     ):
         state.committed = digest
         out.append((_CLIENT, "reply"))
@@ -263,13 +264,16 @@ def run_view(
     """Execute one consensus view over the ordered committee.
 
     nodes: ordered (id, Behavior) pairs fixing the rotation; the leader is
-    nodes[view % n]. Ids must be distinct, and "client" is reserved for the
-    requesting client. strategies maps byzantine ids to a ReplicaStrategy
-    (default SPLIT); any other value, or naming a committee member that is
-    not byzantine, is an error, while ids outside the committee are ignored.
+    nodes[view % n], view an integer >= 0. Ids must be distinct, and
+    "client" is reserved for the requesting client. strategies maps
+    byzantine ids to a ReplicaStrategy (default SPLIT); any other value, or
+    naming a committee member that is not byzantine, is an error, while ids
+    outside the committee are ignored.
     Every strategy is deterministic, so the trace is a function of the
     arguments.
     """
+    if not (_whole(view) and view >= 0):
+        raise ValueError(f"view must be an integer >= 0, got {view!r}")
     roster = list(nodes)
     if len(roster) != config.n:
         raise ValueError(f"expected {config.n} committee members, got {len(roster)}")
@@ -294,6 +298,7 @@ def run_view(
     states = {node_id: NodeState(node_id, leader) for node_id in order}
     peers = {node_id: [p for p in order if p != node_id] for node_id in order}
     byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on
+    prepare_quorum, accept_quorum = config.prepare_quorum, config.accept_quorum
 
     request = NetMessage(0, "client", leader, "request", proposal.digest())
     sent, inbox = [request], [request]
@@ -324,7 +329,8 @@ def run_view(
                            for peer, kind, dig in out]
             else:
                 state = states[recipient]
-                for recipients, kind in _handle_honest(state, msg, config, peers[recipient]):
+                for recipients, kind in _handle_honest(
+                        state, msg, prepare_quorum, accept_quorum, peers[recipient]):
                     digest = state.accepted_digest
                     outbox += [new(NetMessage, (slot, recipient, peer, kind, digest))
                                for peer in recipients]
@@ -580,17 +586,20 @@ def _is_probability(value) -> bool:
 
 def _check_slots_and_seed(slots, seed) -> None:
     for name, value, least in (("slots", slots, 1), ("seed", seed, 0)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        if not _whole(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _engine(weight_config: WeightConfig | None, *cohorts: list[str]) -> ReputationEngine:
-    """Engine with every cohort registered at arrival hours 9, 10, 11, ..."""
+def _schemes(weight_config: WeightConfig | None, *cohorts: list[str],
+             hours=range(9, 12)) -> tuple[ReputationEngine, LinearReputationTracker]:
+    """Both schemes over one roster: every cohort registered in the engine,
+    its i-th node at arrival hour hours[i % len(hours)], and the tracker
+    over the engine's nodes in the same order."""
     engine = ReputationEngine(weight_config)
     for cohort in cohorts:
         for i, node in enumerate(cohort):
-            engine.register(node, arrival_hour=9 + (i % 3))
-    return engine
+            engine.register(node, arrival_hour=hours[i % len(hours)])
+    return engine, LinearReputationTracker(engine.arrival_hours)
 
 
 def detection_experiment(
@@ -622,8 +631,7 @@ def detection_experiment(
     rng = np.random.default_rng(seed)
     rater_ids = [f"r{i:03d}" for i in range(min(_RATERS, population - misbehaving_count))]
     target_ids = [f"m{i:03d}" for i in range(misbehaving_count)]
-    engine = _engine(weight_config, rater_ids, target_ids)
-    tracker = LinearReputationTracker()
+    engine, tracker = _schemes(weight_config, rater_ids, target_ids)
     before, after = _cooperation(target_ids, rater_ids, target_ids)
 
     sl_series: list[float] = []
@@ -672,8 +680,7 @@ def decay_experiment(
     bad = [f"m{i:03d}" for i in range(misbehaving_count)]
     n_honest = max(1, min(10, population - misbehaving_count - len(raters)))
     honest = [f"h{i:03d}" for i in range(n_honest)]
-    engine = _engine(weight_config, raters, bad + honest)
-    tracker = LinearReputationTracker()
+    engine, tracker = _schemes(weight_config, raters, bad + honest)
     before, after = _cooperation(bad + honest, raters, bad)
 
     rng = np.random.default_rng(seed)
@@ -722,7 +729,7 @@ def collusion_experiment(
     thresholds compares selection quality, not sampling noise. Returns
     one (threshold, sl, lr) row per threshold.
     """
-    if not isinstance(seeds, int) or isinstance(seeds, bool) or seeds < 1:
+    if not _whole(seeds) or seeds < 1:
         raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
     if not _is_probability(colluder_fraction):
         raise ValueError(f"colluder_fraction must be a real number in [0, 1], "
@@ -730,7 +737,7 @@ def collusion_experiment(
     thresholds = list(thresholds)
     if not all(map(_is_probability, thresholds)):
         raise ValueError(f"thresholds must be real numbers in [0, 1], got {thresholds!r}")
-    if not isinstance(seed_base, numbers.Integral) or isinstance(seed_base, bool) or seed_base < 0:
+    if not _whole(seed_base) or seed_base < 0:
         raise ValueError(f"seed_base must be a nonnegative integer, got {seed_base!r}")
     n_colluders = round(colluder_fraction * _CANDIDATES)
     if n_colluders == 0:
@@ -745,10 +752,7 @@ def collusion_experiment(
     scored: list[tuple[dict[str, float], dict[str, float]]] = []
     for s in range(seeds):
         rng = np.random.default_rng(seed_base + s)
-        engine = ReputationEngine(weight_config)
-        tracker = LinearReputationTracker()
-        for i, rid in enumerate(rater_ids):
-            engine.register(rid, arrival_hour=8 + (i % 5))
+        engine, tracker = _schemes(weight_config, rater_ids, hours=range(8, 13))
         for slot in range(1, _COLLUSION_SLOTS + 1):
             record_interactions(rng, slot, cand_ids, rater_ids,
                                 before if slot < _ONSET else after, engine, tracker)
@@ -763,5 +767,5 @@ def collusion_experiment(
         for sl_scores, lr_scores in scored:
             sl_hits += correct_block_probability(sl_scores, colluders, th)
             lr_hits += correct_block_probability(lr_scores, colluders, th)
-        rows.append((th, sl_hits / seeds, lr_hits / seeds))
+        rows.append((th, sl_hits / len(scored), lr_hits / len(scored)))
     return rows

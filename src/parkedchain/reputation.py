@@ -17,7 +17,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
@@ -507,8 +506,7 @@ def _cell(positives, negatives) -> np.ndarray:
 
 
 def _checked_block(
-    raters: list[str], targets: list[str], counts: np.ndarray,
-    index: dict[str, int], grow: bool = False,
+    raters: list[str], targets: list[str], counts: np.ndarray, index: dict[str, int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rater indices, target indices and int64 [cell, (positives,
     negatives)] counts of the cells with outcomes of the [target, rater,
@@ -519,9 +517,8 @@ def _checked_block(
     array must hold integers, each in [0, _MAX_COUNT]. Cells whose counts
     are both 0 are then skipped unchecked; the rest must each have a rater
     other than the target, a (rater, target) pair no other cell has, and
-    names in `index`, except that with `grow` a new name is added to it in
-    order of first appearance, cell by cell, rater before target. The
-    first bad cell raises its error, and then `index` is left as it was.
+    both names in the scheme's roster `index`. The first bad cell raises
+    its error.
     """
     shape = (len(targets), len(raters), 2)
     if not isinstance(counts, np.ndarray) or counts.shape != shape:
@@ -530,18 +527,8 @@ def _checked_block(
     if (counts.dtype.kind not in "iu"
             or counts.min(initial=0) < 0 or counts.max(initial=0) > _MAX_COUNT):
         raise ValueError(_COUNT_RULE)
-    known = index
-    rater_ids = np.array([known.get(name, -1) for name in raters], dtype=np.intp)
-    target_ids = np.array([known.get(name, -1) for name in targets], dtype=np.intp)
-    if grow and counts.size and min(rater_ids.min(), target_ids.min()) < 0:
-        # every new name numbered after the known ones, first seen first:
-        # the first cell's rater and target, then the other raters of the
-        # first target, then the other targets
-        order = [*raters[:1], *targets[:1], *raters[1:], *targets[1:]]
-        new = dict.fromkeys(name for name in order if name not in index)
-        known = {**index, **dict(zip(new, count(len(index))))}
-        rater_ids = np.array([known[name] for name in raters], dtype=np.intp)
-        target_ids = np.array([known[name] for name in targets], dtype=np.intp)
+    rater_ids = np.array([index.get(name, -1) for name in raters], dtype=np.intp)
+    target_ids = np.array([index.get(name, -1) for name in targets], dtype=np.intp)
     counts = counts.reshape(-1, 2).astype(np.int64, copy=False)
     kept = np.flatnonzero(counts[:, 0] | counts[:, 1])
     if len(kept) < len(counts):
@@ -549,35 +536,35 @@ def _checked_block(
     t, r = np.divmod(kept, len(raters))
     i, j = rater_ids[r], target_ids[t]
     if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
-                   or (np.diff(np.sort(i * len(known) + j)) == 0).any()):
+                   or (np.diff(np.sort(i * len(index) + j)) == 0).any()):
         seen = set()
         for p, q in zip(r.tolist(), t.tolist()):
             rater, target = raters[p], targets[q]
             if rater == target:
                 raise ValueError("rater and target must be distinct")
-            if rater not in known or target not in known:
+            if rater not in index or target not in index:
                 raise KeyError("both rater and target must be registered")
             if (rater, target) in seen:
                 raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
             seen.add((rater, target))
-    if known is not index:
-        index.update(known)
     return i, j, counts
 
 
 class LinearReputationTracker:
     """Per-pair EMA over per-slot mean outcomes: the linear baseline scheme.
 
-    Values live in one float array ``[rater, target]``, nodes indexed in
-    order of first appearance and every cell starting at 0.5. Each update
-    is ``(1 - s) * prev + s * (positives / total)`` with s = 0.2;
-    ``update_block`` applies it to a slot's ``[target, rater, (pos, neg)]``
-    count array with one fancy-indexed write, and ``update`` to one pair.
+    The roster is fixed at construction: values live in one float array
+    ``[rater, target]``, nodes indexed in the order given and every cell
+    starting at 0.5, and a write or read naming a node outside the roster
+    raises ``KeyError``, as the engine's do. Each update is ``(1 - s) *
+    prev + s * (positives / total)`` with s = 0.2; ``update_block``
+    applies it to a slot's ``[target, rater, (pos, neg)]`` count array
+    with one fancy-indexed write, and ``update`` to one pair.
     """
 
-    def __init__(self) -> None:
-        self._index: dict[str, int] = {}
-        self._values = np.full((0, 0), _LR_INITIAL)
+    def __init__(self, nodes) -> None:
+        self._index = {node: i for i, node in enumerate(dict.fromkeys(nodes))}
+        self._values = np.full((len(self._index), len(self._index)), _LR_INITIAL)
 
     def update(self, rater: str, target: str, positives: int, negatives: int) -> None:
         """update_block of the one cell (rater, target, positives, negatives)."""
@@ -586,30 +573,18 @@ class LinearReputationTracker:
     def update_block(self, raters: list[str], targets: list[str], counts: np.ndarray) -> None:
         """Update the (raters[r], targets[t]) cell by counts[t, r] for
         every cell of one slot in one write, under _checked_block's cell
-        rule; a new name is added, not rejected. A rejected write changes
-        nothing."""
-        i, j, counts = _checked_block(raters, targets, counts, self._index, grow=True)
-        n = len(self._index)
-        if n > len(self._values):
-            grown = np.full((n, n), _LR_INITIAL)
-            grown[: len(self._values), : len(self._values)] = self._values
-            self._values = grown
+        rule. A rejected write changes nothing."""
+        i, j, counts = _checked_block(raters, targets, counts, self._index)
         total = counts[:, 0] + counts[:, 1]
         self._values[i, j] = ((1.0 - _LR_SMOOTHING) * self._values[i, j]
                               + _LR_SMOOTHING * (counts[:, 0] / total))
 
     def value(self, rater: str, target: str) -> float:
-        index = self._index
-        if rater not in index or target not in index:
-            return _LR_INITIAL
-        return float(self._values[index[rater], index[target]])
+        return float(self._values[self._index[rater], self._index[target]])
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
         if not raters:
             raise ValueError("need at least one rater")
-        t = self._index.get(target)
-        column = [] if t is None else self._values[:, t].tolist()
-        values = [_LR_INITIAL if t is None or i is None else column[i]
-                  for i in map(self._index.get, raters)]
+        column = self._values[:, self._index[target]].tolist()
         # Python's left-to-right sum: numpy's pairwise sum would change the bits
-        return sum(values) / len(raters)
+        return sum(column[self._index[r]] for r in raters) / len(raters)

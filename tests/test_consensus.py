@@ -57,6 +57,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be an integer"):
             ConsensusConfig(**sizes)
 
+    def test_accepts_numpy_integer_sizes(self):
+        cfg = ConsensusConfig(n=np.int64(10), l=np.int32(3))
+        assert cfg == ConsensusConfig(n=10, l=3) and type(cfg.n) is type(cfg.l) is int
+
     def test_quorums(self):
         cfg = ConsensusConfig(n=10, l=3)
         assert cfg.prepare_quorum == 6
@@ -78,9 +82,11 @@ class TestSelection:
         reps["loser"] = 0.01
         assert "loser" not in select_consensus_nodes(reps, 8)
 
-    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "0.4", None])
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "0.4", None,
+                                       True, np.True_])
     def test_scores_must_be_finite_reals(self, score):
-        # a NaN breaks the sort, which would put "b" on the committee
+        # a NaN breaks the sort, and True would outrank every score below
+        # 1: either would put "b" on the committee
         reps = {"a": 0.2, "b": score, "c": 0.9, "d": 0.5}
         with pytest.raises(ValueError, match="finite real numbers"):
             select_consensus_nodes(reps, 2)
@@ -164,6 +170,16 @@ class TestRunView:
         with pytest.raises(ValueError, match="ReplicaStrategy members"):
             run_view(committee(4, byzantine=("n03",)), proposal(), ConsensusConfig(n=4, l=1),
                      strategies={"n03": strategy})
+
+    @pytest.mark.parametrize("view", [1.5, True, -1, "1", None])
+    def test_rejects_a_view_that_is_not_a_count(self, view):
+        with pytest.raises(ValueError, match=r"view must be an integer >= 0, got "):
+            run_view(committee(4), proposal(), ConsensusConfig(n=4, l=1), view=view)
+
+    def test_view_may_be_a_numpy_integer(self):
+        cfg = ConsensusConfig(n=4, l=1)
+        assert (run_view(committee(4), proposal(), cfg, view=np.int64(5))
+                == run_view(committee(4), proposal(), cfg, view=5))
 
     def test_strategy_for_id_outside_committee_is_ignored(self):
         cfg = ConsensusConfig(n=4, l=1)
@@ -347,6 +363,11 @@ class TestCollusionExperiment:
             with pytest.raises(ValueError, match="seeds must be a positive integer"):
                 collusion_experiment([0.45], seeds=seeds, colluder_fraction=fraction)
 
+    def test_numpy_integer_seed_count(self):
+        rows = collusion_experiment([0.5], seeds=np.int64(1))
+        assert rows == collusion_experiment([0.5], seeds=1)
+        assert all(type(v) is float for v in rows[0])
+
     def test_one_engine_per_seed(self, monkeypatch):
         # perfbench/child.py marks one collusion-sweep operation per
         # ReputationEngine built, and reads its op_p50_ms from those marks
@@ -438,7 +459,7 @@ def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
     def checked(rng, slot, targets, raters, p, engine, tracker):
         if id(engine) not in twins:
             twins[id(engine)] = (engine, tracker, copy.deepcopy(engine),
-                                 LinearReputationTracker())
+                                 LinearReputationTracker(engine.arrival_hours))
         _, _, oracle_engine, oracle_tracker = twins[id(engine)]
         assert [[p[t][r] for r, rater in enumerate(raters) if rater != target]
                 for t, target in enumerate(targets)] == [
@@ -470,14 +491,14 @@ def test_record_interactions_checks_the_table_shape():
         for bad in (math.nan, math.inf, -math.inf, -0.1, 1.5)
     ] + [(["a", "b"], np.array([[math.nan, 0.8], [0.8, 0.8]]), r"p\[0, 0\]")]
     for targets, p, match in cases:
-        engine, tracker = consensus._engine(None, ["a", "b"]), LinearReputationTracker()
+        engine, tracker = consensus._schemes(None, ["a", "b"])
         evidence = engine._evidence.copy()
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match=match):
             consensus.record_interactions(rng, 1, targets, ["a", "b"], p, engine, tracker)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
         assert engine._evidence.shape == evidence.shape and (engine._evidence == evidence).all()
-        assert tracker._index == {} and tracker._values.size == 0
+        assert tracker._values.shape == (2, 2) and (tracker._values == 0.5).all()
 
 
 # PCG64's LCG multiplier (numpy's pcg64.h); the generator steps, then

@@ -392,7 +392,7 @@ class TestEngine:
 
     def test_tracker_matches_scalar_baseline(self):
         # one rater, whole-slot outcomes: the tracker must reduce to the EMA
-        tr = LinearReputationTracker()
+        tr = LinearReputationTracker(["i", "j"])
         tr.update("i", "j", 5, 0)
         tr.update("i", "j", 0, 5)
         expect = linear_reputation_baseline([1.0, 0.0])
@@ -522,7 +522,7 @@ class TestBatchedWrites:
     def test_slot_write_equals_row_writes(self, case):
         nodes, batches = case
         batched, single = self.engine(nodes), self.engine(nodes)
-        tr_batched, tr_single = LinearReputationTracker(), LinearReputationTracker()
+        tr_batched, tr_single = LinearReputationTracker(nodes), LinearReputationTracker(nodes)
         history: dict[tuple[str, str], list[float]] = {}
         for slot, rows in batches:
             batched.record_block(slot, *rows_block(rows))
@@ -613,14 +613,14 @@ class TestBatchedWrites:
     def test_all_writers_reject_the_same_rows(self, case, kind, data):
         # the engine's two writers and the tracker's two raise the row's
         # error for a bad row, alone or in a slot's block, and write
-        # nothing; only an unregistered name differs, which the tracker adds
+        # nothing; a name outside the roster included
         nodes, batches = case
         rows = batches[0][1] if batches else []
         bad, error, match = self.BAD_ROWS[kind]
-        eng, tracker = self.engine(nodes), LinearReputationTracker()
+        eng, tracker = self.engine(nodes), LinearReputationTracker(nodes)
         eng.record_block(2, *rows_block(rows))
         tracker.update_block(*rows_block(rows))
-        evidence, index, values = eng._evidence.copy(), dict(tracker._index), tracker._values.copy()
+        evidence, values = eng._evidence.copy(), tracker._values.copy()
         mixed = rows[:]
         mixed.insert(data.draw(st.integers(0, len(rows))), bad)
         writes = [lambda: eng.record_outcomes(3, *bad), lambda: tracker.update(*bad)]
@@ -628,8 +628,6 @@ class TestBatchedWrites:
             # an integer array holds no bool: TestBlockWrites rejects bool arrays
             writes += [lambda: eng.record_block(3, *rows_block(mixed)),
                        lambda: tracker.update_block(*rows_block(mixed))]
-        if kind == "unregistered":
-            writes = writes[::2]
         errors = set()
         for write in writes:
             with pytest.raises(error, match=match) as raised:
@@ -637,20 +635,40 @@ class TestBatchedWrites:
             errors.add((type(raised.value), str(raised.value)))
         assert len(errors) == 1
         assert eng._evidence.shape == evidence.shape and (eng._evidence == evidence).all()
-        if kind == "unregistered":
-            tracker.update_block(*rows_block(mixed))
-            assert tracker.value("n0", "x") == linear_reputation_baseline([1.0])
-        else:
-            assert tracker._index == index and (tracker._values == values).all()
+        assert (tracker._values == values).all()
+
+    def test_names_outside_the_roster_rejected_by_both_schemes(self):
+        # both schemes rate a fixed roster: every write and read naming
+        # another node raises KeyError and leaves every array as it was
+        eng, tracker = self.engine(["i", "j", "k"]), LinearReputationTracker(["i", "j", "k"])
+        eng.record_outcomes(1, "i", "j", 2, 1)
+        tracker.update("i", "j", 2, 1)
+        evidence, values = eng._evidence.copy(), tracker._values.copy()
+        one = np.array([[[1, 0]]])
+        for rater, target in (("x", "j"), ("i", "x")):
+            calls = [lambda: eng.record_outcomes(1, rater, target, 1, 0),
+                     lambda: eng.record_block(1, [rater], [target], one),
+                     lambda: tracker.update(rater, target, 1, 0),
+                     lambda: tracker.update_block([rater], [target], one),
+                     lambda: eng.view(target, 1, [rater]),
+                     lambda: eng.average_reputations([target], 1, [rater]),
+                     lambda: tracker.value(rater, target),
+                     lambda: tracker.average_reputation(target, [rater])]
+            for call in calls:
+                with pytest.raises(KeyError):
+                    call()
+        assert eng._evidence.shape == evidence.shape and (eng._evidence == evidence).all()
+        assert (tracker._values == values).all()
+        assert list(eng._index) == list(tracker._index) == ["i", "j", "k"]
 
     def test_tracker_rejects_self_ratings_and_negative_counts(self):
-        tracker = LinearReputationTracker()
+        tracker = LinearReputationTracker(["a", "b", "c", "d"])
         for row in [("a", "b", 5, -4), ("a", "a", 1, 0), ("a", "b", 2, -2)]:
             with pytest.raises(ValueError):
                 tracker.update(*row)
             with pytest.raises(ValueError):
                 tracker.update_block(*rows_block([("c", "d", 1, 0), row]))
-        assert tracker._index == {} and tracker.value("a", "b") == tracker.value("a", "a") == 0.5
+        assert (tracker._values == 0.5).all()
 
     @pytest.mark.parametrize("hour", [-1, -0.5, math.nan, math.inf])
     def test_register_checks_the_hour(self, hour):
@@ -668,7 +686,7 @@ class TestBatchedWrites:
         nodes, batches = case
         recorded = [[row for row in rows if row[2] or row[3]] for _, rows in batches]
         rows = next((rows for rows in recorded if rows), [("n0", "n1", 1, 1)])
-        eng, tracker = self.engine(nodes), LinearReputationTracker()
+        eng, tracker = self.engine(nodes), LinearReputationTracker(nodes)
         with pytest.raises(ValueError, match="slot must be >= 0"):
             eng.record_block(-1, *rows_block(rows))
         repeated = rows + [data.draw(st.sampled_from(rows))[:2] + (1, 0)]
@@ -680,7 +698,7 @@ class TestBatchedWrites:
         assert all(tracker.value(r, t) == 0.5 for r in nodes for t in nodes)
 
     def test_fractional_counts_rejected(self):
-        eng, tracker = self.engine(["i", "j"]), LinearReputationTracker()
+        eng, tracker = self.engine(["i", "j"]), LinearReputationTracker(["i", "j"])
         with pytest.raises(ValueError, match="whole numbers"):
             eng.record_block(0, *rows_block([("i", "j", 0.5, 1)]))
         with pytest.raises(ValueError, match="whole numbers"):
@@ -692,7 +710,7 @@ class TestBatchedWrites:
 
     @pytest.mark.parametrize("counts", [(2**62, 0), (0, 2**63), (2**70, 0), (2**31, 1)])
     def test_counts_past_the_bound_rejected(self, counts):
-        eng, tracker = self.engine(["i", "j"]), LinearReputationTracker()
+        eng, tracker = self.engine(["i", "j"]), LinearReputationTracker(["i", "j"])
         for write in (lambda: eng.record_outcomes(0, "i", "j", *counts),
                       lambda: eng.record_block(1, *rows_block([("i", "j", *counts)])),
                       lambda: tracker.update_block(*rows_block([("i", "j", *counts)]))):
@@ -770,7 +788,7 @@ class TestBlockWrites:
         nodes, raters, targets, counts = case
         cells = [(rater, target, *counts[t, r].tolist())
                  for t, target in enumerate(targets) for r, rater in enumerate(raters)]
-        eng, tracker = TestBatchedWrites.engine(nodes), LinearReputationTracker()
+        eng, tracker = TestBatchedWrites.engine(nodes), LinearReputationTracker(nodes)
         eng.record_outcomes(1, "n0", "n1", 2, 1)
         tracker.update("n1", "n0", 1, 1)
 
@@ -813,22 +831,13 @@ class TestBlockWrites:
                     cell_write(by_cells, cell)
             assert state(block)() == state(by_cells)()
 
-    def test_tracker_numbers_new_names_in_order_of_first_appearance(self):
-        # cell by cell, rater before target; the block's cells target by target
-        rows, block = LinearReputationTracker(), LinearReputationTracker()
-        for row in [("b", "a", 1, 0), ("c", "b", 0, 0), ("a", "d", 2, 1)]:
-            rows.update(*row)
-        block.update_block(["b", "c"], ["a", "e"], np.ones((2, 2, 2), dtype=np.int64))
-        assert list(rows._index.items()) == [("b", 0), ("a", 1), ("c", 2), ("d", 3)]
-        assert list(block._index.items()) == [("b", 0), ("a", 1), ("c", 2), ("e", 3)]
-
     @pytest.mark.parametrize("counts", [np.zeros((2, 2, 2), dtype=np.int64),
                                         np.zeros((1, 2), dtype=np.int64),
                                         [[[0, 0], [1, 0]]]])
     def test_block_must_be_an_array_of_the_cells(self, counts):
-        eng, tracker = TestBatchedWrites.engine(["i", "j"]), LinearReputationTracker()
+        eng, tracker = TestBatchedWrites.engine(["i", "j"]), LinearReputationTracker(["i", "j"])
         for write in (lambda: eng.record_block(0, ["i", "j"], ["j"], counts),
                       lambda: tracker.update_block(["i", "j"], ["j"], counts)):
             with pytest.raises(ValueError, match=r"shaped \(1, 2, 2\)"):
                 write()
-        assert eng._evidence.size == 0 and tracker._index == {}
+        assert eng._evidence.size == 0 and (tracker._values == 0.5).all()
