@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,7 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .reputation import LinearReputationTracker, ReputationEngine, WeightConfig, _whole
+from ._numbers import real, whole
+from .reputation import LinearReputationTracker, ReputationEngine, WeightConfig
 
 __all__ = [
     "Behavior",
@@ -82,7 +82,7 @@ class ConsensusConfig:
     def __post_init__(self) -> None:
         for name in ("n", "l"):
             value = getattr(self, name)
-            if not _whole(value):
+            if not whole(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.l < 0:
@@ -166,14 +166,15 @@ class ViewOutcome:
 
 def select_consensus_nodes(reputations: dict, n: int) -> list:
     """Top n ids by average final reputation, ties broken by lowest id.
-    Every score must be a finite real number: a NaN would break the sort."""
+    n is a whole number >= 1, and every score a finite real number: a NaN
+    would break the sort."""
+    if not (whole(n) and n >= 1):
+        raise ValueError(f"committee size must be a whole number >= 1, got {n!r}")
     if len(reputations) < n:
         raise ValueError(
             f"population {len(reputations)} smaller than committee size {n}"
         )
-    bad = {node_id: score for node_id, score in reputations.items()
-           if isinstance(score, bool)
-           or not (isinstance(score, numbers.Real) and -math.inf < score < math.inf)}
+    bad = {node_id: score for node_id, score in reputations.items() if not real(score)}
     if bad:
         raise ValueError(f"reputation scores must be finite real numbers, got {bad!r}")
     ranked = sorted(reputations.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -272,7 +273,7 @@ def run_view(
     Every strategy is deterministic, so the trace is a function of the
     arguments.
     """
-    if not (_whole(view) and view >= 0):
+    if not (whole(view) and view >= 0):
         raise ValueError(f"view must be an integer >= 0, got {view!r}")
     roster = list(nodes)
     if len(roster) != config.n:
@@ -581,12 +582,12 @@ def _cooperation(
 
 
 def _is_probability(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0
+    return real(value) and 0.0 <= value <= 1.0
 
 
 def _check_slots_and_seed(slots, seed) -> None:
     for name, value, least in (("slots", slots, 1), ("seed", seed, 0)):
-        if not _whole(value) or value < least:
+        if not whole(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -619,11 +620,12 @@ def detection_experiment(
     Returns (sl_series, lr_series): the opinion-fusion engine and the
     linear-smoothing baseline, both fed the same interaction stream.
     """
-    if not 1 <= misbehaving_count < population:
+    if not (whole(population) and whole(misbehaving_count)
+            and 1 <= misbehaving_count < population):
         raise ValueError(
-            "detection needs at least one misbehaving node and at least one "
-            f"honest rater (got population={population}, "
-            f"misbehaving_count={misbehaving_count})"
+            "detection needs whole counts, at least one misbehaving node and at least one "
+            f"honest rater (got population={population!r}, "
+            f"misbehaving_count={misbehaving_count!r})"
         )
     if not _is_probability(threshold):
         raise ValueError(f"threshold must be a real number in [0, 1], got {threshold!r}")
@@ -670,9 +672,10 @@ def decay_experiment(
     hold 0.8 throughout. Slots count from 0. Returns (slot, scheme, honest
     mean, misbehaving mean) rows, "SL" then "LR" for each slot.
     """
-    if misbehaving_count < 1:
+    if not (whole(population) and whole(misbehaving_count) and misbehaving_count >= 1):
         raise ValueError(
-            f"decay needs at least one misbehaving node (got misbehaving_count={misbehaving_count})"
+            "decay needs a whole population and at least one misbehaving node "
+            f"(got population={population!r}, misbehaving_count={misbehaving_count!r})"
         )
     _check_slots_and_seed(slots, seed)
     onset = min(_ONSET, slots)
@@ -729,7 +732,7 @@ def collusion_experiment(
     thresholds compares selection quality, not sampling noise. Returns
     one (threshold, sl, lr) row per threshold.
     """
-    if not _whole(seeds) or seeds < 1:
+    if not whole(seeds) or seeds < 1:
         raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
     if not _is_probability(colluder_fraction):
         raise ValueError(f"colluder_fraction must be a real number in [0, 1], "
@@ -737,7 +740,7 @@ def collusion_experiment(
     thresholds = list(thresholds)
     if not all(map(_is_probability, thresholds)):
         raise ValueError(f"thresholds must be real numbers in [0, 1], got {thresholds!r}")
-    if not _whole(seed_base) or seed_base < 0:
+    if not whole(seed_base) or seed_base < 0:
         raise ValueError(f"seed_base must be a nonnegative integer, got {seed_base!r}")
     n_colluders = round(colluder_fraction * _CANDIDATES)
     if n_colluders == 0:

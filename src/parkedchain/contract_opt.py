@@ -34,8 +34,6 @@ participation and contribute zero utility to both sides.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +42,7 @@ from scipy.optimize import minimize_scalar
 # costs several times a residual here; _brent calls its compiled kernel
 from scipy.optimize import _zeros
 
+from ._numbers import real
 from .parking import TypeProfile
 
 __all__ = [
@@ -104,8 +103,7 @@ class TaskParams:
         rs = self.r_bps if isinstance(self.r_bps, tuple) else (self.r_bps,)
         for name in ("rho", "kappa", "s_bits", "f_local", "eps_cap", "e_price", "f_max", "r_bps"):
             for value in rs if name == "r_bps" else (getattr(self, name),):
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not 0 < value <= sys.float_info.max):
+                if not (real(value) and value > 0):
                     raise ValueError(f"{name} must be finite and positive (got {value!r})")
 
     @property
@@ -149,7 +147,8 @@ class ContractMenu:
     def __post_init__(self) -> None:
         if len(self.fs) != len(self.pis) or not self.fs:
             raise ValueError("fs and pis must be nonempty and equal length")
-        if any(f < 0 for f in self.fs) or any(p < -1e-12 for p in self.pis):
+        # comparisons only, which NaN fails: LIA builds hundreds of menus an hour
+        if not (all(f >= 0 for f in self.fs) and all(p >= -1e-12 for p in self.pis)):
             raise ValueError("frequencies and rewards must be nonnegative")
 
     @property
@@ -592,7 +591,7 @@ def _menu_from_chain(result, problem: ContractProblem, gains):
     if not ascending:
         fs, bunches = _iron_frequencies(list(fs), problem, gains)
         pis = _rewards_from_frequencies(fs, problem)
-    if any(p < 0 for p in pis) or any(f <= 0 for f in fs):
+    if not (all(p >= 0 for p in pis) and all(f > 0 for f in fs)):    # NaN fails too
         return None
     if fs[-1] > problem.params.f_max * (1 + 1e-12):
         return None

@@ -15,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .._numbers import real
 from ..consensus import ConsensusConfig
 from ..contract_opt import TaskParams
 from ..reputation import WeightConfig
@@ -132,12 +133,10 @@ def _build(raw: dict) -> ExperimentConfig:
 
 
 def _is_int(value) -> bool:
-    # bool is an int subclass, but true/false is never a count
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # a JSON integer, not the wider whole-number rule: every value must
+    # serialize in config_digest, which a numpy int does not, and a bool
+    # (true/false) is never a count
+    return type(value) is int
 
 
 def _check_ranges(cfg: ExperimentConfig) -> list[str]:
@@ -187,7 +186,7 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
 
     c = cfg.consensus
     build("consensus", ConsensusConfig, c.n, c.l)
-    if not _is_real(c.threshold) or not 0.0 <= c.threshold <= 1.0:
+    if not real(c.threshold) or not 0.0 <= c.threshold <= 1.0:
         out.append(f"consensus.threshold must be in [0, 1] (got {c.threshold!r})")
     if not _is_int(c.slots) or c.slots < 1:
         out.append(f"consensus.slots must be a positive integer (got {c.slots!r})")

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
+
+from ._numbers import real, whole
 
 __all__ = [
     "LedgerError",
@@ -40,30 +40,6 @@ _UNSET = object()     # no menu posted yet; None is a malformed menu, not a miss
 
 class LedgerError(RuntimeError):
     pass
-
-
-def _units(amount, what: str, kind: str = "whole number of units") -> int:
-    """amount as a plain int; bools, floats (even 2.0) and anything else
-    that is not an integral number are rejected, numpy integers accepted."""
-    if type(amount) is int:   # the common case, ahead of the slower ABC check
-        return amount
-    if isinstance(amount, bool) or not isinstance(amount, numbers.Integral):
-        raise LedgerError(f"{what} must be a {kind}, got {amount!r}")
-    return int(amount)
-
-
-def _frequency(f) -> float:
-    """f as a plain float; bools, non-numbers, NaN, infinities and values
-    <= 0 (even -0.0) are rejected, so equal menus are written alike."""
-    if isinstance(f, bool) or not isinstance(f, numbers.Real):
-        raise LedgerError(f"menu frequency must be a real number, got {f!r}")
-    try:
-        f = float(f)
-    except OverflowError:
-        f = math.inf
-    if not 0 < f < math.inf:
-        raise LedgerError(f"menu frequency must be finite and > 0, got {f!r}")
-    return f
 
 
 class ContractState(Enum):
@@ -94,18 +70,13 @@ class RequestSpec:
 
     def __post_init__(self) -> None:
         # each field is stored as a plain int or float, so dump can write it;
-        # a bool is not a count of bits or hertz, and NaN fails `0 < x`
+        # it is checked as stored, so a real that rounds to 0.0 fails too
         for name in ("task_bits", "required_hz", "expected_seconds"):
             x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise ValueError(f"request spec {name} must be a real number, got {x!r}")
-            try:
-                x = int(x) if isinstance(x, numbers.Integral) else float(x)
-            except OverflowError:
-                x = math.inf
-            if not 0 < x < math.inf:
+            y = (int(x) if whole(x) else float(x)) if real(x) else 0
+            if not y > 0:
                 raise ValueError(f"request spec {name} must be finite and > 0, got {x!r}")
-            object.__setattr__(self, name, x)
+            object.__setattr__(self, name, y)
 
 
 @dataclass
@@ -138,13 +109,16 @@ class SmartContractRecord:
 
 @dataclass(frozen=True)
 class Block:
+    """A frozen block; it hashes its canonical JSON once, when built."""
+
     height: int
     prev_digest: str
     tx_digests: tuple[str, ...]
     proposer: str
     quorum_signers: tuple[str, ...]
+    sha256: str = field(init=False, repr=False, compare=False)
 
-    def digest(self) -> str:
+    def __post_init__(self) -> None:
         body = _canonical({
             "height": self.height,
             "prev": self.prev_digest,
@@ -152,7 +126,10 @@ class Block:
             "proposer": self.proposer,
             "signers": list(self.quorum_signers),
         })
-        return hashlib.sha256(body.encode()).hexdigest()
+        object.__setattr__(self, "sha256", hashlib.sha256(body.encode()).hexdigest())
+
+    def digest(self) -> str:
+        return self.sha256
 
 
 def _address_for(identity: str) -> str:
@@ -200,9 +177,9 @@ class Ledger:
     def credit(self, identity: str, amount: int) -> None:
         """Mint units into an account. Setup plumbing only: this is the one
         operation that changes the total supply."""
-        amount = _units(amount, "credit")
-        if amount < 0:
-            raise LedgerError("cannot credit a negative amount")
+        if not (whole(amount) and amount >= 0):
+            raise LedgerError(f"credit must be a nonnegative whole number of units, got {amount!r}")
+        amount = int(amount)
         self._account(identity).balance += amount
         self.minted += amount
 
@@ -224,22 +201,28 @@ class Ledger:
         sr = self._account(sr_identity)
         last, known = self._last_menu
         if menu is not last:
+            items = []
             try:
-                # a plain float in range needs no call to _frequency
-                items = tuple((f if type(f) is float and 0 < f < math.inf else _frequency(f),
-                               _units(pi, "reward")) for f, pi in menu)
+                for f, pi in menu:
+                    # checked as stored, so a real that rounds to 0.0 fails too
+                    if not (real(f) and float(f) > 0):
+                        raise LedgerError(f"menu frequency must be a finite real number > 0, "
+                                          f"got {f!r}")
+                    if not (whole(pi) and pi >= 0):
+                        raise LedgerError(f"reward must be a nonnegative whole number of units, "
+                                          f"got {pi!r}")
+                    items.append((float(f), int(pi)))
             except (TypeError, ValueError):
                 raise LedgerError(f"menu must be a sequence of (frequency, reward) pairs, "
                                   f"got {menu!r}") from None
             # equal validated menus are written alike (no -0.0 meets 0.0, since
             # frequencies are > 0): the records share the first one's tuple, and
-            # its checks and largest reward are worked out once
+            # its largest reward is worked out once
+            items = tuple(items)
             known = self._menus.get(items)
             if known is None:
                 if not items:
                     raise LedgerError("menu must contain at least one item")
-                if any(pi < 0 for _, pi in items):
-                    raise LedgerError("rewards must be nonnegative")
                 known = self._menus[items] = (items, max(pi for _, pi in items))
             # a tuple of (float, int) tuples cannot change, so the same object
             # posted again skips the checks above
@@ -248,9 +231,10 @@ class Ledger:
                                            for item in menu):
                 self._last_menu = (menu, known)
         items, top = known
-        deposit = _units(deposit, "deposit")
-        if deposit < 0:
-            raise LedgerError("deposit must be nonnegative")
+        if not (whole(deposit) and deposit >= 0):
+            raise LedgerError(f"deposit must be a nonnegative whole number of units, "
+                              f"got {deposit!r}")
+        deposit = int(deposit)
         need = deposit + top
         if sr.balance < need:
             raise LedgerError(
@@ -278,13 +262,14 @@ class Ledger:
         pv_deposit: int,
     ) -> SmartContractRecord:
         record = self._contract(contract_address, ContractState.DEPLOYED)
-        if type(item_index) is not int:   # a plain int skips the call
-            item_index = _units(item_index, "menu item index", "whole number")
+        if not whole(item_index):
+            raise LedgerError(f"menu item index must be a whole number, got {item_index!r}")
         if not 0 <= item_index < len(record.menu):
             raise LedgerError(f"menu has no item {item_index}")
-        pv_deposit = _units(pv_deposit, "deposit")
-        if pv_deposit < 0:
-            raise LedgerError("deposit must be nonnegative")
+        if not (whole(pv_deposit) and pv_deposit >= 0):
+            raise LedgerError(f"deposit must be a nonnegative whole number of units, "
+                              f"got {pv_deposit!r}")
+        pv_deposit, item_index = int(pv_deposit), int(item_index)
         pv = self._account(pv_identity)
         if pv.balance < pv_deposit:
             raise LedgerError("insufficient balance for the deposit")
@@ -361,7 +346,11 @@ class Ledger:
 
     def append_block(self, transactions, quorum_evidence, proposer: str = "") -> Block:
         """Chain a block of transaction digests. quorum_evidence must name
-        the agreeing consensus members; an empty list is a protocol error."""
+        the agreeing consensus members; an empty list is a protocol error,
+        and a bare string is one id per character, so it is rejected."""
+        if isinstance(transactions, (str, bytes)) or isinstance(quorum_evidence, (str, bytes)):
+            raise LedgerError("transactions and quorum evidence must be collections of ids, "
+                              "not a bare string")
         signers = tuple(str(s) for s in quorum_evidence)
         if not signers:
             raise LedgerError("a block needs quorum evidence")
@@ -369,7 +358,7 @@ class Ledger:
         prev = self.blocks[-1]
         block = Block(
             height=prev.height + 1,
-            prev_digest=prev.digest(),
+            prev_digest=prev.sha256,
             tx_digests=tx_digests,
             proposer=proposer or signers[0],
             quorum_signers=signers,
@@ -384,7 +373,7 @@ class Ledger:
         for prev, block in zip(self.blocks, self.blocks[1:]):
             if block.height != prev.height + 1:
                 return False
-            if block.prev_digest != prev.digest():
+            if block.prev_digest != prev.sha256:
                 return False
         return True
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaincc
+
+from ._numbers import real, whole
 
 __all__ = [
     "HourMixture",
@@ -63,7 +64,8 @@ class HourMixture:
     scale_long: float
 
     def __post_init__(self) -> None:
-        # each check written to fail on NaN
+        if not all(map(real, vars(self).values())):
+            raise ValueError("mixture parameters must be finite real numbers")
         if not abs(self.h_short + self.h_long - 1.0) <= _TOL:
             raise ValueError("mixture weights must sum to 1")
         if not (self.h_short >= 0 and self.h_long >= 0):
@@ -103,8 +105,8 @@ class GammaMixtureParams:
 
 @dataclass(frozen=True)
 class PVState:
-    """A parked vehicle at query time: an integer arrival hour in 0..23,
-    `parked_hours` >= 0 and `horizon` > 0 (NaN fails both)."""
+    """A parked vehicle at query time: an integer arrival hour in 0..23, a
+    finite `parked_hours` >= 0 and a finite `horizon` > 0."""
 
     pv_id: int
     arrival_hour: int
@@ -115,18 +117,15 @@ class PVState:
         # plain Python: numpy's per-call overhead would dominate one vehicle's checks
         if not _is_hour(self.arrival_hour):
             raise ValueError("arrival_hour is not an integer in 0..23")
-        if not self.parked_hours >= 0:
-            raise ValueError("parked_hours must be >= 0")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
+        if not (real(self.parked_hours) and self.parked_hours >= 0):
+            raise ValueError("parked_hours must be a finite real number >= 0")
+        if not (real(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be a finite real number > 0")
 
 
 def _is_hour(hour) -> bool:
-    """Whether `hour` is an hour of the day: an integer in 0..23. A bool is
-    not one (np.bool_ is no numbers.Integral, but bool is)."""
-    return ((type(hour) is int                                   # int first: faster
-             or (isinstance(hour, numbers.Integral) and not isinstance(hour, bool)))
-            and 0 <= hour <= 23)
+    """Whether `hour` is an hour of the day: a whole number in 0..23."""
+    return whole(hour) and 0 <= hour <= 23
 
 
 def _check_query_hour(hour) -> None:
@@ -196,8 +195,8 @@ class Parked:
         if ((self.arrival_hour < 0) | (self.arrival_hour > 23)).any():
             raise ValueError("arrival_hour is not an integer in 0..23")
         _check_query_hour(self.hour)
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
+        if not (real(self.horizon) and self.horizon > 0):
+            raise ValueError("horizon must be a finite real number > 0")
 
     def __len__(self) -> int:
         return len(self.pv_id)
@@ -222,13 +221,13 @@ class TypeProfile:
         if len(self.thetas) != len(self.betas) or not self.thetas:
             raise ValueError("thetas and betas must be nonempty and equal length")
         for th in self.thetas:
-            if not 0.0 < th <= 1.0:
+            if not (real(th) and 0.0 < th <= 1.0):
                 raise ValueError(f"type value {th} outside (0, 1]")
         for hi, lo in zip(self.thetas[1:], self.thetas):
             if hi <= lo:
                 raise ValueError("type values must be strictly ascending")
-        if any(b < 0 for b in self.betas):
-            raise ValueError("type probabilities must be nonnegative")
+        if not all(real(b) and b >= 0 for b in self.betas):
+            raise ValueError("type probabilities must be finite and nonnegative")
         if abs(sum(self.betas) - 1.0) > _TOL:
             raise ValueError("type probabilities must sum to 1")
 
@@ -313,8 +312,8 @@ def classify_types(parked: Parked, params: GammaMixtureParams, n_types: int) -> 
     """
     if not len(parked):
         raise NobodyParked("population must be nonempty")
-    if n_types < 2:
-        raise ValueError("need at least 2 types")
+    if not (whole(n_types) and n_types >= 2):
+        raise ValueError(f"need a whole number of at least 2 types, got {n_types!r}")
     probs = np.sort(stay_probabilities(parked, params))
     thetas: list[float] = []
     betas: list[float] = []
@@ -382,9 +381,12 @@ def sample_arrival_hours(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> Arrivals:
-    """Sample arrivals and mixture durations, deterministically per seed."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    """Sample arrivals and mixture durations, deterministically per seed
+    (a whole number >= 0: None would draw fresh entropy)."""
+    if not (whole(count) and count >= 1):
+        raise ValueError(f"count must be a whole number >= 1, got {count!r}")
+    if not (whole(seed) and seed >= 0):
+        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     hours = np.floor(sample_arrival_hours(rng, count)).astype(int)
     durations = np.empty(count)

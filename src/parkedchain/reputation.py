@@ -14,11 +14,12 @@ baseline.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._numbers import real, whole
 
 __all__ = [
     "Opinion",
@@ -101,9 +102,7 @@ class WeightConfig:
     def __post_init__(self) -> None:
         gammas = (self.gamma1, self.gamma2, self.gamma3)
         for w in (*gammas, self.alpha1, self.alpha2):
-            # bounded by magnitude, as an int past the float range is finite
-            if (isinstance(w, bool) or not isinstance(w, numbers.Real)
-                    or not abs(w) <= sys.float_info.max):
+            if not real(w):
                 raise ValueError(f"gammas and alphas must be finite numbers (got {w!r})")
         if any(g < 0 for g in gammas):
             raise ValueError(f"gammas must be nonnegative (got {gammas!r})")
@@ -165,7 +164,7 @@ def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
 
 def similarity_weight(t_i_a: float, t_j_a: float) -> float:
     """Behavioral similarity from arrival-hour proximity: 1/(1+|dt|)."""
-    if not (0 <= t_i_a < math.inf and 0 <= t_j_a < math.inf):   # NaN fails too
+    if not (real(t_i_a) and real(t_j_a) and t_i_a >= 0 and t_j_a >= 0):
         raise ValueError("arrival hours must be nonnegative and finite")
     return 1.0 / (1.0 + abs(t_i_a - t_j_a))
 
@@ -247,7 +246,7 @@ class ReputationEngine:
     """
 
     def __init__(self, cfg: WeightConfig | None = None, base_rate: float = 0.5):
-        if not 0.0 <= base_rate <= 1.0:
+        if not (real(base_rate) and 0.0 <= base_rate <= 1.0):
             raise ValueError(f"base_rate={base_rate!r} outside [0, 1]")
         self.cfg = cfg or WeightConfig()
         self.base_rate = base_rate
@@ -257,8 +256,8 @@ class ReputationEngine:
         self._slots = 0
 
     def register(self, node: str, arrival_hour: float) -> None:
-        # the one check of the hours a view reads; NaN fails it too
-        if not 0 <= arrival_hour < math.inf:
+        # the one check of the hours a view reads
+        if not (real(arrival_hour) and arrival_hour >= 0):
             raise ValueError(f"arrival hours must be nonnegative and finite (got {arrival_hour!r})")
         self._index.setdefault(node, len(self._index))
         self.arrival_hours[node] = arrival_hour
@@ -309,7 +308,7 @@ class ReputationEngine:
         whole number >= 0, not a bool. A rejected write raises the first bad
         cell's error, or else the slot's, and writes nothing."""
         i, j, counts = _checked_block(raters, targets, counts, self._index)
-        if not (_whole(slot) and slot >= 0):
+        if not (whole(slot) and slot >= 0):
             raise ValueError(f"slot must be >= 0, a whole number and not a bool (got {slot!r})")
         if not len(counts):
             return
@@ -332,10 +331,8 @@ class ReputationEngine:
         `raters` minus the target itself.
 
         Entry k is ``view(targets[k], at, [r for r in raters if r !=
-        targets[k]]).average``, bit for bit; `raters` must be distinct.
+        targets[k]]).average``, bit for bit.
         """
-        if len(set(raters)) < len(raters):
-            raise ValueError("raters must be distinct")
         values = self._final_values(targets, at, raters).tolist()
         return np.array([
             average_final_reputation([v for r, v in zip(raters, row) if r != target])
@@ -347,14 +344,17 @@ class ReputationEngine:
 
         A rater that is also the target has no evidence about itself, so it
         contributes zero weight to every other rater's synthesized opinion
-        and leaves their values as if it were absent.
+        and leaves their values as if it were absent. `raters` must be
+        distinct.
         """
+        if len(set(raters)) < len(raters):
+            raise ValueError("raters must be distinct")
         try:
             cols = np.array([self._index[t] for t in targets], dtype=np.intp)
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
         except KeyError:
             raise KeyError("target and raters must be registered") from None
-        if not _whole(at):
+        if not whole(at):
             raise ValueError(f"at must be a whole number and not a bool (got {at!r})")
         cfg = self.cfg
         ev = self._grown(0)
@@ -491,16 +491,10 @@ def _weighted_mean(
     return out
 
 
-def _whole(value) -> bool:
-    """A whole number, Python's or numpy's, and not a bool."""
-    return type(value) is int or (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool))
-
-
 def _cell(positives, negatives) -> np.ndarray:
-    """The one-cell block of a scalar write. A bool count, Python's or
-    numpy's, is rejected here: an int array would read it as 0 or 1."""
-    if isinstance(positives, (bool, np.bool_)) or isinstance(negatives, (bool, np.bool_)):
+    """The one-cell block of a scalar write. A count that is not a whole
+    number is rejected here: an int array would read a bool as 0 or 1."""
+    if not (whole(positives) and whole(negatives)):
         raise ValueError(_COUNT_RULE)
     return np.array([[[positives, negatives]]])
 
@@ -583,8 +577,11 @@ class LinearReputationTracker:
         return float(self._values[self._index[rater], self._index[target]])
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
+        """Mean value of `target` over `raters`, which must be distinct."""
         if not raters:
             raise ValueError("need at least one rater")
+        if len(set(raters)) < len(raters):
+            raise ValueError("raters must be distinct")
         column = self._values[:, self._index[target]].tolist()
         # Python's left-to-right sum: numpy's pairwise sum would change the bits
         return sum(column[self._index[r]] for r in raters) / len(raters)

@@ -202,7 +202,7 @@ class TestMenuInterning:
         menu = tuple(MENU)
         first = led.post_request("sr1", SPEC, menu, deposit=10)
         units = []
-        monkeypatch.setattr(ledger_mod, "_units", lambda x, *a: units.append(x) or x)
+        monkeypatch.setattr(ledger_mod, "whole", lambda x: units.append(x) or True)
         again = led.post_request("sr1", SPEC, menu, deposit=10)
         assert units == [10]     # the deposit only, no reward
         assert again.menu is first.menu and again.menu == menu
@@ -415,6 +415,28 @@ class TestBlocks:
         led = Ledger()
         with pytest.raises(LedgerError):
             led.append_block(["t1"], [])
+
+    @pytest.mark.parametrize("transactions, signers", [
+        ("abc", ["n1"]), (["t"], "n00"), (b"tx", ["n1"]), (["t"], b"n0"),
+    ], ids=["str-txs", "str-signers", "bytes-txs", "bytes-signers"])
+    def test_bare_string_rejected(self, transactions, signers):
+        # a string is a sequence of characters: "abc" was stored as ('a', 'b', 'c')
+        led = Ledger()
+        with pytest.raises(LedgerError, match="bare string"):
+            led.append_block(transactions, signers)
+        assert len(led.blocks) == 1 and led.clock == 0
+
+    def test_each_block_hashed_once(self, monkeypatch):
+        # append_block and verify_chain read the digest a block stored when built
+        led = Ledger()
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda body: hashed.append(body) or sha256(body))
+        for tx in ("t1", "t2", "t3"):
+            led.append_block([tx], ["n00", "n01"])
+        assert led.verify_chain()
+        assert len(hashed) == 3
+        assert led.blocks[2].prev_digest == led.blocks[1].digest()
 
     def test_tamper_detected(self):
         led = Ledger()
