@@ -10,12 +10,15 @@ senders including itself, and the client accepts the result when fewer
 than (n-l)/3 received replies disagree.
 
 Each honest replica is one mutable NodeState: its handler takes (state,
-message), updates the state in place and returns only the outbox.
-Byzantine and crash behaviors are generated outside the honest handler.
-The honest handler returns (recipients, kind) broadcasts to peer lists
-built once per view; run_view stamps them with the node's accepted
-digest and its id, so a corrupted node can lie or stay silent but
-cannot send under another node's id.
+sender, kind, digest) of the delivered message, updates the state in
+place and returns only the outbox. Byzantine and crash behaviors are
+generated outside the honest handler. The honest handler returns
+(recipients, kind) broadcasts to peer lists built once per view; run_view
+stamps them with the node's accepted digest and its id, so a corrupted
+node can lie or stay silent but cannot send under another node's id.
+A view keeps what it sends as a log of broadcasts, one entry per honest
+broadcast or byzantine outbox, and decodes the message list from it only
+when the list is read.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with a scripted
@@ -33,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -105,13 +109,19 @@ class ConsensusConfig:
 
 @dataclass(frozen=True)
 class BlockProposal:
+    """A frozen proposal; it hashes its body once, when built."""
+
     height: int
     tx_digests: tuple[str, ...]
     proposer: str
+    sha256: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        body = f"{self.height}|{self.proposer}|" + "|".join(self.tx_digests)
+        object.__setattr__(self, "sha256", hashlib.sha256(body.encode()).hexdigest()[:16])
 
     def digest(self) -> str:
-        body = f"{self.height}|{self.proposer}|" + "|".join(self.tx_digests)
-        return hashlib.sha256(body.encode()).hexdigest()[:16]
+        return self.sha256
 
 
 class NetMessage(NamedTuple):
@@ -144,24 +154,50 @@ class NodeState:
     committed: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewOutcome:
+    """A view's result. `log` holds the sent messages as broadcasts in send
+    order: (slot, sender, recipients, kind, digest) per honest broadcast
+    (the client's request included) and (slot, sender, triples, kind) per
+    byzantine outbox, its (recipient, kind, digest) triples explicit.
+    Outcomes compare field by field with `messages` in place of `log`."""
+
     committed_digest: str | None
     unanimous: bool
     client_accepted: bool
     abnormal_replies: int
     abort_reason: str | None
     next_leader: str
-    messages: tuple[NetMessage, ...]
+    message_count: int
     per_node: dict
+    log: tuple
 
-    @property
-    def message_count(self) -> int:
-        return len(self.messages)
+    @cached_property
+    def messages(self) -> tuple[NetMessage, ...]:
+        """Every sent message in send order, decoded from the log on first read."""
+        out = []
+        for entry in self.log:
+            if len(entry) == 5:
+                slot, sender, recipients, kind, digest = entry
+                out += [NetMessage(slot, sender, r, kind, digest) for r in recipients]
+            else:
+                slot, sender, triples, _ = entry
+                out += [NetMessage(slot, sender, *t) for t in triples]
+        return tuple(out)
 
     @property
     def trace(self) -> tuple[str, ...]:
         return tuple(msg.trace_line() for msg in self.messages)
+
+    def _compared(self) -> tuple:
+        return (self.committed_digest, self.unanimous, self.client_accepted,
+                self.abnormal_replies, self.abort_reason, self.next_leader,
+                self.message_count, self.per_node, self.messages)
+
+    def __eq__(self, other):
+        if not isinstance(other, ViewOutcome):
+            return NotImplemented
+        return self._compared() == other._compared()
 
 
 def select_consensus_nodes(reputations: dict, n: int) -> list:
@@ -185,29 +221,30 @@ def _wrong_digest(digest: str) -> str:
     return hashlib.sha256(b"equivocation:" + digest.encode()).hexdigest()[:16]
 
 
-def _handle_honest(state: NodeState, msg: NetMessage, prepare_quorum: int,
-                   accept_quorum: int, peers: list[str]) -> list[tuple]:
-    """Honest-node transition: updates state in place and returns
-    (recipients, kind) broadcasts, all of the node's accepted digest.
-    peers are the other committee members."""
+def _handle_honest(state: NodeState, sender: str, kind: str, digest: str,
+                   prepare_quorum: int, accept_quorum: int, peers: list[str]) -> list[tuple]:
+    """Honest-node transition on one delivered message (sender, kind,
+    digest): updates state in place and returns (recipients, kind)
+    broadcasts, all of the node's accepted digest. peers are the other
+    committee members."""
     me = state.node_id
-    if msg.kind == "request" and me == state.leader_id and state.accepted_digest is None:
-        state.accepted_digest = msg.digest
+    if kind == "request" and me == state.leader_id and state.accepted_digest is None:
+        state.accepted_digest = digest
         return [(peers, "pre-prepare")]
 
     if (
-        msg.kind == "pre-prepare"
+        kind == "pre-prepare"
         and state.accepted_digest is None
-        and msg.sender == state.leader_id
+        and sender == state.leader_id
     ):
-        state.accepted_digest = msg.digest
-        state.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)   # the leader's vote
+        state.accepted_digest = digest
+        state.prepare_votes.setdefault(digest, set()).add(sender)   # the leader's vote
         return [(peers, "prepare")]
 
-    if msg.kind == "prepare":
-        state.prepare_votes.setdefault(msg.digest, set()).add(msg.sender)
-    elif msg.kind == "accept":
-        state.accept_votes.setdefault(msg.digest, set()).add(msg.sender)
+    if kind == "prepare":
+        state.prepare_votes.setdefault(digest, set()).add(sender)
+    elif kind == "accept":
+        state.accept_votes.setdefault(digest, set()).add(sender)
 
     # stage completion checks run on every delivery; no node sends to
     # itself, so the prepare tally counts other nodes only
@@ -238,16 +275,27 @@ def _byzantine_outbox(strategy: ReplicaStrategy, kind: str, digest: str,
     them and a fabricated one to the rest."""
     if strategy is ReplicaStrategy.SILENT:
         return []
+    if strategy is ReplicaStrategy.ACT_HONEST:
+        told = len(others)      # how many of them, in order, get the honest digest
+    elif strategy is ReplicaStrategy.WRONG_DIGEST:
+        told = 0
+    else:  # SPLIT
+        told = len(others) // 2
     bad = _wrong_digest(digest)
-    out = []
-    for i, peer in enumerate(others):
-        if strategy is ReplicaStrategy.ACT_HONEST:
-            out.append((peer, kind, digest))
-        elif strategy is ReplicaStrategy.WRONG_DIGEST:
-            out.append((peer, kind, bad))
-        else:  # SPLIT
-            out.append((peer, kind, digest if i < len(others) // 2 else bad))
-    return out
+    return ([(peer, kind, digest) for peer in others[:told]]
+            + [(peer, kind, bad) for peer in others[told:]])
+
+
+def _delivery_order(entries: list[tuple], recipients: list[str]):
+    """(recipient, kind, digest) of one sender's log entries from one slot,
+    in NetMessage tuple order. recipients are the sorted recipients of the
+    sender's honest broadcasts. One honest broadcast, the usual case, is
+    zipped, with no tuple kept per message."""
+    if len(entries) == 1 and len(entries[0]) == 5:
+        _, _, _, kind, digest = entries[0]
+        return zip(recipients, itertools.repeat(kind), itertools.repeat(digest))
+    return sorted(triple for entry in entries for triple in (
+        [(r, entry[3], entry[4]) for r in recipients] if len(entry) == 5 else entry[2]))
 
 
 # the stage a byzantine node broadcasts on first observing each message kind
@@ -296,61 +344,74 @@ def run_view(
     if unknown:
         raise ValueError(f"strategies must be ReplicaStrategy members, got {unknown!r}")
 
-    states = {node_id: NodeState(node_id, leader) for node_id in order}
+    # one state per honest replica, so a live recipient without one is byzantine
+    states = {node_id: NodeState(node_id, leader) for node_id in order
+              if behaviors[node_id] is Behavior.HONEST}
+    crashed = {node_id for node_id in order if behaviors[node_id] is Behavior.CRASH}
     peers = {node_id: [p for p in order if p != node_id] for node_id in order}
+    # each sender's recipients in delivery order; the client sends one
+    # request, to the leader
+    delivery = {node_id: sorted(p) for node_id, p in peers.items()}
+    delivery["client"] = [leader]
     byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on
     prepare_quorum, accept_quorum = config.prepare_quorum, config.accept_quorum
+    budget = config.message_budget
 
-    request = NetMessage(0, "client", leader, "request", proposal.digest())
-    sent, inbox = [request], [request]
-
+    log: list[tuple] = [(0, "client", (leader,), "request", proposal.digest())]
+    message_count = 1
     pre_prepare_seen = False
-    new = tuple.__new__     # NetMessage's own __new__ is a Python call per message
+    first = 0      # the log entries sent in the previous slot start here
     for slot in range(1, _MAX_SLOTS):
-        outbox: list[NetMessage] = []
-        for msg in sorted(inbox):
-            recipient = msg.recipient
-            behavior = behaviors.get(recipient)
-            if recipient == "client" or behavior is Behavior.CRASH:
-                continue
-            if msg.kind == "pre-prepare":
-                pre_prepare_seen = True
-            if behavior is Behavior.BYZANTINE:
-                # a byzantine node reacts once per stage it observes
-                stage = _BYZANTINE_STAGE[msg.kind]
-                if (recipient, stage) in byz_acted:
+        # replies go to the client, outside the committee, and are only tallied
+        inbox: dict[str, list[tuple]] = {}
+        for entry in log[first:]:
+            if entry[3] != "reply":
+                inbox.setdefault(entry[1], []).append(entry)
+        first = len(log)
+        for sender in sorted(inbox):
+            for recipient, kind, digest in _delivery_order(inbox[sender], delivery[sender]):
+                if recipient in crashed:
                     continue
-                byz_acted.add((recipient, stage))
-                out = _byzantine_outbox(
-                    strategies.get(recipient, ReplicaStrategy.SPLIT), stage, msg.digest,
-                    _CLIENT if stage == "reply" else peers[recipient],
-                )
-                # sent under the handling node's own id; delivered next slot, after this batch
-                outbox += [new(NetMessage, (slot, recipient, peer, kind, dig))
-                           for peer, kind, dig in out]
-            else:
-                state = states[recipient]
-                for recipients, kind in _handle_honest(
-                        state, msg, prepare_quorum, accept_quorum, peers[recipient]):
-                    digest = state.accepted_digest
-                    outbox += [new(NetMessage, (slot, recipient, peer, kind, digest))
-                               for peer in recipients]
-        sent += outbox
-        inbox = outbox
-        if len(sent) > config.message_budget:
+                if kind == "pre-prepare":
+                    pre_prepare_seen = True
+                state = states.get(recipient)
+                if state is None:
+                    # a byzantine node reacts once per stage it observes
+                    stage = _BYZANTINE_STAGE[kind]
+                    if (recipient, stage) in byz_acted:
+                        continue
+                    byz_acted.add((recipient, stage))
+                    out = _byzantine_outbox(
+                        strategies.get(recipient, ReplicaStrategy.SPLIT), stage, digest,
+                        _CLIENT if stage == "reply" else peers[recipient],
+                    )
+                    # sent under the handling node's own id; delivered next slot, after this batch
+                    if out:
+                        log.append((slot, recipient, out, stage))
+                        message_count += len(out)
+                else:
+                    for recipients, sent_kind in _handle_honest(
+                            state, sender, kind, digest, prepare_quorum, accept_quorum,
+                            peers[recipient]):
+                        log.append((slot, recipient, recipients, sent_kind,
+                                    state.accepted_digest))
+                        message_count += len(recipients)
+        if message_count > budget:
             break
 
-    per_node = {
-        node_id: states[node_id].committed
-        for node_id in order
-        if behaviors[node_id] is Behavior.HONEST
-    }
+    per_node = {node_id: state.committed for node_id, state in states.items()}
     committed_digests = {d for d in per_node.values() if d is not None}
     unanimous = len(committed_digests) <= 1
     committed_digest = committed_digests.pop() if len(committed_digests) == 1 else None
 
     # Step-6 style client check over received replies
-    replies = Counter(msg.digest for msg in sent if msg.recipient == "client")
+    replies = Counter()
+    for entry in log:
+        if entry[3] == "reply":
+            if len(entry) == 5:
+                replies[entry[4]] += 1
+            else:
+                replies.update(digest for _, _, digest in entry[2])
     top = max(replies, key=lambda d: (replies[d], d), default=None)
     abnormal = replies.total() - replies[top]
     client_accepted = (
@@ -373,8 +434,9 @@ def run_view(
         abnormal_replies=abnormal,
         abort_reason=abort_reason,
         next_leader=order[(view + 1) % config.n],
-        messages=tuple(sent),
+        message_count=message_count,
         per_node=per_node,
+        log=tuple(log),
     )
 
 

@@ -1,10 +1,13 @@
 """Experiment configuration: defaults, JSON loading, full-report validation.
 
-Task constants, weights and the committee size are checked by building
-`TaskParams`, `WeightConfig` and `ConsensusConfig` from them, and each
-`ValueError` becomes one diagnostic prefixed by its key; this module states
-only the rules no parameter type owns. The CLI's `--seed` and `--trace`
-replace their keys before the check, so a flag fails as its key does.
+Every number must be a JSON number, an `int` or a `float` as `json.loads`
+yields them, so that a valid config always serializes in `config_digest`.
+Task constants, weights and the committee size are then checked by
+building `TaskParams`, `WeightConfig` and `ConsensusConfig` from them, and
+each `ValueError` becomes one diagnostic prefixed by its key; this module
+states only the rules no parameter type owns. The CLI's `--seed` and
+`--trace` replace their keys before the check, so a flag fails as its key
+does.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .._numbers import real
 from ..consensus import ConsensusConfig
 from ..contract_opt import TaskParams
 from ..reputation import WeightConfig
@@ -139,6 +141,12 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+def _is_number(value) -> bool:
+    # a JSON number, not the wider real rule, for the same reasons; its
+    # range and finiteness are checked by the rule of its key
+    return type(value) is int or type(value) is float
+
+
 def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     out: list[str] = []
 
@@ -147,6 +155,12 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
             make(*args, **kwargs)
         except ValueError as exc:
             out.append(f"{key}: {exc}")
+
+    def numbers(key: str, *values) -> bool:
+        bad = [value for value in values if not _is_number(value)]
+        if bad:
+            out.append(f"{key}: {bad[0]!r} is not a JSON number")
+        return not bad
 
     def at_least(name: str, value, low: int) -> None:
         if not _is_int(value) or value < low:
@@ -166,27 +180,32 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
         out.append(f"profile_hour must be an integer in 0..23 (got {cfg.profile_hour!r})")
 
     for name in _TASK_FIELDS:
-        if name != "r_bps":
+        if name != "r_bps" and numbers(name, getattr(cfg, name)):
             build(name, TaskParams, **{name: getattr(cfg, name)})
     if isinstance(cfg.r_bps, tuple):
         for i, rate in enumerate(cfg.r_bps):
-            build(f"r_bps[{i}]", TaskParams, r_bps=rate)
+            if numbers(f"r_bps[{i}]", rate):
+                build(f"r_bps[{i}]", TaskParams, r_bps=rate)
         if _is_int(cfg.n_types) and len(cfg.r_bps) != cfg.n_types:
             out.append(f"r_bps must list one rate per type: got {len(cfg.r_bps)} "
                        f"for n_types={cfg.n_types}")
-    else:
+    elif numbers("r_bps", cfg.r_bps):
         build("r_bps", TaskParams, r_bps=cfg.r_bps)
 
     for key, names in _WEIGHT_FIELDS.items():
         value = getattr(cfg, key)
-        if isinstance(value, tuple) and len(value) == len(names):
-            build(key, WeightConfig, **dict(zip(names, value)))
-        else:
+        if not (isinstance(value, tuple) and len(value) == len(names)):
             out.append(f"{key} must list {len(names)} numbers (got {value!r})")
+        elif numbers(key, *value):
+            build(key, WeightConfig, **dict(zip(names, value)))
 
     c = cfg.consensus
-    build("consensus", ConsensusConfig, c.n, c.l)
-    if not real(c.threshold) or not 0.0 <= c.threshold <= 1.0:
+    sizes = {"n": c.n, "l": c.l}
+    out += [f"consensus.{key} must be an integer (got {value!r})"
+            for key, value in sizes.items() if not _is_int(value)]
+    if all(map(_is_int, sizes.values())):
+        build("consensus", ConsensusConfig, c.n, c.l)
+    if not _is_number(c.threshold) or not 0.0 <= c.threshold <= 1.0:
         out.append(f"consensus.threshold must be in [0, 1] (got {c.threshold!r})")
     if not _is_int(c.slots) or c.slots < 1:
         out.append(f"consensus.slots must be a positive integer (got {c.slots!r})")

@@ -265,17 +265,17 @@ def survival(x, mixture: HourMixture):
     )
 
 
-def _stay(parked_hours, horizon, m: HourMixture):
-    """Stay probabilities under one mixture, elementwise over the inputs."""
-    denom = survival(parked_hours, m)
-    if (denom <= 0.0).any():
-        # survival is nonincreasing, so the longest stay underflowed
+def _stay(parked_hours: float, horizon: float, m: HourMixture) -> float:
+    """The stay probability under one mixture, from one survival call on
+    both ends of the horizon."""
+    denom, numer = survival(np.array([parked_hours, parked_hours + horizon]), m)
+    if denom <= 0.0:
         raise ValueError(
-            f"parked duration {np.max(parked_hours)} h is beyond the mixture's "
+            f"parked duration {parked_hours} h is beyond the mixture's "
             "numeric support (survival underflowed to 0)"
         )
     # ratio of survivals of nested events; clamp fp dust only
-    return np.minimum(survival(parked_hours + horizon, m) / denom, 1.0)
+    return min(numer / denom, 1.0)
 
 
 def stay_probability(pv: PVState, params: GammaMixtureParams) -> float:

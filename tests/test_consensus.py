@@ -197,6 +197,47 @@ class TestRunView:
             runs.append("\n".join(out.trace))
         assert runs[0] == runs[1]
 
+    def test_failure_free_view_logs_one_entry_per_broadcast(self):
+        # the request, the pre-prepare, 9 prepares, 10 accepts and 10 replies
+        out = run_view(committee(10), proposal(), ConsensusConfig(n=10, l=3))
+        assert [entry[3] for entry in out.log] == (
+            ["request", "pre-prepare"] + ["prepare"] * 9 + ["accept"] * 10 + ["reply"] * 10)
+        assert out.message_count == len(out.messages) == 191
+
+    def test_messages_decoded_once(self):
+        byz = ("n07", "n08", "n09")
+        out = run_view(committee(10, byzantine=byz), proposal(), ConsensusConfig(n=10, l=3))
+        first, second = out.messages, out.messages
+        assert first == second and first is second
+        assert out.trace == tuple(msg.trace_line() for msg in first)
+
+    def test_proposal_hashed_once(self, monkeypatch):
+        # run_view and the client's check read the digest the proposal stored when built
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda body: hashed.append(body) or sha256(body))
+        block = proposal()
+        cfg = ConsensusConfig(n=4, l=1)
+        outs = [run_view(committee(4), block, cfg, view=v) for v in range(3)]
+        assert all(out.committed_digest == block.digest() for out in outs)
+        assert hashed == [b"1|n00|tx-a|tx-b"]
+
+    def test_several_broadcasts_of_one_sender_delivered_in_tuple_order(self):
+        # the protocol sends at most one broadcast per node and slot; the
+        # delivery order must not depend on that
+        peers = ["n03", "n01", "n02"]
+        honest = [(3, "n00", peers, "prepare", "d"), (3, "n00", peers, "accept", "d")]
+        byzantine = [(3, "n00", [("n03", "prepare", "x"), ("n01", "prepare", "d")], "prepare"),
+                     (3, "n00", [("n02", "accept", "x"), ("n01", "accept", "x")], "accept")]
+        for entries in (honest, honest[:1], byzantine, byzantine[:1], honest[:1] + byzantine):
+            expected = sorted(
+                consensus.NetMessage(slot, sender, *triple)
+                for slot, sender, *rest in entries
+                for triple in ([(r, rest[1], rest[2]) for r in rest[0]] if len(rest) == 3
+                               else rest[0]))
+            assert list(consensus._delivery_order(entries, sorted(peers))) == [
+                msg[2:] for msg in expected]
+
     def test_commit_needs_accept_quorum_in_trace(self):
         cfg = ConsensusConfig(n=10, l=3)
         out = run_view(committee(10), proposal(), cfg)
@@ -264,6 +305,12 @@ def test_every_sender_is_the_node_that_sent():
             assert out.per_node[nid] in (None, *sent)
         honest_senders += len(digests)
     assert honest_senders == 918
+
+
+def test_message_count_matches_decoded_messages():
+    for roster, block, cfg, view, strategies in _view_corpus():
+        out = run_view(roster, block, cfg, view=view, strategies=strategies)
+        assert out.message_count == len(out.messages) == len(out.trace)
 
 
 class TestModelCheck:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -100,6 +101,25 @@ class TestConfigValidation:
         assert cfg.task_params() == TaskParams()
         assert cfg.weight_config() == WeightConfig()
         assert ConsensusConfig(cfg.consensus.n, cfg.consensus.l) == ConsensusConfig()
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("kappa", {"kappa": np.float32(1e4)}),
+        ("rho", {"rho": np.float64(0.1)}),
+        ("r_bps", {"r_bps": np.float64(5.5e6)}),
+        ("r_bps[1]", {"n_types": 2, "r_bps": [5e6, np.float32(6e6)]}),
+        ("gammas", {"gammas": [np.float32(0.25), 0.5, 0.25]}),
+        ("alphas", {"alphas": [10.0, np.int64(1)]}),
+        ("consensus.n", {"consensus": {"n": np.int64(10)}}),
+        ("consensus.l", {"consensus": {"l": np.int32(3)}}),
+        ("consensus.threshold", {"consensus": {"threshold": np.float32(0.5)}}),
+    ])
+    def test_numpy_numbers_rejected(self, key, overrides):
+        """Every number is an int or a float, as json.loads yields it, so
+        that an accepted config always hashes in config_digest."""
+        with pytest.raises(ConfigError) as exc:
+            validate_config(None, **overrides)
+        [diagnostic] = exc.value.diagnostics
+        assert diagnostic.startswith(f"{key} ") or diagnostic.startswith(f"{key}: ")
 
     def test_digest_tracks_content(self):
         a = ExperimentConfig()

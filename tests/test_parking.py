@@ -121,7 +121,8 @@ class TestStayProbability:
         assert stay_probability(pv, params) == pytest.approx(both / upper, abs=1e-9)
 
     def test_beyond_numeric_support(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^parked duration 800.0 h is beyond the "
+                           r"mixture's numeric support \(survival underflowed to 0\)$"):
             stay_probability(PVState(1, 9, 800.0, 1.0), exp_params(scale=1.0))
 
 
