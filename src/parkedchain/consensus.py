@@ -42,7 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numbers import real, whole
-from .reputation import LinearReputationTracker, ReputationEngine, WeightConfig
+from .reputation import (LinearReputationTracker, ReputationEngine, WeightConfig, _check_slot,
+                         _checked_cells)
 
 __all__ = [
     "Behavior",
@@ -534,34 +535,58 @@ def record_interactions(
 
     Each rater other than the target itself interacts 5 to 10 times with
     each target, and each interaction goes well with probability p[t, r]
-    for targets[t] and raters[r]; a table of another shape or a cell outside
-    [0, 1] raises ValueError before any draw. A probability of exactly 1.0
-    records all-positive evidence without a binomial: this is how colluders
+    for targets[t] and raters[r]. A probability of exactly 1.0 records
+    all-positive evidence without a binomial: this is how colluders
     fabricate mutual praise. The draws are an integers(5, 11) and binomial
     call per pair, target by target, then rater by rater, replayed bit for
     bit from one PCG64 raw block per slot (_slot_draws; a Lemire rejection,
     an inversion restart or another bit generator runs the per-pair loop).
-    The counts are written once to each scheme after all draws.
+
+    Every check runs before any draw, and a rejected call leaves the RNG
+    and both schemes as they were: first the table, whose shape must be
+    (targets, raters) and whose cells must be real numbers in [0, 1] (an
+    integer or float array is taken as such); then the drawn cells, every
+    pair but a rater rating itself, under the cell rule of
+    reputation._checked_cells, once for both schemes, each name looked up
+    in each scheme's own roster; then the slot, as ReputationEngine
+    checks it. The counts are written once to each scheme after all draws.
     """
-    p = np.asarray(p, dtype=float)
-    if p.shape != (len(targets), len(raters)):
-        raise ValueError(f"p must be shaped (targets, raters) = "
-                         f"{(len(targets), len(raters))}, got {p.shape}")
-    bad = np.argwhere(~((p >= 0.0) & (p <= 1.0)))     # NaN fails both
-    if bad.size:
-        t, r = bad[0]
-        raise ValueError(f"p[{t}, {r}] (target {targets[t]!r}, rater {raters[r]!r}) "
-                         f"must be a probability in [0, 1], got {float(p[t, r])!r}")
+    p = _probability_table(p, targets, raters)
     drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
                            != np.array(raters, dtype=object))
+    (engine_i, engine_j), (tracker_i, tracker_j) = _checked_cells(
+        raters, targets, drawn, engine._index, tracker._index)
+    _check_slot(slot)
     trials, positives = _slot_draws(rng, p.ravel()[drawn])
-    counts = np.zeros((p.size, 2), dtype=np.int64)
-    counts[drawn, 0] = positives
-    counts[drawn, 1] = trials
+    counts = np.empty((len(drawn), 2), dtype=np.int64)
+    counts[:, 0] = positives
+    counts[:, 1] = trials
     counts[:, 1] -= counts[:, 0]
-    counts = counts.reshape(*p.shape, 2)
-    engine.record_block(slot, raters, targets, counts)
-    tracker.update_block(raters, targets, counts)
+    engine._add(slot, engine_i, engine_j, counts)
+    tracker._apply(tracker_i, tracker_j, counts)
+
+
+def _probability_table(p, targets: list[str], raters: list[str]) -> np.ndarray:
+    """record_interactions' table as a float array, checked: shaped
+    (targets, raters), each cell a real number in [0, 1]. An integer or
+    float array is taken as numbers; any other table is checked cell by
+    cell, so a bool or a string is rejected. The first bad cell is named."""
+    shape = (len(targets), len(raters))
+    numeric = isinstance(p, np.ndarray) and p.dtype.kind in "iuf"
+    cells = p if numeric else np.asarray(p, dtype=object)
+    if cells.shape != shape:
+        raise ValueError(f"p must be shaped (targets, raters) = {shape}, got {cells.shape}")
+    if numeric:
+        p = p.astype(float, copy=False)
+        ok = (p >= 0.0) & (p <= 1.0)     # NaN fails both
+    else:
+        ok = np.array([_is_probability(v) for v in cells.flat], dtype=bool).reshape(shape)
+    if not ok.all():
+        t, r = np.argwhere(~ok)[0]
+        value = cells[t, r]
+        raise ValueError(f"p[{t}, {r}] (target {targets[t]!r}, rater {raters[r]!r}) must be a "
+                         f"probability in [0, 1], got {float(value) if numeric else value!r}")
+    return p if numeric else cells.astype(float)
 
 
 def _scalar_draws(rng: np.random.Generator, probs: np.ndarray) -> tuple[list, list]:
@@ -610,15 +635,20 @@ def _slot_draws(rng: np.random.Generator, probs: np.ndarray) -> tuple:
     px = np.array([[math.exp(k * math.log(1.0 - v)) for k in range(11)]
                    for v in values.tolist()]).reshape(-1, 11)[which, n]
     u = (raw[start[binom] + split[binom]] >> 11) * 2.0**-53
-    # numpy's Lemire threshold for a range of 6 is 2**32 mod 6 = 4
-    walked = ((m & 0xFFFFFFFF) < 4).any()
-    x, step = np.zeros(len(n), dtype=np.int64), 0
-    while not walked and (go := u > px).any():
-        step += 1
-        walked = (go & (n < step)).any()
+    # a draw that stops has u <= px, so u - px <= 0 while every later px
+    # stays >= 0 (a signed zero from step n + 1 on): it never goes again,
+    # and no mask is needed. One that goes on past n (n <= 10) shows after
+    # at most 11 steps as x > n.
+    x = np.zeros(len(n), dtype=np.int64)
+    for step in range(1, 12):
+        go = u > px
+        if not go.any():
+            break
         x += go
-        u, px = np.where(go, u - px, u), np.where(go, (n - step + 1) * pp * px / (step * q), px)
-    if walked:
+        u = u - px
+        px = (n - step + 1) * pp * px / (step * q)
+    # numpy's Lemire threshold for a range of 6 is 2**32 mod 6 = 4
+    if ((m & 0xFFFFFFFF) < 4).any() or (x > n).any():
         bitgen.state = saved
         return _scalar_draws(rng, probs)
     positives = np.where(probs == 1.0, trials, 0)

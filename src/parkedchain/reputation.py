@@ -54,6 +54,7 @@ _MAX_COUNT = 2**31 - 1
 _PAST_MAX = f"a stored outcome count would pass {_MAX_COUNT}"
 _COUNT_RULE = (f"outcome counts must be whole numbers, not bools, >= 0 and no greater than "
                f"{_MAX_COUNT}")
+_UNREGISTERED = "target and raters must be registered"
 
 # Binary exponents of a zero weight, and the lowest of a timeliness weight:
 # both far below any weight that can count next to another, and int32 (as
@@ -307,9 +308,13 @@ class ReputationEngine:
         in one write, under _checked_block's cell rule; the slot must be a
         whole number >= 0, not a bool. A rejected write raises the first bad
         cell's error, or else the slot's, and writes nothing."""
-        i, j, counts = _checked_block(raters, targets, counts, self._index)
-        if not (whole(slot) and slot >= 0):
-            raise ValueError(f"slot must be >= 0, a whole number and not a bool (got {slot!r})")
+        counts, [(i, j)] = _checked_block(raters, targets, counts, self._index)
+        _check_slot(slot)
+        self._add(slot, i, j, counts)
+
+    def _add(self, slot: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
+        """Add the checked [cell, (positives, negatives)] counts to the
+        (i, j) cells of `slot`."""
         if not len(counts):
             return
         ev = self._grown(slot + 1)
@@ -345,15 +350,17 @@ class ReputationEngine:
         A rater that is also the target has no evidence about itself, so it
         contributes zero weight to every other rater's synthesized opinion
         and leaves their values as if it were absent. `raters` must be
-        distinct.
+        distinct, and at least one.
         """
+        if not raters:
+            raise ValueError("need at least one rater")
         if len(set(raters)) < len(raters):
             raise ValueError("raters must be distinct")
         try:
             cols = np.array([self._index[t] for t in targets], dtype=np.intp)
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
         except KeyError:
-            raise KeyError("target and raters must be registered") from None
+            raise KeyError(_UNREGISTERED) from None
         if not whole(at):
             raise ValueError(f"at must be a whole number and not a bool (got {at!r})")
         cfg = self.cfg
@@ -499,20 +506,23 @@ def _cell(positives, negatives) -> np.ndarray:
     return np.array([[[positives, negatives]]])
 
 
-def _checked_block(
-    raters: list[str], targets: list[str], counts: np.ndarray, index: dict[str, int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rater indices, target indices and int64 [cell, (positives,
-    negatives)] counts of the cells with outcomes of the [target, rater,
-    (positives, negatives)] array `counts`: the one cell rule of every
-    reputation write.
+def _check_slot(slot) -> None:
+    """The slot rule of every engine write: a whole number >= 0, not a bool."""
+    if not (whole(slot) and slot >= 0):
+        raise ValueError(f"slot must be >= 0, a whole number and not a bool (got {slot!r})")
 
-    Cell k is raters[k % R] rating targets[k // R], R = len(raters). The
-    array must hold integers, each in [0, _MAX_COUNT]. Cells whose counts
-    are both 0 are then skipped unchecked; the rest must each have a rater
-    other than the target, a (rater, target) pair no other cell has, and
-    both names in the scheme's roster `index`. The first bad cell raises
-    its error.
+
+def _checked_block(
+    raters: list[str], targets: list[str], counts: np.ndarray, *indexes: dict[str, int],
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The int64 [cell, (positives, negatives)] counts of the cells with
+    outcomes of the [target, rater, (positives, negatives)] array `counts`,
+    and their rater and target ids in each roster of `indexes`: the one
+    cell rule of every reputation write.
+
+    The array must hold integers, each in [0, _MAX_COUNT]. Cells whose
+    counts are both 0 are then skipped unchecked; the rest go through
+    _checked_cells.
     """
     shape = (len(targets), len(raters), 2)
     if not isinstance(counts, np.ndarray) or counts.shape != shape:
@@ -521,27 +531,49 @@ def _checked_block(
     if (counts.dtype.kind not in "iu"
             or counts.min(initial=0) < 0 or counts.max(initial=0) > _MAX_COUNT):
         raise ValueError(_COUNT_RULE)
-    rater_ids = np.array([index.get(name, -1) for name in raters], dtype=np.intp)
-    target_ids = np.array([index.get(name, -1) for name in targets], dtype=np.intp)
     counts = counts.reshape(-1, 2).astype(np.int64, copy=False)
     kept = np.flatnonzero(counts[:, 0] | counts[:, 1])
     if len(kept) < len(counts):
         counts = counts.take(kept, axis=0)
-    t, r = np.divmod(kept, len(raters))
-    i, j = rater_ids[r], target_ids[t]
-    if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
-                   or (np.diff(np.sort(i * len(index) + j)) == 0).any()):
-        seen = set()
-        for p, q in zip(r.tolist(), t.tolist()):
-            rater, target = raters[p], targets[q]
-            if rater == target:
-                raise ValueError("rater and target must be distinct")
-            if rater not in index or target not in index:
-                raise KeyError("both rater and target must be registered")
-            if (rater, target) in seen:
-                raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
-            seen.add((rater, target))
-    return i, j, counts
+    return counts, _checked_cells(raters, targets, kept, *indexes)
+
+
+def _checked_cells(
+    raters: list[str], targets: list[str], cells: np.ndarray, *indexes: dict[str, int],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rater and target ids, in each roster of `indexes`, of the flat
+    `cells` of a [target, rater] table; cell k is raters[k % R] rating
+    targets[k // R], R = len(raters).
+
+    Each cell must have a rater other than its target, a (rater, target)
+    pair no other cell has, and both names in every roster. The first bad
+    cell raises its error as each roster's scheme would in turn: under the
+    first roster, every rule; under each later one, only its names can
+    fail. When no rater and no target repeats, every pair is distinct and
+    the ids are not sorted.
+    """
+    t, r = np.divmod(cells, len(raters))
+    ids = []
+    for index in indexes:
+        rater_ids = np.array([index.get(name, -1) for name in raters], dtype=np.intp)
+        target_ids = np.array([index.get(name, -1) for name in targets], dtype=np.intp)
+        ids.append((rater_ids[r], target_ids[t]))
+    i, j = ids[0]
+    repeats = len(set(raters)) < len(raters) or len(set(targets)) < len(targets)
+    if len(i) and (min(min(a.min(), b.min()) for a, b in ids) < 0 or (i == j).any()
+                   or repeats and (np.diff(np.sort(i * len(indexes[0]) + j)) == 0).any()):
+        for index in indexes:
+            seen = set()
+            for p, q in zip(r.tolist(), t.tolist()):
+                rater, target = raters[p], targets[q]
+                if rater == target:
+                    raise ValueError("rater and target must be distinct")
+                if rater not in index or target not in index:
+                    raise KeyError("both rater and target must be registered")
+                if (rater, target) in seen:
+                    raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
+                seen.add((rater, target))
+    return ids
 
 
 class LinearReputationTracker:
@@ -568,13 +600,21 @@ class LinearReputationTracker:
         """Update the (raters[r], targets[t]) cell by counts[t, r] for
         every cell of one slot in one write, under _checked_block's cell
         rule. A rejected write changes nothing."""
-        i, j, counts = _checked_block(raters, targets, counts, self._index)
+        counts, [(i, j)] = _checked_block(raters, targets, counts, self._index)
+        self._apply(i, j, counts)
+
+    def _apply(self, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
+        """Update the (i, j) cells by the checked [cell, (positives,
+        negatives)] counts."""
         total = counts[:, 0] + counts[:, 1]
         self._values[i, j] = ((1.0 - _LR_SMOOTHING) * self._values[i, j]
                               + _LR_SMOOTHING * (counts[:, 0] / total))
 
     def value(self, rater: str, target: str) -> float:
-        return float(self._values[self._index[rater], self._index[target]])
+        try:
+            return float(self._values[self._index[rater], self._index[target]])
+        except KeyError:
+            raise KeyError(_UNREGISTERED) from None
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
         """Mean value of `target` over `raters`, which must be distinct."""
@@ -582,6 +622,9 @@ class LinearReputationTracker:
             raise ValueError("need at least one rater")
         if len(set(raters)) < len(raters):
             raise ValueError("raters must be distinct")
-        column = self._values[:, self._index[target]].tolist()
-        # Python's left-to-right sum: numpy's pairwise sum would change the bits
-        return sum(column[self._index[r]] for r in raters) / len(raters)
+        try:
+            column = self._values[:, self._index[target]].tolist()
+            # Python's left-to-right sum: numpy's pairwise sum would change the bits
+            return sum(column[self._index[r]] for r in raters) / len(raters)
+        except KeyError:
+            raise KeyError(_UNREGISTERED) from None

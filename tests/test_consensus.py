@@ -530,22 +530,71 @@ def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
 
 def test_record_interactions_checks_the_table_shape():
     """A table of another shape, or with a cell that is not a probability
-    (the diagonal cell included), is rejected before any draw: the first
-    bad cell is named, and the RNG and both schemes are left untouched."""
-    cases = [(["a"], np.full((2, 1), 0.8), "shaped")] + [
-        (["a", "b"], np.array([[0.8, 0.8], [bad, bad]]),
-         r"p\[1, 0\] \(target 'b', rater 'a'\) must be a probability in \[0, 1\], got ")
+    (the diagonal cell included; a bool or a string is never a number),
+    is rejected before any draw, naming the first bad cell; so are a bad
+    slot, a repeated rater or target, and a name outside either scheme's
+    roster, each with the error the scheme's writer raises. The RNG and
+    both schemes are left untouched."""
+    probability = r"must be a probability in \[0, 1\], got "
+    ab, full = ["a", "b"], np.full((2, 2), 0.8)
+
+    def case(targets, raters, p, match, slot=1, error=ValueError, tracked=("a", "b", "c")):
+        return targets, raters, p, match, slot, error, tracked
+
+    cases = [case(["a"], ab, np.full((2, 1), 0.8), "shaped")] + [
+        case(ab, ab, np.array([[0.8, 0.8], [bad, bad]]),
+             r"p\[1, 0\] \(target 'b', rater 'a'\) " + probability)
         for bad in (math.nan, math.inf, -math.inf, -0.1, 1.5)
-    ] + [(["a", "b"], np.array([[math.nan, 0.8], [0.8, 0.8]]), r"p\[0, 0\]")]
-    for targets, p, match in cases:
-        engine, tracker = consensus._schemes(None, ["a", "b"])
-        evidence = engine._evidence.copy()
+    ] + [
+        case(ab, ab, np.array([[math.nan, 0.8], [0.8, 0.8]]), r"p\[0, 0\]"),
+        case(["a"], ["b"], [[True]], r"p\[0, 0\] .*" + probability + "True$"),
+        case(["a"], ["b"], np.array([[True]]), probability + "True$"),
+        case(["a"], ["b"], [["0.5"]], probability + "'0.5'$"),
+        case(["a"], ["b"], np.array([["0.8"]]), probability + "'0.8'$"),
+        case(ab, ab, [[0.8, "x"], [0.8, 2]], r"p\[0, 1\] .*" + probability + "'x'$"),
+        case(ab, ab, [[0.8, 0.8], [0.8, 2]], r"p\[1, 1\] .*" + probability + "2"),
+    ] + [
+        case(ab, ab, full, "slot must be >= 0", slot=slot) for slot in (1.5, -1, True)
+    ] + [
+        case(["c"], ["a", "b", "a"], np.full((1, 3), 0.8), r"pair \('a', 'c'\) occurs twice"),
+        case(["c", "c"], ["a"], np.full((2, 1), 0.8), r"pair \('a', 'c'\) occurs twice"),
+        case(["a"], ["b", "z"], np.full((1, 2), 0.8), "registered", error=KeyError),
+        case(["a"], ["b", "c"], np.full((1, 2), 0.8), "registered", error=KeyError,
+             tracked=("a", "b")),
+    ]
+    for targets, raters, p, match, slot, error, tracked in cases:
+        engine = consensus._schemes(None, ["a", "b", "c"])[0]
+        tracker = LinearReputationTracker(tracked)
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match=match):
-            consensus.record_interactions(rng, 1, targets, ["a", "b"], p, engine, tracker)
+        with pytest.raises(error, match=match):
+            consensus.record_interactions(rng, slot, targets, raters, p, engine, tracker)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-        assert engine._evidence.shape == evidence.shape and (engine._evidence == evidence).all()
-        assert tracker._values.shape == (2, 2) and (tracker._values == 0.5).all()
+        assert engine._slots == 0 and not engine._evidence.any()
+        assert (tracker._values == 0.5).all()
+
+
+def test_record_interactions_to_a_tracker_in_another_order():
+    """Names are looked up in each scheme's own roster: a tracker over the
+    engine's names in another order gets what update_block writes."""
+    targets, raters = ["a", "c"], ["a", "b", "c"]
+    p = np.array([[0.8, 0.3, 1.0], [0.95, 0.1, 0.5]])
+    engine, _ = consensus._schemes(None, raters)
+    tracker = LinearReputationTracker(["c", "a", "b"])
+    twin_engine, twin_tracker = copy.deepcopy(engine), copy.deepcopy(tracker)
+    rng = np.random.default_rng(5)
+    twin_rng = copy.deepcopy(rng)
+    consensus.record_interactions(rng, 2, targets, raters, p, engine, tracker)
+
+    drawn = np.array(targets)[:, None] != np.array(raters)
+    trials, positives = consensus._scalar_draws(twin_rng, p[drawn])
+    counts = np.zeros((*p.shape, 2), dtype=np.int64)
+    counts[drawn] = np.column_stack([positives, np.subtract(trials, positives)])
+    twin_engine.record_block(2, raters, targets, counts)
+    twin_tracker.update_block(raters, targets, counts)
+    assert rng.bit_generator.state == twin_rng.bit_generator.state
+    assert (engine._evidence == twin_engine._evidence).all()
+    assert (tracker._values == twin_tracker._values).all()
+    assert (tracker._values != 0.5).sum() == drawn.sum()
 
 
 # PCG64's LCG multiplier (numpy's pcg64.h); the generator steps, then
@@ -598,6 +647,17 @@ def test_slot_draws_replay_the_scalar_loop(data, seed, prior, n_targets, n_rater
     for _ in range(prior):
         rng.integers(5, 11)
     assert_draws_match_scalar(rng, p[drawn.ravel()], fast_path=True)
+
+
+def test_slot_draws_keep_a_stopped_draw_stopped():
+    """Seed 316 draws 5 trials with no success at p = 0.1, so that draw's
+    inversion stops at step 1, and 8 successes of 10 at p = 0.5, which go on
+    for 8 steps: the stopped draw's terms run past its step n + 1."""
+    probs = np.array([0.1, 0.5])
+    rng = np.random.default_rng(316)
+    trials, positives = consensus._scalar_draws(copy.deepcopy(rng), probs)
+    assert trials == [5, 10] and positives == [0, 8]
+    assert_draws_match_scalar(rng, probs, fast_path=True)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])

@@ -297,6 +297,19 @@ class TestEngine:
         with pytest.raises(KeyError):
             eng.view("j", at=1, raters=["x"])
 
+    def test_reads_need_a_rater(self):
+        eng = self.build()
+        alone = ReputationEngine()
+        alone.register("i", 9)
+        tracker = LinearReputationTracker(eng.arrival_hours)
+        reads = [lambda: eng.view("i", 1, raters=[]),
+                 lambda: eng.average_reputations(["i", "k"], 1, raters=[]),
+                 lambda: alone.view("i", 1),
+                 lambda: tracker.average_reputation("i", [])]
+        for read in reads:
+            with pytest.raises(ValueError, match="^need at least one rater$"):
+                read()
+
     @pytest.mark.parametrize("slot", [1.5, 1.0, True, np.True_, -1, "1", None])
     def test_write_slot_must_be_a_whole_number(self, slot):
         # a whole number >= 0, Python's or numpy's, and not a bool
@@ -654,8 +667,12 @@ class TestBatchedWrites:
                      lambda: eng.average_reputations([target], 1, [rater]),
                      lambda: tracker.value(rater, target),
                      lambda: tracker.average_reputation(target, [rater])]
-            for call in calls:
+            for call in calls[:4]:
                 with pytest.raises(KeyError):
+                    call()
+            # every read in the engine's words
+            for call in calls[4:]:
+                with pytest.raises(KeyError, match="^'target and raters must be registered'$"):
                     call()
         assert eng._evidence.shape == evidence.shape and (eng._evidence == evidence).all()
         assert (tracker._values == values).all()
