@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
 
+import numpy as np
+
 from ._numbers import real, whole
 
 __all__ = [
@@ -53,7 +55,21 @@ class ContractState(Enum):
     CONFISCATED = "Confiscated"
 
 
-@dataclass
+def _step(*path: ContractState | str) -> tuple[ContractState, tuple[str, ...]]:
+    """One lifecycle call's write: the state it ends in, and the history
+    entries it logs at one slot (each state's value, or a note)."""
+    return path[-1], tuple(p if isinstance(p, str) else p.value for p in path)
+
+
+_SIGNED = _step(ContractState.SIGNED)
+_SUBMITTED = _step(ContractState.EXECUTING, ContractState.RESULT_SUBMITTED)
+_CONFISCATED = _step(ContractState.EXECUTING, ContractState.CONFISCATED)
+_PAID = _step(ContractState.VERIFIED, ContractState.PAID)
+_REFUNDED = _step(ContractState.REFUNDED)
+_FRAUD_REFUNDED = _step("sr-fraud", ContractState.REFUNDED)
+
+
+@dataclass(slots=True)
 class Account:
     identity: str
     address: str
@@ -79,7 +95,7 @@ class RequestSpec:
             object.__setattr__(self, name, y)
 
 
-@dataclass
+@dataclass(slots=True)
 class SmartContractRecord:
     address: str
     sr_address: str
@@ -95,10 +111,12 @@ class SmartContractRecord:
     history: list[str] = field(default_factory=list)
     timestamps: list[int] = field(default_factory=list)
 
-    def record_state(self, state: ContractState, slot: int) -> None:
-        self.state = state
-        self.history.append(state._value_)     # the member's own slot, not the .value property
-        self.timestamps.append(slot)
+    def record_state(self, slot: int, step: tuple[ContractState, tuple[str, ...]]) -> None:
+        """Write one lifecycle `step` at `slot`: enter its state and log its
+        history entries, one timestamp each. A lifecycle call writes once."""
+        self.state, logged = step
+        self.history += logged
+        self.timestamps += (slot,) * len(logged)
 
     @property
     def reward(self) -> int:
@@ -132,6 +150,13 @@ class Block:
         return self.sha256
 
 
+def _check_flag(name: str, value) -> None:
+    """A contract flag is a Python or numpy bool: "no" or 1 is not read as true.
+    Callers skip the call for a plain bool."""
+    if not isinstance(value, np.bool_):
+        raise LedgerError(f"{name} must be a bool, got {value!r}")
+
+
 def _address_for(identity: str) -> str:
     return hashlib.sha256(b"addr:" + identity.encode()).hexdigest()[:40]
 
@@ -161,13 +186,12 @@ class Ledger:
     # -- accounts ----------------------------------------------------------
 
     def register_account(self, identity: str) -> Account:
+        if not isinstance(identity, str):
+            raise LedgerError(f"identity must be a string, got {identity!r}")
         if identity in self.accounts:
             raise LedgerError(f"identity {identity!r} already registered")
-        account = Account(
-            identity=identity,
-            address=_address_for(identity),
-            public_key=hashlib.sha256(b"pk:" + identity.encode()).hexdigest(),
-        )
+        account = Account(identity, _address_for(identity),
+                          hashlib.sha256(b"pk:" + identity.encode()).hexdigest())
         if account.address in self._addresses:
             raise LedgerError(f"address collision for {identity!r}")
         self.accounts[identity] = account
@@ -186,7 +210,7 @@ class Ledger:
     def _account(self, identity: str) -> Account:
         try:
             return self.accounts[identity]
-        except KeyError:
+        except (KeyError, TypeError):      # TypeError: an unhashable identity
             raise LedgerError(f"unknown identity {identity!r}") from None
 
     # -- contract lifecycle -------------------------------------------------
@@ -241,16 +265,17 @@ class Ledger:
                 f"balance {sr.balance} cannot escrow deposit+max reward {need}"
             )
         self._nonce += 1
+        sr.balance -= need
         record = SmartContractRecord(
             address=_contract_address(sr.address, self._nonce),
             sr_address=sr.identity,
             spec=spec,
             menu=items,
             sr_deposit=deposit,
+            escrow=need,
+            history=[ContractState.DEPLOYED._value_],
+            timestamps=[self.clock],
         )
-        sr.balance -= need
-        record.escrow = need
-        record.record_state(ContractState.DEPLOYED, self.clock)
         self.contracts[record.address] = record
         return record
 
@@ -278,22 +303,24 @@ class Ledger:
         record.pv_address = pv.identity
         record.item_index = item_index
         record.pv_deposit = pv_deposit
-        record.record_state(ContractState.SIGNED, self.clock)
+        record.record_state(self.clock, _SIGNED)
         return record
 
     def execute_task(self, contract_address: str, pv_departed: bool) -> SmartContractRecord:
+        """Run the signed task; `pv_departed` is a Python or numpy bool."""
         record = self._contract(contract_address, ContractState.SIGNED)
-        record.record_state(ContractState.EXECUTING, self.clock)
+        if type(pv_departed) is not bool:
+            _check_flag("pv_departed", pv_departed)
         if pv_departed:
             # interrupted task: the PV's deposit compensates the SR, and the
             # SR's own escrow comes back in full
             self._release(record, 0)
-            record.record_state(ContractState.CONFISCATED, self.clock)
+            record.record_state(self.clock, _CONFISCATED)
             return record
         record.result_digest = hashlib.sha256(
             f"result:{record.address}".encode()
         ).hexdigest()[:16]
-        record.record_state(ContractState.RESULT_SUBMITTED, self.clock)
+        record.record_state(self.clock, _SUBMITTED)
         return record
 
     def verify_and_settle(
@@ -302,33 +329,34 @@ class Ledger:
         verdict: str,
         sr_fraud: bool = False,
     ) -> SmartContractRecord:
+        """Settle a submitted result on a "pass" or "fail" verdict;
+        `sr_fraud`, a Python or numpy bool, marks a failed one as the SR's."""
         record = self._contract(contract_address, ContractState.RESULT_SUBMITTED)
         if verdict not in ("pass", "fail"):
-            raise LedgerError("verdict must be 'pass' or 'fail'")
+            raise LedgerError(f"verdict must be 'pass' or 'fail', got {verdict!r}")
+        if type(sr_fraud) is not bool:
+            _check_flag("sr_fraud", sr_fraud)
         payout = record.reward + record.pv_deposit
         if verdict == "pass":
-            record.record_state(ContractState.VERIFIED, self.clock)
             self._release(record, payout)
-            record.record_state(ContractState.PAID, self.clock)
-            return record
-        if sr_fraud:
+            record.record_state(self.clock, _PAID)
+        elif sr_fraud:
             # the SR's stake is forfeited; the blameless PV keeps its item's
             # reward and recovers its deposit
             self._release(record, payout, record.sr_deposit)
-            record.history.append("sr-fraud")
-            record.timestamps.append(self.clock)
+            record.record_state(self.clock, _FRAUD_REFUNDED)
         else:
             # failed execution: everything in escrow, including the PV's
             # deposit, flows back to the SR
             self._release(record, 0)
-        record.record_state(ContractState.REFUNDED, self.clock)
+            record.record_state(self.clock, _REFUNDED)
         return record
 
     def _contract(self, address: str, state: ContractState) -> SmartContractRecord:
         """The contract at `address`, which must be in `state`."""
         try:
             record = self.contracts[address]
-        except KeyError:
+        except (KeyError, TypeError):      # TypeError: an unhashable address
             raise LedgerError(f"unknown contract {address!r}") from None
         if record.state is not state:
             raise LedgerError(f"contract is {record.state.value}, not {state.value}")
@@ -336,10 +364,12 @@ class Ledger:
 
     def _release(self, record: SmartContractRecord, to_pv: int, to_treasury: int = 0) -> None:
         """Empty the contract's escrow: `to_pv` to the PV, `to_treasury` to
-        the treasury and the rest back to the SR."""
-        self._account(record.pv_address).balance += to_pv
-        self._account(TREASURY).balance += to_treasury
-        self._account(record.sr_address).balance += record.escrow - to_pv - to_treasury
+        the treasury and the rest back to the SR. Every party of a signed
+        contract holds an account, so each is looked up directly."""
+        accounts = self.accounts
+        accounts[record.pv_address].balance += to_pv
+        accounts[TREASURY].balance += to_treasury
+        accounts[record.sr_address].balance += record.escrow - to_pv - to_treasury
         record.escrow = 0
 
     # -- blocks --------------------------------------------------------------

@@ -13,7 +13,10 @@ Populations are columns: `Arrivals` (hour and duration arrays) and the
 vehicle's arrival hour fixes its parked hours and so its stay probability.
 `stay_probabilities` runs the stay kernel once per arrival hour present and
 fills the rows from a 24-entry table; the scalar `stay_probability` scores
-one `PVState` through the same kernel, bit for bit.
+one `PVState` through the same kernel, bit for bit. The kernel is one
+`gammaincc` call over both components at both ends of the horizon, weighed
+and divided in Python floats; the array `survival` at the two ends is its
+bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -66,6 +69,10 @@ class HourMixture:
     def __post_init__(self) -> None:
         if not all(map(real, vars(self).values())):
             raise ValueError("mixture parameters must be finite real numbers")
+        # stored as Python floats, so the stay kernel's scalar arithmetic is
+        # float64 whatever number type a parameter came in as
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, float(value))
         if not abs(self.h_short + self.h_long - 1.0) <= _TOL:
             raise ValueError("mixture weights must sum to 1")
         if not (self.h_short >= 0 and self.h_long >= 0):
@@ -202,6 +209,11 @@ class Parked:
         return len(self.pv_id)
 
     def __getitem__(self, i: int) -> PVState:
+        """Row `i`, a whole number; negative rows count from the end."""
+        if type(i) is not int:
+            if not whole(i):
+                raise ValueError(f"a parked row index must be a whole number, got {i!r}")
+            i = int(i)
         a = int(self.arrival_hour[i])
         return PVState(int(self.pv_id[i]), a, float((self.hour - a) % 24), float(self.horizon))
 
@@ -266,21 +278,31 @@ def survival(x, mixture: HourMixture):
 
 
 def _stay(parked_hours: float, horizon: float, m: HourMixture) -> float:
-    """The stay probability under one mixture, from one survival call on
-    both ends of the horizon."""
-    denom, numer = survival(np.array([parked_hours, parked_hours + horizon]), m)
+    """The stay probability under one mixture, for `parked_hours` >= 0.
+
+    One `gammaincc` call takes both components at both ends of the horizon;
+    the survivals are then weighed and divided in Python floats, the same
+    IEEE operations as `survival` on the two ends, so bit for bit its ratio.
+    """
+    later = parked_hours + horizon
+    short_now, short_later, long_now, long_later = gammaincc(
+        (m.shape_short, m.shape_short, m.shape_long, m.shape_long),
+        (parked_hours / m.scale_short, later / m.scale_short,
+         parked_hours / m.scale_long, later / m.scale_long),
+    ).tolist()
+    denom = m.h_short * short_now + m.h_long * long_now
     if denom <= 0.0:
         raise ValueError(
             f"parked duration {parked_hours} h is beyond the mixture's "
             "numeric support (survival underflowed to 0)"
         )
     # ratio of survivals of nested events; clamp fp dust only
-    return min(numer / denom, 1.0)
+    return min((m.h_short * short_later + m.h_long * long_later) / denom, 1.0)
 
 
 def stay_probability(pv: PVState, params: GammaMixtureParams) -> float:
     """P[stays >= horizon more hours | already parked parked_hours]."""
-    return float(_stay(pv.parked_hours, pv.horizon, params.at(pv.arrival_hour)))
+    return _stay(pv.parked_hours, pv.horizon, params.at(pv.arrival_hour))
 
 
 def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:

@@ -3,9 +3,10 @@
 One table over the constructors and entry points of every layer. Each is fed
 the values its rule rejects: a bool (Python's or numpy's), NaN, ±inf, a
 numeric string and None everywhere; an int past the float range where the
-argument is real or bounded; 1.5 where it is a whole number. Each call must
-raise the layer's `ValueError` or `LedgerError`, never a `TypeError`, and never
-accept the value.
+argument is real or bounded; 1.5 where it is a whole number. The contract
+flags, an account identity and a parked row index have their own rules and
+rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
+`TypeError`, and never accept the value.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 
 from parkedchain import consensus, contract_opt, parking, reputation
 from parkedchain.harness.config import validate_config
-from parkedchain.ledger import Ledger, LedgerError, RequestSpec
+from parkedchain.ledger import ContractState, Ledger, LedgerError, RequestSpec
 
 MIX = (0.6, 0.4, 2.0, 6.0, 0.75, 1.5)
 COMMON = {"true": True, "numpy-true": np.True_, "nan": math.nan, "inf": math.inf,
@@ -25,6 +26,10 @@ HALF = {"half": 1.5}
 REAL = {**COMMON, **HUGE}            # a finite real
 BOUNDED_WHOLE = {**REAL, **HALF}     # a whole number with an upper bound
 WHOLE = {**COMMON, **HALF}           # a whole number a huge int satisfies
+FLAG = {"string": "no", "zero": 0, "one": 1, "float": 1.0, "none": None}   # a bool
+IDENTITY = {"int": 5, "none": None, "bytes": b"pv", "tuple": ("a",), "list": ["a"]}
+INDEX = {"true": True, "numpy-true": np.True_, "none": None, "half": 1.5, "string": "3",
+         "tuple": (1,)}                                                   # a whole row
 
 
 def ledger():
@@ -42,10 +47,22 @@ def post(menu=((1e9, 120),), deposit=10):
     return ledger().post_request("sr", SPEC, list(menu), deposit)
 
 
-def sign(item=0, deposit=10):
-    led = ledger()
+def sign(item=0, deposit=10, led=None):
+    led = led or ledger()
     record = led.post_request("sr", SPEC, [(1e9, 120)], 10)
     return led.sign_contract("pv", record.address, item, deposit)
+
+
+def execute(departed):
+    led = ledger()
+    return led.execute_task(sign(led=led).address, departed)
+
+
+def settle(fraud):
+    led = ledger()
+    address = sign(led=led).address
+    led.execute_task(address, False)
+    return led.verify_and_settle(address, "fail", sr_fraud=fraud)
 
 
 def engine():
@@ -85,6 +102,7 @@ TABLE = [
         parking.GammaMixtureParams(), x, 0), ValueError, WHOLE),
     ("synthesize_population.seed", lambda x: parking.synthesize_population(
         parking.GammaMixtureParams(), 10, x), ValueError, WHOLE),
+    ("Parked.__getitem__", lambda x: parked()[x], ValueError, INDEX),
     # contract_opt
     ("TaskParams.rho", lambda x: contract_opt.TaskParams(rho=x), ValueError, REAL),
     ("TaskParams.r_bps", lambda x: contract_opt.TaskParams(r_bps=(5e6, x)), ValueError, REAL),
@@ -132,6 +150,9 @@ TABLE = [
     ("Ledger.sign_contract.item_index", lambda x: sign(item=x), LedgerError, BOUNDED_WHOLE),
     ("Ledger.sign_contract.deposit", lambda x: sign(deposit=x), LedgerError, BOUNDED_WHOLE),
     ("RequestSpec.task_bits", lambda x: RequestSpec(x, 1e9, 5.0), ValueError, REAL),
+    ("Ledger.register_account", lambda x: Ledger().register_account(x), LedgerError, IDENTITY),
+    ("Ledger.execute_task.pv_departed", execute, LedgerError, FLAG),
+    ("Ledger.verify_and_settle.sr_fraud", settle, LedgerError, FLAG),
     # harness config: JSON integers and reals
     ("config.seed", lambda x: validate_config(None, seed=x), ValueError, BOUNDED_WHOLE),
     ("config.consensus.threshold", lambda x: validate_config(
@@ -139,13 +160,35 @@ TABLE = [
 ]
 
 
-@pytest.mark.parametrize("call, error, value", [
-    pytest.param(call, error, value, id=f"{name}-{label}")
+# rows whose error is checked to name the rejected value
+NAMED = {"Parked.__getitem__", "Ledger.register_account", "Ledger.execute_task.pv_departed",
+         "Ledger.verify_and_settle.sr_fraud"}
+
+
+@pytest.mark.parametrize("call, error, value, named", [
+    pytest.param(call, error, value, name in NAMED, id=f"{name}-{label}")
     for name, call, error, values in TABLE for label, value in values.items()
 ])
-def test_bad_number_fails_with_the_layers_error(call, error, value):
-    with pytest.raises(error):
+def test_bad_number_fails_with_the_layers_error(call, error, value, named):
+    with pytest.raises(error) as info:
         call(value)
+    assert not named or repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_bool_flags_accepted(flag):
+    departed = execute(flag).state
+    assert departed is (ContractState.CONFISCATED if flag else ContractState.RESULT_SUBMITTED)
+    assert settle(flag).history[-2:] == (["sr-fraud", "Refunded"] if flag else
+                                         ["ResultSubmitted", "Refunded"])
+
+
+def test_parked_index_keeps_its_python_meaning():
+    rows = parked()
+    assert rows[-1] == rows[np.int64(1)] == rows[1]
+    for out_of_range in (2, -3, np.int64(2)):
+        with pytest.raises(IndexError):
+            rows[out_of_range]
 
 
 @pytest.mark.parametrize("call", [

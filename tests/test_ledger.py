@@ -389,6 +389,85 @@ class TestExecuteAndSettle:
         assert led.conserved()
 
 
+def lifecycle():
+    """A funded ledger with one contract at each of Deployed, Signed and
+    ResultSubmitted, by name."""
+    led = funded_ledger()
+    stages = {name: led.post_request("sr1", SPEC, MENU, deposit=300).address
+              for name in ("deployed", "signed", "submitted")}
+    for name in ("signed", "submitted"):
+        led.sign_contract("pv1", stages[name], 1, pv_deposit=150)
+    led.execute_task(stages["submitted"], pv_departed=False)
+    return led, stages
+
+
+def snapshot(led):
+    return (
+        {a: (c.state, list(c.history), list(c.timestamps), c.escrow, c.pv_address,
+             c.item_index, c.pv_deposit, c.result_digest)
+         for a, c in led.contracts.items()},
+        {i: a.balance for i, a in led.accounts.items()},
+        len(led.contracts),
+        led.conserved(),
+    )
+
+
+REJECTIONS = {
+    "post-bad-deposit": lambda led, at: led.post_request("sr1", SPEC, MENU, deposit=-1),
+    "post-short-balance": lambda led, at: led.post_request("sr1", SPEC, MENU, deposit=10**6),
+    "sign-short-balance": lambda led, at: led.sign_contract("pv1", at["deployed"], 0, 10**6),
+    "sign-unknown-pv": lambda led, at: led.sign_contract("ghost", at["deployed"], 0, 10),
+    "sign-bad-item": lambda led, at: led.sign_contract("pv1", at["deployed"], 3, 10),
+    "sign-bad-deposit": lambda led, at: led.sign_contract("pv1", at["deployed"], 0, -1),
+    "execute-wrong-state": lambda led, at: led.execute_task(at["submitted"], False),
+    "execute-flag": lambda led, at: led.execute_task(at["signed"], "no"),
+    "settle-wrong-state": lambda led, at: led.verify_and_settle(at["signed"], "pass"),
+    "settle-bad-verdict": lambda led, at: led.verify_and_settle(at["submitted"], "maybe"),
+    "settle-fraud-flag": lambda led, at: led.verify_and_settle(at["submitted"], "fail",
+                                                               sr_fraud="no"),
+    # an unhashable name is unknown, as a dict lookup's TypeError once was not
+    "unhashable-credit": lambda led, at: led.credit(["pv1"], 5),
+    "unhashable-post": lambda led, at: led.post_request(["sr1"], SPEC, MENU, deposit=0),
+    "unhashable-pv": lambda led, at: led.sign_contract({}, at["deployed"], 0, 10),
+    "unhashable-contract": lambda led, at: led.execute_task([at["signed"]], False),
+}
+
+
+@pytest.mark.parametrize("reject", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_rejected_call_writes_nothing(reject):
+    # every check runs before the first write: no state, history, timestamp,
+    # escrow, balance or contract changes on a rejection
+    led, stages = lifecycle()
+    before = snapshot(led)
+    with pytest.raises(LedgerError):
+        reject(led, stages)
+    assert snapshot(led) == before and led.conserved()
+
+
+@pytest.mark.parametrize("departed, verdict, fraud, steps", [
+    (True, None, False, ["Executing", "Confiscated"]),
+    (False, None, False, ["Executing", "ResultSubmitted"]),
+    (False, "pass", False, ["Executing", "ResultSubmitted", "Verified", "Paid"]),
+    (False, "fail", False, ["Executing", "ResultSubmitted", "Refunded"]),
+    (False, "fail", True, ["Executing", "ResultSubmitted", "sr-fraud", "Refunded"]),
+], ids=["departed", "submitted", "pass", "fail", "fraud"])
+def test_each_step_logged_at_its_slot(departed, verdict, fraud, steps):
+    led = funded_ledger()
+    r = led.post_request("sr1", SPEC, MENU, deposit=300)
+    led.append_block([r.address], ["n1"])
+    led.sign_contract("pv1", r.address, 1, pv_deposit=150)
+    led.append_block([r.address], ["n1"])
+    led.execute_task(r.address, pv_departed=departed)
+    slots = [0, 1] + [2, 2]
+    if verdict:
+        led.append_block([r.address], ["n1"])
+        led.verify_and_settle(r.address, verdict, sr_fraud=fraud)
+        slots += [3] * (len(steps) - 2)
+    assert r.history == ["Deployed", "Signed"] + steps
+    assert r.timestamps == slots
+    assert r.state.value == steps[-1] and led.conserved()
+
+
 class TestBlocks:
     def test_genesis_pin(self):
         led = Ledger()

@@ -25,6 +25,7 @@ from parkedchain.parking import (
     leave_probability,
     stay_probability,
     stay_probabilities,
+    survival,
     surviving_population,
     synthesize_population,
 )
@@ -389,3 +390,48 @@ def test_columnar_stay_matches_scalar(arrival_hours, hour, horizon, default, per
                     for i, a in enumerate(arrival_hours)]
     assert stay_probabilities(parked, params).tolist() == [stay_probability(pv, params)
                                                           for pv in rows]
+
+
+def _survival_ratio(parked_hours, horizon, m):
+    """The stay kernel's reference: the array `survival` at both ends of the
+    horizon, then the clamped ratio; None where the survival underflows."""
+    denom, numer = survival(np.array([parked_hours, parked_hours + horizon]), m)
+    return float(min(numer / denom, 1.0)) if denom > 0.0 else None
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    # scales down to 0.005 reach the underflow within 60 parked hours
+    m=st.builds(lambda h, a, b, c, d: HourMixture(h, 1.0 - h, a, b, c, d),
+                st.floats(0.0, 1.0), st.floats(0.5, 8.0), st.floats(0.5, 8.0),
+                st.floats(0.005, 3.0), st.floats(0.005, 3.0)),
+    parked_hours=st.floats(0.0, 60.0),
+    horizon=st.floats(0.0, 10.0, exclude_min=True),
+)
+@example(m=DEFAULT_MIXTURE, parked_hours=40.0, horizon=1.0)
+@example(m=HourMixture(0.3, 0.7, 2.0, 6.0, 0.005, 0.01), parked_hours=20.0, horizon=1.0)
+# float32 parameters: the kernel's scalar arithmetic is float64 all the same
+@example(m=HourMixture(*map(np.float32, (0.25, 0.75, 2.0, 6.0, 0.75, 1.5))),
+         parked_hours=3.3, horizon=1.0)
+def test_stay_kernel_is_the_survival_ratio_bit_for_bit(m, parked_hours, horizon):
+    """`_stay`, `stay_probability` and `stay_probabilities` equal the
+    survival-ratio reference bit for bit, and raise its underflow error."""
+    params = GammaMixtureParams(default=m)
+    scalar = [lambda: _stay(parked_hours, horizon, m),
+              lambda: stay_probability(PVState(0, 9, parked_hours, horizon), params)]
+    expected = _survival_ratio(parked_hours, horizon, m)
+    for call in scalar:
+        if expected is None:
+            with pytest.raises(ValueError, match="survival underflowed to 0"):
+                call()
+        else:
+            assert call().hex() == expected.hex()
+    # one row per arrival hour: parked 0 to 23 hours at query hour 0
+    rows = Parked(np.arange(24), np.arange(24), 0, horizon)
+    expected = [_survival_ratio(float(-a % 24), horizon, m) for a in range(24)]
+    if None in expected:
+        with pytest.raises(ValueError, match="survival underflowed to 0"):
+            stay_probabilities(rows, params)
+    else:
+        assert [p.hex() for p in stay_probabilities(rows, params).tolist()] == [
+            p.hex() for p in expected]
