@@ -12,13 +12,13 @@ than (n-l)/3 received replies disagree.
 Each honest replica is one mutable NodeState: its handler takes (state,
 sender, kind, digest) of the delivered message, updates the state in
 place and returns only the outbox. Byzantine and crash behaviors are
-generated outside the honest handler. The honest handler returns
-(recipients, kind) broadcasts to peer lists built once per view; run_view
-stamps them with the node's accepted digest and its id, so a corrupted
-node can lie or stay silent but cannot send under another node's id.
-A view keeps what it sends as a log of broadcasts, one entry per honest
-broadcast or byzantine outbox, and decodes the message list from it only
-when the list is read.
+generated outside the honest handler. Both handlers return (recipients,
+kind, digest) broadcasts to peer lists built once per view, and run_view
+stamps each with the handling node's id, so a corrupted node can lie or
+stay silent but cannot send under another node's id. A view keeps what
+it sends as a log of broadcasts, one (slot, sender, recipients, kind,
+digest) entry each, and decodes the message list from it only when the
+list is read.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with a scripted
@@ -110,7 +110,10 @@ class ConsensusConfig:
 
 @dataclass(frozen=True)
 class BlockProposal:
-    """A frozen proposal; it hashes its body once, when built."""
+    """A frozen proposal; it hashes its body once, when built. height is a
+    whole number >= 0, stored as int, tx_digests a tuple or list of str,
+    stored as a tuple (a bare string would hash as one digest per
+    character), and proposer a str."""
 
     height: int
     tx_digests: tuple[str, ...]
@@ -118,6 +121,15 @@ class BlockProposal:
     sha256: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (whole(self.height) and self.height >= 0):
+            raise ValueError(f"height must be a whole number >= 0, got {self.height!r}")
+        if not (isinstance(self.tx_digests, (tuple, list))
+                and all(isinstance(tx, str) for tx in self.tx_digests)):
+            raise ValueError(f"tx_digests must be a tuple or list of str, got {self.tx_digests!r}")
+        if not isinstance(self.proposer, str):
+            raise ValueError(f"proposer must be a str, got {self.proposer!r}")
+        object.__setattr__(self, "height", int(self.height))
+        object.__setattr__(self, "tx_digests", tuple(self.tx_digests))
         body = f"{self.height}|{self.proposer}|" + "|".join(self.tx_digests)
         object.__setattr__(self, "sha256", hashlib.sha256(body.encode()).hexdigest()[:16])
 
@@ -158,10 +170,10 @@ class NodeState:
 @dataclass(frozen=True, eq=False)
 class ViewOutcome:
     """A view's result. `log` holds the sent messages as broadcasts in send
-    order: (slot, sender, recipients, kind, digest) per honest broadcast
-    (the client's request included) and (slot, sender, triples, kind) per
-    byzantine outbox, its (recipient, kind, digest) triples explicit.
-    Outcomes compare field by field with `messages` in place of `log`."""
+    order, one (slot, sender, recipients, kind, digest) entry each: the
+    client's request, every honest broadcast, and every byzantine one (a
+    SPLIT node sends two, one per digest). Outcomes compare field by field
+    with `messages` in place of `log`."""
 
     committed_digest: str | None
     unanimous: bool
@@ -176,15 +188,9 @@ class ViewOutcome:
     @cached_property
     def messages(self) -> tuple[NetMessage, ...]:
         """Every sent message in send order, decoded from the log on first read."""
-        out = []
-        for entry in self.log:
-            if len(entry) == 5:
-                slot, sender, recipients, kind, digest = entry
-                out += [NetMessage(slot, sender, r, kind, digest) for r in recipients]
-            else:
-                slot, sender, triples, _ = entry
-                out += [NetMessage(slot, sender, *t) for t in triples]
-        return tuple(out)
+        return tuple(NetMessage(slot, sender, r, kind, digest)
+                     for slot, sender, recipients, kind, digest in self.log
+                     for r in recipients)
 
     @property
     def trace(self) -> tuple[str, ...]:
@@ -225,13 +231,13 @@ def _wrong_digest(digest: str) -> str:
 def _handle_honest(state: NodeState, sender: str, kind: str, digest: str,
                    prepare_quorum: int, accept_quorum: int, peers: list[str]) -> list[tuple]:
     """Honest-node transition on one delivered message (sender, kind,
-    digest): updates state in place and returns (recipients, kind)
+    digest): updates state in place and returns (recipients, kind, digest)
     broadcasts, all of the node's accepted digest. peers are the other
     committee members."""
     me = state.node_id
     if kind == "request" and me == state.leader_id and state.accepted_digest is None:
         state.accepted_digest = digest
-        return [(peers, "pre-prepare")]
+        return [(peers, "pre-prepare", digest)]
 
     if (
         kind == "pre-prepare"
@@ -240,7 +246,7 @@ def _handle_honest(state: NodeState, sender: str, kind: str, digest: str,
     ):
         state.accepted_digest = digest
         state.prepare_votes.setdefault(digest, set()).add(sender)   # the leader's vote
-        return [(peers, "prepare")]
+        return [(peers, "prepare", digest)]
 
     if kind == "prepare":
         state.prepare_votes.setdefault(digest, set()).add(sender)
@@ -259,21 +265,21 @@ def _handle_honest(state: NodeState, sender: str, kind: str, digest: str,
     ):
         state.sent_accept = True
         state.accept_votes.setdefault(digest, set()).add(me)
-        out.append((peers, "accept"))
+        out.append((peers, "accept", digest))
     if (
         state.committed is None
         and len(state.accept_votes.get(digest, ())) >= accept_quorum
     ):
         state.committed = digest
-        out.append((_CLIENT, "reply"))
+        out.append((_CLIENT, "reply", digest))
     return out
 
 
 def _byzantine_outbox(strategy: ReplicaStrategy, kind: str, digest: str,
-                      others: list[str]) -> list[tuple[str, str, str]]:
-    """Adversarial broadcast for one stage to the other nodes (the client
-    alone for a reply). SPLIT sends the honest digest to the first half of
-    them and a fabricated one to the rest."""
+                      others: list[str]) -> list[tuple]:
+    """Adversarial broadcasts for one stage to the other nodes (the client
+    alone for a reply), one per digest sent. SPLIT sends the honest digest
+    to the first half of them and a fabricated one to the rest."""
     if strategy is ReplicaStrategy.SILENT:
         return []
     if strategy is ReplicaStrategy.ACT_HONEST:
@@ -282,21 +288,19 @@ def _byzantine_outbox(strategy: ReplicaStrategy, kind: str, digest: str,
         told = 0
     else:  # SPLIT
         told = len(others) // 2
-    bad = _wrong_digest(digest)
-    return ([(peer, kind, digest) for peer in others[:told]]
-            + [(peer, kind, bad) for peer in others[told:]])
+    groups = ((others[:told], digest), (others[told:], _wrong_digest(digest)))
+    return [(group, kind, sent) for group, sent in groups if group]
 
 
 def _delivery_order(entries: list[tuple], recipients: list[str]):
     """(recipient, kind, digest) of one sender's log entries from one slot,
-    in NetMessage tuple order. recipients are the sorted recipients of the
-    sender's honest broadcasts. One honest broadcast, the usual case, is
-    zipped, with no tuple kept per message."""
-    if len(entries) == 1 and len(entries[0]) == 5:
+    in NetMessage tuple order. recipients are the sender's peers, sorted: a
+    lone entry, the usual case, goes to all of them (only SPLIT divides
+    them), so it is zipped, with no tuple kept per message."""
+    if len(entries) == 1:
         _, _, _, kind, digest = entries[0]
         return zip(recipients, itertools.repeat(kind), itertools.repeat(digest))
-    return sorted(triple for entry in entries for triple in (
-        [(r, entry[3], entry[4]) for r in recipients] if len(entry) == 5 else entry[2]))
+    return sorted((r, kind, digest) for _, _, rs, kind, digest in entries for r in rs)
 
 
 # the stage a byzantine node broadcasts on first observing each message kind
@@ -313,18 +317,23 @@ def run_view(
 ) -> ViewOutcome:
     """Execute one consensus view over the ordered committee.
 
-    nodes: ordered (id, Behavior) pairs fixing the rotation; the leader is
-    nodes[view % n], view an integer >= 0. Ids must be distinct, and
-    "client" is reserved for the requesting client. strategies maps
-    byzantine ids to a ReplicaStrategy (default SPLIT); any other value, or
-    naming a committee member that is not byzantine, is an error, while ids
-    outside the committee are ignored.
+    nodes: ordered (str id, Behavior) pairs fixing the rotation; the leader
+    is nodes[view % n], view an integer >= 0. Ids must be distinct, and
+    "client" is reserved for the requesting client. strategies, None or a
+    dict, maps byzantine ids to a ReplicaStrategy (default SPLIT); any other
+    value, or naming a committee member that is not byzantine, is an error,
+    while ids outside the committee are ignored.
     Every strategy is deterministic, so the trace is a function of the
     arguments.
     """
     if not (whole(view) and view >= 0):
         raise ValueError(f"view must be an integer >= 0, got {view!r}")
     roster = list(nodes)
+    bad = [entry for entry in roster
+           if not (isinstance(entry, (tuple, list)) and len(entry) == 2
+                   and isinstance(entry[0], str) and isinstance(entry[1], Behavior))]
+    if bad:
+        raise ValueError(f"committee members must be (str id, Behavior) pairs, got {bad!r}")
     if len(roster) != config.n:
         raise ValueError(f"expected {config.n} committee members, got {len(roster)}")
     order = [node_id for node_id, _ in roster]
@@ -334,7 +343,10 @@ def run_view(
         raise ValueError('committee id "client" is reserved for the requesting client')
     behaviors = dict(roster)
     leader = order[view % config.n]
-    strategies = strategies or {}
+    if strategies is None:
+        strategies = {}
+    elif not isinstance(strategies, dict):
+        raise ValueError(f"strategies must be None or a dict, got {strategies!r}")
     misplaced = [node_id for node_id in strategies
                  if behaviors.get(node_id, Behavior.BYZANTINE) is not Behavior.BYZANTINE]
     if misplaced:
@@ -386,17 +398,13 @@ def run_view(
                         strategies.get(recipient, ReplicaStrategy.SPLIT), stage, digest,
                         _CLIENT if stage == "reply" else peers[recipient],
                     )
-                    # sent under the handling node's own id; delivered next slot, after this batch
-                    if out:
-                        log.append((slot, recipient, out, stage))
-                        message_count += len(out)
                 else:
-                    for recipients, sent_kind in _handle_honest(
-                            state, sender, kind, digest, prepare_quorum, accept_quorum,
-                            peers[recipient]):
-                        log.append((slot, recipient, recipients, sent_kind,
-                                    state.accepted_digest))
-                        message_count += len(recipients)
+                    out = _handle_honest(state, sender, kind, digest, prepare_quorum,
+                                         accept_quorum, peers[recipient])
+                # sent under the handling node's own id; delivered next slot, after this batch
+                for recipients, sent_kind, sent_digest in out:
+                    log.append((slot, recipient, recipients, sent_kind, sent_digest))
+                    message_count += len(recipients)
         if message_count > budget:
             break
 
@@ -407,12 +415,9 @@ def run_view(
 
     # Step-6 style client check over received replies
     replies = Counter()
-    for entry in log:
-        if entry[3] == "reply":
-            if len(entry) == 5:
-                replies[entry[4]] += 1
-            else:
-                replies.update(digest for _, _, digest in entry[2])
+    for _, _, recipients, kind, digest in log:
+        if kind == "reply":
+            replies[digest] += len(recipients)
     top = max(replies, key=lambda d: (replies[d], d), default=None)
     abnormal = replies.total() - replies[top]
     client_accepted = (

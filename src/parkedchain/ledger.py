@@ -330,12 +330,15 @@ class Ledger:
         sr_fraud: bool = False,
     ) -> SmartContractRecord:
         """Settle a submitted result on a "pass" or "fail" verdict;
-        `sr_fraud`, a Python or numpy bool, marks a failed one as the SR's."""
+        `sr_fraud`, a Python or numpy bool, marks a failed one as the SR's
+        (a passing one cannot be: that is an error)."""
         record = self._contract(contract_address, ContractState.RESULT_SUBMITTED)
         if verdict not in ("pass", "fail"):
             raise LedgerError(f"verdict must be 'pass' or 'fail', got {verdict!r}")
         if type(sr_fraud) is not bool:
             _check_flag("sr_fraud", sr_fraud)
+        if sr_fraud and verdict == "pass":
+            raise LedgerError("sr_fraud marks a failed result, not a 'pass' verdict")
         payout = record.reward + record.pv_deposit
         if verdict == "pass":
             self._release(record, payout)

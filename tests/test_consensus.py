@@ -4,7 +4,8 @@ import copy
 import hashlib
 import math
 import random
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -148,12 +149,19 @@ class TestRunView:
         committed = {d for d in out.per_node.values() if d is not None}
         assert len(committed) <= 1
 
-    @pytest.mark.parametrize("ids, match", [
-        (["a", "a", "b", "c"], "distinct"),
-        (["a", "b", "client", "c"], "reserved"),
-    ])
-    def test_rejects_bad_committee(self, ids, match):
-        roster = [(nid, Behavior.HONEST) for nid in ids]
+    @pytest.mark.parametrize("roster, match", [
+        ([(nid, Behavior.HONEST) for nid in "aabc"], "distinct"),
+        ([(nid, Behavior.HONEST) for nid in ("a", "b", "client", "c")], "reserved"),
+        # a behaviour string is no Behavior: no node would run as honest
+        ([(nid, "honest") for nid in "abcd"], r"pairs, got \[\('a', 'honest'\)"),
+        ([(i, Behavior.HONEST) for i in range(4)], r"pairs, got \[\(0, "),
+        ([(["a"], Behavior.HONEST)] + [(nid, Behavior.HONEST) for nid in "bcd"],
+         r"pairs, got \[\(\['a'\], "),
+        # a bare two-character id unpacks into a one-character (id, behavior)
+        (["ab", "cd", "ef", "gh"], r"pairs, got \['ab', 'cd', 'ef', 'gh'\]"),
+    ], ids=["duplicate-id", "reserved-id", "behavior-string", "int-id", "unhashable-id",
+            "bare-string"])
+    def test_rejects_bad_committee(self, roster, match):
         with pytest.raises(ValueError, match=match):
             run_view(roster, proposal(), ConsensusConfig(n=4, l=1))
 
@@ -164,12 +172,19 @@ class TestRunView:
             run_view(roster, proposal(), ConsensusConfig(n=4, l=1),
                      strategies={"n01": ReplicaStrategy.SILENT})
 
-    @pytest.mark.parametrize("strategy", ["silent", "bogus", None, 0])
-    def test_rejects_unknown_strategy(self, strategy):
+    @pytest.mark.parametrize("strategies, match", [
+        ({"n03": "silent"}, "ReplicaStrategy members"),
+        ({"n03": "bogus"}, "ReplicaStrategy members"),
+        ({"n03": None}, "ReplicaStrategy members"),
+        ({"n03": 0}, "ReplicaStrategy members"),
+        ([("n03", ReplicaStrategy.SILENT)], r"None or a dict, got \[\('n03', "),
+        ("n03", "None or a dict, got 'n03'"),
+    ], ids=["silent", "bogus", "None", "0", "list", "string"])
+    def test_rejects_unknown_strategy(self, strategies, match):
         # not run as SPLIT, the default for a byzantine node without one
-        with pytest.raises(ValueError, match="ReplicaStrategy members"):
+        with pytest.raises(ValueError, match=match):
             run_view(committee(4, byzantine=("n03",)), proposal(), ConsensusConfig(n=4, l=1),
-                     strategies={"n03": strategy})
+                     strategies=strategies)
 
     @pytest.mark.parametrize("view", [1.5, True, -1, "1", None])
     def test_rejects_a_view_that_is_not_a_count(self, view):
@@ -222,19 +237,36 @@ class TestRunView:
         assert all(out.committed_digest == block.digest() for out in outs)
         assert hashed == [b"1|n00|tx-a|tx-b"]
 
+    @pytest.mark.parametrize("height, tx_digests, proposer, match", [
+        # "abc" would hash as the three digests ("a", "b", "c")
+        (1, "abc", "n00", "tx_digests"), (1, b"abc", "n00", "tx_digests"),
+        (1, None, "n00", "tx_digests"), (1, ("tx-a", 2), "n00", "tx_digests"),
+        (-1, (), "n00", "height"), (1.5, (), "n00", "height"), (True, (), "n00", "height"),
+        ("1", (), "n00", "height"), (1, (), None, "proposer"), (1, (), b"n00", "proposer"),
+    ], ids=["str-digests", "bytes-digests", "no-digests", "int-digest", "negative-height",
+            "half-height", "bool-height", "str-height", "no-proposer", "bytes-proposer"])
+    def test_proposal_rejects_bad_fields(self, height, tx_digests, proposer, match):
+        value = {"height": height, "tx_digests": tx_digests, "proposer": proposer}[match]
+        with pytest.raises(ValueError, match=f"{match} must be .*, got {re.escape(repr(value))}"):
+            BlockProposal(height, tx_digests, proposer)
+
+    def test_proposal_stores_plain_fields(self):
+        block = BlockProposal(np.int64(1), ["tx-a", "tx-b"], "n00")
+        assert block == proposal() and block.digest() == proposal().digest()
+        assert type(block.height) is int and type(block.tx_digests) is tuple
+
     def test_several_broadcasts_of_one_sender_delivered_in_tuple_order(self):
-        # the protocol sends at most one broadcast per node and slot; the
-        # delivery order must not depend on that
+        # the protocol sends at most one broadcast per honest node and slot;
+        # the delivery order must not depend on that. A lone entry goes to
+        # all peers; a SPLIT node's two entries of one stage divide them.
         peers = ["n03", "n01", "n02"]
         honest = [(3, "n00", peers, "prepare", "d"), (3, "n00", peers, "accept", "d")]
-        byzantine = [(3, "n00", [("n03", "prepare", "x"), ("n01", "prepare", "d")], "prepare"),
-                     (3, "n00", [("n02", "accept", "x"), ("n01", "accept", "x")], "accept")]
-        for entries in (honest, honest[:1], byzantine, byzantine[:1], honest[:1] + byzantine):
-            expected = sorted(
-                consensus.NetMessage(slot, sender, *triple)
-                for slot, sender, *rest in entries
-                for triple in ([(r, rest[1], rest[2]) for r in rest[0]] if len(rest) == 3
-                               else rest[0]))
+        split = [(3, "n00", ["n03"], "prepare", "x"), (3, "n00", ["n01", "n02"], "prepare", "d"),
+                 (3, "n00", ["n02", "n01"], "accept", "x"), (3, "n00", ["n03"], "accept", "d")]
+        for entries in (honest, honest[:1], split, split[:2], honest[:1] + split):
+            expected = sorted(consensus.NetMessage(slot, sender, r, kind, digest)
+                              for slot, sender, recipients, kind, digest in entries
+                              for r in recipients)
             assert list(consensus._delivery_order(entries, sorted(peers))) == [
                 msg[2:] for msg in expected]
 
@@ -305,6 +337,39 @@ def test_every_sender_is_the_node_that_sent():
             assert out.per_node[nid] in (None, *sent)
         honest_senders += len(digests)
     assert honest_senders == 918
+
+
+def test_every_log_entry_is_one_broadcast(monkeypatch):
+    """Every sender logs (slot, sender, recipients, kind, digest) entries
+    with at least one recipient, and only a SPLIT byzantine node logs two
+    entries in one slot, one per digest, over the corpus and every
+    model-check case at n=7, l=2."""
+    views = [(roster, run_view(roster, block, cfg, view=view, strategies=strategies),
+              strategies) for roster, block, cfg, view, strategies in _view_corpus()]
+    run = consensus.run_view
+
+    def recorded(roster, *args, strategies=None, **kwargs):
+        out = run(roster, *args, strategies=strategies, **kwargs)
+        views.append((roster, out, strategies))
+        return out
+
+    monkeypatch.setattr(consensus, "run_view", recorded)
+    model_check_safety(ConsensusConfig(n=7, l=2))
+    split_slots = 0
+    for roster, out, strategies in views:
+        behaviors = dict(roster)
+        per_slot = Counter()
+        for entry in out.log:
+            assert type(entry) is tuple and len(entry) == 5, entry
+            slot, sender, recipients, _, _ = entry
+            assert len(recipients) >= 1, entry
+            per_slot[slot, sender] += 1
+        for (slot, sender), count in per_slot.items():
+            if count > 1:
+                assert behaviors[sender] is Behavior.BYZANTINE, (slot, sender)
+                assert strategies.get(sender, ReplicaStrategy.SPLIT) is ReplicaStrategy.SPLIT
+                split_slots += 1
+    assert split_slots > 0
 
 
 def test_message_count_matches_decoded_messages():

@@ -425,6 +425,9 @@ REJECTIONS = {
     "settle-bad-verdict": lambda led, at: led.verify_and_settle(at["submitted"], "maybe"),
     "settle-fraud-flag": lambda led, at: led.verify_and_settle(at["submitted"], "fail",
                                                                sr_fraud="no"),
+    # the flag marks a failed result: on a passing verdict the PV would be paid
+    "settle-fraud-on-pass": lambda led, at: led.verify_and_settle(at["submitted"], "pass",
+                                                                  sr_fraud=True),
     # an unhashable name is unknown, as a dict lookup's TypeError once was not
     "unhashable-credit": lambda led, at: led.credit(["pv1"], 5),
     "unhashable-post": lambda led, at: led.post_request(["sr1"], SPEC, MENU, deposit=0),
