@@ -1,6 +1,6 @@
 """Parked-vehicle resource-sharing simulator.
 
-Subpackages and modules:
+Subpackages and modules, each loaded only when imported:
 
 * ``reputation`` — subjective-logic opinions, multi-weight evidence
   aggregation, and the linear-smoothing baseline.
@@ -18,14 +18,4 @@ Subpackages and modules:
 
 __version__ = "0.1.0"
 
-from . import consensus, contract_opt, harness, ledger, parking, reputation
-
-__all__ = [
-    "__version__",
-    "consensus",
-    "contract_opt",
-    "harness",
-    "ledger",
-    "parking",
-    "reputation",
-]
+__all__ = ["__version__"]

@@ -548,50 +548,47 @@ def record_interactions(
     an inversion restart or another bit generator runs the per-pair loop).
 
     Every check runs before any draw, and a rejected call leaves the RNG
-    and both schemes as they were: first the table, whose shape must be
-    (targets, raters) and whose cells must be real numbers in [0, 1] (an
-    integer or float array is taken as such); then the drawn cells, every
-    pair but a rater rating itself, under the cell rule of
-    reputation._checked_cells, once for both schemes, each name looked up
-    in each scheme's own roster; then the slot, as ReputationEngine
-    checks it. The counts are written once to each scheme after all draws.
+    and both schemes as they were: first the table, which must be an
+    integer or float array shaped (targets, raters) of numbers in [0, 1];
+    then the roster, which both schemes must share (the tracker's ids
+    those of the engine); then the drawn cells, every pair but a rater
+    rating itself, under the cell rule of reputation._checked_cells, each
+    name looked up once; then the slot, as ReputationEngine checks it. The
+    counts are written once to each scheme after all draws.
     """
     p = _probability_table(p, targets, raters)
+    if tracker._index != engine._index:
+        raise ValueError("engine and tracker must share one roster, names in the same order")
     drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
                            != np.array(raters, dtype=object))
-    (engine_i, engine_j), (tracker_i, tracker_j) = _checked_cells(
-        raters, targets, drawn, engine._index, tracker._index)
+    i, j = _checked_cells(raters, targets, drawn, engine._index)
     _check_slot(slot)
     trials, positives = _slot_draws(rng, p.ravel()[drawn])
     counts = np.empty((len(drawn), 2), dtype=np.int64)
     counts[:, 0] = positives
     counts[:, 1] = trials
     counts[:, 1] -= counts[:, 0]
-    engine._add(slot, engine_i, engine_j, counts)
-    tracker._apply(tracker_i, tracker_j, counts)
+    engine._add(slot, i, j, counts)
+    tracker._apply(i, j, counts)
 
 
 def _probability_table(p, targets: list[str], raters: list[str]) -> np.ndarray:
-    """record_interactions' table as a float array, checked: shaped
-    (targets, raters), each cell a real number in [0, 1]. An integer or
-    float array is taken as numbers; any other table is checked cell by
-    cell, so a bool or a string is rejected. The first bad cell is named."""
+    """record_interactions' table as a float array, checked: an integer or
+    float numpy array shaped (targets, raters), each cell in [0, 1]. The
+    first bad cell is named."""
+    if not (isinstance(p, np.ndarray) and p.dtype.kind in "iuf"):
+        got = f"dtype {p.dtype}" if isinstance(p, np.ndarray) else type(p).__name__
+        raise ValueError(f"p must be a numpy array of integers or floats, got {got}")
     shape = (len(targets), len(raters))
-    numeric = isinstance(p, np.ndarray) and p.dtype.kind in "iuf"
-    cells = p if numeric else np.asarray(p, dtype=object)
-    if cells.shape != shape:
-        raise ValueError(f"p must be shaped (targets, raters) = {shape}, got {cells.shape}")
-    if numeric:
-        p = p.astype(float, copy=False)
-        ok = (p >= 0.0) & (p <= 1.0)     # NaN fails both
-    else:
-        ok = np.array([_is_probability(v) for v in cells.flat], dtype=bool).reshape(shape)
+    if p.shape != shape:
+        raise ValueError(f"p must be shaped (targets, raters) = {shape}, got {p.shape}")
+    p = p.astype(float, copy=False)
+    ok = (p >= 0.0) & (p <= 1.0)     # NaN fails both
     if not ok.all():
         t, r = np.argwhere(~ok)[0]
-        value = cells[t, r]
         raise ValueError(f"p[{t}, {r}] (target {targets[t]!r}, rater {raters[r]!r}) must be a "
-                         f"probability in [0, 1], got {float(value) if numeric else value!r}")
-    return p if numeric else cells.astype(float)
+                         f"probability in [0, 1], got {p[t, r]}")
+    return p
 
 
 def _scalar_draws(rng: np.random.Generator, probs: np.ndarray) -> tuple[list, list]:
@@ -764,9 +761,9 @@ def decay_experiment(
 ) -> list[tuple[int, str, float, float]]:
     """Mean reputation of honest vs misbehaving cohorts, slot by slot.
 
-    Ten raters score the misbehaving cohort, which cooperates at 0.8 until
-    slot min(5, slots) and at 0.1 after it, and one to ten honest nodes that
-    hold 0.8 throughout. Slots count from 0. Returns (slot, scheme, honest
+    Ten raters score the misbehaving cohort, which cooperates at 0.8 before
+    slot 5 and at 0.1 from it on, and one to ten honest nodes that hold 0.8
+    throughout. Slots count from 0. Returns (slot, scheme, honest
     mean, misbehaving mean) rows, "SL" then "LR" for each slot.
     """
     if not (whole(population) and whole(misbehaving_count) and misbehaving_count >= 1):
@@ -775,7 +772,6 @@ def decay_experiment(
             f"(got population={population!r}, misbehaving_count={misbehaving_count!r})"
         )
     _check_slots_and_seed(slots, seed)
-    onset = min(_ONSET, slots)
     raters = [f"r{i:03d}" for i in range(_RATERS)]
     bad = [f"m{i:03d}" for i in range(misbehaving_count)]
     n_honest = max(1, min(10, population - misbehaving_count - len(raters)))
@@ -787,7 +783,7 @@ def decay_experiment(
     rows: list[tuple[int, str, float, float]] = []
     for slot in range(slots):
         record_interactions(rng, slot, bad + honest, raters,
-                            before if slot < onset else after, engine, tracker)
+                            before if slot < _ONSET else after, engine, tracker)
         sl = engine.average_reputations(honest + bad, at=slot + 1, raters=raters).tolist()
         lr = [tracker.average_reputation(t, raters=raters) for t in honest + bad]
         for scheme, scores in (("SL", sl), ("LR", lr)):

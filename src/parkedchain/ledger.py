@@ -176,8 +176,7 @@ class Ledger:
             Block(height=0, prev_digest="0" * 64, tx_digests=(),
                   proposer="genesis", quorum_signers=("genesis",))
         ]
-        self._menus: dict[tuple, tuple] = {}    # menu -> (stored menu, largest reward)
-        self._last_menu = (_UNSET, None)          # (immutable menu object, its _menus entry)
+        self._last_menu = (_UNSET, None)    # (immutable menu object, (stored menu, largest reward))
         self.minted = 0
         self._nonce = 0
         self.clock = 0
@@ -239,15 +238,9 @@ class Ledger:
             except (TypeError, ValueError):
                 raise LedgerError(f"menu must be a sequence of (frequency, reward) pairs, "
                                   f"got {menu!r}") from None
-            # equal validated menus are written alike (no -0.0 meets 0.0, since
-            # frequencies are > 0): the records share the first one's tuple, and
-            # its largest reward is worked out once
-            items = tuple(items)
-            known = self._menus.get(items)
-            if known is None:
-                if not items:
-                    raise LedgerError("menu must contain at least one item")
-                known = self._menus[items] = (items, max(pi for _, pi in items))
+            if not items:
+                raise LedgerError("menu must contain at least one item")
+            known = (tuple(items), max(pi for _, pi in items))
             # a tuple of (float, int) tuples cannot change, so the same object
             # posted again skips the checks above
             if type(menu) is tuple and all(type(item) is tuple and len(item) == 2

@@ -308,7 +308,7 @@ class ReputationEngine:
         in one write, under _checked_block's cell rule; the slot must be a
         whole number >= 0, not a bool. A rejected write raises the first bad
         cell's error, or else the slot's, and writes nothing."""
-        counts, [(i, j)] = _checked_block(raters, targets, counts, self._index)
+        counts, (i, j) = _checked_block(raters, targets, counts, self._index)
         _check_slot(slot)
         self._add(slot, i, j, counts)
 
@@ -513,12 +513,12 @@ def _check_slot(slot) -> None:
 
 
 def _checked_block(
-    raters: list[str], targets: list[str], counts: np.ndarray, *indexes: dict[str, int],
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    raters: list[str], targets: list[str], counts: np.ndarray, index: dict[str, int],
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The int64 [cell, (positives, negatives)] counts of the cells with
     outcomes of the [target, rater, (positives, negatives)] array `counts`,
-    and their rater and target ids in each roster of `indexes`: the one
-    cell rule of every reputation write.
+    and their (rater, target) ids in the roster `index`: the one cell rule
+    of every reputation write.
 
     The array must hold integers, each in [0, _MAX_COUNT]. Cells whose
     counts are both 0 are then skipped unchecked; the rest go through
@@ -535,45 +535,38 @@ def _checked_block(
     kept = np.flatnonzero(counts[:, 0] | counts[:, 1])
     if len(kept) < len(counts):
         counts = counts.take(kept, axis=0)
-    return counts, _checked_cells(raters, targets, kept, *indexes)
+    return counts, _checked_cells(raters, targets, kept, index)
 
 
 def _checked_cells(
-    raters: list[str], targets: list[str], cells: np.ndarray, *indexes: dict[str, int],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rater and target ids, in each roster of `indexes`, of the flat
-    `cells` of a [target, rater] table; cell k is raters[k % R] rating
+    raters: list[str], targets: list[str], cells: np.ndarray, index: dict[str, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rater and target ids, in the roster `index`, of the flat `cells`
+    of a [target, rater] table; cell k is raters[k % R] rating
     targets[k // R], R = len(raters).
 
     Each cell must have a rater other than its target, a (rater, target)
-    pair no other cell has, and both names in every roster. The first bad
-    cell raises its error as each roster's scheme would in turn: under the
-    first roster, every rule; under each later one, only its names can
-    fail. When no rater and no target repeats, every pair is distinct and
-    the ids are not sorted.
+    pair no other cell has, and both names in the roster; the first bad
+    cell raises its error. When no rater and no target repeats, every pair
+    is distinct and the ids are not sorted.
     """
     t, r = np.divmod(cells, len(raters))
-    ids = []
-    for index in indexes:
-        rater_ids = np.array([index.get(name, -1) for name in raters], dtype=np.intp)
-        target_ids = np.array([index.get(name, -1) for name in targets], dtype=np.intp)
-        ids.append((rater_ids[r], target_ids[t]))
-    i, j = ids[0]
+    i = np.array([index.get(name, -1) for name in raters], dtype=np.intp)[r]
+    j = np.array([index.get(name, -1) for name in targets], dtype=np.intp)[t]
     repeats = len(set(raters)) < len(raters) or len(set(targets)) < len(targets)
-    if len(i) and (min(min(a.min(), b.min()) for a, b in ids) < 0 or (i == j).any()
-                   or repeats and (np.diff(np.sort(i * len(indexes[0]) + j)) == 0).any()):
-        for index in indexes:
-            seen = set()
-            for p, q in zip(r.tolist(), t.tolist()):
-                rater, target = raters[p], targets[q]
-                if rater == target:
-                    raise ValueError("rater and target must be distinct")
-                if rater not in index or target not in index:
-                    raise KeyError("both rater and target must be registered")
-                if (rater, target) in seen:
-                    raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
-                seen.add((rater, target))
-    return ids
+    if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
+                   or repeats and (np.diff(np.sort(i * len(index) + j)) == 0).any()):
+        seen = set()
+        for p, q in zip(r.tolist(), t.tolist()):
+            rater, target = raters[p], targets[q]
+            if rater == target:
+                raise ValueError("rater and target must be distinct")
+            if rater not in index or target not in index:
+                raise KeyError("both rater and target must be registered")
+            if (rater, target) in seen:
+                raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
+            seen.add((rater, target))
+    return i, j
 
 
 class LinearReputationTracker:
@@ -600,7 +593,7 @@ class LinearReputationTracker:
         """Update the (raters[r], targets[t]) cell by counts[t, r] for
         every cell of one slot in one write, under _checked_block's cell
         rule. A rejected write changes nothing."""
-        counts, [(i, j)] = _checked_block(raters, targets, counts, self._index)
+        counts, (i, j) = _checked_block(raters, targets, counts, self._index)
         self._apply(i, j, counts)
 
     def _apply(self, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:

@@ -616,6 +616,20 @@ def test_public_names_resolve():
     assert missing == []
 
 
+def test_layers_import_without_scipy():
+    """The package imports no layer itself, so importing the reputation,
+    consensus and ledger layers, which need no scipy, loads none of it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys\n"
+            "import parkedchain.consensus, parkedchain.ledger, parkedchain.reputation\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_span_targets_exist(tmp_path):
     """perfbench/spans.py patches public entry points by name, and
     perfbench/stream.py calls them. With the spans installed, a tiny

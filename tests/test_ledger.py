@@ -186,8 +186,7 @@ class TestMenuInterning:
         # the same values from other number types, and a fresh list
         again = led.post_request("sr1", SPEC, [(np.float64(f), np.int64(pi)) for f, pi in MENU],
                                  deposit=10)
-        assert again.menu is first.menu
-        assert again.menu == tuple(MENU)
+        assert again.menu == first.menu == tuple(MENU)
 
     def test_distinct_menus_kept_apart(self):
         led = funded_ledger()
