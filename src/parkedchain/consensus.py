@@ -9,16 +9,17 @@ pre-prepare counts as its vote), commits on n-l distinct agreeing accept
 senders including itself, and the client accepts the result when fewer
 than (n-l)/3 received replies disagree.
 
-Each honest replica is one mutable NodeState: its handler takes (state,
-sender, kind, digest) of the delivered message, updates the state in
-place and returns only the outbox. Byzantine and crash behaviors are
-generated outside the honest handler. Both handlers return (recipients,
-kind, digest) broadcasts to peer lists built once per view, and run_view
-stamps each with the handling node's id, so a corrupted node can lie or
-stay silent but cannot send under another node's id. A view keeps what
-it sends as a log of broadcasts, one (slot, sender, recipients, kind,
-digest) entry each, and decodes the message list from it only when the
-list is read.
+A view delivers each slot in one pass. Every sender's recipients are the
+sorted roster, built once per view, without the sender and the crashed
+members, each paired with its state; a sender's lone broadcast goes down
+that list in order, and several from one sender (a SPLIT node's) merge in
+NetMessage tuple order. Each honest replica is one mutable NodeState,
+updated inline on each delivery; a byzantine node's outbox comes from its
+strategy. Every broadcast goes to a peer list built once per view, under
+the handling node's own id, so a corrupted node can lie or stay silent
+but cannot send under another node's id. A view keeps what it sends as a
+log of broadcasts, one (slot, sender, recipients, kind, digest) entry
+each, and decodes the message list from it only when the list is read.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with a scripted
@@ -33,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -228,53 +228,6 @@ def _wrong_digest(digest: str) -> str:
     return hashlib.sha256(b"equivocation:" + digest.encode()).hexdigest()[:16]
 
 
-def _handle_honest(state: NodeState, sender: str, kind: str, digest: str,
-                   prepare_quorum: int, accept_quorum: int, peers: list[str]) -> list[tuple]:
-    """Honest-node transition on one delivered message (sender, kind,
-    digest): updates state in place and returns (recipients, kind, digest)
-    broadcasts, all of the node's accepted digest. peers are the other
-    committee members."""
-    me = state.node_id
-    if kind == "request" and me == state.leader_id and state.accepted_digest is None:
-        state.accepted_digest = digest
-        return [(peers, "pre-prepare", digest)]
-
-    if (
-        kind == "pre-prepare"
-        and state.accepted_digest is None
-        and sender == state.leader_id
-    ):
-        state.accepted_digest = digest
-        state.prepare_votes.setdefault(digest, set()).add(sender)   # the leader's vote
-        return [(peers, "prepare", digest)]
-
-    if kind == "prepare":
-        state.prepare_votes.setdefault(digest, set()).add(sender)
-    elif kind == "accept":
-        state.accept_votes.setdefault(digest, set()).add(sender)
-
-    # stage completion checks run on every delivery; no node sends to
-    # itself, so the prepare tally counts other nodes only
-    digest = state.accepted_digest
-    if digest is None:
-        return []
-    out = []
-    if (
-        not state.sent_accept
-        and len(state.prepare_votes.get(digest, ())) >= prepare_quorum
-    ):
-        state.sent_accept = True
-        state.accept_votes.setdefault(digest, set()).add(me)
-        out.append((peers, "accept", digest))
-    if (
-        state.committed is None
-        and len(state.accept_votes.get(digest, ())) >= accept_quorum
-    ):
-        state.committed = digest
-        out.append((_CLIENT, "reply", digest))
-    return out
-
-
 def _byzantine_outbox(strategy: ReplicaStrategy, kind: str, digest: str,
                       others: list[str]) -> list[tuple]:
     """Adversarial broadcasts for one stage to the other nodes (the client
@@ -292,17 +245,6 @@ def _byzantine_outbox(strategy: ReplicaStrategy, kind: str, digest: str,
     return [(group, kind, sent) for group, sent in groups if group]
 
 
-def _delivery_order(entries: list[tuple], recipients: list[str]):
-    """(recipient, kind, digest) of one sender's log entries from one slot,
-    in NetMessage tuple order. recipients are the sender's peers, sorted: a
-    lone entry, the usual case, goes to all of them (only SPLIT divides
-    them), so it is zipped, with no tuple kept per message."""
-    if len(entries) == 1:
-        _, _, _, kind, digest = entries[0]
-        return zip(recipients, itertools.repeat(kind), itertools.repeat(digest))
-    return sorted((r, kind, digest) for _, _, rs, kind, digest in entries for r in rs)
-
-
 # the stage a byzantine node broadcasts on first observing each message kind
 _BYZANTINE_STAGE = {"request": "pre-prepare", "pre-prepare": "prepare",
                     "prepare": "accept", "accept": "reply"}
@@ -317,9 +259,10 @@ def run_view(
 ) -> ViewOutcome:
     """Execute one consensus view over the ordered committee.
 
-    nodes: ordered (str id, Behavior) pairs fixing the rotation; the leader
-    is nodes[view % n], view an integer >= 0. Ids must be distinct, and
-    "client" is reserved for the requesting client. strategies, None or a
+    nodes: a list or tuple of (str id, Behavior) pairs fixing the rotation;
+    the leader is nodes[view % n], view an integer >= 0. Ids must be
+    distinct, and "client" is reserved for the requesting client. proposal
+    is a BlockProposal and config a ConsensusConfig. strategies, None or a
     dict, maps byzantine ids to a ReplicaStrategy (default SPLIT); any other
     value, or naming a committee member that is not byzantine, is an error,
     while ids outside the committee are ignored.
@@ -328,6 +271,11 @@ def run_view(
     """
     if not (whole(view) and view >= 0):
         raise ValueError(f"view must be an integer >= 0, got {view!r}")
+    for name, value, kind, called in (("config", config, ConsensusConfig, "a ConsensusConfig"),
+                                      ("proposal", proposal, BlockProposal, "a BlockProposal"),
+                                      ("nodes", nodes, (list, tuple), "a list or tuple")):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be {called}, got {value!r}")
     roster = list(nodes)
     bad = [entry for entry in roster
            if not (isinstance(entry, (tuple, list)) and len(entry) == 2
@@ -361,11 +309,14 @@ def run_view(
     states = {node_id: NodeState(node_id, leader) for node_id in order
               if behaviors[node_id] is Behavior.HONEST}
     crashed = {node_id for node_id in order if behaviors[node_id] is Behavior.CRASH}
-    peers = {node_id: [p for p in order if p != node_id] for node_id in order}
-    # each sender's recipients in delivery order; the client sends one
-    # request, to the leader
-    delivery = {node_id: sorted(p) for node_id, p in peers.items()}
-    delivery["client"] = [leader]
+    peers = {node_id: order[:k] + order[k + 1:] for k, node_id in enumerate(order)}
+    # each sender's live recipients in delivery order, with their states:
+    # the sorted roster without the sender and the crashed, who send
+    # nothing; the client's request goes to the leader alone
+    live = [(node_id, states.get(node_id)) for node_id in sorted(order)
+            if node_id not in crashed]
+    delivery = {node_id: live[:k] + live[k + 1:] for k, (node_id, _) in enumerate(live)}
+    delivery["client"] = [] if leader in crashed else [(leader, states.get(leader))]
     byz_acted: set[tuple[str, str]] = set()    # (node, stage) a byzantine node has acted on
     prepare_quorum, accept_quorum = config.prepare_quorum, config.accept_quorum
     budget = config.message_budget
@@ -381,30 +332,72 @@ def run_view(
             if entry[3] != "reply":
                 inbox.setdefault(entry[1], []).append(entry)
         first = len(log)
+        # the slot's deliveries as runs of one sender, kind and digest
+        runs = []
         for sender in sorted(inbox):
-            for recipient, kind, digest in _delivery_order(inbox[sender], delivery[sender]):
-                if recipient in crashed:
-                    continue
+            entries = inbox[sender]
+            if len(entries) == 1:
+                # a lone entry, the usual case, goes to all the sender's peers
+                _, _, _, kind, digest = entries[0]
+                runs.append((sender, kind, digest, delivery[sender]))
+            else:
+                # several entries (a SPLIT node's divide its peers) merge in
+                # NetMessage tuple order, one run per message
+                runs += [(sender, kind, digest, [(r, states.get(r))])
+                         for r, kind, digest in sorted((r, kind, digest)
+                                                       for _, _, rs, kind, digest in entries
+                                                       for r in rs if r not in crashed)]
+        for sender, kind, digest, recipients in runs:
+            for recipient, state in recipients:
                 if kind == "pre-prepare":
                     pre_prepare_seen = True
-                state = states.get(recipient)
                 if state is None:
                     # a byzantine node reacts once per stage it observes
                     stage = _BYZANTINE_STAGE[kind]
                     if (recipient, stage) in byz_acted:
                         continue
                     byz_acted.add((recipient, stage))
-                    out = _byzantine_outbox(
-                        strategies.get(recipient, ReplicaStrategy.SPLIT), stage, digest,
-                        _CLIENT if stage == "reply" else peers[recipient],
-                    )
-                else:
-                    out = _handle_honest(state, sender, kind, digest, prepare_quorum,
-                                         accept_quorum, peers[recipient])
-                # sent under the handling node's own id; delivered next slot, after this batch
-                for recipients, sent_kind, sent_digest in out:
-                    log.append((slot, recipient, recipients, sent_kind, sent_digest))
-                    message_count += len(recipients)
+                    # sent under the handling node's own id; delivered next slot
+                    for recipients, sent_kind, sent_digest in _byzantine_outbox(
+                            strategies.get(recipient, ReplicaStrategy.SPLIT), stage, digest,
+                            _CLIENT if stage == "reply" else peers[recipient]):
+                        log.append((slot, recipient, recipients, sent_kind, sent_digest))
+                        message_count += len(recipients)
+                    continue
+                # the honest transition: each broadcast carries the node's
+                # accepted digest, from the request (sent to the leader
+                # alone) or the leader's pre-prepare, which is its vote
+                accepted = state.accepted_digest
+                if accepted is None and (
+                        kind == "request" or kind == "pre-prepare" and sender == leader):
+                    state.accepted_digest = digest
+                    if kind == "request":
+                        sent_kind = "pre-prepare"
+                    else:
+                        state.prepare_votes.setdefault(digest, set()).add(sender)
+                        sent_kind = "prepare"
+                    log.append((slot, recipient, peers[recipient], sent_kind, digest))
+                    message_count += len(peers[recipient])
+                    continue
+                if kind == "prepare":
+                    state.prepare_votes.setdefault(digest, set()).add(sender)
+                elif kind == "accept":
+                    state.accept_votes.setdefault(digest, set()).add(sender)
+                # stage completion checks run on every delivery; no node sends
+                # to itself, so the prepare tally counts other nodes only
+                if accepted is None:
+                    continue
+                if (not state.sent_accept
+                        and len(state.prepare_votes.get(accepted, ())) >= prepare_quorum):
+                    state.sent_accept = True
+                    state.accept_votes.setdefault(accepted, set()).add(recipient)
+                    log.append((slot, recipient, peers[recipient], "accept", accepted))
+                    message_count += len(peers[recipient])
+                if (state.committed is None
+                        and len(state.accept_votes.get(accepted, ())) >= accept_quorum):
+                    state.committed = accepted
+                    log.append((slot, recipient, _CLIENT, "reply", accepted))
+                    message_count += 1
         if message_count > budget:
             break
 
@@ -414,12 +407,12 @@ def run_view(
     committed_digest = committed_digests.pop() if len(committed_digests) == 1 else None
 
     # Step-6 style client check over received replies
-    replies = Counter()
+    replies: dict[str, int] = {}
     for _, _, recipients, kind, digest in log:
         if kind == "reply":
-            replies[digest] += len(recipients)
+            replies[digest] = replies.get(digest, 0) + len(recipients)
     top = max(replies, key=lambda d: (replies[d], d), default=None)
-    abnormal = replies.total() - replies[top]
+    abnormal = sum(replies.values()) - replies.get(top, 0)
     client_accepted = (
         committed_digest is not None
         and top == committed_digest

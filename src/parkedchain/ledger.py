@@ -371,16 +371,24 @@ class Ledger:
     # -- blocks --------------------------------------------------------------
 
     def append_block(self, transactions, quorum_evidence, proposer: str = "") -> Block:
-        """Chain a block of transaction digests. quorum_evidence must name
-        the agreeing consensus members; an empty list is a protocol error,
-        and a bare string is one id per character, so it is rejected."""
+        """Chain a block of transaction digests. transactions and
+        quorum_evidence are tuples or lists of str ids, as a BlockProposal's
+        digests are, and proposer a str ("" names the first signer).
+        quorum_evidence must name the agreeing consensus members; an empty
+        one is a protocol error, and a bare string is one id per character,
+        so it is rejected."""
         if isinstance(transactions, (str, bytes)) or isinstance(quorum_evidence, (str, bytes)):
             raise LedgerError("transactions and quorum evidence must be collections of ids, "
                               "not a bare string")
-        signers = tuple(str(s) for s in quorum_evidence)
+        for name, ids in (("transactions", transactions), ("quorum evidence", quorum_evidence)):
+            if not (isinstance(ids, (tuple, list)) and all(isinstance(i, str) for i in ids)):
+                raise LedgerError(f"{name} must be a tuple or list of str ids, got {ids!r}")
+        if not isinstance(proposer, str):
+            raise LedgerError(f"proposer must be a str, got {proposer!r}")
+        signers = tuple(quorum_evidence)
         if not signers:
             raise LedgerError("a block needs quorum evidence")
-        tx_digests = tuple(str(t) for t in transactions)
+        tx_digests = tuple(transactions)
         prev = self.blocks[-1]
         block = Block(
             height=prev.height + 1,

@@ -282,7 +282,10 @@ class ReputationEngine:
         self, slot: int, rater: str, target: str, positives: int, negatives: int
     ) -> None:
         """record_block of the one cell (rater, target, positives, negatives)."""
-        i, j = self._index.get(rater, -1), self._index.get(target, -1)
+        try:
+            i, j = self._index.get(rater, -1), self._index.get(target, -1)
+        except TypeError:    # an unhashable name is in no roster
+            i = j = -1
         # fast path: a cell that passes every check is written here; any
         # other cell takes record_block's, which raises the cell's error
         if not (type(positives) is int and type(negatives) is int
@@ -292,14 +295,18 @@ class ReputationEngine:
             return
         if not (positives or negatives):
             return
-        # a cell that holds counts already existed, so a rejected write
-        # grows the array by no slot
-        cell = self._grown(slot + 1)[slot, i, j]
-        stored_pos, stored_neg = cell.tolist()
-        if stored_pos + positives > _MAX_COUNT or stored_neg + negatives > _MAX_COUNT:
+        # a slot already written and a roster the array holds need no
+        # _grown; a cell that holds counts already existed, so a rejected
+        # write grows the array by no slot
+        ev = self._evidence
+        if slot >= self._slots or len(self._index) > ev.shape[1]:
+            ev = self._grown(slot + 1)
+        pos = ev.item(slot, i, j, 0) + positives
+        neg = ev.item(slot, i, j, 1) + negatives
+        if pos > _MAX_COUNT or neg > _MAX_COUNT:
             raise ValueError(_PAST_MAX)
-        cell[0] = stored_pos + positives
-        cell[1] = stored_neg + negatives
+        ev[slot, i, j, 0] = pos
+        ev[slot, i, j, 1] = neg
 
     def record_block(
         self, slot: int, raters: list[str], targets: list[str], counts: np.ndarray
@@ -354,15 +361,15 @@ class ReputationEngine:
         """
         if not raters:
             raise ValueError("need at least one rater")
-        if len(set(raters)) < len(raters):
-            raise ValueError("raters must be distinct")
         try:
+            if len(set(raters)) < len(raters):
+                raise ValueError("raters must be distinct")
             cols = np.array([self._index[t] for t in targets], dtype=np.intp)
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
-        except KeyError:
+        except (KeyError, TypeError):    # an unhashable name is in no roster
             raise KeyError(_UNREGISTERED) from None
-        if not whole(at):
-            raise ValueError(f"at must be a whole number and not a bool (got {at!r})")
+        if not (whole(at) and at >= 0):
+            raise ValueError(f"at must be >= 0, a whole number and not a bool (got {at!r})")
         cfg = self.cfg
         ev = self._grown(0)
         slots = max(0, min(at + 1, self._slots))
@@ -551,9 +558,12 @@ def _checked_cells(
     is distinct and the ids are not sorted.
     """
     t, r = np.divmod(cells, len(raters))
-    i = np.array([index.get(name, -1) for name in raters], dtype=np.intp)[r]
-    j = np.array([index.get(name, -1) for name in targets], dtype=np.intp)[t]
-    repeats = len(set(raters)) < len(raters) or len(set(targets)) < len(targets)
+    i = np.array([_id(index, name) for name in raters], dtype=np.intp)[r]
+    j = np.array([_id(index, name) for name in targets], dtype=np.intp)[t]
+    try:
+        repeats = len(set(raters)) < len(raters) or len(set(targets)) < len(targets)
+    except TypeError:    # an unhashable name: every pair is compared
+        repeats = True
     if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
                    or repeats and (np.diff(np.sort(i * len(index) + j)) == 0).any()):
         seen = set()
@@ -561,12 +571,20 @@ def _checked_cells(
             rater, target = raters[p], targets[q]
             if rater == target:
                 raise ValueError("rater and target must be distinct")
-            if rater not in index or target not in index:
+            if _id(index, rater) < 0 or _id(index, target) < 0:
                 raise KeyError("both rater and target must be registered")
             if (rater, target) in seen:
                 raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
             seen.add((rater, target))
     return i, j
+
+
+def _id(index: dict[str, int], name) -> int:
+    """name's id in the roster `index`, or -1: an unhashable name is in no roster."""
+    try:
+        return index.get(name, -1)
+    except TypeError:
+        return -1
 
 
 class LinearReputationTracker:
@@ -606,18 +624,18 @@ class LinearReputationTracker:
     def value(self, rater: str, target: str) -> float:
         try:
             return float(self._values[self._index[rater], self._index[target]])
-        except KeyError:
+        except (KeyError, TypeError):    # an unhashable name is in no roster
             raise KeyError(_UNREGISTERED) from None
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
         """Mean value of `target` over `raters`, which must be distinct."""
         if not raters:
             raise ValueError("need at least one rater")
-        if len(set(raters)) < len(raters):
-            raise ValueError("raters must be distinct")
         try:
+            if len(set(raters)) < len(raters):
+                raise ValueError("raters must be distinct")
             column = self._values[:, self._index[target]].tolist()
             # Python's left-to-right sum: numpy's pairwise sum would change the bits
             return sum(column[self._index[r]] for r in raters) / len(raters)
-        except KeyError:
+        except (KeyError, TypeError):    # an unhashable name is in no roster
             raise KeyError(_UNREGISTERED) from None

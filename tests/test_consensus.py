@@ -1,6 +1,7 @@
 """Committee selection, the six-stage view protocol, and the experiments."""
 
 import copy
+import dataclasses
 import hashlib
 import math
 import random
@@ -27,6 +28,8 @@ from parkedchain.consensus import (
     select_consensus_nodes,
 )
 from parkedchain.reputation import LinearReputationTracker
+
+from _view_reference import run_view as reference_view
 
 
 def committee(n, byzantine=(), crashed=()):
@@ -255,20 +258,69 @@ class TestRunView:
         assert block == proposal() and block.digest() == proposal().digest()
         assert type(block.height) is int and type(block.tx_digests) is tuple
 
-    def test_several_broadcasts_of_one_sender_delivered_in_tuple_order(self):
-        # the protocol sends at most one broadcast per honest node and slot;
-        # the delivery order must not depend on that. A lone entry goes to
-        # all peers; a SPLIT node's two entries of one stage divide them.
-        peers = ["n03", "n01", "n02"]
-        honest = [(3, "n00", peers, "prepare", "d"), (3, "n00", peers, "accept", "d")]
-        split = [(3, "n00", ["n03"], "prepare", "x"), (3, "n00", ["n01", "n02"], "prepare", "d"),
-                 (3, "n00", ["n02", "n01"], "accept", "x"), (3, "n00", ["n03"], "accept", "d")]
-        for entries in (honest, honest[:1], split, split[:2], honest[:1] + split):
-            expected = sorted(consensus.NetMessage(slot, sender, r, kind, digest)
-                              for slot, sender, recipients, kind, digest in entries
-                              for r in recipients)
-            assert list(consensus._delivery_order(entries, sorted(peers))) == [
-                msg[2:] for msg in expected]
+    @pytest.mark.parametrize("nodes, block, cfg, match", [
+        (committee(4), proposal(), None, "config must be a ConsensusConfig, got None"),
+        (committee(4), proposal(), (4, 1), r"config must be a ConsensusConfig, got \(4, 1\)"),
+        (committee(4), "abc", ConsensusConfig(4, 1),
+         "proposal must be a BlockProposal, got 'abc'"),
+        (committee(4), None, ConsensusConfig(4, 1), "proposal must be a BlockProposal, got None"),
+        (None, proposal(), ConsensusConfig(4, 1), "nodes must be a list or tuple, got None"),
+        (dict(committee(4)), proposal(), ConsensusConfig(4, 1),
+         r"nodes must be a list or tuple, got \{'n00': "),
+    ], ids=["no-config", "tuple-config", "str-proposal", "no-proposal", "no-nodes", "dict-nodes"])
+    def test_rejects_a_config_proposal_or_nodes_of_another_type(self, nodes, block, cfg, match):
+        # once an AttributeError or TypeError from deep inside the view
+        with pytest.raises(ValueError, match=match):
+            run_view(nodes, block, cfg)
+
+    def test_several_broadcasts_of_one_sender_delivered_in_tuple_order(self, monkeypatch):
+        """The protocol sends at most one broadcast per honest node and slot;
+        the delivery order must not depend on that. Each honest replica
+        records the prepare and accept votes it tallies, and over the corpus
+        they come in NetMessage tuple order, also from senders that logged
+        several entries in one slot (a SPLIT node's two divide its peers)."""
+        tallied = []
+
+        class Voters(set):
+            def add(self, voter):
+                tallied.append((voter, *self.cell))
+                super().add(voter)
+
+        class Tally(dict):
+            def setdefault(self, digest, default):
+                if digest not in self:
+                    self[digest] = Voters()
+                    self[digest].cell = (self.owner, self.kind, digest)
+                return self[digest]
+
+        @dataclasses.dataclass
+        class Recording(consensus.NodeState):
+            def __post_init__(self):
+                self.prepare_votes, self.accept_votes = Tally(), Tally()
+                for kind, tally in zip(("prepare", "accept"),
+                                       (self.prepare_votes, self.accept_votes)):
+                    tally.owner, tally.kind = self.node_id, kind
+
+        monkeypatch.setattr(consensus, "NodeState", Recording)
+        several = 0
+        for roster, block, cfg, view, strategies in _view_corpus():
+            tallied.clear()
+            out = run_view(roster, block, cfg, view=view, strategies=strategies)
+            if out.message_count > cfg.message_budget:
+                continue     # the last slot's messages were not delivered
+            honest = {nid for nid, behavior in roster if behavior is Behavior.HONEST}
+            leader = roster[view % cfg.n][0]
+            expected = [(m.sender, m.recipient, m.kind, m.digest) for m in sorted(out.messages)
+                        if m.kind in ("prepare", "accept") and m.recipient in honest]
+            # a replica's own accept vote, and the leader's pre-prepare counted as
+            # its prepare vote, are tallied without a message (a leader never
+            # sends a prepare)
+            assert [vote for vote in tallied if vote[0] != vote[1]
+                    and not (vote[0] == leader and vote[2] == "prepare")] == expected
+            entries = Counter((slot, sender) for slot, sender, _, kind, _ in out.log
+                              if kind in ("prepare", "accept"))
+            several += any(count > 1 for count in entries.values())
+        assert several > 0
 
     def test_commit_needs_accept_quorum_in_trace(self):
         cfg = ConsensusConfig(n=10, l=3)
@@ -370,6 +422,48 @@ def test_every_log_entry_is_one_broadcast(monkeypatch):
                 assert strategies.get(sender, ReplicaStrategy.SPLIT) is ReplicaStrategy.SPLIT
                 split_slots += 1
     assert split_slots > 0
+
+
+@st.composite
+def views(draw):
+    """A committee of 4 to 10 in a drawn rotation, each member of any
+    behaviour, byzantine ones with any strategy or none, sometimes a
+    crashed leader, and a view in 0..3n."""
+    n = draw(st.integers(4, 10))
+    cfg = ConsensusConfig(n=n, l=draw(st.integers(0, (n - 1) // 3)))
+    ids = draw(st.permutations([f"n{i:02d}" for i in range(n)]))
+    behaviors = draw(st.lists(st.sampled_from(list(Behavior)), min_size=n, max_size=n))
+    view = draw(st.integers(0, 3 * n))
+    if draw(st.booleans()):
+        behaviors[view % n] = Behavior.CRASH
+    roster = list(zip(ids, behaviors))
+    strategies = {}
+    for nid, behavior in roster:
+        strategy = draw(st.none() | st.sampled_from(list(ReplicaStrategy)))
+        if behavior is Behavior.BYZANTINE and strategy is not None:
+            strategies[nid] = strategy
+    block = BlockProposal(draw(st.integers(0, 9)), ("tx-a", "tx-b"), draw(st.sampled_from(ids)))
+    return roster, block, cfg, view, strategies
+
+
+def _fields(out):
+    return {f.name: getattr(out, f.name) for f in dataclasses.fields(out)}
+
+
+@settings(deadline=None, max_examples=400)
+@given(views())
+def test_run_view_matches_the_reference(case):
+    """One-pass delivery gives the outcome and log of the slot-by-slot
+    reference, field by field."""
+    roster, block, cfg, view, strategies = case
+    out = run_view(roster, block, cfg, view=view, strategies=strategies)
+    assert _fields(out) == _fields(reference_view(roster, block, cfg, view, strategies))
+
+
+def test_view_corpus_matches_the_reference():
+    for roster, block, cfg, view, strategies in _view_corpus():
+        out = run_view(roster, block, cfg, view=view, strategies=strategies)
+        assert _fields(out) == _fields(reference_view(roster, block, cfg, view, strategies))
 
 
 def test_message_count_matches_decoded_messages():

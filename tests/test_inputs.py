@@ -120,7 +120,8 @@ TABLE = [
         x, "a", "b", 1, 0), ValueError, WHOLE),
     ("ReputationEngine.record_outcomes.positives", lambda x: engine().record_outcomes(
         0, "a", "b", x, 0), ValueError, BOUNDED_WHOLE),
-    ("ReputationEngine.view.at", lambda x: engine().view("a", x), ValueError, WHOLE),
+    ("ReputationEngine.view.at", lambda x: engine().view("a", x), ValueError,
+     {**WHOLE, "negative": -1}),
     ("LinearReputationTracker.update", lambda x: reputation.LinearReputationTracker(
         ["a", "b"]).update("a", "b", 0, x), ValueError, BOUNDED_WHOLE),
     # consensus

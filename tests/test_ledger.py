@@ -507,6 +507,27 @@ class TestBlocks:
             led.append_block(transactions, signers)
         assert len(led.blocks) == 1 and led.clock == 0
 
+    @pytest.mark.parametrize("transactions, signers, proposer, match", [
+        ([1], ["n1"], "", r"transactions must be a tuple or list of str ids, got \[1\]"),
+        (None, ["n1"], "", "transactions must be .*, got None"),
+        ({"t"}, ["n1"], "", r"transactions must be .*, got \{'t'\}"),
+        (["t"], [1], "", r"quorum evidence must be a tuple or list of str ids, got \[1\]"),
+        (["t"], None, "", "quorum evidence must be .*, got None"),
+        (["t"], [b"n1"], "", r"quorum evidence must be .*, got \[b'n1'\]"),
+        (["t"], ["n1"], 5, "proposer must be a str, got 5"),
+        (["t"], ["n1"], None, "proposer must be a str, got None"),
+    ], ids=["int-tx", "no-txs", "set-txs", "int-signer", "no-signers", "bytes-signer",
+            "int-proposer", "no-proposer"])
+    def test_ids_must_be_str(self, transactions, signers, proposer, match):
+        # [1] was chained as "1", and proposer=5 dumped as a JSON number
+        led = Ledger()
+        with pytest.raises(LedgerError, match=match):
+            led.append_block(transactions, signers, proposer=proposer)
+        assert len(led.blocks) == 1 and led.clock == 0
+        block = led.append_block(("t1", "t2"), ("n0", "n1"), proposer="n1")
+        assert block.tx_digests == ("t1", "t2") and block.quorum_signers == ("n0", "n1")
+        assert Ledger().append_block(["t1", "t2"], ["n0", "n1"], "n1").digest() == block.digest()
+
     def test_each_block_hashed_once(self, monkeypatch):
         # append_block and verify_chain read the digest a block stored when built
         led = Ledger()

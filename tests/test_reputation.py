@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,16 +325,18 @@ class TestEngine:
         eng.record_block(np.uint8(2), ["i"], ["j"], cell)
         assert eng._evidence[2].sum() == 2
 
-    @pytest.mark.parametrize("at", [math.nan, 1.5, 2.0, True, "2", None])
+    @pytest.mark.parametrize("at", [math.nan, 1.5, 2.0, True, "2", None, -1, np.int64(-2)])
     def test_view_at_must_be_a_whole_number(self, at):
+        # the slot rule of the writes: a whole number >= 0, not a bool
         eng = self.build()
         eng.record_outcomes(0, "i", "j", 4, 1)
         for read in (lambda: eng.view("j", at=at),
                      lambda: eng.average_reputations(["j"], at, ["i", "k"])):
-            with pytest.raises(ValueError, match=f"at must be .*got {at!r}"):
+            with pytest.raises(ValueError, match=f"at must be >= 0, .*got {re.escape(repr(at))}"):
                 read()
-        # a view before any slot is valid: no evidence, every value neutral
-        assert set(eng.view("j", at=-1).final_values.values()) == {0.5}
+        # a view of slot 0 holds slot 0's evidence, which counts as one slot old
+        assert set(eng.view("j", at=0, raters=["k"]).final_values.values()) == {0.5}
+        assert eng.view("j", at=0).final_values["i"] != 0.5
         assert eng.view("j", at=np.int64(1)) == eng.view("j", at=1)
 
     def test_view_reads_only_the_written_slots(self, monkeypatch):
@@ -467,7 +470,7 @@ def histories(draw):
             cell[1] += q
     target = draw(st.sampled_from(nodes))
     raters = draw(st.none() | st.lists(st.sampled_from(nodes), min_size=1, unique=True))
-    at = draw(st.integers(-1, 9))
+    at = draw(st.integers(0, 9))     # a read slot is a whole number >= 0
     cfg = draw(st.sampled_from([
         WeightConfig(),
         WeightConfig(0.5, 0.2, 0.3, 3.0, 0.7),
@@ -566,7 +569,7 @@ class TestBatchedWrites:
             eng.record_block(slot, *rows_block(rows))
         raters = data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
         targets = data.draw(st.lists(st.sampled_from(nodes), min_size=1))
-        at = data.draw(st.integers(-1, 13))
+        at = data.draw(st.integers(0, 13))
         if any(raters == [t] for t in targets):
             # a target that is the only rater leaves nobody to score it
             with pytest.raises(ValueError, match="at least one rater"):
@@ -677,6 +680,34 @@ class TestBatchedWrites:
         assert eng._evidence.shape == evidence.shape and (eng._evidence == evidence).all()
         assert (tracker._values == values).all()
         assert list(eng._index) == list(tracker._index) == ["i", "j", "k"]
+
+    def test_unhashable_names_are_unregistered(self):
+        # a name that cannot be a dict key is in no roster: each call raises
+        # the KeyError it raises for an unregistered name, not TypeError
+        eng, tracker = self.engine(["a", "b"]), LinearReputationTracker(["a", "b"])
+        one = np.array([[[1, 0]]])
+        calls = [lambda name: eng.record_outcomes(1, name, "b", 1, 0),
+                 lambda name: eng.record_outcomes(1, "a", name, 1, 0),
+                 lambda name: eng.record_block(1, [name], ["b"], one),
+                 lambda name: eng.view(name, 1, ["b"]),
+                 lambda name: eng.view("a", 1, [name, "b"]),
+                 lambda name: eng.average_reputations([name], 1, ["b"]),
+                 lambda name: tracker.update(name, "b", 1, 0),
+                 lambda name: tracker.update_block(["a"], [name], one),
+                 lambda name: tracker.value("a", name),
+                 lambda name: tracker.average_reputation("a", [name])]
+        for call in calls:
+            with pytest.raises(KeyError) as unregistered:
+                call("x")
+            for name in (["a"], {"a": 1}, {"b"}):
+                with pytest.raises(KeyError) as unhashable:
+                    call(name)
+                assert str(unhashable.value) == str(unregistered.value)
+        assert not eng._evidence.any() and (tracker._values == 0.5).all()
+        # an unhashable name in a cell without outcomes is skipped unchecked,
+        # as an unregistered one is
+        eng.record_block(1, ["a", ["x"]], ["b"], np.array([[[1, 0], [0, 0]]]))
+        assert eng._evidence.sum() == 1
 
     def test_tracker_rejects_self_ratings_and_negative_counts(self):
         tracker = LinearReputationTracker(["a", "b", "c", "d"])
@@ -858,3 +889,40 @@ class TestBlockWrites:
             with pytest.raises(ValueError, match=r"shaped \(1, 2, 2\)"):
                 write()
         assert eng._evidence.size == 0 and (tracker._values == 0.5).all()
+
+    @pytest.mark.parametrize("case", ["past-capacity", "registered-after", "deep-copy"])
+    def test_cell_writes_equal_block_writes(self, case):
+        # record_outcomes writes a cell of a slot and roster the array
+        # already holds without growing it; each write leaves the array,
+        # its shape and the written-slot count as record_block's does
+        def state(eng):
+            return eng._evidence.shape, eng._evidence.tobytes(), eng._slots
+
+        by_cell, by_block = (TestBatchedWrites.engine(["i", "j", "k"]) for _ in range(2))
+        writes = [(0, "i", "j", 2, 1), (0, "j", "i", 1, 0)]
+        if case == "past-capacity":
+            # slots 1 and 2 double the one-slot array twice, slot 3 fits it
+            # but is past the written slots, slot 9 grows it to 10, and
+            # slots 5 and 9 then fit
+            writes += [(1, "k", "j", 0, 2), (2, "i", "k", 1, 1), (3, "k", "i", 4, 0),
+                       (9, "j", "k", 1, 0), (5, "i", "k", 2, 0), (9, "j", "k", 0, 3)]
+        for slot, rater, target, pos, neg in writes:
+            by_cell.record_outcomes(slot, rater, target, pos, neg)
+            by_block.record_block(slot, [rater], [target], np.array([[[pos, neg]]]))
+            assert state(by_cell) == state(by_block)
+        if case == "registered-after":
+            # ids 0 and 1 fit the array, but the roster no longer does
+            for eng in (by_cell, by_block):
+                eng.register("m", 11)
+            writes = [(0, "i", "j", 1, 1), (0, "m", "i", 3, 0), (1, "j", "m", 0, 1)]
+        elif case == "deep-copy":
+            originals = [(eng, state(eng)) for eng in (by_cell, by_block)]
+            by_cell, by_block = copy.deepcopy(by_cell), copy.deepcopy(by_block)
+            writes = [(0, "i", "j", 1, 1), (1, "k", "j", 2, 0), (0, "k", "i", 1, 0)]
+        for slot, rater, target, pos, neg in writes:
+            by_cell.record_outcomes(slot, rater, target, pos, neg)
+            by_block.record_block(slot, [rater], [target], np.array([[[pos, neg]]]))
+            assert state(by_cell) == state(by_block)
+        if case == "deep-copy":
+            assert all(state(eng) == before for eng, before in originals)
+        assert by_cell.view("j", 2) == by_block.view("j", 2)
