@@ -43,7 +43,7 @@ import numpy as np
 
 from ._numbers import real, whole
 from .reputation import (LinearReputationTracker, ReputationEngine, WeightConfig, _check_slot,
-                         _checked_cells)
+                         _checked_cells, _ids)
 
 __all__ = [
     "Behavior",
@@ -546,15 +546,22 @@ def record_interactions(
     then the roster, which both schemes must share (the tracker's ids
     those of the engine); then the drawn cells, every pair but a rater
     rating itself, under the cell rule of reputation._checked_cells, each
-    name looked up once; then the slot, as ReputationEngine checks it. The
+    name looked up once and a self-rating told by the ids; then the slot,
+    as ReputationEngine checks it. The
     counts are written once to each scheme after all draws.
     """
     p = _probability_table(p, targets, raters)
     if tracker._index != engine._index:
         raise ValueError("engine and tracker must share one roster, names in the same order")
-    drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
-                           != np.array(raters, dtype=object))
-    i, j = _checked_cells(raters, targets, drawn, engine._index)
+    index = engine._index
+    rater_ids, target_ids = _ids(raters, index), _ids(targets, index)
+    if min(rater_ids.min(initial=0), target_ids.min(initial=0)) >= 0:
+        # registered names are equal exactly when their ids are
+        drawn = np.flatnonzero(target_ids[:, None] != rater_ids)
+    else:   # names outside the roster share id -1: compare the names
+        drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
+                               != np.array(raters, dtype=object))
+    i, j = _checked_cells(raters, targets, drawn, rater_ids, target_ids, len(index))
     _check_slot(slot)
     trials, positives = _slot_draws(rng, p.ravel()[drawn])
     counts = np.empty((len(drawn), 2), dtype=np.int64)

@@ -55,6 +55,9 @@ _PAST_MAX = f"a stored outcome count would pass {_MAX_COUNT}"
 _COUNT_RULE = (f"outcome counts must be whole numbers, not bools, >= 0 and no greater than "
                f"{_MAX_COUNT}")
 _UNREGISTERED = "target and raters must be registered"
+# An evidence cell's int64 (positives, negatives) as one item: numpy scatters
+# whole items faster than rows of two.
+_CELL = np.dtype((np.void, 16))
 
 # Binary exponents of a zero weight, and the lowest of a timeliness weight:
 # both far below any weight that can count next to another, and int32 (as
@@ -233,9 +236,10 @@ class ReputationEngine:
     """Bookkeeping for multi-weight subjective-logic reputation over slots.
 
     Interactions are counted in one integer array ``[slot, rater, target,
-    (pos, neg)]``, nodes indexed in registration order. ``record_block``
-    adds a slot's ``[target, rater, (pos, neg)]`` count array with one
-    fancy-indexed add, and ``record_outcomes`` one pair's counts. A
+    (pos, neg)]``, nodes named by strings and indexed in registration
+    order. ``record_block`` adds a slot's ``[target, rater, (pos, neg)]``
+    count array through the slot's flat ``rater * n + target`` cells (one
+    take, one add, one scatter), and ``record_outcomes`` one pair's counts. A
     target's reputation at slot t is assembled from slots <= t only, in
     four steps: segment opinions
     weighted by (familiarity, timeliness, similarity) give each rater's
@@ -257,6 +261,7 @@ class ReputationEngine:
         self._slots = 0
 
     def register(self, node: str, arrival_hour: float) -> None:
+        _check_name(node)
         # the one check of the hours a view reads
         if not (real(arrival_hour) and arrival_hour >= 0):
             raise ValueError(f"arrival hours must be nonnegative and finite (got {arrival_hour!r})")
@@ -325,11 +330,15 @@ class ReputationEngine:
         if not len(counts):
             return
         ev = self._grown(slot + 1)
+        # the slot's [rater * n + target, (pos, neg)] plane, a view
+        plane = ev[slot].reshape(-1, 2)
+        cells = i * ev.shape[1] + j
+        summed = plane.take(cells, axis=0)
+        summed += counts
         # as in record_outcomes, only a cell that existed can be too full
-        summed = ev[slot, i, j] + counts
         if (summed > _MAX_COUNT).any():
             raise ValueError(_PAST_MAX)
-        ev[slot, i, j] = summed
+        plane.view(_CELL)[cells, 0] = summed.view(_CELL)[:, 0]
 
     def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
         """Every rater's final reputation value for `target` from slots <= `at`."""
@@ -377,14 +386,17 @@ class ReputationEngine:
 
         # segment opinions, [target, slot, (b, d, u, a), rater]: the rater
         # axis is innermost so that the products below run along it
-        pair = np.ascontiguousarray(hist[:, :, cols][:, rows].transpose(2, 0, 1, 3))
+        pair = np.ascontiguousarray(
+            hist.take(cols, axis=2).take(rows, axis=1).transpose(2, 0, 1, 3))
         pos, neg = pair[..., 0], pair[..., 1]
         total = pos + neg + EVIDENCE_PRIOR_WEIGHT
         present = total > EVIDENCE_PRIOR_WEIGHT
-        segments = np.stack(
-            [pos / total, neg / total, EVIDENCE_PRIOR_WEIGHT / total,
-             np.full(total.shape, self.base_rate)], axis=2)
-        _check_opinions(np.moveaxis(segments, 2, -1), present)
+        segments = np.empty((len(cols), slots, 4, len(rows)))
+        np.divide(pos, total, out=segments[:, :, 0])
+        np.divide(neg, total, out=segments[:, :, 1])
+        np.divide(EVIDENCE_PRIOR_WEIGHT, total, out=segments[:, :, 2])
+        segments[:, :, 3] = self.base_rate
+        _check_opinions(segments, present, axis=2)
 
         # familiarity counts interactions up to `at`: with the target
         # relative to the mean over the targets the rater has met
@@ -422,9 +434,14 @@ class ReputationEngine:
                  + np.ldexp(c, -scale)[:, None])
         w = np.where(present, w, 0.0)
 
+        # [target, rater, (b, d, u, a)] local, synthesized and final opinions,
+        # in one array so that they are checked without a copy
+        opinions = np.empty((3, len(cols), len(rows), 4))
+        local, syn, final = opinions
+
         # each rater's local opinion, and its weight as a recommender: the
         # weight of its last segment, times 2**scale
-        local = _weighted_mean(segments, w, has, self.base_rate)
+        _weighted_mean(segments, w, has, self.base_rate, local)
         if slots:
             last = slots - 1 - np.argmax(present[:, ::-1], axis=1)
             recommend = np.take_along_axis(w, last[:, None], axis=1)[:, 0]
@@ -443,8 +460,8 @@ class ReputationEngine:
         t, r = np.nonzero(is_top)
         m[t, :, r] = np.where(others[:, r].T,
                               np.ldexp(recommend[t], np.minimum(scale[t] - second[t], 0)), 0.0)
-        syn = _weighted_mean(local[..., None], m, (others & has[..., None]).any(axis=1),
-                             self.base_rate)
+        _weighted_mean(local[..., None], m, (others & has[..., None]).any(axis=1),
+                       self.base_rate, syn)
 
         # consensus fusion with fuse_final's vacuous short-circuits
         ul, us = local[..., 2], syn[..., 2]
@@ -454,26 +471,30 @@ class ReputationEngine:
         if (fused & (den <= 0)).any():
             raise ValueError("fusion undefined: both opinions are dogmatic (u=0)")
         with np.errstate(divide="ignore", invalid="ignore"):
-            final = np.stack([
-                (local[..., 0] * us + syn[..., 0] * ul) / den,
-                (local[..., 1] * us + syn[..., 1] * ul) / den,
-                (us * ul) / den,
-                local[..., 3],
-            ], axis=-1)
+            np.divide(local[..., 0] * us + syn[..., 0] * ul, den, out=final[..., 0])
+            np.divide(local[..., 1] * us + syn[..., 1] * ul, den, out=final[..., 1])
+            np.divide(us * ul, den, out=final[..., 2])
+        final[..., 3] = local[..., 3]
         final[ul_vacuous, :3] = syn[ul_vacuous, :3]
         final[us_vacuous, :3] = local[us_vacuous, :3]
         final[ul_vacuous & us_vacuous, :3] = (0.0, 0.0, 1.0)
-        _check_opinions(np.stack([local, syn, final]), True)
+        _check_opinions(opinions, True)
         return final[..., 0] + final[..., 2] * final[..., 3]
 
 
-def _check_opinions(ops: np.ndarray, where: np.ndarray) -> None:
-    """Opinion's validation, in bulk, of the [..., (b, d, u, a)] cells in `where`."""
-    in_range = ((-_SUM_TOL <= ops) & (ops <= 1.0 + _SUM_TOL)).all(axis=-1)
-    closed = ~(np.abs(ops[..., 0] + ops[..., 1] + ops[..., 2] - 1.0) > _SUM_TOL)
-    bad = where & ~(in_range & closed)
+def _check_opinions(ops: np.ndarray, where, axis: int = -1) -> None:
+    """Opinion's validation, in bulk, of the cells in `where` of `ops`,
+    whose `axis` holds the components (b, d, u, a)."""
+    b, d, u, _ = np.moveaxis(ops, axis, 0)
+    off = np.abs(b + d + u - 1.0)
+    # most often every cell is an opinion, which two extremes show (NaN fails them)
+    if (ops.min(initial=0.0) >= -_SUM_TOL and ops.max(initial=0.0) <= 1.0 + _SUM_TOL
+            and off.max(initial=0.0) <= _SUM_TOL):
+        return
+    in_range = ((-_SUM_TOL <= ops) & (ops <= 1.0 + _SUM_TOL)).all(axis=axis)
+    bad = where & ~(in_range & ~(off > _SUM_TOL))
     if bad.any():
-        Opinion(*ops[bad][0].tolist())   # raises Opinion's own ValueError
+        Opinion(*np.moveaxis(ops, axis, -1)[bad][0].tolist())   # raises Opinion's own ValueError
 
 
 def _exponent(v: np.ndarray) -> np.ndarray:
@@ -482,27 +503,38 @@ def _exponent(v: np.ndarray) -> np.ndarray:
 
 
 def _weighted_mean(
-    values: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float
+    values: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float,
+    out: np.ndarray,
 ) -> np.ndarray:
     """synthesize_recommended over axis 1 of [t, k, (b, d, u, a), r] values
-    with [t, k, r] weights, giving [t, r, (b, d, u, a)]; cells without
-    recommendations are vacuous.
+    with [t, k, r] weights, written to the [t, r, (b, d, u, a)] array `out`
+    and returned; cells without recommendations are vacuous.
 
     Each [t, :, r] cell's weights are first scaled by the power of two that
     brings the largest into [0.5, 1). In the normal range that is exact and
     leaves every mean bit for bit as it was; it keeps subnormal weights
     from losing the opinions' closure, and huge ones from overflowing the sums.
+    Every sum adds its k terms in index order, as synthesize_recommended does.
     """
     _, exponent = np.frexp(weights.max(axis=1, keepdims=True, initial=0.0))
     weights = np.ldexp(weights, -exponent)
-    sums = np.add.reduce(weights[:, :, None] * values, axis=1).transpose(0, 2, 1)
-    totals = np.add.reduce(weights, axis=1)
+    sums = _sum_in_order(weights[:, :, None] * values).transpose(0, 2, 1)
+    totals = _sum_in_order(weights)
     if (has & (totals <= 0)).any():
         raise ValueError("total recommendation weight must be positive")
-    out = np.empty(sums.shape)
     out[:] = (0.0, 0.0, 1.0, base_rate)
     np.divide(sums, totals[..., None], out=out, where=has[..., None])
     return out
+
+
+def _sum_in_order(x: np.ndarray) -> np.ndarray:
+    """x summed over axis 1, adding in index order. numpy's reduce sums
+    pairwise along the innermost axis it loops over: axis 1 itself when
+    every later axis has length 1. There an accumulation adds in order."""
+    x = np.ascontiguousarray(x)
+    if x.shape[1] > 1 and math.prod(x.shape[2:]) == 1:
+        return np.add.accumulate(x, axis=1)[:, -1]
+    return np.add.reduce(x, axis=1)
 
 
 def _cell(positives, negatives) -> np.ndarray:
@@ -511,6 +543,12 @@ def _cell(positives, negatives) -> np.ndarray:
     if not (whole(positives) and whole(negatives)):
         raise ValueError(_COUNT_RULE)
     return np.array([[[positives, negatives]]])
+
+
+def _check_name(node) -> None:
+    """The name rule of both rosters: a node is named by a string."""
+    if not isinstance(node, str):
+        raise ValueError(f"node names must be strings, got {node!r}")
 
 
 def _check_slot(slot) -> None:
@@ -542,15 +580,17 @@ def _checked_block(
     kept = np.flatnonzero(counts[:, 0] | counts[:, 1])
     if len(kept) < len(counts):
         counts = counts.take(kept, axis=0)
-    return counts, _checked_cells(raters, targets, kept, index)
+    return counts, _checked_cells(raters, targets, kept, _ids(raters, index),
+                                  _ids(targets, index), len(index))
 
 
 def _checked_cells(
-    raters: list[str], targets: list[str], cells: np.ndarray, index: dict[str, int],
+    raters: list[str], targets: list[str], cells: np.ndarray,
+    rater_ids: np.ndarray, target_ids: np.ndarray, roster_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rater and target ids, in the roster `index`, of the flat `cells`
-    of a [target, rater] table; cell k is raters[k % R] rating
-    targets[k // R], R = len(raters).
+    """Rater and target ids of the flat `cells` of a [target, rater]
+    table, given each name's id (_ids) in a roster of `roster_size`
+    names; cell k is raters[k % R] rating targets[k // R], R = len(raters).
 
     Each cell must have a rater other than its target, a (rater, target)
     pair no other cell has, and both names in the roster; the first bad
@@ -558,25 +598,29 @@ def _checked_cells(
     is distinct and the ids are not sorted.
     """
     t, r = np.divmod(cells, len(raters))
-    i = np.array([_id(index, name) for name in raters], dtype=np.intp)[r]
-    j = np.array([_id(index, name) for name in targets], dtype=np.intp)[t]
+    i, j = rater_ids[r], target_ids[t]
     try:
         repeats = len(set(raters)) < len(raters) or len(set(targets)) < len(targets)
     except TypeError:    # an unhashable name: every pair is compared
         repeats = True
     if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
-                   or repeats and (np.diff(np.sort(i * len(index) + j)) == 0).any()):
+                   or repeats and (np.diff(np.sort(i * roster_size + j)) == 0).any()):
         seen = set()
         for p, q in zip(r.tolist(), t.tolist()):
             rater, target = raters[p], targets[q]
             if rater == target:
                 raise ValueError("rater and target must be distinct")
-            if _id(index, rater) < 0 or _id(index, target) < 0:
+            if rater_ids[p] < 0 or target_ids[q] < 0:
                 raise KeyError("both rater and target must be registered")
             if (rater, target) in seen:
                 raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
             seen.add((rater, target))
     return i, j
+
+
+def _ids(names: list[str], index: dict[str, int]) -> np.ndarray:
+    """Each name's id in the roster `index`, or -1 for a name outside it."""
+    return np.array([_id(index, name) for name in names], dtype=np.intp)
 
 
 def _id(index: dict[str, int], name) -> int:
@@ -591,15 +635,19 @@ class LinearReputationTracker:
     """Per-pair EMA over per-slot mean outcomes: the linear baseline scheme.
 
     The roster is fixed at construction: values live in one float array
-    ``[rater, target]``, nodes indexed in the order given and every cell
-    starting at 0.5, and a write or read naming a node outside the roster
-    raises ``KeyError``, as the engine's do. Each update is ``(1 - s) *
-    prev + s * (positives / total)`` with s = 0.2; ``update_block``
-    applies it to a slot's ``[target, rater, (pos, neg)]`` count array
-    with one fancy-indexed write, and ``update`` to one pair.
+    ``[rater, target]``, nodes named by strings, indexed in the order given
+    and every cell starting at 0.5, and a write or read naming a node
+    outside the roster raises ``KeyError``, as the engine's do. Each update
+    is ``(1 - s) * prev + s * (positives / total)`` with s = 0.2;
+    ``update_block`` applies it to a slot's ``[target, rater, (pos, neg)]``
+    count array through the flat ``rater * n + target`` cells, and
+    ``update`` to one pair.
     """
 
     def __init__(self, nodes) -> None:
+        nodes = list(nodes)
+        for node in nodes:
+            _check_name(node)
         self._index = {node: i for i, node in enumerate(dict.fromkeys(nodes))}
         self._values = np.full((len(self._index), len(self._index)), _LR_INITIAL)
 
@@ -618,8 +666,10 @@ class LinearReputationTracker:
         """Update the (i, j) cells by the checked [cell, (positives,
         negatives)] counts."""
         total = counts[:, 0] + counts[:, 1]
-        self._values[i, j] = ((1.0 - _LR_SMOOTHING) * self._values[i, j]
-                              + _LR_SMOOTHING * (counts[:, 0] / total))
+        values = self._values.reshape(-1)    # [rater * n + target], a view
+        cells = i * len(self._index) + j
+        values[cells] = ((1.0 - _LR_SMOOTHING) * values.take(cells)
+                         + _LR_SMOOTHING * (counts[:, 0] / total))
 
     def value(self, rater: str, target: str) -> float:
         try:

@@ -4,8 +4,8 @@ One table over the constructors and entry points of every layer. Each is fed
 the values its rule rejects: a bool (Python's or numpy's), NaN, ±inf, a
 numeric string and None everywhere; an int past the float range where the
 argument is real or bounded; 1.5 where it is a whole number. The contract
-flags, an account identity and a parked row index have their own rules and
-rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
+flags, an account identity or reputation node name and a parked row index
+have their own rules and rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
 `TypeError`, and never accept the value.
 """
 
@@ -27,7 +27,7 @@ REAL = {**COMMON, **HUGE}            # a finite real
 BOUNDED_WHOLE = {**REAL, **HALF}     # a whole number with an upper bound
 WHOLE = {**COMMON, **HALF}           # a whole number a huge int satisfies
 FLAG = {"string": "no", "zero": 0, "one": 1, "float": 1.0, "none": None}   # a bool
-IDENTITY = {"int": 5, "none": None, "bytes": b"pv", "tuple": ("a",), "list": ["a"]}
+IDENTITY = {"int": 5, "none": None, "bytes": b"pv", "tuple": ("a",), "list": ["a"]}  # a str
 INDEX = {"true": True, "numpy-true": np.True_, "none": None, "half": 1.5, "string": "3",
          "tuple": (1,)}                                                   # a whole row
 
@@ -116,6 +116,10 @@ TABLE = [
     ("ReputationEngine.base_rate", lambda x: reputation.ReputationEngine(base_rate=x),
      ValueError, REAL),
     ("ReputationEngine.register", lambda x: engine().register("c", x), ValueError, REAL),
+    ("ReputationEngine.register.node", lambda x: engine().register(x, 9.0), ValueError,
+     IDENTITY),
+    ("LinearReputationTracker.nodes", lambda x: reputation.LinearReputationTracker(["a", x]),
+     ValueError, IDENTITY),
     ("ReputationEngine.record_outcomes.slot", lambda x: engine().record_outcomes(
         x, "a", "b", 1, 0), ValueError, WHOLE),
     ("ReputationEngine.record_outcomes.positives", lambda x: engine().record_outcomes(
@@ -163,7 +167,8 @@ TABLE = [
 
 # rows whose error is checked to name the rejected value
 NAMED = {"Parked.__getitem__", "Ledger.register_account", "Ledger.execute_task.pv_departed",
-         "Ledger.verify_and_settle.sr_fraud"}
+         "Ledger.verify_and_settle.sr_fraud", "ReputationEngine.register.node",
+         "LinearReputationTracker.nodes"}
 
 
 @pytest.mark.parametrize("call, error, value, named", [

@@ -458,19 +458,29 @@ def histories(draw):
     n = draw(st.integers(2, 8))
     nodes = [f"n{i}" for i in range(n)]
     hours = {node: draw(st.floats(0.0, 23.0)) for node in nodes}
-    evidence = {}
-    for slot, i, j, p, q in draw(st.lists(
-        st.tuples(st.integers(0, 6), st.integers(0, n - 1), st.integers(0, n - 1),
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, n - 1), st.integers(0, n - 1),
                   st.integers(0, 6), st.integers(0, 6)),
         max_size=30,
-    )):
+    ))
+    target = draw(st.sampled_from(nodes))
+    # None for every other node; often one rater, whose slots alone are summed
+    raters = draw(st.none() | st.lists(st.sampled_from(nodes), min_size=1, max_size=1)
+                  | st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+    # and the first rater rates every node slot after slot, which a short
+    # random list seldom holds
+    first = nodes.index((raters or [node for node in nodes if node != target])[0])
+    cells += [(slot, first, j, draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+              for slot in range(draw(st.sampled_from(range(13)))) for j in range(n)]
+    evidence = {}
+    for slot, i, j, p, q in cells:
         if i != j:
             cell = evidence.setdefault((nodes[i], nodes[j], slot), [0, 0])
             cell[0] += p
             cell[1] += q
-    target = draw(st.sampled_from(nodes))
-    raters = draw(st.none() | st.lists(st.sampled_from(nodes), min_size=1, unique=True))
-    at = draw(st.integers(0, 9))     # a read slot is a whole number >= 0
+    # a read slot is a whole number >= 0; sampled_from draws slot counts and
+    # read slots evenly, where integers() favours the small ones
+    at = draw(st.sampled_from(range(13)))
     cfg = draw(st.sampled_from([
         WeightConfig(),
         WeightConfig(0.5, 0.2, 0.3, 3.0, 0.7),
@@ -496,6 +506,22 @@ class TestEngineMatchesScalarReference:
             raters = [n for n in nodes if n != target]
         values = reference_view(evidence, hours, target, at, raters, cfg, base_rate)
         assert view.final_values == values
+
+    def test_one_rater_over_twelve_slots_is_bit_identical(self):
+        # with one rater a weight total sums along the slot axis alone,
+        # which numpy's reduce adds pairwise from eight terms on; the
+        # reference adds left to right
+        evidence = {("i", "j", s): [s % 2 + 1, 3 * s % 4] for s in range(12)}
+        evidence.update({("i", "k", s): [1, 1] for s in range(0, 12, 2)})
+        hours = {"i": 8, "j": 11, "k": 9}
+        eng = ReputationEngine()
+        for node, hour in hours.items():
+            eng.register(node, hour)
+        for (rater, target, slot), (p, q) in evidence.items():
+            eng.record_outcomes(slot, rater, target, p, q)
+        values = reference_view(evidence, hours, "j", 12, ["i"], WeightConfig(), 0.5)
+        assert eng.view("j", 12, ["i"]).final_values == values
+        assert eng.average_reputations(["j"], 12, ["i"]).tolist() == [values["i"]]
 
 
 
@@ -582,9 +608,9 @@ class TestBatchedWrites:
     @settings(deadline=None, max_examples=150)
     @given(st.data())
     def test_many_target_average_matches_scalar_reference(self, data):
-        # long histories and many raters: at 8 or more slots or raters a
-        # reduction along a contiguous axis would switch numpy to pairwise
-        # summation and change the last bits
+        # long histories, and one rater or many: at 8 or more slots or
+        # raters a reduction along a contiguous axis would switch numpy to
+        # pairwise summation and change the last bits
         n = data.draw(st.integers(2, 12))
         nodes = [f"n{i}" for i in range(n)]
         hours = {node: 8 + i % 5 for i, node in enumerate(nodes)}
@@ -593,16 +619,20 @@ class TestBatchedWrites:
         density = data.draw(st.sampled_from([0.2, 0.6, 1.0]))
         evidence = {
             (r, t, slot): [int(c) for c in rng.integers(0, 7, size=2)]
-            for slot in range(data.draw(st.integers(1, 12)))
+            for slot in range(data.draw(st.sampled_from(range(1, 13))))
             for r in nodes for t in nodes if r != t and rng.random() < density
         }
         cfg = data.draw(st.sampled_from([WeightConfig(), WeightConfig(0.5, 0.2, 0.3, 3.0, 0.7)]))
         eng = self.engine(nodes, cfg)
         for (rater, target, slot), (p, q) in evidence.items():
             eng.record_outcomes(slot, rater, target, p, q)
-        raters = data.draw(st.lists(st.sampled_from(nodes), min_size=2, unique=True))
-        targets = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))
-        at = data.draw(st.integers(0, 12))
+        # often one rater, whose slots alone are summed
+        raters = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=1)
+                           | st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+        # a target that is the only rater would leave nobody to score it
+        scored = [node for node in nodes if raters != [node]]
+        targets = data.draw(st.lists(st.sampled_from(scored), min_size=1, max_size=4))
+        at = data.draw(st.sampled_from(range(13)))
         expected = [average_final_reputation(list(reference_view(
             evidence, hours, t, at, [r for r in raters if r != t], cfg, 0.5).values()))
             for t in targets]
@@ -727,6 +757,16 @@ class TestBatchedWrites:
         assert eng.arrival_hours == {"i": 8, "j": 9} and list(eng._index) == ["i", "j"]
         with pytest.raises(ValueError, match="nonnegative and finite"):
             similarity_weight(hour, 9.0)
+
+    @pytest.mark.parametrize("name", [5, None, b"i", ("i",), ["i"]])
+    def test_names_must_be_strings(self, name):
+        # a rejected name is named, and registers nothing
+        eng = self.engine(["i", "j"])
+        for build in (lambda: eng.register(name, 9.0),
+                      lambda: LinearReputationTracker(["i", name])):
+            with pytest.raises(ValueError, match=f"must be strings, got {re.escape(repr(name))}$"):
+                build()
+        assert eng.arrival_hours == {"i": 8, "j": 9} and list(eng._index) == ["i", "j"]
 
     @settings(deadline=None, max_examples=100)
     @given(slot_batches(), st.data())
