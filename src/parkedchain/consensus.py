@@ -167,13 +167,12 @@ class NodeState:
     committed: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ViewOutcome:
     """A view's result. `log` holds the sent messages as broadcasts in send
     order, one (slot, sender, recipients, kind, digest) entry each: the
     client's request, every honest broadcast, and every byzantine one (a
-    SPLIT node sends two, one per digest). Outcomes compare field by field
-    with `messages` in place of `log`."""
+    SPLIT node sends two, one per digest)."""
 
     committed_digest: str | None
     unanimous: bool
@@ -195,16 +194,6 @@ class ViewOutcome:
     @property
     def trace(self) -> tuple[str, ...]:
         return tuple(msg.trace_line() for msg in self.messages)
-
-    def _compared(self) -> tuple:
-        return (self.committed_digest, self.unanimous, self.client_accepted,
-                self.abnormal_replies, self.abort_reason, self.next_leader,
-                self.message_count, self.per_node, self.messages)
-
-    def __eq__(self, other):
-        if not isinstance(other, ViewOutcome):
-            return NotImplemented
-        return self._compared() == other._compared()
 
 
 def select_consensus_nodes(reputations: dict, n: int) -> list:
@@ -512,9 +501,11 @@ _RATERS = 10
 _ONSET = 5
 _P_COOPERATE = 0.8
 _P_DEFECT = 0.1
-# Collusion: committee candidates, their raters, slots per seed, and how
-# often an honest candidate cooperates.
+# Collusion: committee candidates and the colluders among them (more than a
+# third), their raters, slots per seed, and how often an honest candidate
+# cooperates.
 _CANDIDATES = 9
+_COLLUDERS = 4
 _COLLUSION_RATERS = 50
 _COLLUSION_SLOTS = 8
 _P_HONEST_CANDIDATE = 0.95
@@ -810,39 +801,30 @@ def correct_block_probability(
 def collusion_experiment(
     thresholds: list[float],
     seeds: int = 100,
-    colluder_fraction: float = 4 / 9,
     seed_base: int = 0,
     weight_config: WeightConfig | None = None,
 ) -> list[tuple[float, float, float]]:
     """Monte-Carlo probability that reputation gating yields a correct
     block when colluders fabricate mutual praise and then misbehave.
 
-    Fifty raters score nine committee candidates over eight slots.
-    colluder_fraction is the corrupted share of the candidates; the attack
-    scenario keeps it at or above one third. Colluders behave like the
-    misbehaving nodes of detection_experiment toward everyone else. Each seed's
-    interaction stream is scored once by both schemes, so a sweep over
-    thresholds compares selection quality, not sampling noise. Returns
-    one (threshold, sl, lr) row per threshold.
+    Fifty raters score nine committee candidates over eight slots, and
+    four of the candidates collude: more than the third a committee
+    tolerates. Colluders behave like the misbehaving nodes of
+    detection_experiment toward everyone else. Each seed's interaction
+    stream is scored once by both schemes, so a sweep over thresholds
+    compares selection quality, not sampling noise. Returns one
+    (threshold, sl, lr) row per threshold.
     """
     if not whole(seeds) or seeds < 1:
         raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
-    if not _is_probability(colluder_fraction):
-        raise ValueError(f"colluder_fraction must be a real number in [0, 1], "
-                         f"got {colluder_fraction!r}")
     thresholds = list(thresholds)
     if not all(map(_is_probability, thresholds)):
         raise ValueError(f"thresholds must be real numbers in [0, 1], got {thresholds!r}")
     if not whole(seed_base) or seed_base < 0:
         raise ValueError(f"seed_base must be a nonnegative integer, got {seed_base!r}")
-    n_colluders = round(colluder_fraction * _CANDIDATES)
-    if n_colluders == 0:
-        return [(th, 1.0, 1.0) for th in thresholds]
-    if n_colluders >= _CANDIDATES:
-        return [(th, 0.0, 0.0) for th in thresholds]
     rater_ids = [f"r{i:03d}" for i in range(_COLLUSION_RATERS)]
     cand_ids = rater_ids[:_CANDIDATES]
-    colluders = set(cand_ids[:n_colluders])
+    colluders = set(cand_ids[:_COLLUDERS])
     before, after = _cooperation(cand_ids, rater_ids, colluders, _P_HONEST_CANDIDATE, colluders)
 
     scored: list[tuple[dict[str, float], dict[str, float]]] = []

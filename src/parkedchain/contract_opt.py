@@ -119,8 +119,18 @@ class TaskParams:
 
 @dataclass(frozen=True)
 class ContractProblem:
+    """A type profile and the task it offers. The SR's time gain terms must
+    be finite, or every menu is worth infinity: InfeasibleProblem."""
+
     profile: TypeProfile
     params: TaskParams = TaskParams()
+
+    def __post_init__(self) -> None:
+        _, c0, ks, s_over_r = _gains(self)
+        if not all(map(math.isfinite, (c0, ks, *s_over_r))):
+            raise InfeasibleProblem(
+                "the time gain leaves the float range: kappa * s_bits, "
+                "kappa * s_bits / f_local and every s_bits / r_bps must be finite")
 
     @property
     def n_types(self) -> int:
@@ -589,8 +599,11 @@ def _menu_from_chain(result, problem: ContractProblem, gains):
     bunches = []
     ascending = all(fs[i] <= fs[i + 1] + 1e-9 for i in range(len(fs) - 1))
     if not ascending:
-        fs, bunches = _iron_frequencies(list(fs), problem, gains)
-        pis = _rewards_from_frequencies(fs, problem)
+        try:
+            fs, bunches = _iron_frequencies(list(fs), problem, gains)
+            pis = _rewards_from_frequencies(fs, problem)
+        except OverflowError:     # an ironed reward leaves the float range
+            return None
     if not (all(p >= 0 for p in pis) and all(f > 0 for f in fs)):    # NaN fails too
         return None
     if fs[-1] > problem.params.f_max * (1 + 1e-12):

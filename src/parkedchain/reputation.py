@@ -42,6 +42,8 @@ __all__ = [
 
 # Evidence prior weight of the standard beta-evidence mapping.
 EVIDENCE_PRIOR_WEIGHT = 2.0
+# The engine's prior: the base rate of every opinion it forms.
+_BASE_RATE = 0.5
 
 _SUM_TOL = 1e-9
 
@@ -250,11 +252,8 @@ class ReputationEngine:
     timeliness table and the rater indices between them.
     """
 
-    def __init__(self, cfg: WeightConfig | None = None, base_rate: float = 0.5):
-        if not (real(base_rate) and 0.0 <= base_rate <= 1.0):
-            raise ValueError(f"base_rate={base_rate!r} outside [0, 1]")
+    def __init__(self, cfg: WeightConfig | None = None):
         self.cfg = cfg or WeightConfig()
-        self.base_rate = base_rate
         self.arrival_hours: dict[str, float] = {}
         self._index: dict[str, int] = {}
         self._evidence = np.zeros((0, 0, 0, 2), dtype=np.int64)
@@ -395,7 +394,7 @@ class ReputationEngine:
         np.divide(pos, total, out=segments[:, :, 0])
         np.divide(neg, total, out=segments[:, :, 1])
         np.divide(EVIDENCE_PRIOR_WEIGHT, total, out=segments[:, :, 2])
-        segments[:, :, 3] = self.base_rate
+        segments[:, :, 3] = _BASE_RATE
         _check_opinions(segments, present, axis=2)
 
         # familiarity counts interactions up to `at`: with the target
@@ -441,7 +440,7 @@ class ReputationEngine:
 
         # each rater's local opinion, and its weight as a recommender: the
         # weight of its last segment, times 2**scale
-        _weighted_mean(segments, w, has, self.base_rate, local)
+        _weighted_mean(segments, w, has, local)
         if slots:
             last = slots - 1 - np.argmax(present[:, ::-1], axis=1)
             recommend = np.take_along_axis(w, last[:, None], axis=1)[:, 0]
@@ -460,8 +459,7 @@ class ReputationEngine:
         t, r = np.nonzero(is_top)
         m[t, :, r] = np.where(others[:, r].T,
                               np.ldexp(recommend[t], np.minimum(scale[t] - second[t], 0)), 0.0)
-        _weighted_mean(local[..., None], m, (others & has[..., None]).any(axis=1),
-                       self.base_rate, syn)
+        _weighted_mean(local[..., None], m, (others & has[..., None]).any(axis=1), syn)
 
         # consensus fusion with fuse_final's vacuous short-circuits
         ul, us = local[..., 2], syn[..., 2]
@@ -503,8 +501,7 @@ def _exponent(v: np.ndarray) -> np.ndarray:
 
 
 def _weighted_mean(
-    values: np.ndarray, weights: np.ndarray, has: np.ndarray, base_rate: float,
-    out: np.ndarray,
+    values: np.ndarray, weights: np.ndarray, has: np.ndarray, out: np.ndarray,
 ) -> np.ndarray:
     """synthesize_recommended over axis 1 of [t, k, (b, d, u, a), r] values
     with [t, k, r] weights, written to the [t, r, (b, d, u, a)] array `out`
@@ -522,7 +519,7 @@ def _weighted_mean(
     totals = _sum_in_order(weights)
     if (has & (totals <= 0)).any():
         raise ValueError("total recommendation weight must be positive")
-    out[:] = (0.0, 0.0, 1.0, base_rate)
+    out[:] = (0.0, 0.0, 1.0, _BASE_RATE)
     np.divide(sums, totals[..., None], out=out, where=has[..., None])
     return out
 

@@ -537,14 +537,6 @@ class TestDecayExperiment:
 
 
 class TestCollusionExperiment:
-    def test_no_colluders_always_correct(self):
-        assert collusion_experiment([0.45], seeds=5,
-                                    colluder_fraction=0.0) == [(0.45, 1.0, 1.0)]
-
-    def test_all_colluders_always_wrong(self):
-        assert collusion_experiment([0.45], seeds=5,
-                                    colluder_fraction=1.0) == [(0.45, 0.0, 0.0)]
-
     def test_per_seed_scores_pinned(self, monkeypatch):
         """The thresholded rows are a 0/1 table that hides score drift, so
         pin every SL and LR score dict the committee gate receives, for
@@ -565,9 +557,8 @@ class TestCollusionExperiment:
 
     @pytest.mark.parametrize("seeds", [0, -1, 2.0, True])
     def test_rejects_seed_count_not_a_positive_integer(self, seeds):
-        for fraction in (0.0, 4 / 9):
-            with pytest.raises(ValueError, match="seeds must be a positive integer"):
-                collusion_experiment([0.45], seeds=seeds, colluder_fraction=fraction)
+        with pytest.raises(ValueError, match="seeds must be a positive integer"):
+            collusion_experiment([0.45], seeds=seeds)
 
     def test_numpy_integer_seed_count(self):
         rows = collusion_experiment([0.5], seeds=np.int64(1))
@@ -850,11 +841,10 @@ def test_record_interactions_draws_without_fallback(monkeypatch):
     assert fallbacks == []
 
 
-@pytest.mark.parametrize("fraction", [0.0, 4 / 9])
 @pytest.mark.parametrize("thresholds", [[math.nan], [0.45, 1.5], [-0.1], [True], ["0.5"]])
-def test_collusion_rejects_thresholds_that_are_not_probabilities(thresholds, fraction):
+def test_collusion_rejects_thresholds_that_are_not_probabilities(thresholds):
     with pytest.raises(ValueError, match="thresholds must be real numbers in"):
-        collusion_experiment(thresholds, seeds=1, colluder_fraction=fraction)
+        collusion_experiment(thresholds, seeds=1)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, 1.5, -0.1, True, "0.5"])
@@ -865,10 +855,8 @@ def test_detection_rejects_a_threshold_that_is_not_a_probability(threshold):
 
 @pytest.mark.parametrize("seed_base", [True, 1.5, -1, "0"])
 def test_collusion_rejects_seed_base_not_a_nonnegative_integer(seed_base):
-    for fraction in (0.0, 4 / 9):
-        with pytest.raises(ValueError, match="seed_base must be a nonnegative integer"):
-            collusion_experiment([0.45], seeds=1, colluder_fraction=fraction,
-                                 seed_base=seed_base)
+    with pytest.raises(ValueError, match="seed_base must be a nonnegative integer"):
+        collusion_experiment([0.45], seeds=1, seed_base=seed_base)
 
 
 @pytest.mark.parametrize("value", [True, -1, 0, -2, 1.5])
@@ -891,13 +879,3 @@ def test_decay_rejects_slots_and_seed_that_are_not_counts(value):
     else:
         with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
             decay_experiment(30, 3, 1, value, None)
-
-
-@pytest.mark.parametrize("value", [True, -1, 0, -2, 1.5])
-def test_collusion_rejects_a_colluder_fraction_that_is_not_a_share(value):
-    # 0 is a share (no colluders: every block is correct); True is not 1.0
-    if value == 0:
-        assert collusion_experiment([0.45], seeds=1, colluder_fraction=value) == [(0.45, 1.0, 1.0)]
-    else:
-        with pytest.raises(ValueError, match=r"colluder_fraction must be a real number in"):
-            collusion_experiment([0.45], seeds=1, colluder_fraction=value)

@@ -11,6 +11,7 @@ from scipy.optimize import brentq, minimize
 from parkedchain.contract_opt import (
     ContractMenu,
     ContractProblem,
+    InfeasibleProblem,
     TaskParams,
     check_feasibility,
     energy_cost,
@@ -56,6 +57,15 @@ class TestTaskParams:
     def test_rejects_non_finite_or_non_numeric(self, name, value):
         with pytest.raises(ValueError, match=name):
             TaskParams(**{name: value})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"f_local": 1e-300}, {"kappa": 1e300, "s_bits": 1e10}, {"r_bps": (5e6, 1e-320)},
+])
+def test_an_infinite_time_gain_is_infeasible(overrides):
+    # every menu would be worth infinity, and the minimisers would subtract them
+    with pytest.raises(InfeasibleProblem, match="time gain"):
+        problem_of((0.3, 0.6), (0.5, 0.5), **overrides)
 
 
 class TestUtilityLayer:
@@ -224,6 +234,17 @@ class TestLagrangianIterative:
     def test_ironing_produces_feasible_pooled_menu(self):
         # clustered low types with heavy tail mass force a non-monotone chain
         problem = problem_of((0.70, 0.701, 0.95), (0.05, 0.95 - 0.05, 0.05))
+        menu = solve_lagrangian_iterative(problem)
+        assert check_feasibility(menu, problem).feasible
+        la = sr_expected_utility(solve_local_asymmetric(problem), problem)
+        assert sr_expected_utility(menu, problem) >= la - 1e-9
+
+    @pytest.mark.parametrize("eps_cap", [1e-8, 1e-12])
+    def test_overflowing_ironed_rewards_leave_a_feasible_menu(self, eps_cap):
+        # this chain's ironed rewards leave the float range, so it yields no
+        # candidate; LA's menu always is one
+        problem = ContractProblem(random_problem(np.random.default_rng(2), 4).profile,
+                                  TaskParams(eps_cap=eps_cap))
         menu = solve_lagrangian_iterative(problem)
         assert check_feasibility(menu, problem).feasible
         la = sr_expected_utility(solve_local_asymmetric(problem), problem)

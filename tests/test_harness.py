@@ -417,11 +417,12 @@ class TestCli:
         "utility-vs-type", "contract-feasibility", "utility-vs-hour"])
     @pytest.mark.parametrize("overrides", [
         {"kappa": 1e300}, {"s_bits": 1e300}, {"e_price": 1e-320},
-        {"e_price": 1e300}, {"eps_cap": 1e-320},
+        {"e_price": 1e300}, {"eps_cap": 1e-320}, {"f_local": 1e-300},
     ])
     def test_float_range_exits_three(self, tmp_path, capsys, scenario, overrides):
         """Task constants whose first-order condition overflows, divides by
-        an underflowed zero or turns NaN end as one infeasible line."""
+        an underflowed zero or turns NaN, or whose time gain is infinite,
+        end as one infeasible line."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"arrivals": 2000, **overrides}))
         rc = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])

@@ -113,8 +113,6 @@ TABLE = [
      {"nan": math.nan, "-inf": -math.inf}),
     # reputation
     ("WeightConfig.alpha1", lambda x: reputation.WeightConfig(alpha1=x), ValueError, REAL),
-    ("ReputationEngine.base_rate", lambda x: reputation.ReputationEngine(base_rate=x),
-     ValueError, REAL),
     ("ReputationEngine.register", lambda x: engine().register("c", x), ValueError, REAL),
     ("ReputationEngine.register.node", lambda x: engine().register(x, 9.0), ValueError,
      IDENTITY),
@@ -144,8 +142,12 @@ TABLE = [
         x, 1, 1, 0, None), ValueError, WHOLE),
     ("decay_experiment.misbehaving_count", lambda x: consensus.decay_experiment(
         12, x, 1, 0, None), ValueError, WHOLE),
-    ("collusion_experiment.colluder_fraction", lambda x: consensus.collusion_experiment(
-        [0.5], 1, x), ValueError, REAL),
+    ("collusion_experiment.thresholds", lambda x: consensus.collusion_experiment(
+        [x], 1), ValueError, REAL),
+    ("collusion_experiment.seeds", lambda x: consensus.collusion_experiment(
+        [0.5], x), ValueError, WHOLE),
+    ("collusion_experiment.seed_base", lambda x: consensus.collusion_experiment(
+        [0.5], 1, seed_base=x), ValueError, WHOLE),
     # ledger
     ("Ledger.credit", lambda x: ledger().credit("pv", x), LedgerError, WHOLE),
     ("Ledger.post_request.frequency", lambda x: post(menu=[(x, 120)]), LedgerError, REAL),

@@ -264,11 +264,6 @@ class TestEngine:
         with pytest.raises(ValueError, match="!= 1"):
             eng.view("j", at=1)
 
-    @pytest.mark.parametrize("base_rate", [-0.1, 1.5, math.nan])
-    def test_base_rate_checked_at_construction(self, base_rate):
-        with pytest.raises(ValueError, match="base_rate"):
-            ReputationEngine(base_rate=base_rate)
-
     def test_more_positive_evidence_scores_higher(self):
         eng = self.build()
         for slot in range(4):
@@ -415,7 +410,7 @@ class TestEngine:
         assert tr.value("i", "j") == pytest.approx(expect)
 
 
-def reference_view(evidence, hours, target, at, raters, cfg, base_rate):
+def reference_view(evidence, hours, target, at, raters, cfg):
     """Every rater's final value in one view, from the public scalar helpers.
 
     `evidence` maps (rater, target, slot) to [positives, negatives]; only
@@ -435,12 +430,12 @@ def reference_view(evidence, hours, target, at, raters, cfg, base_rate):
         z = similarity_weight(hours[rater], hours[target])
         return overall_weight(x, y, z, cfg)
 
-    vacuous = Opinion(0.0, 0.0, 1.0, base_rate)
+    vacuous = Opinion(0.0, 0.0, 1.0)
     local, recommend = {}, {}
     for rater in raters:
         weighted = []
         for slot, (p, q) in segments(rater, target):
-            weighted.append((weight(rater, slot), local_opinion(p, q, base_rate)))
+            weighted.append((weight(rater, slot), local_opinion(p, q)))
         local[rater] = synthesize_recommended(weighted) if weighted else vacuous
         if weighted:
             recommend[rater] = weighted[-1][0]
@@ -487,16 +482,15 @@ def histories(draw):
         WeightConfig(1.0, 0.0, 0.0, 1.0, 0.0),
         WeightConfig(0.0, 0.0, 1.0, 10.0, 4.0),
     ]))
-    base_rate = draw(st.sampled_from([0.5, 0.0, 0.3, 1.0]))
-    return nodes, hours, evidence, target, raters, at, cfg, base_rate
+    return nodes, hours, evidence, target, raters, at, cfg
 
 
 class TestEngineMatchesScalarReference:
     @settings(deadline=None, max_examples=300)
     @given(histories())
     def test_view_is_bit_identical(self, case):
-        nodes, hours, evidence, target, raters, at, cfg, base_rate = case
-        eng = ReputationEngine(cfg, base_rate)
+        nodes, hours, evidence, target, raters, at, cfg = case
+        eng = ReputationEngine(cfg)
         for node in nodes:
             eng.register(node, hours[node])
         for (rater, tgt, slot), (p, q) in evidence.items():
@@ -504,7 +498,7 @@ class TestEngineMatchesScalarReference:
         view = eng.view(target, at, raters)
         if raters is None:
             raters = [n for n in nodes if n != target]
-        values = reference_view(evidence, hours, target, at, raters, cfg, base_rate)
+        values = reference_view(evidence, hours, target, at, raters, cfg)
         assert view.final_values == values
 
     def test_one_rater_over_twelve_slots_is_bit_identical(self):
@@ -519,7 +513,7 @@ class TestEngineMatchesScalarReference:
             eng.register(node, hour)
         for (rater, target, slot), (p, q) in evidence.items():
             eng.record_outcomes(slot, rater, target, p, q)
-        values = reference_view(evidence, hours, "j", 12, ["i"], WeightConfig(), 0.5)
+        values = reference_view(evidence, hours, "j", 12, ["i"], WeightConfig())
         assert eng.view("j", 12, ["i"]).final_values == values
         assert eng.average_reputations(["j"], 12, ["i"]).tolist() == [values["i"]]
 
@@ -553,8 +547,8 @@ def rows_block(rows):
 
 class TestBatchedWrites:
     @staticmethod
-    def engine(nodes, cfg=None, base_rate=0.5):
-        eng = ReputationEngine(cfg, base_rate)
+    def engine(nodes, cfg=None):
+        eng = ReputationEngine(cfg)
         for i, node in enumerate(nodes):
             eng.register(node, 8 + i % 5)
         return eng
@@ -590,7 +584,7 @@ class TestBatchedWrites:
         cfg = data.draw(st.sampled_from([
             WeightConfig(), WeightConfig(0.5, 0.2, 0.3, 3.0, 0.7),
             WeightConfig(0.0, 0.0, 1.0, 10.0, 4.0)]))
-        eng = self.engine(nodes, cfg, data.draw(st.sampled_from([0.5, 0.0, 0.3])))
+        eng = self.engine(nodes, cfg)
         for slot, rows in batches:
             eng.record_block(slot, *rows_block(rows))
         raters = data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
@@ -634,7 +628,7 @@ class TestBatchedWrites:
         targets = data.draw(st.lists(st.sampled_from(scored), min_size=1, max_size=4))
         at = data.draw(st.sampled_from(range(13)))
         expected = [average_final_reputation(list(reference_view(
-            evidence, hours, t, at, [r for r in raters if r != t], cfg, 0.5).values()))
+            evidence, hours, t, at, [r for r in raters if r != t], cfg).values()))
             for t in targets]
         assert eng.average_reputations(targets, at, raters).tolist() == expected
 
@@ -821,7 +815,7 @@ class TestBatchedWrites:
         evidence = {("i", "j", 0): [top, 0], ("i", "j", 1): [0, top], ("k", "j", 1): [top, top]}
         hours = {"i": 8, "j": 9, "k": 10}
         assert eng.view("j", at=2, raters=["i", "k"]).final_values == reference_view(
-            evidence, hours, "j", 2, ["i", "k"], WeightConfig(), 0.5)
+            evidence, hours, "j", 2, ["i", "k"], WeightConfig())
 
     def test_rows_without_outcomes_are_skipped_unchecked(self):
         # only the count rule (whole and bounded) and the slot are checked
