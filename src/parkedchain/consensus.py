@@ -23,10 +23,11 @@ each, and decodes the message list from it only when the list is read.
 
 The detection, decay and collusion experiments at the bottom feed one
 interaction stream per seed (record_interactions, with a scripted
-[target, rater] cooperation table per slot, whose draws are replayed bit
-for bit from one PCG64 raw block) to both the subjective-logic
-scheme and the linear-smoothing baseline, and measure how their
-selection quality differs.
+[slot, target, rater] stack of cooperation tables; each call's draws are
+replayed bit for bit from one PCG64 raw block, and a collusion seed's
+eight slots are one call) to both the subjective-logic scheme and the
+linear-smoothing baseline, and measure how their selection quality
+differs.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numbers import real, whole
-from .reputation import (LinearReputationTracker, ReputationEngine, WeightConfig, _check_slot,
-                         _checked_cells, _ids)
+from .reputation import (LinearReputationTracker, ReputationEngine, WeightConfig, _check_lists,
+                         _check_slot, _checked_cells, _ids)
 
 __all__ = [
     "Behavior",
@@ -513,38 +514,44 @@ _P_HONEST_CANDIDATE = 0.95
 
 def record_interactions(
     rng: np.random.Generator,
-    slot: int,
+    slots,
     targets: list[str],
     raters: list[str],
     p: np.ndarray,
     engine: ReputationEngine,
     tracker: LinearReputationTracker,
 ) -> None:
-    """Draw one slot of rated interactions and record them in both schemes.
+    """Draw the rated interactions of the distinct `slots`, a non-empty
+    list, tuple or range, and record them in both schemes.
 
-    Each rater other than the target itself interacts 5 to 10 times with
-    each target, and each interaction goes well with probability p[t, r]
-    for targets[t] and raters[r]. A probability of exactly 1.0 records
-    all-positive evidence without a binomial: this is how colluders
-    fabricate mutual praise. The draws are an integers(5, 11) and binomial
-    call per pair, target by target, then rater by rater, replayed bit for
-    bit from one PCG64 raw block per slot (_slot_draws; a Lemire rejection,
-    an inversion restart or another bit generator runs the per-pair loop).
+    In slot slots[k], each rater other than the target itself interacts 5
+    to 10 times with each target, and each interaction goes well with
+    probability p[k, t, r] for targets[t] and raters[r]. A probability of
+    exactly 1.0 records all-positive evidence without a binomial: this is
+    how colluders fabricate mutual praise. The draws are an integers(5, 11)
+    and binomial call per pair, slot by slot, then target by target, then
+    rater by rater, replayed bit for bit from one PCG64 raw block per call
+    (_slot_draws; a Lemire rejection, an inversion restart or another bit
+    generator runs the per-pair loop over the whole call).
 
     Every check runs before any draw, and a rejected call leaves the RNG
-    and both schemes as they were: first the table, which must be an
-    integer or float array shaped (targets, raters) of numbers in [0, 1];
-    then the roster, which both schemes must share (the tracker's ids
-    those of the engine); then the drawn cells, every pair but a rater
-    rating itself, under the cell rule of reputation._checked_cells, each
-    name looked up once and a self-rating told by the ids; then the slot,
-    as ReputationEngine checks it. The
-    counts are written once to each scheme after all draws.
+    and both schemes as they were: first the slots container, then the
+    table, which must be an integer or float array shaped (slots, targets,
+    raters) of numbers in [0, 1]; then the roster, which both schemes must
+    share (the tracker's ids those of the engine); then the drawn cells,
+    every pair but a rater rating itself, under the cell rule of
+    reputation._checked_cells, each name looked up once and a self-rating
+    told by the ids; then each slot, as ReputationEngine checks it, and
+    last that no slot repeats. The counts are written once to the engine,
+    and to the tracker once per slot, in slot order, after all draws.
     """
-    p = _probability_table(p, targets, raters)
+    if not (isinstance(slots, (list, tuple, range)) and len(slots)):
+        raise ValueError(f"slots must be a non-empty list, tuple or range, got {slots!r}")
+    p = _probability_table(p, slots, targets, raters)
     if tracker._index != engine._index:
         raise ValueError("engine and tracker must share one roster, names in the same order")
     index = engine._index
+    _check_lists(targets=targets, raters=raters)
     rater_ids, target_ids = _ids(raters, index), _ids(targets, index)
     if min(rater_ids.min(initial=0), target_ids.min(initial=0)) >= 0:
         # registered names are equal exactly when their ids are
@@ -553,32 +560,37 @@ def record_interactions(
         drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
                                != np.array(raters, dtype=object))
     i, j = _checked_cells(raters, targets, drawn, rater_ids, target_ids, len(index))
-    _check_slot(slot)
-    trials, positives = _slot_draws(rng, p.ravel()[drawn])
-    counts = np.empty((len(drawn), 2), dtype=np.int64)
+    for slot in slots:
+        _check_slot(slot)
+    if len(set(slots)) < len(slots):
+        raise ValueError(f"slots must be distinct, got {slots!r}")
+    trials, positives = _slot_draws(rng, p.reshape(len(slots), -1)[:, drawn].ravel())
+    counts = np.empty((len(slots) * len(drawn), 2), dtype=np.int64)
     counts[:, 0] = positives
     counts[:, 1] = trials
     counts[:, 1] -= counts[:, 0]
-    engine._add(slot, i, j, counts)
-    tracker._apply(i, j, counts)
+    engine._add(slots, i, j, counts)
+    # the EMA runs cell by cell in time order
+    for block in counts.reshape(len(slots), len(drawn), 2):
+        tracker._apply(i, j, block)
 
 
-def _probability_table(p, targets: list[str], raters: list[str]) -> np.ndarray:
-    """record_interactions' table as a float array, checked: an integer or
-    float numpy array shaped (targets, raters), each cell in [0, 1]. The
-    first bad cell is named."""
+def _probability_table(p, slots, targets: list[str], raters: list[str]) -> np.ndarray:
+    """record_interactions' table stack as a float array, checked: an
+    integer or float numpy array shaped (slots, targets, raters), each cell
+    in [0, 1]. The first bad cell is named."""
     if not (isinstance(p, np.ndarray) and p.dtype.kind in "iuf"):
         got = f"dtype {p.dtype}" if isinstance(p, np.ndarray) else type(p).__name__
         raise ValueError(f"p must be a numpy array of integers or floats, got {got}")
-    shape = (len(targets), len(raters))
+    shape = (len(slots), len(targets), len(raters))
     if p.shape != shape:
-        raise ValueError(f"p must be shaped (targets, raters) = {shape}, got {p.shape}")
+        raise ValueError(f"p must be shaped (slots, targets, raters) = {shape}, got {p.shape}")
     p = p.astype(float, copy=False)
     ok = (p >= 0.0) & (p <= 1.0)     # NaN fails both
     if not ok.all():
-        t, r = np.argwhere(~ok)[0]
-        raise ValueError(f"p[{t}, {r}] (target {targets[t]!r}, rater {raters[r]!r}) must be a "
-                         f"probability in [0, 1], got {p[t, r]}")
+        k, t, r = np.argwhere(~ok)[0]
+        raise ValueError(f"p[{k}, {t}, {r}] (slot {slots[k]!r}, target {targets[t]!r}, rater "
+                         f"{raters[r]!r}) must be a probability in [0, 1], got {p[k, t, r]}")
     return p
 
 
@@ -724,8 +736,8 @@ def detection_experiment(
     sl_series: list[float] = []
     lr_series: list[float] = []
     for slot in range(1, slots + 1):
-        record_interactions(rng, slot, target_ids, rater_ids,
-                            before if slot < _ONSET else after, engine, tracker)
+        record_interactions(rng, [slot], target_ids, rater_ids,
+                            (before if slot < _ONSET else after)[None], engine, tracker)
         sl = engine.average_reputations(target_ids, at=slot + 1, raters=rater_ids)
         sl_below = int(np.count_nonzero(sl < threshold))
         lr_below = sum(tracker.average_reputation(target, rater_ids) < threshold
@@ -773,8 +785,8 @@ def decay_experiment(
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, str, float, float]] = []
     for slot in range(slots):
-        record_interactions(rng, slot, bad + honest, raters,
-                            before if slot < _ONSET else after, engine, tracker)
+        record_interactions(rng, [slot], bad + honest, raters,
+                            (before if slot < _ONSET else after)[None], engine, tracker)
         sl = engine.average_reputations(honest + bad, at=slot + 1, raters=raters).tolist()
         lr = [tracker.average_reputation(t, raters=raters) for t in honest + bad]
         for scheme, scores in (("SL", sl), ("LR", lr)):
@@ -826,14 +838,14 @@ def collusion_experiment(
     cand_ids = rater_ids[:_CANDIDATES]
     colluders = set(cand_ids[:_COLLUDERS])
     before, after = _cooperation(cand_ids, rater_ids, colluders, _P_HONEST_CANDIDATE, colluders)
+    slots = range(1, _COLLUSION_SLOTS + 1)
+    p = np.stack([before if slot < _ONSET else after for slot in slots])
 
     scored: list[tuple[dict[str, float], dict[str, float]]] = []
     for s in range(seeds):
         rng = np.random.default_rng(seed_base + s)
         engine, tracker = _schemes(weight_config, rater_ids, hours=range(8, 13))
-        for slot in range(1, _COLLUSION_SLOTS + 1):
-            record_interactions(rng, slot, cand_ids, rater_ids,
-                                before if slot < _ONSET else after, engine, tracker)
+        record_interactions(rng, slots, cand_ids, rater_ids, p, engine, tracker)
         sl = engine.average_reputations(cand_ids, at=_COLLUSION_SLOTS + 1, raters=rater_ids)
         lr_scores = {target: tracker.average_reputation(
             target, [r for r in rater_ids if r != target]) for target in cand_ids}

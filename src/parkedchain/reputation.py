@@ -321,23 +321,25 @@ class ReputationEngine:
         cell's error, or else the slot's, and writes nothing."""
         counts, (i, j) = _checked_block(raters, targets, counts, self._index)
         _check_slot(slot)
-        self._add(slot, i, j, counts)
+        self._add([slot], i, j, counts)
 
-    def _add(self, slot: int, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
+    def _add(self, slots, i: np.ndarray, j: np.ndarray, counts: np.ndarray) -> None:
         """Add the checked [cell, (positives, negatives)] counts to the
-        (i, j) cells of `slot`."""
+        (i, j) cells of each of the distinct `slots`, slot by slot: one
+        take, one add and one scatter, the array grown at most once."""
         if not len(counts):
             return
-        ev = self._grown(slot + 1)
-        # the slot's [rater * n + target, (pos, neg)] plane, a view
-        plane = ev[slot].reshape(-1, 2)
-        cells = i * ev.shape[1] + j
-        summed = plane.take(cells, axis=0)
+        ev = self._grown(max(slots) + 1)
+        n = ev.shape[1]
+        # the [(slot * n + rater) * n + target, (pos, neg)] cells, a view
+        flat = ev.reshape(-1, 2)
+        cells = ((np.asarray(slots, dtype=np.intp)[:, None] * n + i) * n + j).ravel()
+        summed = flat.take(cells, axis=0)
         summed += counts
         # as in record_outcomes, only a cell that existed can be too full
         if (summed > _MAX_COUNT).any():
             raise ValueError(_PAST_MAX)
-        plane.view(_CELL)[cells, 0] = summed.view(_CELL)[:, 0]
+        flat.view(_CELL)[cells, 0] = summed.view(_CELL)[:, 0]
 
     def view(self, target: str, at: int, raters: list[str] | None = None) -> ReputationView:
         """Every rater's final reputation value for `target` from slots <= `at`."""
@@ -367,6 +369,7 @@ class ReputationEngine:
         and leaves their values as if it were absent. `raters` must be
         distinct, and at least one.
         """
+        _check_lists(targets=targets, raters=raters)
         if not raters:
             raise ValueError("need at least one rater")
         try:
@@ -548,6 +551,14 @@ def _check_name(node) -> None:
         raise ValueError(f"node names must be strings, got {node!r}")
 
 
+def _check_lists(**lists) -> None:
+    """The rule of every argument that lists names: a bare str is no list,
+    though it would read as one name per character."""
+    for what, names in lists.items():
+        if isinstance(names, str):
+            raise ValueError(f"{what} must be a list of names, not the str {names!r}")
+
+
 def _check_slot(slot) -> None:
     """The slot rule of every engine write: a whole number >= 0, not a bool."""
     if not (whole(slot) and slot >= 0):
@@ -562,10 +573,11 @@ def _checked_block(
     and their (rater, target) ids in the roster `index`: the one cell rule
     of every reputation write.
 
-    The array must hold integers, each in [0, _MAX_COUNT]. Cells whose
-    counts are both 0 are then skipped unchecked; the rest go through
-    _checked_cells.
+    Neither name list may be a bare str (_check_lists). The array must
+    hold integers, each in [0, _MAX_COUNT]. Cells whose counts are both 0
+    are then skipped unchecked; the rest go through _checked_cells.
     """
+    _check_lists(raters=raters, targets=targets)
     shape = (len(targets), len(raters), 2)
     if not isinstance(counts, np.ndarray) or counts.shape != shape:
         raise ValueError(f"counts must be an array shaped {shape}, one cell per "
@@ -676,6 +688,7 @@ class LinearReputationTracker:
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
         """Mean value of `target` over `raters`, which must be distinct."""
+        _check_lists(raters=raters)
         if not raters:
             raise ValueError("need at least one rater")
         try:

@@ -580,21 +580,34 @@ class TestCollusionExperiment:
         assert len(built) == 3
 
     def test_evidence_grows_geometrically(self, monkeypatch):
-        # a seed writes slots 1 to 8: the slot axis grows to 2, 4, 8 and 16
-        growths = defaultdict(int)   # engine -> arrays it replaced
-        grown = consensus.ReputationEngine._grown
+        # a collusion seed writes slots 1 to 8 in one call, which grows the
+        # slot axis once, to 9, and draws once; detection writes one slot a
+        # call, and its slots 1 to 15 double the axis to 2, 4, 8 and 16
+        held = defaultdict(list)   # engine -> slot axis of each array it grew
+        draws = []
+        grown, slot_draws = consensus.ReputationEngine._grown, consensus._slot_draws
 
         def counted(self, slots):
             before = self._evidence
             ev = grown(self, slots)
-            growths[self] += ev is not before
+            if ev is not before:
+                held[self].append(ev.shape[0])
             return ev
 
+        def drawn(rng, probs):
+            draws.append(len(probs))
+            return slot_draws(rng, probs)
+
         monkeypatch.setattr(consensus.ReputationEngine, "_grown", counted)
+        monkeypatch.setattr(consensus, "_slot_draws", drawn)
         collusion_experiment([0.45], seeds=2)
-        assert len(growths) == 2
-        assert all(0 < count <= 4 for count in growths.values())
-        assert all(engine._slots == 9 for engine in growths)
+        assert list(held.values()) == [[9], [9]]
+        assert all(engine._slots == 9 for engine in held)
+        assert draws == [8 * 9 * 49] * 2
+        held.clear()
+        detection_experiment(50, 10, 0.45, 15, 0)
+        assert list(held.values()) == [[2, 4, 8, 16]]
+        assert [engine._slots for engine in held] == [16]
 
     def test_correct_block_rule(self):
         scores = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.2}
@@ -647,27 +660,34 @@ EXPERIMENTS = {
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
-    """Every slot of every seed, drawn from the [target, rater] table, leaves
-    the RNG, the evidence and the tracker as the per-pair rows did."""
+    """Every slot of every seed, drawn from the [slot, target, rater] table
+    stack, leaves the RNG, the evidence and the tracker as the per-pair
+    rows did, slot by slot."""
     p_of, run = EXPERIMENTS[experiment]
     record = consensus.record_interactions
     twins = {}   # id(engine) -> (engine, tracker, oracle engine, oracle tracker)
 
-    def checked(rng, slot, targets, raters, p, engine, tracker):
+    def checked(rng, slots, targets, raters, p, engine, tracker):
         if id(engine) not in twins:
             twins[id(engine)] = (engine, tracker, copy.deepcopy(engine),
                                  LinearReputationTracker(engine.arrival_hours))
         _, _, oracle_engine, oracle_tracker = twins[id(engine)]
-        assert [[p[t][r] for r, rater in enumerate(raters) if rater != target]
-                for t, target in enumerate(targets)] == [
-            [p_of(slot, rater, target) for rater in raters if rater != target]
-            for target in targets]
         oracle_rng = copy.deepcopy(rng)
-        row_oracle(oracle_rng, slot, targets, raters, p_of, oracle_engine, oracle_tracker)
-        record(rng, slot, targets, raters, p, engine, tracker)
+        for k, slot in enumerate(slots):
+            assert [[p[k][t][r] for r, rater in enumerate(raters) if rater != target]
+                    for t, target in enumerate(targets)] == [
+                [p_of(slot, rater, target) for rater in raters if rater != target]
+                for target in targets]
+            row_oracle(oracle_rng, slot, targets, raters, p_of, oracle_engine, oracle_tracker)
+        record(rng, slots, targets, raters, p, engine, tracker)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
-        assert engine._evidence.shape == oracle_engine._evidence.shape
-        assert (engine._evidence == oracle_engine._evidence).all()
+        # the oracle's scalar writes double the slot axis, one batched
+        # write grows it once: compare the written slots, zero beyond them
+        written = engine._slots
+        assert written == oracle_engine._slots
+        assert (engine._evidence[:written] == oracle_engine._evidence[:written]).all()
+        assert not engine._evidence[written:].any()
+        assert not oracle_engine._evidence[written:].any()
 
     monkeypatch.setattr(consensus, "record_interactions", checked)
     run()
@@ -679,48 +699,66 @@ def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
 
 
 def test_record_interactions_checks_the_table_shape():
-    """A table that is not an integer or float array, of another shape, or
+    """A slots argument that is not a non-empty list, tuple or range, a
+    table stack that is not an integer or float array, of another shape, or
     with a cell that is not a probability (the diagonal cell included) is
     rejected before any draw, naming its type or the first bad cell; so
-    are a tracker that does not hold the engine's roster, a bad slot, a
-    repeated rater or target, and a name outside the roster, each with the
-    error the scheme's writer raises. The RNG and both schemes are left
-    untouched."""
+    are a tracker that does not hold the engine's roster, a bad or repeated
+    slot, a repeated rater or target, a bare str for a name list, and a
+    name outside the roster, each with the error the scheme's writer
+    raises. The RNG and both schemes are left untouched."""
     probability = r"must be a probability in \[0, 1\], got "
     numeric = "p must be a numpy array of integers or floats, got "
-    ab, full = ["a", "b"], np.full((2, 2), 0.8)
+    container = "slots must be a non-empty list, tuple or range, got "
+    ab, full = ["a", "b"], np.full((1, 2, 2), 0.8)
 
-    def case(targets, raters, p, match, slot=1, error=ValueError, tracked=("a", "b", "c")):
-        return targets, raters, p, match, slot, error, tracked
+    def case(targets, raters, p, match, slots=[1], error=ValueError, tracked=("a", "b", "c")):
+        return targets, raters, p, match, slots, error, tracked
 
-    cases = [case(["a"], ab, np.full((2, 1), 0.8), "shaped")] + [
-        case(ab, ab, np.array([[0.8, 0.8], [bad, bad]]),
-             r"p\[1, 0\] \(target 'b', rater 'a'\) " + probability)
+    cases = [case(["a"], ab, np.full((1, 2, 1), 0.8), "shaped")] + [
+        case(ab, ab, np.array([[[0.8, 0.8], [bad, bad]]]),
+             r"p\[0, 1, 0\] \(slot 1, target 'b', rater 'a'\) " + probability)
         for bad in (math.nan, math.inf, -math.inf, -0.1, 1.5)
     ] + [
-        case(ab, ab, np.array([[math.nan, 0.8], [0.8, 0.8]]), r"p\[0, 0\]"),
-        case(ab, ab, np.array([[0.8, 0.8], [0.8, 2]]), r"p\[1, 1\] .*" + probability + "2"),
-        case(["a"], ["b"], [[True]], numeric + "list$"),
-        case(["a"], ["b"], [[0.8]], numeric + "list$"),
-        case(["a"], ["b"], [["0.5"]], numeric + "list$"),
-        case(ab, ab, [[0.8, "x"], [0.8, 2]], numeric + "list$"),
-        case(["a"], ["b"], np.array([[True]]), numeric + "dtype bool$"),
-        case(["a"], ["b"], np.array([["0.8"]]), numeric + r"dtype [<>]U3$"),
-        case(["a"], ["b"], np.array([[0.8]], dtype=object), numeric + "dtype object$"),
-        case(["a"], ["b", "c"], np.full((1, 2), 0.8), "share one roster", tracked=("a", "b")),
+        case(ab, ab, np.array([[[math.nan, 0.8], [0.8, 0.8]]]), r"p\[0, 0, 0\]"),
+        case(ab, ab, np.array([[[0.8, 0.8], [0.8, 2]]]), r"p\[0, 1, 1\] .*" + probability + "2"),
+        case(["a"], ["b"], [[[True]]], numeric + "list$"),
+        case(["a"], ["b"], [[[0.8]]], numeric + "list$"),
+        case(["a"], ["b"], [[["0.5"]]], numeric + "list$"),
+        case(ab, ab, [[[0.8, "x"], [0.8, 2]]], numeric + "list$"),
+        case(["a"], ["b"], np.array([[[True]]]), numeric + "dtype bool$"),
+        case(["a"], ["b"], np.array([[["0.8"]]]), numeric + r"dtype [<>]U3$"),
+        case(["a"], ["b"], np.array([[[0.8]]], dtype=object), numeric + "dtype object$"),
+        case(["a"], ["b", "c"], np.full((1, 1, 2), 0.8), "share one roster", tracked=("a", "b")),
     ] + [
-        case(ab, ab, full, "slot must be >= 0", slot=slot) for slot in (1.5, -1, True)
+        case(ab, ab, full, "slot must be >= 0", slots=[slot]) for slot in (1.5, -1, True)
     ] + [
-        case(["c"], ["a", "b", "a"], np.full((1, 3), 0.8), r"pair \('a', 'c'\) occurs twice"),
-        case(["c", "c"], ["a"], np.full((2, 1), 0.8), r"pair \('a', 'c'\) occurs twice"),
-        case(["a"], ["b", "z"], np.full((1, 2), 0.8), "registered", error=KeyError),
+        case(["c"], ["a", "b", "a"], np.full((1, 1, 3), 0.8), r"pair \('a', 'c'\) occurs twice"),
+        case(["c", "c"], ["a"], np.full((1, 2, 1), 0.8), r"pair \('a', 'c'\) occurs twice"),
+        case(["a"], ["b", "z"], np.full((1, 1, 2), 0.8), "registered", error=KeyError),
+        # the batch's slots: a container of distinct slots, one table each
+        case(ab, ab, np.full((2, 2, 2), 0.8), r"slots must be distinct, got \[3, 3\]",
+             slots=[3, 3]),
+        case(ab, ab, np.full((2, 2, 2), 0.8), r"shaped \(slots, targets, raters\) = "
+             r"\(3, 2, 2\), got \(2, 2, 2\)", slots=[1, 2, 3]),
+        case(ab, ab, np.array([[[0.8, 0.8], [0.8, 0.8]], [[0.8, 0.8], [0.8, 1.5]]]),
+             r"p\[1, 1, 1\] \(slot 4, target 'b', rater 'b'\) " + probability + "1.5",
+             slots=[2, 4]),
+        # a bare str would read as one name per character
+        case(["c"], "ab", np.full((1, 1, 2), 0.8), "raters must be a list of names, not the "
+             "str 'ab'"),
+        case("c", ab, np.full((1, 1, 2), 0.8), "targets must be a list of names, not the "
+             "str 'c'"),
+    ] + [
+        case(ab, ab, full, container + re.escape(repr(slots)) + "$", slots=slots)
+        for slots in ([], 2, None)
     ]
-    for targets, raters, p, match, slot, error, tracked in cases:
+    for targets, raters, p, match, slots, error, tracked in cases:
         engine = consensus._schemes(None, ["a", "b", "c"])[0]
         tracker = LinearReputationTracker(tracked)
         rng = np.random.default_rng(0)
         with pytest.raises(error, match=match):
-            consensus.record_interactions(rng, slot, targets, raters, p, engine, tracker)
+            consensus.record_interactions(rng, slots, targets, raters, p, engine, tracker)
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
         assert engine._slots == 0 and not engine._evidence.any()
         assert (tracker._values == 0.5).all()
@@ -736,7 +774,7 @@ def test_record_interactions_to_a_tracker_in_another_order():
     tracker = LinearReputationTracker(["c", "a", "b"])
     rng = np.random.default_rng(5)
     with pytest.raises(ValueError, match="share one roster"):
-        consensus.record_interactions(rng, 2, targets, raters, p, engine, tracker)
+        consensus.record_interactions(rng, [2], targets, raters, p[None], engine, tracker)
     assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
     assert engine._slots == 0 and not engine._evidence.any()
     assert (tracker._values == 0.5).all()

@@ -4,8 +4,8 @@ One table over the constructors and entry points of every layer. Each is fed
 the values its rule rejects: a bool (Python's or numpy's), NaN, ±inf, a
 numeric string and None everywhere; an int past the float range where the
 argument is real or bounded; 1.5 where it is a whole number. The contract
-flags, an account identity or reputation node name and a parked row index
-have their own rules and rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
+flags, an account identity or reputation node name, a reputation name list
+and a parked row index have their own rules and rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
 `TypeError`, and never accept the value.
 """
 
@@ -28,6 +28,9 @@ BOUNDED_WHOLE = {**REAL, **HALF}     # a whole number with an upper bound
 WHOLE = {**COMMON, **HALF}           # a whole number a huge int satisfies
 FLAG = {"string": "no", "zero": 0, "one": 1, "float": 1.0, "none": None}   # a bool
 IDENTITY = {"int": 5, "none": None, "bytes": b"pv", "tuple": ("a",), "list": ["a"]}  # a str
+# a list of names, never a bare str: each value reads as registered names
+# one character at a time
+RATERS, TARGETS = {"str": "ac"}, {"str": "b"}
 INDEX = {"true": True, "numpy-true": np.True_, "none": None, "half": 1.5, "string": "3",
          "tuple": (1,)}                                                   # a whole row
 
@@ -70,6 +73,17 @@ def engine():
     eng.register("a", 9.0)
     eng.register("b", 10.0)
     return eng
+
+
+def schemes():
+    """Both reputation schemes over the roster a, b, c."""
+    return consensus._schemes(None, ["a", "b", "c"])
+
+
+def interactions(targets, raters):
+    return consensus.record_interactions(np.random.default_rng(0), [2], targets, raters,
+                                         np.full((1, len(targets), len(raters)), 0.8),
+                                         *schemes())
 
 
 def parked():
@@ -126,6 +140,22 @@ TABLE = [
      {**WHOLE, "negative": -1}),
     ("LinearReputationTracker.update", lambda x: reputation.LinearReputationTracker(
         ["a", "b"]).update("a", "b", 0, x), ValueError, BOUNDED_WHOLE),
+    ("ReputationEngine.view.raters", lambda x: schemes()[0].view("b", 2, x), ValueError,
+     RATERS),
+    ("ReputationEngine.average_reputations.targets", lambda x: schemes()[0].average_reputations(
+        x, 2, ["a", "c"]), ValueError, TARGETS),
+    ("ReputationEngine.average_reputations.raters", lambda x: schemes()[0].average_reputations(
+        ["b"], 2, x), ValueError, RATERS),
+    ("ReputationEngine.record_block.raters", lambda x: schemes()[0].record_block(
+        2, x, ["b"], np.ones((1, 2, 2), dtype=int)), ValueError, RATERS),
+    ("ReputationEngine.record_block.targets", lambda x: schemes()[0].record_block(
+        2, ["a", "c"], x, np.ones((1, 2, 2), dtype=int)), ValueError, TARGETS),
+    ("LinearReputationTracker.average_reputation.raters",
+     lambda x: schemes()[1].average_reputation("b", x), ValueError, RATERS),
+    ("LinearReputationTracker.update_block.raters", lambda x: schemes()[1].update_block(
+        x, ["b"], np.ones((1, 2, 2), dtype=int)), ValueError, RATERS),
+    ("LinearReputationTracker.update_block.targets", lambda x: schemes()[1].update_block(
+        ["a", "c"], x, np.ones((1, 2, 2), dtype=int)), ValueError, TARGETS),
     # consensus
     ("ConsensusConfig.n", lambda x: consensus.ConsensusConfig(n=x, l=0), ValueError, WHOLE),
     ("select_consensus_nodes.n", lambda x: consensus.select_consensus_nodes(
@@ -142,6 +172,8 @@ TABLE = [
         x, 1, 1, 0, None), ValueError, WHOLE),
     ("decay_experiment.misbehaving_count", lambda x: consensus.decay_experiment(
         12, x, 1, 0, None), ValueError, WHOLE),
+    ("record_interactions.targets", lambda x: interactions(x, ["a", "c"]), ValueError, TARGETS),
+    ("record_interactions.raters", lambda x: interactions(["b"], x), ValueError, RATERS),
     ("collusion_experiment.thresholds", lambda x: consensus.collusion_experiment(
         [x], 1), ValueError, REAL),
     ("collusion_experiment.seeds", lambda x: consensus.collusion_experiment(
@@ -170,7 +202,8 @@ TABLE = [
 # rows whose error is checked to name the rejected value
 NAMED = {"Parked.__getitem__", "Ledger.register_account", "Ledger.execute_task.pv_departed",
          "Ledger.verify_and_settle.sr_fraud", "ReputationEngine.register.node",
-         "LinearReputationTracker.nodes"}
+         "LinearReputationTracker.nodes"} | {
+    name for name, _, _, values in TABLE if values in (RATERS, TARGETS)}
 
 
 @pytest.mark.parametrize("call, error, value, named", [
