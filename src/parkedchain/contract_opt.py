@@ -822,13 +822,21 @@ def grid_oracle(problem: ContractProblem, f_grid, pi_grid) -> ContractMenu:
 # pricing baselines
 # ---------------------------------------------------------------------------
 
-def _price_responses(problem: ContractProblem):
+def _price_game(problem: ContractProblem):
+    """The posted-price constants both the scalar and the array paths read:
+    -2A, 4A^2, 4A, f_max, 8A theta_j, beta_j theta_j and `_gains` (A is the
+    energy coefficient)."""
+    params = problem.params
+    a_cap = params.energy_coeff
+    return (-2 * a_cap, 4 * a_cap * a_cap, 4 * a_cap, params.f_max,
+            [8 * a_cap * theta for theta in problem.thetas],
+            [b * t for b, t in zip(problem.betas, problem.thetas)], _gains(problem))
+
+
+def _price_responses(game):
     """Each type's privately optimal frequency against a posted unit price,
     as a function of the price (all 0 = stay out at a nonpositive price)."""
-    params = problem.params
-    a_cap, f_max = params.energy_coeff, params.f_max
-    neg_2a, a_sq4, a4 = -2 * a_cap, 4 * a_cap * a_cap, 4 * a_cap
-    a8_theta = [8 * a_cap * theta for theta in problem.thetas]
+    neg_2a, a_sq4, a4, f_max, a8_theta, _, _ = game
 
     def respond(price: float) -> list[float]:
         if price <= 0:
@@ -840,11 +848,10 @@ def _price_responses(problem: ContractProblem):
     return respond
 
 
-def _price_value(problem: ContractProblem):
+def _price_value(game):
     """The SR's utility at a posted unit price, as a function of the price."""
-    respond = _price_responses(problem)
-    bt = [b * t for b, t in zip(problem.betas, problem.thetas)]
-    rho, c0, ks, s_over_r = _gains(problem)
+    respond = _price_responses(game)
+    _, _, _, _, _, bt, (rho, c0, ks, s_over_r) = game
 
     def value(price: float) -> float:
         total = 0.0
@@ -857,21 +864,44 @@ def _price_value(problem: ContractProblem):
     return value
 
 
-def _menu_at_price(price: float, problem: ContractProblem, scheme: str) -> ContractMenu:
-    fs = _price_responses(problem)(price)
+def _price_values(game, prices: np.ndarray) -> np.ndarray:
+    """`_price_value` at each of the positive `prices` in one array pass, bit
+    for bit: every float operation is the scalar one, in its order. Overflows
+    pass silently, as they do there; a zero denominator is InfeasibleProblem."""
+    neg_2a, a_sq4, a4, f_max, a8_theta, bt, (rho, c0, ks, s_over_r) = game
+    with np.errstate(all="ignore"):
+        den = a4 * prices
+        if not den.all():
+            raise InfeasibleProblem("4 * energy_coeff * price underflows to 0")
+        total = np.zeros_like(prices)
+        for c, w, s in zip(a8_theta, bt, s_over_r):
+            f = np.minimum((neg_2a + np.sqrt(a_sq4 + c * prices * prices)) / den, f_max)
+            # f <= 0 and not f > 0: a NaN frequency adds NaN, as in the scalar loop
+            total = total + np.where(f <= 0, 0.0, w * (rho * (c0 - ks / f - s) - prices * f))
+    return total
+
+
+def _menu_at_price(price: float, game, scheme: str) -> ContractMenu:
+    fs = _price_responses(game)(price)
     return ContractMenu(tuple(fs), tuple(price * f for f in fs), scheme, meta={"price": price})
 
 
 def stackelberg_baseline(problem: ContractProblem) -> tuple[ContractMenu, float]:
     """Posted unit price chosen by 1-D search over the SR's utility, each
     type responding with its privately optimal frequency. A nonpositive
-    optimum collapses to price zero (nobody trades)."""
-    value = _price_value(problem)
+    optimum collapses to price zero (nobody trades). Task constants that
+    underflow a grid price's response denominator, or take the utility out
+    of the float range around the best grid price, raise InfeasibleProblem."""
+    game = _price_game(problem)
     coarse = np.logspace(-14, -4, 400)
-    values = [value(float(p)) for p in coarse]
+    values = _price_values(game, coarse)
     k = int(np.argmax(values))
+    if not np.isfinite(values[max(k - 1, 0):k + 2]).all():   # the refine's bracket
+        raise InfeasibleProblem("the SR's posted-price utility leaves the float range "
+                                "around the best grid price")
     lo = float(coarse[max(k - 1, 0)])
     hi = float(coarse[min(k + 1, coarse.size - 1)])
+    value = _price_value(game)
     res = minimize_scalar(
         lambda p: -value(p),
         bounds=(lo, hi), method="bounded",
@@ -881,7 +911,7 @@ def stackelberg_baseline(problem: ContractProblem) -> tuple[ContractMenu, float]
     best_price = max((refined, float(coarse[k])), key=value)
     if value(best_price) <= 0:
         best_price = 0.0
-    return _menu_at_price(best_price, problem, "stackelberg"), best_price
+    return _menu_at_price(best_price, game, "stackelberg"), best_price
 
 
 def linear_pricing_baseline(
@@ -891,9 +921,10 @@ def linear_pricing_baseline(
     posted-price optimum p_star (the price stackelberg_baseline returns)
     where the SR's utility hits zero. When even the optimal posted price
     earns nothing, the menu is all-zero."""
-    value = _price_value(problem)
+    game = _price_game(problem)
+    value = _price_value(game)
     if p_star <= 0 or value(p_star) <= 0:
-        return _menu_at_price(0.0, problem, "linear_pricing"), 0.0
+        return _menu_at_price(0.0, game, "linear_pricing"), 0.0
     hi = p_star
     for _ in range(200):
         hi *= 2.0
@@ -902,4 +933,4 @@ def linear_pricing_baseline(
     else:
         raise InfeasibleProblem("linear tariff root could not be bracketed")
     price = _brent(value, p_star, hi, 1e-18, 8.9e-16)
-    return _menu_at_price(float(price), problem, "linear_pricing"), float(price)
+    return _menu_at_price(float(price), game, "linear_pricing"), float(price)

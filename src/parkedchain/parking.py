@@ -411,15 +411,16 @@ def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> 
         raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     hours = np.floor(sample_arrival_hours(rng, count)).astype(int)
+    mixtures = [(m.h_short, m.shape_short, m.scale_short, m.shape_long, m.scale_long)
+                for m in map(params.at, range(24))]
+    random, gamma = rng.random, rng.gamma
     durations = np.empty(count)
-    # one vehicle at a time: the draws interleave on one stream, so their
-    # order fixes every seeded output
+    # one vehicle at a time, a uniform and then a gamma: the draws interleave
+    # on one stream, so their order fixes every seeded output
     for i, hour in enumerate(hours.tolist()):
-        m = params.at(hour)
-        if rng.random() < m.h_short:
-            durations[i] = rng.gamma(m.shape_short, m.scale_short)
-        else:
-            durations[i] = rng.gamma(m.shape_long, m.scale_long)
+        h_short, shape_short, scale_short, shape_long, scale_long = mixtures[hour]
+        durations[i] = (gamma(shape_short, scale_short) if random() < h_short
+                        else gamma(shape_long, scale_long))
     # Gamma variates are continuous; 0.0 would need measure-zero luck,
     # but guard the Arrivals invariant anyway
     return Arrivals(hours, np.maximum(durations, 1e-12))

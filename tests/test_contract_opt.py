@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize
 
 from parkedchain.contract_opt import (
@@ -28,7 +28,15 @@ from parkedchain.contract_opt import (
     stackelberg_baseline,
     time_saved,
 )
-from parkedchain.contract_opt import _brent, _gains, _pool_objective
+from parkedchain import contract_opt
+from parkedchain.contract_opt import (
+    _brent,
+    _gains,
+    _pool_objective,
+    _price_game,
+    _price_value,
+    _price_values,
+)
 from parkedchain.parking import TypeProfile
 
 DEFAULT_PARAMS = TaskParams()
@@ -305,6 +313,82 @@ class TestBaselines:
             other = pv_expected_utility(solver(problem), problem)
             assert lin >= other - 1e-9
 
+    @pytest.mark.parametrize("overrides", [
+        {"eps_cap": 1e-320},   # 4 * energy_coeff * price underflows to 0
+        {"f_max": 1e-300},     # ks / f overflows: every grid value is -inf
+        {"e_price": 1e300},    # energy_coeff overflows: every grid value is NaN
+    ])
+    def test_degenerate_task_constants_are_infeasible(self, overrides):
+        problem = problem_of((0.3, 0.5, 0.9), (0.3, 0.3, 0.4), **overrides)
+        with pytest.raises(InfeasibleProblem):
+            stackelberg_baseline(problem)
+
+
+PRICE_GRID = np.logspace(-14, -4, 400)   # stackelberg_baseline's coarse scan
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+# the random family LIA's overflow was measured on: n = 2..7 and four
+# log-uniform constants
+BASELINE_FAMILY = {"eps_cap": (1e-32, 1e-8), "f_max": (1e8, 3e10),
+                   "e_price": (1e-3, 10.0), "rho": (1e-2, 1e2)}
+TASK_CONSTANTS = ("rho", "kappa", "s_bits", "f_local", "eps_cap", "e_price", "f_max")
+
+
+@st.composite
+def pricing_problems(draw, min_types: int, baseline_family: bool = False):
+    """A random profile of min_types..7 types and task constants that are
+    either the Baseline family's or log-uniform over 1e-300..1e300, where
+    the SR's utility reaches +-inf and NaN. An infinite time gain is not a
+    problem, so it is filtered out."""
+    n = draw(st.integers(min_types, 7))
+    profile = random_problem(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n).profile
+    if baseline_family and draw(st.booleans()):
+        params = TaskParams(**{name: draw(log_uniform(*bounds))
+                               for name, bounds in BASELINE_FAMILY.items()})
+    else:
+        anywhere = log_uniform(1e-300, 1e300)
+        params = TaskParams(**{name: draw(anywhere) for name in TASK_CONSTANTS},
+                            r_bps=draw(anywhere | st.tuples(*[anywhere] * n)))
+    try:
+        return ContractProblem(profile, params)
+    except InfeasibleProblem:
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(problem=pricing_problems(min_types=1))
+@example(problem=problem_of((0.3, 0.5, 0.9), (0.3, 0.3, 0.4), f_max=1e-300))
+@example(problem=problem_of((0.3, 0.5, 0.9), (0.3, 0.3, 0.4), e_price=1e300))
+@example(problem=problem_of((0.3, 0.9), (0.5, 0.5), rho=1e300, f_local=1e-5))
+def test_price_grid_pass_is_the_scalar_value_bit_for_bit(problem):
+    """SA's one array pass over its price grid gives `_price_value` at
+    every grid price byte for byte, +-inf and NaN included, and raises
+    InfeasibleProblem where the scalar path divides by zero."""
+    game = _price_game(problem)
+    value = _price_value(game)
+    try:
+        expected = np.array([value(float(p)) for p in PRICE_GRID])
+    except ZeroDivisionError:
+        with pytest.raises(InfeasibleProblem, match="underflows"):
+            _price_values(game, PRICE_GRID)
+        return
+    assert _price_values(game, PRICE_GRID).tobytes() == expected.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(problem=pricing_problems(min_types=2, baseline_family=True))
+def test_stackelberg_ends_in_a_menu_or_infeasible(problem):
+    """No other error and no warning (warnings are errors under pytest)."""
+    try:
+        menu, price = stackelberg_baseline(problem)
+    except InfeasibleProblem:
+        return
+    assert menu.scheme == "stackelberg" and price >= 0
+
 
 
 def _pinned_problems() -> list[ContractProblem]:
@@ -355,6 +439,27 @@ def test_solver_menus_pinned():
         single += problem.n_types == 1
     assert min(clamped_lc, clamped_la, ironed, single) > 0
     assert digest.hexdigest() == "71bf850151b4a9915ab3e9faa31716257a64fd0c2378e2c923c5e420baf1195e"
+
+
+def test_stackelberg_scans_its_grid_without_the_scalar_value(monkeypatch):
+    """The 400-price scan is one array pass: the scalar closure serves the
+    refine and the final pick only, on every pinned problem."""
+    calls = []
+    scalar_value = contract_opt._price_value
+
+    def counted(*args):
+        value = scalar_value(*args)
+
+        def wrapped(price):
+            calls.append(price)
+            return value(price)
+        return wrapped
+
+    monkeypatch.setattr(contract_opt, "_price_value", counted)
+    for problem in _pinned_problems():
+        calls.clear()
+        stackelberg_baseline(problem)
+        assert 0 < len(calls) <= 60
 
 
 def full_constraint_oracle(problem: ContractProblem) -> ContractMenu:

@@ -365,6 +365,39 @@ def mixtures():
     )
 
 
+def _per_vehicle_population(params: GammaMixtureParams, count: int, seed: int):
+    """The reference for synthesize_population: its per-vehicle loop as it
+    read before the mixture table, one `params.at` per vehicle and each
+    duration written into an array."""
+    rng = np.random.default_rng(seed)
+    hours = np.floor(parking.sample_arrival_hours(rng, count)).astype(int)
+    durations = np.empty(count)
+    for i, hour in enumerate(hours.tolist()):
+        m = params.at(hour)
+        if rng.random() < m.h_short:
+            durations[i] = rng.gamma(m.shape_short, m.scale_short)
+        else:
+            durations[i] = rng.gamma(m.shape_long, m.scale_long)
+    return hours, np.maximum(durations, 1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(
+    default=st.one_of(st.just(DEFAULT_MIXTURE), mixtures()),
+    # the arrival hours are 3..21, so overrides there are the ones drawn on
+    per_hour=st.dictionaries(st.integers(0, 23), mixtures(), max_size=8),
+    count=st.one_of(st.integers(1, 50), st.integers(1, 5_000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_population_matches_the_per_vehicle_reference(default, per_hour, count, seed):
+    """Same hours and durations byte for byte, per-hour overrides included."""
+    params = GammaMixtureParams(default=default, per_hour=per_hour)
+    arrivals = synthesize_population(params, count, seed)
+    hours, durations = _per_vehicle_population(params, count, seed)
+    assert arrivals.hours.tobytes() == hours.tobytes()
+    assert arrivals.durations.tobytes() == durations.tobytes()
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     # few arrival hours, so that many rows share one, mixed with any hours
