@@ -12,8 +12,7 @@ under different information assumptions:
   frequency between LA's top item and the top type's LC item, backward
   multiplier recursion, monotonicity repair by bunching),
 - a posted-unit-price game and a zero-margin linear-pricing rule as
-  comparison baselines,
-- a brute-force grid oracle for small instances.
+  comparison baselines.
 
 LIA's time is in its inner loops. Its roots come from scipy's compiled
 Brent kernel (`_brent`), it chains each top frequency once per solve, and
@@ -49,7 +48,6 @@ __all__ = [
     "TaskParams",
     "ContractProblem",
     "ContractMenu",
-    "FeasibilityReport",
     "InfeasibleProblem",
     "time_saved",
     "energy_cost",
@@ -57,12 +55,9 @@ __all__ = [
     "sr_expected_utility",
     "sr_utility_terms",
     "pv_expected_utility",
-    "sr_reward_derivative",
-    "check_feasibility",
     "solve_complete_info",
     "solve_local_asymmetric",
     "solve_lagrangian_iterative",
-    "grid_oracle",
     "stackelberg_baseline",
     "linear_pricing_baseline",
 ]
@@ -232,54 +227,6 @@ def pv_expected_utility(menu: ContractMenu, problem: ContractProblem) -> float:
             problem.thetas[j], f, pi, problem.params
         )
     return total
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    ir_violations: tuple[tuple[int, float], ...]
-    ic_violations: tuple[tuple[int, int, float], ...]
-    monotonicity_violations: tuple[str, ...]
-
-    @property
-    def feasible(self) -> bool:
-        return not (
-            self.ir_violations or self.ic_violations or self.monotonicity_violations
-        )
-
-
-def check_feasibility(
-    menu: ContractMenu, problem: ContractProblem, tol: float = 1e-6
-) -> FeasibilityReport:
-    """Exhaustively evaluate all N IR and N(N-1) IC inequalities."""
-    n = problem.n_types
-    params = problem.params
-    own = [
-        pv_utility(problem.thetas[j], menu.fs[j], menu.pis[j], params)
-        for j in range(n)
-    ]
-    ir = tuple((j, own[j]) for j in range(n) if own[j] < -tol)
-    ic = []
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            cross = pv_utility(problem.thetas[j], menu.fs[k], menu.pis[k], params)
-            if cross > own[j] + tol:
-                ic.append((j, k, cross - own[j]))
-    mono = []
-    for j in range(1, n):
-        if menu.fs[j] < menu.fs[j - 1] - tol * max(1.0, menu.fs[j - 1]):
-            mono.append(f"f_{j + 1} < f_{j}")
-    if menu.fs[-1] > params.f_max * (1 + 1e-12):
-        mono.append("f_N > f_max")
-    return FeasibilityReport(ir, tuple(ic), tuple(mono))
-
-
-def sr_reward_derivative(problem: ContractProblem, j: int, pi: float) -> float:
-    """dU_SR_j/dpi_j with f_j eliminated through binding IR, which covers
-    type 1 and every type of the complete-information benchmark."""
-    theta = problem.thetas[j]
-    return problem.betas[j] * _foc(problem, j, pi, lambda p: theta * math.log1p(p))
 
 
 def _foc(problem: ContractProblem, j: int, pi: float, x_of_pi) -> float:
@@ -736,89 +683,6 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle (small instances only)
-# ---------------------------------------------------------------------------
-
-def grid_oracle(problem: ContractProblem, f_grid, pi_grid) -> ContractMenu:
-    """Enumerate every ascending menu on the given grids, filter by exact
-    feasibility, and return the SR-optimal survivor.
-
-    Cost grows combinatorially, so instances are capped at four types and
-    thirty points per grid. The returned menu's meta carries the achieved
-    SR utility and the largest grid cell widths for cell-sized comparisons.
-    """
-    from itertools import combinations_with_replacement
-
-    n = problem.n_types
-    if n > 4:
-        raise ValueError("grid oracle supports at most 4 types")
-    f_grid = np.asarray(f_grid, dtype=float)
-    pi_grid = np.asarray(pi_grid, dtype=float)
-    if f_grid.size > 30 or pi_grid.size > 30:
-        raise ValueError("grid oracle supports at most 30 points per grid")
-    if np.any(f_grid <= 0) or np.any(np.diff(f_grid) <= 0):
-        raise ValueError("frequency grid must be positive and strictly ascending")
-    if np.any(pi_grid < 0) or np.any(np.diff(pi_grid) <= 0):
-        raise ValueError("reward grid must be nonnegative and strictly ascending")
-    params = problem.params
-    if f_grid[-1] > params.f_max * (1 + 1e-12):
-        raise ValueError("frequency grid exceeds f_max")
-
-    thetas = np.asarray(problem.thetas)
-    betas = np.asarray(problem.betas)
-    rs = np.array([params.r_of(j) for j in range(n)])
-    a_cap = params.energy_coeff
-    ks = params.kappa * params.s_bits
-
-    f_idx = np.array(list(combinations_with_replacement(range(f_grid.size), n)))
-    p_idx = np.array(list(combinations_with_replacement(range(pi_grid.size), n)))
-    f_menus = f_grid[f_idx]                      # (Mf, n)
-    p_menus = pi_grid[p_idx]                     # (Mp, n)
-    v_menus = np.log1p(p_menus)
-
-    saved = params.rho * (ks / params.f_local - ks / f_menus - params.s_bits / rs)
-    energy = a_cap * f_menus**2
-
-    # thetas[j] * v(pi_k): (Mp, n_j, n_k), shared across frequency menus
-    cross_v = thetas[None, :, None] * v_menus[:, None, :]
-    own_v = thetas[None, :] * v_menus                      # (Mp, n)
-    sr_pay = (betas * thetas) * p_menus                    # (Mp, n)
-
-    tol = 1e-12
-    best_val = -math.inf
-    best = None
-    for i in range(f_menus.shape[0]):
-        own = own_v - energy[i][None, :]                   # (Mp, n)
-        if np.all(own[:, 0] < -tol):
-            continue
-        ir_ok = np.all(own >= -tol, axis=1)
-        if not ir_ok.any():
-            continue
-        cross = cross_v - energy[i][None, None, :]
-        ic_ok = np.all(cross <= own[:, :, None] + tol, axis=(1, 2))
-        ok = ir_ok & ic_ok
-        if not ok.any():
-            continue
-        gains = float(np.sum(betas * thetas * saved[i]))
-        values = gains - np.sum(sr_pay, axis=1)
-        values = np.where(ok, values, -np.inf)
-        k = int(np.argmax(values))
-        if values[k] > best_val:
-            best_val = float(values[k])
-            best = (f_menus[i], p_menus[k])
-    if best is None:
-        raise InfeasibleProblem("no feasible menu on the supplied grids")
-    f_cell = float(np.max(np.diff(f_grid))) if f_grid.size > 1 else 0.0
-    pi_cell = float(np.max(np.diff(pi_grid))) if pi_grid.size > 1 else 0.0
-    return ContractMenu(
-        tuple(float(x) for x in best[0]),
-        tuple(float(x) for x in best[1]),
-        "grid_oracle",
-        meta={"u_sr": best_val, "f_cell": f_cell, "pi_cell": pi_cell},
-    )
-
-
-# ---------------------------------------------------------------------------
 # pricing baselines
 # ---------------------------------------------------------------------------
 
@@ -842,6 +706,8 @@ def _price_responses(game):
         if price <= 0:
             return [0.0] * len(a8_theta)
         den = a4 * price
+        if not den:
+            raise InfeasibleProblem("4 * energy_coeff * price underflows to 0")
         return [min((neg_2a + math.sqrt(a_sq4 + c * price * price)) / den, f_max)
                 for c in a8_theta]
 

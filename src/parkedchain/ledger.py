@@ -222,6 +222,8 @@ class Ledger:
         deposit: int,
     ) -> SmartContractRecord:
         sr = self._account(sr_identity)
+        if not isinstance(spec, RequestSpec):
+            raise LedgerError(f"spec must be a RequestSpec, got {spec!r}")
         last, known = self._last_menu
         if menu is not last:
             items = []

@@ -15,8 +15,8 @@ vehicle's arrival hour fixes its parked hours and so its stay probability.
 fills the rows from a 24-entry table; the scalar `stay_probability` scores
 one `PVState` through the same kernel, bit for bit. The kernel is one
 `gammaincc` call over both components at both ends of the horizon, weighed
-and divided in Python floats; the array `survival` at the two ends is its
-bit-for-bit reference.
+and divided in Python floats; the tests' `survival` (tests/_oracles.py) at
+the two ends is its bit-for-bit reference.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "Arrivals",
     "NobodyParked",
     "DEFAULT_MIXTURE",
-    "density",
-    "survival",
     "stay_probability",
     "stay_probabilities",
     "leave_probability",
@@ -102,9 +100,15 @@ class GammaMixtureParams:
     per_hour: dict[int, HourMixture] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for hour in self.per_hour:
+        if not isinstance(self.default, HourMixture):
+            raise ValueError(f"default must be an HourMixture, got {self.default!r}")
+        if not isinstance(self.per_hour, dict):
+            raise ValueError(f"per_hour must be a dict, got {self.per_hour!r}")
+        for hour, mixture in self.per_hour.items():
             if not _is_hour(hour):
                 raise ValueError(f"arrival hour {hour!r} is not an integer in 0..23")
+            if not isinstance(mixture, HourMixture):
+                raise ValueError(f"hour {hour}'s mixture must be an HourMixture, got {mixture!r}")
 
     def at(self, arrival_hour: int) -> HourMixture:
         return self.per_hour.get(arrival_hour, self.default)
@@ -248,41 +252,12 @@ class TypeProfile:
         return len(self.thetas)
 
 
-def _gamma_pdf(t: float, shape: float, scale: float) -> float:
-    return (
-        t ** (shape - 1.0)
-        * math.exp(-t / scale)
-        / (math.gamma(shape) * scale**shape)
-    )
-
-
-def density(t_p: float, t_a: int, params: GammaMixtureParams) -> float:
-    """First-order density of the parking duration for arrival hour t_a."""
-    if t_p <= 0:
-        raise ValueError("duration must be positive")
-    m = params.at(t_a)
-    return m.h_short * _gamma_pdf(t_p, m.shape_short, m.scale_short) + m.h_long * _gamma_pdf(
-        t_p, m.shape_long, m.scale_long
-    )
-
-
-def survival(x, mixture: HourMixture):
-    """P[duration > x] under the mixture, via regularized upper Gammas;
-    `x` is a float or an array."""
-    if (np.asarray(x) < 0).any():
-        raise ValueError("x must be >= 0")
-    return (
-        mixture.h_short * gammaincc(mixture.shape_short, x / mixture.scale_short)
-        + mixture.h_long * gammaincc(mixture.shape_long, x / mixture.scale_long)
-    )
-
-
 def _stay(parked_hours: float, horizon: float, m: HourMixture) -> float:
     """The stay probability under one mixture, for `parked_hours` >= 0.
 
     One `gammaincc` call takes both components at both ends of the horizon;
-    the survivals are then weighed and divided in Python floats, the same
-    IEEE operations as `survival` on the two ends, so bit for bit its ratio.
+    the survivals are then weighed and divided in Python floats, the IEEE
+    operations of the tests' `survival` on both ends, so bit for bit its ratio.
     """
     later = parked_hours + horizon
     short_now, short_later, long_now, long_later = gammaincc(

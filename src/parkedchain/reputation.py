@@ -253,7 +253,11 @@ class ReputationEngine:
     """
 
     def __init__(self, cfg: WeightConfig | None = None):
-        self.cfg = cfg or WeightConfig()
+        if cfg is None:
+            cfg = WeightConfig()
+        elif not isinstance(cfg, WeightConfig):
+            raise ValueError(f"cfg must be None or a WeightConfig, got {cfg!r}")
+        self.cfg = cfg
         self.arrival_hours: dict[str, float] = {}
         self._index: dict[str, int] = {}
         self._evidence = np.zeros((0, 0, 0, 2), dtype=np.int64)

@@ -15,8 +15,6 @@ from scipy.special import gammaincc, gammainccinv
 from parkedchain import consensus, parking, reputation
 from parkedchain.contract_opt import (
     ContractProblem,
-    check_feasibility,
-    grid_oracle,
     linear_pricing_baseline,
     pv_expected_utility,
     pv_utility,
@@ -36,6 +34,8 @@ from parkedchain.parking import (
     stay_probability,
 )
 from parkedchain.reputation import VACUOUS, Opinion, fuse_final
+
+from _oracles import check_feasibility, grid_oracle
 
 
 @pytest.fixture(scope="session")

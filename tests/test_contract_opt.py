@@ -13,9 +13,7 @@ from parkedchain.contract_opt import (
     ContractProblem,
     InfeasibleProblem,
     TaskParams,
-    check_feasibility,
     energy_cost,
-    grid_oracle,
     linear_pricing_baseline,
     pv_expected_utility,
     pv_utility,
@@ -23,7 +21,6 @@ from parkedchain.contract_opt import (
     solve_lagrangian_iterative,
     solve_local_asymmetric,
     sr_expected_utility,
-    sr_reward_derivative,
     sr_utility_terms,
     stackelberg_baseline,
     time_saved,
@@ -38,6 +35,8 @@ from parkedchain.contract_opt import (
     _price_values,
 )
 from parkedchain.parking import TypeProfile
+
+from _oracles import check_feasibility, grid_oracle, sr_reward_derivative
 
 DEFAULT_PARAMS = TaskParams()
 
@@ -313,6 +312,13 @@ class TestBaselines:
             other = pv_expected_utility(solver(problem), problem)
             assert lin >= other - 1e-9
 
+    @pytest.mark.parametrize("p_star", [1e-320, 5e-324])
+    def test_linear_pricing_underflowing_price_is_infeasible(self, p_star):
+        # 4 * energy_coeff * p_star underflows to 0 at the default constants
+        problem = problem_of((0.3, 0.6, 0.9), (0.2, 0.3, 0.5))
+        with pytest.raises(InfeasibleProblem, match="underflows to 0"):
+            linear_pricing_baseline(problem, p_star)
+
     @pytest.mark.parametrize("overrides", [
         {"eps_cap": 1e-320},   # 4 * energy_coeff * price underflows to 0
         {"f_max": 1e-300},     # ks / f overflows: every grid value is -inf
@@ -367,12 +373,12 @@ def pricing_problems(draw, min_types: int, baseline_family: bool = False):
 def test_price_grid_pass_is_the_scalar_value_bit_for_bit(problem):
     """SA's one array pass over its price grid gives `_price_value` at
     every grid price byte for byte, +-inf and NaN included, and raises
-    InfeasibleProblem where the scalar path divides by zero."""
+    InfeasibleProblem where the scalar path does."""
     game = _price_game(problem)
     value = _price_value(game)
     try:
         expected = np.array([value(float(p)) for p in PRICE_GRID])
-    except ZeroDivisionError:
+    except InfeasibleProblem:
         with pytest.raises(InfeasibleProblem, match="underflows"):
             _price_values(game, PRICE_GRID)
         return

@@ -4,8 +4,9 @@ One table over the constructors and entry points of every layer. Each is fed
 the values its rule rejects: a bool (Python's or numpy's), NaN, ±inf, a
 numeric string and None everywhere; an int past the float range where the
 argument is real or bounded; 1.5 where it is a whole number. The contract
-flags, an account identity or reputation node name, a reputation name list
-and a parked row index have their own rules and rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
+flags, an account identity or reputation node name, a reputation name list,
+a parked row index and the parameter objects (a mixture, a mixture table, a
+weight config, a request spec) have their own rules and rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
 `TypeError`, and never accept the value.
 """
 
@@ -33,6 +34,11 @@ IDENTITY = {"int": 5, "none": None, "bytes": b"pv", "tuple": ("a",), "list": ["a
 RATERS, TARGETS = {"str": "ac"}, {"str": "b"}
 INDEX = {"true": True, "numpy-true": np.True_, "none": None, "half": 1.5, "string": "3",
          "tuple": (1,)}                                                   # a whole row
+# parameter objects: each must be an instance of its class, never a stand-in
+MIXTURE = {"string": "x", "none": None, "tuple": MIX}
+MIXTURE_TABLE = {"none": None, "list": [(9, None)]}                       # a dict
+WEIGHTS = {"string": "x", "zero": 0, "false": False, "dict": {"alpha1": 10.0}}  # or None
+SPECS = {"none": None, "dict": {"task_bits": 4_000_000}, "string": "spec"}
 
 
 def ledger():
@@ -100,6 +106,12 @@ TABLE = [
     ("HourMixture.scale_long", lambda x: mixture(5, x), ValueError, REAL),
     ("GammaMixtureParams.per_hour", lambda x: parking.GammaMixtureParams(
         per_hour={x: parking.DEFAULT_MIXTURE}), ValueError, BOUNDED_WHOLE),
+    ("GammaMixtureParams.default", lambda x: parking.GammaMixtureParams(default=x), ValueError,
+     MIXTURE),
+    ("GammaMixtureParams.per_hour.mixture", lambda x: parking.GammaMixtureParams(
+        per_hour={9: x}), ValueError, MIXTURE),
+    ("GammaMixtureParams.per_hour.table", lambda x: parking.GammaMixtureParams(per_hour=x),
+     ValueError, MIXTURE_TABLE),
     ("PVState.arrival_hour", lambda x: parking.PVState(0, x, 1.0, 1.0), ValueError,
      BOUNDED_WHOLE),
     ("PVState.parked_hours", lambda x: parking.PVState(0, 9, x, 1.0), ValueError, REAL),
@@ -127,6 +139,7 @@ TABLE = [
      {"nan": math.nan, "-inf": -math.inf}),
     # reputation
     ("WeightConfig.alpha1", lambda x: reputation.WeightConfig(alpha1=x), ValueError, REAL),
+    ("ReputationEngine.cfg", reputation.ReputationEngine, ValueError, WEIGHTS),
     ("ReputationEngine.register", lambda x: engine().register("c", x), ValueError, REAL),
     ("ReputationEngine.register.node", lambda x: engine().register(x, 9.0), ValueError,
      IDENTITY),
@@ -168,6 +181,8 @@ TABLE = [
         3, x, 0.5, 1, 0), ValueError, BOUNDED_WHOLE),
     ("detection_experiment.threshold", lambda x: consensus.detection_experiment(
         3, 1, x, 1, 0), ValueError, REAL),
+    ("detection_experiment.weight_config", lambda x: consensus.detection_experiment(
+        3, 1, 0.5, 1, 0, x), ValueError, WEIGHTS),
     ("decay_experiment.population", lambda x: consensus.decay_experiment(
         x, 1, 1, 0, None), ValueError, WHOLE),
     ("decay_experiment.misbehaving_count", lambda x: consensus.decay_experiment(
@@ -186,6 +201,8 @@ TABLE = [
     ("Ledger.post_request.reward", lambda x: post(menu=[(1e9, x)]), LedgerError,
      BOUNDED_WHOLE),
     ("Ledger.post_request.deposit", lambda x: post(deposit=x), LedgerError, BOUNDED_WHOLE),
+    ("Ledger.post_request.spec", lambda x: ledger().post_request("sr", x, ((1e9, 5),), 10),
+     LedgerError, SPECS),
     ("Ledger.sign_contract.item_index", lambda x: sign(item=x), LedgerError, BOUNDED_WHOLE),
     ("Ledger.sign_contract.deposit", lambda x: sign(deposit=x), LedgerError, BOUNDED_WHOLE),
     ("RequestSpec.task_bits", lambda x: RequestSpec(x, 1e9, 5.0), ValueError, REAL),
@@ -203,7 +220,8 @@ TABLE = [
 NAMED = {"Parked.__getitem__", "Ledger.register_account", "Ledger.execute_task.pv_departed",
          "Ledger.verify_and_settle.sr_fraud", "ReputationEngine.register.node",
          "LinearReputationTracker.nodes"} | {
-    name for name, _, _, values in TABLE if values in (RATERS, TARGETS)}
+    name for name, _, _, values in TABLE
+    if values in (RATERS, TARGETS, MIXTURE, MIXTURE_TABLE, WEIGHTS, SPECS)}
 
 
 @pytest.mark.parametrize("call, error, value, named", [

@@ -143,6 +143,18 @@ class TestPostRequest:
             led.post_request("sr1", SPEC, [(1.0e9, 120), (frequency, 260)], deposit=300)
         assert not led.contracts and led.accounts["sr1"].balance == 10_000
 
+    @pytest.mark.parametrize("spec", [None, {"task_bits": 4_000_000}, "spec"],
+                             ids=["none", "dict", "str"])
+    def test_spec_must_be_a_request_spec(self, spec, tmp_path):
+        # rejected before any write: no escrow, no nonce, no record for dump to trip on
+        led = funded_ledger()
+        nonce = led._nonce
+        with pytest.raises(LedgerError, match="RequestSpec, got " + re.escape(repr(spec))):
+            led.post_request("sr1", spec, MENU, deposit=10)
+        assert led.accounts["sr1"].balance == 10_000 and led._nonce == nonce
+        assert not led.contracts
+        led.dump(str(tmp_path / "ledger.jsonl"))
+
     def test_numpy_frequencies_stored_as_float(self):
         led = funded_ledger()
         rec = led.post_request("sr1", SPEC, [(np.float32(1.5e9), 120), (2, 260)], deposit=300)

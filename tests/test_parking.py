@@ -19,16 +19,16 @@ from parkedchain.parking import (
     TypeProfile,
     _stay,
     classify_types,
-    density,
     hourly_type_profile,
     ingest_trace,
     leave_probability,
     stay_probability,
     stay_probabilities,
-    survival,
     surviving_population,
     synthesize_population,
 )
+
+from _oracles import density, survival
 
 EXP_MIX = HourMixture(h_short=1.0, h_long=0.0, shape_short=1.0,
                       shape_long=1.0, scale_short=2.0, scale_long=1.0)
