@@ -442,7 +442,10 @@ def model_check_safety(config: ConsensusConfig | None = None) -> dict:
     to the 5 n^2 budget. It reports these and asserts none of them; run_view
     stops a view after the slot in which its message count passes the budget.
     """
-    config = config or ConsensusConfig()
+    if config is None:
+        config = ConsensusConfig()
+    elif not isinstance(config, ConsensusConfig):
+        raise ValueError(f"config must be None or a ConsensusConfig, got {config!r}")
     order = [f"n{i:02d}" for i in range(config.n)]
     proposal = BlockProposal(height=1, tx_digests=("tx0", "tx1"), proposer=order[0])
     strategies = list(ReplicaStrategy)

@@ -121,6 +121,10 @@ class ContractProblem:
     params: TaskParams = TaskParams()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.profile, TypeProfile):
+            raise ValueError(f"profile must be a TypeProfile, got {self.profile!r}")
+        if not isinstance(self.params, TaskParams):
+            raise ValueError(f"params must be a TaskParams, got {self.params!r}")
         _, c0, ks, s_over_r = _gains(self)
         if not all(map(math.isfinite, (c0, ks, *s_over_r))):
             raise InfeasibleProblem(

@@ -1,12 +1,12 @@
 """Parking-duration statistics and contract-type classification.
 
-Parking durations follow a two-component Gamma mixture (a short-term and a
-long-term parker population) whose parameters may vary with arrival hour.
-The conditional probability that a parked vehicle stays at least tau more
-hours, given it has already been parked t_p hours, is the survival ratio of
-the mixture; sorting those probabilities over the currently parked
-population and quantile-binning them yields the discrete type profile the
-contract optimizer consumes.
+Parking durations follow one two-component Gamma mixture (a short-term and
+a long-term parker population) for every arrival hour. The conditional
+probability that a parked vehicle stays at least tau more hours, given it
+has already been parked t_p hours, is the survival ratio of the mixture;
+sorting those probabilities over the currently parked population and
+quantile-binning them yields the discrete type profile the contract
+optimizer consumes.
 
 Populations are columns: `Arrivals` (hour and duration arrays) and the
 `Parked` set that `surviving_population` selects at one query hour, where a
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
@@ -31,14 +31,12 @@ from scipy.special import gammaincc
 from ._numbers import real, whole
 
 __all__ = [
-    "HourMixture",
     "GammaMixtureParams",
     "PVState",
     "Parked",
     "TypeProfile",
     "Arrivals",
     "NobodyParked",
-    "DEFAULT_MIXTURE",
     "stay_probability",
     "stay_probabilities",
     "leave_probability",
@@ -54,15 +52,17 @@ _TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class HourMixture:
-    """Six mixture parameters for one arrival hour."""
+class GammaMixtureParams:
+    """The six parking-duration mixture parameters, one mixture for every
+    arrival hour. The defaults are illustrative, not fitted to any real lot:
+    errands vs commuters."""
 
-    h_short: float
-    h_long: float
-    shape_short: float
-    shape_long: float
-    scale_short: float
-    scale_long: float
+    h_short: float = 0.6
+    h_long: float = 0.4
+    shape_short: float = 2.0
+    shape_long: float = 6.0
+    scale_short: float = 0.75
+    scale_long: float = 1.5
 
     def __post_init__(self) -> None:
         if not all(map(real, vars(self).values())):
@@ -78,40 +78,6 @@ class HourMixture:
         for name in ("shape_short", "shape_long", "scale_short", "scale_long"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-
-
-# Illustrative defaults, not fitted to any real lot: errands vs commuters.
-DEFAULT_MIXTURE = HourMixture(
-    h_short=0.6,
-    h_long=0.4,
-    shape_short=2.0,
-    shape_long=6.0,
-    scale_short=0.75,
-    scale_long=1.5,
-)
-
-
-@dataclass(frozen=True)
-class GammaMixtureParams:
-    """Per-arrival-hour mixture table, keyed by integer hours in 0..23;
-    hours not listed fall back to default."""
-
-    default: HourMixture = DEFAULT_MIXTURE
-    per_hour: dict[int, HourMixture] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.default, HourMixture):
-            raise ValueError(f"default must be an HourMixture, got {self.default!r}")
-        if not isinstance(self.per_hour, dict):
-            raise ValueError(f"per_hour must be a dict, got {self.per_hour!r}")
-        for hour, mixture in self.per_hour.items():
-            if not _is_hour(hour):
-                raise ValueError(f"arrival hour {hour!r} is not an integer in 0..23")
-            if not isinstance(mixture, HourMixture):
-                raise ValueError(f"hour {hour}'s mixture must be an HourMixture, got {mixture!r}")
-
-    def at(self, arrival_hour: int) -> HourMixture:
-        return self.per_hour.get(arrival_hour, self.default)
 
 
 @dataclass(frozen=True)
@@ -252,8 +218,8 @@ class TypeProfile:
         return len(self.thetas)
 
 
-def _stay(parked_hours: float, horizon: float, m: HourMixture) -> float:
-    """The stay probability under one mixture, for `parked_hours` >= 0.
+def _stay(parked_hours: float, horizon: float, m: GammaMixtureParams) -> float:
+    """The stay probability under the mixture, for `parked_hours` >= 0.
 
     One `gammaincc` call takes both components at both ends of the horizon;
     the survivals are then weighed and divided in Python floats, the IEEE
@@ -277,7 +243,7 @@ def _stay(parked_hours: float, horizon: float, m: HourMixture) -> float:
 
 def stay_probability(pv: PVState, params: GammaMixtureParams) -> float:
     """P[stays >= horizon more hours | already parked parked_hours]."""
-    return _stay(pv.parked_hours, pv.horizon, params.at(pv.arrival_hour))
+    return _stay(pv.parked_hours, pv.horizon, params)
 
 
 def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:
@@ -288,13 +254,13 @@ def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:
 def stay_probabilities(parked: Parked, params: GammaMixtureParams) -> np.ndarray:
     """`stay_probability` of every parked vehicle, in row order.
 
-    A row's arrival hour fixes its parked hours and mixture, and the
-    horizon is shared, so the kernel runs once per arrival hour present
-    and a 24-entry table fills the rows.
+    A row's arrival hour fixes its parked hours, and the horizon is
+    shared, so the kernel runs once per arrival hour present and a
+    24-entry table fills the rows.
     """
     table = np.empty(24)
     for a in np.flatnonzero(np.bincount(parked.arrival_hour, minlength=24)).tolist():
-        table[a] = _stay(float((parked.hour - a) % 24), float(parked.horizon), params.at(a))
+        table[a] = _stay(float((parked.hour - a) % 24), float(parked.horizon), params)
     return table[parked.arrival_hour]
 
 
@@ -386,14 +352,13 @@ def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> 
         raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     hours = np.floor(sample_arrival_hours(rng, count)).astype(int)
-    mixtures = [(m.h_short, m.shape_short, m.scale_short, m.shape_long, m.scale_long)
-                for m in map(params.at, range(24))]
+    h_short, shape_short, scale_short = params.h_short, params.shape_short, params.scale_short
+    shape_long, scale_long = params.shape_long, params.scale_long
     random, gamma = rng.random, rng.gamma
     durations = np.empty(count)
     # one vehicle at a time, a uniform and then a gamma: the draws interleave
     # on one stream, so their order fixes every seeded output
-    for i, hour in enumerate(hours.tolist()):
-        h_short, shape_short, scale_short, shape_long, scale_long = mixtures[hour]
+    for i in range(count):
         durations[i] = (gamma(shape_short, scale_short) if random() < h_short
                         else gamma(shape_long, scale_long))
     # Gamma variates are continuous; 0.0 would need measure-zero luck,

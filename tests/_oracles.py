@@ -18,7 +18,7 @@ from scipy.special import gammaincc
 
 from parkedchain.contract_opt import (ContractMenu, ContractProblem, InfeasibleProblem, _foc,
                                       pv_utility)
-from parkedchain.parking import GammaMixtureParams, HourMixture
+from parkedchain.parking import GammaMixtureParams
 
 
 @dataclass(frozen=True)
@@ -164,17 +164,16 @@ def _gamma_pdf(t: float, shape: float, scale: float) -> float:
     )
 
 
-def density(t_p: float, t_a: int, params: GammaMixtureParams) -> float:
-    """First-order density of the parking duration for arrival hour t_a."""
+def density(t_p: float, m: GammaMixtureParams) -> float:
+    """First-order density of the parking duration."""
     if t_p <= 0:
         raise ValueError("duration must be positive")
-    m = params.at(t_a)
     return m.h_short * _gamma_pdf(t_p, m.shape_short, m.scale_short) + m.h_long * _gamma_pdf(
         t_p, m.shape_long, m.scale_long
     )
 
 
-def survival(x, mixture: HourMixture):
+def survival(x, mixture: GammaMixtureParams):
     """P[duration > x] under the mixture, via regularized upper Gammas;
     `x` is a float or an array."""
     if (np.asarray(x) < 0).any():

@@ -28,7 +28,6 @@ from parkedchain.harness import cli
 from parkedchain.ledger import ContractState, Ledger, LedgerError, RequestSpec
 from parkedchain.parking import (
     GammaMixtureParams,
-    HourMixture,
     PVState,
     TypeProfile,
     stay_probability,
@@ -161,20 +160,20 @@ def test_criterion_05_self_selection(default_records):
 
 
 MC_SETS = [
-    (HourMixture(0.6, 0.4, 2.0, 6.0, 0.75, 1.5), 1.0, 0.5),
-    (HourMixture(0.6, 0.4, 2.0, 6.0, 0.75, 1.5), 2.0, 1.0),
-    (HourMixture(0.5, 0.5, 1.5, 4.0, 1.0, 2.0), 0.5, 0.25),
-    (HourMixture(0.5, 0.5, 1.5, 4.0, 1.0, 2.0), 3.0, 2.0),
-    (HourMixture(0.8, 0.2, 3.0, 8.0, 0.5, 1.0), 1.5, 0.75),
-    (HourMixture(0.3, 0.7, 2.5, 5.0, 0.6, 1.8), 2.5, 0.5),
-    (HourMixture(1.0, 0.0, 1.0, 1.0, 2.0, 1.0), 4.0, 1.0),
-    (HourMixture(0.7, 0.3, 4.0, 9.0, 0.4, 1.2), 1.0, 0.3),
-    (HourMixture(0.4, 0.6, 2.0, 7.0, 0.9, 1.1), 0.8, 0.6),
-    (HourMixture(0.55, 0.45, 1.8, 5.5, 0.7, 1.6), 1.2, 0.9),
+    (GammaMixtureParams(0.6, 0.4, 2.0, 6.0, 0.75, 1.5), 1.0, 0.5),
+    (GammaMixtureParams(0.6, 0.4, 2.0, 6.0, 0.75, 1.5), 2.0, 1.0),
+    (GammaMixtureParams(0.5, 0.5, 1.5, 4.0, 1.0, 2.0), 0.5, 0.25),
+    (GammaMixtureParams(0.5, 0.5, 1.5, 4.0, 1.0, 2.0), 3.0, 2.0),
+    (GammaMixtureParams(0.8, 0.2, 3.0, 8.0, 0.5, 1.0), 1.5, 0.75),
+    (GammaMixtureParams(0.3, 0.7, 2.5, 5.0, 0.6, 1.8), 2.5, 0.5),
+    (GammaMixtureParams(1.0, 0.0, 1.0, 1.0, 2.0, 1.0), 4.0, 1.0),
+    (GammaMixtureParams(0.7, 0.3, 4.0, 9.0, 0.4, 1.2), 1.0, 0.3),
+    (GammaMixtureParams(0.4, 0.6, 2.0, 7.0, 0.9, 1.1), 0.8, 0.6),
+    (GammaMixtureParams(0.55, 0.45, 1.8, 5.5, 0.7, 1.6), 1.2, 0.9),
 ]
 
 
-def mc_stay_oracle(mix: HourMixture, t_p: float, tau: float,
+def mc_stay_oracle(mix: GammaMixtureParams, t_p: float, tau: float,
                    rng: np.random.Generator, samples: int) -> float:
     """Inverse-transform sampling of the stay duration conditioned on
     having survived t_p, with antithetic uniforms for variance control.
@@ -212,14 +211,12 @@ def test_criterion_06_parking_math():
 
     mc_rng = np.random.default_rng(0)
     for mix, t_p, tau in MC_SETS:
-        exact = stay_probability(PVState(0, 9, t_p, tau),
-                                 GammaMixtureParams(default=mix))
+        exact = stay_probability(PVState(0, 9, t_p, tau), mix)
         est = mc_stay_oracle(mix, t_p, tau, mc_rng, 1_000_000)
         assert abs(est - exact) < 1e-3, (mix, t_p, tau, est, exact)
 
     scale = 2.0
-    expo = GammaMixtureParams(
-        default=HourMixture(1.0, 0.0, 1.0, 1.0, scale, 1.0))
+    expo = GammaMixtureParams(1.0, 0.0, 1.0, 1.0, scale, 1.0)
     for t_p in (0.1, 1.0, 3.0, 7.5):
         for tau in (0.25, 1.0, 2.0):
             p = stay_probability(PVState(0, 12, t_p, tau), expo)

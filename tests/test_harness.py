@@ -604,6 +604,38 @@ def test_random_configs_run_or_fail_cleanly(scenario, raw, seed, trace):
                              and any(name in line for name in names) for line in lines)
 
 
+def test_cli_module_runs_in_a_fresh_interpreter(tmp_path):
+    """`python -m parkedchain.harness.cli` under `-W error`: a run writes the
+    bytes an in-process `cli.main` run writes, and a config error exits 2
+    with one `config error:` line per problem and no traceback."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+
+    def run(config, out):
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "parkedchain.harness.cli",
+             "reputation-decay", "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=False)
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": 12, "misbehaving": 3, "consensus": {"slots": 4}}))
+    proc = run(cfg, tmp_path / "child")
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["reputation-decay", "--config", str(cfg),
+                     "--out", str(tmp_path / "in-process")]) == 0
+    for name in ("reputation-decay.csv", "provenance.txt"):
+        assert ((tmp_path / "child" / name).read_bytes()
+                == (tmp_path / "in-process" / name).read_bytes())
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"no_such_knob": 1, "consensus": {"no_such_key": 2}}))
+    proc = run(bad, tmp_path / "bad")
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2 and len(lines) == 2, proc.stderr
+    assert all(line.startswith("config error: ") for line in lines), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_public_names_resolve():
     """Every name in a module's __all__ exists, so `import *` cannot break
     on a name whose definition was deleted."""

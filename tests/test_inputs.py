@@ -5,9 +5,11 @@ the values its rule rejects: a bool (Python's or numpy's), NaN, ±inf, a
 numeric string and None everywhere; an int past the float range where the
 argument is real or bounded; 1.5 where it is a whole number. The contract
 flags, an account identity or reputation node name, a reputation name list,
-a parked row index and the parameter objects (a mixture, a mixture table, a
-weight config, a request spec) have their own rules and rows. Each call must raise the layer's `ValueError` or `LedgerError`, never a
-`TypeError`, and never accept the value.
+a parked row index and the parameter objects (a contract problem's type
+profile and task, a weight config, a model-check consensus config, a request
+spec) have their own rules and rows. Each call must raise the layer's
+`ValueError` or `LedgerError`, never a `TypeError`, and never accept the
+value.
 """
 
 import math
@@ -35,9 +37,9 @@ RATERS, TARGETS = {"str": "ac"}, {"str": "b"}
 INDEX = {"true": True, "numpy-true": np.True_, "none": None, "half": 1.5, "string": "3",
          "tuple": (1,)}                                                   # a whole row
 # parameter objects: each must be an instance of its class, never a stand-in
-MIXTURE = {"string": "x", "none": None, "tuple": MIX}
-MIXTURE_TABLE = {"none": None, "list": [(9, None)]}                       # a dict
+OBJECTS = {"string": "x", "none": None, "tuple": MIX}
 WEIGHTS = {"string": "x", "zero": 0, "false": False, "dict": {"alpha1": 10.0}}  # or None
+COMMITTEES = {"string": "x", "zero": 0, "false": False, "dict": {"n": 4, "l": 1}}  # or None
 SPECS = {"none": None, "dict": {"task_bits": 4_000_000}, "string": "spec"}
 
 
@@ -97,21 +99,16 @@ def parked():
 
 
 def mixture(i, x):
-    return parking.HourMixture(*MIX[:i], x, *MIX[i + 1:])
+    return parking.GammaMixtureParams(*MIX[:i], x, *MIX[i + 1:])
+
+
+PROFILE = parking.TypeProfile((0.5, 0.9), (0.5, 0.5))
 
 
 TABLE = [
     # parking
-    ("HourMixture.h_short", lambda x: mixture(0, x), ValueError, REAL),
-    ("HourMixture.scale_long", lambda x: mixture(5, x), ValueError, REAL),
-    ("GammaMixtureParams.per_hour", lambda x: parking.GammaMixtureParams(
-        per_hour={x: parking.DEFAULT_MIXTURE}), ValueError, BOUNDED_WHOLE),
-    ("GammaMixtureParams.default", lambda x: parking.GammaMixtureParams(default=x), ValueError,
-     MIXTURE),
-    ("GammaMixtureParams.per_hour.mixture", lambda x: parking.GammaMixtureParams(
-        per_hour={9: x}), ValueError, MIXTURE),
-    ("GammaMixtureParams.per_hour.table", lambda x: parking.GammaMixtureParams(per_hour=x),
-     ValueError, MIXTURE_TABLE),
+    ("GammaMixtureParams.h_short", lambda x: mixture(0, x), ValueError, REAL),
+    ("GammaMixtureParams.scale_long", lambda x: mixture(5, x), ValueError, REAL),
     ("PVState.arrival_hour", lambda x: parking.PVState(0, x, 1.0, 1.0), ValueError,
      BOUNDED_WHOLE),
     ("PVState.parked_hours", lambda x: parking.PVState(0, 9, x, 1.0), ValueError, REAL),
@@ -132,6 +129,9 @@ TABLE = [
     # contract_opt
     ("TaskParams.rho", lambda x: contract_opt.TaskParams(rho=x), ValueError, REAL),
     ("TaskParams.r_bps", lambda x: contract_opt.TaskParams(r_bps=(5e6, x)), ValueError, REAL),
+    ("ContractProblem.profile", contract_opt.ContractProblem, ValueError, OBJECTS),
+    ("ContractProblem.params", lambda x: contract_opt.ContractProblem(PROFILE, x), ValueError,
+     OBJECTS),
     # a menu is checked by comparisons alone, which NaN and -inf fail
     ("ContractMenu.fs", lambda x: contract_opt.ContractMenu((x,), (1.0,), "s"), ValueError,
      {"nan": math.nan, "-inf": -math.inf}),
@@ -189,6 +189,7 @@ TABLE = [
         12, x, 1, 0, None), ValueError, WHOLE),
     ("record_interactions.targets", lambda x: interactions(x, ["a", "c"]), ValueError, TARGETS),
     ("record_interactions.raters", lambda x: interactions(["b"], x), ValueError, RATERS),
+    ("model_check_safety.config", consensus.model_check_safety, ValueError, COMMITTEES),
     ("collusion_experiment.thresholds", lambda x: consensus.collusion_experiment(
         [x], 1), ValueError, REAL),
     ("collusion_experiment.seeds", lambda x: consensus.collusion_experiment(
@@ -221,7 +222,7 @@ NAMED = {"Parked.__getitem__", "Ledger.register_account", "Ledger.execute_task.p
          "Ledger.verify_and_settle.sr_fraud", "ReputationEngine.register.node",
          "LinearReputationTracker.nodes"} | {
     name for name, _, _, values in TABLE
-    if values in (RATERS, TARGETS, MIXTURE, MIXTURE_TABLE, WEIGHTS, SPECS)}
+    if values in (RATERS, TARGETS, OBJECTS, WEIGHTS, COMMITTEES, SPECS)}
 
 
 @pytest.mark.parametrize("call, error, value, named", [

@@ -1,5 +1,6 @@
 """Dual-Gamma stay statistics, type classification, trace plumbing."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -10,10 +11,8 @@ from scipy import integrate
 
 from parkedchain import parking
 from parkedchain.parking import (
-    DEFAULT_MIXTURE,
     Arrivals,
     GammaMixtureParams,
-    HourMixture,
     Parked,
     PVState,
     TypeProfile,
@@ -30,13 +29,12 @@ from parkedchain.parking import (
 
 from _oracles import density, survival
 
-EXP_MIX = HourMixture(h_short=1.0, h_long=0.0, shape_short=1.0,
-                      shape_long=1.0, scale_short=2.0, scale_long=1.0)
+EXP_MIX = GammaMixtureParams(h_short=1.0, h_long=0.0, shape_short=1.0,
+                             shape_long=1.0, scale_short=2.0, scale_long=1.0)
 
 
 def exp_params(scale=2.0):
-    m = HourMixture(1.0, 0.0, 1.0, 1.0, scale, 1.0)
-    return GammaMixtureParams(default=m)
+    return GammaMixtureParams(1.0, 0.0, 1.0, 1.0, scale, 1.0)
 
 
 def as_parked(arrival_hours, hour, horizon=1.0):
@@ -45,34 +43,25 @@ def as_parked(arrival_hours, hour, horizon=1.0):
     return Parked(np.arange(len(arrival_hours)), arrival_hours, hour, horizon)
 
 
-def memoryless(stays, horizon=1.0):
-    """Per-hour exponential mixtures under which a vehicle that arrived at
-    hour a stays `horizon` more hours with probability stays[a], however
-    long it has been parked."""
-    return GammaMixtureParams(per_hour={
-        a: HourMixture(1.0, 0.0, 1.0, 1.0, -horizon / math.log(p), 1.0)
-        for a, p in enumerate(stays)})
-
-
 class TestDensity:
     def test_exponential_special_case(self):
         params = exp_params(scale=2.0)
-        assert density(2.0, 9, params) == pytest.approx(0.5 * math.exp(-1.0))
+        assert density(2.0, params) == pytest.approx(0.5 * math.exp(-1.0))
 
     def test_integrates_to_one(self):
         params = GammaMixtureParams()
-        total, err = integrate.quad(lambda t: density(t, 9, params), 1e-12, 200)
+        total, err = integrate.quad(lambda t: density(t, params), 1e-12, 200)
         assert abs(total - 1.0) < 1e-6
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(0)
         params = GammaMixtureParams()
         for t in rng.uniform(1e-9, 50, size=1000):
-            assert density(float(t), 0, params) >= 0.0
+            assert density(float(t), params) >= 0.0
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError):
-            density(0.0, 9, GammaMixtureParams())
+            density(0.0, GammaMixtureParams())
 
 
 class TestStayProbability:
@@ -115,9 +104,9 @@ class TestStayProbability:
         # quadrature of the density is the unrearranged survival ratio
         params = GammaMixtureParams()
         pv = PVState(1, 9, parked_hours=2.5, horizon=1.5)
-        upper, _ = integrate.quad(lambda t: density(t, 9, params), pv.parked_hours, 400)
+        upper, _ = integrate.quad(lambda t: density(t, params), pv.parked_hours, 400)
         both, _ = integrate.quad(
-            lambda t: density(t, 9, params), pv.parked_hours + pv.horizon, 400
+            lambda t: density(t, params), pv.parked_hours + pv.horizon, 400
         )
         assert stay_probability(pv, params) == pytest.approx(both / upper, abs=1e-9)
 
@@ -130,8 +119,7 @@ class TestStayProbability:
 class TestMonteCarloOracle:
     def test_conditional_frequency(self):
         rng = np.random.default_rng(7)
-        params = GammaMixtureParams()
-        m = params.at(9)
+        m = params = GammaMixtureParams()
         n = 500_000
         pick = rng.random(n) < m.h_short
         durations = np.where(
@@ -147,9 +135,13 @@ class TestMonteCarloOracle:
 
 class TestClassifyTypes:
     def test_quantile_split_pin(self):
-        params = memoryless((0.2, 0.4, 0.6, 0.8))
-        profile = classify_types(as_parked([0, 1, 2, 3], 9), params, 2)
-        assert profile.thetas == pytest.approx((0.3, 0.7))
+        # four vehicles parked 1, 2, 4 and 7 hours at query hour 9: the two
+        # types are the means of the lower and the upper pair of their stays
+        params = GammaMixtureParams()
+        parked_hours = np.array([1.0, 2.0, 4.0, 7.0])
+        stays = np.sort(survival(parked_hours + 1.0, params) / survival(parked_hours, params))
+        profile = classify_types(as_parked([8, 7, 5, 2], 9), params, 2)
+        assert profile.thetas == pytest.approx((stays[:2].mean(), stays[2:].mean()))
         assert profile.betas == pytest.approx((0.5, 0.5))
 
     def test_identical_population_collapses(self):
@@ -238,8 +230,7 @@ class TestSynthesizePopulation:
         assert all(records.durations > 0)
 
     def test_duration_moments(self):
-        params = GammaMixtureParams()
-        m = params.at(9)
+        m = params = GammaMixtureParams()
         records = synthesize_population(params, 10_000, seed=9)
         durations = records.durations
         want = m.h_short * m.shape_short * m.scale_short \
@@ -348,18 +339,23 @@ class TestMixtureRules:
     def test_nan_parameter_rejected(self, field):
         values = dict(zip(self.FIELDS, (0.6, 0.4, 2.0, 6.0, 0.75, 1.5)), **{field: math.nan})
         with pytest.raises(ValueError):
-            HourMixture(**values)
+            GammaMixtureParams(**values)
 
-    @pytest.mark.parametrize("hour", [9.5, 0.5])
-    def test_fractional_hour_key_rejected(self, hour):
-        # no vehicle arrives at a fractional hour, so such a mixture is never used
-        with pytest.raises(ValueError, match="integer"):
-            GammaMixtureParams(per_hour={hour: EXP_MIX})
+    def test_mixture_is_a_value(self):
+        # equal parameters, stored as floats, make equal and equally hashed
+        # mixtures, so a mixture keys a dict or a set and cannot be changed
+        mixture = GammaMixtureParams()
+        same = GammaMixtureParams(0.6, 0.4, 2, 6, 0.75, 1.5)
+        assert mixture == same and hash(mixture) == hash(same)
+        assert {mixture: "default"}[same] == "default"
+        assert len({mixture, same, EXP_MIX}) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mixture.h_short = 0.5
 
 
 def mixtures():
     return st.builds(
-        lambda h, a, b, c, d: HourMixture(h, 1.0 - h, a, b, c, d),
+        lambda h, a, b, c, d: GammaMixtureParams(h, 1.0 - h, a, b, c, d),
         st.floats(0.0, 1.0), st.floats(0.5, 8.0), st.floats(0.5, 8.0),
         st.floats(0.2, 3.0), st.floats(0.2, 3.0),
     )
@@ -367,31 +363,28 @@ def mixtures():
 
 def _per_vehicle_population(params: GammaMixtureParams, count: int, seed: int):
     """The reference for synthesize_population: its per-vehicle loop as it
-    read before the mixture table, one `params.at` per vehicle and each
-    duration written into an array."""
+    read before the mixture's constants were bound once, the parameters and
+    the generator's methods looked up per vehicle and each duration written
+    into an array."""
     rng = np.random.default_rng(seed)
     hours = np.floor(parking.sample_arrival_hours(rng, count)).astype(int)
     durations = np.empty(count)
-    for i, hour in enumerate(hours.tolist()):
-        m = params.at(hour)
-        if rng.random() < m.h_short:
-            durations[i] = rng.gamma(m.shape_short, m.scale_short)
+    for i in range(count):
+        if rng.random() < params.h_short:
+            durations[i] = rng.gamma(params.shape_short, params.scale_short)
         else:
-            durations[i] = rng.gamma(m.shape_long, m.scale_long)
+            durations[i] = rng.gamma(params.shape_long, params.scale_long)
     return hours, np.maximum(durations, 1e-12)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(
-    default=st.one_of(st.just(DEFAULT_MIXTURE), mixtures()),
-    # the arrival hours are 3..21, so overrides there are the ones drawn on
-    per_hour=st.dictionaries(st.integers(0, 23), mixtures(), max_size=8),
+    params=st.one_of(st.just(GammaMixtureParams()), mixtures()),
     count=st.one_of(st.integers(1, 50), st.integers(1, 5_000)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_population_matches_the_per_vehicle_reference(default, per_hour, count, seed):
-    """Same hours and durations byte for byte, per-hour overrides included."""
-    params = GammaMixtureParams(default=default, per_hour=per_hour)
+def test_population_matches_the_per_vehicle_reference(params, count, seed):
+    """Same hours and durations byte for byte."""
     arrivals = synthesize_population(params, count, seed)
     hours, durations = _per_vehicle_population(params, count, seed)
     assert arrivals.hours.tobytes() == hours.tobytes()
@@ -405,18 +398,14 @@ def test_population_matches_the_per_vehicle_reference(default, per_hour, count, 
                            min_size=1, max_size=60),
     hour=st.integers(0, 23),
     horizon=st.one_of(st.floats(0.05, 6.0), st.sampled_from([0.5, 1.0])),
-    default=mixtures(),
-    per_hour=st.dictionaries(st.integers(0, 23), mixtures(), max_size=4),
+    params=mixtures(),
 )
-@example(  # a vehicle parked 0 hours, one parked 23 and a per-hour mixture
-    arrival_hours=[9, 8, 9, 10, 8, 9], hour=9, horizon=1.0,
-    default=DEFAULT_MIXTURE, per_hour={8: EXP_MIX},
+@example(  # a vehicle parked 0 hours and one parked 23
+    arrival_hours=[9, 8, 9, 10, 8, 9], hour=9, horizon=1.0, params=GammaMixtureParams(),
 )
-def test_columnar_stay_matches_scalar(arrival_hours, hour, horizon, default, per_hour):
+def test_columnar_stay_matches_scalar(arrival_hours, hour, horizon, params):
     """Row i is vehicle i's PVState at the query hour, and the array path
-    equals the scalar reference on every row with ==, per-hour mixtures
-    included."""
-    params = GammaMixtureParams(default=default, per_hour=per_hour)
+    equals the scalar reference on every row with ==."""
     parked = Parked(np.arange(len(arrival_hours)) + 100, arrival_hours, hour, horizon)
     rows = [parked[i] for i in range(len(parked))]
     assert rows == [PVState(i + 100, a, float((hour - a) % 24), horizon)
@@ -435,23 +424,22 @@ def _survival_ratio(parked_hours, horizon, m):
 @settings(deadline=None, max_examples=300)
 @given(
     # scales down to 0.005 reach the underflow within 60 parked hours
-    m=st.builds(lambda h, a, b, c, d: HourMixture(h, 1.0 - h, a, b, c, d),
+    m=st.builds(lambda h, a, b, c, d: GammaMixtureParams(h, 1.0 - h, a, b, c, d),
                 st.floats(0.0, 1.0), st.floats(0.5, 8.0), st.floats(0.5, 8.0),
                 st.floats(0.005, 3.0), st.floats(0.005, 3.0)),
     parked_hours=st.floats(0.0, 60.0),
     horizon=st.floats(0.0, 10.0, exclude_min=True),
 )
-@example(m=DEFAULT_MIXTURE, parked_hours=40.0, horizon=1.0)
-@example(m=HourMixture(0.3, 0.7, 2.0, 6.0, 0.005, 0.01), parked_hours=20.0, horizon=1.0)
+@example(m=GammaMixtureParams(), parked_hours=40.0, horizon=1.0)
+@example(m=GammaMixtureParams(0.3, 0.7, 2.0, 6.0, 0.005, 0.01), parked_hours=20.0, horizon=1.0)
 # float32 parameters: the kernel's scalar arithmetic is float64 all the same
-@example(m=HourMixture(*map(np.float32, (0.25, 0.75, 2.0, 6.0, 0.75, 1.5))),
+@example(m=GammaMixtureParams(*map(np.float32, (0.25, 0.75, 2.0, 6.0, 0.75, 1.5))),
          parked_hours=3.3, horizon=1.0)
 def test_stay_kernel_is_the_survival_ratio_bit_for_bit(m, parked_hours, horizon):
     """`_stay`, `stay_probability` and `stay_probabilities` equal the
     survival-ratio reference bit for bit, and raise its underflow error."""
-    params = GammaMixtureParams(default=m)
     scalar = [lambda: _stay(parked_hours, horizon, m),
-              lambda: stay_probability(PVState(0, 9, parked_hours, horizon), params)]
+              lambda: stay_probability(PVState(0, 9, parked_hours, horizon), m)]
     expected = _survival_ratio(parked_hours, horizon, m)
     for call in scalar:
         if expected is None:
@@ -464,7 +452,7 @@ def test_stay_kernel_is_the_survival_ratio_bit_for_bit(m, parked_hours, horizon)
     expected = [_survival_ratio(float(-a % 24), horizon, m) for a in range(24)]
     if None in expected:
         with pytest.raises(ValueError, match="survival underflowed to 0"):
-            stay_probabilities(rows, params)
+            stay_probabilities(rows, m)
     else:
-        assert [p.hex() for p in stay_probabilities(rows, params).tolist()] == [
+        assert [p.hex() for p in stay_probabilities(rows, m).tolist()] == [
             p.hex() for p in expected]
