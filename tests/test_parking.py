@@ -341,6 +341,36 @@ class TestMixtureRules:
         with pytest.raises(ValueError):
             GammaMixtureParams(**values)
 
+    def test_fields_in_positional_order(self):
+        assert tuple(f.name for f in dataclasses.fields(GammaMixtureParams)) == self.FIELDS
+        assert GammaMixtureParams(1.0, 0.0, 3.0, 4.0, 5.0, 6.0) == GammaMixtureParams(
+            h_short=1.0, h_long=0.0, shape_short=3.0, shape_long=4.0, scale_short=5.0,
+            scale_long=6.0)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.float32])
+    def test_parameters_stored_as_python_floats(self, kind):
+        values = (1, 0, 2, 6, 1, 2) if kind is not np.float32 else (
+            0.25, 0.75, 2.0, 6.0, 0.75, 1.5)
+        mixture = GammaMixtureParams(*map(kind, values))
+        stored = [getattr(mixture, field) for field in self.FIELDS]
+        assert all(type(value) is float for value in stored)
+        assert stored == [float(kind(value)) for value in values]
+
+    @pytest.mark.parametrize("h_short, h_long", [(0.6, 0.6), (0.5, 0.4)])
+    def test_weights_must_sum_to_one(self, h_short, h_long):
+        with pytest.raises(ValueError, match="sum to 1"):
+            GammaMixtureParams(h_short, h_long)
+
+    @pytest.mark.parametrize("h_short, h_long", [(1.5, -0.5), (-0.5, 1.5)])
+    def test_negative_weight_rejected(self, h_short, h_long):
+        with pytest.raises(ValueError, match="nonnegative"):
+            GammaMixtureParams(h_short, h_long)
+
+    @pytest.mark.parametrize("field", FIELDS[2:])
+    def test_zero_shape_or_scale_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            GammaMixtureParams(**{field: 0.0})
+
     def test_mixture_is_a_value(self):
         # equal parameters, stored as floats, make equal and equally hashed
         # mixtures, so a mixture keys a dict or a set and cannot be changed
