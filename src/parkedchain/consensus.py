@@ -750,14 +750,6 @@ def detection_experiment(
     return sl_series, lr_series
 
 
-def full_detection_slot(series: list[float]) -> int | None:
-    """First 1-indexed slot where the whole misbehaving set is flagged."""
-    for i, rate in enumerate(series):
-        if rate >= 1.0:
-            return i + 1
-    return None
-
-
 def decay_experiment(
     population: int,
     misbehaving_count: int,

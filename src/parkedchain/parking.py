@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,12 +302,19 @@ def ingest_trace(path: str) -> Arrivals:
     """Read `arrival_hour,duration_hours` rows into `Arrivals`.
 
     Any malformed row rejects the whole file, naming the row number, and so
-    does a file without data rows.
+    does a file without data rows. `path` is a str or path-like object, not
+    a file descriptor; one that cannot be opened raises ValueError naming it.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise ValueError(f"trace path must be a str or path-like object (got {path!r})")
+    try:
+        fh = open(path, newline="")
+    except (OSError, ValueError) as exc:    # ValueError: an embedded null byte
+        raise ValueError(f"cannot open trace {os.fspath(path)!r}: {exc}") from exc
     hours: list[int] = []
     durations: list[float] = []
     linenos: list[int] = []
-    with open(path, newline="") as fh:
+    with fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (lineno == 1 and not _is_number(row[0])):
                 continue  # blank line or header

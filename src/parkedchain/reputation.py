@@ -25,17 +25,8 @@ __all__ = [
     "Opinion",
     "WeightConfig",
     "ReputationView",
-    "VACUOUS",
-    "local_opinion",
-    "reputation_value",
-    "familiarity_weight",
     "timeliness_weight",
-    "similarity_weight",
-    "overall_weight",
-    "synthesize_recommended",
-    "fuse_final",
     "average_final_reputation",
-    "linear_reputation_baseline",
     "ReputationEngine",
     "LinearReputationTracker",
 ]
@@ -92,9 +83,6 @@ class Opinion:
             raise ValueError(f"belief+disbelief+uncertainty={total!r} != 1")
 
 
-VACUOUS = Opinion(0.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class WeightConfig:
     """Mixing coefficients for the three reputation-segment weights."""
@@ -132,35 +120,6 @@ class ReputationView:
         return average_final_reputation(list(self.final_values.values()))
 
 
-def local_opinion(positives: int, negatives: int, prior: float = 0.5) -> Opinion:
-    """Map positive/negative evidence counts to an opinion.
-
-    Standard beta-evidence mapping with prior weight W: with P positive and
-    Q negative observations, b = P/(P+Q+W), d = Q/(P+Q+W), u = W/(P+Q+W).
-    No evidence yields the vacuous opinion.
-    """
-    total = positives + negatives + EVIDENCE_PRIOR_WEIGHT
-    return Opinion(positives / total, negatives / total,
-                   EVIDENCE_PRIOR_WEIGHT / total, prior)
-
-
-def reputation_value(o: Opinion) -> float:
-    """Expected value of an opinion: g = b + u * a."""
-    return o.belief + o.uncertainty * o.base_rate
-
-
-def familiarity_weight(p_ij: float, peer_counts: list[float]) -> float:
-    """Interaction count with the target relative to the rater's peer average."""
-    if not peer_counts:
-        raise ValueError("peer_counts must be nonempty")
-    if any(c < 0 for c in peer_counts):
-        raise ValueError("interaction counts must be nonnegative")
-    mean = sum(peer_counts) / len(peer_counts)
-    if mean == 0:
-        raise ValueError("no interaction history: all peer counts are zero")
-    return p_ij / mean
-
-
 def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
     """Power-law decay of an opinion's weight with its age in slots."""
     if t <= t_ij:
@@ -168,70 +127,11 @@ def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
     return cfg.alpha1 * (t - t_ij) ** (-cfg.alpha2)
 
 
-def similarity_weight(t_i_a: float, t_j_a: float) -> float:
-    """Behavioral similarity from arrival-hour proximity: 1/(1+|dt|)."""
-    if not (real(t_i_a) and real(t_j_a) and t_i_a >= 0 and t_j_a >= 0):
-        raise ValueError("arrival hours must be nonnegative and finite")
-    return 1.0 / (1.0 + abs(t_i_a - t_j_a))
-
-
-def overall_weight(x: float, y: float, z: float, cfg: WeightConfig) -> float:
-    return cfg.gamma1 * x + cfg.gamma2 * y + cfg.gamma3 * z
-
-
-def synthesize_recommended(opinions: list[tuple[float, Opinion]]) -> Opinion:
-    """Weighted average of recommended opinions (components and base rates)."""
-    if not opinions:
-        raise ValueError("no recommendations to synthesize")
-    total_w = sum(w for w, _ in opinions)
-    if total_w <= 0:
-        raise ValueError("total recommendation weight must be positive")
-    b = sum(w * o.belief for w, o in opinions) / total_w
-    d = sum(w * o.disbelief for w, o in opinions) / total_w
-    u = sum(w * o.uncertainty for w, o in opinions) / total_w
-    a = sum(w * o.base_rate for w, o in opinions) / total_w
-    return Opinion(b, d, u, a)
-
-
-def fuse_final(local: Opinion, syn: Opinion) -> Opinion:
-    """Consensus fusion of the local and synthesized opinions.
-
-    Weighs each side by the other's uncertainty; the local base rate is
-    carried through. Undefined when both operands are dogmatic (u = 0).
-    """
-    ul, us = local.uncertainty, syn.uncertainty
-    # vacuous operands are exact neutral elements; short-circuit so the
-    # identity holds bit for bit instead of up to rounding in den
-    if us == 1.0 and ul == 1.0:
-        return Opinion(0.0, 0.0, 1.0, local.base_rate)
-    if us == 1.0:
-        return Opinion(local.belief, local.disbelief, local.uncertainty,
-                       local.base_rate)
-    if ul == 1.0:
-        return Opinion(syn.belief, syn.disbelief, syn.uncertainty,
-                       local.base_rate)
-    den = us + ul - us * ul
-    if den <= 0:
-        raise ValueError("fusion undefined: both opinions are dogmatic (u=0)")
-    b = (local.belief * us + syn.belief * ul) / den
-    d = (local.disbelief * us + syn.disbelief * ul) / den
-    u = (us * ul) / den
-    return Opinion(b, d, u, local.base_rate)
-
-
 def average_final_reputation(finals: list[float]) -> float:
     """Arithmetic mean of per-rater final reputation values."""
     if not finals:
         raise ValueError("need at least one rater")
     return sum(finals) / len(finals)
-
-
-def linear_reputation_baseline(history: list[float]) -> float:
-    """EMA of outcome indicators: the linear comparison scheme."""
-    value = _LR_INITIAL
-    for outcome in history:
-        value = (1.0 - _LR_SMOOTHING) * value + _LR_SMOOTHING * outcome
-    return value
 
 
 class ReputationEngine:
@@ -249,7 +149,10 @@ class ReputationEngine:
     weights; local and synthesized opinions are fused; the fused values
     are averaged over raters. ``view`` does this for one target and
     ``average_reputations`` for many at once, sharing the slot sum, the
-    timeliness table and the rater indices between them.
+    timeliness table and the rater indices between them. The scalar form
+    of these steps (``local_opinion``, the weights, ``synthesize_recommended``,
+    ``fuse_final``) lives in tests/_oracles.py, the engine's bit-for-bit
+    reference.
     """
 
     def __init__(self, cfg: WeightConfig | None = None):

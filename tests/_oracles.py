@@ -7,7 +7,13 @@ first-order condition's derivative under binding IR, and `grid_oracle`
 enumerates every ascending menu on small grids. From parking: `density` is
 the mixture's first-order duration density, and `survival` the array
 survival function whose ratio at both ends of the horizon is the stay
-kernel's bit-for-bit reference. Nothing under src/ imports it.
+kernel's bit-for-bit reference. From reputation: the scalar subjective-logic
+algebra (`local_opinion`, `reputation_value`, the familiarity, similarity
+and overall weights, `synthesize_recommended`, `fuse_final`) that
+`ReputationEngine`'s array read must match bit for bit, and the EMA
+`linear_reputation_baseline` that `LinearReputationTracker` must match. From
+consensus: `full_detection_slot`, the first slot a detection series flags
+every misbehaving node. Nothing under src/ imports it.
 """
 
 import math
@@ -18,7 +24,10 @@ from scipy.special import gammaincc
 
 from parkedchain.contract_opt import (ContractMenu, ContractProblem, InfeasibleProblem, _foc,
                                       pv_utility)
+from parkedchain._numbers import real
 from parkedchain.parking import GammaMixtureParams
+from parkedchain.reputation import (_LR_INITIAL, _LR_SMOOTHING, EVIDENCE_PRIOR_WEIGHT, Opinion,
+                                    WeightConfig)
 
 
 @dataclass(frozen=True)
@@ -182,3 +191,110 @@ def survival(x, mixture: GammaMixtureParams):
         mixture.h_short * gammaincc(mixture.shape_short, x / mixture.scale_short)
         + mixture.h_long * gammaincc(mixture.shape_long, x / mixture.scale_long)
     )
+
+
+# ---------------------------------------------------------------------------
+# reputation references
+# ---------------------------------------------------------------------------
+
+VACUOUS = Opinion(0.0, 0.0, 1.0)
+
+
+def local_opinion(positives: int, negatives: int, prior: float = 0.5) -> Opinion:
+    """Map positive/negative evidence counts to an opinion.
+
+    Standard beta-evidence mapping with prior weight W: with P positive and
+    Q negative observations, b = P/(P+Q+W), d = Q/(P+Q+W), u = W/(P+Q+W).
+    No evidence yields the vacuous opinion.
+    """
+    total = positives + negatives + EVIDENCE_PRIOR_WEIGHT
+    return Opinion(positives / total, negatives / total,
+                   EVIDENCE_PRIOR_WEIGHT / total, prior)
+
+
+def reputation_value(o: Opinion) -> float:
+    """Expected value of an opinion: g = b + u * a."""
+    return o.belief + o.uncertainty * o.base_rate
+
+
+def familiarity_weight(p_ij: float, peer_counts: list[float]) -> float:
+    """Interaction count with the target relative to the rater's peer average."""
+    if not peer_counts:
+        raise ValueError("peer_counts must be nonempty")
+    if any(c < 0 for c in peer_counts):
+        raise ValueError("interaction counts must be nonnegative")
+    mean = sum(peer_counts) / len(peer_counts)
+    if mean == 0:
+        raise ValueError("no interaction history: all peer counts are zero")
+    return p_ij / mean
+
+
+def similarity_weight(t_i_a: float, t_j_a: float) -> float:
+    """Behavioral similarity from arrival-hour proximity: 1/(1+|dt|)."""
+    if not (real(t_i_a) and real(t_j_a) and t_i_a >= 0 and t_j_a >= 0):
+        raise ValueError("arrival hours must be nonnegative and finite")
+    return 1.0 / (1.0 + abs(t_i_a - t_j_a))
+
+
+def overall_weight(x: float, y: float, z: float, cfg: WeightConfig) -> float:
+    return cfg.gamma1 * x + cfg.gamma2 * y + cfg.gamma3 * z
+
+
+def synthesize_recommended(opinions: list[tuple[float, Opinion]]) -> Opinion:
+    """Weighted average of recommended opinions (components and base rates)."""
+    if not opinions:
+        raise ValueError("no recommendations to synthesize")
+    total_w = sum(w for w, _ in opinions)
+    if total_w <= 0:
+        raise ValueError("total recommendation weight must be positive")
+    b = sum(w * o.belief for w, o in opinions) / total_w
+    d = sum(w * o.disbelief for w, o in opinions) / total_w
+    u = sum(w * o.uncertainty for w, o in opinions) / total_w
+    a = sum(w * o.base_rate for w, o in opinions) / total_w
+    return Opinion(b, d, u, a)
+
+
+def fuse_final(local: Opinion, syn: Opinion) -> Opinion:
+    """Consensus fusion of the local and synthesized opinions.
+
+    Weighs each side by the other's uncertainty; the local base rate is
+    carried through. Undefined when both operands are dogmatic (u = 0).
+    """
+    ul, us = local.uncertainty, syn.uncertainty
+    # vacuous operands are exact neutral elements; short-circuit so the
+    # identity holds bit for bit instead of up to rounding in den
+    if us == 1.0 and ul == 1.0:
+        return Opinion(0.0, 0.0, 1.0, local.base_rate)
+    if us == 1.0:
+        return Opinion(local.belief, local.disbelief, local.uncertainty,
+                       local.base_rate)
+    if ul == 1.0:
+        return Opinion(syn.belief, syn.disbelief, syn.uncertainty,
+                       local.base_rate)
+    den = us + ul - us * ul
+    if den <= 0:
+        raise ValueError("fusion undefined: both opinions are dogmatic (u=0)")
+    b = (local.belief * us + syn.belief * ul) / den
+    d = (local.disbelief * us + syn.disbelief * ul) / den
+    u = (us * ul) / den
+    return Opinion(b, d, u, local.base_rate)
+
+
+def linear_reputation_baseline(history: list[float]) -> float:
+    """EMA of outcome indicators: the linear comparison scheme."""
+    value = _LR_INITIAL
+    for outcome in history:
+        value = (1.0 - _LR_SMOOTHING) * value + _LR_SMOOTHING * outcome
+    return value
+
+
+# ---------------------------------------------------------------------------
+# consensus references
+# ---------------------------------------------------------------------------
+
+def full_detection_slot(series: list[float]) -> int | None:
+    """First 1-indexed slot where the whole misbehaving set is flagged."""
+    for i, rate in enumerate(series):
+        if rate >= 1.0:
+            return i + 1
+    return None

@@ -32,9 +32,9 @@ from parkedchain.parking import (
     TypeProfile,
     stay_probability,
 )
-from parkedchain.reputation import VACUOUS, Opinion, fuse_final
+from parkedchain.reputation import Opinion
 
-from _oracles import check_feasibility, grid_oracle
+from _oracles import VACUOUS, check_feasibility, full_detection_slot, fuse_final, grid_oracle
 
 
 @pytest.fixture(scope="session")
@@ -254,8 +254,8 @@ def test_criterion_08_detection_lead():
     wins = 0
     for seed in range(100):
         sl, lr = consensus.detection_experiment(50, 10, 0.45, 15, seed)
-        sl_slot = consensus.full_detection_slot(sl)
-        lr_slot = consensus.full_detection_slot(lr)
+        sl_slot = full_detection_slot(sl)
+        lr_slot = full_detection_slot(lr)
         if sl_slot is not None and (lr_slot is None or sl_slot <= lr_slot):
             wins += 1
     elapsed = time.perf_counter() - t0

@@ -22,13 +22,13 @@ from parkedchain.consensus import (
     correct_block_probability,
     decay_experiment,
     detection_experiment,
-    full_detection_slot,
     model_check_safety,
     run_view,
     select_consensus_nodes,
 )
 from parkedchain.reputation import LinearReputationTracker
 
+from _oracles import full_detection_slot
 from _view_reference import run_view as reference_view
 
 

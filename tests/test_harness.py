@@ -691,18 +691,12 @@ def test_span_targets_exist(tmp_path):
     assert report["gate_errors"] == [] and report["views"] > 0
 
 
-# The scalar reputation algebra: the README gives it as the model, and the
-# tests hold the array engine to it bit for bit; no simulation calls it.
-_SCALAR_REPUTATION = {"local_opinion", "reputation_value", "familiarity_weight",
-                      "similarity_weight", "overall_weight", "synthesize_recommended",
-                      "fuse_final", "linear_reputation_baseline"}
-
-
 def test_layer_functions_run_in_a_simulation(tmp_path):
-    """Every plain function in a layer's __all__ is called by a simulation:
-    the seven scenarios on a small config, arrival-histogram again on a
-    trace file, and a tiny settle stream, traced with sys.setprofile. A
-    function that only tests call is an oracle and lives under tests/."""
+    """Every plain function a layer exports, in its __all__ or defined in
+    it under a public name, is called by a simulation: the seven scenarios
+    on a small config, arrival-histogram again on a trace file, and a tiny
+    settle stream, traced with sys.setprofile. A function that only tests
+    call is an oracle and lives under tests/."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     trace = tmp_path / "trace.csv"
     trace.write_text("arrival_hour,duration_hours\n8,3.5\n9,6.0\n12,1.5\n")
@@ -724,9 +718,10 @@ def test_layer_functions_run_in_a_simulation(tmp_path):
         "print(json.dumps(sorted(\n"
         "    f'{m.__name__}.{name}'\n"
         "    for m in (consensus, contract_opt, ledger, parking, reputation)\n"
-        "    for name in m.__all__\n"
-        "    if inspect.isfunction(getattr(m, name))\n"
-        "    and getattr(m, name).__code__ not in called)))\n"
+        "    for name, f in vars(m).items()\n"
+        "    if inspect.isfunction(f) and f.__code__ not in called\n"
+        "    and (name in m.__all__\n"
+        "         or not name.startswith('_') and f.__module__ == m.__name__))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
@@ -734,8 +729,7 @@ def test_layer_functions_run_in_a_simulation(tmp_path):
                           capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
     unreached = json.loads(proc.stdout.splitlines()[-1])
-    assert [name for name in unreached
-            if name.removeprefix("parkedchain.reputation.") not in _SCALAR_REPUTATION] == []
+    assert unreached == []
 
 
 def test_readme_examples_run():

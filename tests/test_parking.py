@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,20 @@ class TestIngestTrace:
         path.write_text("arrival_hour,duration_hours\n")
         with pytest.raises(ValueError, match="no data rows"):
             ingest_trace(str(path))
+
+    def test_missing_file_names_path(self, tmp_path):
+        path = str(tmp_path / "absent.csv")
+        with pytest.raises(ValueError, match=re.escape(repr(path))):
+            ingest_trace(path)
+
+    def test_directory_names_path(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(repr(str(tmp_path)))):
+            ingest_trace(tmp_path)
+
+    @pytest.mark.parametrize("path", [object(), None])
+    def test_non_path_rejected(self, path):
+        with pytest.raises(ValueError, match="trace path must be a str or path-like"):
+            ingest_trace(path)
 
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
     def test_duration_must_be_positive_and_finite(self, duration):

@@ -10,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from parkedchain import reputation
 from parkedchain.reputation import (
-    VACUOUS,
     LinearReputationTracker,
     Opinion,
     ReputationEngine,
     WeightConfig,
     average_final_reputation,
+    timeliness_weight,
+)
+
+from _oracles import (
+    VACUOUS,
     familiarity_weight,
     fuse_final,
     linear_reputation_baseline,
@@ -24,7 +28,6 @@ from parkedchain.reputation import (
     reputation_value,
     similarity_weight,
     synthesize_recommended,
-    timeliness_weight,
 )
 
 
