@@ -310,7 +310,8 @@ def ingest_trace(path: str) -> Arrivals:
     try:
         fh = open(path, newline="")
     except (OSError, ValueError) as exc:    # ValueError: an embedded null byte
-        raise ValueError(f"cannot open trace {os.fspath(path)!r}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot open trace {os.fspath(path)!r}: {reason}") from exc
     hours: list[int] = []
     durations: list[float] = []
     linenos: list[int] = []
