@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
+from parkedchain._numbers import real
 from parkedchain.contract_opt import (ContractMenu, ContractProblem, InfeasibleProblem, _foc,
                                       pv_utility)
-from parkedchain._numbers import real
 from parkedchain.parking import GammaMixtureParams
 from parkedchain.reputation import (_LR_INITIAL, _LR_SMOOTHING, EVIDENCE_PRIOR_WEIGHT, Opinion,
                                     WeightConfig)
