@@ -13,7 +13,7 @@ A view delivers each slot in one pass. Every sender's recipients are the
 sorted roster, built once per view, without the sender and the crashed
 members, each paired with its state; a sender's lone broadcast goes down
 that list in order, and several from one sender (a SPLIT node's) merge in
-NetMessage tuple order. Each honest replica is one mutable NodeState,
+NetMessage tuple order. Each honest replica is one mutable _NodeState,
 updated inline on each delivery; a byzantine node's outbox comes from its
 strategy. Every broadcast goes to a peer list built once per view, under
 the handling node's own id, so a corrupted node can lie or stay silent
@@ -52,7 +52,6 @@ __all__ = [
     "ConsensusConfig",
     "BlockProposal",
     "NetMessage",
-    "NodeState",
     "ViewOutcome",
     "select_consensus_nodes",
     "run_view",
@@ -61,7 +60,6 @@ __all__ = [
     "detection_experiment",
     "decay_experiment",
     "collusion_experiment",
-    "correct_block_probability",
 ]
 
 
@@ -146,17 +144,13 @@ class NetMessage(NamedTuple):
     kind: str          # request / pre-prepare / prepare / accept / reply
     digest: str
 
-    def trace_line(self) -> str:
-        # the sixth column (message flags) is kept, always empty
-        return f"{self.send_slot},{self.sender},{self.recipient},{self.kind},{self.digest},"
-
 
 _MAX_SLOTS = 8    # delivery slots 1..7; a failure-free view's replies arrive in slot 5
 _CLIENT = ("client",)    # a reply's one recipient
 
 
 @dataclass
-class NodeState:
+class _NodeState:
     """One honest replica; the vote tallies map a digest to its senders."""
 
     node_id: str
@@ -194,13 +188,17 @@ class ViewOutcome:
 
     @property
     def trace(self) -> tuple[str, ...]:
-        return tuple(msg.trace_line() for msg in self.messages)
+        # the sixth column (message flags) is kept, always empty
+        return tuple(f"{m.send_slot},{m.sender},{m.recipient},{m.kind},{m.digest},"
+                     for m in self.messages)
 
 
 def select_consensus_nodes(reputations: dict, n: int) -> list:
     """Top n ids by average final reputation, ties broken by lowest id.
-    n is a whole number >= 1, and every score a finite real number: a NaN
-    would break the sort."""
+    reputations is a dict of scores, n a whole number >= 1, and every score
+    a finite real number: a NaN would break the sort."""
+    if not isinstance(reputations, dict):
+        raise ValueError(f"reputations must be a dict of scores, got {reputations!r}")
     if not (whole(n) and n >= 1):
         raise ValueError(f"committee size must be a whole number >= 1, got {n!r}")
     if len(reputations) < n:
@@ -296,7 +294,7 @@ def run_view(
         raise ValueError(f"strategies must be ReplicaStrategy members, got {unknown!r}")
 
     # one state per honest replica, so a live recipient without one is byzantine
-    states = {node_id: NodeState(node_id, leader) for node_id in order
+    states = {node_id: _NodeState(node_id, leader) for node_id in order
               if behaviors[node_id] is Behavior.HONEST}
     crashed = {node_id for node_id in order if behaviors[node_id] is Behavior.CRASH}
     peers = {node_id: order[:k] + order[k + 1:] for k, node_id in enumerate(order)}
@@ -538,9 +536,11 @@ def record_interactions(
     generator runs the per-pair loop over the whole call).
 
     Every check runs before any draw, and a rejected call leaves the RNG
-    and both schemes as they were: first the slots container, then the
-    table, which must be an integer or float array shaped (slots, targets,
-    raters) of numbers in [0, 1]; then the roster, which both schemes must
+    and both schemes as they were: first that rng is a numpy Generator and
+    engine and tracker the two schemes, then the slots container and the
+    name lists (each a list or tuple), then the table, which must be an
+    integer or float array shaped (slots, targets, raters) of numbers in
+    [0, 1]; then the roster, which both schemes must
     share (the tracker's ids those of the engine); then the drawn cells,
     every pair but a rater rating itself, under the cell rule of
     reputation._checked_cells, each name looked up once and a self-rating
@@ -548,13 +548,21 @@ def record_interactions(
     last that no slot repeats. The counts are written once to the engine,
     and to the tracker once per slot, in slot order, after all draws.
     """
+    for name, value, kind in (("rng", rng, np.random.Generator),
+                              ("engine", engine, ReputationEngine),
+                              ("tracker", tracker, LinearReputationTracker)):
+        if not isinstance(value, kind):
+            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
     if not (isinstance(slots, (list, tuple, range)) and len(slots)):
         raise ValueError(f"slots must be a non-empty list, tuple or range, got {slots!r}")
+    _check_lists(targets=targets, raters=raters)
+    for name, names in (("targets", targets), ("raters", raters)):
+        if not isinstance(names, (list, tuple)):
+            raise ValueError(f"{name} must be a list or tuple of names, got {names!r}")
     p = _probability_table(p, slots, targets, raters)
     if tracker._index != engine._index:
         raise ValueError("engine and tracker must share one roster, names in the same order")
     index = engine._index
-    _check_lists(targets=targets, raters=raters)
     rater_ids, target_ids = _ids(raters, index), _ids(targets, index)
     if min(rater_ids.min(initial=0), target_ids.min(initial=0)) >= 0:
         # registered names are equal exactly when their ids are
@@ -790,7 +798,7 @@ def decay_experiment(
     return rows
 
 
-def correct_block_probability(
+def _correct_block_probability(
     scores: dict[str, float],
     colluders: list[str],
     threshold: float,
@@ -824,7 +832,10 @@ def collusion_experiment(
     """
     if not whole(seeds) or seeds < 1:
         raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
-    thresholds = list(thresholds)
+    try:
+        thresholds = list(thresholds)
+    except TypeError:
+        raise ValueError(f"thresholds must be an iterable of numbers, got {thresholds!r}") from None
     if not all(map(_is_probability, thresholds)):
         raise ValueError(f"thresholds must be real numbers in [0, 1], got {thresholds!r}")
     if not whole(seed_base) or seed_base < 0:
@@ -850,7 +861,7 @@ def collusion_experiment(
     for th in thresholds:
         sl_hits = lr_hits = 0.0
         for sl_scores, lr_scores in scored:
-            sl_hits += correct_block_probability(sl_scores, colluders, th)
-            lr_hits += correct_block_probability(lr_scores, colluders, th)
+            sl_hits += _correct_block_probability(sl_scores, colluders, th)
+            lr_hits += _correct_block_probability(lr_scores, colluders, th)
         rows.append((th, sl_hits / len(scored), lr_hits / len(scored)))
     return rows

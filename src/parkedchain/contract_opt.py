@@ -33,6 +33,7 @@ participation and contribute zero utility to both sides.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,6 @@ __all__ = [
     "ContractProblem",
     "ContractMenu",
     "InfeasibleProblem",
-    "time_saved",
-    "energy_cost",
     "pv_utility",
     "sr_expected_utility",
     "sr_utility_terms",
@@ -125,6 +124,12 @@ class ContractProblem:
             raise ValueError(f"profile must be a TypeProfile, got {self.profile!r}")
         if not isinstance(self.params, TaskParams):
             raise ValueError(f"params must be a TaskParams, got {self.params!r}")
+        # a listed rate per type; more rates than types serve a profile whose
+        # bins merged
+        rates = self.params.r_bps
+        if isinstance(rates, tuple) and len(rates) < self.profile.n_types:
+            raise ValueError(f"r_bps lists {len(rates)} rates for {self.profile.n_types} "
+                             f"types, got {rates!r}")
         _, c0, ks, s_over_r = _gains(self)
         if not all(map(math.isfinite, (c0, ks, *s_over_r))):
             raise InfeasibleProblem(
@@ -154,11 +159,21 @@ class ContractMenu:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.fs) != len(self.pis) or not self.fs:
-            raise ValueError("fs and pis must be nonempty and equal length")
-        # comparisons only, which NaN fails: LIA builds hundreds of menus an hour
-        if not (all(f >= 0 for f in self.fs) and all(p >= -1e-12 for p in self.pis)):
-            raise ValueError("frequencies and rewards must be nonnegative")
+        # comparisons only, which NaN fails and a non-number raises TypeError
+        # for: LIA builds hundreds of menus an hour
+        try:
+            if len(self.fs) != len(self.pis) or not self.fs:
+                raise ValueError(f"fs and pis must be nonempty and equal length, got "
+                                 f"{self.fs!r} and {self.pis!r}")
+            if not (all(f >= 0 for f in self.fs) and all(p >= -1e-12 for p in self.pis)):
+                raise ValueError("frequencies and rewards must be nonnegative")
+        except TypeError:
+            raise ValueError(f"fs and pis must be sequences of numbers, got {self.fs!r} "
+                             f"and {self.pis!r}") from None
+        if not isinstance(self.scheme, str):
+            raise ValueError(f"scheme must be a str, got {self.scheme!r}")
+        if type(self.meta) is not dict:     # one comparison, not a second isinstance
+            raise ValueError(f"meta must be a dict, got {self.meta!r}")
 
     @property
     def items(self) -> tuple[tuple[float, float], ...]:
@@ -184,7 +199,7 @@ class ContractMenu:
                     raise ValueError("rewards must ascend where frequencies do")
 
 
-def time_saved(f_j: float, params: TaskParams, j: int = 0) -> float:
+def _time_saved(f_j: float, params: TaskParams, j: int = 0) -> float:
     """Offloading time gain, in profit units, for type j's frequency."""
     if f_j <= 0:
         raise ValueError("frequency must be positive")
@@ -192,18 +207,55 @@ def time_saved(f_j: float, params: TaskParams, j: int = 0) -> float:
     return params.rho * (ks / params.f_local - ks / f_j - params.s_bits / params.r_of(j))
 
 
-def energy_cost(f_j: float, params: TaskParams) -> float:
+def _energy_cost(f_j: float, params: TaskParams) -> float:
     if f_j < 0:
         raise ValueError("frequency must be nonnegative")
     return params.energy_coeff * f_j * f_j
 
 
 def pv_utility(theta_j: float, f_j: float, pi_j: float, params: TaskParams) -> float:
-    """Expected reward value minus energy cost for one type and item."""
-    return theta_j * math.log1p(pi_j) - energy_cost(f_j, params)
+    """Expected reward value minus energy cost for one type and item. LIA
+    calls it per candidate, so only `params` is checked up front; a number
+    argument that the arithmetic rejects (a str, None) is named then."""
+    if not isinstance(params, TaskParams):
+        raise ValueError(f"params must be a TaskParams, got {params!r}")
+    try:
+        return theta_j * math.log1p(pi_j) - _energy_cost(f_j, params)
+    except TypeError:
+        for name, value in (("theta_j", theta_j), ("f_j", f_j), ("pi_j", pi_j)):
+            if not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}") from None
+        raise
+
+
+def _check_problem(problem) -> None:
+    if not isinstance(problem, ContractProblem):
+        raise ValueError(f"problem must be a ContractProblem, got {problem!r}")
+
+
+def _check_menu(menu, problem) -> None:
+    """The rule of every menu evaluation: a ContractMenu with one item per
+    type of the ContractProblem."""
+    if not isinstance(menu, ContractMenu):
+        raise ValueError(f"menu must be a ContractMenu, got {menu!r}")
+    _check_problem(problem)
+    if len(menu.fs) != problem.n_types:
+        raise ValueError(f"menu has {len(menu.fs)} items for {problem.n_types} types")
 
 
 def sr_utility_terms(menu: ContractMenu, problem: ContractProblem) -> list[float]:
+    """Each type's share of the SR's expected utility."""
+    _check_menu(menu, problem)
+    return _sr_terms(menu, problem)
+
+
+def sr_expected_utility(menu: ContractMenu, problem: ContractProblem) -> float:
+    _check_menu(menu, problem)
+    return sum(_sr_terms(menu, problem))
+
+
+def _sr_terms(menu: ContractMenu, problem: ContractProblem) -> list[float]:
+    """sr_utility_terms unchecked, for LIA's candidates."""
     terms = []
     for j, (f, pi) in enumerate(menu.items):
         if f <= 0:
@@ -212,17 +264,14 @@ def sr_utility_terms(menu: ContractMenu, problem: ContractProblem) -> list[float
         terms.append(
             problem.betas[j]
             * problem.thetas[j]
-            * (time_saved(f, problem.params, j) - pi)
+            * (_time_saved(f, problem.params, j) - pi)
         )
     return terms
 
 
-def sr_expected_utility(menu: ContractMenu, problem: ContractProblem) -> float:
-    return sum(sr_utility_terms(menu, problem))
-
-
 def pv_expected_utility(menu: ContractMenu, problem: ContractProblem) -> float:
     """Population-expected PV utility (zero for f = 0 non-participation)."""
+    _check_menu(menu, problem)
     total = 0.0
     for j, (f, pi) in enumerate(menu.items):
         if f <= 0:
@@ -326,6 +375,7 @@ def _binding_item(problem: ContractProblem, j: int, f_prev: float,
 def solve_complete_info(problem: ContractProblem) -> ContractMenu:
     """Per-type surplus extraction when types are observable: every item
     binds its own participation constraint, so every PV nets exactly zero."""
+    _check_problem(problem)
     fs, pis, _ = zip(*(_binding_item(problem, j, 0.0, 0.0)
                        for j in range(problem.n_types)))
     menu = ContractMenu(fs, pis, "complete_info")
@@ -340,6 +390,7 @@ def solve_local_asymmetric(problem: ContractProblem) -> ContractMenu:
     If a type's first-order condition has no root above the previous
     reward, that type is bunched onto the previous item.
     """
+    _check_problem(problem)
     fs, pis, bunched = [], [], []
     f, pi = 0.0, 0.0
     for j in range(problem.n_types):
@@ -435,8 +486,8 @@ def _rewards_from_frequencies(fs: list[float], problem: ContractProblem) -> list
 
 
 def _gains(problem: ContractProblem) -> tuple[float, float, float, tuple[float, ...]]:
-    """time_saved's constants (rho, ks / f_local, ks, s / r_j per type), read
-    once: rho * (c0 - ks / f - s_over_r[j]) is time_saved(f, params, j)."""
+    """_time_saved's constants (rho, ks / f_local, ks, s / r_j per type), read
+    once: rho * (c0 - ks / f - s_over_r[j]) is _time_saved(f, params, j)."""
     params = problem.params
     ks = params.kappa * params.s_bits
     return (params.rho, ks / params.f_local, ks,
@@ -451,7 +502,7 @@ def _pool_objective(full: list[float], start: int, stop: int, problem: ContractP
 
     The rebuilt rewards chain couples every later type to the pool, so the
     whole menu is scored, in type order and with the arithmetic of
-    `_rewards_from_frequencies` and `time_saved`. The types before the pool
+    `_rewards_from_frequencies` and `_time_saved`. The types before the pool
     do not depend on it: their partial sums are taken once, here.
     """
     n = problem.n_types
@@ -577,6 +628,7 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
     Returns the feasible candidate with the highest SR utility. Raises
     InfeasibleProblem when no candidate survives.
     """
+    _check_problem(problem)
     params = problem.params
     f_hi, pi_top, _ = _binding_item(problem, problem.n_types - 1, 0.0, 0.0)
     if problem.n_types == 1:
@@ -650,7 +702,7 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
     for menu, f_top in candidates:
         if not admissible(menu):
             continue
-        value = sr_expected_utility(menu, problem)
+        value = sum(_sr_terms(menu, problem))
         if value > best_value:
             best, best_top, best_value = menu, f_top, value
     if best is None:
@@ -665,7 +717,7 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
             menu, _ = at_top(f_top)
             if menu is None or not admissible(menu):
                 return 1e18
-            return -sr_expected_utility(menu, problem)
+            return -sum(_sr_terms(menu, problem))
 
         lo = max(best_top - step, f_lo * 0.5)
         hi = min(best_top + step, params.f_max)
@@ -762,6 +814,7 @@ def stackelberg_baseline(problem: ContractProblem) -> tuple[ContractMenu, float]
     optimum collapses to price zero (nobody trades). Task constants that
     underflow a grid price's response denominator, or take the utility out
     of the float range around the best grid price, raise InfeasibleProblem."""
+    _check_problem(problem)
     game = _price_game(problem)
     coarse = np.logspace(-14, -4, 400)
     values = _price_values(game, coarse)
@@ -791,6 +844,9 @@ def linear_pricing_baseline(
     posted-price optimum p_star (the price stackelberg_baseline returns)
     where the SR's utility hits zero. When even the optimal posted price
     earns nothing, the menu is all-zero."""
+    _check_problem(problem)
+    if not real(p_star):
+        raise ValueError(f"p_star must be a finite real number, got {p_star!r}")
     game = _price_game(problem)
     value = _price_value(game)
     if p_star <= 0 or value(p_star) <= 0:

@@ -11,7 +11,7 @@ optimizer consumes.
 Populations are columns: `Arrivals` (hour and duration arrays) and the
 `Parked` set that `surviving_population` selects at one query hour, where a
 vehicle's arrival hour fixes its parked hours and so its stay probability.
-`stay_probabilities` runs the stay kernel once per arrival hour present and
+`_stay_probabilities` runs the stay kernel once per arrival hour present and
 fills the rows from a 24-entry table; the scalar `stay_probability` scores
 one `PVState` through the same kernel, bit for bit. The kernel is one
 `gammaincc` call over both components at both ends of the horizon, weighed
@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +40,10 @@ __all__ = [
     "Arrivals",
     "NobodyParked",
     "stay_probability",
-    "stay_probabilities",
     "leave_probability",
     "classify_types",
     "ingest_trace",
     "synthesize_population",
-    "sample_arrival_hours",
     "surviving_population",
     "hourly_type_profile",
 ]
@@ -66,8 +65,9 @@ class GammaMixtureParams:
     scale_long: float = 1.5
 
     def __post_init__(self) -> None:
-        if not all(map(real, vars(self).values())):
-            raise ValueError("mixture parameters must be finite real numbers")
+        bad = {name: value for name, value in vars(self).items() if not real(value)}
+        if bad:
+            raise ValueError(f"mixture parameters must be finite real numbers, got {bad!r}")
         # stored as Python floats, so the stay kernel's scalar arithmetic is
         # float64 whatever number type a parameter came in as
         for name, value in vars(self).items():
@@ -83,8 +83,8 @@ class GammaMixtureParams:
 
 @dataclass(frozen=True)
 class PVState:
-    """A parked vehicle at query time: an integer arrival hour in 0..23, a
-    finite `parked_hours` >= 0 and a finite `horizon` > 0."""
+    """A parked vehicle at query time: a whole `pv_id`, an integer arrival
+    hour in 0..23, a finite `parked_hours` >= 0 and a finite `horizon` > 0."""
 
     pv_id: int
     arrival_hour: int
@@ -93,12 +93,14 @@ class PVState:
 
     def __post_init__(self) -> None:
         # plain Python: numpy's per-call overhead would dominate one vehicle's checks
+        if not whole(self.pv_id):
+            raise ValueError(f"pv_id must be a whole number, got {self.pv_id!r}")
         if not _is_hour(self.arrival_hour):
-            raise ValueError("arrival_hour is not an integer in 0..23")
+            raise ValueError(f"arrival_hour is not an integer in 0..23, got {self.arrival_hour!r}")
         if not (real(self.parked_hours) and self.parked_hours >= 0):
-            raise ValueError("parked_hours must be a finite real number >= 0")
-        if not (real(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be a finite real number > 0")
+            raise ValueError(f"parked_hours must be a finite real number >= 0, "
+                             f"got {self.parked_hours!r}")
+        _check_horizon(self.horizon)
 
 
 def _is_hour(hour) -> bool:
@@ -108,7 +110,17 @@ def _is_hour(hour) -> bool:
 
 def _check_query_hour(hour) -> None:
     if not _is_hour(hour):
-        raise ValueError("query hour is not an integer in 0..23")
+        raise ValueError(f"query hour is not an integer in 0..23, got {hour!r}")
+
+
+def _check_horizon(horizon) -> None:
+    if not (real(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be a finite real number > 0, got {horizon!r}")
+
+
+def _check_mixture(params) -> None:
+    if not isinstance(params, GammaMixtureParams):
+        raise ValueError(f"params must be a GammaMixtureParams, got {params!r}")
 
 
 def _columns(obj, **dtypes) -> None:
@@ -119,7 +131,7 @@ def _columns(obj, **dtypes) -> None:
         column = np.asarray(getattr(obj, name))
         if column.size and (column.dtype.kind == "b"
                             or not np.can_cast(column.dtype, dtype, "same_kind")):
-            raise ValueError(f"{name} must hold {np.dtype(dtype).name} values")
+            raise ValueError(f"{name} must hold {np.dtype(dtype).name} values, got {column!r}")
         object.__setattr__(obj, name, column.astype(dtype))
 
 
@@ -173,8 +185,7 @@ class Parked:
         if ((self.arrival_hour < 0) | (self.arrival_hour > 23)).any():
             raise ValueError("arrival_hour is not an integer in 0..23")
         _check_query_hour(self.hour)
-        if not (real(self.horizon) and self.horizon > 0):
-            raise ValueError("horizon must be a finite real number > 0")
+        _check_horizon(self.horizon)
 
     def __len__(self) -> int:
         return len(self.pv_id)
@@ -201,8 +212,12 @@ class TypeProfile:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for name, values in (("thetas", self.thetas), ("betas", self.betas)):
+            if not isinstance(values, Sequence):
+                raise ValueError(f"{name} must be a sequence, got {values!r}")
         if len(self.thetas) != len(self.betas) or not self.thetas:
-            raise ValueError("thetas and betas must be nonempty and equal length")
+            raise ValueError(f"thetas and betas must be nonempty and equal length, got "
+                             f"{self.thetas!r} and {self.betas!r}")
         for th in self.thetas:
             if not (real(th) and 0.0 < th <= 1.0):
                 raise ValueError(f"type value {th} outside (0, 1]")
@@ -244,6 +259,9 @@ def _stay(parked_hours: float, horizon: float, m: GammaMixtureParams) -> float:
 
 def stay_probability(pv: PVState, params: GammaMixtureParams) -> float:
     """P[stays >= horizon more hours | already parked parked_hours]."""
+    if not isinstance(pv, PVState):
+        raise ValueError(f"pv must be a PVState, got {pv!r}")
+    _check_mixture(params)
     return _stay(pv.parked_hours, pv.horizon, params)
 
 
@@ -252,7 +270,7 @@ def leave_probability(pv: PVState, params: GammaMixtureParams) -> float:
     return 1.0 - stay_probability(pv, params)
 
 
-def stay_probabilities(parked: Parked, params: GammaMixtureParams) -> np.ndarray:
+def _stay_probabilities(parked: Parked, params: GammaMixtureParams) -> np.ndarray:
     """`stay_probability` of every parked vehicle, in row order.
 
     A row's arrival hour fixes its parked hours, and the horizon is
@@ -274,11 +292,14 @@ def classify_types(parked: Parked, params: GammaMixtureParams, n_types: int) -> 
     profile may have fewer than n_types effective types. An empty parked
     set raises `NobodyParked`.
     """
+    if not isinstance(parked, Parked):
+        raise ValueError(f"parked must be a Parked set, got {parked!r}")
+    _check_mixture(params)
     if not len(parked):
         raise NobodyParked("population must be nonempty")
     if not (whole(n_types) and n_types >= 2):
         raise ValueError(f"need a whole number of at least 2 types, got {n_types!r}")
-    probs = np.sort(stay_probabilities(parked, params))
+    probs = np.sort(_stay_probabilities(parked, params))
     thetas: list[float] = []
     betas: list[float] = []
     for chunk in np.array_split(probs, n_types):
@@ -341,26 +362,23 @@ def _is_number(text: str) -> bool:
     return True
 
 
-def sample_arrival_hours(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Synthetic bimodal arrival profile: morning peak at 9, noon shoulder."""
+def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> Arrivals:
+    """Sample arrivals and mixture durations, deterministically per seed
+    (a whole number >= 0: None would draw fresh entropy)."""
+    _check_mixture(params)
+    if not (whole(count) and count >= 1):
+        raise ValueError(f"count must be a whole number >= 1, got {count!r}")
+    if not (whole(seed) and seed >= 0):
+        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
+    rng = np.random.default_rng(seed)
+    # synthetic bimodal arrival profile: morning peak at 9, noon shoulder
     which = rng.random(count)
     hours = np.where(
         which < 0.55,
         rng.normal(9.0, 1.6, size=count),
         rng.normal(12.5, 2.4, size=count),
     )
-    return np.clip(hours, 3.0, 21.0)
-
-
-def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> Arrivals:
-    """Sample arrivals and mixture durations, deterministically per seed
-    (a whole number >= 0: None would draw fresh entropy)."""
-    if not (whole(count) and count >= 1):
-        raise ValueError(f"count must be a whole number >= 1, got {count!r}")
-    if not (whole(seed) and seed >= 0):
-        raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    hours = np.floor(sample_arrival_hours(rng, count)).astype(int)
+    hours = np.floor(np.clip(hours, 3.0, 21.0)).astype(int)
     h_short, shape_short, scale_short = params.h_short, params.shape_short, params.scale_short
     shape_long, scale_long = params.shape_long, params.scale_long
     random, gamma = rng.random, rng.gamma
@@ -378,6 +396,8 @@ def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> 
 def surviving_population(arrivals: Arrivals, hour: int, horizon: float = 1.0) -> Parked:
     """Vehicles still parked at `hour` (an integer in 0..23) of a cyclic day."""
     _check_query_hour(hour)    # before any arithmetic, so "9" and None fail alike
+    if not isinstance(arrivals, Arrivals):
+        raise ValueError(f"arrivals must be an Arrivals, got {arrivals!r}")
     parked_hours = ((hour - np.arange(24.0)) % 24)[arrivals.hours]  # a 24-entry table
     pv_id = np.flatnonzero(arrivals.durations > parked_hours)
     return Parked(pv_id, arrivals.hours[pv_id], hour, horizon)

@@ -26,7 +26,6 @@ __all__ = [
     "WeightConfig",
     "ReputationView",
     "timeliness_weight",
-    "average_final_reputation",
     "ReputationEngine",
     "LinearReputationTracker",
 ]
@@ -76,7 +75,7 @@ class Opinion:
     def __post_init__(self) -> None:
         for name in ("belief", "disbelief", "uncertainty", "base_rate"):
             val = getattr(self, name)
-            if not (-_SUM_TOL <= val <= 1.0 + _SUM_TOL):
+            if not (real(val) and -_SUM_TOL <= val <= 1.0 + _SUM_TOL):
                 raise ValueError(f"{name}={val!r} outside [0, 1]")
         total = self.belief + self.disbelief + self.uncertainty
         if abs(total - 1.0) > _SUM_TOL:
@@ -117,17 +116,21 @@ class ReputationView:
 
     @property
     def average(self) -> float:
-        return average_final_reputation(list(self.final_values.values()))
+        return _average_final_reputation(list(self.final_values.values()))
 
 
 def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
     """Power-law decay of an opinion's weight with its age in slots."""
+    if not (real(t) and real(t_ij)):
+        raise ValueError(f"slots must be real numbers, got t={t!r}, t_ij={t_ij!r}")
+    if not isinstance(cfg, WeightConfig):
+        raise ValueError(f"cfg must be a WeightConfig, got {cfg!r}")
     if t <= t_ij:
         raise ValueError(f"opinion slot {t_ij} not in the past of slot {t}")
     return cfg.alpha1 * (t - t_ij) ** (-cfg.alpha2)
 
 
-def average_final_reputation(finals: list[float]) -> float:
+def _average_final_reputation(finals: list[float]) -> float:
     """Arithmetic mean of per-rater final reputation values."""
     if not finals:
         raise ValueError("need at least one rater")
@@ -264,7 +267,7 @@ class ReputationEngine:
         """
         values = self._final_values(targets, at, raters).tolist()
         return np.array([
-            average_final_reputation([v for r, v in zip(raters, row) if r != target])
+            _average_final_reputation([v for r, v in zip(raters, row) if r != target])
             for target, row in zip(targets, values)
         ])
 
@@ -561,7 +564,11 @@ class LinearReputationTracker:
     """
 
     def __init__(self, nodes) -> None:
-        nodes = list(nodes)
+        _check_lists(nodes=nodes)
+        try:
+            nodes = list(nodes)
+        except TypeError:
+            raise ValueError(f"nodes must be an iterable of names, got {nodes!r}") from None
         for node in nodes:
             _check_name(node)
         self._index = {node: i for i, node in enumerate(dict.fromkeys(nodes))}

@@ -11,7 +11,7 @@ import hashlib
 import itertools
 from collections import Counter
 
-from parkedchain.consensus import Behavior, NodeState, ReplicaStrategy, ViewOutcome
+from parkedchain.consensus import Behavior, _NodeState, ReplicaStrategy, ViewOutcome
 
 _MAX_SLOTS = 8
 _CLIENT = ("client",)
@@ -23,7 +23,7 @@ def _wrong_digest(digest: str) -> str:
     return hashlib.sha256(b"equivocation:" + digest.encode()).hexdigest()[:16]
 
 
-def _handle_honest(state: NodeState, sender: str, kind: str, digest: str,
+def _handle_honest(state: _NodeState, sender: str, kind: str, digest: str,
                    prepare_quorum: int, accept_quorum: int, peers: list[str]) -> list[tuple]:
     me = state.node_id
     if kind == "request" and me == state.leader_id and state.accepted_digest is None:
@@ -92,7 +92,7 @@ def run_view(nodes, proposal, config, view=0, strategies=None) -> ViewOutcome:
     leader = order[view % config.n]
     strategies = strategies or {}
 
-    states = {node_id: NodeState(node_id, leader) for node_id in order
+    states = {node_id: _NodeState(node_id, leader) for node_id in order
               if behaviors[node_id] is Behavior.HONEST}
     crashed = {node_id for node_id in order if behaviors[node_id] is Behavior.CRASH}
     peers = {node_id: [p for p in order if p != node_id] for node_id in order}

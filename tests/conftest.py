@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from parkedchain.contract_opt import (
     ContractProblem,
@@ -11,6 +12,12 @@ from parkedchain.contract_opt import (
     solve_local_asymmetric,
 )
 from parkedchain.parking import TypeProfile
+
+# Every property test draws the same examples on every run, so a failing run
+# reproduces: no saved examples, no per-example deadline. Each test sets
+# only its max_examples.
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")
 
 
 def random_profile(rng: np.random.Generator, n: int) -> TypeProfile:

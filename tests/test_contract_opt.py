@@ -13,7 +13,6 @@ from parkedchain.contract_opt import (
     ContractProblem,
     InfeasibleProblem,
     TaskParams,
-    energy_cost,
     linear_pricing_baseline,
     pv_expected_utility,
     pv_utility,
@@ -23,16 +22,17 @@ from parkedchain.contract_opt import (
     sr_expected_utility,
     sr_utility_terms,
     stackelberg_baseline,
-    time_saved,
 )
 from parkedchain import contract_opt
 from parkedchain.contract_opt import (
     _brent,
+    _energy_cost,
     _gains,
     _pool_objective,
     _price_game,
     _price_value,
     _price_values,
+    _time_saved,
 )
 from parkedchain.parking import TypeProfile
 
@@ -66,6 +66,14 @@ class TestTaskParams:
             TaskParams(**{name: value})
 
 
+def test_problem_needs_a_rate_per_type():
+    # one rate short once raised IndexError from the time gain's constants;
+    # a rate to spare serves a profile whose bins merged
+    with pytest.raises(ValueError, match=r"r_bps lists 1 rates for 2 types, got \(5000000.0,\)"):
+        problem_of((0.3, 0.6), (0.5, 0.5), r_bps=(5e6,))
+    assert problem_of((0.3, 0.6), (0.5, 0.5), r_bps=(5e6, 6e6, 7e6)).n_types == 2
+
+
 @pytest.mark.parametrize("overrides", [
     {"f_local": 1e-300}, {"kappa": 1e300, "s_bits": 1e10}, {"r_bps": (5e6, 1e-320)},
 ])
@@ -79,11 +87,11 @@ class TestUtilityLayer:
     def test_time_saved_pin(self):
         params = TaskParams(rho=0.1, kappa=1e4, s_bits=4e6,
                             f_local=0.5e9, r_bps=5e6)
-        assert time_saved(1e9, params) == pytest.approx(3.92)
+        assert _time_saved(1e9, params) == pytest.approx(3.92)
 
     def test_energy_cost_pin(self):
         params = TaskParams(kappa=1e4, s_bits=4e6, eps_cap=1e-28, e_price=0.1)
-        assert energy_cost(1e9, params) == pytest.approx(0.4)
+        assert _energy_cost(1e9, params) == pytest.approx(0.4)
 
     def test_pv_utility_pin(self):
         params = TaskParams(kappa=1e4, s_bits=4e6, eps_cap=1e-28, e_price=0.1)
@@ -144,7 +152,7 @@ class TestRewardDerivative:
         def u_sr_first_term(pi):
             x = theta1 * math.log1p(pi)
             f = math.sqrt(x / problem.params.energy_coeff)
-            return beta1 * (time_saved(f, problem.params, 0) - pi)
+            return beta1 * (_time_saved(f, problem.params, 0) - pi)
 
         pi = float(rng.uniform(0.5, 3.0))
         h = 1e-6
@@ -204,7 +212,7 @@ class TestLocalAsymmetric:
         assert max(menu.pis) < 1e-4
         assert check_feasibility(menu, problem).feasible
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_random_instances_stay_feasible(self, seed, n):
         problem = random_problem(np.random.default_rng(seed), n)
@@ -365,7 +373,7 @@ def pricing_problems(draw, min_types: int, baseline_family: bool = False):
         assume(False)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@settings(max_examples=300)
 @given(problem=pricing_problems(min_types=1))
 @example(problem=problem_of((0.3, 0.5, 0.9), (0.3, 0.3, 0.4), f_max=1e-300))
 @example(problem=problem_of((0.3, 0.5, 0.9), (0.3, 0.3, 0.4), e_price=1e300))
@@ -385,7 +393,7 @@ def test_price_grid_pass_is_the_scalar_value_bit_for_bit(problem):
     assert _price_values(game, PRICE_GRID).tobytes() == expected.tobytes()
 
 
-@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@settings(max_examples=150)
 @given(problem=pricing_problems(min_types=2, baseline_family=True))
 def test_stackelberg_ends_in_a_menu_or_infeasible(problem):
     """No other error and no warning (warnings are errors under pytest)."""
@@ -562,7 +570,7 @@ def _root_or_error(solve):
         return type(exc), str(exc)
 
 
-@settings(deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(root=st.floats(-1e6, 1e6), below=st.integers(-12, 12), above=st.integers(-12, 12),
        straddle=st.booleans(), cubic=st.floats(0.0, 10.0), sign=st.sampled_from([1.0, -1.0]),
        tolerances=st.sampled_from(BRENT_TOLERANCES))
@@ -626,7 +634,7 @@ def _rescored_pool(common, idx, trial_vals, trial_blocks, problem):
     total = 0.0
     for k in range(n):
         total += problem.betas[k] * problem.thetas[k] * (
-            time_saved(full[k], params, k) - pis[k]
+            _time_saved(full[k], params, k) - pis[k]
         )
     return -total
 

@@ -470,7 +470,7 @@ _BAD_ROW = st.sampled_from(["24,1.0", "-1,2.0", "9,0", "9,nan", "9,inf", "9,1e40
                             "nine,1.0", "9.5,1.0", "1e400,1", "99999999999999999999999,1.0"])
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(
     scenario=st.sampled_from(["contract-feasibility", "utility-vs-type"] * 3
                              + ["arrival-histogram", "utility-vs-hour"]),
@@ -547,7 +547,7 @@ _TRACE_FILES = {"good": "hour,duration\n" + "9,2.5\n" * 30 + "10,30\n" * 30,
                 "bad": "hour,duration\n9,2.5\n9,abc\n"}
 
 
-@settings(deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(
     scenario=st.sampled_from([s for s in SCENARIOS if s != "utility-vs-hour"]),
     raw=_FUZZ_CONFIG,

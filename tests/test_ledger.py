@@ -645,7 +645,7 @@ numbers_ = st.one_of(st.integers(1, 10**12), st.floats(min_value=0.0, exclude_mi
 ENDS = ("deployed", "signed", "departed", "submitted", "pass", "fail", "fraud")
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(
     names=st.lists(identities, min_size=2, max_size=5, unique=True),
     menu_pool=st.lists(menus, min_size=1, max_size=4),

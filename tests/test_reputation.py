@@ -14,7 +14,7 @@ from parkedchain.reputation import (
     Opinion,
     ReputationEngine,
     WeightConfig,
-    average_final_reputation,
+    _average_final_reputation,
     timeliness_weight,
 )
 
@@ -211,17 +211,17 @@ class TestFuse:
 
 class TestAverages:
     def test_single(self):
-        assert average_final_reputation([0.5]) == 0.5
+        assert _average_final_reputation([0.5]) == 0.5
 
     def test_mean(self):
-        assert average_final_reputation([0.2, 0.4, 0.6]) == pytest.approx(0.4)
+        assert _average_final_reputation([0.2, 0.4, 0.6]) == pytest.approx(0.4)
 
     def test_idempotent_on_constant(self):
-        assert average_final_reputation([0.37] * 9) == pytest.approx(0.37)
+        assert _average_final_reputation([0.37] * 9) == pytest.approx(0.37)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            average_final_reputation([])
+            _average_final_reputation([])
 
 
 class TestLinearBaseline:
@@ -489,7 +489,7 @@ def histories(draw):
 
 
 class TestEngineMatchesScalarReference:
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(histories())
     def test_view_is_bit_identical(self, case):
         nodes, hours, evidence, target, raters, at, cfg = case
@@ -556,7 +556,7 @@ class TestBatchedWrites:
             eng.register(node, 8 + i % 5)
         return eng
 
-    @settings(deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(slot_batches())
     def test_slot_write_equals_row_writes(self, case):
         nodes, batches = case
@@ -580,7 +580,7 @@ class TestBatchedWrites:
                 assert value == tr_single.value(r, t)
                 assert value == linear_reputation_baseline(history.get((r, t), []))
 
-    @settings(deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(slot_batches(), st.data())
     def test_many_target_average_equals_views(self, case, data):
         nodes, batches = case
@@ -602,7 +602,7 @@ class TestBatchedWrites:
         assert scores.tolist() == [
             eng.view(t, at, [r for r in raters if r != t]).average for t in targets]
 
-    @settings(deadline=None, max_examples=150)
+    @settings(max_examples=150)
     @given(st.data())
     def test_many_target_average_matches_scalar_reference(self, data):
         # long histories, and one rater or many: at 8 or more slots or
@@ -630,7 +630,7 @@ class TestBatchedWrites:
         scored = [node for node in nodes if raters != [node]]
         targets = data.draw(st.lists(st.sampled_from(scored), min_size=1, max_size=4))
         at = data.draw(st.sampled_from(range(13)))
-        expected = [average_final_reputation(list(reference_view(
+        expected = [_average_final_reputation(list(reference_view(
             evidence, hours, t, at, [r for r in raters if r != t], cfg).values()))
             for t in targets]
         assert eng.average_reputations(targets, at, raters).tolist() == expected
@@ -651,7 +651,7 @@ class TestBatchedWrites:
         "mixed-bool": (("n0", "n1", 3, np.True_), ValueError, "not bools"),
     }
 
-    @settings(deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(slot_batches(), st.sampled_from(sorted(BAD_ROWS)), st.data())
     def test_all_writers_reject_the_same_rows(self, case, kind, data):
         # the engine's two writers and the tracker's two raise the row's
@@ -765,7 +765,7 @@ class TestBatchedWrites:
                 build()
         assert eng.arrival_hours == {"i": 8, "j": 9} and list(eng._index) == ["i", "j"]
 
-    @settings(deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(slot_batches(), st.data())
     def test_slot_write_rejects_repeated_pair_and_negative_slot(self, case, data):
         nodes, batches = case
@@ -861,7 +861,7 @@ class TestBlockWrites:
             return type(err), str(err)
         return None
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(blocks())
     def test_block_writes_equal_cell_writes(self, case):
         # record_block and update_block write what record_outcomes and
