@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -591,11 +592,12 @@ def _probability_table(p, slots, targets: list[str], raters: list[str]) -> np.nd
     integer or float numpy array shaped (slots, targets, raters), each cell
     in [0, 1]. The first bad cell is named."""
     if not (isinstance(p, np.ndarray) and p.dtype.kind in "iuf"):
-        got = f"dtype {p.dtype}" if isinstance(p, np.ndarray) else type(p).__name__
+        got = f"dtype {p.dtype}" if isinstance(p, np.ndarray) else f"the {type(p).__name__} {p!r}"
         raise ValueError(f"p must be a numpy array of integers or floats, got {got}")
     shape = (len(slots), len(targets), len(raters))
     if p.shape != shape:
-        raise ValueError(f"p must be shaped (slots, targets, raters) = {shape}, got {p.shape}")
+        raise ValueError(f"p must be shaped (slots, targets, raters) = {shape}, got {p.shape}, "
+                         f"for slots {slots!r}, targets {targets!r} and raters {raters!r}")
     p = p.astype(float, copy=False)
     ok = (p >= 0.0) & (p <= 1.0)     # NaN fails both
     if not ok.all():
@@ -694,9 +696,13 @@ def _is_probability(value) -> bool:
 
 
 def _check_slots_and_seed(slots, seed) -> None:
-    for name, value, least in (("slots", slots, 1), ("seed", seed, 0)):
-        if not whole(value) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    """A seed is any whole number >= 0; a slot count one >= 1 that fits an
+    index, as every slot must (reputation._check_slot)."""
+    if not (whole(slots) and 1 <= slots <= sys.maxsize):
+        raise ValueError(f"slots must be an integer >= 1, got {slots!r} (at most sys.maxsize, "
+                         f"an index)")
+    if not whole(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _schemes(weight_config: WeightConfig | None, *cohorts: list[str],
@@ -772,9 +778,10 @@ def decay_experiment(
     throughout. Slots count from 0. Returns (slot, scheme, honest
     mean, misbehaving mean) rows, "SL" then "LR" for each slot.
     """
-    if not (whole(population) and whole(misbehaving_count) and misbehaving_count >= 1):
+    if not (whole(population) and whole(misbehaving_count)
+            and 1 <= misbehaving_count <= population):
         raise ValueError(
-            "decay needs a whole population and at least one misbehaving node "
+            "decay needs whole counts and from one misbehaving node to the whole population "
             f"(got population={population!r}, misbehaving_count={misbehaving_count!r})"
         )
     _check_slots_and_seed(slots, seed)
@@ -830,8 +837,9 @@ def collusion_experiment(
     compares selection quality, not sampling noise. Returns one
     (threshold, sl, lr) row per threshold.
     """
-    if not whole(seeds) or seeds < 1:
-        raise ValueError(f"seeds must be a positive integer, got {seeds!r}")
+    if not (whole(seeds) and 1 <= seeds <= sys.maxsize):
+        raise ValueError(f"seeds must be a positive integer that fits an index (at most "
+                         f"sys.maxsize), got {seeds!r}")
     try:
         thresholds = list(thresholds)
     except TypeError:

@@ -33,7 +33,6 @@ participation and contribute zero utility to both sides.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,7 @@ from scipy.optimize import minimize_scalar
 from scipy.optimize import _zeros
 
 from ._numbers import real
+from ._task import InfeasibleProblem, TaskParams
 from .parking import TypeProfile
 
 __all__ = [
@@ -74,41 +74,6 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float = _RTOL) -> float:
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
     return _zeros._brentq(checked, a, b, xtol, rtol, 500, (), False, True)
-
-
-class InfeasibleProblem(RuntimeError):
-    """Raised when a solver cannot produce a feasible menu."""
-
-
-@dataclass(frozen=True)
-class TaskParams:
-    """Physical and economic constants of one offloading task."""
-
-    rho: float = 0.1           # profit per unit time saved
-    kappa: float = 1e4         # CPU cycles per bit
-    s_bits: float = 4e6        # task size (500 decimal KB)
-    f_local: float = 0.5e9     # SR's own CPU frequency, Hz
-    r_bps: float | tuple[float, ...] = 5.5e6   # link rate per type, bits/s
-    eps_cap: float = 1e-28     # effective switched capacitance
-    e_price: float = 0.1       # price per Joule
-    f_max: float = 3e9         # PV CPU frequency cap, Hz
-
-    def __post_init__(self) -> None:
-        rs = self.r_bps if isinstance(self.r_bps, tuple) else (self.r_bps,)
-        for name in ("rho", "kappa", "s_bits", "f_local", "eps_cap", "e_price", "f_max", "r_bps"):
-            for value in rs if name == "r_bps" else (getattr(self, name),):
-                if not (real(value) and value > 0):
-                    raise ValueError(f"{name} must be finite and positive (got {value!r})")
-
-    @property
-    def energy_coeff(self) -> float:
-        """e * kappa * s * eps: coefficient of f^2 in the PV's energy cost."""
-        return self.e_price * self.kappa * self.s_bits * self.eps_cap
-
-    def r_of(self, j: int) -> float:
-        if isinstance(self.r_bps, tuple):
-            return self.r_bps[j]
-        return self.r_bps
 
 
 @dataclass(frozen=True)
@@ -214,18 +179,22 @@ def _energy_cost(f_j: float, params: TaskParams) -> float:
 
 
 def pv_utility(theta_j: float, f_j: float, pi_j: float, params: TaskParams) -> float:
-    """Expected reward value minus energy cost for one type and item. LIA
-    calls it per candidate, so only `params` is checked up front; a number
-    argument that the arithmetic rejects (a str, None) is named then."""
+    """Expected reward value minus energy cost for one type and item; the
+    three numbers are finite reals, never bools. Three Python floats with a
+    finite sum skip the per-number checks."""
     if not isinstance(params, TaskParams):
         raise ValueError(f"params must be a TaskParams, got {params!r}")
-    try:
-        return theta_j * math.log1p(pi_j) - _energy_cost(f_j, params)
-    except TypeError:
+    if not (type(theta_j) is type(f_j) is type(pi_j) is float
+            and math.isfinite(theta_j + f_j + pi_j)):
         for name, value in (("theta_j", theta_j), ("f_j", f_j), ("pi_j", pi_j)):
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}") from None
-        raise
+            if not real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return _pv_utility(theta_j, f_j, pi_j, params)
+
+
+def _pv_utility(theta_j: float, f_j: float, pi_j: float, params: TaskParams) -> float:
+    """pv_utility unchecked, for LIA's candidates."""
+    return theta_j * math.log1p(pi_j) - _energy_cost(f_j, params)
 
 
 def _check_problem(problem) -> None:
@@ -276,7 +245,7 @@ def pv_expected_utility(menu: ContractMenu, problem: ContractProblem) -> float:
     for j, (f, pi) in enumerate(menu.items):
         if f <= 0:
             continue
-        total += problem.betas[j] * pv_utility(
+        total += problem.betas[j] * _pv_utility(
             problem.thetas[j], f, pi, problem.params
         )
     return total
@@ -614,7 +583,7 @@ def _menu_from_chain(result, problem: ContractProblem, gains):
 
 
 def _first_type_utility(menu: ContractMenu, problem: ContractProblem) -> float:
-    return pv_utility(problem.thetas[0], menu.fs[0], menu.pis[0], problem.params)
+    return _pv_utility(problem.thetas[0], menu.fs[0], menu.pis[0], problem.params)
 
 
 _SCAN_INTERVALS = 200  # uniform grid intervals between the LA and LC top frequencies
@@ -693,7 +662,7 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
 
     def admissible(menu: ContractMenu) -> bool:
         utils = [
-            pv_utility(problem.thetas[j], menu.fs[j], menu.pis[j], params)
+            _pv_utility(problem.thetas[j], menu.fs[j], menu.pis[j], params)
             for j in range(problem.n_types)
         ]
         return not any(u < -1e-9 for u in utils) and not any(p < 0 for p in menu.pis)

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from ..contract_opt import InfeasibleProblem
+from .._task import InfeasibleProblem
 from .config import ConfigError, validate_config
 from .scenarios import SCENARIOS, run_scenario
 

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..consensus import ConsensusConfig
-from ..contract_opt import TaskParams
+from .._task import TaskParams
 from ..reputation import WeightConfig
 
 __all__ = [

@@ -12,18 +12,22 @@ column schema:
   utility-vs-type       type, theta, beta, scheme, f_hz, pi, u_pv, u_sr_term
 
 Tables are deterministic functions of (config, seed): rerunning writes
-byte-identical CSV.
+byte-identical CSV. A runner imports `parking` and `contract_opt` itself, so
+that a scenario loads scipy only if it classifies vehicles or solves menus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .. import contract_opt, parking
 from ..consensus import collusion_experiment, decay_experiment, detection_experiment
 from .config import ConfigError, ExperimentConfig, config_digest
+
+if TYPE_CHECKING:      # the annotations' names; a runner imports what it runs
+    from .. import contract_opt, parking
 
 __all__ = ["ResultTable", "SCENARIOS", "run_scenario"]
 
@@ -89,6 +93,7 @@ def run_scenario(name: str, cfg: ExperimentConfig) -> ResultTable:
 def _arrivals(cfg: ExperimentConfig) -> tuple[parking.Arrivals, str]:
     """Arrivals from the configured trace, else the synthetic bimodal
     population, with the provenance 'source' value naming which."""
+    from .. import parking
     if cfg.trace_path is not None:
         try:
             return parking.ingest_trace(cfg.trace_path), f"trace:{cfg.trace_path}"
@@ -99,12 +104,14 @@ def _arrivals(cfg: ExperimentConfig) -> tuple[parking.Arrivals, str]:
 
 
 def _hour_problem(cfg: ExperimentConfig, arrivals, hour: int) -> contract_opt.ContractProblem:
+    from .. import contract_opt, parking
     profile = parking.hourly_type_profile(arrivals, hour, parking.GammaMixtureParams(),
                                           cfg.n_types)
     return contract_opt.ContractProblem(profile, cfg.task_params())
 
 
 def _profile_hour_problem(cfg: ExperimentConfig) -> contract_opt.ContractProblem:
+    from .. import parking
     try:
         return _hour_problem(cfg, _arrivals(cfg)[0], cfg.profile_hour)
     except parking.NobodyParked:
@@ -112,6 +119,7 @@ def _profile_hour_problem(cfg: ExperimentConfig) -> contract_opt.ContractProblem
 
 
 def _solve_all(problem: contract_opt.ContractProblem) -> dict[str, contract_opt.ContractMenu]:
+    from .. import contract_opt
     menus = {
         "LC": contract_opt.solve_complete_info(problem),
         "LIA": contract_opt.solve_lagrangian_iterative(problem),
@@ -175,6 +183,7 @@ def _collusion(cfg: ExperimentConfig) -> ResultTable:
 
 def _contract_feasibility(cfg: ExperimentConfig) -> ResultTable:
     """Self-selection table: utility of every (true type, menu item) pair."""
+    from .. import contract_opt
     problem = _profile_hour_problem(cfg)
     menu = contract_opt.solve_lagrangian_iterative(problem)
     rows = []
@@ -193,6 +202,7 @@ def _contract_feasibility(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _utility_vs_hour(cfg: ExperimentConfig) -> ResultTable:
+    from .. import contract_opt, parking
     arrivals, _ = _arrivals(cfg)
     rows = []
     for hour in range(24):
@@ -213,6 +223,7 @@ def _utility_vs_hour(cfg: ExperimentConfig) -> ResultTable:
 
 
 def _utility_vs_type(cfg: ExperimentConfig) -> ResultTable:
+    from .. import contract_opt
     problem = _profile_hour_problem(cfg)
     menus = _solve_all(problem)
     rows = []

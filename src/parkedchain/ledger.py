@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _string
@@ -80,7 +81,7 @@ class Account:
 
 @dataclass(frozen=True)
 class RequestSpec:
-    task_bits: int
+    task_bits: float       # a real, as every field is; stored as an int when whole
     required_hz: float
     expected_seconds: float
 
@@ -256,9 +257,8 @@ class Ledger:
         deposit = int(deposit)
         need = deposit + top
         if sr.balance < need:
-            raise LedgerError(
-                f"balance {sr.balance} cannot escrow deposit+max reward {need}"
-            )
+            raise LedgerError(f"balance {sr.balance} cannot escrow deposit {deposit!r} + max "
+                              f"reward {top!r}")
         self._nonce += 1
         sr.balance -= need
         record = SmartContractRecord(
@@ -292,7 +292,7 @@ class Ledger:
         pv_deposit, item_index = int(pv_deposit), int(item_index)
         pv = self._account(pv_identity)
         if pv.balance < pv_deposit:
-            raise LedgerError("insufficient balance for the deposit")
+            raise LedgerError(f"balance {pv.balance} cannot cover the deposit {pv_deposit!r}")
         pv.balance -= pv_deposit
         record.escrow += pv_deposit
         record.pv_address = pv.identity
@@ -379,10 +379,10 @@ class Ledger:
         quorum_evidence must name the agreeing consensus members; an empty
         one is a protocol error, and a bare string is one id per character,
         so it is rejected."""
-        if isinstance(transactions, (str, bytes)) or isinstance(quorum_evidence, (str, bytes)):
-            raise LedgerError("transactions and quorum evidence must be collections of ids, "
-                              "not a bare string")
         for name, ids in (("transactions", transactions), ("quorum evidence", quorum_evidence)):
+            if isinstance(ids, (str, bytes)):
+                raise LedgerError(f"{name} must be a collection of ids, not the bare string "
+                                  f"{ids!r}")
             if not (isinstance(ids, (tuple, list)) and all(isinstance(i, str) for i in ids)):
                 raise LedgerError(f"{name} must be a tuple or list of str ids, got {ids!r}")
         if not isinstance(proposer, str):
@@ -425,7 +425,10 @@ class Ledger:
         return self.total_balance() + self.total_escrow() == self.minted
 
     def dump(self, path: str) -> None:
-        """Line-delimited canonical records: accounts, contracts, blocks."""
+        """Line-delimited canonical records: accounts, contracts, blocks.
+        `path` is a str or path-like object, not a file descriptor."""
+        if not isinstance(path, (str, os.PathLike)):
+            raise LedgerError(f"dump path must be a str or path-like object, got {path!r}")
         with open(path, "w", encoding="utf-8") as fh:
             for identity in sorted(self.accounts):
                 a = self.accounts[identity]

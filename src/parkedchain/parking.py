@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -196,7 +197,10 @@ class Parked:
             if not whole(i):
                 raise ValueError(f"a parked row index must be a whole number, got {i!r}")
             i = int(i)
-        a = int(self.arrival_hour[i])
+        try:
+            a = int(self.arrival_hour[i])
+        except IndexError:     # numpy names no index past the int64 range
+            raise IndexError(f"parked row {i!r} is out of range for {len(self)} rows") from None
         return PVState(int(self.pv_id[i]), a, float((self.hour - a) % 24), float(self.horizon))
 
 
@@ -220,12 +224,13 @@ class TypeProfile:
                              f"{self.thetas!r} and {self.betas!r}")
         for th in self.thetas:
             if not (real(th) and 0.0 < th <= 1.0):
-                raise ValueError(f"type value {th} outside (0, 1]")
+                raise ValueError(f"type value {th!r} outside (0, 1]")
         for hi, lo in zip(self.thetas[1:], self.thetas):
             if hi <= lo:
                 raise ValueError("type values must be strictly ascending")
         if not all(real(b) and b >= 0 for b in self.betas):
-            raise ValueError("type probabilities must be finite and nonnegative")
+            raise ValueError(f"type probabilities must be finite and nonnegative, got "
+                             f"{self.betas!r}")
         if abs(sum(self.betas) - 1.0) > _TOL:
             raise ValueError("type probabilities must sum to 1")
 
@@ -302,9 +307,8 @@ def classify_types(parked: Parked, params: GammaMixtureParams, n_types: int) -> 
     probs = np.sort(_stay_probabilities(parked, params))
     thetas: list[float] = []
     betas: list[float] = []
-    for chunk in np.array_split(probs, n_types):
-        if chunk.size == 0:
-            continue
+    # bins past one per vehicle would be empty, and any whole n_types runs
+    for chunk in np.array_split(probs, min(n_types, probs.size)):
         thetas.append(float(chunk.mean()))
         betas.append(chunk.size / probs.size)
     i = 0
@@ -366,8 +370,9 @@ def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> 
     """Sample arrivals and mixture durations, deterministically per seed
     (a whole number >= 0: None would draw fresh entropy)."""
     _check_mixture(params)
-    if not (whole(count) and count >= 1):
-        raise ValueError(f"count must be a whole number >= 1, got {count!r}")
+    if not (whole(count) and 1 <= count <= sys.maxsize):
+        raise ValueError(f"count must be a whole number >= 1 that fits an index (at most "
+                         f"sys.maxsize), got {count!r}")
     if not (whole(seed) and seed >= 0):
         raise ValueError(f"seed must be a whole number >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)

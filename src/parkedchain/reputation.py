@@ -121,8 +121,9 @@ class ReputationView:
 
 def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
     """Power-law decay of an opinion's weight with its age in slots."""
-    if not (real(t) and real(t_ij)):
-        raise ValueError(f"slots must be real numbers, got t={t!r}, t_ij={t_ij!r}")
+    if not (whole(t) and whole(t_ij) and abs(t) <= sys.maxsize and abs(t_ij) <= sys.maxsize):
+        raise ValueError(f"slots must be whole numbers that fit an index, got t={t!r}, "
+                         f"t_ij={t_ij!r}")
     if not isinstance(cfg, WeightConfig):
         raise ValueError(f"cfg must be a WeightConfig, got {cfg!r}")
     if t <= t_ij:
@@ -204,7 +205,8 @@ class ReputationEngine:
         # other cell takes record_block's, which raises the cell's error
         if not (type(positives) is int and type(negatives) is int
                 and 0 <= positives <= _MAX_COUNT and 0 <= negatives <= _MAX_COUNT
-                and i >= 0 and j >= 0 and i != j and type(slot) is int and slot >= 0):
+                and i >= 0 and j >= 0 and i != j and type(slot) is int
+                and 0 <= slot <= sys.maxsize):
             self.record_block(slot, [rater], [target], _cell(positives, negatives))
             return
         if not (positives or negatives):
@@ -289,8 +291,9 @@ class ReputationEngine:
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
         except (KeyError, TypeError):    # an unhashable name is in no roster
             raise KeyError(_UNREGISTERED) from None
-        if not (whole(at) and at >= 0):
-            raise ValueError(f"at must be >= 0, a whole number and not a bool (got {at!r})")
+        if not (whole(at) and 0 <= at <= sys.maxsize):     # the write slot rule
+            raise ValueError(f"at must be >= 0, a whole number that fits an index and not a "
+                             f"bool (got {at!r})")
         cfg = self.cfg
         ev = self._grown(0)
         slots = max(0, min(at + 1, self._slots))
@@ -462,17 +465,20 @@ def _check_name(node) -> None:
 
 
 def _check_lists(**lists) -> None:
-    """The rule of every argument that lists names: a bare str is no list,
-    though it would read as one name per character."""
+    """The rule of every argument that lists names: a list or tuple. A bare
+    str is none, though it would read as one name per character."""
     for what, names in lists.items():
-        if isinstance(names, str):
-            raise ValueError(f"{what} must be a list of names, not the str {names!r}")
+        if not isinstance(names, (list, tuple)):
+            raise ValueError(f"{what} must be a list of names, not the "
+                             f"{type(names).__name__} {names!r}")
 
 
 def _check_slot(slot) -> None:
-    """The slot rule of every engine write: a whole number >= 0, not a bool."""
-    if not (whole(slot) and slot >= 0):
-        raise ValueError(f"slot must be >= 0, a whole number and not a bool (got {slot!r})")
+    """The slot rule of every engine write: a whole number in
+    0..sys.maxsize, an array index, and not a bool."""
+    if not (whole(slot) and 0 <= slot <= sys.maxsize):
+        raise ValueError(f"slot must be >= 0, a whole number that fits an index and not "
+                         f"a bool (got {slot!r})")
 
 
 def _checked_block(
@@ -490,8 +496,9 @@ def _checked_block(
     _check_lists(raters=raters, targets=targets)
     shape = (len(targets), len(raters), 2)
     if not isinstance(counts, np.ndarray) or counts.shape != shape:
+        got = counts.shape if isinstance(counts, np.ndarray) else counts
         raise ValueError(f"counts must be an array shaped {shape}, one cell per "
-                         "(target, rater)")
+                         f"(target, rater), got {got!r}")
     if (counts.dtype.kind not in "iu"
             or counts.min(initial=0) < 0 or counts.max(initial=0) > _MAX_COUNT):
         raise ValueError(_COUNT_RULE)
@@ -564,7 +571,9 @@ class LinearReputationTracker:
     """
 
     def __init__(self, nodes) -> None:
-        _check_lists(nodes=nodes)
+        # any iterable of names, such as an engine's arrival_hours, but a str
+        if isinstance(nodes, str):
+            raise ValueError(f"nodes must be a list of names, not the str {nodes!r}")
         try:
             nodes = list(nodes)
         except TypeError:

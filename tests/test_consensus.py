@@ -722,10 +722,11 @@ def test_record_interactions_checks_the_table_shape():
     ] + [
         case(ab, ab, np.array([[[math.nan, 0.8], [0.8, 0.8]]]), r"p\[0, 0, 0\]"),
         case(ab, ab, np.array([[[0.8, 0.8], [0.8, 2]]]), r"p\[0, 1, 1\] .*" + probability + "2"),
-        case(["a"], ["b"], [[[True]]], numeric + "list$"),
-        case(["a"], ["b"], [[[0.8]]], numeric + "list$"),
-        case(["a"], ["b"], [[["0.5"]]], numeric + "list$"),
-        case(ab, ab, [[[0.8, "x"], [0.8, 2]]], numeric + "list$"),
+        case(["a"], ["b"], [[[True]]], numeric + r"the list \[\[\[True\]\]\]$"),
+        case(["a"], ["b"], [[[0.8]]], numeric + r"the list \[\[\[0\.8\]\]\]$"),
+        case(["a"], ["b"], [[["0.5"]]], numeric + r"the list \[\[\['0\.5'\]\]\]$"),
+        case(ab, ab, [[[0.8, "x"], [0.8, 2]]],
+             numeric + r"the list \[\[\[0\.8, 'x'\], \[0\.8, 2\]\]\]$"),
         case(["a"], ["b"], np.array([[[True]]]), numeric + "dtype bool$"),
         case(["a"], ["b"], np.array([[["0.8"]]]), numeric + r"dtype [<>]U3$"),
         case(["a"], ["b"], np.array([[[0.8]]], dtype=object), numeric + "dtype object$"),

@@ -97,6 +97,23 @@ class TestUtilityLayer:
         params = TaskParams(kappa=1e4, s_bits=4e6, eps_cap=1e-28, e_price=0.1)
         assert pv_utility(0.5, 1e9, math.e - 1.0, params) == pytest.approx(0.1)
 
+    def test_pv_utility_number_types_agree(self):
+        # three floats take the fast path; ints and numpy numbers are checked
+        # one at a time, and read the same
+        params = TaskParams()
+        fast = pv_utility(0.5, 2e9, 3.0, params)
+        assert pv_utility(np.float64(0.5), 2_000_000_000, 3, params) == fast
+        assert pv_utility(0.5, 2e9, np.int64(3), params) == fast
+        assert contract_opt._pv_utility(0.5, 2e9, 3.0, params) == fast
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("field", ["fs", "pis"])
+    def test_menu_entries_fail_the_comparisons(self, field, bad):
+        # a menu is checked by comparisons alone, which NaN and -inf fail
+        fields = {"fs": (1.0,), "pis": (1.0,), field: (bad,)}
+        with pytest.raises(ValueError, match="nonnegative"):
+            ContractMenu(fields["fs"], fields["pis"], "s")
+
     def test_sr_expected_utility_pin(self):
         params = TaskParams(rho=0.1, kappa=1e4, s_bits=4e6,
                             f_local=0.5e9, r_bps=5e6)

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -120,6 +121,18 @@ class TestConfigValidation:
             validate_config(None, **overrides)
         [diagnostic] = exc.value.diagnostics
         assert diagnostic.startswith(f"{key} ") or diagnostic.startswith(f"{key}: ")
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": bad} for bad in (True, np.True_, math.nan, math.inf, -math.inf, "1", None,
+                                  10**400, 1.5)
+    ] + [
+        {"consensus": {"threshold": bad}}
+        for bad in (True, np.True_, math.nan, math.inf, -math.inf, "1", None, 10**400)
+    ])
+    def test_bad_numbers_rejected(self, overrides):
+        """A JSON integer seed below 2**64 and a real threshold in [0, 1]."""
+        with pytest.raises(ConfigError):
+            validate_config(None, **overrides)
 
     def test_digest_tracks_content(self):
         a = ExperimentConfig()
@@ -634,6 +647,30 @@ def test_cli_module_runs_in_a_fresh_interpreter(tmp_path):
     assert proc.returncode == 2 and len(lines) == 2, proc.stderr
     assert all(line.startswith("config error: ") for line in lines), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_scenarios_load_only_the_layers_they_run(tmp_path):
+    """Through `cli.main` in a fresh interpreter, reputation-decay,
+    detection-rate and collusion load no scipy module, and arrival-histogram,
+    which classifies nothing, loads no `scipy.optimize`."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": 12, "misbehaving": 3, "collusion_seeds": 2,
+                               "arrivals": 2000, "consensus": {"slots": 4}}))
+    code = ("import json, sys\n"
+            "from parkedchain.harness import cli\n"
+            "loaded = {}\n"
+            "for name in ('reputation-decay', 'detection-rate', 'collusion', 'arrival-histogram'):\n"
+            "    assert cli.main([name, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "    loaded[name] = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps(loaded))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["collusion"] == []    # and so for the two before it
+    assert "scipy.optimize" not in loaded["arrival-histogram"]
 
 
 def test_public_names_resolve():

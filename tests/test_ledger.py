@@ -325,6 +325,18 @@ class TestExecuteAndSettle:
         assert led.accounts["pv1"].balance == 350
         assert led.conserved()
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_bool_flags_accepted(self, flag):
+        # a Python or numpy bool; anything else fails (tests/test_public_calls.py)
+        led = funded_ledger()
+        r = led.post_request("sr1", SPEC, MENU, deposit=300)
+        led.sign_contract("pv1", r.address, 1, pv_deposit=150)
+        departed = led.execute_task(r.address, pv_departed=flag).state
+        assert departed is (ContractState.CONFISCATED if flag else ContractState.RESULT_SUBMITTED)
+        r = self.run_to_submitted(led)
+        assert led.verify_and_settle(r.address, "fail", sr_fraud=flag).history[-2:] == (
+            ["sr-fraud", "Refunded"] if flag else ["ResultSubmitted", "Refunded"])
+
     def test_completion_stores_digest(self):
         led = funded_ledger()
         r = self.run_to_submitted(led)

@@ -289,6 +289,13 @@ def test_hourly_profiles_pinned():
 
 
 class TestColumns:
+    def test_parked_index_keeps_its_python_meaning(self):
+        rows = Parked([0, 1], [8, 9], 10)
+        assert rows[-1] == rows[np.int64(1)] == rows[1]
+        for out_of_range in (2, -3, np.int64(2), 10**400):
+            with pytest.raises(IndexError, match="out of range"):
+                rows[out_of_range]
+
     def test_row_is_the_vehicle_in_arrivals(self):
         pvs = surviving_population(Arrivals([20, 8, 9], [5.0, 5.0, 0.5]), 10, horizon=2.0)
         assert len(pvs) == 1

@@ -1,58 +1,98 @@
-"""Every public callable of the five layers fails a wrong-type argument with
-its layer's own error.
+"""Every public call of the five layers runs or fails with its layer's own error.
 
-Each callable in a layer's `__all__` has one valid call below. The test
-replaces each positional argument of that call in turn with `object()`,
-`"x"` and `None`, and then all of them at once. Every such call must raise
-`ValueError` (a subclass included), `LedgerError`, `InfeasibleProblem` or,
-for a name, `KeyError`, whose message names the value: never another
-exception, and never a result. Where a parameter's rule takes one of these
-values (a str name, or `None` for the default weights or committee), the
-call must run instead. The output records and the exception classes are
-listed, not called: a layer builds them. `tests/test_inputs.py` holds the
-finer rules of each number argument; the methods of `Ledger`,
-`ReputationEngine` and the tracker are not probed here.
+One table generated from the signatures, checked the QuickCheck way (Claessen
+& Hughes, ICFP 2000) but enumerated, not sampled. Each callable in a layer's
+`__all__` but the outputs, each public method of the three stateful classes
+that takes arguments and `Parked.__getitem__` has a valid call in VALID. Each
+argument (or ENTRIES' entry) in turn, and all at once, takes every value of
+the pool its annotation names. The call raises `ValueError`, `LedgerError` or
+`InfeasibleProblem` naming the value or its bad entry (a roster's `KeyError`
+and the count rule keep one message), and leaves its stateful arguments as
+they were; where ACCEPTED, or a `| None` annotation for None, says the rule
+takes it, it runs.
 """
 
+import functools
 import inspect
+import math
+import os
 
 import numpy as np
 import pytest
 
 from parkedchain import consensus, contract_opt, ledger, parking, reputation
 
-LAYERS = (parking, contract_opt, reputation, consensus, ledger)
-LAYER_ERRORS = (ValueError, ledger.LedgerError, contract_opt.InfeasibleProblem, KeyError)
+LAYER_ERRORS = (ValueError, ledger.LedgerError, contract_opt.InfeasibleProblem)
 OUTPUTS = {"consensus.NetMessage", "consensus.ViewOutcome", "reputation.ReputationView",
            "ledger.Account", "ledger.SmartContractRecord", "ledger.Block"}
-BAD = {"object": object(), "str": "x", "none": None}
+# stand-ins for an open file descriptor the test owns and another layer's parameter object
+DESCRIPTOR, ALIEN = object(), object()
+TRACE = "trace.csv"       # written by the test in its working directory
 
-MIX = parking.GammaMixtureParams()
+# the values each kind of argument rejects, unless ACCEPTED says otherwise
+COMMON = {"object": object(), "none": None, "tuple": (0.5,), "alien": ALIEN}
+REAL = {**COMMON, "true": True, "numpy-true": np.True_, "nan": math.nan, "inf": math.inf,
+        "-inf": -math.inf, "string": "1", "huge": 10**400}
+POOLS = {
+    "real": REAL,
+    "whole": {**REAL, "half": 1.5, "negative": -1},
+    "flag": {**COMMON, "string": "no", "zero": 0, "one": 1, "float": 1.0},
+    "name": {**COMMON, "str": "x", "int": DESCRIPTOR, "bytes": b"pv", "tuple": ("a",),
+             "list": ["a"]},
+    "names": {**COMMON, "str": "ac"},
+    "object": {**COMMON, "str": "x", "tuple": (0.6, 0.4, 2.0, 6.0, 0.75, 1.5), "zero": 0,
+               "false": False, "dict": {"n": 4, "l": 1}},
+    "array": {**COMMON, "str": "x", "tuple": ("x",)},     # (0.5,) is a list of reals
+    "all": {"object": object(), "str": "x", "none": None},  # every argument at once
+}
+# the kind each annotation but its "| None" names; any other, a parameter object
+KINDS = {"float": "real", "float | tuple[float, ...]": "real", "int": "whole", "bool": "flag",
+         "str": "name", "list[str]": "names", "tuple[str, ...]": "names",
+         "tuple[float, ...]": "array", "list[float]": "array", "np.ndarray": "array"}
+UNANNOTATED = {("consensus.Behavior", 0): "name", ("consensus.ReplicaStrategy", 0): "name",
+               ("ledger.ContractState", 0): "name", ("consensus.run_view", 0): "names",
+               ("reputation.LinearReputationTracker", 0): "names",
+               ("consensus.record_interactions", 1): "array", ("ledger.Ledger.post_request", 3):
+               "array", ("ledger.Ledger.append_block", 1): "names",
+               ("ledger.Ledger.append_block", 2): "names"}
+
+MIX, PV = parking.GammaMixtureParams(), parking.PVState(0, 8, 2.0, 1.0)
 ARRIVALS = parking.Arrivals([8, 9, 9], [5.0, 3.0, 1.5])
 PARKED = parking.Parked([0, 1, 2], [8, 9, 9], 10)
-PV = parking.PVState(0, 8, 2.0, 1.0)
 PROFILE = parking.TypeProfile((0.5, 0.9), (0.5, 0.5))
-PARAMS = contract_opt.TaskParams()
+PARAMS, CFG = contract_opt.TaskParams(), reputation.WeightConfig()
 PROBLEM = contract_opt.ContractProblem(PROFILE, PARAMS)
 MENU = contract_opt.solve_local_asymmetric(PROBLEM)
-CFG = reputation.WeightConfig()
-COMMITTEE = [(f"n{i}", consensus.Behavior.HONEST) for i in range(4)]
-BLOCK = consensus.BlockProposal(1, ("tx0",), "n0")
-TRACE = object()     # stands for a trace file written by the test
+SPEC, ONE = ledger.RequestSpec(4_000_000, 1e9, 5.0), np.ones((1, 1, 2), dtype=int)
 
 
-def interactions():
-    """record_interactions' arguments, over fresh schemes: they are written."""
+def book(stage=0):
+    """A ledger with funded accounts "sr" and "pv" and one contract, posted
+    (stage 0), signed (1) or with its result submitted (2), and its address."""
+    led = ledger.Ledger()
+    for name, funds in (("sr", 10_000), ("pv", 500)):
+        led.register_account(name)
+        led.credit(name, funds)
+    address = led.post_request("sr", SPEC, [(1e9, 120)], 10).address
+    for step in (lambda: led.sign_contract("pv", address, 0, 10),
+                 lambda: led.execute_task(address, False))[:stage]:
+        step()
+    return led, address
+
+
+def schemes():
+    """Both reputation schemes over the roster a, b, c, with a's rating of b."""
     engine, tracker = consensus._schemes(None, ["a", "b", "c"])
-    return (np.random.default_rng(0), [2], ["b"], ["a", "c"], np.full((1, 1, 2), 0.8),
-            engine, tracker)
+    engine.record_outcomes(1, "a", "b", 3, 1)
+    tracker.update("a", "b", 3, 1)
+    return engine, tracker
 
 
-# "module.name": a function returning the positional arguments of one valid call
-VALID = {
+VALID = {       # a valid call's positional arguments, a method's instance first
     "parking.GammaMixtureParams": lambda: (0.6, 0.4, 2.0, 6.0, 0.75, 1.5),
     "parking.PVState": lambda: (0, 8, 2.0, 1.0),
     "parking.Parked": lambda: ([0, 1], [8, 9], 10, 1.0),
+    "parking.Parked.__getitem__": lambda: (PARKED, 1),
     "parking.TypeProfile": lambda: ((0.5, 0.9), (0.5, 0.5)),
     "parking.Arrivals": lambda: ([8, 9], [5.0, 3.0]),
     "parking.stay_probability": lambda: (PV, MIX),
@@ -66,111 +106,195 @@ VALID = {
     "contract_opt.ContractProblem": lambda: (PROFILE, PARAMS),
     "contract_opt.ContractMenu": lambda: ((1e9, 2e9), (0.5, 1.0), "s", {}),
     "contract_opt.pv_utility": lambda: (0.5, 1e9, 0.5, PARAMS),
-    "contract_opt.sr_expected_utility": lambda: (MENU, PROBLEM),
-    "contract_opt.sr_utility_terms": lambda: (MENU, PROBLEM),
-    "contract_opt.pv_expected_utility": lambda: (MENU, PROBLEM),
-    "contract_opt.solve_complete_info": lambda: (PROBLEM,),
-    "contract_opt.solve_local_asymmetric": lambda: (PROBLEM,),
-    "contract_opt.solve_lagrangian_iterative": lambda: (PROBLEM,),
-    "contract_opt.stackelberg_baseline": lambda: (PROBLEM,),
+    **{f"contract_opt.{name}": lambda: (MENU, PROBLEM)
+       for name in ("sr_expected_utility", "sr_utility_terms", "pv_expected_utility")},
+    **{f"contract_opt.{name}": lambda: (PROBLEM,) for name in (
+        "solve_complete_info", "solve_local_asymmetric", "solve_lagrangian_iterative",
+        "stackelberg_baseline")},
     "contract_opt.linear_pricing_baseline": lambda: (PROBLEM, 1e-9),
     "reputation.Opinion": lambda: (0.5, 0.25, 0.25, 0.5),
     "reputation.WeightConfig": lambda: (0.3, 0.4, 0.3, 10.0, 1.5),
     "reputation.timeliness_weight": lambda: (3, 1, CFG),
     "reputation.ReputationEngine": lambda: (CFG,),
+    "reputation.ReputationEngine.register": lambda: (schemes()[0], "d", 9.0),
+    "reputation.ReputationEngine.record_outcomes": lambda: (schemes()[0], 2, "a", "b", 1, 0),
+    "reputation.ReputationEngine.record_block": lambda: (schemes()[0], 2, ["a"], ["b"], ONE),
+    "reputation.ReputationEngine.view": lambda: (schemes()[0], "b", 2, ["a"]),
+    "reputation.ReputationEngine.average_reputations": lambda: (schemes()[0], ["b"], 2, ["a"]),
     "reputation.LinearReputationTracker": lambda: (["a", "b"],),
+    "reputation.LinearReputationTracker.update": lambda: (schemes()[1], "a", "b", 1, 0),
+    "reputation.LinearReputationTracker.update_block": lambda: (schemes()[1], ["a"], ["b"], ONE),
+    "reputation.LinearReputationTracker.value": lambda: (schemes()[1], "a", "b"),
+    "reputation.LinearReputationTracker.average_reputation": lambda: (schemes()[1], "b", ["a"]),
     "consensus.Behavior": lambda: ("honest",),
     "consensus.ReplicaStrategy": lambda: ("split",),
     "consensus.ConsensusConfig": lambda: (4, 1),
     "consensus.BlockProposal": lambda: (1, ("tx0",), "n0"),
     "consensus.select_consensus_nodes": lambda: ({"a": 0.5, "b": 0.7}, 1),
-    "consensus.run_view": lambda: (COMMITTEE, BLOCK, consensus.ConsensusConfig(4, 1), 0, {}),
+    "consensus.run_view": lambda: ([(f"n{i}", consensus.Behavior.HONEST) for i in range(4)],
+                                   consensus.BlockProposal(1, ("tx0",), "n0"),
+                                   consensus.ConsensusConfig(4, 1), 0, {}),
     "consensus.model_check_safety": lambda: (consensus.ConsensusConfig(4, 1),),
-    "consensus.record_interactions": interactions,
+    "consensus.record_interactions": lambda: (np.random.default_rng(0), [2], ["b"], ["a", "c"],
+                                              np.full((1, 1, 2), 0.8), *schemes()),
     "consensus.detection_experiment": lambda: (3, 1, 0.5, 1, 0, CFG),
     "consensus.decay_experiment": lambda: (12, 1, 1, 0, CFG),
     "consensus.collusion_experiment": lambda: ([0.5], 1, 0, CFG),
     "ledger.ContractState": lambda: ("Paid",),
     "ledger.RequestSpec": lambda: (4_000_000, 1e9, 5.0),
     "ledger.Ledger": lambda: (),
+    "ledger.Ledger.register_account": lambda: (ledger.Ledger(), "pv"),
+    "ledger.Ledger.credit": lambda: (book()[0], "pv", 5),
+    "ledger.Ledger.post_request": lambda: (book()[0], "sr", SPEC, [(1e9, 120)], 10),
+    "ledger.Ledger.sign_contract": lambda: (lambda led, at: (led, "pv", at, 0, 10))(*book()),
+    "ledger.Ledger.execute_task": lambda: (*book(1), False),
+    "ledger.Ledger.verify_and_settle": lambda: (*book(2), "fail", False),
+    "ledger.Ledger.append_block": lambda: (book()[0], ["tx0"], ["n0"], "n0"),
+    "ledger.Ledger.dump": lambda: (book()[0], "ledger.jsonl"),
 }
 
+# (callable, position, entry, the entry's kind, the argument built around it)
+ENTRIES = [
+    ("parking.TypeProfile", 0, "theta", "real", lambda x: (0.5, x)),
+    ("parking.TypeProfile", 1, "beta", "real", lambda x: (0.5, x)),
+    ("contract_opt.TaskParams", 4, "rate", "real", lambda x: (5e6, x)),
+    ("reputation.LinearReputationTracker", 0, "node", "name", lambda x: ["a", x]),
+    ("consensus.select_consensus_nodes", 0, "score", "real", lambda x: {"a": 0.5, "b": x}),
+    ("consensus.collusion_experiment", 0, "threshold", "real", lambda x: [0.5, x]),
+    ("ledger.Ledger.post_request", 3, "frequency", "real", lambda x: [(x, 120)]),
+    ("ledger.Ledger.post_request", 3, "reward", "whole", lambda x: [(1e9, x)]),
+]
 
-# (callable, argument position): the probe values its rule accepts
+# (callable, position or entry): the pool values its rule takes, besides None
+# for a "| None" annotation: a str name, a huge int (or -1) for an unbounded
+# whole number, a tuple of rates and a dict where those are the rule
+NAME, HUGE = {"str"}, {"huge"}
 ACCEPTED = {
-    ("consensus.BlockProposal", 2): {"str"},            # proposer
-    ("contract_opt.ContractMenu", 2): {"str"},          # scheme
-    ("consensus.run_view", 4): {"none"},                # strategies
-    ("consensus.model_check_safety", 0): {"none"},      # config
-    ("reputation.ReputationEngine", 0): {"none"},       # cfg
-    ("consensus.detection_experiment", 5): {"none"},    # weight_config
-    ("consensus.decay_experiment", 4): {"none"},
-    ("consensus.collusion_experiment", 3): {"none"},
+    ("parking.PVState", 0): {"huge", "negative"}, ("parking.Parked.__getitem__", 1):
+    {"negative"}, ("parking.classify_types", 2): HUGE, ("parking.hourly_type_profile", 3): HUGE,
+    ("parking.synthesize_population", 2): HUGE, ("contract_opt.TaskParams", 4): {"tuple"},
+    ("contract_opt.ContractMenu", 2): NAME, ("contract_opt.ContractMenu", 3): {"dict"},
+    ("reputation.timeliness_weight", 1): {"negative"},
+    ("reputation.ReputationEngine.register", 1): NAME,
+    ("reputation.LinearReputationTracker", "node"): NAME,
+    ("consensus.ConsensusConfig", 0): HUGE, ("consensus.BlockProposal", 0): HUGE,
+    ("consensus.BlockProposal", 2): NAME, ("consensus.select_consensus_nodes", 0): {"dict"},
+    ("consensus.run_view", 3): HUGE, ("consensus.detection_experiment", 0): HUGE,
+    ("consensus.detection_experiment", 4): HUGE, ("consensus.decay_experiment", 0): HUGE,
+    ("consensus.decay_experiment", 3): HUGE, ("consensus.collusion_experiment", 2): HUGE,
+    ("ledger.Ledger.register_account", 1): NAME, ("ledger.Ledger.credit", 2): HUGE,
+    ("ledger.Ledger.append_block", 3): NAME, ("ledger.Ledger.dump", 1): NAME,
 }
-# record_interactions names its table by type: "got str", "got object"
-UNNAMED = {("consensus.record_interactions", 4)}
 
 
-def _public_callables():
-    """Every callable a layer's __all__ names, but the exception classes."""
-    names = set()
-    for module in LAYERS:
-        for name in module.__all__:
-            value = getattr(module, name)
-            if callable(value) and not (inspect.isclass(value)
-                                        and issubclass(value, BaseException)):
-                names.add(f"{module.__name__.rsplit('.', 1)[1]}.{name}")
+def _target(qualified):      # "module.name" or "module.Class.method"
+    module, *path = qualified.split(".")
+    return functools.reduce(getattr, path, globals()[module])
+
+
+def _public():
+    """Each __all__ callable but the exceptions, and each stateful method with arguments."""
+    names = {"parking.Parked.__getitem__"}
+    for module in (parking, contract_opt, reputation, consensus, ledger):
+        names |= {f"{module.__name__.rsplit('.', 1)[1]}.{name}" for name in module.__all__
+                  if callable(value := getattr(module, name))
+                  and not (inspect.isclass(value) and issubclass(value, BaseException))}
+    for cls in (ledger.Ledger, reputation.ReputationEngine, reputation.LinearReputationTracker):
+        names |= {f"{cls.__module__.rsplit('.', 1)[1]}.{cls.__name__}.{name}"
+                  for name, f in vars(cls).items() if inspect.isfunction(f)
+                  and not name.startswith("_") and len(inspect.signature(f).parameters) > 1}
     return names
 
 
-def _target(qualified):
-    module, name = qualified.split(".")
-    return getattr(globals()[module], name)
+def _cases():
+    """(callable, positions, entry builder, kind, pool label, whether it runs)."""
+    for q in sorted(VALID):
+        first, count = q.count(".") // 2, len(VALID[q]())    # a method's instance is kept
+        for p in range(first, count):
+            annotation = list(inspect.signature(_target(q)).parameters.values())[p].annotation
+            kind = (UNANNOTATED[q, p] if annotation is inspect.Parameter.empty
+                    else KINDS.get(annotation.removesuffix(" | None"), "object"))
+            for label in POOLS[kind]:
+                runs = label in ACCEPTED.get((q, p), ()) or (
+                    label == "none" and str(annotation).endswith(" | None"))
+                yield pytest.param(q, (p,), None, kind, label, runs, id=f"{q}-{p}-{label}")
+        if count - first > 1:
+            yield from (pytest.param(q, range(first, count), None, "all", label, False,
+                                     id=f"{q}-all-{label}") for label in POOLS["all"])
+    for q, p, entry, kind, wrap in ENTRIES:
+        yield from (pytest.param(q, (p,), wrap, kind, label, label in ACCEPTED.get((q, entry), ()),
+                                 id=f"{q}-{p}-{entry}-{label}") for label in POOLS[kind])
+
+
+def _state(value):
+    """What a stateful argument holds, to compare across a rejected call."""
+    if isinstance(value, ledger.Ledger):
+        value.dump("state.jsonl")
+        with open("state.jsonl", "rb") as fh:
+            return fh.read(), value.clock, value._nonce
+    if isinstance(value, reputation.ReputationEngine):
+        return (value._evidence.tolist(), value._slots, value._index.copy(),
+                value.arrival_hours.copy())
+    if isinstance(value, reputation.LinearReputationTracker):
+        return value._values.tolist(), value._index.copy()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """One working directory, with a trace file."""
+    path = tmp_path_factory.mktemp("calls")
+    (path / TRACE).write_text("arrival_hour,duration_hours\n8,3.5\n9,6.0\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(path)
+        yield
 
 
 @pytest.fixture
-def trace(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text("arrival_hour,duration_hours\n8,3.5\n9,6.0\n")
-    return str(path)
+def descriptor(workdir):
+    """An empty file's descriptor that no call may write to or close; other files go after."""
+    fd = os.open("owned", os.O_RDWR | os.O_CREAT | os.O_TRUNC)
+    yield fd
+    assert os.fstat(fd).st_size == 0      # fstat raises OSError if a call closed it
+    os.close(fd)
+    for name in set(os.listdir()) - {TRACE}:
+        os.remove(name)
 
 
-def _args(qualified, trace):
-    return tuple(trace if a is TRACE else a for a in VALID[qualified]())
-
-
-def test_every_public_callable_is_probed_or_an_output():
-    assert not OUTPUTS & set(VALID)
-    assert sorted(_public_callables() - OUTPUTS) == sorted(VALID)
+def test_every_public_call_is_probed_or_an_output():
+    assert sorted(_public() - OUTPUTS) == sorted(VALID)
 
 
 @pytest.mark.parametrize("qualified", sorted(VALID))
-def test_valid_call_runs(qualified, trace):
-    _target(qualified)(*_args(qualified, trace))
+def test_valid_call_runs(qualified, descriptor):
+    _target(qualified)(*VALID[qualified]())
 
 
-CASES = [pytest.param(qualified, position, label, id=f"{qualified}-{position}-{label}")
-         for qualified in sorted(VALID) for position in range(len(VALID[qualified]()))
-         for label in BAD]
-CASES += [pytest.param(qualified, None, label, id=f"{qualified}-all-{label}")
-          for qualified in sorted(VALID) if len(VALID[qualified]()) > 1 for label in BAD]
-
-
-@pytest.mark.parametrize("qualified, position, label", CASES)
-def test_wrong_type_fails_with_the_layers_error(qualified, position, label, trace):
-    args = list(_args(qualified, trace))
-    value = BAD[label]
-    for k in range(len(args)) if position is None else (position,):
-        args[k] = value
-    if label in ACCEPTED.get((qualified, position), ()):
+@pytest.mark.parametrize("qualified, positions, wrap, kind, label, runs", list(_cases()))
+def test_bad_argument_fails_with_the_layers_error(qualified, positions, wrap, kind, label, runs,
+                                                  descriptor):
+    args = list(VALID[qualified]())
+    value = POOLS[kind][label]
+    for p in positions:
+        if value is DESCRIPTOR:
+            value = descriptor
+        elif value is ALIEN:      # never the parameter object the argument takes
+            value = PARAMS if isinstance(args[p], reputation.WeightConfig) else CFG
+        args[p] = value if wrap is None else wrap(value)
+    if runs:
         _target(qualified)(*args)
         return
+    kept = [_state(a) for a in args]
+    errors = LAYER_ERRORS + (KeyError,) * (kind in ("name", "names", "all")) + (
+        IndexError,) * ("__getitem__" in qualified)     # a roster's name, a row past the end
     try:
         result = _target(qualified)(*args)
-    except LAYER_ERRORS as exc:
-        if position is not None and (qualified, position) not in UNNAMED:
-            assert repr(value) in str(exc)
+    except errors as exc:
+        # a KeyError, and the count rule, keep one message for every name or writer
+        shown = (value, *value) if isinstance(value, (tuple, list)) else (value,)
+        assert (kind == "all" or isinstance(exc, KeyError) or str(exc) == reputation._COUNT_RULE
+                or any(repr(v) in str(exc) for v in shown)), exc
+        assert [_state(a) for a in args] == kept
         return
     except Exception as exc:
         pytest.fail(f"{qualified} raised {type(exc).__name__}: {exc}")
-    pytest.fail(f"{qualified} accepted {value!r} and returned {result!r}")
+    pytest.fail(f"{qualified} accepted {args!r} and returned {result!r}")

@@ -235,6 +235,24 @@ class TestLinearBaseline:
         assert linear_reputation_baseline([1.0] * 200) > 0.999
 
 
+def _engine_ab():
+    eng = ReputationEngine()
+    eng.register("a", 9.0)
+    eng.register("b", 10.0)
+    return eng
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LinearReputationTracker(["a", "b"]).average_reputation("a", ["b", "b"]),
+    lambda: _engine_ab().view("a", 1, ["b", "b"]),
+    lambda: _engine_ab().average_reputations(["a"], 1, ["b", "b"]),
+], ids=["tracker-average", "engine-view", "engine-averages"])
+def test_repeated_raters_rejected_alike(call):
+    # each scheme once counted a repeated rater twice, once, or not at all
+    with pytest.raises(ValueError, match="raters must be distinct"):
+        call()
+
+
 class TestEngine:
     def build(self):
         eng = ReputationEngine()
