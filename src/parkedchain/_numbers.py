@@ -1,14 +1,21 @@
-"""The two number rules of every layer's inputs, stated once; each caller
+"""The number rules of every layer's inputs, stated once; each caller
 keeps its own message and exception class. A bool is never a number here,
 and a plain int or float is tested before the slower ABC check."""
 
 import math
 import numbers
+import sys
 
 
 def whole(x) -> bool:
     """A Python or numpy integer, never a bool."""
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def index(x) -> bool:
+    """A whole number in 0..sys.maxsize: a slot, count or seed that fits an
+    array index."""
+    return whole(x) and 0 <= x <= sys.maxsize
 
 
 def real(x) -> bool:

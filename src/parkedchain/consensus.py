@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -43,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numbers import real, whole
+from ._numbers import index, real, whole
 from .reputation import (LinearReputationTracker, ReputationEngine, WeightConfig, _check_lists,
                          _check_slot, _checked_cells, _ids)
 
@@ -698,7 +697,7 @@ def _is_probability(value) -> bool:
 def _check_slots_and_seed(slots, seed) -> None:
     """A seed is any whole number >= 0; a slot count one >= 1 that fits an
     index, as every slot must (reputation._check_slot)."""
-    if not (whole(slots) and 1 <= slots <= sys.maxsize):
+    if not (index(slots) and slots >= 1):
         raise ValueError(f"slots must be an integer >= 1, got {slots!r} (at most sys.maxsize, "
                          f"an index)")
     if not whole(seed) or seed < 0:
@@ -837,7 +836,7 @@ def collusion_experiment(
     compares selection quality, not sampling noise. Returns one
     (threshold, sl, lr) row per threshold.
     """
-    if not (whole(seeds) and 1 <= seeds <= sys.maxsize):
+    if not (index(seeds) and seeds >= 1):
         raise ValueError(f"seeds must be a positive integer that fits an index (at most "
                          f"sys.maxsize), got {seeds!r}")
     try:

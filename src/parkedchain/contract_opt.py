@@ -180,15 +180,12 @@ def _energy_cost(f_j: float, params: TaskParams) -> float:
 
 def pv_utility(theta_j: float, f_j: float, pi_j: float, params: TaskParams) -> float:
     """Expected reward value minus energy cost for one type and item; the
-    three numbers are finite reals, never bools. Three Python floats with a
-    finite sum skip the per-number checks."""
+    three numbers are finite reals, never bools."""
     if not isinstance(params, TaskParams):
         raise ValueError(f"params must be a TaskParams, got {params!r}")
-    if not (type(theta_j) is type(f_j) is type(pi_j) is float
-            and math.isfinite(theta_j + f_j + pi_j)):
-        for name, value in (("theta_j", theta_j), ("f_j", f_j), ("pi_j", pi_j)):
-            if not real(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    for name, value in (("theta_j", theta_j), ("f_j", f_j), ("pi_j", pi_j)):
+        if not real(value):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return _pv_utility(theta_j, f_j, pi_j, params)
 
 

@@ -24,14 +24,13 @@ from __future__ import annotations
 import csv
 import math
 import os
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc
 
-from ._numbers import real, whole
+from ._numbers import index, real, whole
 
 __all__ = [
     "GammaMixtureParams",
@@ -370,7 +369,7 @@ def synthesize_population(params: GammaMixtureParams, count: int, seed: int) -> 
     """Sample arrivals and mixture durations, deterministically per seed
     (a whole number >= 0: None would draw fresh entropy)."""
     _check_mixture(params)
-    if not (whole(count) and 1 <= count <= sys.maxsize):
+    if not (index(count) and count >= 1):
         raise ValueError(f"count must be a whole number >= 1 that fits an index (at most "
                          f"sys.maxsize), got {count!r}")
     if not (whole(seed) and seed >= 0):

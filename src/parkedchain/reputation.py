@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numbers import real, whole
+from ._numbers import index, real, whole
 
 __all__ = [
     "Opinion",
@@ -121,13 +121,14 @@ class ReputationView:
 
 def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
     """Power-law decay of an opinion's weight with its age in slots."""
-    if not (whole(t) and whole(t_ij) and abs(t) <= sys.maxsize and abs(t_ij) <= sys.maxsize):
-        raise ValueError(f"slots must be whole numbers that fit an index, got t={t!r}, "
+    if not (index(t) and whole(t_ij)):
+        raise ValueError(f"slots must be whole numbers, t one that fits an index, got t={t!r}, "
                          f"t_ij={t_ij!r}")
     if not isinstance(cfg, WeightConfig):
         raise ValueError(f"cfg must be a WeightConfig, got {cfg!r}")
-    if t <= t_ij:
-        raise ValueError(f"opinion slot {t_ij} not in the past of slot {t}")
+    if t <= t_ij or not index(t - t_ij):
+        raise ValueError(f"opinion slot {t_ij} not in the past of slot {t} by an age that "
+                         f"fits an index")
     return cfg.alpha1 * (t - t_ij) ** (-cfg.alpha2)
 
 
@@ -205,8 +206,7 @@ class ReputationEngine:
         # other cell takes record_block's, which raises the cell's error
         if not (type(positives) is int and type(negatives) is int
                 and 0 <= positives <= _MAX_COUNT and 0 <= negatives <= _MAX_COUNT
-                and i >= 0 and j >= 0 and i != j and type(slot) is int
-                and 0 <= slot <= sys.maxsize):
+                and i >= 0 and j >= 0 and i != j and type(slot) is int and index(slot)):
             self.record_block(slot, [rater], [target], _cell(positives, negatives))
             return
         if not (positives or negatives):
@@ -291,9 +291,7 @@ class ReputationEngine:
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
         except (KeyError, TypeError):    # an unhashable name is in no roster
             raise KeyError(_UNREGISTERED) from None
-        if not (whole(at) and 0 <= at <= sys.maxsize):     # the write slot rule
-            raise ValueError(f"at must be >= 0, a whole number that fits an index and not a "
-                             f"bool (got {at!r})")
+        _check_slot(at, "at")     # the write slot rule
         cfg = self.cfg
         ev = self._grown(0)
         slots = max(0, min(at + 1, self._slots))
@@ -473,11 +471,11 @@ def _check_lists(**lists) -> None:
                              f"{type(names).__name__} {names!r}")
 
 
-def _check_slot(slot) -> None:
-    """The slot rule of every engine write: a whole number in
+def _check_slot(slot, name: str = "slot") -> None:
+    """The slot rule of every engine write and read: a whole number in
     0..sys.maxsize, an array index, and not a bool."""
-    if not (whole(slot) and 0 <= slot <= sys.maxsize):
-        raise ValueError(f"slot must be >= 0, a whole number that fits an index and not "
+    if not index(slot):
+        raise ValueError(f"{name} must be >= 0, a whole number that fits an index and not "
                          f"a bool (got {slot!r})")
 
 

@@ -98,13 +98,13 @@ class TestUtilityLayer:
         assert pv_utility(0.5, 1e9, math.e - 1.0, params) == pytest.approx(0.1)
 
     def test_pv_utility_number_types_agree(self):
-        # three floats take the fast path; ints and numpy numbers are checked
-        # one at a time, and read the same
+        # ints and numpy numbers read as the floats they equal, and the
+        # checked call as LIA's unchecked core
         params = TaskParams()
-        fast = pv_utility(0.5, 2e9, 3.0, params)
-        assert pv_utility(np.float64(0.5), 2_000_000_000, 3, params) == fast
-        assert pv_utility(0.5, 2e9, np.int64(3), params) == fast
-        assert contract_opt._pv_utility(0.5, 2e9, 3.0, params) == fast
+        floats = pv_utility(0.5, 2e9, 3.0, params)
+        assert pv_utility(np.float64(0.5), 2_000_000_000, 3, params) == floats
+        assert pv_utility(0.5, 2e9, np.int64(3), params) == floats
+        assert contract_opt._pv_utility(0.5, 2e9, 3.0, params) == floats
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     @pytest.mark.parametrize("field", ["fs", "pis"])

@@ -5,11 +5,12 @@ One table generated from the signatures, checked the QuickCheck way (Claessen
 `__all__` but the outputs, each public method of the three stateful classes
 that takes arguments and `Parked.__getitem__` has a valid call in VALID. Each
 argument (or ENTRIES' entry) in turn, and all at once, takes every value of
-the pool its annotation names. The call raises `ValueError`, `LedgerError` or
-`InfeasibleProblem` naming the value or its bad entry (a roster's `KeyError`
-and the count rule keep one message), and leaves its stateful arguments as
-they were; where ACCEPTED, or a `| None` annotation for None, says the rule
-takes it, it runs.
+the pool its annotation names. The call raises its layer's error naming the
+value or its bad entry: `LedgerError` from a `Ledger` method, `ValueError`
+from any other callable, or `InfeasibleProblem` from a contract solver (a
+roster's `KeyError` and the count rule keep one message). It leaves its
+stateful arguments as they were; where ACCEPTED, or a `| None` annotation for
+None, says the rule takes the value, it runs.
 """
 
 import functools
@@ -22,7 +23,6 @@ import pytest
 
 from parkedchain import consensus, contract_opt, ledger, parking, reputation
 
-LAYER_ERRORS = (ValueError, ledger.LedgerError, contract_opt.InfeasibleProblem)
 OUTPUTS = {"consensus.NetMessage", "consensus.ViewOutcome", "reputation.ReputationView",
            "ledger.Account", "ledger.SmartContractRecord", "ledger.Block"}
 # stand-ins for an open file descriptor the test owns and another layer's parameter object
@@ -35,7 +35,7 @@ REAL = {**COMMON, "true": True, "numpy-true": np.True_, "nan": math.nan, "inf": 
         "-inf": -math.inf, "string": "1", "huge": 10**400}
 POOLS = {
     "real": REAL,
-    "whole": {**REAL, "half": 1.5, "negative": -1},
+    "whole": {**REAL, "half": 1.5, "negative": -1, "tuple": (1,)},   # numpy indexes by (1,)
     "flag": {**COMMON, "string": "no", "zero": 0, "one": 1, "float": 1.0},
     "name": {**COMMON, "str": "x", "int": DESCRIPTOR, "bytes": b"pv", "tuple": ("a",),
              "list": ["a"]},
@@ -49,12 +49,17 @@ POOLS = {
 KINDS = {"float": "real", "float | tuple[float, ...]": "real", "int": "whole", "bool": "flag",
          "str": "name", "list[str]": "names", "tuple[str, ...]": "names",
          "tuple[float, ...]": "array", "list[float]": "array", "np.ndarray": "array"}
-UNANNOTATED = {("consensus.Behavior", 0): "name", ("consensus.ReplicaStrategy", 0): "name",
-               ("ledger.ContractState", 0): "name", ("consensus.run_view", 0): "names",
-               ("reputation.LinearReputationTracker", 0): "names",
-               ("consensus.record_interactions", 1): "array", ("ledger.Ledger.post_request", 3):
-               "array", ("ledger.Ledger.append_block", 1): "names",
-               ("ledger.Ledger.append_block", 2): "names"}
+UNANNOTATED = {
+    ("consensus.Behavior", 0): "name",
+    ("consensus.ReplicaStrategy", 0): "name",
+    ("ledger.ContractState", 0): "name",
+    ("consensus.run_view", 0): "names",
+    ("reputation.LinearReputationTracker", 0): "names",
+    ("consensus.record_interactions", 1): "array",
+    ("ledger.Ledger.post_request", 3): "array",
+    ("ledger.Ledger.append_block", 1): "names",
+    ("ledger.Ledger.append_block", 2): "names",
+}
 
 MIX, PV = parking.GammaMixtureParams(), parking.PVState(0, 8, 2.0, 1.0)
 ARRIVALS = parking.Arrivals([8, 9, 9], [5.0, 3.0, 1.5])
@@ -170,20 +175,31 @@ ENTRIES = [
 # whole number, a tuple of rates and a dict where those are the rule
 NAME, HUGE = {"str"}, {"huge"}
 ACCEPTED = {
-    ("parking.PVState", 0): {"huge", "negative"}, ("parking.Parked.__getitem__", 1):
-    {"negative"}, ("parking.classify_types", 2): HUGE, ("parking.hourly_type_profile", 3): HUGE,
-    ("parking.synthesize_population", 2): HUGE, ("contract_opt.TaskParams", 4): {"tuple"},
-    ("contract_opt.ContractMenu", 2): NAME, ("contract_opt.ContractMenu", 3): {"dict"},
+    ("parking.PVState", 0): {"huge", "negative"},
+    ("parking.Parked.__getitem__", 1): {"negative"},
+    ("parking.classify_types", 2): HUGE,
+    ("parking.hourly_type_profile", 3): HUGE,
+    ("parking.synthesize_population", 2): HUGE,
+    ("contract_opt.TaskParams", 4): {"tuple"},
+    ("contract_opt.ContractMenu", 2): NAME,
+    ("contract_opt.ContractMenu", 3): {"dict"},
     ("reputation.timeliness_weight", 1): {"negative"},
     ("reputation.ReputationEngine.register", 1): NAME,
     ("reputation.LinearReputationTracker", "node"): NAME,
-    ("consensus.ConsensusConfig", 0): HUGE, ("consensus.BlockProposal", 0): HUGE,
-    ("consensus.BlockProposal", 2): NAME, ("consensus.select_consensus_nodes", 0): {"dict"},
-    ("consensus.run_view", 3): HUGE, ("consensus.detection_experiment", 0): HUGE,
-    ("consensus.detection_experiment", 4): HUGE, ("consensus.decay_experiment", 0): HUGE,
-    ("consensus.decay_experiment", 3): HUGE, ("consensus.collusion_experiment", 2): HUGE,
-    ("ledger.Ledger.register_account", 1): NAME, ("ledger.Ledger.credit", 2): HUGE,
-    ("ledger.Ledger.append_block", 3): NAME, ("ledger.Ledger.dump", 1): NAME,
+    ("consensus.ConsensusConfig", 0): HUGE,
+    ("consensus.BlockProposal", 0): HUGE,
+    ("consensus.BlockProposal", 2): NAME,
+    ("consensus.select_consensus_nodes", 0): {"dict"},
+    ("consensus.run_view", 3): HUGE,
+    ("consensus.detection_experiment", 0): HUGE,
+    ("consensus.detection_experiment", 4): HUGE,
+    ("consensus.decay_experiment", 0): HUGE,
+    ("consensus.decay_experiment", 3): HUGE,
+    ("consensus.collusion_experiment", 2): HUGE,
+    ("ledger.Ledger.register_account", 1): NAME,
+    ("ledger.Ledger.credit", 2): HUGE,
+    ("ledger.Ledger.append_block", 3): NAME,
+    ("ledger.Ledger.dump", 1): NAME,
 }
 
 
@@ -212,18 +228,37 @@ def _cases():
         first, count = q.count(".") // 2, len(VALID[q]())    # a method's instance is kept
         for p in range(first, count):
             annotation = list(inspect.signature(_target(q)).parameters.values())[p].annotation
-            kind = (UNANNOTATED[q, p] if annotation is inspect.Parameter.empty
-                    else KINDS.get(annotation.removesuffix(" | None"), "object"))
+            if annotation is inspect.Parameter.empty:
+                kind = UNANNOTATED[q, p]
+            else:
+                kind = KINDS.get(annotation.removesuffix(" | None"), "object")
             for label in POOLS[kind]:
                 runs = label in ACCEPTED.get((q, p), ()) or (
                     label == "none" and str(annotation).endswith(" | None"))
                 yield pytest.param(q, (p,), None, kind, label, runs, id=f"{q}-{p}-{label}")
         if count - first > 1:
-            yield from (pytest.param(q, range(first, count), None, "all", label, False,
-                                     id=f"{q}-all-{label}") for label in POOLS["all"])
+            for label in POOLS["all"]:
+                yield pytest.param(q, range(first, count), None, "all", label, False,
+                                   id=f"{q}-all-{label}")
     for q, p, entry, kind, wrap in ENTRIES:
-        yield from (pytest.param(q, (p,), wrap, kind, label, label in ACCEPTED.get((q, entry), ()),
-                                 id=f"{q}-{p}-{entry}-{label}") for label in POOLS[kind])
+        for label in POOLS[kind]:
+            runs = label in ACCEPTED.get((q, entry), ())
+            yield pytest.param(q, (p,), wrap, kind, label, runs, id=f"{q}-{p}-{entry}-{label}")
+
+
+def _errors(qualified, kind):
+    """The layer's own errors for a rejected argument of `qualified`."""
+    if qualified.startswith("ledger.Ledger."):
+        errors = (ledger.LedgerError,)
+    elif qualified.startswith("contract_opt."):
+        errors = (ValueError, contract_opt.InfeasibleProblem)
+    else:
+        errors = (ValueError,)
+    if kind in ("name", "names", "all"):
+        errors += (KeyError,)      # a name no roster holds
+    if qualified.endswith("__getitem__"):
+        errors += (IndexError,)    # a row past the end
+    return errors
 
 
 def _state(value):
@@ -284,11 +319,9 @@ def test_bad_argument_fails_with_the_layers_error(qualified, positions, wrap, ki
         _target(qualified)(*args)
         return
     kept = [_state(a) for a in args]
-    errors = LAYER_ERRORS + (KeyError,) * (kind in ("name", "names", "all")) + (
-        IndexError,) * ("__getitem__" in qualified)     # a roster's name, a row past the end
     try:
         result = _target(qualified)(*args)
-    except errors as exc:
+    except _errors(qualified, kind) as exc:
         # a KeyError, and the count rule, keep one message for every name or writer
         shown = (value, *value) if isinstance(value, (tuple, list)) else (value,)
         assert (kind == "all" or isinstance(exc, KeyError) or str(exc) == reputation._COUNT_RULE
