@@ -21,13 +21,12 @@ but cannot send under another node's id. A view keeps what it sends as a
 log of broadcasts, one (slot, sender, recipients, kind, digest) entry
 each, and decodes the message list from it only when the list is read.
 
-The detection, decay and collusion experiments at the bottom feed one
-interaction stream per seed (record_interactions, with a scripted
-[slot, target, rater] stack of cooperation tables; each call's draws are
-replayed bit for bit from one PCG64 raw block, and a collusion seed's
-eight slots are one call) to both the subjective-logic scheme and the
-linear-smoothing baseline, and measure how their selection quality
-differs.
+The detection, decay and collusion experiments at the bottom check their
+own arguments, then feed one interaction stream per seed to both the
+subjective-logic scheme and the linear-smoothing baseline through one
+unchecked internal writer, _record_interactions (a scripted [slot, target,
+rater] stack of cooperation tables; a collusion seed's eight slots are one
+call), and measure how their selection quality differs.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._numbers import index, real, whole
-from .reputation import (LinearReputationTracker, ReputationEngine, WeightConfig, _check_lists,
-                         _check_slot, _checked_cells, _ids)
+from .reputation import LinearReputationTracker, ReputationEngine, WeightConfig
 
 __all__ = [
     "Behavior",
@@ -56,7 +54,6 @@ __all__ = [
     "select_consensus_nodes",
     "run_view",
     "model_check_safety",
-    "record_interactions",
     "detection_experiment",
     "decay_experiment",
     "collusion_experiment",
@@ -513,7 +510,7 @@ _COLLUSION_SLOTS = 8
 _P_HONEST_CANDIDATE = 0.95
 
 
-def record_interactions(
+def _record_interactions(
     rng: np.random.Generator,
     slots,
     targets: list[str],
@@ -522,59 +519,27 @@ def record_interactions(
     engine: ReputationEngine,
     tracker: LinearReputationTracker,
 ) -> None:
-    """Draw the rated interactions of the distinct `slots`, a non-empty
-    list, tuple or range, and record them in both schemes.
+    """Draw the interactions of the distinct `slots` and record them in
+    both schemes, which share one roster (_schemes).
 
     In slot slots[k], each rater other than the target itself interacts 5
-    to 10 times with each target, and each interaction goes well with
-    probability p[k, t, r] for targets[t] and raters[r]. A probability of
-    exactly 1.0 records all-positive evidence without a binomial: this is
-    how colluders fabricate mutual praise. The draws are an integers(5, 11)
-    and binomial call per pair, slot by slot, then target by target, then
-    rater by rater, replayed bit for bit from one PCG64 raw block per call
-    (_slot_draws; a Lemire rejection, an inversion restart or another bit
-    generator runs the per-pair loop over the whole call).
-
-    Every check runs before any draw, and a rejected call leaves the RNG
-    and both schemes as they were: first that rng is a numpy Generator and
-    engine and tracker the two schemes, then the slots container and the
-    name lists (each a list or tuple), then the table, which must be an
-    integer or float array shaped (slots, targets, raters) of numbers in
-    [0, 1]; then the roster, which both schemes must
-    share (the tracker's ids those of the engine); then the drawn cells,
-    every pair but a rater rating itself, under the cell rule of
-    reputation._checked_cells, each name looked up once and a self-rating
-    told by the ids; then each slot, as ReputationEngine checks it, and
-    last that no slot repeats. The counts are written once to the engine,
-    and to the tracker once per slot, in slot order, after all draws.
+    to 10 times with each target, each interaction going well with
+    probability p[k, t, r] for targets[t] and raters[r]; at exactly 1.0
+    (colluders' fabricated praise) no binomial is drawn. The draws are an
+    integers(5, 11) and binomial call per pair, slot by slot, then target
+    by target, then rater by rater, replayed bit for bit from one PCG64
+    raw block per call (_slot_draws). The experiments build every
+    argument, of registered and distinct names, so nothing is checked
+    here. The counts are written once to the engine, and to the tracker
+    once per slot, after all draws.
     """
-    for name, value, kind in (("rng", rng, np.random.Generator),
-                              ("engine", engine, ReputationEngine),
-                              ("tracker", tracker, LinearReputationTracker)):
-        if not isinstance(value, kind):
-            raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
-    if not (isinstance(slots, (list, tuple, range)) and len(slots)):
-        raise ValueError(f"slots must be a non-empty list, tuple or range, got {slots!r}")
-    _check_lists(targets=targets, raters=raters)
-    for name, names in (("targets", targets), ("raters", raters)):
-        if not isinstance(names, (list, tuple)):
-            raise ValueError(f"{name} must be a list or tuple of names, got {names!r}")
-    p = _probability_table(p, slots, targets, raters)
-    if tracker._index != engine._index:
-        raise ValueError("engine and tracker must share one roster, names in the same order")
     index = engine._index
-    rater_ids, target_ids = _ids(raters, index), _ids(targets, index)
-    if min(rater_ids.min(initial=0), target_ids.min(initial=0)) >= 0:
-        # registered names are equal exactly when their ids are
-        drawn = np.flatnonzero(target_ids[:, None] != rater_ids)
-    else:   # names outside the roster share id -1: compare the names
-        drawn = np.flatnonzero(np.array(targets, dtype=object)[:, None]
-                               != np.array(raters, dtype=object))
-    i, j = _checked_cells(raters, targets, drawn, rater_ids, target_ids, len(index))
-    for slot in slots:
-        _check_slot(slot)
-    if len(set(slots)) < len(slots):
-        raise ValueError(f"slots must be distinct, got {slots!r}")
+    rater_ids = np.array([index[r] for r in raters], dtype=np.intp)
+    target_ids = np.array([index[t] for t in targets], dtype=np.intp)
+    # a rater rating itself draws nothing; cell k is raters[k % R] rating targets[k // R]
+    drawn = np.flatnonzero(target_ids[:, None] != rater_ids)
+    t, r = np.divmod(drawn, len(raters))
+    i, j = rater_ids[r], target_ids[t]
     trials, positives = _slot_draws(rng, p.reshape(len(slots), -1)[:, drawn].ravel())
     counts = np.empty((len(slots) * len(drawn), 2), dtype=np.int64)
     counts[:, 0] = positives
@@ -584,26 +549,6 @@ def record_interactions(
     # the EMA runs cell by cell in time order
     for block in counts.reshape(len(slots), len(drawn), 2):
         tracker._apply(i, j, block)
-
-
-def _probability_table(p, slots, targets: list[str], raters: list[str]) -> np.ndarray:
-    """record_interactions' table stack as a float array, checked: an
-    integer or float numpy array shaped (slots, targets, raters), each cell
-    in [0, 1]. The first bad cell is named."""
-    if not (isinstance(p, np.ndarray) and p.dtype.kind in "iuf"):
-        got = f"dtype {p.dtype}" if isinstance(p, np.ndarray) else f"the {type(p).__name__} {p!r}"
-        raise ValueError(f"p must be a numpy array of integers or floats, got {got}")
-    shape = (len(slots), len(targets), len(raters))
-    if p.shape != shape:
-        raise ValueError(f"p must be shaped (slots, targets, raters) = {shape}, got {p.shape}, "
-                         f"for slots {slots!r}, targets {targets!r} and raters {raters!r}")
-    p = p.astype(float, copy=False)
-    ok = (p >= 0.0) & (p <= 1.0)     # NaN fails both
-    if not ok.all():
-        k, t, r = np.argwhere(~ok)[0]
-        raise ValueError(f"p[{k}, {t}, {r}] (slot {slots[k]!r}, target {targets[t]!r}, rater "
-                         f"{raters[r]!r}) must be a probability in [0, 1], got {p[k, t, r]}")
-    return p
 
 
 def _scalar_draws(rng: np.random.Generator, probs: np.ndarray) -> tuple[list, list]:
@@ -752,7 +697,7 @@ def detection_experiment(
     sl_series: list[float] = []
     lr_series: list[float] = []
     for slot in range(1, slots + 1):
-        record_interactions(rng, [slot], target_ids, rater_ids,
+        _record_interactions(rng, [slot], target_ids, rater_ids,
                             (before if slot < _ONSET else after)[None], engine, tracker)
         sl = engine.average_reputations(target_ids, at=slot + 1, raters=rater_ids)
         sl_below = int(np.count_nonzero(sl < threshold))
@@ -794,7 +739,7 @@ def decay_experiment(
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, str, float, float]] = []
     for slot in range(slots):
-        record_interactions(rng, [slot], bad + honest, raters,
+        _record_interactions(rng, [slot], bad + honest, raters,
                             (before if slot < _ONSET else after)[None], engine, tracker)
         sl = engine.average_reputations(honest + bad, at=slot + 1, raters=raters).tolist()
         lr = [tracker.average_reputation(t, raters=raters) for t in honest + bad]
@@ -858,7 +803,7 @@ def collusion_experiment(
     for s in range(seeds):
         rng = np.random.default_rng(seed_base + s)
         engine, tracker = _schemes(weight_config, rater_ids, hours=range(8, 13))
-        record_interactions(rng, slots, cand_ids, rater_ids, p, engine, tracker)
+        _record_interactions(rng, slots, cand_ids, rater_ids, p, engine, tracker)
         sl = engine.average_reputations(cand_ids, at=_COLLUSION_SLOTS + 1, raters=rater_ids)
         lr_scores = {target: tracker.average_reputation(
             target, [r for r in rater_ids if r != target]) for target in cand_ids}

@@ -165,28 +165,26 @@ class ContractMenu:
 
 
 def _time_saved(f_j: float, params: TaskParams, j: int = 0) -> float:
-    """Offloading time gain, in profit units, for type j's frequency."""
-    if f_j <= 0:
-        raise ValueError("frequency must be positive")
+    """Offloading time gain, in profit units, for type j's frequency f_j > 0."""
     ks = params.kappa * params.s_bits
     return params.rho * (ks / params.f_local - ks / f_j - params.s_bits / params.r_of(j))
 
 
 def _energy_cost(f_j: float, params: TaskParams) -> float:
-    if f_j < 0:
-        raise ValueError("frequency must be nonnegative")
     return params.energy_coeff * f_j * f_j
 
 
 def pv_utility(theta_j: float, f_j: float, pi_j: float, params: TaskParams) -> float:
-    """Expected reward value minus energy cost for one type and item; the
-    three numbers are finite reals, never bools."""
+    """Expected reward value minus energy cost for one type and item, in
+    float64; the three numbers are finite reals, never bools, and f_j >= 0."""
     if not isinstance(params, TaskParams):
         raise ValueError(f"params must be a TaskParams, got {params!r}")
     for name, value in (("theta_j", theta_j), ("f_j", f_j), ("pi_j", pi_j)):
         if not real(value):
             raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return _pv_utility(theta_j, f_j, pi_j, params)
+    if f_j < 0:
+        raise ValueError(f"f_j must be a frequency >= 0, got {f_j!r}")
+    return _pv_utility(float(theta_j), float(f_j), float(pi_j), params)
 
 
 def _pv_utility(theta_j: float, f_j: float, pi_j: float, params: TaskParams) -> float:

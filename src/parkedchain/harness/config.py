@@ -18,6 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .._numbers import index
 from ..consensus import ConsensusConfig
 from .._task import TaskParams
 from ..reputation import WeightConfig
@@ -166,10 +167,16 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
         if not _is_int(value) or value < low:
             out.append(f"{name} must be an integer >= {low} (got {value!r})")
 
+    def loop_count(name: str, value) -> None:
+        # a count that sizes a loop must also fit an index, as the layers require
+        if not (_is_int(value) and value >= 1 and index(value)):
+            out.append(f"{name} must be an integer >= 1 that fits an index, at most "
+                       f"sys.maxsize (got {value!r})")
+
     at_least("n_types", cfg.n_types, 2)
-    at_least("arrivals", cfg.arrivals, 1)
+    loop_count("arrivals", cfg.arrivals)
     at_least("population", cfg.population, 1)
-    at_least("collusion_seeds", cfg.collusion_seeds, 1)
+    loop_count("collusion_seeds", cfg.collusion_seeds)
     if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
         out.append(f"seed must be an unsigned 64-bit integer (got {cfg.seed!r})")
     if not _is_int(cfg.misbehaving) or cfg.misbehaving < 0:
@@ -207,8 +214,7 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
         build("consensus", ConsensusConfig, c.n, c.l)
     if not _is_number(c.threshold) or not 0.0 <= c.threshold <= 1.0:
         out.append(f"consensus.threshold must be in [0, 1] (got {c.threshold!r})")
-    if not _is_int(c.slots) or c.slots < 1:
-        out.append(f"consensus.slots must be a positive integer (got {c.slots!r})")
+    loop_count("consensus.slots", c.slots)
 
     if cfg.trace_path is not None and not (
         isinstance(cfg.trace_path, str) and os.path.isfile(cfg.trace_path)

@@ -25,7 +25,6 @@ __all__ = [
     "Opinion",
     "WeightConfig",
     "ReputationView",
-    "timeliness_weight",
     "ReputationEngine",
     "LinearReputationTracker",
 ]
@@ -46,7 +45,6 @@ _MAX_COUNT = 2**31 - 1
 _PAST_MAX = f"a stored outcome count would pass {_MAX_COUNT}"
 _COUNT_RULE = (f"outcome counts must be whole numbers, not bools, >= 0 and no greater than "
                f"{_MAX_COUNT}")
-_UNREGISTERED = "target and raters must be registered"
 # An evidence cell's int64 (positives, negatives) as one item: numpy scatters
 # whole items faster than rows of two.
 _CELL = np.dtype((np.void, 16))
@@ -119,16 +117,9 @@ class ReputationView:
         return _average_final_reputation(list(self.final_values.values()))
 
 
-def timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
-    """Power-law decay of an opinion's weight with its age in slots."""
-    if not (index(t) and whole(t_ij)):
-        raise ValueError(f"slots must be whole numbers, t one that fits an index, got t={t!r}, "
-                         f"t_ij={t_ij!r}")
-    if not isinstance(cfg, WeightConfig):
-        raise ValueError(f"cfg must be a WeightConfig, got {cfg!r}")
-    if t <= t_ij or not index(t - t_ij):
-        raise ValueError(f"opinion slot {t_ij} not in the past of slot {t} by an age that "
-                         f"fits an index")
+def _timeliness_weight(t: int, t_ij: int, cfg: WeightConfig) -> float:
+    """Power-law decay of an opinion's weight with its age t - t_ij >= 1
+    in slots; a view passes a checked read slot t and t_ij < t."""
     return cfg.alpha1 * (t - t_ij) ** (-cfg.alpha2)
 
 
@@ -290,7 +281,7 @@ class ReputationEngine:
             cols = np.array([self._index[t] for t in targets], dtype=np.intp)
             rows = np.array([self._index[r] for r in raters], dtype=np.intp)
         except (KeyError, TypeError):    # an unhashable name is in no roster
-            raise KeyError(_UNREGISTERED) from None
+            raise _unregistered(self._index, *targets, *raters) from None
         _check_slot(at, "at")     # the write slot rule
         cfg = self.cfg
         ev = self._grown(0)
@@ -324,7 +315,7 @@ class ReputationEngine:
         target_hours = np.array([self.arrival_hours[t] for t in targets], dtype=float)
         z = np.where(has, 1.0 / (1.0 + np.abs(rater_hours - target_hours[:, None])), 0.0)
         # interactions in the current slot are treated as one slot old
-        y = np.array([timeliness_weight(at, min(s, at - 1), cfg) for s in range(slots)])
+        y = np.array([_timeliness_weight(at, min(s, at - 1), cfg) for s in range(slots)])
         y_frac, y_exp = np.frexp(y)
         lost = y < sys.float_info.min
         if lost.any():
@@ -489,7 +480,11 @@ def _checked_block(
 
     Neither name list may be a bare str (_check_lists). The array must
     hold integers, each in [0, _MAX_COUNT]. Cells whose counts are both 0
-    are then skipped unchecked; the rest go through _checked_cells.
+    are then skipped unchecked. Each other cell must have a rater other
+    than its target, a (rater, target) pair no other cell has, and both
+    names in the roster; the first bad cell raises its error. When no
+    rater and no target repeats, every pair is distinct and the ids are
+    not sorted.
     """
     _check_lists(raters=raters, targets=targets)
     shape = (len(targets), len(raters), 2)
@@ -504,42 +499,34 @@ def _checked_block(
     kept = np.flatnonzero(counts[:, 0] | counts[:, 1])
     if len(kept) < len(counts):
         counts = counts.take(kept, axis=0)
-    return counts, _checked_cells(raters, targets, kept, _ids(raters, index),
-                                  _ids(targets, index), len(index))
-
-
-def _checked_cells(
-    raters: list[str], targets: list[str], cells: np.ndarray,
-    rater_ids: np.ndarray, target_ids: np.ndarray, roster_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rater and target ids of the flat `cells` of a [target, rater]
-    table, given each name's id (_ids) in a roster of `roster_size`
-    names; cell k is raters[k % R] rating targets[k // R], R = len(raters).
-
-    Each cell must have a rater other than its target, a (rater, target)
-    pair no other cell has, and both names in the roster; the first bad
-    cell raises its error. When no rater and no target repeats, every pair
-    is distinct and the ids are not sorted.
-    """
-    t, r = np.divmod(cells, len(raters))
+    # cell k is raters[k % R] rating targets[k // R], R = len(raters)
+    rater_ids, target_ids = _ids(raters, index), _ids(targets, index)
+    t, r = np.divmod(kept, len(raters))
     i, j = rater_ids[r], target_ids[t]
     try:
         repeats = len(set(raters)) < len(raters) or len(set(targets)) < len(targets)
     except TypeError:    # an unhashable name: every pair is compared
         repeats = True
     if len(i) and (min(i.min(), j.min()) < 0 or (i == j).any()
-                   or repeats and (np.diff(np.sort(i * roster_size + j)) == 0).any()):
+                   or repeats and (np.diff(np.sort(i * len(index) + j)) == 0).any()):
         seen = set()
         for p, q in zip(r.tolist(), t.tolist()):
             rater, target = raters[p], targets[q]
             if rater == target:
                 raise ValueError("rater and target must be distinct")
             if rater_ids[p] < 0 or target_ids[q] < 0:
-                raise KeyError("both rater and target must be registered")
+                raise _unregistered(index, rater, target)
             if (rater, target) in seen:
                 raise ValueError(f"pair {(rater, target)!r} occurs twice in one batch")
             seen.add((rater, target))
-    return i, j
+    return counts, (i, j)
+
+
+def _unregistered(index: dict[str, int], *names) -> KeyError:
+    """Both schemes' KeyError for a write or read naming a node outside
+    the roster `index`: it names the first of `names` there is not."""
+    missing = next(name for name in names if _id(index, name) < 0)
+    return KeyError(f"{missing!r} is not registered")
 
 
 def _ids(names: list[str], index: dict[str, int]) -> np.ndarray:
@@ -605,7 +592,7 @@ class LinearReputationTracker:
         try:
             return float(self._values[self._index[rater], self._index[target]])
         except (KeyError, TypeError):    # an unhashable name is in no roster
-            raise KeyError(_UNREGISTERED) from None
+            raise _unregistered(self._index, rater, target) from None
 
     def average_reputation(self, target: str, raters: list[str]) -> float:
         """Mean value of `target` over `raters`, which must be distinct."""
@@ -619,4 +606,4 @@ class LinearReputationTracker:
             # Python's left-to-right sum: numpy's pairwise sum would change the bits
             return sum(column[self._index[r]] for r in raters) / len(raters)
         except (KeyError, TypeError):    # an unhashable name is in no roster
-            raise KeyError(_UNREGISTERED) from None
+            raise _unregistered(self._index, target, *raters) from None

@@ -194,6 +194,11 @@ class TestRunView:
         with pytest.raises(ValueError, match=r"view must be an integer >= 0, got "):
             run_view(committee(4), proposal(), ConsensusConfig(n=4, l=1), view=view)
 
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_rejects_a_committee_of_another_size(self, size):
+        with pytest.raises(ValueError, match=f"^expected 4 committee members, got {size}$"):
+            run_view(committee(size), proposal(), ConsensusConfig(n=4, l=1))
+
     def test_view_may_be_a_numpy_integer(self):
         cfg = ConsensusConfig(n=4, l=1)
         assert (run_view(committee(4), proposal(), cfg, view=np.int64(5))
@@ -620,7 +625,7 @@ class TestCollusionExperiment:
 
 
 def row_oracle(rng, slot, targets, raters, p_of, engine, tracker):
-    """record_interactions as it was written per pair: one p_of call and one
+    """_record_interactions as it was written per pair: one p_of call and one
     (rater, target, positives, negatives) row each, each row then written
     with the scalar writers."""
     rows = []
@@ -664,7 +669,7 @@ def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
     stack, leaves the RNG, the evidence and the tracker as the per-pair
     rows did, slot by slot."""
     p_of, run = EXPERIMENTS[experiment]
-    record = consensus.record_interactions
+    record = consensus._record_interactions
     twins = {}   # id(engine) -> (engine, tracker, oracle engine, oracle tracker)
 
     def checked(rng, slots, targets, raters, p, engine, tracker):
@@ -689,96 +694,13 @@ def test_record_interactions_matches_row_oracle(monkeypatch, experiment):
         assert not engine._evidence[written:].any()
         assert not oracle_engine._evidence[written:].any()
 
-    monkeypatch.setattr(consensus, "record_interactions", checked)
+    monkeypatch.setattr(consensus, "_record_interactions", checked)
     run()
     assert len(twins) == 20
     for engine, tracker, _, oracle_tracker in twins.values():
         names = list(engine.arrival_hours)
         assert [tracker.value(r, t) for r in names for t in names] == [
             oracle_tracker.value(r, t) for r in names for t in names]
-
-
-def test_record_interactions_checks_the_table_shape():
-    """A slots argument that is not a non-empty list, tuple or range, a
-    table stack that is not an integer or float array, of another shape, or
-    with a cell that is not a probability (the diagonal cell included) is
-    rejected before any draw, naming its type or the first bad cell; so
-    are a tracker that does not hold the engine's roster, a bad or repeated
-    slot, a repeated rater or target, a bare str for a name list, and a
-    name outside the roster, each with the error the scheme's writer
-    raises. The RNG and both schemes are left untouched."""
-    probability = r"must be a probability in \[0, 1\], got "
-    numeric = "p must be a numpy array of integers or floats, got "
-    container = "slots must be a non-empty list, tuple or range, got "
-    ab, full = ["a", "b"], np.full((1, 2, 2), 0.8)
-
-    def case(targets, raters, p, match, slots=[1], error=ValueError, tracked=("a", "b", "c")):
-        return targets, raters, p, match, slots, error, tracked
-
-    cases = [case(["a"], ab, np.full((1, 2, 1), 0.8), "shaped")] + [
-        case(ab, ab, np.array([[[0.8, 0.8], [bad, bad]]]),
-             r"p\[0, 1, 0\] \(slot 1, target 'b', rater 'a'\) " + probability)
-        for bad in (math.nan, math.inf, -math.inf, -0.1, 1.5)
-    ] + [
-        case(ab, ab, np.array([[[math.nan, 0.8], [0.8, 0.8]]]), r"p\[0, 0, 0\]"),
-        case(ab, ab, np.array([[[0.8, 0.8], [0.8, 2]]]), r"p\[0, 1, 1\] .*" + probability + "2"),
-        case(["a"], ["b"], [[[True]]], numeric + r"the list \[\[\[True\]\]\]$"),
-        case(["a"], ["b"], [[[0.8]]], numeric + r"the list \[\[\[0\.8\]\]\]$"),
-        case(["a"], ["b"], [[["0.5"]]], numeric + r"the list \[\[\['0\.5'\]\]\]$"),
-        case(ab, ab, [[[0.8, "x"], [0.8, 2]]],
-             numeric + r"the list \[\[\[0\.8, 'x'\], \[0\.8, 2\]\]\]$"),
-        case(["a"], ["b"], np.array([[[True]]]), numeric + "dtype bool$"),
-        case(["a"], ["b"], np.array([[["0.8"]]]), numeric + r"dtype [<>]U3$"),
-        case(["a"], ["b"], np.array([[[0.8]]], dtype=object), numeric + "dtype object$"),
-        case(["a"], ["b", "c"], np.full((1, 1, 2), 0.8), "share one roster", tracked=("a", "b")),
-    ] + [
-        case(ab, ab, full, "slot must be >= 0", slots=[slot]) for slot in (1.5, -1, True)
-    ] + [
-        case(["c"], ["a", "b", "a"], np.full((1, 1, 3), 0.8), r"pair \('a', 'c'\) occurs twice"),
-        case(["c", "c"], ["a"], np.full((1, 2, 1), 0.8), r"pair \('a', 'c'\) occurs twice"),
-        case(["a"], ["b", "z"], np.full((1, 1, 2), 0.8), "registered", error=KeyError),
-        # the batch's slots: a container of distinct slots, one table each
-        case(ab, ab, np.full((2, 2, 2), 0.8), r"slots must be distinct, got \[3, 3\]",
-             slots=[3, 3]),
-        case(ab, ab, np.full((2, 2, 2), 0.8), r"shaped \(slots, targets, raters\) = "
-             r"\(3, 2, 2\), got \(2, 2, 2\)", slots=[1, 2, 3]),
-        case(ab, ab, np.array([[[0.8, 0.8], [0.8, 0.8]], [[0.8, 0.8], [0.8, 1.5]]]),
-             r"p\[1, 1, 1\] \(slot 4, target 'b', rater 'b'\) " + probability + "1.5",
-             slots=[2, 4]),
-        # a bare str would read as one name per character
-        case(["c"], "ab", np.full((1, 1, 2), 0.8), "raters must be a list of names, not the "
-             "str 'ab'"),
-        case("c", ab, np.full((1, 1, 2), 0.8), "targets must be a list of names, not the "
-             "str 'c'"),
-    ] + [
-        case(ab, ab, full, container + re.escape(repr(slots)) + "$", slots=slots)
-        for slots in ([], 2, None)
-    ]
-    for targets, raters, p, match, slots, error, tracked in cases:
-        engine = consensus._schemes(None, ["a", "b", "c"])[0]
-        tracker = LinearReputationTracker(tracked)
-        rng = np.random.default_rng(0)
-        with pytest.raises(error, match=match):
-            consensus.record_interactions(rng, slots, targets, raters, p, engine, tracker)
-        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
-        assert engine._slots == 0 and not engine._evidence.any()
-        assert (tracker._values == 0.5).all()
-
-
-def test_record_interactions_to_a_tracker_in_another_order():
-    """Both schemes must share one roster: a tracker over the engine's names
-    in another order is refused before any draw, and the RNG, the evidence
-    and the tracker are left as they were."""
-    targets, raters = ["a", "c"], ["a", "b", "c"]
-    p = np.array([[0.8, 0.3, 1.0], [0.95, 0.1, 0.5]])
-    engine, _ = consensus._schemes(None, raters)
-    tracker = LinearReputationTracker(["c", "a", "b"])
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError, match="share one roster"):
-        consensus.record_interactions(rng, [2], targets, raters, p[None], engine, tracker)
-    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
-    assert engine._slots == 0 and not engine._evidence.any()
-    assert (tracker._values == 0.5).all()
 
 
 # PCG64's LCG multiplier (numpy's pcg64.h); the generator steps, then

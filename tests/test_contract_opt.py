@@ -106,6 +106,26 @@ class TestUtilityLayer:
         assert pv_utility(0.5, 2e9, np.int64(3), params) == floats
         assert contract_opt._pv_utility(0.5, 2e9, 3.0, params) == floats
 
+    def test_pv_utility_computes_in_float64(self):
+        # a float32 frequency reads as the float64 it equals
+        params = TaskParams()
+        got = pv_utility(0.5, np.float32(2e9), 3.0, params)
+        assert type(got) is float and got == pv_utility(0.5, 2e9, 3.0, params)
+
+    @pytest.mark.parametrize("f", [-1.0, -5e-324, np.float32(-2e9)])
+    def test_pv_utility_rejects_a_negative_frequency(self, f):
+        with pytest.raises(ValueError) as rejected:
+            pv_utility(0.5, f, 3.0, TaskParams())
+        assert str(rejected.value) == f"f_j must be a frequency >= 0, got {f!r}"
+
+    @pytest.mark.parametrize("items", [1, 3])
+    def test_menu_needs_one_item_per_type(self, items):
+        problem = problem_of((0.4, 0.8), (0.5, 0.5))
+        menu = ContractMenu((1e9,) * items, (1.0,) * items, "s")
+        for evaluate in (sr_expected_utility, sr_utility_terms, pv_expected_utility):
+            with pytest.raises(ValueError, match=f"menu has {items} items for 2 types"):
+                evaluate(menu, problem)
+
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     @pytest.mark.parametrize("field", ["fs", "pis"])
     def test_menu_entries_fail_the_comparisons(self, field, bad):

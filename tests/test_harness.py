@@ -317,6 +317,23 @@ class TestCli:
         assert err.count("config error") == 1 and "Traceback" not in err
         assert not (tmp_path / f"{scenario}.csv").exists()
 
+    @pytest.mark.parametrize("scenario, overrides, key", [
+        ("collusion", {"collusion_seeds": 10**19}, "collusion_seeds"),
+        ("detection-rate", {"consensus": {"slots": 10**19}}, "consensus.slots"),
+        ("reputation-decay", {"consensus": {"slots": 10**19}}, "consensus.slots"),
+        ("arrival-histogram", {"arrivals": 10**19}, "arrivals"),
+        ("detection-rate", {"consensus": {"slots": 0}}, "consensus.slots"),
+    ])
+    def test_loop_counts_must_fit_an_index(self, tmp_path, capsys, scenario, overrides, key):
+        # a count that sizes a loop is >= 1 and at most sys.maxsize, as the layers require
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        rc = cli.main([scenario, "--config", str(cfg), "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(lines) == 1
+        assert lines[0].startswith(f"config error: {key} must be an integer >= 1 ")
+        assert not (tmp_path / f"{scenario}.csv").exists()
+
     def test_alpha2_zero_runs(self, tmp_path):
         """alpha2 = 0 (no timeliness decay) is a valid WeightConfig."""
         cfg = tmp_path / "cfg.json"

@@ -161,6 +161,16 @@ class TestClassifyTypes:
                 assert all(b > a for a, b in zip(profile.thetas, profile.thetas[1:]))
                 assert sum(profile.betas) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("thetas", [(0.5, 0.5), (0.9, 0.5)])
+    def test_profile_types_must_ascend(self, thetas):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            TypeProfile(thetas, (0.5, 0.5))
+
+    @pytest.mark.parametrize("betas", [(0.5, 0.4), (0.6, 0.6)])
+    def test_profile_shares_must_sum_to_one(self, betas):
+        with pytest.raises(ValueError, match="sum to 1"):
+            TypeProfile((0.5, 0.9), betas)
+
     def test_refinement_preserves_weighted_mean(self):
         rng = np.random.default_rng(11)
         params = GammaMixtureParams()

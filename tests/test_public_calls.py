@@ -7,8 +7,8 @@ that takes arguments and `Parked.__getitem__` has a valid call in VALID. Each
 argument (or ENTRIES' entry) in turn, and all at once, takes every value of
 the pool its annotation names. The call raises its layer's error naming the
 value or its bad entry: `LedgerError` from a `Ledger` method, `ValueError`
-from any other callable, or `InfeasibleProblem` from a contract solver (a
-roster's `KeyError` and the count rule keep one message). It leaves its
+from any other callable, `InfeasibleProblem` from a contract solver, or a
+roster's `KeyError` (the count rule keeps one message). It leaves its
 stateful arguments as they were; where ACCEPTED, or a `| None` annotation for
 None, says the rule takes the value, it runs.
 """
@@ -55,7 +55,6 @@ UNANNOTATED = {
     ("ledger.ContractState", 0): "name",
     ("consensus.run_view", 0): "names",
     ("reputation.LinearReputationTracker", 0): "names",
-    ("consensus.record_interactions", 1): "array",
     ("ledger.Ledger.post_request", 3): "array",
     ("ledger.Ledger.append_block", 1): "names",
     ("ledger.Ledger.append_block", 2): "names",
@@ -119,7 +118,6 @@ VALID = {       # a valid call's positional arguments, a method's instance first
     "contract_opt.linear_pricing_baseline": lambda: (PROBLEM, 1e-9),
     "reputation.Opinion": lambda: (0.5, 0.25, 0.25, 0.5),
     "reputation.WeightConfig": lambda: (0.3, 0.4, 0.3, 10.0, 1.5),
-    "reputation.timeliness_weight": lambda: (3, 1, CFG),
     "reputation.ReputationEngine": lambda: (CFG,),
     "reputation.ReputationEngine.register": lambda: (schemes()[0], "d", 9.0),
     "reputation.ReputationEngine.record_outcomes": lambda: (schemes()[0], 2, "a", "b", 1, 0),
@@ -140,8 +138,6 @@ VALID = {       # a valid call's positional arguments, a method's instance first
                                    consensus.BlockProposal(1, ("tx0",), "n0"),
                                    consensus.ConsensusConfig(4, 1), 0, {}),
     "consensus.model_check_safety": lambda: (consensus.ConsensusConfig(4, 1),),
-    "consensus.record_interactions": lambda: (np.random.default_rng(0), [2], ["b"], ["a", "c"],
-                                              np.full((1, 1, 2), 0.8), *schemes()),
     "consensus.detection_experiment": lambda: (3, 1, 0.5, 1, 0, CFG),
     "consensus.decay_experiment": lambda: (12, 1, 1, 0, CFG),
     "consensus.collusion_experiment": lambda: ([0.5], 1, 0, CFG),
@@ -183,7 +179,6 @@ ACCEPTED = {
     ("contract_opt.TaskParams", 4): {"tuple"},
     ("contract_opt.ContractMenu", 2): NAME,
     ("contract_opt.ContractMenu", 3): {"dict"},
-    ("reputation.timeliness_weight", 1): {"negative"},
     ("reputation.ReputationEngine.register", 1): NAME,
     ("reputation.LinearReputationTracker", "node"): NAME,
     ("consensus.ConsensusConfig", 0): HUGE,
@@ -322,9 +317,9 @@ def test_bad_argument_fails_with_the_layers_error(qualified, positions, wrap, ki
     try:
         result = _target(qualified)(*args)
     except _errors(qualified, kind) as exc:
-        # a KeyError, and the count rule, keep one message for every name or writer
+        # the count rule keeps one message for every writer
         shown = (value, *value) if isinstance(value, (tuple, list)) else (value,)
-        assert (kind == "all" or isinstance(exc, KeyError) or str(exc) == reputation._COUNT_RULE
+        assert (kind == "all" or str(exc) == reputation._COUNT_RULE
                 or any(repr(v) in str(exc) for v in shown)), exc
         assert [_state(a) for a in args] == kept
         return

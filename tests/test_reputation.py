@@ -15,7 +15,7 @@ from parkedchain.reputation import (
     ReputationEngine,
     WeightConfig,
     _average_final_reputation,
-    timeliness_weight,
+    _timeliness_weight,
 )
 
 from _oracles import (
@@ -97,15 +97,15 @@ class TestWeights:
 
     def test_timeliness_gap_four(self):
         cfg = WeightConfig()
-        assert timeliness_weight(5, 1, cfg) == pytest.approx(1.25)
+        assert _timeliness_weight(5, 1, cfg) == pytest.approx(1.25)
 
     def test_timeliness_gap_one(self):
-        assert timeliness_weight(3, 2, WeightConfig()) == pytest.approx(10.0)
+        assert _timeliness_weight(3, 2, WeightConfig()) == pytest.approx(10.0)
 
     def test_timeliness_degenerate_exponent(self):
         cfg = WeightConfig(alpha1=1.0, alpha2=1e-300)
         # exponent ~0: any gap weighs (almost exactly) 1
-        assert timeliness_weight(9, 2, cfg) == pytest.approx(1.0)
+        assert _timeliness_weight(9, 2, cfg) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("weights", [
         {"alpha1": float("inf")},
@@ -116,9 +116,10 @@ class TestWeights:
         with pytest.raises(ValueError, match="finite"):
             WeightConfig(**weights)
 
-    def test_timeliness_rejects_future(self):
-        with pytest.raises(ValueError):
-            timeliness_weight(3, 3, WeightConfig())
+    @pytest.mark.parametrize("gammas", [(1.5, -0.5, 0.0), (0.0, -0.2, 1.2)])
+    def test_rejects_negative_gammas_that_sum_to_one(self, gammas):
+        with pytest.raises(ValueError, match="gammas must be nonnegative"):
+            WeightConfig(*gammas)
 
     def test_similarity(self):
         assert similarity_weight(9, 9) == 1.0
@@ -363,7 +364,7 @@ class TestEngine:
             eng.record_outcomes(slot, "i", "j", 4, 1)
         assert eng._evidence.shape[0] == 4
         ages = []
-        monkeypatch.setattr(reputation, "timeliness_weight",
+        monkeypatch.setattr(reputation, "_timeliness_weight",
                             lambda t, t_ij, cfg: ages.append(t - t_ij) or 1.0)
         eng.view("j", at=10)
         assert ages == [10, 9, 8]
@@ -447,7 +448,7 @@ def reference_view(evidence, hours, target, at, raters, cfg):
             if r == rater and s <= at and p + q:
                 met[t] = met.get(t, 0) + p + q
         x = familiarity_weight(met.get(target, 0), list(met.values()))
-        y = timeliness_weight(at, min(slot, at - 1), cfg)
+        y = _timeliness_weight(at, min(slot, at - 1), cfg)
         z = similarity_weight(hours[rater], hours[target])
         return overall_weight(x, y, z, cfg)
 
@@ -715,12 +716,9 @@ class TestBatchedWrites:
                      lambda: eng.average_reputations([target], 1, [rater]),
                      lambda: tracker.value(rater, target),
                      lambda: tracker.average_reputation(target, [rater])]
-            for call in calls[:4]:
-                with pytest.raises(KeyError):
-                    call()
-            # every read in the engine's words
-            for call in calls[4:]:
-                with pytest.raises(KeyError, match="^'target and raters must be registered'$"):
+            # every write and read names the missing node
+            for call in calls:
+                with pytest.raises(KeyError, match="^\"'x' is not registered\"$"):
                     call()
         assert eng._evidence.shape == evidence.shape and (eng._evidence == evidence).all()
         assert (tracker._values == values).all()
@@ -728,7 +726,7 @@ class TestBatchedWrites:
 
     def test_unhashable_names_are_unregistered(self):
         # a name that cannot be a dict key is in no roster: each call raises
-        # the KeyError it raises for an unregistered name, not TypeError
+        # the KeyError naming it, as for an unregistered name, not TypeError
         eng, tracker = self.engine(["a", "b"]), LinearReputationTracker(["a", "b"])
         one = np.array([[[1, 0]]])
         calls = [lambda name: eng.record_outcomes(1, name, "b", 1, 0),
@@ -742,12 +740,10 @@ class TestBatchedWrites:
                  lambda name: tracker.value("a", name),
                  lambda name: tracker.average_reputation("a", [name])]
         for call in calls:
-            with pytest.raises(KeyError) as unregistered:
-                call("x")
-            for name in (["a"], {"a": 1}, {"b"}):
-                with pytest.raises(KeyError) as unhashable:
+            for name in ("x", ["a"], {"a": 1}, {"b"}):
+                with pytest.raises(KeyError) as unregistered:
                     call(name)
-                assert str(unhashable.value) == str(unregistered.value)
+                assert unregistered.value.args == (f"{name!r} is not registered",)
         assert not eng._evidence.any() and (tracker._values == 0.5).all()
         # an unhashable name in a cell without outcomes is skipped unchecked,
         # as an unregistered one is
