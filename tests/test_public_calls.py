@@ -164,6 +164,18 @@ ENTRIES = [
     ("consensus.collusion_experiment", 0, "threshold", "real", lambda x: [0.5, x]),
     ("ledger.Ledger.post_request", 3, "frequency", "real", lambda x: [(x, 120)]),
     ("ledger.Ledger.post_request", 3, "reward", "whole", lambda x: [(1e9, x)]),
+    ("ledger.Ledger.append_block", 1, "transaction", "name", lambda x: ["tx0", x]),
+    ("ledger.Ledger.append_block", 2, "signer", "name", lambda x: ["n0", x]),
+    ("reputation.ReputationEngine.record_block", 2, "rater", "name", lambda x: [x]),
+    ("reputation.ReputationEngine.record_block", 3, "target", "name", lambda x: [x]),
+    ("reputation.ReputationEngine.view", 3, "rater", "name", lambda x: ["a", x]),
+    ("reputation.ReputationEngine.average_reputations", 1, "target", "name", lambda x: ["b", x]),
+    ("reputation.ReputationEngine.average_reputations", 3, "rater", "name", lambda x: ["a", x]),
+    ("reputation.LinearReputationTracker.update_block", 1, "rater", "name", lambda x: [x]),
+    ("reputation.LinearReputationTracker.update_block", 2, "target", "name", lambda x: [x]),
+    ("reputation.LinearReputationTracker.average_reputation", 2, "rater", "name",
+     lambda x: ["a", x]),
+    ("consensus.BlockProposal", 1, "digest", "name", lambda x: ("tx0", x)),
 ]
 
 # (callable, position or entry): the pool values its rule takes, besides None
@@ -184,6 +196,7 @@ ACCEPTED = {
     ("consensus.ConsensusConfig", 0): HUGE,
     ("consensus.BlockProposal", 0): HUGE,
     ("consensus.BlockProposal", 2): NAME,
+    ("consensus.BlockProposal", "digest"): NAME,
     ("consensus.select_consensus_nodes", 0): {"dict"},
     ("consensus.run_view", 3): HUGE,
     ("consensus.detection_experiment", 0): HUGE,
@@ -194,6 +207,8 @@ ACCEPTED = {
     ("ledger.Ledger.register_account", 1): NAME,
     ("ledger.Ledger.credit", 2): HUGE,
     ("ledger.Ledger.append_block", 3): NAME,
+    ("ledger.Ledger.append_block", "transaction"): NAME,
+    ("ledger.Ledger.append_block", "signer"): NAME,
     ("ledger.Ledger.dump", 1): NAME,
 }
 
