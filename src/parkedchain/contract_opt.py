@@ -41,7 +41,7 @@ from scipy.optimize import minimize_scalar
 # costs several times a residual here; _brent calls its compiled kernel
 from scipy.optimize import _zeros
 
-from ._numbers import real
+from ._numbers import fold, real
 from ._task import InfeasibleProblem, TaskParams
 from .parking import TypeProfile
 
@@ -215,7 +215,7 @@ def sr_utility_terms(menu: ContractMenu, problem: ContractProblem) -> list[float
 
 def sr_expected_utility(menu: ContractMenu, problem: ContractProblem) -> float:
     _check_menu(menu, problem)
-    return sum(_sr_terms(menu, problem))
+    return fold(_sr_terms(menu, problem))
 
 
 def _sr_terms(menu: ContractMenu, problem: ContractProblem) -> list[float]:
@@ -666,7 +666,7 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
     for menu, f_top in candidates:
         if not admissible(menu):
             continue
-        value = sum(_sr_terms(menu, problem))
+        value = fold(_sr_terms(menu, problem))
         if value > best_value:
             best, best_top, best_value = menu, f_top, value
     if best is None:
@@ -681,7 +681,7 @@ def solve_lagrangian_iterative(problem: ContractProblem) -> ContractMenu:
             menu, _ = at_top(f_top)
             if menu is None or not admissible(menu):
                 return 1e18
-            return -sum(_sr_terms(menu, problem))
+            return -fold(_sr_terms(menu, problem))
 
         lo = max(best_top - step, f_lo * 0.5)
         hi = min(best_top + step, params.f_max)

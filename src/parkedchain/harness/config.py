@@ -179,8 +179,10 @@ def _check_ranges(cfg: ExperimentConfig) -> list[str]:
     loop_count("collusion_seeds", cfg.collusion_seeds)
     if not _is_int(cfg.seed) or not 0 <= cfg.seed < 2**64:
         out.append(f"seed must be an unsigned 64-bit integer (got {cfg.seed!r})")
-    if not _is_int(cfg.misbehaving) or cfg.misbehaving < 0:
-        out.append(f"misbehaving must be a nonnegative integer (got {cfg.misbehaving!r})")
+    if not (_is_int(cfg.misbehaving) and index(cfg.misbehaving)):
+        # it sizes the list of misbehaving names, so it must fit an index too
+        out.append(f"misbehaving must be an integer >= 0 that fits an index, at most "
+                   f"sys.maxsize (got {cfg.misbehaving!r})")
     elif _is_int(cfg.population) and cfg.misbehaving > cfg.population:
         out.append("misbehaving cannot exceed population")
     if not _is_int(cfg.profile_hour) or not 0 <= cfg.profile_hour <= 23:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from ._numbers import index, real, whole
+from ._numbers import fold, index, real, whole
 
 __all__ = [
     "GammaMixtureParams",
@@ -230,7 +230,7 @@ class TypeProfile:
         if not all(real(b) and b >= 0 for b in self.betas):
             raise ValueError(f"type probabilities must be finite and nonnegative, got "
                              f"{self.betas!r}")
-        if abs(sum(self.betas) - 1.0) > _TOL:
+        if abs(fold(self.betas) - 1.0) > _TOL:
             raise ValueError("type probabilities must sum to 1")
 
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numbers import index, real, whole
+from ._numbers import fold, index, real, whole
 
 __all__ = [
     "Opinion",
@@ -97,8 +97,8 @@ class WeightConfig:
                 raise ValueError(f"gammas and alphas must be finite numbers (got {w!r})")
         if any(g < 0 for g in gammas):
             raise ValueError(f"gammas must be nonnegative (got {gammas!r})")
-        if abs(sum(gammas) - 1.0) > _SUM_TOL:
-            raise ValueError(f"gammas must sum to 1 (got {sum(gammas)!r})")
+        if abs(fold(gammas) - 1.0) > _SUM_TOL:
+            raise ValueError(f"gammas must sum to 1 (got {fold(gammas)!r})")
         if self.alpha1 <= 0 or self.alpha2 < 0:
             raise ValueError("alpha1 > 0 and alpha2 >= 0 required "
                              f"(got {self.alpha1!r}, {self.alpha2!r})")
@@ -127,7 +127,7 @@ def _average_final_reputation(finals: list[float]) -> float:
     """Arithmetic mean of per-rater final reputation values."""
     if not finals:
         raise ValueError("need at least one rater")
-    return sum(finals) / len(finals)
+    return fold(finals) / len(finals)
 
 
 class ReputationEngine:
@@ -416,12 +416,14 @@ def _weighted_mean(
     brings the largest into [0.5, 1). In the normal range that is exact and
     leaves every mean bit for bit as it was; it keeps subnormal weights
     from losing the opinions' closure, and huge ones from overflowing the sums.
-    Every sum adds its k terms in index order, as synthesize_recommended does.
+    Both sums are folds over k (_fold), as synthesize_recommended's are.
     """
     _, exponent = np.frexp(weights.max(axis=1, keepdims=True, initial=0.0))
-    weights = np.ldexp(weights, -exponent)
-    sums = _sum_in_order(weights[:, :, None] * values).transpose(0, 2, 1)
-    totals = _sum_in_order(weights)
+    weights = np.moveaxis(np.ldexp(weights, -exponent), 1, 0)
+    n, raters = out.shape[:2]
+    sums = _fold((w[:, None] * v for w, v in zip(weights, np.moveaxis(values, 1, 0))),
+                 (n, 4, raters)).transpose(0, 2, 1)
+    totals = _fold(weights, (n, raters))
     if (has & (totals <= 0)).any():
         raise ValueError("total recommendation weight must be positive")
     out[:] = (0.0, 0.0, 1.0, _BASE_RATE)
@@ -429,22 +431,32 @@ def _weighted_mean(
     return out
 
 
-def _sum_in_order(x: np.ndarray) -> np.ndarray:
-    """x summed over axis 1, adding in index order. numpy's reduce sums
-    pairwise along the innermost axis it loops over: axis 1 itself when
-    every later axis has length 1. There an accumulation adds in order."""
-    x = np.ascontiguousarray(x)
-    if x.shape[1] > 1 and math.prod(x.shape[2:]) == 1:
-        return np.add.accumulate(x, axis=1)[:, -1]
-    return np.add.reduce(x, axis=1)
+def _fold(terms, shape: tuple[int, ...]) -> np.ndarray:
+    """The arrays `terms` added left to right, one at a time, to zeros
+    shaped `shape`: each cell is the scalar fold of its terms, bit for bit,
+    and no stack of the terms is ever built."""
+    total = np.zeros(shape)
+    for term in terms:
+        total += term
+    return total
 
 
 def _cell(positives, negatives) -> np.ndarray:
-    """The one-cell block of a scalar write. A count that is not a whole
-    number is rejected here: an int array would read a bool as 0 or 1."""
-    if not (whole(positives) and whole(negatives)):
-        raise ValueError(_COUNT_RULE)
+    """The one-cell block of a scalar write. Its counts are checked here:
+    an int array would read a bool as 0 or 1."""
+    _check_counts((positives, negatives))
     return np.array([[[positives, negatives]]])
+
+
+def _check_counts(counts) -> None:
+    """The count rule of every write: each count a whole number, not a
+    bool, in 0.._MAX_COUNT. The error names the first fraction (NaN and
+    ±inf too) that breaks it, else the first count: in a block's float
+    array, a fraction is the count that kept the array from being integers."""
+    bad = [count for count in counts if not (whole(count) and 0 <= count <= _MAX_COUNT)]
+    if bad:
+        named = next((c for c in bad if isinstance(c, float) and not c.is_integer()), bad[0])
+        raise ValueError(f"{_COUNT_RULE} (got {named!r})")
 
 
 def _check_name(node) -> None:
@@ -478,8 +490,9 @@ def _checked_block(
     and their (rater, target) ids in the roster `index`: the one cell rule
     of every reputation write.
 
-    Neither name list may be a bare str (_check_lists). The array must
-    hold integers, each in [0, _MAX_COUNT]. Cells whose counts are both 0
+    Neither name list may be a bare str (_check_lists). Every count must
+    keep the count rule (_check_counts), which an integer array's extremes
+    show at once; the first bad count raises. Cells whose counts are both 0
     are then skipped unchecked. Each other cell must have a rater other
     than its target, a (rater, target) pair no other cell has, and both
     names in the roster; the first bad cell raises its error. When no
@@ -494,7 +507,7 @@ def _checked_block(
                          f"(target, rater), got {got!r}")
     if (counts.dtype.kind not in "iu"
             or counts.min(initial=0) < 0 or counts.max(initial=0) > _MAX_COUNT):
-        raise ValueError(_COUNT_RULE)
+        _check_counts(counts.ravel().tolist())
     counts = counts.reshape(-1, 2).astype(np.int64, copy=False)
     kept = np.flatnonzero(counts[:, 0] | counts[:, 1])
     if len(kept) < len(counts):
@@ -603,7 +616,7 @@ class LinearReputationTracker:
             if len(set(raters)) < len(raters):
                 raise ValueError("raters must be distinct")
             column = self._values[:, self._index[target]].tolist()
-            # Python's left-to-right sum: numpy's pairwise sum would change the bits
-            return sum(column[self._index[r]] for r in raters) / len(raters)
+            # a fold, as the engine's averages are: numpy's pairwise sum would change the bits
+            return fold(column[self._index[r]] for r in raters) / len(raters)
         except (KeyError, TypeError):    # an unhashable name is in no roster
             raise _unregistered(self._index, target, *raters) from None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc
 
-from parkedchain._numbers import real
+from parkedchain._numbers import fold, real
 from parkedchain.contract_opt import (ContractMenu, ContractProblem, InfeasibleProblem, _foc,
                                       pv_utility)
 from parkedchain.parking import GammaMixtureParams
@@ -223,7 +223,7 @@ def familiarity_weight(p_ij: float, peer_counts: list[float]) -> float:
         raise ValueError("peer_counts must be nonempty")
     if any(c < 0 for c in peer_counts):
         raise ValueError("interaction counts must be nonnegative")
-    mean = sum(peer_counts) / len(peer_counts)
+    mean = fold(peer_counts) / len(peer_counts)
     if mean == 0:
         raise ValueError("no interaction history: all peer counts are zero")
     return p_ij / mean
@@ -244,13 +244,13 @@ def synthesize_recommended(opinions: list[tuple[float, Opinion]]) -> Opinion:
     """Weighted average of recommended opinions (components and base rates)."""
     if not opinions:
         raise ValueError("no recommendations to synthesize")
-    total_w = sum(w for w, _ in opinions)
+    total_w = fold(w for w, _ in opinions)
     if total_w <= 0:
         raise ValueError("total recommendation weight must be positive")
-    b = sum(w * o.belief for w, o in opinions) / total_w
-    d = sum(w * o.disbelief for w, o in opinions) / total_w
-    u = sum(w * o.uncertainty for w, o in opinions) / total_w
-    a = sum(w * o.base_rate for w, o in opinions) / total_w
+    b = fold(w * o.belief for w, o in opinions) / total_w
+    d = fold(w * o.disbelief for w, o in opinions) / total_w
+    u = fold(w * o.uncertainty for w, o in opinions) / total_w
+    a = fold(w * o.base_rate for w, o in opinions) / total_w
     return Opinion(b, d, u, a)
 
 

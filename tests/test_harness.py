@@ -334,6 +334,17 @@ class TestCli:
         assert lines[0].startswith(f"config error: {key} must be an integer >= 1 ")
         assert not (tmp_path / f"{scenario}.csv").exists()
 
+    def test_misbehaving_must_fit_an_index(self, tmp_path, capsys):
+        # misbehaving sizes reputation-decay's list of misbehaving names
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"population": 10**19, "misbehaving": 10**19}))
+        rc = cli.main(["reputation-decay", "--config", str(cfg), "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(lines) == 1
+        assert lines[0].startswith("config error: misbehaving must be an integer >= 0 that fits "
+                                   "an index")
+        assert not (tmp_path / "reputation-decay.csv").exists()
+
     def test_alpha2_zero_runs(self, tmp_path):
         """alpha2 = 0 (no timeliness decay) is a valid WeightConfig."""
         cfg = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ argument (or ENTRIES' entry) in turn, and all at once, takes every value of
 the pool its annotation names. The call raises its layer's error naming the
 value or its bad entry: `LedgerError` from a `Ledger` method, `ValueError`
 from any other callable, `InfeasibleProblem` from a contract solver, or a
-roster's `KeyError` (the count rule keeps one message). It leaves its
+roster's `KeyError`. It leaves its
 stateful arguments as they were; where ACCEPTED, or a `| None` annotation for
 None, says the rule takes the value, it runs.
 """
@@ -332,10 +332,8 @@ def test_bad_argument_fails_with_the_layers_error(qualified, positions, wrap, ki
     try:
         result = _target(qualified)(*args)
     except _errors(qualified, kind) as exc:
-        # the count rule keeps one message for every writer
         shown = (value, *value) if isinstance(value, (tuple, list)) else (value,)
-        assert (kind == "all" or str(exc) == reputation._COUNT_RULE
-                or any(repr(v) in str(exc) for v in shown)), exc
+        assert kind == "all" or any(repr(v) in str(exc) for v in shown), exc
         assert [_state(a) for a in args] == kept
         return
     except Exception as exc:

@@ -3,6 +3,7 @@
 import copy
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -659,15 +660,20 @@ class TestBatchedWrites:
         with pytest.raises(ValueError, match="distinct"):
             eng.average_reputations(["k"], 1, ["i", "j", "i"])
 
+    # a count error names the first bad count, or the first fraction: the
+    # count that makes a block of int rows a float array
     BAD_ROWS = {
         "self-rating": (("n0", "n0", 1, 0), ValueError, "distinct"),
-        "negative-count": (("n0", "n1", 2, -1), ValueError, ">= 0"),
+        "negative-count": (("n0", "n1", 2, -1), ValueError, r">= 0.* \(got -1\)$"),
         "unregistered": (("n0", "x", 1, 0), KeyError, "registered"),
-        "fractional-count": (("n0", "n1", 1.5, 0), ValueError, "whole numbers"),
-        "count-past-bound": (("n0", "n1", 0, 2**31), ValueError, "no greater than"),
-        "bool-count": (("n0", "n1", True, False), ValueError, "not bools"),
+        "fractional-count": (("n0", "n1", 1.5, 0), ValueError, r"whole numbers.* \(got 1\.5\)$"),
+        "fraction-after-float": (("n0", "n1", 1.0, 1.5), ValueError, r" \(got 1\.5\)$"),
+        "count-past-bound": (("n0", "n1", 0, 2**31), ValueError,
+                             r"no greater than.* \(got 2147483648\)$"),
+        "huge-count": (("n0", "n1", 0, 10**400), ValueError, rf" \(got {10**400}\)$"),
+        "bool-count": (("n0", "n1", True, False), ValueError, r"not bools.* \(got True\)$"),
         # in a batch of int rows, an array reads the bool as 1
-        "mixed-bool": (("n0", "n1", 3, np.True_), ValueError, "not bools"),
+        "mixed-bool": (("n0", "n1", 3, np.True_), ValueError, r"not bools.* \(got np\.True_\)$"),
     }
 
     @settings(max_examples=100)
@@ -977,3 +983,23 @@ class TestBlockWrites:
         if case == "deep-copy":
             assert all(state(eng) == before for eng, before in originals)
         assert by_cell.view("j", 2) == by_block.view("j", 2)
+
+
+def test_collusion_read_peaks_under_a_megabyte():
+    # one collusion-sized read, 9 targets x 50 raters x 8 slots, folds its
+    # weighted means a slice at a time: summing the whole [target, recommender,
+    # (b, d, u, a), rater] product instead (720 KB) peaks at about 1.6 MB
+    raters = [f"r{i:03d}" for i in range(50)]
+    eng = TestBatchedWrites.engine(raters)
+    rng = np.random.default_rng(0)
+    for slot in range(1, 9):
+        counts = rng.integers(0, 3, size=(9, 50, 2))
+        counts[np.arange(9), np.arange(9)] = 0
+        eng.record_block(slot, raters, raters[:9], counts)
+    tracemalloc.start()
+    try:
+        eng.average_reputations(raters[:9], 9, raters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
